@@ -7,19 +7,18 @@ Usage::
     python -m repro.bench --smoke    # tiny CI subset, quick mode
     python -m repro.bench r1 r5      # selected experiments
     python -m repro.bench --markdown out.md   # write EXPERIMENTS-style md
-    python -m repro.bench --smoke --timing    # wall-clock medians ->
-                                              #   BENCH_wallclock.json
-    python -m repro.bench --smoke --profile   # cProfile, top-25 cumulative
     python -m repro.bench --stats stats.json --trace-out trace.jsonl
                                    # observability artifacts from an
                                    # instrumented lossy demo workload
+
+Host time is measured and judged in one place only: ``perf/`` (see
+``perf/README.md``).  The wall time printed per experiment here is a
+courtesy, not a metric.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import statistics
 import sys
 import time
 
@@ -31,50 +30,6 @@ from .experiments import ALL
 #: run, the KV snapshot/restart/live-move chaos run, and the
 #: active-message invocation comparison
 SMOKE = ["r1", "r6", "r14", "r17", "r20", "r21", "r23"]
-
-#: median host wall time of ``--smoke`` on the reference machine *before*
-#: the hot-path overhaul (zero-copy payloads, Timeout recycling, clean-
-#: fabric fast path).  Kept so BENCH_wallclock.json always reports the
-#: speedup against the same pre-optimisation anchor; the anchor covers
-#: exactly the experiments below, so later additions to SMOKE don't
-#: skew the comparison.
-PRE_OPT_SMOKE_BASELINE_S = 4.271
-PRE_OPT_SMOKE_IDS = ("r1", "r6", "r14", "r17")
-
-
-def _run_timed(wanted, full: bool, repeats: int):
-    """Run each experiment ``repeats`` times; return (results, timings).
-
-    ``results`` holds the last run's ExperimentResult per experiment (all
-    repeats produce identical simulated output — the kernel is
-    deterministic); ``timings`` maps id -> {"runs": [...], "median_s": m,
-    "events": n, "events_per_sec": n/m}.  ``events`` is the number of
-    kernel events the experiment fires (identical on every repeat), so
-    events/s is the headline simulator-throughput figure: it normalises
-    the wall clock by the simulated load and stays comparable when
-    experiments grow or shrink.
-    """
-    from ..sim.core import total_events_processed
-
-    results = {}
-    timings = {}
-    for key in wanted:
-        module = ALL[key]
-        runs = []
-        events = 0
-        for _ in range(repeats):
-            e0 = total_events_processed()
-            t0 = time.perf_counter()
-            results[key] = module.run(quick=not full)
-            runs.append(time.perf_counter() - t0)
-            events = total_events_processed() - e0
-        median = statistics.median(runs)
-        timings[key] = {"runs": [round(r, 4) for r in runs],
-                        "median_s": round(median, 4),
-                        "events": events,
-                        "events_per_sec": (round(events / median)
-                                           if median > 0 else None)}
-    return results, timings
 
 
 def main(argv=None) -> int:
@@ -90,19 +45,6 @@ def main(argv=None) -> int:
                         help=f"run only the CI smoke subset {SMOKE}")
     parser.add_argument("--markdown", metavar="PATH",
                         help="also write results as markdown")
-    parser.add_argument("--timing", action="store_true",
-                        help="repeat each experiment and record per-"
-                             "experiment wall-clock medians in "
-                             "BENCH_wallclock.json")
-    parser.add_argument("--timing-repeats", type=int, default=3,
-                        metavar="K", help="repeats per experiment for "
-                                          "--timing (default 3)")
-    parser.add_argument("--timing-out", default="BENCH_wallclock.json",
-                        metavar="PATH", help="where --timing writes its "
-                                             "report (default: repo root)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top 25 "
-                             "functions by cumulative time")
     parser.add_argument("--stats", metavar="PATH",
                         help="run the instrumented observability demo "
                              "(spans + tracing on a lossy fabric) and "
@@ -132,7 +74,7 @@ def main(argv=None) -> int:
             obs_argv += ["--trace", args.trace_out]
         rc = obs_report.main(obs_argv)
         if rc or not (args.experiments or args.smoke or args.full
-                      or args.timing or args.profile or args.markdown):
+                      or args.markdown):
             return rc
 
     if args.smoke and args.full:
@@ -142,63 +84,19 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiments {unknown}; known: {sorted(ALL)}")
 
-    if args.profile:
-        import cProfile
-        import pstats
-        prof = cProfile.Profile()
-        prof.enable()
-        results = {k: ALL[k].run(quick=not args.full) for k in wanted}
-        prof.disable()
-        pstats.Stats(prof).sort_stats("cumulative").print_stats(25)
-        timings = None
-    elif args.timing:
-        results, timings = _run_timed(wanted, args.full, args.timing_repeats)
-    else:
-        results = {}
-        timings = None
-        for key in wanted:
-            t0 = time.time()
-            results[key] = ALL[key].run(quick=not args.full)
-            wall = time.time() - t0
-            print(results[key].render())
-            print(f"  (host wall time {wall:.1f}s)")
-            print()
+    results = {}
+    for key in wanted:
+        t0 = time.time()
+        results[key] = ALL[key].run(quick=not args.full)
+        wall = time.time() - t0
+        print(results[key].render())
+        print(f"  (host wall time {wall:.1f}s)")
+        print()
 
     failed = []
     for key in wanted:
         if not results[key].all_checks_pass:
             failed.append((key, results[key].failed_checks()))
-
-    if timings is not None:
-        total = round(sum(t["median_s"] for t in timings.values()), 4)
-        total_events = sum(t["events"] for t in timings.values())
-        report = {
-            "mode": ("smoke" if args.smoke
-                     else "full" if args.full else "quick"),
-            "experiments": timings,
-            "total_median_s": total,
-            "total_events": total_events,
-            "events_per_sec": (round(total_events / total)
-                               if total else None),
-            "repeats": args.timing_repeats,
-        }
-        if args.smoke:
-            anchor = round(sum(t["median_s"] for k, t in timings.items()
-                               if k in PRE_OPT_SMOKE_IDS), 4)
-            report["pre_optimisation_smoke_baseline_s"] = \
-                PRE_OPT_SMOKE_BASELINE_S
-            report["speedup_vs_pre_optimisation"] = round(
-                PRE_OPT_SMOKE_BASELINE_S / anchor, 2) if anchor else None
-        with open(args.timing_out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        for key, t in timings.items():
-            print(f"  {key}: median {t['median_s']:.3f}s over "
-                  f"{len(t['runs'])} runs, {t['events']:,} events "
-                  f"({t['events_per_sec']:,}/s)")
-        print(f"total (sum of medians): {total:.3f}s, "
-              f"{total_events:,} events "
-              f"({report['events_per_sec']:,}/s) -> {args.timing_out}")
 
     if args.markdown:
         with open(args.markdown, "w") as fh:

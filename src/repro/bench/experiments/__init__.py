@@ -23,11 +23,9 @@ from . import (
     r15_coalescing,
     r16_samplesort,
     r17_faults,
-    r18_walltime,
     r19_chaos,
     r20_kvstore,
     r21_snapshots,
-    r22_kernel,
     r23_am,
 )
 
@@ -49,11 +47,9 @@ ALL = {
     "r15": r15_coalescing,
     "r16": r16_samplesort,
     "r17": r17_faults,
-    "r18": r18_walltime,
     "r19": r19_chaos,
     "r20": r20_kvstore,
     "r21": r21_snapshots,
-    "r22": r22_kernel,
     "r23": r23_am,
 }
 

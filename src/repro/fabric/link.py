@@ -9,16 +9,17 @@ pipeline across multi-hop paths (cut-through behaviour) and contention on a
 shared hop (e.g. the destination's downlink during an incast) emerges
 naturally from queueing.
 
-Event economy: the clean server drains a whole back-to-back burst of
-queued chunks in one go and schedules **one** serialisation event for the
-burst; per-chunk exit times are reconstructed arithmetically (chunk *i*
-finishes at ``t0 + ser_1 + ... + ser_i``) and each delivery is a single
-raw timer callback instead of a spawned process.  The inbox's occupancy
-semantics are preserved exactly via :meth:`~repro.sim.resources.Store.
-set_holds` — a producer blocked on a full queue is admitted at the same
-simulated instant as under per-chunk draining.  Chaos/gray modes and
-faulty (drop-rate) links fall back to per-chunk serving, which keeps
-their RNG draw order and drop points identical to the historical model.
+Event economy: one server loop with one branch.  While neither a drop
+stream (``rng``) nor chaos is armed it drains a whole back-to-back burst of
+queued chunks in one go; per-chunk exit times are reconstructed
+arithmetically (chunk *i* finishes at ``t0 + ser_1 + ... + ser_i``) and
+each delivery is a single raw timer callback instead of a spawned process.
+The inbox's occupancy semantics are preserved exactly via
+:meth:`~repro.sim.resources.Store.add_holds` — a producer blocked on a full
+queue is admitted at the same simulated instant as under per-chunk
+draining.  With chaos/gray modes or a drop rate armed the same loop serves
+the one chunk it admitted, which keeps RNG draw order and drop points
+identical to the historical model.
 """
 
 from __future__ import annotations
@@ -134,126 +135,11 @@ class Link:
                 "busy_ns": self._busy_ns, "latency_ns": self.latency_ns}
 
     def _server(self):
-        # ``rng`` is assigned once at construction (only when the link was
-        # built with a non-zero drop_rate), so the clean/faulty decision can
-        # be made once instead of per chunk.  ``drop_rate`` itself can be
-        # toggled mid-run by fault-injection harnesses, hence the faulty
-        # variant still re-checks it per chunk.
-        if self.rng is None:
-            yield from self._server_clean()
-        else:
-            yield from self._server_faulty()
-
-    def _server_clean(self):
         env = self.env
         inbox = self.inbox
         items = inbox.items
         inbox_get = inbox.get
-        timeout = env.timeout
-        counters = self.counters
-        bw = self.params.bandwidth_gbps
-        lat = self.latency_ns
-        deliver = self._deliver
-        bounded = inbox.capacity is not None
-        # ``end`` is the wire's virtually-committed busy-until time: the
-        # server never sleeps through a serialisation, it just extends the
-        # schedule arithmetically and arms one delivery timer per chunk.
-        end = 0
         try_get = inbox.try_get
-        while True:
-            if inbox._put_queue and end > env.now:
-                # saturated queue: a parked producer must be admitted
-                # exactly when the wire schedule frees its slot, so fall
-                # back to per-chunk cadence until the backlog clears
-                yield timeout(end - env.now)
-            chunk: Chunk = try_get()
-            if chunk is None:
-                chunk = yield inbox_get()
-            chaos = self.chaos
-            if chaos is not None:
-                # gray failure armed: revert to per-chunk serving, but
-                # first let the virtually-committed backlog clear the wire
-                # so serialisations stay strictly sequential
-                if end > env.now:
-                    yield timeout(end - env.now)
-                if not chaos.up:
-                    self._drops += 1
-                    counters.add("link.chaos_drops")
-                    continue
-                ser = serialization_ns(chunk.wire_bytes,
-                                       bw * chaos.bw_scale)
-                self._busy_ns += ser
-                self._chunks += 1
-                self._bytes += chunk.wire_bytes
-                counters.add("link.chunks")
-                counters.add("link.bytes", chunk.wire_bytes)
-                yield timeout(ser)
-                end = env.now
-                # Propagation overlaps with serialising the next chunk.
-                env.process(self._propagate(chunk), name=f"prop:{self.name}")
-                continue
-            now = env.now
-            if items and not inbox._put_queue:
-                # back-to-back burst: drain it in one go (no per-item
-                # StoreGet events)
-                burst = [chunk]
-                burst.extend(items)
-                items.clear()
-            else:
-                burst = (chunk,)
-            # Chunk i starts serialising when the wire frees up and exits
-            # at start + ser_i; delivery at exit + latency via one raw
-            # timer callback (no per-chunk process or serialisation sleep).
-            t = start0 = end if end > now else now
-            nbytes = 0
-            holds = None
-            for c in burst:
-                if t > now and bounded:
-                    # occupancy contract: under one-at-a-time serving this
-                    # chunk would leave the queue only at its serialisation
-                    # start — keep its slot virtually occupied until then
-                    if holds is None:
-                        holds = [t]
-                    else:
-                        holds.append(t)
-                t += serialization_ns(c.wire_bytes, bw)
-                nbytes += c.wire_bytes
-                dt = timeout(t + lat - now)
-                dt.callbacks.append(partial(deliver, c))
-            end = t
-            self._busy_ns += t - start0
-            self._chunks += len(burst)
-            self._bytes += nbytes
-            counters.add("link.chunks", len(burst))
-            counters.add("link.bytes", nbytes)
-            if holds is not None:
-                inbox.add_holds(holds)
-
-    def _deliver(self, chunk: Chunk, _ev) -> None:
-        """Timer callback: chunk exits this link (batched fast path)."""
-        chaos = self.chaos
-        if chaos is not None and not chaos.up:
-            # the link went dark after this chunk's burst was committed:
-            # per-chunk serving would have dropped it at the server, so
-            # drop it here rather than leak traffic across a partition
-            self._drops += 1
-            self.counters.add("link.chaos_drops")
-            return
-        chunk.hop += 1
-        if chunk.hop < len(chunk.path):
-            nxt = chunk.path[chunk.hop]
-            # fire-and-forget put: admission order and backpressure are
-            # enforced by the store's FIFO put queue, and nothing ever
-            # waited on the old propagate process either
-            nxt.inbox.put_discard(chunk)
-        else:
-            if self.sink is None:
-                raise RuntimeError(f"link {self.name}: no sink at end of path")
-            self.sink(chunk)
-
-    def _server_faulty(self):
-        env = self.env
-        inbox_get = self.inbox.get
         timeout = env.timeout
         counters = self.counters
         # ``params`` is a frozen dataclass, but fault-injection harnesses
@@ -262,11 +148,74 @@ class Link:
         # invariant lookups (queue, counters, bandwidth, RNG) are hoisted.
         params = self.params
         bw0 = params.bandwidth_gbps
-        rng_random = self.rng.random
+        lat = self.latency_ns
+        deliver = self._deliver
+        bounded = inbox.capacity is not None
+        # ``rng`` is assigned once at construction (only when the link was
+        # built with a non-zero drop_rate).  A link that has one serves
+        # chunk by chunk for good, and admits each through a StoreGet event,
+        # so its draw order and event order never depend on queue depth.
+        rng_random = None if self.rng is None else self.rng.random
+        # ``end`` is the wire's virtually-committed busy-until time: the
+        # burst drain never sleeps through a serialisation, it just extends
+        # the schedule arithmetically and arms one delivery timer per chunk.
+        end = 0
         while True:
-            chunk: Chunk = yield inbox_get()
-            bw = bw0
+            if inbox._put_queue and end > env.now:
+                # saturated queue: a parked producer must be admitted
+                # exactly when the wire schedule frees its slot, so fall
+                # back to per-chunk cadence until the backlog clears
+                yield timeout(end - env.now)
+            chunk: Chunk = try_get() if rng_random is None else None
+            if chunk is None:
+                chunk = yield inbox_get()
             chaos = self.chaos
+            if chaos is None and rng_random is None:
+                now = env.now
+                if items and not inbox._put_queue:
+                    # back-to-back burst: drain it in one go (no per-item
+                    # StoreGet events)
+                    burst = [chunk]
+                    burst.extend(items)
+                    items.clear()
+                else:
+                    burst = (chunk,)
+                # Chunk i starts serialising when the wire frees up and
+                # exits at start + ser_i; delivery at exit + latency via one
+                # raw timer callback (no per-chunk process or serialisation
+                # sleep).
+                t = start0 = end if end > now else now
+                nbytes = 0
+                holds = None
+                for c in burst:
+                    if t > now and bounded:
+                        # occupancy contract: under one-at-a-time serving
+                        # this chunk would leave the queue only at its
+                        # serialisation start — keep its slot virtually
+                        # occupied until then
+                        if holds is None:
+                            holds = [t]
+                        else:
+                            holds.append(t)
+                    t += serialization_ns(c.wire_bytes, bw0)
+                    nbytes += c.wire_bytes
+                    dt = timeout(t + lat - now)
+                    dt.callbacks.append(partial(deliver, c))
+                end = t
+                self._busy_ns += t - start0
+                self._chunks += len(burst)
+                self._bytes += nbytes
+                counters.add("link.chunks", len(burst))
+                counters.add("link.bytes", nbytes)
+                if holds is not None:
+                    inbox.add_holds(holds)
+                continue
+            # drop stream or gray failure armed: serve this one chunk, after
+            # the virtually-committed backlog has cleared the wire so
+            # serialisations stay strictly sequential
+            if end > env.now:
+                yield timeout(end - env.now)
+            bw = bw0
             if chaos is not None:
                 if not chaos.up:
                     self._drops += 1
@@ -274,7 +223,7 @@ class Link:
                     continue
                 bw *= chaos.bw_scale
             ser = serialization_ns(chunk.wire_bytes, bw)
-            drop_rate = params.drop_rate
+            drop_rate = 0.0 if rng_random is None else params.drop_rate
             if drop_rate > 0.0:
                 if params.loss_mode == "lossy":
                     # genuine loss: the chunk still occupies the wire for
@@ -306,8 +255,31 @@ class Link:
             counters.add("link.chunks")
             counters.add("link.bytes", chunk.wire_bytes)
             yield timeout(ser)
+            end = env.now
             # Propagation overlaps with serialising the next chunk.
             env.process(self._propagate(chunk), name=f"prop:{self.name}")
+
+    def _deliver(self, chunk: Chunk, _ev) -> None:
+        """Timer callback: chunk exits this link (batched fast path)."""
+        chaos = self.chaos
+        if chaos is not None and not chaos.up:
+            # the link went dark after this chunk's burst was committed:
+            # per-chunk serving would have dropped it at the server, so
+            # drop it here rather than leak traffic across a partition
+            self._drops += 1
+            self.counters.add("link.chaos_drops")
+            return
+        chunk.hop += 1
+        if chunk.hop < len(chunk.path):
+            nxt = chunk.path[chunk.hop]
+            # fire-and-forget put: admission order and backpressure are
+            # enforced by the store's FIFO put queue, and nothing ever
+            # waited on the old propagate process either
+            nxt.inbox.put_discard(chunk)
+        else:
+            if self.sink is None:
+                raise RuntimeError(f"link {self.name}: no sink at end of path")
+            self.sink(chunk)
 
     def _propagate(self, chunk: Chunk):
         delay = self.latency_ns

@@ -601,10 +601,17 @@ class KVNode:
         taken snapshots are charged + mirrored into obs.
         """
         applied = 0
-        for g, rn in self.raft.items():
+        # on_crash() clears self.raft while this loop sleeps in a yield:
+        # iterate a snapshot, and once ``rn`` is no longer this node's
+        # replica of ``g`` stop touching the (wiped) state altogether
+        for g, rn in list(self.raft.items()):
             for index, term, blob, t_start in rn.take_installed():
+                if self.raft.get(g) is not rn:
+                    return applied
                 yield from self._install_snapshot(g, blob, t_start)
                 applied += 1
+            if self.raft.get(g) is not rn:
+                return applied
             sm = self.machines[g]
             for index, raw in rn.take_applied():
                 cmd = decode_command(raw)
@@ -619,6 +626,8 @@ class KVNode:
                 elif cmd.op not in (OP_NOOP, OP_SEAL):
                     self._update_slot(g, cmd.key, sm)
                 yield self.env.timeout(self.config.apply_cost_ns)
+                if self.raft.get(g) is not rn:
+                    return applied
                 applied += 1
                 self.counters.add("kv.applied")
                 who = self._pending.pop((g, index), None)
@@ -651,7 +660,8 @@ class KVNode:
         for key in sorted(sm.version):
             self._update_slot(group, key, sm)
         yield self.env.timeout(self.config.install_cost_ns)
-        span.end(self.env.now, status="ok")
+        if span is not None:
+            span.end(self.env.now, status="ok")
         self.counters.add("kv.snapshot_installs")
         self.counters.add("kv.raft.snapshot_bytes", len(blob))
 
@@ -711,11 +721,14 @@ class KVNode:
     def _flush(self):
         """Drain Raft outboxes and the response queue onto the wire."""
         sent = 0
-        for g, rn in self.raft.items():
+        # snapshot + identity check: see _apply_committed
+        for g, rn in list(self.raft.items()):
             if not rn.outbox:
                 continue
             out, rn.outbox = rn.outbox, []
             for dst, raw in out:
+                if self.raft.get(g) is not rn:
+                    return sent
                 yield from self._ship(dst, ACT_RAFT, raw)
                 sent += 1
         while self._tx:

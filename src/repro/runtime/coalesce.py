@@ -164,9 +164,6 @@ class CoalescingTransport:
             except PeerDownError:
                 pass
 
-    # kept as an alias: poll() predates the scheduler-driven flush
-    _flush_stale = flush_stale
-
     def stale_pending(self) -> bool:
         """True when an open batch has exceeded the latency bound
         (pure check — the scheduler uses this to decide whether
@@ -178,19 +175,12 @@ class CoalescingTransport:
                    for b in self._open.values())
 
     # ------------------------------------------------------------- receiving
-    def poll_pending(self) -> bool:
-        """True when :meth:`poll` could do more than charge poll time."""
-        if self._ready or self.stale_pending():
-            return True
-        inner_pending = getattr(self.inner, "poll_pending", None)
-        return inner_pending() if inner_pending is not None else False
-
-    def poll(self, charge_poll: bool = True):
+    def poll(self):
         """Return the next parcel, unpacking inner batches (generator)."""
         yield from self.flush_stale()
         if self._ready:
             return self._ready.popleft()
-        blob = yield from self.inner.poll(charge_poll=charge_poll)
+        blob = yield from self.inner.poll()
         if blob is None:
             return None
         offset = 0

@@ -100,12 +100,8 @@ class Runtime:
             return
         yield from self._dispatch(parcel)
 
-    def progress(self, charge_poll: bool = True):
+    def progress(self):
         """Process at most one parcel (generator → bool processed).
-
-        ``charge_poll=False`` is forwarded to transports that support
-        pre-charged polling (the KV server loop pays the poll interval
-        itself so an idle pass costs one kernel event, not two).
 
         On a coalescing transport, every progress pass first ships
         batches past their latency bound — the scheduler drives the
@@ -117,10 +113,7 @@ class Runtime:
         if self._local:
             yield from self._run_parcel(self._local.popleft())
             return True
-        if charge_poll:
-            raw = yield from self.transport.poll()
-        else:
-            raw = yield from self.transport.poll(charge_poll=False)
+        raw = yield from self.transport.poll()
         if raw is None:
             return False
         yield from self._run_parcel(Parcel.decode(raw))

@@ -471,13 +471,8 @@ class MpiTransport:
             yield from self.comm.waitall(list(self._inflight))
             self._inflight.clear()
 
-    def poll(self, charge_poll: bool = True):
-        """One progress pass; returns an encoded parcel or None (generator).
-
-        ``charge_poll`` is accepted for interface uniformity with
-        :class:`PhotonTransport`; the tag-matching engine charges its own
-        progress cost either way.
-        """
+    def poll(self):
+        """One progress pass; returns an encoded parcel or None (generator)."""
         from ..minimpi.status import ANY_SOURCE
         if not self._primed:
             yield from self._prime()

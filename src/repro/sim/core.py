@@ -4,8 +4,8 @@ This module provides the event loop that every other subsystem (fabric,
 verbs, photon, minimpi, runtime) runs on.  It is deliberately small and
 SimPy-flavoured:
 
-- :class:`Environment` owns an integer-nanosecond clock and a binary heap of
-  pending events.
+- :class:`Environment` owns an integer-nanosecond clock and a calendar queue
+  of pending events.
 - :class:`Event` is a one-shot occurrence that callbacks can be attached to.
 - :class:`Process` wraps a Python generator; the generator *yields* events
   and is resumed with the event's value when it fires, so simulated entities
@@ -14,30 +14,25 @@ SimPy-flavoured:
 - :class:`Timeout` fires after a fixed delay and is how model costs (CPU
   overhead, wire time, DMA time) are charged.
 
-Determinism: events scheduled for the same timestamp fire in FIFO order of
-scheduling (a monotone sequence number breaks ties), so a given program
-produces an identical trace on every run.  The clock is an ``int`` of
-nanoseconds — no floating-point time drift.
+Determinism: events scheduled for the same timestamp fire in priority
+order, then in FIFO order of scheduling, so a given program produces an
+identical trace on every run.  The clock is an ``int`` of nanoseconds — no
+floating-point time drift.
 
-Two interchangeable scheduler backends implement that contract (the
-``queue`` knob on :class:`Environment`):
-
-- ``"calendar"`` (default) — a calendar/bucket queue: events due *now*
-  live on two plain FIFO deques (one per priority), future events hash
-  into per-timestamp buckets ordered by a small heap of distinct
-  timestamps.  Insert and pop are O(1) amortized; the timestamp heap only
-  pays O(log t) per *distinct* future instant, which also covers
-  far-future timers (phi deadlines, leases) without a separate overflow
-  structure.
-- ``"heap"`` — the original binary heap of ``(time, priority, seq,
-  event)`` tuples, kept as the executable reference; the property suite
-  asserts both backends fire events in byte-identical order.
+The scheduler is a calendar/bucket queue: events due *now* live on two
+plain FIFO deques (one per priority), future events hash into
+per-timestamp buckets ordered by a small heap of distinct timestamps.
+Insert and pop are O(1) amortized; the timestamp heap only pays O(log t)
+per *distinct* future instant, which also covers far-future timers (phi
+deadlines, leases) without a separate overflow structure.  The textbook
+binary heap of ``(time, priority, seq, event)`` tuples it replaced lives
+on in the test tree (``tests/heap_oracle.py``) as the executable
+reference the property suite compares firing orders against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -52,14 +47,8 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "DEFAULT_QUEUE",
     "total_events_processed",
 ]
-
-#: scheduler backend used when :class:`Environment` is built without an
-#: explicit ``queue`` argument; override per-process with the
-#: ``REPRO_SIM_QUEUE`` environment variable ("calendar" or "heap")
-DEFAULT_QUEUE = os.environ.get("REPRO_SIM_QUEUE", "calendar")
 
 #: process-wide count of events fired across every Environment — the
 #: denominator-free load figure behind the events/s headline metric
@@ -145,14 +134,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        if env._queue is None and not self._scheduled:
-            # calendar backend, delay 0: a plain FIFO append (inlined from
-            # _schedule — succeed is one of the hottest kernel entry points)
-            self._scheduled = True
-            env._cur[priority].append(self)
-        else:
-            env._schedule(self, 0, priority)
+        # delay 0: a plain FIFO append (inlined from _schedule — succeed is
+        # one of the hottest kernel entry points; an undecided event cannot
+        # have been scheduled yet)
+        self._scheduled = True
+        self.env._cur[priority].append(self)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -351,7 +337,7 @@ class AnyOf(Condition):
 
 
 class Environment:
-    """Owns the clock and the pending-event heap.
+    """Owns the clock and the pending-event calendar queue.
 
     Typical use::
 
@@ -369,26 +355,17 @@ class Environment:
     #: cap on recycled Timeout objects kept per environment
     _FREELIST_MAX = 8192
 
-    def __init__(self, initial_time: int = 0, queue: Optional[str] = None):
+    def __init__(self, initial_time: int = 0):
         self._now = int(initial_time)
-        mode = DEFAULT_QUEUE if queue is None else queue
-        if mode not in ("calendar", "heap"):
-            raise SimulationError(f"unknown queue backend {mode!r}")
-        self.queue_mode = mode
-        #: heap backend: list of (time, priority, seq, event); None when
-        #: the calendar backend is active
-        self._queue: Optional[List] = [] if mode == "heap" else None
-        #: calendar backend: events due at the current instant, one FIFO
-        #: deque per priority (URGENT, NORMAL) — (priority, seq) order at
-        #: one timestamp is exactly "drain urgent first, each in append
-        #: order", because seq order *is* append order
+        #: events due at the current instant, one FIFO deque per priority
+        #: (URGENT, NORMAL) — (priority, scheduling) order at one timestamp
+        #: is exactly "drain urgent first, each in append order"
         self._cur = (deque(), deque())
-        #: calendar backend: future timestamp -> ([urgent], [normal])
+        #: future timestamp -> ([urgent], [normal])
         self._buckets: dict = {}
-        #: calendar backend: min-heap over the distinct future timestamps
-        #: (each pushed exactly once, when its bucket is created)
+        #: min-heap over the distinct future timestamps (each pushed
+        #: exactly once, when its bucket is created)
         self._ts_heap: List[int] = []
-        self._seq = 0
         #: events fired on this environment (the events/s numerator)
         self.events_processed = 0
         self._active_process: Optional[Process] = None
@@ -422,21 +399,18 @@ class Environment:
             t.delay = delay
             t._ok = True
             t._value = value
-            if self._queue is None:
-                # calendar backend: inlined _schedule (recycled timeouts
-                # are the single most common scheduling operation)
-                t._scheduled = True
-                if delay == 0:
-                    self._cur[NORMAL].append(t)
-                else:
-                    ts = self._now + delay
-                    bucket = self._buckets.get(ts)
-                    if bucket is None:
-                        self._buckets[ts] = bucket = ([], [])
-                        heapq.heappush(self._ts_heap, ts)
-                    bucket[NORMAL].append(t)
+            # inlined _schedule (recycled timeouts are the single most
+            # common scheduling operation)
+            t._scheduled = True
+            if delay == 0:
+                self._cur[NORMAL].append(t)
             else:
-                self._schedule(t, delay, NORMAL)
+                ts = self._now + delay
+                bucket = self._buckets.get(ts)
+                if bucket is None:
+                    self._buckets[ts] = bucket = ([], [])
+                    heapq.heappush(self._ts_heap, ts)
+                bucket[NORMAL].append(t)
             return t
         return Timeout(self, int(delay), value)
 
@@ -454,11 +428,7 @@ class Environment:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        self._seq += 1
-        queue = self._queue
-        if queue is not None:  # heap backend
-            heapq.heappush(queue, (self._now + delay, priority, self._seq, event))
-        elif delay == 0:
+        if delay == 0:
             # due at the current instant: plain FIFO append, no heap op
             self._cur[priority].append(event)
         else:
@@ -469,16 +439,9 @@ class Environment:
                 heapq.heappush(self._ts_heap, t)
             bucket[priority].append(event)
 
-    def _pending(self) -> bool:
-        """True while any event is queued (either backend)."""
-        if self._queue is not None:
-            return bool(self._queue)
-        cur = self._cur
-        return bool(cur[0] or cur[1] or self._ts_heap)
-
     def _advance_bucket(self) -> None:
-        """Calendar backend: move the earliest future bucket onto the
-        current-instant deques, advancing the clock to it."""
+        """Move the earliest future bucket onto the current-instant deques,
+        advancing the clock to it."""
         t = heapq.heappop(self._ts_heap)
         urgent, normal = self._buckets.pop(t)
         self._now = t
@@ -489,8 +452,6 @@ class Environment:
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next event, or None if the queue is empty."""
-        if self._queue is not None:
-            return self._queue[0][0] if self._queue else None
         cur = self._cur
         if cur[0] or cur[1]:
             return self._now
@@ -499,22 +460,12 @@ class Environment:
     def step(self) -> None:
         """Fire the single next event (advancing the clock to it)."""
         global _PROCESSED_TOTAL
-        queue = self._queue
-        if queue is not None:
-            if not queue:
+        cur_urgent, cur_normal = self._cur
+        if not cur_urgent and not cur_normal:
+            if not self._ts_heap:
                 raise SimulationError("step() on empty event queue")
-            when, _prio, _seq, event = heapq.heappop(queue)
-            if when < self._now:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self._now = when
-        else:
-            cur_urgent, cur_normal = self._cur
-            if not cur_urgent and not cur_normal:
-                if not self._ts_heap:
-                    raise SimulationError("step() on empty event queue")
-                self._advance_bucket()
-            event = (cur_urgent.popleft() if cur_urgent
-                     else cur_normal.popleft())
+            self._advance_bucket()
+        event = cur_urgent.popleft() if cur_urgent else cur_normal.popleft()
         self.events_processed += 1
         _PROCESSED_TOTAL += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -545,39 +496,6 @@ class Environment:
         ``until`` may be ``None`` (drain the queue), an ``int`` deadline in
         ns, or an :class:`Event` — in the latter case ``run`` returns the
         event's value (raising its exception if it failed).
-        """
-        if self._queue is not None:
-            return self._run_heap(until)
-        return self._run_calendar(until)
-
-    def _run_heap(self, until: Any) -> Any:
-        queue = self._queue
-        step = self.step
-        if until is None:
-            while queue:
-                step()
-            return None
-        if isinstance(until, Event):
-            stop = until
-            while not stop._processed:
-                if not queue:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired "
-                        "(deadlock in the model?)")
-                step()
-            if stop._ok:
-                return stop._value
-            raise stop._value
-        deadline = int(until)
-        if deadline < self._now:
-            raise SimulationError("run(until=...) deadline is in the past")
-        while queue and queue[0][0] <= deadline:
-            step()
-        self._now = deadline
-        return None
-
-    def _run_calendar(self, until: Any) -> Any:
-        """Calendar-backend drain loop.
 
         The hot loop is localized: deques, buckets, the timestamp heap and
         the Timeout freelist are all bound to locals, and the event-firing

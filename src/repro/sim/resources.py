@@ -58,7 +58,7 @@ class Store:
         self._put_queue: Deque[StorePut] = deque()
         self._get_queue: Deque[StoreGet] = deque()
         # virtual occupancy: timestamps at which batch-drained items would
-        # have left the queue one at a time (see set_holds); counted by
+        # have left the queue one at a time (see add_holds); counted by
         # ``full`` until the sim clock passes them
         self._holds: tuple = ()
         self._hold_wakeup_at: Optional[int] = None
@@ -79,28 +79,22 @@ class Store:
             occ += len(live)
         return occ >= self.capacity
 
-    def set_holds(self, release_times) -> None:
+    def add_holds(self, release_times) -> None:
         """Keep batch-drained slots virtually occupied until given times.
 
         A consumer that drains k items at once (e.g. a link serialising a
         whole burst as one event) frees k-1 slots *early* relative to
         draining them one at a time.  Passing the would-be drain timestamps
-        here keeps ``full`` — and therefore the admission time of parked
-        producers — identical to the one-at-a-time schedule.
+        here (they accumulate onto the holds still live) keeps ``full`` —
+        and therefore the admission time of parked producers — identical to
+        the one-at-a-time schedule.
         """
-        now = self.env.now
-        self._holds = tuple(h for h in release_times if h > now)
-        if self._holds and self._put_queue:
-            # a producer is already parked behind the held slots: arm a
-            # wakeup at the earliest release so it is admitted then
-            self._arm_hold_wakeup()
-
-    def add_holds(self, release_times) -> None:
-        """Like :meth:`set_holds`, but accumulates onto live holds."""
         now = self.env.now
         live = tuple(h for h in self._holds if h > now)
         self._holds = live + tuple(h for h in release_times if h > now)
         if self._holds and self._put_queue:
+            # a producer is already parked behind the held slots: arm a
+            # wakeup at the earliest release so it is admitted then
             self._arm_hold_wakeup()
 
     def _arm_hold_wakeup(self) -> None:

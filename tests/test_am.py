@@ -346,10 +346,10 @@ def test_armed_idle_am_keeps_plain_parcel_trace_identical():
 def test_golden_traces_hold_with_am_armed_calendar_and_heap(monkeypatch):
     """KV-guard idiom: with the AM layer imported and armed engines live
     in the process, the golden r1/r4/r17 fingerprints must still match —
-    under both queue backends."""
+    on the production kernel and on the heap oracle."""
     import repro.runtime.am  # noqa: F401 — the layer is present
-    from repro.sim import core
     from tests import test_determinism_golden as golden
+    from tests.heap_oracle import HeapEnvironment
 
     # an armed engine existing elsewhere in the process must not leak
     cl, rts = make()
@@ -358,7 +358,7 @@ def test_golden_traces_hold_with_am_armed_calendar_and_heap(monkeypatch):
     golden.test_r1_table_matches_golden()
     golden.test_clean_traces_match_golden()
 
-    monkeypatch.setattr(core, "DEFAULT_QUEUE", "heap")
+    monkeypatch.setattr("repro.cluster.Environment", HeapEnvironment)
     golden.test_r1_table_matches_golden()
     golden.test_clean_traces_match_golden()
 

@@ -10,7 +10,7 @@ the drop sequence deterministic.
 
 from __future__ import annotations
 
-from repro.fabric.link import Chunk, Link
+from repro.fabric.link import Chunk, Link, LinkChaos
 from repro.fabric.params import LinkParams
 from repro.sim.core import Environment
 from repro.sim.trace import Counters
@@ -118,3 +118,174 @@ def test_lossy_drop_accounting():
     assert snap["link.drops"] == 1
     assert snap["link.chunks"] == 1
     assert delivered[0][0] == 2 * ser + 500
+
+
+# ---------------------------------------------------------------------------
+# one server, three transitions: chaos armed on a clean link mid-burst,
+# chaos armed on a drop-rate link, a drop-rate link healed mid-run.  The
+# expected values were captured from the two-server implementation
+# (_server_clean / _server_faulty) and must never move.
+# ---------------------------------------------------------------------------
+
+class CyclicRng:
+    """random() cycles a fixed pattern — a deterministic ~25% drop stream."""
+
+    PATTERN = (0.9, 0.05, 0.7, 0.6, 0.02, 0.8, 0.95, 0.3)
+
+    def __init__(self):
+        self._i = 0
+
+    def random(self) -> float:
+        v = self.PATTERN[self._i % len(self.PATTERN)]
+        self._i += 1
+        return v
+
+
+def _two_hop(rng=None, **link_kw):
+    """hop0 (the link under test) -> hop1 (clean) -> sink."""
+    env = Environment()
+    counters = Counters()
+    params = LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096,
+                        **link_kw)
+    hop0 = Link(env, params, "hop0", counters=counters, rng=rng,
+                queue_depth=4)
+    hop1 = Link(env, LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096),
+                "hop1", counters=Counters())
+    delivered = []
+    hop1.sink = lambda chunk: delivered.append((env.now, chunk.offset))
+    return env, counters, hop0, hop1, delivered
+
+
+def _feed(env, hop0, hop1, script):
+    """``script`` is [(instant, n_chunks | callable)]: blocking puts of
+    chunks tagged by ``offset`` (so the bounded inbox backpressures), or a
+    zero-time action such as arming chaos."""
+    def feeder():
+        tag = 0
+        for at, what in script:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            if callable(what):
+                what()
+                continue
+            for _ in range(what):
+                wire = 700 + 90 * (tag % 5)
+                yield hop0.inbox.put(Chunk(
+                    msg=None, offset=tag, size=wire - 30, wire_bytes=wire,
+                    is_first=True, is_last=True, path=[hop0, hop1]))
+                tag += 1
+
+    env.process(feeder(), name="feeder")
+    env.run(until=5_000_000)
+
+
+def _observed(env, counters, hop0, delivered):
+    snap = counters.snapshot()
+    return {
+        "delivered": delivered,
+        "busy_ns": hop0._busy_ns,
+        "events": env.events_processed,
+        "link": (hop0._chunks, hop0._bytes, hop0._drops),
+        "counters": {k: snap[k] for k in sorted(snap)
+                     if k.startswith("link.")},
+    }
+
+
+EXPECT_CHAOS_ON_CLEAN = {'busy_ns': 21640,
+ 'counters': {'link.bytes': 18300, 'link.chaos_drops': 8, 'link.chunks': 21},
+ 'delivered': [(2400, 0), (3280, 1), (4250, 2), (5310, 3), (6460, 4),
+               (7160, 5), (7950, 6), (8830, 7), (9800, 8), (10860, 9),
+               (11900, 10), (13570, 11), (15420, 12), (17450, 13),
+               (33120, 19), (33820, 20), (43120, 24), (43820, 25)],
+ 'events': 127,
+ 'link': (21, 18300, 8)}
+
+EXPECT_CHAOS_ON_LOSSY = {'busy_ns': 30460,
+ 'counters': {'link.bytes': 10110,
+              'link.chaos_drops': 7,
+              'link.chunks': 12,
+              'link.drops': 4,
+              'link.lost_bytes': 3970},
+ 'delivered': [(2400, 0), (4250, 2), (5610, 3), (12380, 5), (15630, 6),
+               (19240, 7), (23210, 8), (42760, 17), (43820, 18), (45310, 20),
+               (46190, 21), (47160, 22)],
+ 'events': 140,
+ 'link': (12, 10110, 11)}
+
+EXPECT_CHAOS_ON_RELIABLE = {'busy_ns': 46140,
+ 'counters': {'link.bytes': 17600,
+              'link.chaos_drops': 3,
+              'link.chunks': 20,
+              'link.drops': 7,
+              'link.retrans_bytes': 6340},
+ 'delivered': [(2400, 0), (8070, 1), (9040, 2), (15370, 3), (19700, 4),
+               (22140, 5), (25390, 6), (36520, 7), (40490, 8), (52760, 9),
+               (53730, 13), (54790, 14), (55490, 15), (60800, 16),
+               (61770, 17), (67800, 18), (68950, 19), (69650, 20),
+               (70440, 21), (76020, 22)],
+ 'events': 197,
+ 'link': (20, 17600, 10)}
+
+EXPECT_HEALED = {'busy_ns': 20940,
+ 'counters': {'link.bytes': 19090,
+              'link.chunks': 22,
+              'link.drops': 2,
+              'link.lost_bytes': 1850},
+ 'delivered': [(2400, 0), (4250, 2), (5310, 3), (6800, 5), (7680, 6),
+               (8650, 7), (9710, 8), (10860, 9), (11560, 10), (12350, 11),
+               (13230, 12), (14200, 13), (15260, 14), (15960, 15),
+               (16750, 16), (17630, 17), (18600, 18), (19660, 19),
+               (20360, 20), (21150, 21), (22030, 22), (23000, 23)],
+ 'events': 209,
+ 'link': (22, 19090, 2)}
+
+
+def test_chaos_armed_mid_burst_on_clean_link():
+    env, counters, hop0, hop1, delivered = _two_hop()
+    _feed(env, hop0, hop1, [
+        (0, 10),                       # > queue depth: burst + backpressure
+        (3_000, lambda: hop0.arm_chaos(LinkChaos(bw_scale=0.5))),
+        (3_000, 6),
+        (14_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
+        (14_000, 3),
+        (30_000, lambda: hop0.arm_chaos(None)),
+        (30_000, 5),
+        # dark again with a committed burst still on the wire: the
+        # delivery callback must drop what the server already scheduled
+        (32_500, lambda: hop0.arm_chaos(LinkChaos(up=False))),
+        (40_000, lambda: hop0.arm_chaos(None)),
+        (40_000, 2),
+    ])
+    assert _observed(env, counters, hop0, delivered) == EXPECT_CHAOS_ON_CLEAN
+
+
+def test_chaos_armed_on_drop_rate_link():
+    for mode, expect in (("lossy", EXPECT_CHAOS_ON_LOSSY),
+                         ("reliable", EXPECT_CHAOS_ON_RELIABLE)):
+        env, counters, hop0, hop1, delivered = _two_hop(
+            rng=CyclicRng(), drop_rate=0.25, loss_mode=mode,
+            retransmit_ns=4_000)
+        _feed(env, hop0, hop1, [
+            (0, 8),
+            (2_500, lambda: hop0.arm_chaos(
+                LinkChaos(bw_scale=0.25, latency_add_ns=300))),
+            (2_500, 6),
+            (20_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
+            (20_000, 3),
+            (40_000, lambda: hop0.arm_chaos(None)),
+            (40_000, 6),
+        ])
+        assert _observed(env, counters, hop0, delivered) == expect, mode
+
+
+def test_drop_rate_link_healed_mid_run():
+    env, counters, hop0, hop1, delivered = _two_hop(
+        rng=CyclicRng(), drop_rate=0.25, loss_mode="lossy")
+    _feed(env, hop0, hop1, [
+        (0, 12),
+        (6_000, lambda: object.__setattr__(hop0.params, "drop_rate", 0.0)),
+        (6_000, 12),
+    ])
+    # healed: no draws, no drops after 6 us — but still one chunk per
+    # serialisation event (the RNG-armed link never burst-drains)
+    assert _observed(env, counters, hop0, delivered) == EXPECT_HEALED

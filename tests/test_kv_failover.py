@@ -62,3 +62,81 @@ def test_zero_acked_write_loss_on_every_survivor(fo):
 def test_membership_monotonic_on_survivors(fo):
     for monitor in fo["survivor_monitors"]:
         check_membership_monotonic(monitor)
+
+
+# ---------------------------------------------------------------------------
+# crash landing *inside* the victim's apply / flush loop: on_crash() wipes
+# the group table the loop is iterating across a simulated yield
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("where", ["apply", "flush"])
+def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
+    from repro.bench.experiments.r20_kvstore import (HB_PERIOD, VALUE_SIZE,
+                                                     _build, _leaders_ready)
+    from repro.chaos import ChaosController, FaultSchedule
+    from repro.kv import KVClient
+    from repro.kv.store import ACT_RAFT
+    from repro.kv.workload import value_for
+
+    cl, ph, monitors, nodes = _build(5, 1, seed=303)
+    env = cl.env
+    ctrl = ChaosController(cl, FaultSchedule([]), photon=ph,
+                           monitors=monitors, kv=nodes)
+    out = {"armed": False, "t_crash": None}
+
+    def crash(victim):
+        # 1 ns later the victim is parked in the yield that follows the
+        # hooked call: apply_cost_ns, or the wire send of a Raft message
+        out["armed"] = False
+        yield env.timeout(1)
+        ctrl._crash(victim)
+        out["t_crash"] = env.now
+
+    def hook(victim):
+        node = nodes[victim]
+        if where == "apply":
+            sm = node.machines[0]
+            inner = sm.apply
+
+            def apply(cmd):
+                if out["armed"]:
+                    env.process(crash(victim))
+                return inner(cmd)
+            sm.apply = apply
+        else:
+            inner = node._ship
+
+            def ship(dst, action, payload):
+                if out["armed"] and action == ACT_RAFT:
+                    env.process(crash(victim))
+                return inner(dst, action, payload)
+            node._ship = ship
+
+    def burst(env):
+        while not _leaders_ready(nodes, 1):
+            yield env.timeout(HB_PERIOD)
+        victim = out["victim"] = next(n.rank for n in nodes
+                                      if n.is_leader(0))
+        hook(victim)
+        client = out["client"] = KVClient(nodes[4], client_id=7)
+        for i in range(120):
+            out["armed"] = out["t_crash"] is None and i >= 40
+            v = value_for(7, client.seq + 1, VALUE_SIZE)
+            yield from client.put(f"cr:{i % 40:04d}".encode(), v)
+        yield env.timeout(20 * HB_PERIOD)
+
+    # a dead serve loop surfaces here: the kernel re-raises the failure
+    # of a process nobody waits on ("dictionary changed size ...")
+    env.run(until=env.process(burst(env), name="kv.crash.burst"))
+
+    victim = nodes[out["victim"]]
+    assert out["t_crash"] is not None, "the crash hook never fired"
+    # dead-poll stance: loop alive, endpoint dead, replica state wiped
+    assert victim._proc.is_alive and not victim.photon.alive
+    assert not victim.raft and not victim.machines
+    acked = {(c, s) for (c, s, _op, _k, _v) in out["client"].acked}
+    assert len(acked) == 120
+    survivors = [n for n in nodes if n.photon.alive and 0 in n.machines]
+    assert len(survivors) == 2
+    for n in survivors:
+        assert acked <= n.machines[0].applied_uids, n.rank

@@ -163,3 +163,39 @@ def test_armed_but_idle_snapshots_cost_nothing():
         assert vals.get("kv.snapshot_installs", 0) == 0
         assert vals.get("kv.raft.snapshot_bytes", 0) == 0
     assert cl.metrics.span_durations("kv.raft.install") == []
+
+
+def test_snapshot_install_with_spans_off():
+    """``counters.span()`` hands out None with spans off (the default);
+    a snapshot install on such a cluster must not trip over it."""
+    from repro.kv.raft import RaftConfig
+
+    cl = build_cluster(3, "ib-fdr", seed=72)  # spans=False
+    ph = photon_init(cl)
+    nodes = build_kv(cl, ph, KVConfig(
+        n_groups=1, rf=3,
+        raft=RaftConfig(compact_threshold=8, compact_margin=2)))
+    out = {}
+
+    def body(env):
+        while not any(n.is_leader(0) for n in nodes):
+            yield env.timeout(50_000)
+        leader = next(n.rank for n in nodes if n.is_leader(0))
+        follower = (leader + 1) % 3
+        c = KVClient(nodes[leader], client_id=1)
+        for i in range(30):  # leader snapshots + compacts several times
+            yield from c.put(f"k:{i}".encode(), b"v")
+        # an amnesiac follower can only catch up through InstallSnapshot
+        nodes[follower].on_crash()
+        nodes[follower].reseed()
+        for i in range(30, 40):
+            yield from c.put(f"k:{i}".encode(), b"v")
+        yield env.timeout(2_000_000)
+        out["follower"] = follower
+
+    done = cl.env.process(body(cl.env), name="kv.spans_off")
+    cl.env.run(until=done)
+    f = out["follower"]
+    assert cl.scope(f).values.get("kv.snapshot_installs", 0) >= 1
+    assert nodes[f]._proc.is_alive
+    assert len({n.machines[0].serialize() for n in nodes}) == 1

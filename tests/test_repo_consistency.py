@@ -1,10 +1,11 @@
 """Repository self-consistency: experiments ↔ benchmarks ↔ docs.
 
-Keeps the deliverables honest: every registered experiment has a
-benchmark target, is indexed in DESIGN.md, and has a measured table in
+Keeps the deliverables honest: every registered experiment is collected
+by the benchmark module, is indexed in DESIGN.md, and has a measured table in
 EXPERIMENTS.md — and no build artifact is ever committed.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -14,18 +15,19 @@ import pytest
 from repro.bench.experiments import ALL
 
 
-def test_every_experiment_has_a_benchmark_file():
-    files = os.listdir("benchmarks")
-    for key, module in ALL.items():
-        suffix = module.__name__.rsplit(".", 1)[-1]  # e.g. r1_latency
-        assert f"bench_{suffix}.py" in files, f"missing bench for {key}"
-
-
-def test_every_benchmark_maps_to_an_experiment():
-    suffixes = {m.__name__.rsplit(".", 1)[-1] for m in ALL.values()}
-    for fname in os.listdir("benchmarks"):
-        if fname.startswith("bench_") and fname.endswith(".py"):
-            assert fname[len("bench_"):-3] in suffixes, fname
+def test_every_experiment_is_collected_by_the_benchmark_module():
+    """``benchmarks/bench_experiments.py`` is the only benchmark module and
+    is parametrised over exactly the registry, ids = the experiment keys
+    (so ``-k r20`` selects one)."""
+    modules = [f for f in os.listdir("benchmarks") if f.endswith(".py")]
+    assert modules == ["bench_experiments.py"]
+    spec = importlib.util.spec_from_file_location(
+        "bench_experiments", "benchmarks/bench_experiments.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (mark,) = [m for m in module.test_experiment.pytestmark
+               if m.name == "parametrize"]
+    assert mark.args[0] == "key" and list(mark.args[1]) == list(ALL)
 
 
 def test_design_indexes_every_experiment():

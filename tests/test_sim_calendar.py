@@ -1,12 +1,12 @@
-"""Equivalence of the calendar-queue and heap scheduler backends.
+"""Equivalence of the calendar-queue kernel and the reference binary heap.
 
-The calendar backend is only admissible because it is *observably
-identical* to the reference binary heap: same firing order (timestamp,
-then priority, then scheduling order), same clock, same event count, on
-any schedule.  These tests drive randomized workloads through both
-backends side by side and assert byte-identical firing logs, then re-run
-the golden-trace suite in heap mode so both backends pin the same
-pre-optimization fingerprints.
+The calendar queue is only admissible because it is *observably
+identical* to the textbook heap (``tests/heap_oracle.HeapEnvironment``):
+same firing order (timestamp, then priority, then scheduling order), same
+clock, same event count, on any schedule.  These tests drive randomized
+workloads through both side by side and assert byte-identical firing
+logs, then re-run the golden-trace suite on the oracle so both pin the
+same pre-optimization fingerprints.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import random
 
 import pytest
 
-import repro.sim.core as core
+from repro.cluster import build_cluster
 from repro.sim.core import (Environment, Event, Interrupt, NORMAL,
                             SimulationError, URGENT)
+from tests.heap_oracle import HeapEnvironment
+
+KERNELS = (HeapEnvironment, Environment)
 
 DELAYS = (0, 1, 1, 2, 3, 5, 7, 7, 50, 100, 100, 1000, 12345)
 
@@ -94,8 +97,8 @@ def _drive(env: Environment, seed: int, log: list):
 def _run_both(seed: int, until=None):
     logs = []
     envs = []
-    for mode in ("heap", "calendar"):
-        env = Environment(queue=mode)
+    for kernel in KERNELS:
+        env = kernel()
         log: list = []
         _drive(env, seed, log)
         if until is None:
@@ -117,7 +120,7 @@ def test_random_schedules_fire_identically(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_run_until_deadline_identical(seed):
-    # stop mid-schedule: both backends must drain exactly the events due
+    # stop mid-schedule: both kernels must drain exactly the events due
     # by the deadline and land the clock *on* it
     (heap_log, cal_log), (heap_env, cal_env) = _run_both(seed, until=40)
     assert heap_log == cal_log
@@ -131,9 +134,9 @@ def test_run_until_deadline_identical(seed):
 
 def test_same_instant_priority_and_fifo_order():
     # at one timestamp: urgent events fire before normal ones, and within
-    # a priority class strictly in scheduling order — on both backends
-    for mode in ("heap", "calendar"):
-        env = Environment(queue=mode)
+    # a priority class strictly in scheduling order — on both kernels
+    for kernel in KERNELS:
+        env = kernel()
         order = []
 
         def note(tag):
@@ -147,15 +150,15 @@ def test_same_instant_priority_and_fifo_order():
             uv.callbacks.append(note(f"u{i}"))
             uv.succeed(priority=URGENT)
         env.run()
-        assert order == ["u0", "u1", "u2", "u3", "n0", "n1", "n2", "n3"], mode
+        assert order == ["u0", "u1", "u2", "u3", "n0", "n1", "n2", "n3"], kernel
 
 
 def test_recycled_timeouts_identical():
     # a long chain of sequential timeouts recycles Timeout instances via
     # the freelist; the firing schedule must not depend on recycling
     logs = []
-    for mode in ("heap", "calendar"):
-        env = Environment(queue=mode)
+    for kernel in KERNELS:
+        env = kernel()
         log = []
 
         def churn():
@@ -171,38 +174,31 @@ def test_recycled_timeouts_identical():
 
 
 def test_error_paths_identical():
-    for mode in ("heap", "calendar"):
-        env = Environment(queue=mode)
+    for kernel in KERNELS:
+        env = kernel()
         with pytest.raises(SimulationError):
             env.run(until=-1)
         # run(until=event) on a drained queue is a modelling deadlock
-        env2 = Environment(queue=mode)
+        env2 = kernel()
         ev = Event(env2)
         with pytest.raises(SimulationError):
             env2.run(until=ev)
-        # negative delays are rejected by both backends
-        env3 = Environment(queue=mode)
+        # negative delays are rejected by both kernels
+        env3 = kernel()
         with pytest.raises(SimulationError):
             env3.timeout(-5)
 
 
-def test_queue_knob_validation():
-    with pytest.raises(SimulationError):
-        Environment(queue="wheel")
-    assert Environment(queue="heap").queue_mode == "heap"
-    assert Environment(queue="calendar").queue_mode == "calendar"
-    assert Environment().queue_mode == core.DEFAULT_QUEUE
-
-
 # ---------------------------------------------------------------------------
-# the strongest equivalence statement available: the heap backend must
-# reproduce the exact golden fingerprints the calendar backend pins
+# the strongest equivalence statement available: the heap oracle must
+# reproduce the exact golden fingerprints the calendar kernel pins
 # ---------------------------------------------------------------------------
 
 def test_golden_suite_heap_mode(monkeypatch):
     from tests import test_determinism_golden as golden
 
-    monkeypatch.setattr(core, "DEFAULT_QUEUE", "heap")
+    monkeypatch.setattr("repro.cluster.Environment", HeapEnvironment)
+    assert type(build_cluster(2).env) is HeapEnvironment  # the swap took
     golden.test_r1_table_matches_golden()
     golden.test_r4_table_matches_golden()
     golden.test_r17_table_matches_golden()
