@@ -179,13 +179,10 @@ def run_mcts(cluster: Cluster, runtimes: List[Runtime],
             for fut in futs:
                 yield from fut.wait(rt, timeout_ns)
         # drain our coalescing batches, then announce completion
-        flush = getattr(rt.transport, "flush", None)
-        if flush is not None:
-            yield from flush()
+        yield from rt.transport.flush()
         for dst in range(n):
             yield from rt.send(dst, "mcts.done")
-        if flush is not None:
-            yield from flush()
+        yield from rt.transport.flush()
         ok = yield from rt.process_until(lambda: done_seen[rank] >= n,
                                          timeout_ns)
         if not ok:

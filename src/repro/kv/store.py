@@ -32,10 +32,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..runtime import build_runtime
 from ..runtime.actions import ActionRegistry
 from ..runtime.parcel import Parcel
 from ..runtime.scheduler import Runtime
-from ..runtime.transport import PeerDownError, PhotonTransport
+from ..runtime.transport import PeerDownError
 from ..sim.core import SimulationError
 from .raft import LEADER, RaftConfig, RaftNode, decode_msg
 from .shard import (Command, CodecError, KVStateMachine, OP_CAS, OP_DELETE,
@@ -792,15 +793,12 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
     reg = registry if registry is not None else ActionRegistry()
     register_actions(reg)
     nodes: List[KVNode] = []
-    for r in range(cluster.n):
-        transport = PhotonTransport(photons[r])
-        runtime = Runtime(r, cluster.env, transport, reg,
-                          counters=cluster.scope(r))
+    for r, runtime in enumerate(build_runtime(cluster, reg, photon=photons)):
         node = KVNode(cluster, r, runtime, photons[r], shard_map, cfg)
         runtime.kv = node
         if monitors is not None:
             photons[r].attach_health(monitors[r])
-            transport.attach_health(monitors[r])
+            runtime.transport.attach_health(monitors[r])
             node.attach_health(monitors[r])
         nodes.append(node)
     if start:

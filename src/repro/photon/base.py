@@ -80,7 +80,14 @@ class Completion:
 
 @dataclass
 class ReliableOp:
-    """One retryable PWC operation tracked by the reliability layer."""
+    """One retryable PWC operation — the handle ``put_pwc``/``get_pwc``/
+    ``send_pwc`` return.
+
+    ``status`` is None while the op is in flight and the terminal
+    :class:`WCStatus` once it settles; the endpoint keeps no record of a
+    settled op, so a caller that wants the outcome holds the handle.
+    Ops in flight when their endpoint crashes never settle.
+    """
 
     peer_rank: int
     op_id: int
@@ -97,6 +104,7 @@ class ReliableOp:
     #: acks still outstanding for the *current* attempt
     acks_pending: int = 0
     state: str = "pending"  # pending | backoff | done | failed
+    status: Optional[WCStatus] = None
     deadline: int = 0
     next_retry_at: int = 0
     #: open op-latency span (None when span recording is disabled)
@@ -118,6 +126,10 @@ class PeerState:
     #: local staging for the 8-byte credit words we send to this peer
     credit_staging: Dict[str, int] = field(default_factory=dict)
     outstanding: int = 0
+    #: immediate-mode receive window in use: receives posted on the RQ
+    #: plus this peer's receive CQEs not yet reaped.  Kept at or below
+    #: ``imm_prepost``, so a slow poller RNR-stalls its senders instead
+    #: of growing the receive CQ.
     preposted: int = 0
     #: producer-side reliable-operation id allocator (per peer)
     tx_op_seq: int = 0
@@ -170,10 +182,9 @@ class PhotonBase:
         self._op_seq = 0
         self._ops: Dict[int, Tuple[str, Optional[Callable],
                                    Optional[Callable]]] = {}
-        # reliability layer: live retryable ops by (peer, op id), terminal
-        # results kept until the caller frees them, seeded jitter stream
+        # reliability layer: live retryable ops by (peer, op id), seeded
+        # jitter stream
         self._reliable: Dict[Tuple[int, int], ReliableOp] = {}
-        self._op_results: Dict[Tuple[int, int], WCStatus] = {}
         self._in_deadline_scan = False
         self._retry_rng = cluster.rng.stream(f"photon.retry.{self.rank}")
         #: False between a chaos crash and the matching rejoin
@@ -267,9 +278,13 @@ class PhotonBase:
                 (other.rank, name, "credit_stage")]
         peer.scan_rings = tuple(peer.local[n] for n in RING_NAMES)
         self.peers[other.rank] = peer
-        if self.config.use_imm:
-            for _ in range(self.config.imm_prepost):
-                qp.post_recv(RecvWR())
+        self._top_up_recvs(peer)
+
+    def _top_up_recvs(self, peer: PeerState) -> None:
+        """Post receives until the pairing's window is ``imm_prepost``."""
+        if self._use_imm:
+            while peer.preposted < self._imm_prepost:
+                peer.qp.post_recv(RecvWR())
                 peer.preposted += 1
 
     # ------------------------------------------------------------- posting
@@ -481,7 +496,7 @@ class PhotonBase:
         self._release_op_mrs(op)
         if op.span is not None:
             op.span.end(self.env.now, retries=op.attempts - 1)
-        self._op_results[op.key] = WCStatus.SUCCESS
+        op.status = WCStatus.SUCCESS
         if op.local_cid is not None:
             self.local_cids.append((op.local_cid, WCStatus.SUCCESS))
             self.counters.add("photon.local_cids")
@@ -500,7 +515,7 @@ class PhotonBase:
                      else status.value)
             op.span.end(self.env.now, status=label,
                         retries=max(0, op.attempts - 1))
-        self._op_results[op.key] = status
+        op.status = status
         if status is WCStatus.PEER_DEAD:
             self.counters.add("photon.dead_peer_fails")
         else:
@@ -526,18 +541,6 @@ class PhotonBase:
         backoff += int(self._retry_rng.integers(0, jitter))
         op.state = "backoff"
         op.next_retry_at = self.env.now + backoff
-
-    def op_status(self, dst: int, op_id: int) -> Optional[WCStatus]:
-        """Terminal status of a reliable op, or None while still in flight.
-
-        ``put_pwc``/``send_pwc``/``get_pwc`` return the op id.  Terminal
-        results are retained until :meth:`free_op`.
-        """
-        return self._op_results.get((dst, op_id))
-
-    def free_op(self, dst: int, op_id: int) -> None:
-        """Drop the retained terminal status of a reliable op."""
-        self._op_results.pop((dst, op_id), None)
 
     # ------------------------------------------------------------- health
     def attach_health(self, monitor) -> None:
@@ -600,7 +603,6 @@ class PhotonBase:
             op.state = "failed"
             op.mrs.clear()
         self._reliable.clear()
-        self._op_results.clear()
         self._ops.clear()
         self.local_cids.clear()
         self.remote_cids.clear()
@@ -632,15 +634,12 @@ class PhotonBase:
             pass
         for peer in self.peers.values():
             self._rearm_peer_state(peer)
-            # the crash tore every QP down and the drain above consumed
-            # the flush CQEs, so the RQ really is empty on this side
-            peer.preposted = 0
             if peer.qp.state is not QPState.READY:
                 peer.qp.reset_and_reconnect()
-            if self.config.use_imm:
-                while peer.preposted < self.config.imm_prepost:
-                    peer.qp.post_recv(RecvWR())
-                    peer.preposted += 1
+            # the drain above consumed every receive CQE, so the window in
+            # use is what the RQ really holds: measured, not assumed empty
+            peer.preposted = peer.qp.rq_posted
+            self._top_up_recvs(peer)
         self.alive = True
         self.counters.add("photon.rejoins")
 
@@ -660,10 +659,7 @@ class PhotonBase:
         self._rearm_peer_state(peer)
         if peer.qp.state is not QPState.READY:
             peer.qp.reset_and_reconnect()
-        if self.config.use_imm:
-            while peer.preposted < self.config.imm_prepost:
-                peer.qp.post_recv(RecvWR())
-                peer.preposted += 1
+        self._top_up_recvs(peer)
         self.counters.add("photon.peer_rearms")
 
     def _rearm_peer_state(self, peer: PeerState) -> None:
@@ -688,19 +684,15 @@ class PhotonBase:
             self.memory.write_u64(
                 self._layout[(peer.rank, name, "credit_stage")], 0)
         peer.outstanding = 0
-        # deliberately NOT zeroing peer.preposted: if the pairing's QP
-        # was never torn down (peer died with nothing outstanding) the
-        # RQ still holds our posted receives — fungible empty WRs the
-        # new incarnation can consume, so zeroing the counter here would
-        # double-post and overflow the RQ on rearm.  If it *was* torn
-        # down, the flush CQEs decrement the counter through the normal
-        # poll path (possibly after this call), and the poll loop tops
-        # the RQ back up once they drain.
+        # deliberately NOT touching peer.preposted: if the pairing's QP
+        # was never torn down the RQ still holds our posted receives —
+        # fungible empty WRs the new incarnation can consume.  If it
+        # *was* torn down, the flush CQEs decrement the counter through
+        # the normal poll path (possibly after this call), and the poll
+        # loop tops the RQ back up once they drain.
         peer.tx_op_seq = 0
         peer.rx_hwm = 0
         peer.rx_seen.clear()
-        for key in [k for k in self._op_results if k[0] == peer.rank]:
-            del self._op_results[key]
 
     def _reconnect_peer(self, peer: PeerState) -> None:
         """Re-arm an errored QP (reliability layer owns reconnection)."""
@@ -791,12 +783,13 @@ class PhotonBase:
                         self.counters.add("photon.remote_cids")
                 # top preposts back up.  Only needed when this pass reaped
                 # receive completions: every other path that lowers
-                # ``preposted`` (init, reconnect, rejoin) refills inline.
-                for peer in self.peers.values():
-                    if peer.qp.state is QPState.READY:
-                        while peer.preposted < self._imm_prepost:
-                            peer.qp.post_recv(RecvWR())
-                            peer.preposted += 1
+                # ``preposted`` (init, rejoin, re-arm) refills inline.  Not
+                # after a crash: a pass the crash caught mid-flight must not
+                # re-post into QPs that rejoin() is about to re-arm.
+                if self.alive:
+                    for peer in self.peers.values():
+                        if peer.qp.state is QPState.READY:
+                            self._top_up_recvs(peer)
         # 3) ledger scans — ring state only changes when bytes land in a
         # ring region of this rank's memory (rings are watched ranges, so
         # such writes bump ``watch_version``) and entries are only ever

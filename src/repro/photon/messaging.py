@@ -149,14 +149,18 @@ class MessagingMixin:
             raise SimulationError(
                 f"rank {self.rank}: rendezvous fetch from {info.src} failed "
                 f"after {self.config.max_op_retries + 1} attempts")
-        peer = self._peer(info.src)
-        yield from self._post_ring_entry(
-            peer, "fin",
-            lambda seq: FinEntry(seq=seq, req=info.req).pack())
+        yield from self._post_fin(info)
         if span is not None:
             span.end(self.env.now, retries=_attempt)
         self.counters.add("photon.rendezvous_recvs")
         return info.size
+
+    def _post_fin(self, info: RecvInfo):
+        """FIN the sender of a fetched advertisement, completing its
+        request (generator)."""
+        yield from self._post_ring_entry(
+            self._peer(info.src), "fin",
+            lambda seq: FinEntry(seq=seq, req=info.req).pack())
 
     # ------------------------------------------------------------------ unified
     def send_msg(self, dst: int, data: bytes, tag: int = 0,

@@ -44,8 +44,8 @@ class PwcMixin:
         the completion entry carries the op id for target-side dedup)
         until success or ``max_op_retries`` is exhausted, at which point
         the local completion surfaces with ``WCStatus.RETRY_EXC_ERR``.
-        Returns the reliable-op id (None for self-puts) for use with
-        :meth:`~repro.photon.base.PhotonBase.op_status`.
+        Returns the op handle (:class:`~repro.photon.base.ReliableOp`;
+        None for self-puts): ``op.status`` is None until the op settles.
         """
         if size < 0:
             raise SimulationError("negative put size")
@@ -101,7 +101,7 @@ class PwcMixin:
         op.replay = replay
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_puts")
-        return op.op_id
+        return op
 
     # ------------------------------------------------------------------ get
     def get_pwc(self, dst: int, local_addr: int, size: int, remote_addr: int,
@@ -113,7 +113,7 @@ class PwcMixin:
         ``remote_cid`` (if given) is then delivered to the *target* so it
         can learn its buffer was consumed.  RDMA reads are idempotent, so
         the reliability layer replays a lost read verbatim.  Returns the
-        reliable-op id (None for self-gets).
+        op handle (None for self-gets).
         """
         if size <= 0:
             raise SimulationError("get size must be positive")
@@ -142,7 +142,7 @@ class PwcMixin:
         op.replay = replay
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_gets")
-        return op.op_id
+        return op
 
     def _notify_after_get(self, dst: int, remote_cid: int):
         peer = self._peer(dst)
@@ -159,6 +159,7 @@ class PwcMixin:
 
         op.replay = replay
         yield from self._start_attempt(op)
+        return op
 
     # ------------------------------------------------------------------ send
     def send_pwc(self, dst: int, data: bytes, remote_cid: int,
@@ -169,7 +170,7 @@ class PwcMixin:
         rendezvous API (:meth:`send_rdma`).  Surfaces at the target via
         :meth:`probe_message` as ``(src, remote_cid, payload)``.  Replays
         land in a fresh eager slot and are deduped at the target by op id.
-        Returns the reliable-op id (None for self-sends).
+        Returns the op handle (None for self-sends).
         """
         if len(data) > self.config.eager_limit:
             raise SimulationError(
@@ -203,7 +204,7 @@ class PwcMixin:
         op.replay = replay
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_sends")
-        return op.op_id
+        return op
 
     # ------------------------------------------------------------------ probes
     def probe_completion(self, which: str = "any"):

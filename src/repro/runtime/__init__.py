@@ -17,7 +17,8 @@ from .health import (ALIVE, DEAD, SUSPECT, HealthConfig, HealthMonitor,
 from .lco import AndGate, Future, ReduceLCO
 from .parcel import PARCEL_EXT_HDR_SIZE, PARCEL_HDR_SIZE, Parcel
 from .scheduler import Runtime
-from .transport import MpiTransport, PARCEL_TAG, PeerDownError, PhotonTransport
+from .transport import (MpiTransport, PARCEL_TAG, PeerDownError,
+                        PhotonTransport, Transport)
 
 __all__ = [
     "ActionRegistry",
@@ -31,6 +32,7 @@ __all__ = [
     "PARCEL_EXT_HDR_SIZE", "PARCEL_HDR_SIZE", "Parcel",
     "Runtime",
     "MpiTransport", "PARCEL_TAG", "PeerDownError", "PhotonTransport",
+    "Transport",
 ]
 
 

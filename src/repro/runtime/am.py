@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..sim.core import SimulationError
-from ..sim.trace import Counters
 from .lco import Future
 from .parcel import Parcel
 
@@ -123,8 +122,7 @@ class ActiveMessageEngine:
     def __init__(self, rt, config: Optional[AmConfig] = None):
         self.rt = rt
         self.config = config or AmConfig()
-        self.counters = rt.counters if rt.counters is not None \
-            else Counters()
+        self.counters = rt.counters
         self._next_cid = 1
         #: cid -> _Pending (caller side)
         self._pending: Dict[int, _Pending] = {}

@@ -32,7 +32,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..sim.core import SimulationError
-from .transport import PeerDownError
+from .transport import PeerDownError, Transport
 
 __all__ = ["CoalescingTransport"]
 
@@ -51,17 +51,19 @@ class _Batch:
         self.requeues = 0
 
 
-class CoalescingTransport:
+class CoalescingTransport(Transport):
     """Batches small parcels per destination over an inner transport."""
 
-    def __init__(self, inner, flush_bytes: int = 4096,
+    kind = "coalescing"
+
+    def __init__(self, inner: Transport, flush_bytes: int = 4096,
                  flush_count: int = 16, max_delay_ns: int = 5_000,
                  requeue_on_peer_down: bool = False,
                  max_requeues: int = 1):
         if flush_bytes < 64 or flush_count < 1:
             raise SimulationError("unreasonable coalescing thresholds")
+        super().__init__(inner, inner.counters, inner.max_parcel)
         self.inner = inner
-        self.rank = inner.rank
         self.flush_bytes = flush_bytes
         self.flush_count = flush_count
         self.max_delay_ns = max_delay_ns
@@ -72,19 +74,17 @@ class CoalescingTransport:
         self.batches_sent = 0
         self.parcels_batched = 0
         self.parcels_dropped = 0
-        # both transports expose the photon/minimpi lib for env + memory;
-        # the counter scope lives on the lib (photon) or its engine (mpi)
-        self._lib = getattr(inner, "ph", None) or getattr(inner, "comm")
-        self.counters = getattr(self._lib, "counters", None) \
-            or self._lib.engine.counters
 
+    # the breaker belongs to the wire: this layer keeps none of its own
     @property
-    def env(self):
-        return self._lib.env
+    def breaker_log(self):
+        return self.inner.breaker_log
 
-    def _peer_down(self, dst: int) -> bool:
-        down = getattr(self.inner, "peer_is_down", None)
-        return down is not None and down(dst)
+    def attach_health(self, monitor) -> None:
+        self.inner.attach_health(monitor)
+
+    def peer_is_down(self, dst: int) -> bool:
+        return self.inner.peer_is_down(dst)
 
     # ------------------------------------------------------------- sending
     def send(self, dst: int, raw: bytes):
@@ -157,7 +157,7 @@ class CoalescingTransport:
         stale = [d for d, b in self._open.items()
                  if now - b.opened_at >= self.max_delay_ns]
         for d in stale:
-            if self.requeue_on_peer_down and self._peer_down(d):
+            if self.requeue_on_peer_down and self.peer_is_down(d):
                 continue
             try:
                 yield from self._ship(d)
@@ -194,18 +194,21 @@ class CoalescingTransport:
         if offset != len(blob):
             raise SimulationError("corrupt coalesced batch")
         # unpack cost: copy the batch out + parse each frame header
-        yield self.env.timeout(self._lib.memory.memcpy_cost_ns(len(blob))
+        yield self.env.timeout(self.memory.memcpy_cost_ns(len(blob))
                                + _PARSE_NS * records)
         return self._ready.popleft() if self._ready else None
 
     def stats(self) -> Dict[str, object]:
         """JSON-serializable snapshot layered over the inner transport's."""
+        inner = self.inner.stats()
         return {
-            "kind": "coalescing",
+            "kind": self.kind,
+            "peers": inner["peers"],
+            "breaker_transitions": inner["breaker_transitions"],
             "batches_sent": self.batches_sent,
             "parcels_batched": self.parcels_batched,
             "parcels_dropped": self.parcels_dropped,
             "open_batches": len(self._open),
             "ready_parcels": len(self._ready),
-            "inner": self.inner.stats(),
+            "inner": inner,
         }

@@ -15,6 +15,7 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from ..sim.core import Environment, SimulationError
+from ..sim.trace import Counters
 from .actions import ActionRegistry
 from .parcel import Parcel
 
@@ -31,20 +32,15 @@ class Runtime:
         self.env = env
         self.transport = transport
         self.registry = registry
-        self.counters = counters
+        self.counters = counters or Counters()
         #: fixed dispatch overhead per parcel (scheduler + action lookup)
         self.handler_cost_ns = handler_cost_ns
         self._local: Deque[Parcel] = deque()
         self.parcels_sent = 0
         self.parcels_run = 0
-        self.stopped = False
         #: active-message engine (attach via :meth:`enable_am`); None
         #: keeps the plain-parcel fast path byte-identical
         self.am = None
-        # scheduler-driven stale-batch flushing: resolved once so ranks
-        # on a non-coalescing transport pay a single None check
-        self._stale_pending = getattr(transport, "stale_pending", None)
-        self._stale_flusher = getattr(transport, "flush_stale", None)
 
     def enable_am(self, config=None):
         """Attach an active-message engine; returns it (idempotent)."""
@@ -59,8 +55,7 @@ class Runtime:
         parcel = Parcel(action=self.registry.id_of(action), src=self.rank,
                         payload=bytes(payload))
         self.parcels_sent += 1
-        if self.counters is not None:
-            self.counters.add("rt.parcels_sent")
+        self.counters.add("rt.parcels_sent")
         if dst == self.rank:
             self._local.append(parcel)
             return
@@ -85,8 +80,7 @@ class Runtime:
         if inspect.isgenerator(result):
             yield from result
         self.parcels_run += 1
-        if self.counters is not None:
-            self.counters.add("rt.parcels_run")
+        self.counters.add("rt.parcels_run")
 
     def _run_parcel(self, parcel: Parcel):
         """Route one parcel: plain dispatch, or the AM engine for
@@ -108,8 +102,8 @@ class Runtime:
         stale flush, so a rank grinding through local work cannot sit
         on a stale batch until its next ``poll``.
         """
-        if self._stale_pending is not None and self._stale_pending():
-            yield from self._stale_flusher()
+        if self.transport.stale_pending():
+            yield from self.transport.flush_stale()
         if self._local:
             yield from self._run_parcel(self._local.popleft())
             return True

@@ -11,22 +11,25 @@ the same parcel traffic carried by
   tag-matching engine with its bounce-buffer copies; completed receives
   are reaped and reposted.
 
-Both expose the same two generators: ``send(dst, raw)`` and ``poll() ->
-raw | None``, so the scheduler and the applications are transport-blind.
+Both are a :class:`WireTransport` — one contract (:class:`Transport`),
+one retry and breaker policy — so the scheduler and the applications are
+transport-blind.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, List, Optional
 
 from ..minimpi.comm import Comm
 from ..minimpi.protocol import MPIRequest
+from ..minimpi.status import ANY_SOURCE
 from ..photon.api import Photon
 from ..sim.core import SimulationError
 from ..verbs.enums import WCStatus
 
-__all__ = ["PhotonTransport", "MpiTransport", "PeerDownError", "PARCEL_TAG"]
+__all__ = ["Transport", "WireTransport", "PhotonTransport", "MpiTransport",
+           "PeerDownError", "PARCEL_TAG"]
 
 #: reserved tag/cid space for parcel traffic
 PARCEL_TAG = (1 << 50) + 7
@@ -57,52 +60,87 @@ class _PeerHealth:
         self.open_until = 0
 
 
-class PhotonTransport:
-    """Parcels over Photon PWC (eager) + rendezvous (large).
+class Transport:
+    """The parcel-transport contract (DESIGN §3 seam 9).
 
-    The transport layers delivery guarantees on top of Photon's own
-    retry/recovery: eager parcels whose reliable op fails are re-sent (up
-    to ``max_send_retries`` extra attempts), failed rendezvous fetches are
-    reposted, and a per-peer circuit breaker trips after
-    ``breaker_threshold`` consecutive failures — further sends to that
-    peer fail fast with :class:`PeerDownError` until
-    ``breaker_cooldown_ns`` elapses, after which one half-open probe send
-    decides whether the peer is back.
+    The layers above use exactly the public surface of this class:
+    ``rank``, ``env``, ``memory``, ``counters`` (this rank's scope),
+    ``max_parcel``, ``breaker_log`` (the wire's bounded log of breaker
+    transitions) and the methods below.  One process drives a transport.
     """
 
-    def __init__(self, photon: Photon, max_parcel: int = 1 << 20,
-                 scratch_slots: int = 8, max_send_retries: int = 2,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_ns: int = 2_000_000):
-        self.ph = photon
-        self.rank = photon.rank
+    def __init__(self, lib, counters, max_parcel: int):
+        self.rank = lib.rank
+        self.env = lib.env
+        self.memory = lib.memory
+        self.counters = counters
         self.max_parcel = max_parcel
-        self.max_send_retries = max_send_retries
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_ns = breaker_cooldown_ns
-        # staging ring for rendezvous-size parcels (send side), plus one
-        # landing buffer (recv side)
-        self._send_slots = [photon.buffer(max_parcel)
-                            for _ in range(scratch_slots)]
-        #: rendezvous request still owning each staging slot (pipelining:
-        #: we only block when a slot must be reused)
-        self._slot_rids: List[Optional[int]] = [None] * scratch_slots
-        #: per-slot (dst, nbytes, resends so far) for the owning request —
-        #: the payload persists in the slot, so a failed send can be
-        #: retried in place with the same budget eager parcels get
-        self._slot_meta: List[Optional[tuple]] = [None] * scratch_slots
-        #: number of staging slots with a live request (O(1) poll guard)
-        self._rndv_live = 0
-        self._send_cursor = 0
-        #: landing ring: concurrent inbound rendezvous fetches
-        self._landings = [photon.buffer(max_parcel)
-                          for _ in range(scratch_slots)]
-        self._free_landings = list(range(scratch_slots))
-        #: in-flight fetches: (request id, landing index, RecvInfo, attempts)
-        self._fetches: deque = deque()
-        #: in-flight eager parcels: (dst, op id, raw, resends so far)
-        self._eager_ops: deque = deque()
-        self._health: Dict[int, _PeerHealth] = {}
+
+    def send(self, dst: int, raw: bytes):
+        """Ship one encoded parcel (generator).  Raises
+        :class:`PeerDownError`, without touching the wire, when the
+        destination's breaker is open."""
+        raise NotImplementedError
+
+    def poll(self):
+        """One progress pass: settle finished sends, then return an
+        encoded parcel or None (generator)."""
+        raise NotImplementedError
+
+    def poll_pending(self) -> bool:
+        """False only when :meth:`poll` could do nothing but charge poll
+        time (pure check)."""
+        return True
+
+    def flush(self, dst: Optional[int] = None):
+        """Ship what is buffered for ``dst`` (default: everyone) now
+        (generator) — nothing, below a coalescing layer."""
+        yield from ()
+
+    def flush_stale(self):
+        """Ship what is buffered past its latency bound (generator)."""
+        yield from ()
+
+    def stale_pending(self) -> bool:
+        """True when :meth:`flush_stale` has work (pure check)."""
+        return False
+
+    def attach_health(self, monitor) -> None:
+        """Consume a failure detector: a confirmed-dead peer opens the
+        breaker immediately (no need to burn ``breaker_threshold``
+        parcel failures first) and a rejoin closes it."""
+        raise NotImplementedError
+
+    def peer_is_down(self, dst: int) -> bool:
+        """True while the breaker is open and the cooldown has not expired."""
+        raise NotImplementedError
+
+    def stats(self) -> Dict[str, object]:
+        """JSON-serializable snapshot (obs report section); always has
+        ``kind``, ``peers`` and ``breaker_transitions``."""
+        raise NotImplementedError
+
+
+class WireTransport(Transport):
+    """A transport that owns a wire, and the one policy every wire has.
+
+    A subclass supplies the wire mechanics and reports every send that
+    settles to :meth:`_settled`: a failed parcel is re-sent up to
+    ``max_send_retries`` times, and ``breaker_threshold`` consecutive
+    failures open the per-peer circuit breaker — sends fail fast with
+    :class:`PeerDownError` until ``breaker_cooldown_ns`` elapses, then one
+    half-open probe send decides.
+    """
+
+    max_send_retries = 2
+    breaker_threshold = 3
+    breaker_cooldown_ns = 2_000_000
+    #: send-side staging slots (a failed parcel is re-sent from its slot)
+    scratch_slots = 8
+
+    def __init__(self, lib, counters, max_parcel: int):
+        super().__init__(lib, counters, max_parcel)
+        self._health: Dict[int, _PeerHealth] = defaultdict(_PeerHealth)
         #: failure-detector handle (None unless attach_health was called)
         self.monitor = None
         #: bounded log of (t, peer, old_state, new_state) — the breaker
@@ -111,16 +149,7 @@ class PhotonTransport:
         self._open_spans: Dict[int, object] = {}
 
     # --------------------------------------------------------- circuit breaker
-    def _peer_health(self, dst: int) -> _PeerHealth:
-        h = self._health.get(dst)
-        if h is None:
-            h = self._health[dst] = _PeerHealth()
-        return h
-
     def attach_health(self, monitor) -> None:
-        """Consume a failure detector: a confirmed-dead peer opens the
-        breaker immediately (no need to burn ``breaker_threshold``
-        parcel failures first) and a rejoin closes it."""
         self.monitor = monitor
         monitor.on_dead(self._on_peer_dead)
         monitor.on_join(self._on_peer_join)
@@ -128,19 +157,19 @@ class PhotonTransport:
     def _on_peer_dead(self, rank: int) -> None:
         if rank == self.rank:
             return
-        h = self._peer_health(rank)
+        h = self._health[rank]
         if h.state != "open":
-            self.ph.counters.add("transport.peer_down")
+            self.counters.add("transport.peer_down")
             self._transition(rank, h, "open")
-        h.open_until = self.ph.env.now + self.breaker_cooldown_ns
+        h.open_until = self.env.now + self.breaker_cooldown_ns
 
     def _on_peer_join(self, rank: int) -> None:
         if rank == self.rank:
             return
-        h = self._peer_health(rank)
+        h = self._health[rank]
         h.failures = 0
         if h.state != "closed":
-            self.ph.counters.add("transport.peer_up")
+            self.counters.add("transport.peer_up")
             self._transition(rank, h, "closed")
 
     def _transition(self, dst: int, h: _PeerHealth, new_state: str) -> None:
@@ -149,12 +178,12 @@ class PhotonTransport:
         if old == new_state:
             return
         h.state = new_state
-        now = self.ph.env.now
+        now = self.env.now
         self.breaker_log.append((now, dst, old, new_state))
-        self.ph.counters.add(
+        self.counters.add(
             f"transport.breaker_{new_state.replace('-', '_')}")
         if new_state == "open":
-            self._open_spans[dst] = self.ph.counters.span(
+            self._open_spans[dst] = self.counters.span(
                 "transport.breaker_open", now, peer=dst)
         elif new_state == "closed":
             span = self._open_spans.pop(dst, None)
@@ -162,120 +191,173 @@ class PhotonTransport:
                 span.end(now, status="recovered")
 
     def peer_is_down(self, dst: int) -> bool:
-        """True while the breaker is open and the cooldown has not expired."""
         h = self._health.get(dst)
         return (h is not None and h.state == "open"
-                and self.ph.env.now < h.open_until)
+                and self.env.now < h.open_until)
 
     def _record_failure(self, dst: int) -> None:
-        h = self._peer_health(dst)
+        h = self._health[dst]
         h.failures += 1
         if h.state == "half-open":
-            self.ph.counters.add("transport.probe_failures")
+            self.counters.add("transport.probe_failures")
         if h.state == "half-open" or h.failures >= self.breaker_threshold:
             if h.state != "open":
-                self.ph.counters.add("transport.peer_down")
+                self.counters.add("transport.peer_down")
                 self._transition(dst, h, "open")
-            h.open_until = self.ph.env.now + self.breaker_cooldown_ns
+            h.open_until = self.env.now + self.breaker_cooldown_ns
 
     def _record_success(self, dst: int) -> None:
-        h = self._peer_health(dst)
+        h = self._health[dst]
         h.failures = 0
         if h.state != "closed":
             if h.state == "half-open":
-                self.ph.counters.add("transport.probe_successes")
-            self.ph.counters.add("transport.peer_up")
+                self.counters.add("transport.probe_successes")
+            self.counters.add("transport.peer_up")
             self._transition(dst, h, "closed")
 
-    def _check_breaker(self, dst: int) -> None:
-        h = self._peer_health(dst)
-        if self.monitor is not None and self.monitor.is_dead(dst):
-            # confirmed dead: fail fast regardless of breaker cooldown
-            self.ph.counters.add("transport.fast_fails")
-            raise PeerDownError(self.rank, dst)
-        if h.state == "open":
-            if self.ph.env.now < h.open_until:
-                self.ph.counters.add("transport.fast_fails")
-                raise PeerDownError(self.rank, dst)
-            # cooldown elapsed: let exactly this send probe the peer
-            self._transition(dst, h, "half-open")
-
-    # ----------------------------------------------------------------- send
-    def send(self, dst: int, raw: bytes):
-        """Ship one encoded parcel (generator).
-
-        Raises :class:`PeerDownError` without touching the wire when the
-        destination's circuit breaker is open.
-        """
+    def _admit(self, dst: int, raw: bytes) -> None:
+        """Gate one ``send``: size limit, then the breaker."""
         if len(raw) > self.max_parcel:
             raise SimulationError(
                 f"parcel of {len(raw)}B exceeds transport max "
                 f"{self.max_parcel}B")
-        self._check_breaker(dst)
+        h = self._health[dst]
+        if self.monitor is not None and self.monitor.is_dead(dst):
+            # confirmed dead: fail fast regardless of breaker cooldown
+            self.counters.add("transport.fast_fails")
+            raise PeerDownError(self.rank, dst)
+        if h.state == "open":
+            if self.env.now < h.open_until:
+                self.counters.add("transport.fast_fails")
+                raise PeerDownError(self.rank, dst)
+            # cooldown elapsed: let exactly this send probe the peer
+            self._transition(dst, h, "half-open")
+
+    def _settled(self, dst: int, ok: bool, attempts: int) -> bool:
+        """One send to ``dst`` settled after ``attempts`` resends: feed
+        the breaker and decide its fate.  True = the caller re-sends it
+        (counted in ``transport.parcel_resends``); False = it is over,
+        delivered or counted in ``transport.parcel_failures``."""
+        if ok:
+            self._record_success(dst)
+            return False
+        self._record_failure(dst)
+        if attempts < self.max_send_retries and not self.peer_is_down(dst):
+            self.counters.add("transport.parcel_resends")
+            return True
+        self.counters.add("transport.parcel_failures")
+        return False
+
+    # ------------------------------------------------------------ staging ring
+    def _init_ring(self, alloc) -> None:
+        """Send-side staging: ``scratch_slots`` buffers from ``alloc`` and,
+        per slot, the unsettled send owning it as (wire handle, dst,
+        nbytes, resends so far).  The payload persists in the slot, so a
+        failed send is re-issued in place (wire hooks ``_issue`` and
+        ``_outcome``) and the slot is not reused until the send settles."""
+        self._send_slots = [alloc(self.max_parcel)
+                            for _ in range(self.scratch_slots)]
+        self._slot_sends: List[Optional[tuple]] = [None] * self.scratch_slots
+        #: number of slots with an unsettled send (O(1) poll guard)
+        self._slots_live = 0
+        self._send_cursor = 0
+
+    def _stage(self, dst: int, raw: bytes):
+        """Copy a parcel into the next free slot — round-robin, skipping
+        slots a slow or re-issued send still owns; the caller guarantees
+        one is free — and issue it (generator)."""
+        idx = self._send_cursor
+        while self._slot_sends[idx] is not None:
+            idx = (idx + 1) % len(self._send_slots)
+        self._send_cursor = (idx + 1) % len(self._send_slots)
+        self.memory.write(self._send_slots[idx], raw)
+        yield self.env.timeout(self.memory.memcpy_cost_ns(len(raw)))
+        handle = yield from self._issue(idx, dst, len(raw))
+        self._slot_sends[idx] = (handle, dst, len(raw), 0)
+        self._slots_live += 1
+
+    def _settle_slot(self, idx: int):
+        """If the send owning slot ``idx`` has finished, free the slot or
+        re-issue from it (generator)."""
+        handle, dst, nbytes, attempts = self._slot_sends[idx]
+        ok = self._outcome(handle)
+        if ok is None:
+            return
+        if self._settled(dst, ok, attempts):
+            handle = yield from self._issue(idx, dst, nbytes)
+            self._slot_sends[idx] = (handle, dst, nbytes, attempts + 1)
+        else:
+            self._slot_sends[idx] = None
+            self._slots_live -= 1
+
+    def _settle_slots(self):
+        for idx, owner in enumerate(self._slot_sends):
+            if owner is not None:
+                yield from self._settle_slot(idx)
+
+    def stats(self) -> Dict[str, object]:
+        return {
+            "kind": self.kind,
+            "peers": {
+                str(r): {"state": h.state, "failures": h.failures,
+                         "open_until": h.open_until}
+                for r, h in self._health.items()},
+            "breaker_transitions": [
+                {"t": t, "peer": p, "from": old, "to": new}
+                for t, p, old, new in self.breaker_log],
+        }
+
+
+class PhotonTransport(WireTransport):
+    """Parcels over Photon PWC (eager) + rendezvous (large).
+
+    Delivery guarantees are layered on top of Photon's own
+    retry/recovery: eager parcels whose reliable op fails and rendezvous
+    advertisements whose request fails go through the shared resend
+    policy; failed rendezvous *fetches* are reposted on the receive side.
+    """
+
+    kind = "photon"
+
+    def __init__(self, photon: Photon, max_parcel: int = 1 << 20):
+        super().__init__(photon, photon.counters, max_parcel)
+        self.ph = photon
+        # rendezvous-size parcels stage through the ring (send side) and
+        # land in a ring of concurrent inbound fetches (recv side)
+        self._init_ring(lambda size: photon.buffer(size).addr)
+        self._free_landings = [photon.buffer(max_parcel).addr
+                               for _ in range(self.scratch_slots)]
+        #: in-flight fetches: (request id, landing addr, RecvInfo, attempts)
+        self._fetches: deque = deque()
+        #: in-flight eager parcels: (dst, op handle, raw, resends so far)
+        self._eager_ops: deque = deque()
+
+    # ----------------------------------------------------------------- send
+    def send(self, dst: int, raw: bytes):
+        self._admit(dst, raw)
         if len(raw) <= self.ph.config.eager_limit:
             op = yield from self.ph.send_pwc(dst, raw, remote_cid=PARCEL_TAG)
             if op is not None:
                 self._eager_ops.append((dst, op, bytes(raw), 0))
         else:
-            idx = self._send_cursor
-            self._send_cursor = (self._send_cursor + 1) % len(self._send_slots)
             # slot reuse: the prior advertisement must settle — retrying
             # in place if it failed — before we overwrite the payload
-            yield from self._settle_slot(idx, blocking=True)
-            slot = self._send_slots[idx]
-            self.ph.memory.write(slot.addr, raw)
-            yield self.ph.env.timeout(
-                self.ph.memory.memcpy_cost_ns(len(raw)))
-            rid = yield from self.ph.send_rdma(dst, slot.addr, len(raw),
-                                               tag=PARCEL_TAG)
-            self._slot_rids[idx] = rid
-            self._slot_meta[idx] = (dst, len(raw), 0)
-            self._rndv_live += 1
+            idx = self._send_cursor
+            while self._slot_sends[idx] is not None:
+                yield from self.ph.wait(self._slot_sends[idx][0])
+                yield from self._settle_slot(idx)
+            yield from self._stage(dst, raw)
 
-    def _settle_slot(self, idx: int, blocking: bool):
-        """Settle the rendezvous request owning a staging slot (generator).
+    def _issue(self, idx: int, dst: int, nbytes: int):
+        return (yield from self.ph.send_rdma(dst, self._send_slots[idx],
+                                             nbytes, tag=PARCEL_TAG))
 
-        A failed send is re-issued from the same slot — the payload is
-        still there until it is overwritten — with the same
-        ``max_send_retries`` budget eager parcels get; exhausted retries
-        count as ``transport.parcel_failures``.  ``blocking``: wait for
-        the request (and any retries) to finish, as the slot is about to
-        be reused; non-blocking callers (:meth:`poll`) bail out while a
-        request is still in flight.
-        """
-        rid = self._slot_rids[idx]
-        if rid is None:
-            return
-        while True:
-            if blocking:
-                yield from self.ph.wait(rid)
-            elif not self.ph.test(rid):
-                return
-            failed = self.ph.request_info(rid).failed
-            self.ph.free_request(rid)
-            dst, nbytes, attempts = self._slot_meta[idx]
-            if not failed:
-                self._slot_rids[idx] = None
-                self._slot_meta[idx] = None
-                self._rndv_live -= 1
-                self._record_success(dst)
-                return
-            self._record_failure(dst)
-            if (attempts < self.max_send_retries
-                    and not self.peer_is_down(dst)):
-                self.ph.counters.add("transport.parcel_resends")
-                rid = yield from self.ph.send_rdma(
-                    dst, self._send_slots[idx].addr, nbytes, tag=PARCEL_TAG)
-                self._slot_rids[idx] = rid
-                self._slot_meta[idx] = (dst, nbytes, attempts + 1)
-                if not blocking:
-                    return
-            else:
-                self.ph.counters.add("transport.parcel_failures")
-                self._slot_rids[idx] = None
-                self._slot_meta[idx] = None
-                self._rndv_live -= 1
-                return
+    def _outcome(self, rid: int) -> Optional[bool]:
+        if not self.ph.test(rid):
+            return None
+        failed = self.ph.request_info(rid).failed
+        self.ph.free_request(rid)
+        return not failed
 
     def _reap_eager(self):
         """Settle tracked eager ops; returns parcels needing a resend."""
@@ -284,9 +366,8 @@ class PhotonTransport:
             return ()
         # common case per poll: every tracked op is still in flight —
         # detect that without churning the deque
-        op_status = self.ph.op_status
-        for dst, op, _raw, _attempts in ops:
-            if op_status(dst, op) is not None:
+        for _dst, op, _raw, _attempts in ops:
+            if op.status is not None:
                 break
         else:
             return ()
@@ -294,20 +375,10 @@ class PhotonTransport:
         still: deque = deque()
         while self._eager_ops:
             dst, op, raw, attempts = self._eager_ops.popleft()
-            st = self.ph.op_status(dst, op)
-            if st is None:
+            if op.status is None:
                 still.append((dst, op, raw, attempts))
-                continue
-            self.ph.free_op(dst, op)
-            if st is WCStatus.SUCCESS:
-                self._record_success(dst)
-                continue
-            self._record_failure(dst)
-            if attempts < self.max_send_retries and not self.peer_is_down(dst):
-                self.ph.counters.add("transport.parcel_resends")
+            elif self._settled(dst, op.status is WCStatus.SUCCESS, attempts):
                 resend.append((dst, raw, attempts + 1))
-            else:
-                self.ph.counters.add("transport.parcel_failures")
         self._eager_ops = still
         return resend
 
@@ -320,7 +391,7 @@ class PhotonTransport:
         or anything the endpoint's own progress pass could act on.
         """
         ph = self.ph
-        return bool(self._eager_ops or self._fetches or self._rndv_live
+        return bool(self._eager_ops or self._fetches or self._slots_live
                     or ph.messages or ph.infos or ph.progress_pending())
 
     def poll(self, charge_poll: bool = True):
@@ -340,10 +411,8 @@ class PhotonTransport:
                 self._eager_ops.append((dst, op, raw, attempts))
         # opportunistically settle rendezvous sends so a failed large
         # parcel is re-shipped now instead of at the next slot reuse
-        if self._rndv_live:
-            for idx, rid in enumerate(self._slot_rids):
-                if rid is not None:
-                    yield from self._settle_slot(idx, blocking=False)
+        if self._slots_live:
+            yield from self._settle_slots()
         # inlined ph.probe_message(_parcel_match): one fewer generator
         # set-up on the hottest polling chain in the runtime
         yield from self.ph._progress_once(charge_poll)
@@ -355,86 +424,62 @@ class PhotonTransport:
             info = self.ph._match_info(src=-1, tag=PARCEL_TAG)
             if info is None:
                 break
-            idx = self._free_landings.pop()
-            rid = yield from self.ph.post_os_get(
-                info.src, self._landings[idx].addr, info.size,
-                info.addr, info.rkey)
-            self._fetches.append((rid, idx, info, 0))
+            addr = self._free_landings.pop()
+            rid = yield from self.ph.post_os_get(info.src, addr, info.size,
+                                                 info.addr, info.rkey)
+            self._fetches.append((rid, addr, info, 0))
         # hand out the oldest settled fetch
         if self._fetches and self.ph.test(self._fetches[0][0]):
-            rid, idx, info, attempts = self._fetches.popleft()
+            rid, addr, info, attempts = self._fetches.popleft()
             failed = self.ph.request_info(rid).failed
             self.ph.free_request(rid)
             if failed:
-                self.ph.counters.add("transport.fetch_failures")
+                self.counters.add("transport.fetch_failures")
                 self._record_failure(info.src)
                 if attempts < self.max_send_retries:
                     # the read is idempotent — repost into the same landing
                     rid = yield from self.ph.post_os_get(
-                        info.src, self._landings[idx].addr, info.size,
-                        info.addr, info.rkey)
-                    self._fetches.append((rid, idx, info, attempts + 1))
+                        info.src, addr, info.size, info.addr, info.rkey)
+                    self._fetches.append((rid, addr, info, attempts + 1))
                 else:
-                    self._free_landings.append(idx)
-                    self.ph.counters.add("transport.parcel_failures")
+                    self._free_landings.append(addr)
+                    self.counters.add("transport.parcel_failures")
                 return None
             self._record_success(info.src)
             # owned copy: the landing slot is recycled on the next line
-            raw = self.ph.memory.read_bytes(self._landings[idx].addr,
-                                            info.size)
-            yield self.ph.env.timeout(
-                self.ph.memory.memcpy_cost_ns(info.size))
-            self._free_landings.append(idx)
-            yield from self._send_fin(info)
+            raw = self.memory.read_bytes(addr, info.size)
+            yield self.env.timeout(self.memory.memcpy_cost_ns(info.size))
+            self._free_landings.append(addr)
+            yield from self.ph._post_fin(info)
             return raw
         return None
 
-    def _send_fin(self, info):
-        """Complete the sender's rendezvous request (generator)."""
-        from ..photon.wire import FinEntry
-        peer = self.ph._peer(info.src)
-        yield from self.ph._post_ring_entry(
-            peer, "fin", lambda seq: FinEntry(seq=seq, req=info.req).pack())
-
     def stats(self) -> Dict[str, object]:
-        """JSON-serializable transport snapshot (obs report section)."""
-        return {
-            "kind": "photon",
-            "eager_inflight": len(self._eager_ops),
-            "fetches_inflight": len(self._fetches),
-            "free_landings": len(self._free_landings),
-            "send_slots_busy": sum(1 for r in self._slot_rids
-                                   if r is not None),
-            "breaker_transitions": [
-                {"t": t, "peer": p, "from": old, "to": new}
-                for t, p, old, new in self.breaker_log],
-            "peers": {
-                str(r): {"state": h.state, "failures": h.failures,
-                         "open_until": h.open_until}
-                for r, h in self._health.items()},
-        }
+        return dict(super().stats(),
+                    eager_inflight=len(self._eager_ops),
+                    fetches_inflight=len(self._fetches),
+                    free_landings=len(self._free_landings),
+                    send_slots_busy=self._slots_live)
 
 
-class MpiTransport:
+class MpiTransport(WireTransport):
     """Parcels over minimpi isend + a preposted wildcard-irecv window."""
+
+    kind = "mpi"
 
     def __init__(self, comm: Comm, max_parcel: int = 1 << 20,
                  window: int = 16):
+        super().__init__(comm, comm.engine.counters, max_parcel)
         self.comm = comm
-        self.rank = comm.rank
-        self.max_parcel = max_parcel
         self.window = window
         self._recv_bufs: List[int] = [
             comm.memory.alloc(max_parcel) for _ in range(window)]
         self._recv_reqs: List[Optional[MPIRequest]] = [None] * window
-        self._send_slots = [comm.memory.alloc(max_parcel) for _ in range(8)]
-        self._send_cursor = 0
-        self._inflight: List[MPIRequest] = []
+        self._init_ring(comm.memory.alloc)
         self._primed = False
 
     def _prime(self):
         """Post the initial wildcard receive window (generator)."""
-        from ..minimpi.status import ANY_SOURCE
         for i in range(self.window):
             req = yield from self.comm.irecv(self._recv_bufs[i],
                                              self.max_parcel,
@@ -443,47 +488,41 @@ class MpiTransport:
         self._primed = True
 
     def send(self, dst: int, raw: bytes):
-        """Ship one encoded parcel (generator)."""
+        self._admit(dst, raw)
         if not self._primed:
             yield from self._prime()
-        if len(raw) > self.max_parcel:
-            raise SimulationError(
-                f"parcel of {len(raw)}B exceeds transport max "
-                f"{self.max_parcel}B")
-        slot = self._send_slots[self._send_cursor]
-        self._send_cursor = (self._send_cursor + 1) % len(self._send_slots)
-        self.comm.memory.write(slot, raw)
-        yield self.comm.env.timeout(
-            self.comm.memory.memcpy_cost_ns(len(raw)))
-        req = yield from self.comm.isend(slot, len(raw), dst, PARCEL_TAG)
-        self._inflight.append(req)
-        # reap finished sends opportunistically — popping them from the
-        # engine's live-request table like the recv path does, else done
-        # isends accumulate there for the life of the run
-        live: List[MPIRequest] = []
-        for r in self._inflight:
-            if r.done:
-                self.comm.engine.live_requests.pop(r.rid, None)
-            else:
-                live.append(r)
-        self._inflight = live
-        if len(self._inflight) >= len(self._send_slots):
-            yield from self.comm.waitall(list(self._inflight))
-            self._inflight.clear()
+        yield from self._stage(dst, raw)
+        yield from self._settle_slots()
+        # barrier: always leave a free slot for the next send
+        while self._slots_live == len(self._send_slots):
+            yield from self.comm.waitall([s[0] for s in self._slot_sends])
+            yield from self._settle_slots()
+
+    def _issue(self, idx: int, dst: int, nbytes: int):
+        return (yield from self.comm.isend(self._send_slots[idx], nbytes,
+                                           dst, PARCEL_TAG))
+
+    def _outcome(self, req: MPIRequest) -> Optional[bool]:
+        if not req.done:
+            return None
+        # popped from the engine's live-request table like the recv path
+        # does, else done isends accumulate there for the life of the run
+        self.comm.engine.live_requests.pop(req.rid, None)
+        return not req.failed
 
     def poll(self):
-        """One progress pass; returns an encoded parcel or None (generator)."""
-        from ..minimpi.status import ANY_SOURCE
         if not self._primed:
             yield from self._prime()
+        if self._slots_live:
+            yield from self._settle_slots()
         yield from self.comm.engine._progress_once()
         for i, req in enumerate(self._recv_reqs):
             if req is not None and req.done:
                 # owned copy: the window buffer is immediately re-posted
-                raw = self.comm.memory.read_bytes(self._recv_bufs[i],
-                                                  req.status.count)
-                yield self.comm.env.timeout(
-                    self.comm.memory.memcpy_cost_ns(req.status.count))
+                raw = self.memory.read_bytes(self._recv_bufs[i],
+                                             req.status.count)
+                yield self.env.timeout(
+                    self.memory.memcpy_cost_ns(req.status.count))
                 self.comm.engine.live_requests.pop(req.rid, None)
                 new_req = yield from self.comm.irecv(
                     self._recv_bufs[i], self.max_parcel,
@@ -493,10 +532,8 @@ class MpiTransport:
         return None
 
     def stats(self) -> Dict[str, object]:
-        """JSON-serializable transport snapshot (obs report section)."""
-        return {
-            "kind": "mpi",
-            "window": self.window,
-            "window_armed": sum(1 for r in self._recv_reqs if r is not None),
-            "sends_inflight": len(self._inflight),
-        }
+        return dict(super().stats(),
+                    window=self.window,
+                    window_armed=sum(1 for r in self._recv_reqs
+                                     if r is not None),
+                    sends_inflight=self._slots_live)

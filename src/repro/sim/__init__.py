@@ -11,7 +11,7 @@ from .core import (
     SimulationError,
     Timeout,
 )
-from .resources import Resource, Signal, Store
+from .resources import Signal, Store
 from .rng import RngRegistry, stream
 from .trace import Counters, Tracer, TraceRecord
 
@@ -25,7 +25,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Resource",
     "Signal",
     "Store",
     "RngRegistry",

@@ -5,8 +5,6 @@ Built on the :mod:`repro.sim.core` kernel:
 - :class:`Store` — an unbounded/bounded FIFO of Python objects with
   event-returning ``put``/``get`` (models queues: work queues, completion
   queues, switch ports, DMA request rings).
-- :class:`Resource` — a counting semaphore (models DMA engines, link
-  serialisation slots).
 - :class:`Signal` — a re-armable broadcast event (models doorbells and
   "work available" wakeups for polling loops).
 """
@@ -18,7 +16,7 @@ from typing import Any, Deque, Optional
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Store", "Resource", "Signal"]
+__all__ = ["Store", "Signal"]
 
 
 class StorePut(Event):
@@ -195,57 +193,6 @@ class Store:
             # parked producers behind virtually-held slots: make sure a
             # wakeup fires at the next release time
             self._arm_hold_wakeup()
-
-
-class ResourceRequest(Event):
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """Counting semaphore with FIFO grant order.
-
-    ``capacity`` concurrent holders; ``request()`` returns an event that
-    fires when the slot is granted, and the returned request object's
-    ``release()`` frees it.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity <= 0:
-            raise SimulationError("Resource capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: list = []
-        self._queue: Deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self.users)
-
-    def request(self) -> ResourceRequest:
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise SimulationError("releasing a request that holds no slot")
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            req = self._queue.popleft()
-            self.users.append(req)
-            req.succeed(req)
 
 
 class Signal:

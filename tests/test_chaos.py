@@ -273,9 +273,71 @@ def test_crash_restart_scenario_and_invariants():
     assert cl.counters.get("photon.rejoins") == 1
     assert cl.counters.get("photon.peer_rearms") == 2
     assert cl.counters.get("chaos.events") == 2
+    # pinned from the pre-Transport-base PhotonTransport: the breaker that
+    # moved into the shared base is provably the same breaker
+    assert list(r["transport"].breaker_log) == [
+        (2650000, 2, "closed", "open"), (4051060, 2, "open", "closed")]
+    assert {k: v for k, v in cl.counters.snapshot().items()
+            if k.startswith("transport.")} == {
+        "transport.breaker_closed": 1, "transport.breaker_open": 1,
+        "transport.peer_down": 1, "transport.peer_up": 1}
     # chaos events went through the trace (JSONL export source)
     cats = [rec.category for rec in cl.tracer.records]
     assert "chaos.crash" in cats and "chaos.restart" in cats
+
+
+def test_rejoin_after_crash_mid_progress_pass_does_not_overflow_rq():
+    """Regression (perf/README "Program defects" 3): a progress pass the
+    crash catches between its CQ reap and its prepost top-up used to
+    finish afterwards and re-post into a QP a survivor had already
+    reconnected; rejoin() assumed an empty RQ, posted a full window on
+    top and raised QueueFullError."""
+    cl = build_cluster(2, "ib-fdr", seed=3)
+    ph = photon_init(cl)
+    window = ph[1].config.imm_prepost
+    src, dst = ph[0].buffer(64), ph[1].buffer(64)
+
+    def burst(env):
+        for i in range(24):  # > max_recv_wr - imm_prepost immediates
+            yield from ph[0].put_pwc(1, src.addr, 8, dst.addr, dst.rkey,
+                                     remote_cid=i)
+        yield env.timeout(50_000)  # all landed in rank 1's recv CQ
+
+    cl.env.run(until=cl.env.process(burst(cl.env)))
+    victim_pass = cl.env.process(ph[1]._progress_once())
+    while not ph[1].remote_cids:  # the pass is now mid-reap, in a yield
+        cl.env.step()
+    ph[1].crash_local()
+    ph[0].peers[1].qp.reset_and_reconnect()  # a survivor re-arms the pair
+    cl.env.run(until=victim_pass)
+    assert ph[1].peers[0].qp.rq_posted == 0  # the dead do not post receives
+    cl.env.run(until=cl.env.process(ph[1].rejoin()))
+    assert (ph[1].peers[0].preposted == ph[1].peers[0].qp.rq_posted
+            == window)
+    ph[0].rearm_peer(1)
+    assert (ph[0].peers[1].preposted == ph[0].peers[1].qp.rq_posted
+            == window)
+
+
+def test_rearm_peer_before_flush_cqes_drain_does_not_overflow_rq():
+    """The survivor's window counter is conserved, not re-measured: a
+    pairing torn down just before the re-arm still has its flushed
+    receives sitting unreaped in the CQ, and counting only the (empty)
+    RQ would post a second window on top once they drain."""
+    cl = build_cluster(2, "ib-fdr", seed=3)
+    ph = photon_init(cl)
+    peer, window = ph[0].peers[1], ph[0].config.imm_prepost
+    peer.qp.teardown()  # what on_peer_dead does with sends outstanding
+    assert peer.qp.rq_posted == 0 and len(ph[0].recv_cq) == window
+    ph[0].rearm_peer(1)
+    assert peer.qp.rq_posted == 0  # the window is still in use, unreaped
+
+    def drain(env):
+        while len(ph[0].recv_cq):
+            yield from ph[0]._progress_once()
+
+    cl.env.run(until=cl.env.process(drain(cl.env)))
+    assert peer.preposted == peer.qp.rq_posted == window
 
 
 def test_controller_rejects_double_crash_and_unknown_restart():

@@ -197,8 +197,8 @@ def test_batch_shed_on_breaker_trip_is_accounted():
 
     cl = build_cluster(2)
     ph = photon_init(cl)
-    inner = PhotonTransport(ph[0], breaker_threshold=1,
-                            breaker_cooldown_ns=10 ** 9)
+    inner = PhotonTransport(ph[0])
+    inner.breaker_threshold, inner.breaker_cooldown_ns = 1, 10 ** 9
     tp = CoalescingTransport(inner, flush_count=4)
     inner._record_failure(1)  # breaker open for the next 1 s
     assert inner.peer_is_down(1)
@@ -221,8 +221,8 @@ def test_batch_requeued_when_peer_recovers():
     ships once the breaker lets a probe through."""
     cl = build_cluster(2)
     ph = photon_init(cl)
-    inner0 = PhotonTransport(ph[0], breaker_threshold=1,
-                             breaker_cooldown_ns=200_000)
+    inner0 = PhotonTransport(ph[0])
+    inner0.breaker_threshold, inner0.breaker_cooldown_ns = 1, 200_000
     tp0 = CoalescingTransport(inner0, flush_count=2, max_delay_ns=10 ** 9,
                               requeue_on_peer_down=True, max_requeues=2)
     tp1 = CoalescingTransport(PhotonTransport(ph[1]), flush_count=2)
@@ -258,8 +258,8 @@ def test_stale_flush_swallows_peer_down():
     continues."""
     cl = build_cluster(2)
     ph = photon_init(cl)
-    inner = PhotonTransport(ph[0], breaker_threshold=1,
-                            breaker_cooldown_ns=10 ** 9)
+    inner = PhotonTransport(ph[0])
+    inner.breaker_threshold, inner.breaker_cooldown_ns = 1, 10 ** 9
     tp = CoalescingTransport(inner, flush_count=100, max_delay_ns=1_000)
 
     def prog(env):

@@ -344,8 +344,9 @@ def test_circuit_breaker_trips_and_recovers():
     # fail fast: no op replays, short deadline, breaker after 2 failures
     ph = photon_init(cl, PhotonConfig(max_op_retries=0,
                                       op_timeout_ns=100_000))
-    tps = [PhotonTransport(ph[r], max_send_retries=0, breaker_threshold=2,
-                           breaker_cooldown_ns=1_000_000) for r in range(2)]
+    tps = [PhotonTransport(ph[r]) for r in range(2)]
+    tps[0].max_send_retries, tps[0].breaker_threshold = 0, 2
+    tps[0].breaker_cooldown_ns = 1_000_000
     got = []
 
     def prog(env):
@@ -380,6 +381,17 @@ def test_circuit_breaker_trips_and_recovers():
     assert b"probe!" in got
     assert cl.counters.get("transport.peer_up") == 1
     assert tps[0]._health[1].state == "closed"
+    # pinned from the pre-Transport-base PhotonTransport: the breaker that
+    # moved into the shared base is provably the same breaker
+    assert list(tps[0].breaker_log) == [
+        (222242, 1, "closed", "open"), (1422302, 1, "open", "half-open"),
+        (1468213, 1, "half-open", "closed")]
+    assert {k: v for k, v in cl.counters.snapshot().items()
+            if k.startswith("transport.")} == {
+        "transport.breaker_closed": 1, "transport.breaker_half_open": 1,
+        "transport.breaker_open": 1, "transport.fast_fails": 1,
+        "transport.parcel_failures": 2, "transport.peer_down": 1,
+        "transport.peer_up": 1, "transport.probe_successes": 1}
 
 
 def test_same_seed_identical_retry_schedule():

@@ -294,6 +294,40 @@ def test_imm_mode_delivers_remote_completions():
     assert cl[1].memory.read(dst.addr, 64) == b"imm mode" * 8
 
 
+def test_imm_mode_slow_poller_backpressures_senders():
+    """The prepost window counts posted receives *plus* unreaped receive
+    CQEs, so a target that polls rarely RNR-stalls its senders instead
+    of letting its receive CQ grow (a refill by bare RQ depth overran the
+    CQ after ~4000 immediates)."""
+    cfg = PhotonConfig(use_imm=True)
+    cl, ph = setup(config=cfg)
+    src, dst = ph[0].buffer(64), ph[1].buffer(64)
+    n = 600
+
+    def sender(env):
+        for i in range(n):
+            yield from ph[0].put_pwc(1, src.addr, 8, dst.addr, dst.rkey,
+                                     remote_cid=i)
+
+    def reap_sender(env):
+        while True:
+            yield from ph[0]._progress_once()
+
+    def slow_poller(env):
+        peer = ph[1].peers[0]
+        while len(ph[1].remote_cids) < n:
+            yield env.timeout(30_000)
+            yield from ph[1]._progress_once()
+            assert (peer.qp.rq_posted + len(ph[1].recv_cq)
+                    == peer.preposted <= cfg.imm_prepost)
+
+    cl.env.process(sender(cl.env))
+    cl.env.process(reap_sender(cl.env))
+    cl.env.run(until=cl.env.process(slow_poller(cl.env)))
+    assert [cid for cid, _ in ph[1].remote_cids] == list(range(n))
+    assert cl.counters.get("verbs.rnr_stalls") > 0
+
+
 def test_imm_mode_rejects_wide_cids():
     cfg = PhotonConfig(use_imm=True)
     cl, ph = setup(config=cfg)

@@ -5,6 +5,7 @@ by the benchmark module, is indexed in DESIGN.md, and has a measured table in
 EXPERIMENTS.md — and no build artifact is ever committed.
 """
 
+import ast
 import importlib.util
 import os
 import re
@@ -92,3 +93,41 @@ def test_all_examples_are_documented():
         if fname.endswith(".py"):
             assert f"examples/{fname}" in readme, \
                 f"README does not mention examples/{fname}"
+
+
+def _py_files(*roots):
+    for root in roots:
+        for dirpath, _dirs, files in os.walk(root):
+            for fname in files:
+                if fname.endswith(".py"):
+                    yield os.path.join(dirpath, fname)
+
+
+def test_transports_are_not_duck_typed():
+    """Seam 9 is a class (``runtime.transport.Transport``), so nothing
+    above it may probe a transport with ``getattr``/``hasattr``."""
+    seam_names = {"transport", "inner", "tp"}
+    bad = []
+    for path in _py_files("src/repro/runtime", "src/repro/apps",
+                          "src/repro/kv"):
+        for node in ast.walk(ast.parse(open(path).read(), path)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and node.args):
+                continue
+            target = node.args[0]
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in seam_names:
+                bad.append(f"{path}:{node.lineno}")
+    assert not bad, f"getattr/hasattr on a transport: {bad}"
+
+
+def test_pwc_completion_has_one_mechanism():
+    """PWC ops return their op handle; the id-keyed side table and its
+    two accessors must not come back."""
+    pattern = re.compile(r"_op_results|op_status|free_op")
+    bad = [path for path in _py_files("src")
+           if pattern.search(open(path).read())]
+    assert not bad, bad

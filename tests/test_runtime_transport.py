@@ -1,4 +1,7 @@
-"""Focused tests for the runtime transports (edge cases, pipelining)."""
+"""Focused tests for the runtime transports (edge cases, pipelining).
+
+What every transport must do alike lives in test_transport_contract.py.
+"""
 
 import pytest
 
@@ -6,8 +9,8 @@ from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.photon import photon_init
 from repro.runtime import ActionRegistry, build_runtime
-from repro.runtime.transport import MpiTransport, PhotonTransport
-from repro.sim import SimulationError
+from repro.runtime.transport import (MpiTransport, PeerDownError,
+                                     PhotonTransport)
 
 TIMEOUT = 100_000_000_000
 
@@ -24,31 +27,6 @@ def mpi_pair(max_parcel=1 << 16):
     comms = mpi_init(cl)
     tps = [MpiTransport(comms[r], max_parcel=max_parcel) for r in range(2)]
     return cl, tps
-
-
-@pytest.mark.parametrize("pair", [photon_pair, mpi_pair])
-def test_oversized_parcel_rejected(pair):
-    cl, tps = pair(max_parcel=1024)
-
-    def prog(env):
-        yield from tps[0].send(1, bytes(2048))
-
-    p = cl.env.process(prog(cl.env))
-    with pytest.raises(SimulationError, match="exceeds"):
-        cl.env.run(until=p)
-
-
-@pytest.mark.parametrize("pair", [photon_pair, mpi_pair])
-def test_poll_returns_none_when_idle(pair):
-    cl, tps = pair()
-
-    def prog(env):
-        raw = yield from tps[1].poll()
-        return raw
-
-    p = cl.env.process(prog(cl.env))
-    cl.env.run(until=p)
-    assert p.value is None
 
 
 def test_photon_large_parcels_pipeline():
@@ -213,8 +191,8 @@ def test_rendezvous_parcel_retried_after_failure():
     ph = photon_init(cl)
     health = _StubHealth()
     ph[0].attach_health(health)
-    tps = [PhotonTransport(ph[r], max_send_retries=3, breaker_threshold=100)
-           for r in range(2)]
+    tps = [PhotonTransport(ph[r]) for r in range(2)]
+    tps[0].max_send_retries, tps[0].breaker_threshold = 3, 100
     size = 64 * 1024  # rendezvous-size
     got = []
 
@@ -250,8 +228,8 @@ def test_rendezvous_retry_budget_exhaustion_counts_failure():
     ph = photon_init(cl, PhotonConfig(max_op_retries=0,
                                       op_timeout_ns=100_000,
                                       entry_resend_limit=0))
-    tps = [PhotonTransport(ph[r], max_send_retries=1, breaker_threshold=100)
-           for r in range(2)]
+    tps = [PhotonTransport(ph[r]) for r in range(2)]
+    tps[0].max_send_retries, tps[0].breaker_threshold = 1, 100
 
     def sender(env):
         yield from tps[0].send(1, b"R" * (64 * 1024))
@@ -265,8 +243,8 @@ def test_rendezvous_retry_budget_exhaustion_counts_failure():
     assert cl.counters.get("transport.parcel_failures") == 1
     assert cl.counters.get("transport.parcel_resends") == 1
     # the slot is free again (no leaked request)
-    assert tps[0]._rndv_live == 0
-    assert all(r is None for r in tps[0]._slot_rids)
+    assert tps[0]._slots_live == 0
+    assert all(s is None for s in tps[0]._slot_sends)
 
 
 def test_mpi_send_reap_pops_live_requests():
@@ -302,3 +280,73 @@ def test_mpi_send_reap_pops_live_requests():
     stale = [r for r in tps[0].comm.engine.live_requests.values() if r.done]
     # without the reap fix nearly all n done isends linger here
     assert len(stale) < 8
+
+
+def test_mpi_failed_sends_get_the_shared_retry_and_breaker():
+    """Regression: MpiTransport.send reaped ``done`` isends without
+    looking at ``failed`` — a failed parcel was silently forgotten, never
+    re-sent, never counted, and the MPI arm had no breaker at all.
+
+    The engine's detector fails every isend to rank 1 at post time; the
+    transport itself has no monitor, so only the failures feed its
+    breaker: 1 send + 2 resends = ``breaker_threshold`` failures.
+    """
+    cl, tps = mpi_pair()
+    health = _StubHealth()
+    health.dead.add(1)
+    tps[0].comm.engine.attach_health(health)
+
+    def prog(env):
+        yield from tps[0].send(1, b"lost" * 8)
+        for _ in range(4):
+            yield from tps[0].poll()
+        assert tps[0].peer_is_down(1)
+        with pytest.raises(PeerDownError):
+            yield from tps[0].send(1, b"nope")
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert cl.counters.get("transport.parcel_resends") == 2
+    assert cl.counters.get("transport.parcel_failures") == 1
+    assert cl.counters.get("transport.peer_down") == 1
+    assert cl.counters.get("transport.fast_fails") == 1
+    assert [(p, old, new) for _t, p, old, new in tps[0].breaker_log] == [
+        (1, "closed", "open")]
+    # every staging slot is free again and no settled isend lingers
+    assert tps[0]._slots_live == 0
+    assert all(s is None for s in tps[0]._slot_sends)
+    assert not [r for r in tps[0].comm.engine.live_requests.values()
+                if r.kind == "send"]
+
+
+def test_mpi_failed_send_is_reissued_from_its_staging_slot():
+    """A parcel whose isend the fabric gave up on is re-sent from its
+    still-intact staging slot once the fabric heals — and later sends
+    step around the slot instead of overwriting it."""
+    from repro.minimpi.status import MPIConfig
+    cl = build_cluster(2, seed=5, link__loss_mode="lossy",
+                       link__drop_rate=1.0, nic__transport_retries=0)
+    comms = mpi_init(cl, MPIConfig(max_op_retries=0))
+    tps = [MpiTransport(comms[r], max_parcel=1 << 16) for r in range(2)]
+    got = []
+
+    def prog(env):
+        yield from tps[0].send(1, b"first!" * 4)
+        owner = tps[0]._slot_sends[0]
+        yield from comms[0].wait(owner[0])
+        assert owner[0].failed
+        object.__setattr__(cl.params.link, "drop_rate", 0.0)
+        for i in range(8):  # a full lap of the staging ring
+            yield from tps[0].send(1, bytes([i]) * 24)
+        for _ in range(400):
+            yield from tps[0].poll()
+            raw = yield from tps[1].poll()
+            if raw is not None:
+                got.append(bytes(raw))
+            if len(got) == 9:
+                break
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert sorted(got) == sorted([b"first!" * 4]
+                                 + [bytes([i]) * 24 for i in range(8)])
+    assert cl.counters.get("transport.parcel_resends") == 1
+    assert cl.counters.get("transport.parcel_failures") == 0

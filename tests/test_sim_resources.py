@@ -1,8 +1,8 @@
-"""Unit tests for Store / Resource / Signal (repro.sim.resources)."""
+"""Unit tests for Store / Signal (repro.sim.resources)."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Signal, SimulationError, Store
+from repro.sim import Environment, Signal, SimulationError, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -136,79 +136,6 @@ def test_multiple_consumers_fifo_grant():
     env.process(producer(env))
     env.run()
     assert grants == [(0, "a"), (1, "b")]
-
-
-# ---------------------------------------------------------------- Resource
-
-
-def test_resource_serialises_holders():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    spans = []
-
-    def worker(env, ident):
-        req = yield res.request()
-        start = env.now
-        yield env.timeout(10)
-        res.release(req)
-        spans.append((ident, start, env.now))
-
-    for i in range(3):
-        env.process(worker(env, i))
-    env.run()
-    assert spans == [(0, 0, 10), (1, 10, 20), (2, 20, 30)]
-
-
-def test_resource_capacity_two_overlaps():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    starts = []
-
-    def worker(env, ident):
-        req = yield res.request()
-        starts.append((ident, env.now))
-        yield env.timeout(10)
-        res.release(req)
-
-    for i in range(4):
-        env.process(worker(env, i))
-    env.run()
-    assert starts == [(0, 0), (1, 0), (2, 10), (3, 10)]
-
-
-def test_resource_release_via_request_handle():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker(env):
-        req = yield res.request()
-        yield env.timeout(5)
-        req.release()
-        return res.count
-
-    p = env.process(worker(env))
-    env.run()
-    assert p.value == 0
-
-
-def test_resource_double_release_rejected():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker(env):
-        req = yield res.request()
-        res.release(req)
-        res.release(req)
-
-    env.process(worker(env))
-    with pytest.raises(SimulationError):
-        env.run()
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
 
 
 # ---------------------------------------------------------------- Signal

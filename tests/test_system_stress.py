@@ -6,6 +6,8 @@ at once across four ranks, on clean and lossy fabrics, with payload
 integrity and counter invariants asserted at the end.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,54 @@ def assert_no_pin_leaks(cl, ph):
         assert ep.rcache.pending_evictions == 0
     assert_reg_balance(cl.counters,
                        [cl.ranks[r].context for r in range(len(cl.ranks))])
+
+
+def test_direct_pwc_ops_leave_no_per_op_state():
+    """Regression: every put/get/send_pwc used to leave its terminal
+    status in a side table until the caller "freed" the op — and only the
+    runtime transport ever did, so direct users (KV one-sided reads, GAS,
+    collectives, the benchmarks) leaked one entry per op for the life of
+    the endpoint.  A settled op the caller dropped must leave nothing."""
+
+    def run(n):
+        cl, ph = build()
+        src, dst = ph[0].buffer(4096), ph[1].buffer(4096)
+
+        def initiator(env):
+            for i in range(n):
+                yield from ph[0].put_pwc(1, src.addr, 64, dst.addr, dst.rkey,
+                                         local_cid=i)
+                yield from ph[0].get_pwc(1, src.addr, 64, dst.addr, dst.rkey,
+                                         local_cid=i)
+                yield from ph[0].send_pwc(1, b"x" * 32, remote_cid=i,
+                                          local_cid=i)
+                for _ in range(3):
+                    c = yield from ph[0].wait_completion("local",
+                                                         timeout_ns=TIMEOUT)
+                    assert c.ok
+
+        def target(env):
+            for _ in range(n):
+                assert (yield from ph[1].wait_message(timeout_ns=TIMEOUT))
+
+        def settle(env):
+            # reap the trailing acks and credit writes on both sides
+            for _ in range(8):
+                yield env.timeout(10_000)
+                for ep in ph[:2]:
+                    yield from ep.probe_completion()
+
+        procs = [cl.env.process(initiator(cl.env)),
+                 cl.env.process(target(cl.env))]
+        cl.env.run(until=cl.env.all_of(procs))
+        cl.env.run(until=cl.env.process(settle(cl.env)))
+        assert_no_pin_leaks(cl, ph)
+        return [{name: len(v) for name, v in vars(ep).items()
+                 if isinstance(v, (dict, list, set, deque))} for ep in ph]
+
+    few, many = run(30), run(120)
+    assert few == many, "an endpoint container grows with the op count"
+    assert few[0]["_reliable"] == 0
 
 
 @pytest.mark.parametrize("drop,rcache", [(0.0, True), (0.03, True),
