@@ -11,6 +11,7 @@ the link rate for multi-megabyte transfers.
 from __future__ import annotations
 
 from ...fabric.params import preset
+from ...photon import DEFAULT_CONFIG
 from ...util.fmt import format_size
 from ..microbench import bandwidth_mpi, bandwidth_photon
 from ..result import ExperimentResult
@@ -25,9 +26,16 @@ def run(quick: bool = True) -> ExperimentResult:
     link = preset("ib-fdr").link.bandwidth_gbps
     rows = []
     series = {}
+    window = 8
     for size in sizes:
-        gph = bandwidth_photon(size, count=count, window=8)
-        gmp = bandwidth_mpi(size, count=count, window=8)
+        # an op queues behind a full window on the wire: its deadline must
+        # cover that, or the stream replays puts that were never lost
+        # (8 x 4 MiB is 4.97 ms of wire time against the 5 ms default)
+        wire_ns = int(window * size * 8 / link)
+        cfg = DEFAULT_CONFIG.replace(op_timeout_ns=max(
+            DEFAULT_CONFIG.op_timeout_ns, 4 * wire_ns))
+        gph = bandwidth_photon(size, count=count, window=window, config=cfg)
+        gmp = bandwidth_mpi(size, count=count, window=window)
         series[size] = (gph, gmp)
         rows.append([format_size(size), gph, gmp, gph / gmp,
                      100.0 * gph / link])

@@ -61,6 +61,9 @@ class Memory:
         #: compare it to skip re-scanning when nothing relevant landed
         #: since their last look — see :meth:`watch`.
         self.watch_version = 0
+        #: called (no arguments) on every such bump — how a poller that
+        #: sleeps between looks learns a watched write landed
+        self.on_watched_write: list = []
         self._watch_ranges: set = set()
         self._watch_list: list = []
         # envelope over all watched ranges: one compare rejects most writes
@@ -133,6 +136,8 @@ class Memory:
             for lo, hi in self._watch_list:
                 if addr < hi and end > lo:
                     self.watch_version += 1
+                    for ring in self.on_watched_write:
+                        ring()
                     return
 
     def read(self, addr: int, length: int) -> memoryview:

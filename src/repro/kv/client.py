@@ -52,12 +52,9 @@ from .store import (ACT_REQ, KVNode, REQ_LOC, REQ_READ, REQ_SNAP, REQ_WRITE,
                     RESP_WRONG_EPOCH, SLOT_OVERSIZE, SLOT_PRESENT, _SLOT,
                     pack_request, unpack_loc)
 from ..runtime.transport import PeerDownError
+from ..verbs.enums import WCStatus
 
 __all__ = ["KVClient", "ClientStats"]
-
-#: base for client-local get_pwc completion ids — far above the cid
-#: ranges used by transports (PARCEL_TAG) and experiment drivers
-_CID_BASE = (1 << 52) + 11
 
 
 class ClientStats:
@@ -115,7 +112,6 @@ class KVClient:
         #: the failover checker asserts these survive leader crashes
         self.acked: List[Tuple[int, int, int, bytes, bytes]] = []
         self._scratch = node.photon.buffer(node.config.slot_size)
-        self._cid = _CID_BASE + client_id * (1 << 20)
 
     # -------------------------------------------------------------- writes
     def put(self, key: bytes, value: bytes):
@@ -188,17 +184,19 @@ class KVClient:
                 # comes from the lease path
                 return (yield from self._get_rpc(key))
         leader, addr, rkey, slot_size, _resolved_at = loc
-        self._cid += 1
-        cid = self._cid
         try:
-            yield from self.photon.get_pwc(
-                leader, self._scratch.addr, slot_size, addr, rkey,
-                local_cid=cid)
+            op = yield from self.photon.get_pwc(
+                leader, self._scratch.addr, slot_size, addr, rkey)
         except PeerDownError:
-            comp = None
+            ok = False
         else:
-            comp = yield from self._wait_local(cid)
-        if comp is None or not comp.ok:
+            # wait on our own op handle: clients sharing this endpoint
+            # never see (or steal) each other's completions.  A self-get
+            # returns no handle and is complete when it returns
+            if op is not None:
+                yield from self.photon.wait_op(op, self.timeout_ns)
+            ok = op is None or op.status is WCStatus.SUCCESS
+        if not ok:
             # leader died or moved: drop what we believed about it
             self._loc.pop(key, None)
             self._leader.clear()
@@ -263,21 +261,6 @@ class KVClient:
 
         self.env.process(worker(),
                          name=f"kv.client{self.client_id}.locrefresh")
-
-    def _wait_local(self, cid: int):
-        """Wait for *our* local completion; requeue other processes'."""
-        deadline = self.env.now + self.timeout_ns
-        while self.env.now < deadline:
-            remaining = deadline - self.env.now
-            comp = yield from self.photon.wait_completion(
-                "local", timeout_ns=min(remaining, self.timeout_ns))
-            if comp is None:
-                return None
-            if comp.cid == cid:
-                return comp
-            self.photon.local_cids.append((comp.cid, comp.status))
-            yield self.env.timeout(self.poll_ns)
-        return None
 
     # ----------------------------------------------------------- transport
     def _refresh_view(self) -> None:

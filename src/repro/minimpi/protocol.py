@@ -17,7 +17,10 @@ implements the standard MPI transport design over RC queue pairs:
   pre-exposed-buffer put does not pay.
 
 Progress is polling and runs inside blocking calls, exactly like the
-Photon engine, so the two libraries share cost accounting conventions.
+Photon engine, so the two libraries share cost accounting conventions —
+including the wait loop: blocking calls park on the engine's ``doorbell``
+(both CQs ring it) between the probes that can find something
+(:func:`repro.sim.resources.poll_until`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..cluster import Cluster, RankNode
 from ..photon.rcache import RegistrationCache
 from ..sim.core import Environment, SimulationError
+from ..sim.resources import Signal, poll_until
 from ..verbs.enums import Access, Opcode, QPState
 from ..verbs.qp import QueuePair, RecvWR, SendWR
 from .matching import MatchEngine, PostedRecv, UnexpectedMsg
@@ -133,6 +137,10 @@ class Engine:
         depth = cluster.n * (config.eager_credits + config.prepost) * 2 + 256
         self.send_cq = self.context.create_cq(capacity=depth)
         self.recv_cq = self.context.create_cq(capacity=depth)
+        #: rung by every CQ push and by whatever settles a request outside
+        #: a progress pass; blocking calls park here
+        self.doorbell = Signal(self.env)
+        self.send_cq.doorbell = self.recv_cq.doorbell = self.doorbell
         self.rcache = RegistrationCache(
             self.context, self.pd, capacity=config.rcache_capacity,
             enabled=config.rcache_enabled,
@@ -175,6 +183,8 @@ class Engine:
         ch = self.peers.get(rank)
         if ch is not None and ch.qp.state is QPState.READY:
             ch.qp.teardown()
+        # senders blocked on this peer's bounce slots re-check its health
+        self.doorbell.fire()
 
     # ------------------------------------------------------------- bootstrap
     def _alloc_bounce(self) -> None:
@@ -242,10 +252,17 @@ class Engine:
         return req
 
     def _acquire_slot(self, ch: _PeerChannel):
-        while not ch.send_slots:
+        """Take a free send-bounce slot toward the channel's peer, blocking
+        while the eager window is full (generator → address, or None when
+        the peer was declared dead first: its slots are not coming back)."""
+        if not ch.send_slots:
             self.counters.add("mpi.eager_stalls")
-            yield from self._progress_once()
-            yield self.env.timeout(self.config.wait_backoff_ns)
+            health, rank = self.health, ch.qp.remote_rank
+            yield from self._wait_until(
+                lambda: ch.send_slots
+                or (health is not None and health.is_dead(rank)))
+            if not ch.send_slots:
+                return None
         return ch.send_slots.popleft()
 
     def _send_ctrl(self, ch: _PeerChannel, slot: int, raw: bytes,
@@ -296,6 +313,9 @@ class Engine:
                     tag: int):
         ch = self._peer(dst)
         slot = yield from self._acquire_slot(ch)
+        if slot is None:
+            req.fail(self.env.now, error="peer_dead")
+            return
         payload = self.memory.read(addr, size) if size else b""
         # join (not +) accepts the zero-copy view and snapshots it exactly
         # once, into the owned bytes the resend closures hold on to
@@ -320,11 +340,14 @@ class Engine:
                   tag: int):
         ch = self._peer(dst)
         mr = yield from self.rcache.acquire(addr, size)
-        slot = yield from self._acquire_slot(ch)
-        raw = HDR.pack(KIND_RTS, tag, size, req.rid, addr, mr.rkey)
-        rid = req.rid
         # pinned until the receiver fetched + FINed (or the send failed)
         req.on_settle = lambda: self.rcache.release_async(mr)
+        slot = yield from self._acquire_slot(ch)
+        if slot is None:
+            req.fail(self.env.now, error="peer_dead")
+            return
+        raw = HDR.pack(KIND_RTS, tag, size, req.rid, addr, mr.rkey)
+        rid = req.rid
 
         def on_fail():
             # the advertisement never arrived: no FIN will ever come back
@@ -340,6 +363,9 @@ class Engine:
     def _send_fin(self, dst: int, sreq: int):
         ch = self._peer(dst)
         slot = yield from self._acquire_slot(ch)
+        if slot is None:
+            self.counters.add("mpi.fin_failures")
+            return
         raw = HDR.pack(KIND_FIN, 0, 0, sreq, 0, 0)
 
         def on_fail():
@@ -439,6 +465,7 @@ class Engine:
         if posted is None:
             self.matcher.add_unexpected(
                 UnexpectedMsg(src=src, tag=tag, payload=payload))
+            self.doorbell.fire()
             return
         if len(payload) > posted.length:
             raise SimulationError("self-send truncates receive")
@@ -447,6 +474,7 @@ class Engine:
         posted.request.status = Status(source=src, tag=tag,
                                        count=len(payload))
         posted.request.complete(self.env.now)
+        self.doorbell.fire()
 
     # ------------------------------------------------------------- progress
     def _reconnect(self, rank: int) -> None:
@@ -456,10 +484,16 @@ class Engine:
             self.counters.add("mpi.qp_reconnects")
 
     def _progress_once(self):
+        """One polling pass over both CQs (generator, charges time).  A
+        pass that found nothing runs its checks at one instant, so parking
+        right after it misses no arrival; one that found anything rings
+        the doorbell when it ends (see the Photon engine's pass)."""
         env = self.env
         nic = self.cluster.params.nic
         yield env.timeout(self.config.progress_poll_ns)
+        found = False
         for wc in self.send_cq.poll(max_entries=32):
+            found = True
             yield env.timeout(nic.cqe_poll_ns)
             cb = self._ops.pop(wc.wr_id, None)
             ecb = self._op_errors.pop(wc.wr_id, None)
@@ -472,6 +506,7 @@ class Engine:
             if cb is not None:
                 cb()
         for wc in self.recv_cq.poll(max_entries=32):
+            found = True
             yield env.timeout(nic.cqe_poll_ns)
             if not wc.ok:
                 # flushed bounce receive: reclaim the slot and repost once
@@ -490,6 +525,8 @@ class Engine:
                 continue
             yield from self._on_recv(wc)
         self.counters.add("mpi.progress_passes")
+        if found:
+            self.doorbell.fire()
 
     def _on_recv(self, wc):
         yield self.env.timeout(self.config.sw_overhead_ns)
@@ -561,14 +598,10 @@ class Engine:
     # ------------------------------------------------------------- waits
     def _wait_until(self, predicate: Callable[[], bool],
                     timeout_ns: Optional[int] = None):
-        deadline = None if timeout_ns is None else self.env.now + timeout_ns
-        while not predicate():
-            if deadline is not None and self.env.now >= deadline:
-                return False
-            yield from self._progress_once()
-            if not predicate():
-                yield self.env.timeout(self.config.wait_backoff_ns)
-        return True
+        """Poll progress until ``predicate()`` holds (generator → bool,
+        False on timeout)."""
+        return (yield from poll_until(self.doorbell, self._progress_once,
+                                      predicate, timeout_ns))
 
     def wait(self, req: MPIRequest, timeout_ns: Optional[int] = None):
         """Block until the request completes (generator → bool)."""

@@ -30,10 +30,9 @@ class MPIConfig:
     eager_credits: int = 32
     #: per-peer preposted receive bounce buffers
     prepost: int = 64
-    #: host cost of one progress pass (ns)
+    #: host cost of one progress pass (ns); a blocking call probes back
+    #: to back, so also how long after an arrival the waiter sees it
     progress_poll_ns: int = 60
-    #: idle backoff between polls when blocking (ns)
-    wait_backoff_ns: int = 100
     #: registration cache for rendezvous buffers
     rcache_enabled: bool = True
     rcache_capacity: int = 128

@@ -135,3 +135,4 @@ class AtomicsMixin:
         if local_cid is not None:
             self._atomic_results[local_cid] = old
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
+            self.doorbell.fire()

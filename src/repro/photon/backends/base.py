@@ -64,8 +64,7 @@ def _make_backends() -> Dict[str, Backend]:
         name="sw",
         fabric=preset("eth-10g"),
         config=PhotonConfig(use_inline=False, use_imm=False,
-                            eager_limit=4096,
-                            progress_poll_ns=400, wait_backoff_ns=600),
+                            eager_limit=4096, progress_poll_ns=400),
         description="kernel-sockets emulation backend on 10 GbE")
     return {b.name: b for b in (verbs, verbs_edr, ugni, roce, sw)}
 

@@ -8,9 +8,14 @@ exchanged out of band exactly like the real system's PMI exchange.
 
 The progress engine is *polling*: it only runs inside API calls (probe/
 wait), as in the real library, and it charges host time for every pass,
-every reaped CQE and every eager payload copy-out.  One-sided data
-movement happens entirely in the (simulated) NIC — a rank that never calls
-into Photon still receives puts into its exposed buffers.
+every reaped CQE and every eager payload copy-out.  A blocking call
+probes back to back; the simulator skips the probes that cannot succeed
+by parking the caller on the endpoint's ``doorbell`` — rung by both CQs,
+by every write into a ledger ring or credit word, and by whatever else
+hands a waiter its result — until the next arrival or retry deadline
+(:func:`repro.sim.resources.poll_until`).  One-sided data movement
+happens entirely in the (simulated) NIC — a rank that never calls into
+Photon still receives puts into its exposed buffers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..cluster import Cluster, RankNode
 from ..sim.core import Environment, SimulationError
+from ..sim.resources import Signal, poll_until
 from ..verbs.cq import CompletionQueue
 from ..verbs.device import ProtectionDomain
 from ..verbs.enums import Access, Opcode, QPState, WCOpcode, WCStatus
@@ -171,6 +177,11 @@ class PhotonBase:
             capacity=max(4096, qp_total))
         self.recv_cq: CompletionQueue = self.context.create_cq(
             capacity=max(4096, cluster.n * config.imm_prepost * 2))
+        #: rung by every arrival a progress pass could act on and by
+        #: whatever settles a result outside one; blocking calls park here
+        self.doorbell = Signal(self.env)
+        self.send_cq.doorbell = self.recv_cq.doorbell = self.doorbell
+        self.memory.on_watched_write.append(self.doorbell.fire)
         self.rcache = RegistrationCache(
             self.context, self.pd, capacity=config.rcache_capacity,
             enabled=config.rcache_enabled,
@@ -277,6 +288,10 @@ class PhotonBase:
             peer.credit_staging[name] = self._layout[
                 (other.rank, name, "credit_stage")]
         peer.scan_rings = tuple(peer.local[n] for n in RING_NAMES)
+        # the four credit words are contiguous; a sender stalled on a full
+        # ring sleeps until the peer's credit write rings the doorbell
+        self.memory.watch(self._layout[(other.rank, RING_NAMES[0], "credit")],
+                          8 * len(RING_NAMES))
         self.peers[other.rank] = peer
         self._top_up_recvs(peer)
 
@@ -305,10 +320,18 @@ class PhotonBase:
     def _post(self, peer: PeerState, wr: SendWR,
               on_ack: Optional[Callable] = None,
               on_error: Optional[Callable] = None):
-        """Charge post overhead, track outstanding, post (generator)."""
-        while peer.outstanding >= self.config.max_outstanding:
-            yield from self._progress_once()
-            yield self.env.timeout(self.config.wait_backoff_ns)
+        """Charge post overhead, track outstanding, post (generator).
+
+        Backpressure: blocks while the peer has ``max_outstanding`` WRs in
+        flight.  A peer declared dead meanwhile ends the wait through
+        ``on_error`` with nothing posted.
+        """
+        limit = self.config.max_outstanding
+        if peer.outstanding >= limit and not (yield from self._await_room(
+                peer, lambda: peer.outstanding < limit)):
+            if on_error is not None:
+                on_error()
+            return
         wr.wr_id = self._next_op("ack", on_ack, on_error)
         wr.signaled = True
         peer.outstanding += 1
@@ -327,13 +350,19 @@ class PhotonBase:
         wait (or when the entry is replayed later into a fresh slot).
         ``extent``: bytes of the slot actually written (defaults to the
         entry length) — eager entries only write header+payload+trailer,
-        not the full slot.  Returns the claimed sequence number (generator).
+        not the full slot.  Returns the claimed sequence number, or None
+        when the peer was declared dead while the ring was full: nothing
+        was claimed and ``on_error`` ran (generator).
         """
         ring = peer.remote[ring_name]
-        while ring.available() <= 0:
+        if ring.available() <= 0:
             self.counters.add(f"photon.{ring_name}_stalls")
-            yield from self._progress_once()
-            yield self.env.timeout(self.config.wait_backoff_ns)
+            if not (yield from self._await_room(
+                    peer, lambda: ring.available() > 0)):
+                self.counters.add("photon.dead_peer_entry_drops")
+                if on_error is not None:
+                    on_error()
+                return None
         seq, stage_addr, remote_addr = ring.claim()
         if callable(entry):
             entry = entry(seq)
@@ -352,6 +381,19 @@ class PhotonBase:
         yield from self._post(peer, wr, on_ack,
                               self._entry_error_cb(peer, wr, on_ack, on_error))
         return seq
+
+    def _await_room(self, peer: PeerState, room: Callable[[], bool]):
+        """Block until ``room()`` toward ``peer`` (generator → bool).
+
+        False: the failure detector declared the peer dead first, so the
+        credit or CQE that would make room is never coming — the caller
+        gives up through its error path (pending ops against the peer
+        were already failed with ``PEER_DEAD``).
+        """
+        health, rank = self.health, peer.rank
+        yield from self._wait_until(
+            lambda: room() or (health is not None and health.is_dead(rank)))
+        return room()
 
     def _entry_error_cb(self, peer: PeerState, wr: SendWR,
                         on_ack: Optional[Callable],
@@ -500,6 +542,7 @@ class PhotonBase:
         if op.local_cid is not None:
             self.local_cids.append((op.local_cid, WCStatus.SUCCESS))
             self.counters.add("photon.local_cids")
+        self.doorbell.fire()
         if op.on_done is not None:
             op.on_done()
 
@@ -523,6 +566,7 @@ class PhotonBase:
         if op.local_cid is not None:
             self.local_cids.append((op.local_cid, status))
             self.counters.add("photon.local_cids")
+        self.doorbell.fire()
 
     def _op_attempt_failed(self, op: ReliableOp) -> None:
         """One attempt failed (WR error or deadline): back off or give up."""
@@ -584,6 +628,8 @@ class PhotonBase:
         if peer.qp.state is QPState.READY and peer.outstanding > 0:
             peer.qp.teardown()
         self.counters.add("photon.peer_dead_events")
+        # senders blocked on this peer's credits re-check its health
+        self.doorbell.fire()
 
     # ------------------------------------------------------------- crash
     def crash_local(self) -> None:
@@ -610,6 +656,7 @@ class PhotonBase:
         self.infos.clear()
         self._atomic_results.clear()
         self.counters.add("photon.crashes")
+        self.doorbell.fire()
 
     def rejoin(self):
         """Restart this endpoint in place (generator, charges real time).
@@ -642,6 +689,7 @@ class PhotonBase:
             self._top_up_recvs(peer)
         self.alive = True
         self.counters.add("photon.rejoins")
+        self.doorbell.fire()
 
     def rearm_peer(self, rank: int) -> None:
         """Survivor side of a peer restart: reset the pairing's state.
@@ -661,6 +709,7 @@ class PhotonBase:
             peer.qp.reset_and_reconnect()
         self._top_up_recvs(peer)
         self.counters.add("photon.peer_rearms")
+        self.doorbell.fire()
 
     def _rearm_peer_state(self, peer: PeerState) -> None:
         """Reset both ring views of one pairing to their bootstrap state."""
@@ -738,13 +787,21 @@ class PhotonBase:
         callers that have already charged it themselves (the KV server
         loop fuses it into its idle backoff) — the pass's checks then run
         at exactly the instant they would have anyway.
+
+        A pass that found nothing runs its checks at one instant, so a
+        caller that parks right after it cannot miss an arrival; a pass
+        that found anything rings the doorbell when it ends — whoever it
+        delivered to may be another process parked on this endpoint, and
+        what landed while it was busy has not been looked at yet.
         """
         env = self.env
         cqe_ns = self._cqe_poll_ns
         if charge_poll:
             yield env.timeout(self._poll_ns)
+        found = False
         # 1) source completions (successes and errors)
         for wc in self.send_cq.poll(max_entries=32):
+            found = True
             yield env.timeout(cqe_ns)
             entry = self._ops.pop(wc.wr_id, None)
             peer = self.peers.get(wc.src_rank)
@@ -768,6 +825,7 @@ class PhotonBase:
         if self._use_imm:
             wcs = self.recv_cq.poll(max_entries=32)
             if wcs:
+                found = True
                 for wc in wcs:
                     yield env.timeout(cqe_ns)
                     peer = self.peers.get(wc.src_rank)
@@ -805,6 +863,7 @@ class PhotonBase:
             for peer in self.peers.values():
                 for ring in peer.scan_rings:
                     if ring.ready() or ring.credit_due():
+                        found = True
                         yield from self._scan_peer(peer)
                         break
         # 4) retry-deadline scan (skipped when re-entered from a replay's
@@ -824,11 +883,31 @@ class PhotonBase:
                     if op.state == "pending" and now >= op.deadline:
                         self._op_attempt_failed(op)
                     if op.state == "backoff" and now >= op.next_retry_at:
+                        found = True
                         op.state = "pending"
                         yield from self._start_attempt(op)
             finally:
                 self._in_deadline_scan = False
         self.counters.add("photon.progress_passes")
+        if found:
+            self.doorbell.fire()
+
+    def next_deadline(self) -> Optional[int]:
+        """Earliest future instant a progress pass is owed with no
+        arrival: a pending reliable op's deadline or a backed-off one's
+        retry time (None: no such op).
+
+        Times already reached do not count.  A pass acts on every one of
+        those unless another process is inside the deadline scan, and that
+        process's pass rings the doorbell when it ends.
+        """
+        now = self.env.now
+        due = None
+        for op in self._reliable.values():
+            t = op.deadline if op.state == "pending" else op.next_retry_at
+            if t > now and (due is None or t < due):
+                due = t
+        return due
 
     def _scan_peer(self, peer: PeerState):
         env = self.env
@@ -938,25 +1017,11 @@ class PhotonBase:
         """Poll progress until ``predicate()`` holds (generator).
 
         Returns :class:`TimeoutStatus` — ``OK`` (truthy) on success,
-        ``TIMED_OUT`` (falsy) if the optional timeout expired.  Idle
-        backoff is adaptive: the first ``wait_backoff_ramp`` empty polls
-        sleep ``wait_backoff_ns``, after which the sleep doubles per pass
-        up to ``wait_backoff_max_ns`` so long waits don't spin the event
-        loop while short waits stay responsive.
+        ``TIMED_OUT`` (falsy) if the optional timeout expired.  Probes
+        that could not find anything are skipped, not run: see
+        :func:`repro.sim.resources.poll_until`.
         """
-        deadline = None if timeout_ns is None else self.env.now + timeout_ns
-        backoff = self.config.wait_backoff_ns
-        empty = 0
-        while not predicate():
-            if deadline is not None and self.env.now >= deadline:
-                return TimeoutStatus.TIMED_OUT
-            yield from self._progress_once()
-            if not predicate():
-                empty += 1
-                if empty > self.config.wait_backoff_ramp:
-                    backoff = min(backoff * 2, self.config.wait_backoff_max_ns)
-                sleep = backoff
-                if deadline is not None:
-                    sleep = min(sleep, max(1, deadline - self.env.now))
-                yield self.env.timeout(sleep)
-        return TimeoutStatus.OK
+        ok = yield from poll_until(
+            self.doorbell, self._progress_once, predicate, timeout_ns,
+            self.next_deadline)
+        return TimeoutStatus.OK if ok else TimeoutStatus.TIMED_OUT

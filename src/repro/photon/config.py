@@ -38,18 +38,10 @@ class PhotonConfig:
     imm_prepost: int = 64
     #: return ledger credits after this fraction of the ring is consumed
     credit_fraction: float = 0.5
-    #: host cost of one progress-engine pass over the ledgers (ns)
+    #: host cost of one progress-engine pass over the ledgers (ns); a
+    #: blocking call probes back to back, so this is also how long after
+    #: an arrival the waiter sees it
     progress_poll_ns: int = 60
-    #: idle backoff between polls when blocking in wait (ns); the backoff
-    #: is adaptive — after ``wait_backoff_ramp`` empty polls it doubles per
-    #: pass up to ``wait_backoff_max_ns`` so long idle waits don't spin the
-    #: event loop at 100 ns granularity
-    wait_backoff_ns: int = 100
-    #: empty polls at the base backoff before cap-doubling starts (keeps
-    #: short waits — the common case — as responsive as a fixed backoff)
-    wait_backoff_ramp: int = 32
-    #: ceiling for the adaptive wait backoff (ns)
-    wait_backoff_max_ns: int = 6_400
     # --- reliability (lossy fabrics) ---
     #: how many times a failed/expired PWC operation is replayed before it
     #: completes with an error cid (0 = fail on first error)
@@ -105,14 +97,11 @@ class PhotonConfig:
             raise ValueError("max_op_retries must be >= 0")
         if self.entry_resend_limit < 0:
             raise ValueError("entry_resend_limit must be >= 0")
-        for field in ("op_timeout_ns", "backoff_base_ns", "backoff_max_ns",
-                      "wait_backoff_max_ns"):
+        for field in ("op_timeout_ns", "backoff_base_ns", "backoff_max_ns"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")
         if self.backoff_jitter_ns is not None and self.backoff_jitter_ns <= 0:
             raise ValueError("backoff_jitter_ns must be positive when set")
-        if self.wait_backoff_ramp < 0:
-            raise ValueError("wait_backoff_ramp must be >= 0")
         if self.rcache_capacity < 1:
             raise ValueError("rcache_capacity must be >= 1")
         if self.rcache_max_pinned_bytes < 0:

@@ -181,6 +181,7 @@ class PwcMixin:
             self.messages.append((self.rank, remote_cid, bytes(data)))
             if local_cid is not None:
                 self.local_cids.append((local_cid, WCStatus.SUCCESS))
+            self.doorbell.fire()
             self.counters.add("photon.pwc_sends")
             return None
         peer = self._peer(dst)
@@ -205,6 +206,13 @@ class PwcMixin:
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_sends")
         return op
+
+    def wait_op(self, op, timeout_ns: Optional[int] = None):
+        """Block (polling) until the op handle a PWC call returned settles
+        (generator → :class:`~repro.photon.base.TimeoutStatus`); the
+        outcome is ``op.status``."""
+        return (yield from self._wait_until(
+            lambda: op.status is not None, timeout_ns))
 
     # ------------------------------------------------------------------ probes
     def probe_completion(self, which: str = "any"):
@@ -284,6 +292,7 @@ class PwcMixin:
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
         if remote_cid is not None:
             self.remote_cids.append((remote_cid, self.rank))
+        self.doorbell.fire()
 
     def _self_get(self, local_addr, size, remote_addr, local_cid, remote_cid):
         data = self.memory.read_bytes(remote_addr, size)
@@ -293,6 +302,7 @@ class PwcMixin:
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
         if remote_cid is not None:
             self.remote_cids.append((remote_cid, self.rank))
+        self.doorbell.fire()
 
     # ------------------------------------------------------------------ helpers
     def _inline_ok(self, size: int) -> bool:

@@ -182,7 +182,7 @@ class ActiveMessageEngine:
         rt.parcels_sent += 1
         self.counters.add("rt.parcels_sent")
         if dst == rt.rank:
-            rt._local.append(parcel)
+            rt._enqueue_local(parcel)
             return fut
         try:
             yield from rt.transport.send(dst, parcel.encode())
@@ -224,7 +224,7 @@ class ActiveMessageEngine:
         reply = Parcel(action=parcel.action, src=rt.rank, payload=payload,
                        cid=parcel.cid, flags=flags)
         if parcel.src == rt.rank:
-            rt._local.append(reply)
+            rt._enqueue_local(reply)
             return
         try:
             yield from rt.transport.send(parcel.src, reply.encode())

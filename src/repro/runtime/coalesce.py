@@ -164,15 +164,17 @@ class CoalescingTransport(Transport):
             except PeerDownError:
                 pass
 
-    def stale_pending(self) -> bool:
-        """True when an open batch has exceeded the latency bound
-        (pure check — the scheduler uses this to decide whether
-        :meth:`flush_stale` is worth a pass)."""
-        if not self._open:
-            return False
-        now = self.env.now
-        return any(now - b.opened_at >= self.max_delay_ns
-                   for b in self._open.values())
+    def next_deadline(self) -> Optional[int]:
+        """The wire's next deadline or the instant the oldest open batch
+        :meth:`flush_stale` would ship reaches ``max_delay_ns``."""
+        due = self.inner.next_deadline()
+        for d, b in self._open.items():
+            if self.requeue_on_peer_down and self.peer_is_down(d):
+                continue
+            stale_at = b.opened_at + self.max_delay_ns
+            if due is None or stale_at < due:
+                due = stale_at
+        return due
 
     # ------------------------------------------------------------- receiving
     def poll(self):

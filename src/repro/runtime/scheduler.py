@@ -5,7 +5,9 @@ local double-ended work queue.  ``send`` ships work to a rank (short-
 circuiting locally); ``progress`` pulls one parcel off the wire or the
 local queue and runs its handler; ``process_until`` pumps the runtime
 while waiting for a condition — handlers run inline, so a handler may
-itself send parcels or wait on futures.
+itself send parcels or wait on futures.  Between the passes that can find
+something it parks on the transport's doorbell
+(:func:`repro.sim.resources.poll_until`).
 """
 
 from __future__ import annotations
@@ -15,11 +17,17 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from ..sim.core import Environment, SimulationError
+from ..sim.resources import poll_until
 from ..sim.trace import Counters
 from .actions import ActionRegistry
 from .parcel import Parcel
 
 __all__ = ["Runtime"]
+
+#: a parked ``process_until`` re-evaluates its predicate at least this often
+#: (ns): the predicate may read state another rank's process flips — a
+#: driver's "done" flag — which no arrival on this rank announces
+RECHECK_NS = 10_000
 
 
 class Runtime:
@@ -57,9 +65,14 @@ class Runtime:
         self.parcels_sent += 1
         self.counters.add("rt.parcels_sent")
         if dst == self.rank:
-            self._local.append(parcel)
+            self._enqueue_local(parcel)
             return
         yield from self.transport.send(dst, parcel.encode())
+
+    def _enqueue_local(self, parcel: Parcel) -> None:
+        """Queue a parcel for this rank; the rank's scheduler may be parked."""
+        self._local.append(parcel)
+        self.transport.doorbell.fire()
 
     def invoke(self, dst: int, action: str, payload: bytes = b""):
         """Remote invocation (generator → Future) — requires
@@ -97,14 +110,13 @@ class Runtime:
     def progress(self):
         """Process at most one parcel (generator → bool processed).
 
-        On a coalescing transport, every progress pass first ships
-        batches past their latency bound — the scheduler drives the
-        stale flush, so a rank grinding through local work cannot sit
-        on a stale batch until its next ``poll``.
+        Batches a coalescing transport holds past their latency bound
+        ship from every pass — ``poll`` flushes them itself, and so does
+        the local-parcel branch, so a rank grinding through local work
+        cannot sit on a stale batch until its next ``poll``.
         """
-        if self.transport.stale_pending():
-            yield from self.transport.flush_stale()
         if self._local:
+            yield from self.transport.flush_stale()
             yield from self._run_parcel(self._local.popleft())
             return True
         raw = yield from self.transport.poll()
@@ -113,19 +125,17 @@ class Runtime:
         yield from self._run_parcel(Parcel.decode(raw))
         return True
 
+    def _next_due(self) -> int:
+        due = self.transport.next_deadline()
+        recheck = self.env.now + RECHECK_NS
+        return recheck if due is None or recheck < due else due
+
     def process_until(self, predicate: Callable[[], bool],
-                      timeout_ns: Optional[int] = None,
-                      idle_backoff_ns: int = 200):
-        """Pump parcels until ``predicate()`` holds (generator → bool)."""
-        deadline = (None if timeout_ns is None
-                    else self.env.now + timeout_ns)
-        while not predicate():
-            if deadline is not None and self.env.now >= deadline:
-                return False
-            busy = yield from self.progress()
-            if not busy and not predicate():
-                yield self.env.timeout(idle_backoff_ns)
-        return True
+                      timeout_ns: Optional[int] = None):
+        """Pump parcels until ``predicate()`` holds (generator → bool,
+        False on timeout)."""
+        return (yield from poll_until(self.transport.doorbell, self.progress,
+                                      predicate, timeout_ns, self._next_due))
 
     def process_n(self, count: int, timeout_ns: Optional[int] = None):
         """Pump until ``count`` parcels have run on this rank (generator)."""

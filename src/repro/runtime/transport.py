@@ -65,14 +65,17 @@ class Transport:
 
     The layers above use exactly the public surface of this class:
     ``rank``, ``env``, ``memory``, ``counters`` (this rank's scope),
-    ``max_parcel``, ``breaker_log`` (the wire's bounded log of breaker
-    transitions) and the methods below.  One process drives a transport.
+    ``max_parcel``, ``doorbell`` (the wire library's arrival signal: rung
+    whenever :meth:`poll` may have something new to find), ``breaker_log``
+    (the wire's bounded log of breaker transitions) and the methods below.
+    One process drives a transport.
     """
 
     def __init__(self, lib, counters, max_parcel: int):
         self.rank = lib.rank
         self.env = lib.env
         self.memory = lib.memory
+        self.doorbell = lib.doorbell
         self.counters = counters
         self.max_parcel = max_parcel
 
@@ -101,9 +104,12 @@ class Transport:
         """Ship what is buffered past its latency bound (generator)."""
         yield from ()
 
-    def stale_pending(self) -> bool:
-        """True when :meth:`flush_stale` has work (pure check)."""
-        return False
+    def next_deadline(self) -> Optional[int]:
+        """Earliest future instant :meth:`poll` or :meth:`flush_stale` has
+        work with no arrival — a retry deadline, a batch's latency bound —
+        or None (pure check).  A scheduler parked on ``doorbell`` wakes
+        then at the latest."""
+        return None
 
     def attach_health(self, monitor) -> None:
         """Consume a failure detector: a confirmed-dead peer opens the
@@ -359,6 +365,9 @@ class PhotonTransport(WireTransport):
         self.ph.free_request(rid)
         return not failed
 
+    def next_deadline(self) -> Optional[int]:
+        return self.ph.next_deadline()
+
     def _reap_eager(self):
         """Settle tracked eager ops; returns parcels needing a resend."""
         ops = self._eager_ops
@@ -469,7 +478,7 @@ class MpiTransport(WireTransport):
 
     def __init__(self, comm: Comm, max_parcel: int = 1 << 20,
                  window: int = 16):
-        super().__init__(comm, comm.engine.counters, max_parcel)
+        super().__init__(comm.engine, comm.engine.counters, max_parcel)
         self.comm = comm
         self.window = window
         self._recv_bufs: List[int] = [

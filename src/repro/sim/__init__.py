@@ -11,7 +11,7 @@ from .core import (
     SimulationError,
     Timeout,
 )
-from .resources import Signal, Store
+from .resources import Signal, Store, poll_until
 from .rng import RngRegistry, stream
 from .trace import Counters, Tracer, TraceRecord
 
@@ -27,6 +27,7 @@ __all__ = [
     "Timeout",
     "Signal",
     "Store",
+    "poll_until",
     "RngRegistry",
     "stream",
     "Counters",

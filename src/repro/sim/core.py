@@ -439,32 +439,58 @@ class Environment:
                 heapq.heappush(self._ts_heap, t)
             bucket[priority].append(event)
 
-    def _advance_bucket(self) -> None:
+    def unschedule(self, event: Event, when: int) -> None:
+        """Withdraw a scheduled, not yet fired ``event`` due at absolute
+        time ``when``: it never fires and no longer holds the clock.
+
+        This is what lets a waiter arm a far-off timer (a wait's timeout,
+        a retry deadline) and drop it when the thing it was waiting for
+        arrives first, without leaving the timer behind to be counted,
+        fired and ignored.  A bucket emptied here leaves its timestamp on
+        the heap; the pop side skips timestamps that have no bucket.
+        """
+        lanes = self._buckets[when] if when > self._now else self._cur
+        try:
+            lanes[NORMAL].remove(event)
+        except ValueError:
+            lanes[URGENT].remove(event)
+        if when > self._now and not lanes[0] and not lanes[1]:
+            del self._buckets[when]
+        event._scheduled = False
+
+    def _advance_bucket(self) -> bool:
         """Move the earliest future bucket onto the current-instant deques,
-        advancing the clock to it."""
-        t = heapq.heappop(self._ts_heap)
-        urgent, normal = self._buckets.pop(t)
-        self._now = t
-        if urgent:
-            self._cur[0].extend(urgent)
-        if normal:
-            self._cur[1].extend(normal)
+        advancing the clock to it; False once only withdrawn timestamps
+        were left."""
+        ts_heap = self._ts_heap
+        while ts_heap:
+            t = heapq.heappop(ts_heap)
+            bucket = self._buckets.pop(t, None)
+            if bucket is None:
+                continue  # emptied by unschedule()
+            self._now = t
+            self._cur[0].extend(bucket[0])
+            self._cur[1].extend(bucket[1])
+            return True
+        return False
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next event, or None if the queue is empty."""
         cur = self._cur
         if cur[0] or cur[1]:
             return self._now
-        return self._ts_heap[0] if self._ts_heap else None
+        ts_heap = self._ts_heap
+        while ts_heap and ts_heap[0] not in self._buckets:
+            heapq.heappop(ts_heap)  # emptied by unschedule()
+        return ts_heap[0] if ts_heap else None
 
     def step(self) -> None:
         """Fire the single next event (advancing the clock to it)."""
         global _PROCESSED_TOTAL
         cur_urgent, cur_normal = self._cur
         if not cur_urgent and not cur_normal:
-            if not self._ts_heap:
+            if not self._advance_bucket():
                 raise SimulationError("step() on empty event queue")
-            self._advance_bucket()
         event = cur_urgent.popleft() if cur_urgent else cur_normal.popleft()
         self.events_processed += 1
         _PROCESSED_TOTAL += 1
@@ -534,7 +560,10 @@ class Environment:
                     if deadline is not None and ts_heap[0] > deadline:
                         break
                     t = heappop(ts_heap)
-                    urgent, normal = buckets.pop(t)
+                    bucket = buckets.pop(t, None)
+                    if bucket is None:
+                        continue  # emptied by unschedule()
+                    urgent, normal = bucket
                     self._now = t
                     if urgent:
                         cur_urgent.extend(urgent)

@@ -6,17 +6,18 @@ Built on the :mod:`repro.sim.core` kernel:
   event-returning ``put``/``get`` (models queues: work queues, completion
   queues, switch ports, DMA request rings).
 - :class:`Signal` — a re-armable broadcast event (models doorbells and
-  "work available" wakeups for polling loops).
+  "work available" wakeups for polling loops), and :func:`poll_until`,
+  the polling loop that sleeps on one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Store", "Signal"]
+__all__ = ["Store", "Signal", "poll_until"]
 
 
 class StorePut(Event):
@@ -196,25 +197,96 @@ class Store:
 
 
 class Signal:
-    """A re-armable broadcast wakeup.
+    """A re-armable broadcast wakeup — the doorbell a polling loop sleeps on.
 
     ``wait()`` returns an event; ``fire(value)`` triggers *all* waiters
-    registered so far and re-arms.  Used for doorbells: many pollers can
-    sleep on the signal and all wake when work arrives.
+    registered so far and re-arms.  ``wait(until=t)`` also sets the
+    signal's one alarm, so the waiters are woken at ``t`` at the latest;
+    the alarm is withdrawn from the kernel as soon as the signal fires,
+    so a far-off bound leaves nothing behind on the event queue.
+
+    ``fires`` counts every ``fire()``, waiters or not: a loop that reads
+    it before a progress pass and again after knows whether anything rang
+    *during* the pass, which closes the gap between the pass's last check
+    and the park (see :func:`poll_until`).
     """
 
     def __init__(self, env: Environment):
         self.env = env
+        self.fires = 0
         self._waiters: list = []
+        self._alarm: Optional[Event] = None
+        self._alarm_at = 0
 
-    def wait(self) -> Event:
+    def wait(self, until: Optional[int] = None) -> Event:
         ev = Event(self.env)
         self._waiters.append(ev)
+        if until is not None and (self._alarm is None
+                                  or until < self._alarm_at):
+            self._set_alarm(until)
         return ev
 
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        self.fires += 1
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
+        if self._alarm is not None:
+            self.env.unschedule(self._alarm, self._alarm_at)
+            self._alarm = None
         for ev in waiters:
             ev.succeed(value)
         return len(waiters)
+
+    def _set_alarm(self, at: int) -> None:
+        env = self.env
+        if self._alarm is not None:
+            env.unschedule(self._alarm, self._alarm_at)
+        at = max(at, env.now)
+        alarm = env.timeout(at - env.now)
+        alarm.callbacks.append(self._alarm_fired)
+        self._alarm, self._alarm_at = alarm, at
+
+    def _alarm_fired(self, _ev: Event) -> None:
+        self._alarm = None
+        self.fire()
+
+
+def poll_until(bell: Signal, probe: Callable[[], Generator],
+               predicate: Callable[[], bool],
+               timeout_ns: Optional[int] = None,
+               next_due: Optional[Callable[[], Optional[int]]] = None):
+    """Probe until ``predicate()`` holds (generator → bool, False on
+    timeout) — the one blocking-wait loop of the middleware layers.
+
+    The model: a waiter probes back to back, each probe (``probe()``, a
+    generator that charges its own poll cost and returns whether it did
+    any work) taking the poll interval; the simulator skips the probes
+    that cannot succeed.  After a probe that did nothing, with nothing
+    rung on ``bell`` while it ran, the waiter parks on the bell until
+    something arrives or until the earliest instant a probe is owed
+    anyway — the caller's timeout or ``next_due()`` (an absolute time or
+    None: retry deadlines, latency bounds).  Every wake pays for the probe
+    that would have seen it.
+
+    ``probe`` must ring ``bell`` when it hands out anything another
+    waiter on the same bell may be waiting for.
+    """
+    if predicate():
+        return True
+    env = bell.env
+    deadline = None if timeout_ns is None else env.now + timeout_ns
+    while True:
+        if deadline is not None and env.now >= deadline:
+            return False
+        seen = bell.fires
+        busy = yield from probe()
+        if predicate():
+            return True
+        if not busy and bell.fires == seen:
+            due = next_due() if next_due is not None else None
+            if deadline is not None and (due is None or deadline < due):
+                due = deadline
+            yield bell.wait(due)

@@ -41,8 +41,10 @@ class CompletionQueue:
 
     ``poll`` is a plain (zero-time) function; the *caller* charges per-CQE
     reap cost (``NicParams.cqe_poll_ns``) on its own clock, which is where
-    that CPU time is spent on real systems.  ``wait_nonempty`` returns an
-    event for blocking-style helpers.
+    that CPU time is spent on real systems.  Every push rings
+    ``doorbell``; an endpoint that polls several sources points their
+    doorbells at its own one :class:`~repro.sim.resources.Signal`.
+    ``wait_nonempty`` returns an event for blocking-style helpers.
     """
 
     def __init__(self, env: Environment, capacity: int = 4096):
@@ -51,7 +53,7 @@ class CompletionQueue:
         self.env = env
         self.capacity = capacity
         self._entries: Deque[WorkCompletion] = deque()
-        self._signal = Signal(env)
+        self.doorbell = Signal(env)
         self.overruns = 0
 
     def __len__(self) -> int:
@@ -64,7 +66,7 @@ class CompletionQueue:
                 f"CQ overrun (capacity {self.capacity}); middleware must "
                 "drain completions faster or size the CQ to its queue depths")
         self._entries.append(wc)
-        self._signal.fire()
+        self.doorbell.fire()
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
         """Reap up to ``max_entries`` completions (possibly empty)."""
@@ -80,10 +82,8 @@ class CompletionQueue:
 
     def wait_nonempty(self) -> Event:
         """Event that fires when the CQ has (or gets) an entry."""
+        if not self._entries:
+            return self.doorbell.wait()
         ev = Event(self.env)
-        if self._entries:
-            ev.succeed()
-        else:
-            wake = self._signal.wait()
-            wake.add_callback(lambda _: ev.succeed())
+        ev.succeed()
         return ev

@@ -45,6 +45,12 @@ class HeapEnvironment(Environment):
         event._scheduled = True
         self._push(event, delay, priority)
 
+    def unschedule(self, event: Event, when: int) -> None:
+        heap = self._heap  # in place: run() holds this list
+        heap[:] = [entry for entry in heap if entry[3] is not event]
+        heapq.heapify(heap)
+        event._scheduled = False
+
     def peek(self):
         return self._heap[0][0] if self._heap else None
 

@@ -190,3 +190,84 @@ def test_minimpi_requests_fail_with_peer_dead():
     assert out["done1"] and out["err1"] == "peer_dead"
     assert out["done2"] and out["err2"] == "peer_dead"
     assert cl.counters.get("mpi.dead_peer_fails") >= 2
+
+
+# --------------------------------------------------------------------------
+# backpressure stalls end when the peer is declared dead
+# --------------------------------------------------------------------------
+
+def _run_bounded(cl, gen, limit_ns):
+    """Run ``gen`` for at most ``limit_ns`` (the heartbeat loops never let
+    the queue drain, so a wedged program would otherwise run forever)."""
+    proc = cl.env.process(gen)
+    cl.env.run(until=limit_ns)
+    assert proc.triggered, "sender still wedged in its backpressure stall"
+    return proc.value
+
+
+def test_photon_sender_stalled_on_a_full_ring_is_released_peer_dead():
+    """The eager ring toward a peer that never polls fills up; the sender
+    blocks for credit that a dead peer will never return."""
+    cl = build_cluster(2, "ib-fdr", seed=6)
+    ph = photon_init(cl)
+    mons = build_health(cl)
+    for r in range(2):
+        ph[r].attach_health(mons[r])
+    out = {}
+
+    def crash(env):
+        yield env.timeout(600_000)  # detectors warmed up, sender stalled
+        out["stalls"] = cl.counters.get("photon.eager_stalls")
+        mons[1].halt()
+        ph[1].crash_local()
+        cl[1].nic.power_off()
+        out["t_crash"] = env.now
+
+    def sender(env):
+        yield env.timeout(500_000)
+        ops = []
+        for i in range(ph[0].config.eager_slots + 1):
+            ops.append((yield from ph[0].send_pwc(1, b"x" * 32,
+                                                  remote_cid=i)))
+        return ops, env.now
+
+    cl.env.process(crash(cl.env))
+    ops, t_back = _run_bounded(cl, sender(cl.env), 5_000_000)
+    assert out["stalls"] == 1  # the last send found the ring full
+    assert t_back - out["t_crash"] < 2 * DETECT_BUDGET_NS
+    assert ops[-1].status is WCStatus.PEER_DEAD
+    assert cl.counters.get("photon.dead_peer_entry_drops") == 1
+
+
+def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
+    """Un-reaped messages exhaust the peer's preposted receives, the next
+    ``eager_credits`` sends sit un-acked on every bounce slot, and one
+    more blocks for a slot."""
+    cl = build_cluster(2, "ib-fdr", seed=6)
+    mm = mpi_init(cl)
+    mons = build_health(cl)
+    for r in range(2):
+        mm[r].engine.attach_health(mons[r])
+    cfg = mm[0].engine.config
+    src = cl[0].memory.alloc(64)
+    out = {}
+
+    def crash(env):
+        yield env.timeout(700_000)
+        out["stalls"] = cl.counters.get("mpi.eager_stalls")
+        mons[1].halt()
+        cl[1].nic.power_off()
+        out["t_crash"] = env.now
+
+    def sender(env):
+        yield env.timeout(500_000)
+        reqs = []
+        for i in range(cfg.prepost + cfg.eager_credits + 1):
+            reqs.append((yield from mm[0].isend(src, 8, 1, tag=i)))
+        return reqs, env.now
+
+    cl.env.process(crash(cl.env))
+    reqs, t_back = _run_bounded(cl, sender(cl.env), 5_000_000)
+    assert out["stalls"] >= 1
+    assert t_back - out["t_crash"] < 2 * DETECT_BUDGET_NS
+    assert reqs[-1].done and reqs[-1].error == "peer_dead"

@@ -131,3 +131,14 @@ def test_pwc_completion_has_one_mechanism():
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
+
+
+def test_blocking_waits_have_one_pacing_mechanism():
+    """Waits park on a doorbell (``sim.resources.poll_until``); the idle
+    back-off knobs must not come back.  ``KVNode._serve`` keeps its own
+    fused back-off (``KVConfig.idle_backoff_ns``), hence the exemption."""
+    pattern = re.compile(r"wait_backoff|idle_backoff_ns=")
+    bad = [path for path in _py_files("src")
+           if not path.endswith(os.path.join("kv", "store.py"))
+           and pattern.search(open(path).read())]
+    assert not bad, bad

@@ -93,6 +93,26 @@ def _drive(env: Environment, seed: int, log: list):
     for i in range(12):
         arm(f"raw{i}", rng.choice(DELAYS), rng.randint(0, 3))
 
+    # withdrawn timers (what a Signal's alarm is): the withdrawal is armed
+    # first, so when both fall on one instant it finds its target already
+    # moved onto the current-instant queue; a target that fired earlier is
+    # left alone; one sits far enough out to drag the clock if left behind
+    def withdrawable(label: str, delay: int, withdraw_at: int):
+        due = env.now + delay
+
+        def withdraw(_ev):
+            if not target.processed:
+                env.unschedule(target, due)
+                log.append((env.now, f"{label}.withdrawn"))
+
+        env.timeout(withdraw_at).callbacks.append(withdraw)
+        target = env.timeout(delay)
+        target.callbacks.append(lambda _ev: log.append((env.now, label)))
+
+    for i in range(10):
+        withdrawable(f"wd{i}", rng.choice(DELAYS), rng.choice(DELAYS))
+    withdrawable("wd.far", 10 ** 12, 3)
+
 
 def _run_both(seed: int, until=None):
     logs = []

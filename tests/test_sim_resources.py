@@ -184,6 +184,42 @@ def test_signal_rearms_after_fire():
     assert wakes == [10, 20]
 
 
+def test_signal_wait_until_wakes_at_the_bound():
+    env = Environment()
+    sig = Signal(env)
+    wakes = []
+
+    def waiter(env, until):
+        yield sig.wait(until)
+        wakes.append(env.now)
+
+    env.process(waiter(env, 500))
+    env.process(waiter(env, 200))   # moves the one alarm earlier
+    env.process(waiter(env, None))  # unbounded: woken with the others
+    env.run()
+    assert wakes == [200, 200, 200] and env.now == 200
+
+
+def test_signal_fired_first_withdraws_its_alarm():
+    env = Environment()
+    sig = Signal(env)
+
+    def waiter(env):
+        yield sig.wait(until=10 ** 12)
+        return env.now
+
+    def firer(env):
+        yield env.timeout(30)
+        assert sig.fire() == 1
+
+    w = env.process(waiter(env))
+    env.process(firer(env))
+    env.run()
+    # nothing left to fire at 10**12: the clock stops at the last event
+    assert w.value == 30 and env.now == 30 and env.peek() is None
+    assert sig.fires == 1
+
+
 def test_signal_fire_with_no_waiters():
     env = Environment()
     sig = Signal(env)

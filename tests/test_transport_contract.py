@@ -13,7 +13,7 @@ from repro.photon import photon_init
 from repro.runtime import (CoalescingTransport, MpiTransport, PeerDownError,
                            PhotonTransport, Transport)
 from repro.runtime.transport import WireTransport
-from repro.sim import SimulationError
+from repro.sim import Signal, SimulationError
 
 
 def _photon(cl, max_parcel):
@@ -86,8 +86,11 @@ def test_members_and_defaults(pair):
     tp.counters.add("contract.probe")
     assert cl.counters.get("contract.probe") == 1
     assert cl.scope(0).get("contract.probe") == 1
-    # nothing buffered, nobody down, nothing logged
-    assert tp.stale_pending() is False
+    # what a scheduler parks on: the wire library's own doorbell, and no
+    # deadline while nothing is buffered or in flight
+    assert isinstance(tp.doorbell, Signal) and tp.doorbell is wire.doorbell
+    assert tp.next_deadline() is None
+    # nobody down, nothing logged
     assert tp.peer_is_down(1) is False
     assert list(tp.breaker_log) == []
     assert isinstance(tp.poll_pending(), bool)
