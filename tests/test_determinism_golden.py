@@ -6,10 +6,13 @@ fast paths, the clean-fabric fast path) is only admissible if it changes
 *nothing* observable in simulation: same event trace, same counters, same
 final clock, same experiment tables, on clean **and** lossy fabrics.
 
-The ``GOLDEN`` fingerprints below were generated from the pre-optimization
-tree (``python tests/test_determinism_golden.py`` prints fresh ones) and are
-asserted verbatim here.  Any change to event ordering, payload routing, RNG
-consumption, or timing arithmetic shows up as a hash mismatch.
+The ``GOLDEN`` fingerprints below (``python tests/test_determinism_golden.py``
+prints fresh ones) are asserted verbatim.  Any change to event ordering,
+payload routing, RNG consumption, or timing arithmetic shows up as a hash
+mismatch.  They were re-baselined once on purpose, in a commit of their own,
+when blocking waits stopped ticking through idle polls and began to park on
+the endpoint doorbell — that moves when every waiter sees every arrival
+(CHANGES.md, PR 15).
 """
 
 from __future__ import annotations
@@ -196,19 +199,19 @@ def _mpi_lossy_workload():
 
 GOLDEN = {
     "r1_table":
-        "7f597177c8c9dea80f1d130d661ae6753229d74e492c6b40ce68c4cd2c1db60a",
+        "e332906b9e6104990432d9a934074bd422118feabd374524c141c4dd7b5701a5",
     "r4_table":
-        "1bd35e6cddef76753f45b250c75b356fd321c3069bd428c051ae8c26c2f233a7",
+        "b42c992552f71dfb6f0dc7d1e19fb0c946dbd6a95cc654f39998285789bdc033",
     "r17_table":
-        "c7c6915630c1ce809568d7048053c4ed823dd72ae5a28cd048f914cac32d982f",
+        "3353f0aa9ddc20b73668bd9795e95bb519a6c00bbc4fee6de58f90f31291f7c3",
     "photon_clean_trace":
-        "c6acc522238aaf26e987a0886cad2a2060ff244592e9ded11ec7ea3c4b830473",
+        "9a45ab84faa38a7a2d1a19ef2ee489fa612b389f81b462c4ecaac7bd1d040cf2",
     "mpi_clean_trace":
-        "58ddc9313cd6a4e192e0c01eb2ea0f64bb9fd0176bc275c0ef7cc35d618b21d9",
+        "70d177607098e8da6e22d19de0c9f655cd8db2a742f0c88343e952856829b32a",
     "photon_lossy_trace":
-        "6a65d52bba149e7727c83bbb791f9dd23367ad649507e4d0709e857fc373d686",
+        "1b74219f2ecf9ad211a052256792a729b964bcc8dce7440fe6a6af941a1871b3",
     "mpi_lossy_trace":
-        "c1cfa22da2709a880bbb2ce760415bb6f4f124ff5a0aa3033fbce652b74643dc",
+        "e3a7b66d6442455ae090f7e792313f9a9276523b09df26c2370ddc5d96061db1",
 }
 
 
