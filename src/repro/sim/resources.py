@@ -56,113 +56,46 @@ class Store:
         self.items: Deque[Any] = deque()
         self._put_queue: Deque[StorePut] = deque()
         self._get_queue: Deque[StoreGet] = deque()
-        # virtual occupancy: timestamps at which batch-drained items would
-        # have left the queue one at a time (see add_holds); counted by
-        # ``full`` until the sim clock passes them
-        self._holds: tuple = ()
-        self._hold_wakeup_at: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.items)
 
     @property
     def full(self) -> bool:
-        if self.capacity is None:
-            return False
-        occ = len(self.items)
-        if self._holds:
-            now = self.env.now
-            live = tuple(h for h in self._holds if h > now)
-            if len(live) != len(self._holds):
-                self._holds = live
-            occ += len(live)
-        return occ >= self.capacity
-
-    def add_holds(self, release_times) -> None:
-        """Keep batch-drained slots virtually occupied until given times.
-
-        A consumer that drains k items at once (e.g. a link serialising a
-        whole burst as one event) frees k-1 slots *early* relative to
-        draining them one at a time.  Passing the would-be drain timestamps
-        here (they accumulate onto the holds still live) keeps ``full`` —
-        and therefore the admission time of parked producers — identical to
-        the one-at-a-time schedule.
-        """
-        now = self.env.now
-        live = tuple(h for h in self._holds if h > now)
-        self._holds = live + tuple(h for h in release_times if h > now)
-        if self._holds and self._put_queue:
-            # a producer is already parked behind the held slots: arm a
-            # wakeup at the earliest release so it is admitted then
-            self._arm_hold_wakeup()
-
-    def _arm_hold_wakeup(self) -> None:
-        nxt = min(self._holds)
-        if self._hold_wakeup_at is not None and self._hold_wakeup_at <= nxt:
-            return
-        self._hold_wakeup_at = nxt
-        t = self.env.timeout(nxt - self.env.now)
-        t.callbacks.append(self._hold_wakeup)
-
-    def _hold_wakeup(self, _ev) -> None:
-        self._hold_wakeup_at = None
-        if self._holds:
-            now = self.env.now
-            self._holds = tuple(h for h in self._holds if h > now)
-        self._trigger()
+        return self.capacity is not None and len(self.items) >= self.capacity
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; returns an event that fires once accepted."""
         return StorePut(self, item)
 
-    def put_nowait(self, item: Any) -> None:
+    def put_nowait(self, item: Any, delay: int = 0) -> None:
         """Append ``item`` without allocating a StorePut event.
 
         Only valid on unbounded stores (no backpressure to model); used on
         hot paths such as NIC work queues where the producer never waits.
+        A parked getter is handed the item ``delay`` ns from now: a
+        consumer whose first act on waking is to sleep a fixed stage cost
+        has the producer pre-charge it, and is spared the wake at ``now``.
         """
         if self.capacity is not None:
             raise SimulationError("put_nowait on a bounded Store")
         if self._get_queue and not self.items:
-            self._get_queue.popleft().succeed(item)
+            get = self._get_queue.popleft()
+            if delay:
+                get._ok = True
+                get._value = item
+                self.env._schedule(get, delay)
+            else:
+                get.succeed(item)
             return
         self.items.append(item)
         if self._get_queue:
             self._trigger()
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put: admit ``item`` synchronously if there is room
-        and no producer is parked ahead; returns False otherwise (caller
-        falls back to a blocking ``put``).  Admission order and timing are
-        identical to an immediately-granted put."""
-        if self._put_queue or self.full:
-            return False
-        if self._get_queue and not self.items:
-            self._get_queue.popleft().succeed(item)
-            return True
-        self.items.append(item)
-        if self._get_queue:
-            self._trigger()
-        return True
-
-    def put_discard(self, item: Any) -> None:
-        """Fire-and-forget put whose event nobody will wait on.
-
-        Identical admission semantics to ``put``: when there is room and
-        no producer is parked ahead, the item is admitted synchronously
-        (skipping the kernel event a StorePut would cost); otherwise a
-        regular StorePut parks so FIFO admission order and backpressure
-        are preserved.
-        """
-        if not self._put_queue and not self.full:
-            if self._get_queue and not self.items:
-                self._get_queue.popleft().succeed(item)
-                return
-            self.items.append(item)
-            if self._get_queue:
-                self._trigger()
-            return
-        StorePut(self, item)
+    @property
+    def waiting(self) -> bool:
+        """A getter is parked: the next ``put_nowait`` is a hand-off."""
+        return bool(self._get_queue)
 
     def get(self) -> StoreGet:
         """Remove the oldest item; returns an event whose value is the item."""
@@ -190,10 +123,6 @@ class Store:
                 get = self._get_queue.popleft()
                 get.succeed(self.items.popleft())
                 progressed = True
-        if self._put_queue and self._holds:
-            # parked producers behind virtually-held slots: make sure a
-            # wakeup fires at the next release time
-            self._arm_hold_wakeup()
 
 
 class Signal:

@@ -10,11 +10,14 @@ the drop sequence deterministic.
 
 from __future__ import annotations
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.fabric.link import Chunk, Link, LinkChaos
 from repro.fabric.params import LinkParams
 from repro.sim.core import Environment
 from repro.sim.trace import Counters
 from repro.util.units import serialization_ns
+from tests.link_oracle import OracleLink
 
 
 class ScriptedRng:
@@ -289,3 +292,192 @@ def test_drop_rate_link_healed_mid_run():
     # healed: no draws, no drops after 6 us — but still one chunk per
     # serialisation event (the RNG-armed link never burst-drains)
     assert _observed(env, counters, hop0, delivered) == EXPECT_HEALED
+
+
+# ---------------------------------------------------------------------------
+# the scheduled state against its executable reference: a clean link
+# computes what tests/link_oracle.OracleLink (bounded Store, one chunk per
+# serialisation sleep) runs.  Two producers share hop 0 — one blocks on
+# every put, one fires and forgets — over two hops.
+# ---------------------------------------------------------------------------
+
+SIZES = (64, 700, 1000, 4126)        # wire bytes; 1000 B = exactly 1000 ns
+SER = serialization_ns(1000, 8.0)
+# gaps: none, sub-serialisation, exact multiples of one serialisation (an
+# arrival on the nanosecond a slot frees), and long enough to go idle
+GAPS = st.one_of(st.sampled_from((0, 0, 1, SER - 1, SER, SER + 1, 2 * SER,
+                                  3 * SER, 16 * SER)),
+                 st.integers(min_value=0, max_value=6_000))
+ARRIVALS = st.lists(st.tuples(GAPS, st.sampled_from(SIZES)), max_size=40)
+
+
+def _drive_pair(link_cls, depth, blocking, forgetting):
+    env = Environment()
+    counters = Counters()
+    params = LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096)
+    hops = [link_cls(env, params, f"hop{i}", counters=counters,
+                     queue_depth=depth) for i in range(2)]
+    delivered, admitted = [], []
+    hops[1].sink = lambda chunk: delivered.append((env.now, chunk.offset))
+
+    def chunk(tag, wire):
+        return Chunk(msg=None, offset=tag, size=wire - 30, wire_bytes=wire,
+                     is_first=True, is_last=True, path=hops)
+
+    def blocker():
+        for i, (gap, wire) in enumerate(blocking):
+            yield env.timeout(gap)
+            yield hops[0].inbox.put(chunk(2 * i, wire))
+            admitted.append((env.now, 2 * i))
+
+    def forgetter():
+        for i, (gap, wire) in enumerate(forgetting):
+            yield env.timeout(gap)
+            # (the oracle's inbox is a plain Store: a put nobody waits on)
+            getattr(hops[0].inbox, "put_discard",
+                    hops[0].inbox.put)(chunk(2 * i + 1, wire))
+
+    env.process(blocker(), name="blocker")
+    env.process(forgetter(), name="forgetter")
+    env.run()
+    snap = counters.snapshot()
+    return {"delivered": delivered, "admitted": admitted,
+            "tallies": [(h._busy_ns, h._chunks, h._bytes) for h in hops],
+            "counters": {k: v for k, v in snap.items()
+                         if k.startswith("link.")}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(depth=st.integers(min_value=1, max_value=16),
+       blocking=ARRIVALS, forgetting=ARRIVALS)
+# a forgotten chunk parks on the nanosecond a slot frees, ahead of the wake
+# timer: the parked head must still wait for the timer, or the blocking
+# producer re-queues one place early
+@example(depth=1, blocking=[(0, 64)] * 13,
+         forgetting=[(0, 64)] * 5 + [(0, 700)] * 6 + [
+             (0, 1000), (999, 4126), (1001, 64), (1001, 1000), (2000, 64),
+             (2000, 700), (2000, 4126), (666, 4126), (4763, 64), (6000, 64),
+             (0, 64), (0, 64)])
+def test_scheduled_link_matches_one_at_a_time_server(depth, blocking,
+                                                     forgetting):
+    got = _drive_pair(Link, depth, blocking, forgetting)
+    assert got == _drive_pair(OracleLink, depth, blocking, forgetting)
+    assert len(got["delivered"]) == len(blocking) + len(forgetting)
+
+
+def test_clean_link_is_not_a_process():
+    env = Environment()
+    link, delivered = _mk_link(env, Counters(), rng=None, drop_rate=0.0)
+    assert env.peek() is None            # nothing spawned at construction
+    link.inbox.put_discard(_chunk(link))
+    env.run()
+    assert env.events_processed == 1     # the delivery timer, nothing else
+    assert len(delivered) == 1
+
+
+def test_occupancy_counts_no_future_serialisation():
+    env = Environment()
+    link, delivered = _mk_link(env, Counters(), rng=None, drop_rate=0.0)
+    ser = serialization_ns(1000, 8.0)
+    for _ in range(16):
+        link.inbox.put_discard(_chunk(link))
+    env.run(until=8 * ser)               # the midpoint of the burst
+    assert link.occupancy_ns() == link.stats()["busy_ns"] == 8 * ser
+    assert link.occupancy_ns() <= env.now
+    env.run(until=8 * ser + ser // 2)    # ... and mid-chunk
+    assert link.occupancy_ns() == env.now
+    env.run()
+    assert link.occupancy_ns() == link.stats()["busy_ns"] == 16 * ser
+    assert len(delivered) == 16
+
+
+def test_served_occupancy_counts_no_future_serialisation():
+    env = Environment()
+    link, _ = _mk_link(env, Counters(), ScriptedRng([]), loss_mode="lossy")
+    ser = serialization_ns(1000, 8.0)
+    for _ in range(4):
+        link.inbox.put_discard(_chunk(link))
+    env.run(until=2 * ser + ser // 2)
+    assert link.occupancy_ns() == env.now
+    env.run()
+    assert link.occupancy_ns() == 4 * ser
+
+
+# ---------------------------------------------------------------------------
+# the two state changes
+# ---------------------------------------------------------------------------
+
+def _clean_link(depth=16):
+    env = Environment()
+    counters = Counters()
+    link, delivered = _mk_link(env, counters, rng=None, drop_rate=0.0)
+    return env, counters, link, delivered
+
+
+def _at(env, instant, action):
+    env.timeout(instant - env.now).callbacks.append(lambda _ev: action())
+
+
+def test_chaos_armed_over_scheduled_chunks_does_not_reserve_them():
+    env, counters, link, delivered = _clean_link()
+    ser = serialization_ns(1000, 8.0)
+    early = [_chunk(link) for _ in range(4)]
+    late = _chunk(link)
+    for c in early:
+        link.inbox.put_discard(c)        # scheduled: wire owned until 4*ser
+
+    def arm_and_put():
+        link.arm_chaos(LinkChaos(bw_scale=0.5))
+        link.inbox.put_discard(late)     # served, behind the schedule
+
+    _at(env, ser + ser // 2, arm_and_put)
+    env.run()
+    # the four keep their scheduled instants; the fifth starts when the
+    # wire they own frees up and serialises at half bandwidth
+    assert delivered == [(k * ser + 500, c)
+                         for k, c in enumerate(early, start=1)] + [
+                             (4 * ser + 2 * ser + 500, late)]
+    assert (link._chunks, link._busy_ns) == (5, 6 * ser)
+    assert counters.get("link.chunks") == 5
+
+
+def test_dark_link_drops_scheduled_chunks_at_delivery():
+    env, counters, link, delivered = _clean_link()
+    ser = serialization_ns(1000, 8.0)
+    chunks = [_chunk(link) for _ in range(4)]
+    for c in chunks:
+        link.inbox.put_discard(c)
+    _at(env, ser + 600, lambda: link.arm_chaos(LinkChaos(up=False)))
+    env.run()
+    assert delivered == [(ser + 500, chunks[0])]   # landed before the cut
+    assert link._drops == 3 and counters.get("link.chaos_drops") == 3
+
+
+def test_chaos_cleared_with_backlog_drains_per_chunk_then_schedules():
+    env, counters, link, delivered = _clean_link()
+    ser = serialization_ns(1000, 8.0)
+    link.arm_chaos(LinkChaos(bw_scale=0.5))
+    backlog = [_chunk(link) for _ in range(3)]
+    for c in backlog:
+        link.inbox.put_discard(c)        # served: first in service, 2 queued
+    joiner = _chunk(link)
+
+    def clear_and_put():
+        link.arm_chaos(None)
+        link.inbox.put_discard(joiner)   # the server is busy: still served
+        assert link._queue.items[-1] is joiner
+
+    _at(env, ser, clear_and_put)         # mid-way through the first (2*ser)
+    env.run()
+    # chaos is read when a chunk is taken: the first pays half bandwidth,
+    # the rest drain one per serialisation at full bandwidth
+    assert delivered == [(2 * ser + 500, backlog[0]),
+                         (3 * ser + 500, backlog[1]),
+                         (4 * ser + 500, backlog[2]),
+                         (5 * ser + 500, joiner)]
+    # drained: admission is the schedule again — one event per chunk
+    before = env.events_processed
+    link.inbox.put_discard(_chunk(link))
+    env.run()
+    assert env.events_processed - before == 1
+    assert link._chunks == 5 and link._busy_ns == 6 * ser

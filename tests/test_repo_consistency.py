@@ -142,3 +142,20 @@ def test_blocking_waits_have_one_pacing_mechanism():
            if not path.endswith(os.path.join("kv", "store.py"))
            and pattern.search(open(path).read())]
     assert not bad, bad
+
+
+def test_links_have_one_path_per_job():
+    """A clean link is a schedule: the virtual holds, the burst drain's
+    wakeup and the per-chunk propagate process must not come back, and an
+    unarmed link is not a process."""
+    pattern = re.compile(r"add_holds|_hold_wakeup|_propagate")
+    bad = [path for path in _py_files("src")
+           if pattern.search(open(path).read())]
+    assert not bad, bad
+
+    from repro.fabric.link import Link
+    from repro.fabric.params import LinkParams
+    from repro.sim.core import Environment
+    env = Environment()
+    Link(env, LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096), "l")
+    assert env.peek() is None  # rng is None: nothing spawned, nothing armed
