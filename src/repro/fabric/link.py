@@ -344,9 +344,7 @@ class Link:
         if hop < len(path):
             # fire-and-forget: admission order and backpressure are the
             # next hop's FIFO parked line
-            nxt = path[hop]
-            if not nxt.try_put(chunk):
-                nxt._park(chunk, None)
+            path[hop].put_discard(chunk)
         elif self.sink is None:
             raise RuntimeError(f"link {self.name}: no sink at end of path")
         else:

@@ -23,14 +23,18 @@ class OracleLink:
         self.params = params
         self.name = name
         self.counters = counters or Counters()
-        self.inbox = Store(env, capacity=queue_depth)
+        # the same surface as Link: ``inbox`` is the link, and a put nobody
+        # waits on is the fire-and-forget one
+        self.inbox = self
+        self._store = Store(env, capacity=queue_depth)
+        self.put = self.put_discard = self._store.put
         self.sink = None
         self._busy_ns = self._chunks = self._bytes = 0
         env.process(self._server(), name=f"oracle:{name}")
 
     def _server(self):
         while True:
-            chunk = yield self.inbox.get()
+            chunk = yield self._store.get()
             ser = serialization_ns(chunk.wire_bytes,
                                    self.params.bandwidth_gbps)
             self._busy_ns += ser
@@ -45,6 +49,6 @@ class OracleLink:
     def _deliver(self, chunk, _ev) -> None:
         chunk.hop += 1
         if chunk.hop < len(chunk.path):
-            chunk.path[chunk.hop].inbox.put(chunk)  # nobody waits on it
+            chunk.path[chunk.hop].put_discard(chunk)
         else:
             self.sink(chunk)

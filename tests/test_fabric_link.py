@@ -333,9 +333,7 @@ def _drive_pair(link_cls, depth, blocking, forgetting):
     def forgetter():
         for i, (gap, wire) in enumerate(forgetting):
             yield env.timeout(gap)
-            # (the oracle's inbox is a plain Store: a put nobody waits on)
-            getattr(hops[0].inbox, "put_discard",
-                    hops[0].inbox.put)(chunk(2 * i + 1, wire))
+            hops[0].inbox.put_discard(chunk(2 * i + 1, wire))
 
     env.process(blocker(), name="blocker")
     env.process(forgetter(), name="forgetter")
@@ -365,10 +363,9 @@ def test_scheduled_link_matches_one_at_a_time_server(depth, blocking,
     assert len(got["delivered"]) == len(blocking) + len(forgetting)
 
 
-def test_clean_link_is_not_a_process():
+def test_scheduled_chunk_costs_one_event():
     env = Environment()
     link, delivered = _mk_link(env, Counters(), rng=None, drop_rate=0.0)
-    assert env.peek() is None            # nothing spawned at construction
     link.inbox.put_discard(_chunk(link))
     env.run()
     assert env.events_processed == 1     # the delivery timer, nothing else
@@ -407,7 +404,7 @@ def test_served_occupancy_counts_no_future_serialisation():
 # the two state changes
 # ---------------------------------------------------------------------------
 
-def _clean_link(depth=16):
+def _clean_link():
     env = Environment()
     counters = Counters()
     link, delivered = _mk_link(env, counters, rng=None, drop_rate=0.0)

@@ -213,16 +213,13 @@ def _crash_run(script, until=400_000):
     """Run ``script`` = [(instant, action(nics, msg))]; ``msg(tag, size)``
     builds a 0->1 write whose delivery is logged as (instant, tag)."""
     env, topo, mems, nics, counters = build()
-    delivered = []
+    delivered, msgs = [], {}
 
     def msg(tag, size=64):
-        m = put_msg(mems, 0, 1, bytes([tag]) * size, mems[1].alloc(size),
-                    on_delivered=lambda nic, m: delivered.append(
-                        (env.now, tag)))
-        msgs[tag] = m
-        return m
-
-    msgs = {}
+        msgs[tag] = put_msg(
+            mems, 0, 1, bytes([tag]) * size, mems[1].alloc(size),
+            on_delivered=lambda nic, m: delivered.append((env.now, tag)))
+        return msgs[tag]
 
     def driver():
         for at, action in script:
@@ -250,8 +247,8 @@ def _power(rank, state):
 
 #: hand-off instant of a 64 B write transmitted at t=1000 at the receiver's
 #: delivery loop (its last chunk's ingress), measured once on a quiet run
-def _ingress_instant(path="transmit"):
-    quiet = _crash_run([(1_000, _inject(path)(1))])
+def _ingress_instant():
+    quiet = _crash_run([(1_000, _inject("transmit")(1))])
     (t_delivered, _tag), = quiet["delivered"]
     return t_delivered - DELIVERY
 
