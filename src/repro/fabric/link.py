@@ -21,12 +21,15 @@ until it starts serialising); a producer that finds it full parks FIFO and
 is admitted by one timer at the start time that frees its slot.
 
 *Served* — built with an ``rng``, or from :meth:`Link.arm_chaos` until
-chaos is cleared and the queue has drained.  A server process admits each
-chunk through a ``StoreGet`` event and sleeps through its serialisation,
-so RNG draw order, drop points and event order never depend on queue
-depth.  It shares the wire's busy-until time and the slot count with the
-schedule: chunks scheduled before the switch are not served again, and a
-chunk leaving the wire arms the same delivery timer.
+chaos is cleared and the queue has drained.  Two timers, no process:
+admission to an idle link starts service on the spot (chaos read, drop
+draw, one serialisation timer); that timer's callback samples the
+propagation delay, arms the delivery timer and starts the next queued
+chunk the same way.  Two kernel events per chunk-hop, plus one per failed
+reliable-mode attempt; draws are made at service start, FIFO per link, so
+draw order and drop points never depend on queue depth.  The wire's
+busy-until time and the slot count are shared with the schedule: chunks
+scheduled before the switch are not served again.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from functools import partial
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim.core import Environment, Event
-from ..sim.resources import Store
 from ..sim.trace import Counters
 from ..util.units import serialization_ns
 from .params import LinkParams
@@ -131,27 +133,20 @@ class Link:
         #: producers waiting for a slot, FIFO: (chunk, event or None)
         self._parked: Deque[Tuple[Chunk, Optional[Event]]] = deque()
         self._wake_at = -1
-        #: chunks admitted for the server process (their slots count with
-        #: ``_starts``); None until the link is first armed
-        self._queue: Optional[Store] = None
+        #: served chunks waiting behind the one in service (their slots
+        #: count with ``_starts``), and whether one is in service
+        self._queue: Deque[Chunk] = deque()
+        self._serving = False
         self._busy_ns = 0
         # per-link tallies (the counters above are fabric-wide)
         self._chunks = 0
         self._bytes = 0
         self._drops = 0
-        if rng is not None:
-            self._start_server()
 
     def arm_chaos(self, chaos: Optional[LinkChaos]) -> None:
         """Install (or clear, with ``None``) gray-failure state."""
         self.chaos = None if chaos is not None and chaos.is_neutral() \
             else chaos
-        if self.chaos is not None and self._queue is None:
-            self._start_server()
-
-    def _start_server(self) -> None:
-        self._queue = Store(self.env)
-        self.env.process(self._server(), name=f"link:{self.name}")
 
     def occupancy_ns(self) -> int:
         """Total time this link spent serialising (utilisation numerator):
@@ -176,13 +171,16 @@ class Link:
         starts = self._starts
         while starts and starts[0] <= now:
             starts.popleft()
-        queue = self._queue
-        if (self.chaos is not None or self.rng is not None
-                or (queue is not None and not queue.waiting)):
-            # served: armed, or the server still has chunks to drain
-            if len(starts) + len(queue.items) >= self._depth:
+        if self.chaos is not None or self.rng is not None or self._serving:
+            # served: armed, or a served chunk still holds the wire
+            if len(starts) + len(self._queue) >= self._depth:
                 return False
-            queue.put_nowait(chunk)
+            if self._serving:
+                self._queue.append(chunk)
+            else:
+                self._serving = True
+                if not self._start(chunk):
+                    self._next()
             return True
         if len(starts) >= self._depth:
             return False
@@ -233,7 +231,7 @@ class Link:
 
     def _admit_parked(self, _ev=None) -> None:
         """Admit parked producers while slots are free: the wake timer's
-        callback, and the server's when it takes a chunk off its queue."""
+        callback, and called when a served chunk leaves the queue."""
         parked = self._parked
         while parked and self.try_put(parked[0][0], _head=True):
             ev = parked.popleft()[1]
@@ -242,94 +240,95 @@ class Link:
         if parked:
             self._arm_wake()
 
-    # --------------------------------------------------------------- server
-    def _server(self):
-        """Served state: one chunk at a time, through real kernel events."""
-        env = self.env
+    # -------------------------------------------------------------- service
+    def _next(self, _ev=None) -> None:
+        """The wire is free: start the next queued chunk, or go idle."""
         queue = self._queue
-        timeout = env.timeout
-        counters = self.counters
-        # ``params`` is a frozen dataclass, but fault-injection harnesses
-        # hack ``drop_rate`` mid-run via object.__setattr__ to heal the
-        # fabric — so the drop knobs are re-read per chunk.
-        params = self.params
-        bw0 = params.bandwidth_gbps
-        # ``rng`` is assigned once, at construction.  A link that has one
-        # is served for good, and admits each chunk through a StoreGet
-        # event, so draw order and event order never depend on queue depth.
-        rng_random = None if self.rng is None else self.rng.random
-        while True:
-            chunk: Chunk = queue.try_get() if rng_random is None else None
-            if chunk is None:
-                # parked here with nothing armed, the link is scheduled
-                chunk = yield queue.get()
+        while queue:
+            chunk = queue.popleft()
             if self._parked:
                 self._admit_parked()  # the chunk's slot is free
-            chaos = self.chaos
-            # chunks scheduled before the switch still own the wire
-            if self._end > env.now:
-                yield timeout(self._end - env.now)
-            bw = bw0
-            if chaos is not None:
-                if not chaos.up:
-                    self._drops += 1
-                    counters.add("link.chaos_drops")
-                    continue
-                bw *= chaos.bw_scale
-            ser = serialization_ns(chunk.wire_bytes, bw)
-            drop_rate = 0.0 if rng_random is None else params.drop_rate
-            if drop_rate > 0.0:
-                if params.loss_mode == "lossy":
-                    # genuine loss: the chunk still occupies the wire for
-                    # its serialisation time, then vanishes.  Recovery (if
-                    # any) is end-to-end at the sending NIC.
-                    if rng_random() < drop_rate:
-                        self._drops += 1
-                        counters.add("link.drops")
-                        counters.add("link.lost_bytes", chunk.wire_bytes)
-                        self._busy_ns += ser
-                        self._end = env.now + ser
-                        yield timeout(ser)
-                        continue
-                else:
-                    # reliable mode: a dropped chunk costs the recovery
-                    # timeout plus a fresh serialisation before it finally
-                    # goes through.  Every failed attempt occupies the wire
-                    # (_busy_ns grows by ser per attempt) and the wasted
-                    # bytes are tallied separately — ``link.bytes`` stays
-                    # goodput-only.
-                    while rng_random() < drop_rate:
-                        self._drops += 1
-                        counters.add("link.drops")
-                        counters.add("link.retrans_bytes", chunk.wire_bytes)
-                        self._busy_ns += ser
-                        self._end = env.now + ser
-                        yield timeout(ser + params.retransmit_ns)
-            self._busy_ns += ser
-            self._end = env.now + ser
-            self._chunks += 1
-            self._bytes += chunk.wire_bytes
-            counters.add("link.chunks")
-            counters.add("link.bytes", chunk.wire_bytes)
-            yield timeout(ser)
-            # off the wire: propagation (sampled now, from the chaos state
-            # of this instant) overlaps with serialising the next chunk
-            delay = self.latency_ns
-            chaos = self.chaos
-            if chaos is not None:
-                delay += chaos.latency_add_ns
-                if chaos.jitter_ns and chaos.rng is not None:
-                    delay += int(chaos.rng.integers(0, chaos.jitter_ns))
-            dt = timeout(delay)
-            dt.callbacks.append(partial(self._exit, chunk))
+            if self._start(chunk):
+                return
+        self._serving = False
+
+    def _start(self, chunk: Chunk) -> bool:
+        """Start service of ``chunk``; False if a dark link swallowed it on
+        the spot (nothing armed: the caller moves on)."""
+        chaos = self.chaos
+        wait = self._end - self.env.now
+        if wait > 0:
+            # chunks scheduled before the switch still own the wire; the
+            # chaos state that applies is the one read here
+            late = self.env.timeout(wait)
+            late.callbacks.append(partial(self._start_late, chunk, chaos))
+            return True
+        return self._begin(chunk, chaos)
+
+    def _start_late(self, chunk: Chunk, chaos, _ev) -> None:
+        if not self._begin(chunk, chaos):
+            self._next()
+
+    def _begin(self, chunk: Chunk, chaos: Optional[LinkChaos]) -> bool:
+        bw = self.params.bandwidth_gbps
+        if chaos is not None:
+            if not chaos.up:
+                self._drops += 1
+                self.counters.add("link.chaos_drops")
+                return False
+            bw *= chaos.bw_scale
+        # ``params`` is frozen, but harnesses heal the fabric mid-run by
+        # object.__setattr__ on it: the drop knobs are re-read per chunk
+        self._attempt(chunk, serialization_ns(chunk.wire_bytes, bw),
+                      0.0 if self.rng is None else self.params.drop_rate)
+        return True
+
+    def _attempt(self, chunk: Chunk, ser: int, drop_rate: float, _ev=None):
+        """Put ``chunk`` on the wire for ``ser`` ns: every attempt, failed
+        or not, occupies it; ``link.bytes`` stays goodput-only."""
+        counters = self.counters
+        timeout = self.env.timeout
+        self._busy_ns += ser
+        self._end = self.env.now + ser
+        if drop_rate > 0.0 and self.rng.random() < drop_rate:
+            self._drops += 1
+            counters.add("link.drops")
+            if self.params.loss_mode == "lossy":
+                # genuine loss: the chunk vanishes after its serialisation
+                # time.  Recovery (if any) is end-to-end at the sending NIC.
+                counters.add("link.lost_bytes", chunk.wire_bytes)
+                timeout(ser).callbacks.append(self._next)
+            else:
+                # reliable mode: the recovery timeout, then a fresh attempt
+                counters.add("link.retrans_bytes", chunk.wire_bytes)
+                timeout(ser + self.params.retransmit_ns).callbacks.append(
+                    partial(self._attempt, chunk, ser, drop_rate))
+            return
+        self._chunks += 1
+        self._bytes += chunk.wire_bytes
+        counters.add("link.chunks")
+        counters.add("link.bytes", chunk.wire_bytes)
+        timeout(ser).callbacks.append(partial(self._sent, chunk))
+
+    def _sent(self, chunk: Chunk, _ev) -> None:
+        """Off the wire: propagation (sampled now, from the chaos state of
+        this instant) overlaps with serialising the next chunk."""
+        delay = self.latency_ns
+        chaos = self.chaos
+        if chaos is not None:
+            delay += chaos.latency_add_ns
+            if chaos.jitter_ns and chaos.rng is not None:
+                delay += int(chaos.rng.integers(0, chaos.jitter_ns))
+        self.env.timeout(delay).callbacks.append(partial(self._exit, chunk))
+        self._next()
 
     # ----------------------------------------------------------------- exit
     def _deliver(self, chunk: Chunk, _ev) -> None:
         """Timer callback: a scheduled chunk reaches the far end."""
         chaos = self.chaos
         if chaos is not None and not chaos.up:
-            # the link went dark after this chunk was scheduled: the server
-            # would have dropped it, so drop it here rather than leak
+            # the link went dark after this chunk was scheduled: served, it
+            # would have been dropped, so drop it here rather than leak
             # traffic across a partition
             self._drops += 1
             self.counters.add("link.chaos_drops")
@@ -338,7 +337,7 @@ class Link:
 
     def _exit(self, chunk: Chunk, _ev) -> None:
         """Timer callback: a chunk that left the wire reaches the far end
-        (a served chunk met its dark-link check at the server)."""
+        (a served chunk met its dark-link check at service start)."""
         chunk.hop = hop = chunk.hop + 1
         path = chunk.path
         if hop < len(path):

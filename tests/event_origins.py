@@ -4,7 +4,8 @@
 ``src/repro`` line that scheduled it — the first frame outside ``sim/``
 (plus the ``sim/resources.py`` function it went through, e.g.
 ``fabric/nic.py:171 transmit via put_nowait``) — and counts it under that
-origin when it fires.  It lives in the test tree only, in the
+origin when it fires; a ``Condition``, which the kernel fires on its own
+behalf, is charged to the ``any_of`` / ``all_of`` call that built it.  It lives in the test tree only, in the
 ``tests/heap_oracle.py`` mould: production code has no hook for it.  It
 plugs in by overriding what the kernel inlines (``timeout``'s recycled
 fast path, ``Event.succeed``'s append onto the current-instant deques,
@@ -26,7 +27,7 @@ from collections import Counter, deque
 from pathlib import Path
 
 import repro
-from repro.sim.core import (NORMAL, Environment, Event, Process,
+from repro.sim.core import (NORMAL, AllOf, AnyOf, Environment, Event, Process,
                             SimulationError, Timeout)
 
 _ROOT = str(Path(repro.__file__).resolve().parent) + "/"
@@ -45,7 +46,13 @@ def _origin(event: Event) -> str:
         code = event._generator.gi_code
         rel = _rel(code.co_filename) or f"(driver) {Path(code.co_filename).name}"
         return f"{rel}:{code.co_firstlineno} {code.co_name} (process end)"
-    frame = sys._getframe(2)
+    # a Condition is fired by the kernel, from a callback of whichever
+    # event completed it: charge it to whoever asked for it
+    return getattr(event, "asked_at", None) or _site(sys._getframe(2))
+
+
+def _site(frame) -> str:
+    """The first model line at or above ``frame``."""
     via = kernel = driver = None
     while frame is not None:
         code = frame.f_code
@@ -63,8 +70,14 @@ def _origin(event: Event) -> str:
             kernel = kernel or f"{rel}:{frame.f_lineno} {code.co_name}"
         frame = frame.f_back
     # no model frame: a driver outside src/repro scheduled it, or the
-    # kernel did on its own behalf (a Condition firing, a Signal's alarm)
+    # kernel did on its own behalf (a Signal's alarm)
     return driver or kernel
+
+
+def _asked(cls):
+    """``cls`` (AnyOf / AllOf) under its own name, with room for the
+    ``any_of`` / ``all_of`` call site."""
+    return type(cls.__name__, (cls,), {"__slots__": ("asked_at",)})
 
 
 class _TaggedDeque(deque):
@@ -140,6 +153,22 @@ class OriginEnvironment(SteppedEnvironment):
 
     def timeout(self, delay: int, value=None) -> Timeout:
         return Timeout(self, int(delay), value)  # no freelist, no inlining
+
+    def any_of(self, events):
+        return self._condition(self._ANY_OF, events)
+
+    def all_of(self, events):
+        return self._condition(self._ALL_OF, events)
+
+    _ANY_OF, _ALL_OF = _asked(AnyOf), _asked(AllOf)
+
+    def _condition(self, cls, events):
+        # tagged before __init__ runs: a condition over events that have
+        # already fired is scheduled from inside it
+        cond = cls.__new__(cls)
+        cond.asked_at = _site(sys._getframe(2))
+        cond.__init__(self, events)
+        return cond
 
     def _schedule(self, event: Event, delay: int, priority: int = NORMAL):
         if delay:  # delay 0 lands on a tagged deque

@@ -145,17 +145,32 @@ def test_blocking_waits_have_one_pacing_mechanism():
 
 
 def test_links_have_one_path_per_job():
-    """A clean link is a schedule: the virtual holds, the burst drain's
-    wakeup and the per-chunk propagate process must not come back, and an
-    unarmed link is not a process."""
-    pattern = re.compile(r"add_holds|_hold_wakeup|_propagate")
+    """A clean link is a schedule and a served link two timers: the
+    virtual holds, the burst drain's wakeup, the per-chunk propagate
+    process, the link server process and the per-message ARQ process must
+    not come back, and no link is a process."""
+    pattern = re.compile(r"add_holds|_hold_wakeup|_propagate"
+                         r"|\b_server\b|_start_server|_retry_monitor")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
+    link_src = open("src/repro/fabric/link.py").read()
+    tree = ast.parse(link_src)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "Store" not in imported
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "process"]
+    assert "any_of" not in open("src/repro/fabric/nic.py").read()
 
     from repro.fabric.link import Link
     from repro.fabric.params import LinkParams
     from repro.sim.core import Environment
+    from repro.sim.rng import RngRegistry
     env = Environment()
-    Link(env, LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096), "l")
-    assert env.peek() is None  # rng is None: nothing spawned, nothing armed
+    params = LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096)
+    Link(env, params, "l")
+    Link(env, params, "served", rng=RngRegistry(1).stream("link.served"))
+    # with an rng or without: nothing spawned, nothing armed
+    assert env.peek() is None

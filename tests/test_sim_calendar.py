@@ -254,3 +254,34 @@ def test_origin_environment_fires_identically_on_r1(monkeypatch):
     # every event was charged to a line of the model, none to the kernel
     assert all(not origin.startswith("sim/")
                for origin in OriginEnvironment.fired), OriginEnvironment.fired
+
+
+def test_origin_environment_charges_a_condition_to_who_asked(monkeypatch):
+    """A ``Condition`` is fired by the kernel, from a callback of the event
+    that completed it; the tool charges it to the ``any_of`` / ``all_of``
+    call that built it — here ``Cluster.run_spmd``'s — not to the first
+    driver frame (the ``env.run`` caller).  No ``any_of`` is left under
+    ``src/repro`` to test with: the NIC's retry monitor held the last."""
+    import linecache
+    import re
+
+    import repro.cluster
+    from tests.event_origins import OriginEnvironment
+
+    monkeypatch.setattr("repro.cluster.Environment", OriginEnvironment)
+    OriginEnvironment.fired.clear()
+    cl = build_cluster(2)
+
+    def program(cl, rank):
+        yield cl.env.timeout(10 * (rank + 1))
+
+    cl.run_spmd(program)
+    def line_of(origin):
+        at = re.match(r"cluster\.py:(\d+) ", origin)
+        return at and linecache.getline(repro.cluster.__file__,
+                                        int(at.group(1)))
+
+    (site,) = [o for o in OriginEnvironment.fired
+               if "all_of(" in (line_of(o) or "")]
+    assert site.endswith(" run_spmd") and OriginEnvironment.fired[site] == 1
+    assert not any(o.startswith("sim/") for o in OriginEnvironment.fired)
