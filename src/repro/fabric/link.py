@@ -243,12 +243,17 @@ class Link:
     # -------------------------------------------------------------- service
     def _next(self, _ev=None) -> None:
         """The wire is free: start the next queued chunk, or go idle."""
-        queue = self._queue
-        while queue:
-            chunk = queue.popleft()
+        while self._queue:
+            chunk = self._queue.popleft()
             if self._parked:
                 self._admit_parked()  # the chunk's slot is free
             if self._start(chunk):
+                return
+            if self.rng is not None:
+                # a dark link swallowed it; with a drop stream that empty turn
+                # still ends in its own event, so what else happens in this
+                # nanosecond interleaves per chunk whatever the queue depth
+                self.env.timeout(0).callbacks.append(self._next)
                 return
         self._serving = False
 
@@ -261,13 +266,10 @@ class Link:
             # chunks scheduled before the switch still own the wire; the
             # chaos state that applies is the one read here
             late = self.env.timeout(wait)
-            late.callbacks.append(partial(self._start_late, chunk, chaos))
+            late.callbacks.append(
+                lambda _ev: self._begin(chunk, chaos) or self._next())
             return True
         return self._begin(chunk, chaos)
-
-    def _start_late(self, chunk: Chunk, chaos, _ev) -> None:
-        if not self._begin(chunk, chaos):
-            self._next()
 
     def _begin(self, chunk: Chunk, chaos: Optional[LinkChaos]) -> bool:
         bw = self.params.bandwidth_gbps
@@ -284,8 +286,7 @@ class Link:
         return True
 
     def _attempt(self, chunk: Chunk, ser: int, drop_rate: float, _ev=None):
-        """Put ``chunk`` on the wire for ``ser`` ns: every attempt, failed
-        or not, occupies it; ``link.bytes`` stays goodput-only."""
+        """One attempt: failed or not, it occupies the wire for ``ser`` ns."""
         counters = self.counters
         timeout = self.env.timeout
         self._busy_ns += ser
