@@ -200,7 +200,7 @@ EXPECT_CHAOS_ON_CLEAN = {'busy_ns': 21640,
                (7160, 5), (7950, 6), (8830, 7), (9800, 8), (10860, 9),
                (11900, 10), (13570, 11), (15420, 12), (17450, 13),
                (33120, 19), (33820, 20), (43120, 24), (43820, 25)],
- 'events': 87,
+ 'events': 85,
  'link': (21, 18300, 8)}
 
 EXPECT_CHAOS_ON_LOSSY = {'busy_ns': 30460,
@@ -212,7 +212,7 @@ EXPECT_CHAOS_ON_LOSSY = {'busy_ns': 30460,
  'delivered': [(2400, 0), (4250, 2), (5610, 3), (12380, 5), (15630, 6),
                (19240, 7), (23210, 8), (42760, 17), (43820, 18), (45310, 20),
                (46190, 21), (47160, 22)],
- 'events': 91,
+ 'events': 74,
  'link': (12, 10110, 11)}
 
 EXPECT_CHAOS_ON_RELIABLE = {'busy_ns': 46140,
@@ -226,7 +226,7 @@ EXPECT_CHAOS_ON_RELIABLE = {'busy_ns': 46140,
                (53730, 13), (54790, 14), (55490, 15), (60800, 16),
                (61770, 17), (67800, 18), (68950, 19), (69650, 20),
                (70440, 21), (76020, 22)],
- 'events': 116,
+ 'events': 95,
  'link': (20, 17600, 10)}
 
 EXPECT_HEALED = {'busy_ns': 20940,
@@ -239,7 +239,7 @@ EXPECT_HEALED = {'busy_ns': 20940,
                (13230, 12), (14200, 13), (15260, 14), (15960, 15),
                (16750, 16), (17630, 17), (18600, 18), (19660, 19),
                (20360, 20), (21150, 21), (22030, 22), (23000, 23)],
- 'events': 120,
+ 'events': 95,
  'link': (22, 19090, 2)}
 
 
@@ -462,7 +462,7 @@ def test_chaos_cleared_with_backlog_drains_per_chunk_then_schedules():
     def clear_and_put():
         link.arm_chaos(None)
         link.inbox.put_discard(joiner)   # the server is busy: still served
-        assert link._queue.items[-1] is joiner
+        assert link._queue[-1] is joiner
 
     _at(env, ser, clear_and_put)         # mid-way through the first (2*ser)
     env.run()
