@@ -80,6 +80,9 @@ def _asked(cls):
     return type(cls.__name__, (cls,), {"__slots__": ("asked_at",)})
 
 
+_AnyOf, _AllOf = _asked(AnyOf), _asked(AllOf)
+
+
 class _TaggedDeque(deque):
     """A current-instant deque that attributes what is appended to it."""
 
@@ -155,12 +158,10 @@ class OriginEnvironment(SteppedEnvironment):
         return Timeout(self, int(delay), value)  # no freelist, no inlining
 
     def any_of(self, events):
-        return self._condition(self._ANY_OF, events)
+        return self._condition(_AnyOf, events)
 
     def all_of(self, events):
-        return self._condition(self._ALL_OF, events)
-
-    _ANY_OF, _ALL_OF = _asked(AnyOf), _asked(AllOf)
+        return self._condition(_AllOf, events)
 
     def _condition(self, cls, events):
         # tagged before __init__ runs: a condition over events that have

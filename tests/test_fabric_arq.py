@@ -22,6 +22,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Environment
 from repro.util.units import serialization_ns
 from tests.arq_oracle import OracleNic
+from tests.test_fabric_link import _at
 
 MTU = 256
 PARAMS = IB_FDR.with_overrides(
@@ -104,10 +105,6 @@ class Rig:
         self.msgs.append(msg)
         self.nics[src].transmit(msg)
         return msg
-
-    def at(self, instant, action):
-        self.env.timeout(instant - self.env.now).callbacks.append(
-            lambda _ev: action())
 
     def observed(self):
         snap = self.metrics.aggregate.snapshot()
@@ -231,8 +228,9 @@ def test_sender_down_at_its_deadline_is_silent(nic_cls):
     after the crash; the only chunk is lost, and the deadline finds the
     NIC down: no retransmit, no ``on_error``, no span."""
     rig = Rig(nic_cls, pattern=(True,))
-    rig.at(1_000, lambda: rig.send(0, 64))
-    rig.at(1_000 + PARAMS.nic.wqe_process_ns // 2, rig.nics[0].power_off)
+    _at(rig.env, 1_000, lambda: rig.send(0, 64))
+    _at(rig.env, 1_000 + PARAMS.nic.wqe_process_ns // 2,
+        rig.nics[0].power_off)
     rig.env.run()
     got = rig.observed()
     assert got["counters"]["link.drops"] == 1
@@ -277,15 +275,11 @@ def _lossy_pair():
     return cl, msg, placed, errors
 
 
-def _at(env, instant, action):
-    env.timeout(instant - env.now).callbacks.append(lambda _ev: action())
-
-
 def test_power_off_drops_arq_records():
     """A NIC power-cycled inside one ack timeout must not retransmit a
     pre-crash message after the restart.  (The monitor process only looked
     at ``down`` when it woke: it retransmitted at its deadline and the
-    write landed in the peer's memory at 28 448 ns.)"""
+    write landed in the peer's memory at 28 442 ns.)"""
     cl, msg, placed, errors = _lossy_pair()
     env, nic = cl.env, cl[0].nic
     uplink = cl.topology.uplinks[0]

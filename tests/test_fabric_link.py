@@ -1,6 +1,6 @@
 """Link-level accounting under faults.
 
-Pins the occupancy/byte bookkeeping of :class:`Link`'s faulty server:
+Pins the occupancy/byte bookkeeping of a served :class:`Link`:
 ``_busy_ns`` must grow by one serialisation per *attempt* (failed or
 not), ``link.bytes`` must stay goodput-only with wasted attempts tallied
 under ``link.retrans_bytes`` / ``link.lost_bytes``, and recovery delay
@@ -124,10 +124,11 @@ def test_lossy_drop_accounting():
 
 
 # ---------------------------------------------------------------------------
-# one server, three transitions: chaos armed on a clean link mid-burst,
-# chaos armed on a drop-rate link, a drop-rate link healed mid-run.  The
-# expected values were captured from the two-server implementation
-# (_server_clean / _server_faulty) and must never move.
+# the served state across three transitions: chaos armed on a clean link
+# mid-burst, chaos armed on a drop-rate link, a drop-rate link healed
+# mid-run.  The expected values were captured from the two-server-process
+# implementation and must never move; only the ``events`` totals follow
+# the kernel events the link spends (now two timers per chunk).
 # ---------------------------------------------------------------------------
 
 class CyclicRng:
@@ -254,7 +255,7 @@ def test_chaos_armed_mid_burst_on_clean_link():
         (30_000, lambda: hop0.arm_chaos(None)),
         (30_000, 5),
         # dark again with a committed burst still on the wire: the
-        # delivery callback must drop what the server already scheduled
+        # delivery callback must drop what was already scheduled
         (32_500, lambda: hop0.arm_chaos(LinkChaos(up=False))),
         (40_000, lambda: hop0.arm_chaos(None)),
         (40_000, 2),
@@ -461,7 +462,7 @@ def test_chaos_cleared_with_backlog_drains_per_chunk_then_schedules():
 
     def clear_and_put():
         link.arm_chaos(None)
-        link.inbox.put_discard(joiner)   # the server is busy: still served
+        link.inbox.put_discard(joiner)   # a chunk is in service: still served
         assert link._queue[-1] is joiner
 
     _at(env, ser, clear_and_put)         # mid-way through the first (2*ser)
