@@ -355,14 +355,31 @@ class KVClient:
         return RESP_FAIL, b""
 
     def _await(self, seq: int):
-        """Poll the hub for our response until the per-attempt timeout."""
-        hub = self.node.hub
+        """Probe the hub for our response every ``poll_ns`` until the
+        per-attempt timeout (generator → answer or None).
+
+        The simulator skips the probes that cannot succeed: the client
+        parks on the hub's bell and, once it rings, sleeps out the rest of
+        its probe period — the grid ``t0 + k·poll_ns`` — before it looks.
+        A probe's timer is armed a whole period ahead, the handler's that
+        files a response 150 ns ahead, so a response filed on a grid
+        instant is found one period later, and one filed on the last
+        probe's instant — the first grid instant at or past the timeout,
+        the bell's alarm — is not found.
+        """
+        env, hub, bell = self.env, self.node.hub, self.node.hub_bell
         key = (self.client_id, seq)
-        deadline = self.env.now + self.timeout_ns
+        t0, poll_ns = env.now, self.poll_ns
+        deadline = t0 + self.timeout_ns
+        last = t0 + -(-self.timeout_ns // poll_ns) * poll_ns
         while key not in hub:
-            if self.env.now >= deadline:
+            if env.now >= deadline:
                 return None
-            yield self.env.timeout(self.poll_ns)
+            filed = yield bell.wait(last)
+            if env.now < last:
+                yield env.timeout(poll_ns - (env.now - t0) % poll_ns)
+            elif not filed:
+                return None
         status, hint, value, _arrived = hub.pop(key)
         return status, hint, value
 

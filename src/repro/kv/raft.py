@@ -503,6 +503,12 @@ class RaftNode:
         if now >= self.election_due:
             self._start_election(now)
 
+    def next_due(self) -> int:
+        """Instant :meth:`tick` next has timer work with no message in
+        between: the heartbeat round of a leader, the election timeout of
+        anyone else."""
+        return self._hb_due if self.role == LEADER else self.election_due
+
     def _start_election(self, now: int) -> None:
         self.role = CANDIDATE
         self.term += 1

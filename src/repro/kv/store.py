@@ -34,10 +34,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..runtime import build_runtime
 from ..runtime.actions import ActionRegistry
-from ..runtime.parcel import Parcel
 from ..runtime.scheduler import Runtime
 from ..runtime.transport import PeerDownError
 from ..sim.core import SimulationError
+from ..sim.resources import Signal, poll_until
 from .raft import LEADER, RaftConfig, RaftNode, decode_msg
 from .shard import (Command, CodecError, KVStateMachine, OP_CAS, OP_DELETE,
                     OP_MERGE, OP_NOOP, OP_PURGE, OP_PUT, OP_SEAL, ShardMap,
@@ -138,12 +138,6 @@ class KVConfig:
     #: snapshot, and when it deserializes + swaps in an installed one
     snapshot_cost_ns: int = 20_000
     install_cost_ns: int = 40_000
-    #: server-loop idle backoff bounds (ns); the loop doubles from base
-    #: to max while nothing is flowing so quiet stretches don't spin
-    idle_backoff_ns: int = 400
-    idle_backoff_max_ns: int = 12_800
-    #: poll period while this rank's endpoint is crashed (ns)
-    dead_poll_ns: int = 100_000
     #: response-hub entries unclaimed for this long are garbage-collected
     #: (late replies to clients that gave up); must comfortably exceed
     #: the largest client per-attempt timeout or a slow client's answer
@@ -158,8 +152,7 @@ class KVConfig:
         if self.slot_size <= SLOT_HDR:
             raise ValueError(f"slot_size must exceed the {SLOT_HDR}B header")
         for name in ("slots_per_group", "apply_cost_ns", "snapshot_cost_ns",
-                     "install_cost_ns", "idle_backoff_ns",
-                     "idle_backoff_max_ns", "dead_poll_ns", "hub_ttl_ns"):
+                     "install_cost_ns", "hub_ttl_ns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.raft.validate()
@@ -229,6 +222,8 @@ class KVNode:
         #: entries a client never claims (it gave up, or a retry already
         #: completed) are swept once they outlive ``hub_ttl_ns``
         self.hub: Dict[Tuple[int, int], Tuple[int, int, bytes, int]] = {}
+        #: rung by every response filed in ``hub`` (clients park here)
+        self.hub_bell = Signal(self.env)
         self._hub_gc_due = 0
         # local high-water caches so the per-tick set_max telemetry only
         # pays a counter call when a peak actually moves
@@ -259,8 +254,8 @@ class KVNode:
     # ------------------------------------------------------------- restart
     def on_crash(self) -> None:
         """Drop all volatile state (the chaos controller calls this right
-        after ``photon.crash_local``).  The server loop keeps running in
-        its dead-poll stance; the rank serves nothing until reseeded."""
+        after ``photon.crash_local``).  The server loop stays parked; the
+        rank serves nothing until reseeded."""
         self.raft.clear()
         self.machines.clear()
         self.tables.clear()
@@ -287,6 +282,7 @@ class KVNode:
         for g in self.shard_map.groups_on(self.rank):
             self._seed_group(g)
         self.counters.add("kv.reseeds")
+        self.runtime.transport.arrivals.fire()  # new timers: re-plan the park
 
     # ---------------------------------------------------------------- wiring
     def attach_health(self, monitor) -> None:
@@ -303,6 +299,8 @@ class KVNode:
         for rn in self.raft.values():
             rn.on_peer_dead(peer, now)
         self.counters.add("kv.peer_dead_events")
+        # election_due may have moved forward under the parked server loop
+        self.runtime.transport.arrivals.fire()
 
     def _on_peer_join(self, peer: int) -> None:
         for rn in self.raft.values():
@@ -318,6 +316,7 @@ class KVNode:
 
     def stop(self) -> None:
         self.running = False
+        self.runtime.transport.arrivals.fire()  # the loop may be parked
 
     # ------------------------------------------------------------- handlers
     def handle_raft(self, src: int, payload: bytes) -> None:
@@ -480,6 +479,7 @@ class KVNode:
     def handle_response(self, src: int, payload: bytes) -> None:
         status, hint, client, seq, value = unpack_response(payload)
         self.hub[(client, seq)] = (status, hint, value, self.env.now)
+        self.hub_bell.fire(True)  # the bell's alarm wakes with None
 
     def _respond(self, dst: int, status: int, hint: int, client: int,
                  seq: int, value: bytes = b"") -> None:
@@ -502,79 +502,61 @@ class KVNode:
 
     # ------------------------------------------------------------- the loop
     def _serve(self):
-        cfg = self.config
-        backoff = cfg.idle_backoff_ns
-        rt = self.runtime
-        tp = rt.transport
-        poll_ns = self.photon._poll_ns
-        # ``pre_slept``: the poll-interval sleep for the next pass was
-        # fused into the previous idle backoff (one kernel event instead
-        # of two); every check below still runs at exactly the instant
-        # the plain progress loop would have run it
-        pre_slept = False
-        while self.running:
-            if not self.photon.alive:
-                # fail-stop: a crashed rank neither serves nor ticks
-                yield self.env.timeout(cfg.dead_poll_ns)
-                pre_slept = False
-                continue
-            if rt._local:
-                # local parcels dispatch without a poll charge
-                yield from rt._dispatch(rt._local.popleft())
-                busy = True
-                pre_slept = False
-            else:
-                if not pre_slept:
-                    yield self.env.timeout(poll_ns)
-                pre_slept = False
-                if tp.poll_pending():
-                    # pass runs with the poll interval already charged
-                    # (Runtime.progress inlined: this loop is hot enough
-                    # that the wrapper frame is measurable)
-                    raw = yield from tp.poll(charge_poll=False)
-                    if raw is None:
-                        busy = False
-                    else:
-                        yield from rt._dispatch(Parcel.decode(raw))
-                        busy = True
-                else:
-                    # pure check says the pass could find no work: it
-                    # would have been nothing but the sleep we just paid
-                    busy = False
-            now = self.env.now
-            # most ticks apply nothing and flush nothing: precheck with
-            # plain attribute reads so the idle path skips two generator
-            # set-ups per tick (this loop runs ~100k times per benchmark)
-            apply_due = flush_due = bool(self._tx)
-            for rn in self.raft.values():
-                rn.tick(now)
-                if rn._applied_out or rn._installed_out or (
-                        rn.snapshots_taken != self._snap_seen.get(rn.group, 0)):
-                    apply_due = True
-                if rn.outbox:
-                    flush_due = True
-                n = len(rn.log)
-                if n > self._log_peak:
-                    self._log_peak = n
-                    self.counters.set_max("kv.raft.log_entries", n)
-                if rn.base_index > self._base_peak:
-                    self._base_peak = rn.base_index
-                    self.counters.set_max("kv.raft.base_index", rn.base_index)
-            applied = (yield from self._apply_committed()) if apply_due else 0
-            # apply can enqueue responses (_respond → _tx), so recheck
-            if flush_due or self._tx:
-                sent = yield from self._flush()
-            else:
-                sent = 0
-            if now >= self._hub_gc_due:
-                self._gc_hub(now)
-            if busy or applied or sent:
-                backoff = cfg.idle_backoff_ns
-            else:
-                # fuse the next pass's poll charge into the backoff sleep
-                yield self.env.timeout(backoff + poll_ns)
-                pre_slept = True
-                backoff = min(backoff * 2, cfg.idle_backoff_max_ns)
+        """The server loop: passes back to back while there is work, parked
+        on the endpoint's ``arrivals`` otherwise — until a message lands or
+        :meth:`_next_due`, whichever is first."""
+        yield from poll_until(self.runtime.transport.arrivals, self._pass,
+                              lambda: not self.running,
+                              next_due=self._next_due)
+
+    def _pass(self):
+        """One runtime progress pass, then timers, apply and flush
+        (generator → did anything)."""
+        if not self.photon.alive:
+            # fail-stop: a crashed rank neither serves nor ticks
+            return False
+        busy = yield from self.runtime.progress()
+        now = self.env.now
+        # most ticks apply nothing and flush nothing: precheck with
+        # plain attribute reads so the idle path skips two generator
+        # set-ups per tick
+        apply_due = flush_due = bool(self._tx)
+        for rn in self.raft.values():
+            rn.tick(now)
+            if rn._applied_out or rn._installed_out or (
+                    rn.snapshots_taken != self._snap_seen.get(rn.group, 0)):
+                apply_due = True
+            if rn.outbox:
+                flush_due = True
+            n = len(rn.log)
+            if n > self._log_peak:
+                self._log_peak = n
+                self.counters.set_max("kv.raft.log_entries", n)
+            if rn.base_index > self._base_peak:
+                self._base_peak = rn.base_index
+                self.counters.set_max("kv.raft.base_index", rn.base_index)
+        applied = (yield from self._apply_committed()) if apply_due else 0
+        # apply can enqueue responses (_respond → _tx), so recheck
+        sent = (yield from self._flush()) if flush_due or self._tx else 0
+        if now >= self._hub_gc_due:
+            self._gc_hub(now)
+        return bool(busy or applied or sent)
+
+    def _next_due(self) -> Optional[int]:
+        """Earliest instant a pass is owed with no arrival: a Raft timer,
+        a transport retry deadline, the hub sweep.  None while crashed —
+        ``rejoin`` rings."""
+        if not self.photon.alive:
+            return None
+        due = self._hub_gc_due
+        t = self.runtime.transport.next_deadline()
+        if t is not None and t < due:
+            due = t
+        for rn in self.raft.values():
+            t = rn.next_due()
+            if t < due:
+                due = t
+        return due
 
     def _gc_hub(self, now: int) -> None:
         """Sweep unclaimed responses older than ``hub_ttl_ns``.

@@ -141,6 +141,9 @@ class Engine:
         #: a progress pass; blocking calls park here
         self.doorbell = Signal(self.env)
         self.send_cq.doorbell = self.recv_cq.doorbell = self.doorbell
+        #: the receive side of the doorbell (runtime seam 9): this engine
+        #: cannot tell the two apart, so it is the doorbell
+        self.arrivals = self.doorbell
         self.rcache = RegistrationCache(
             self.context, self.pd, capacity=config.rcache_capacity,
             enabled=config.rcache_enabled,

@@ -13,7 +13,9 @@ probes back to back; the simulator skips the probes that cannot succeed
 by parking the caller on the endpoint's ``doorbell`` — rung by both CQs,
 by every write into a ledger ring or credit word, and by whatever else
 hands a waiter its result — until the next arrival or retry deadline
-(:func:`repro.sim.resources.poll_until`).  One-sided data movement
+(:func:`repro.sim.resources.poll_until`).  A server loop parks on
+``arrivals`` instead, the doorbell minus the send side (send CQEs, op
+successes, passes that only reaped those).  One-sided data movement
 happens entirely in the (simulated) NIC — a rank that never calls into
 Photon still receives puts into its exposed buffers.
 """
@@ -113,6 +115,9 @@ class ReliableOp:
     status: Optional[WCStatus] = None
     deadline: int = 0
     next_retry_at: int = 0
+    #: the ring slot this op's ledger entry claimed, as (ring generation,
+    #: seq, WR): a replay rewrites that slot (see ``_post_ring_entry``)
+    entry: Optional[Tuple[int, int, SendWR]] = None
     #: open op-latency span (None when span recording is disabled)
     span: Optional[object] = None
 
@@ -180,8 +185,13 @@ class PhotonBase:
         #: rung by every arrival a progress pass could act on and by
         #: whatever settles a result outside one; blocking calls park here
         self.doorbell = Signal(self.env)
-        self.send_cq.doorbell = self.recv_cq.doorbell = self.doorbell
-        self.memory.on_watched_write.append(self.doorbell.fire)
+        #: the receive side of the doorbell (verbs gives each CQ its own
+        #: completion channel): what lands here or fails, not what this
+        #: rank's own sends complete; a server loop parks here
+        self.arrivals = Signal(self.env, relay=self.doorbell)
+        self.send_cq.doorbell = self.doorbell
+        self.recv_cq.doorbell = self.arrivals
+        self.memory.on_watched_write.append(self.arrivals.fire)
         self.rcache = RegistrationCache(
             self.context, self.pd, capacity=config.rcache_capacity,
             enabled=config.rcache_enabled,
@@ -341,20 +351,42 @@ class PhotonBase:
     def _post_ring_entry(self, peer: PeerState, ring_name: str,
                          entry, on_ack: Optional[Callable] = None,
                          on_error: Optional[Callable] = None,
-                         extent: Optional[int] = None):
+                         extent: Optional[int] = None,
+                         op: Optional[ReliableOp] = None):
         """Claim a slot in the peer's ring and RDMA-write an entry into it.
 
         ``entry`` is either raw bytes or a builder ``f(seq) -> bytes`` —
         the builder form stamps the *claimed* sequence number, which is the
         only safe option when the claim can be preceded by a backpressure
-        wait (or when the entry is replayed later into a fresh slot).
-        ``extent``: bytes of the slot actually written (defaults to the
-        entry length) — eager entries only write header+payload+trailer,
-        not the full slot.  Returns the claimed sequence number, or None
-        when the peer was declared dead while the ring was full: nothing
-        was claimed and ``on_error`` ran (generator).
+        wait.  ``extent``: bytes of the slot actually written (defaults to
+        the entry length) — eager entries only write header+payload+
+        trailer, not the full slot.  Returns the claimed sequence number,
+        or None when the peer was declared dead while the ring was full:
+        nothing was claimed and ``on_error`` ran (generator).
+
+        ``op``: the reliable op the entry belongs to.  Its replays are
+        slot-stable, like ``_entry_error_cb``'s resends and for the same
+        reason: a partition on a reliable fabric loses the write with no
+        error CQE, only ``op.deadline`` notices, and a replay into a fresh
+        slot would leave the lost one a hole.  A replay re-posts the first
+        attempt's WR (its bytes are still staged) or, once the peer's
+        credit covers the slot, counts the entry as delivered — credit is
+        an ack — and never waits for ring room.  Only a re-arm, which
+        restarts the ring's sequence space, makes it claim afresh.
         """
         ring = peer.remote[ring_name]
+        if (op is not None and op.entry is not None
+                and op.entry[0] == ring.generation):
+            _generation, seq, wr = op.entry
+            if seq <= ring.credit:
+                if on_ack is not None:
+                    on_ack()
+            else:
+                self.counters.add("photon.entry_rewrites")
+                yield from self._post(
+                    peer, wr, on_ack,
+                    self._entry_error_cb(peer, wr, on_ack, on_error))
+            return seq
         if ring.available() <= 0:
             self.counters.add(f"photon.{ring_name}_stalls")
             if not (yield from self._await_room(
@@ -378,6 +410,8 @@ class PhotonBase:
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage_addr,
                     length=nbytes, remote_addr=remote_addr, rkey=ring.rkey,
                     inline=use_inline)
+        if op is not None:
+            op.entry = (ring.generation, seq, wr)
         yield from self._post(peer, wr, on_ack,
                               self._entry_error_cb(peer, wr, on_ack, on_error))
         return seq
@@ -566,7 +600,7 @@ class PhotonBase:
         if op.local_cid is not None:
             self.local_cids.append((op.local_cid, status))
             self.counters.add("photon.local_cids")
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     def _op_attempt_failed(self, op: ReliableOp) -> None:
         """One attempt failed (WR error or deadline): back off or give up."""
@@ -629,7 +663,7 @@ class PhotonBase:
             peer.qp.teardown()
         self.counters.add("photon.peer_dead_events")
         # senders blocked on this peer's credits re-check its health
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     # ------------------------------------------------------------- crash
     def crash_local(self) -> None:
@@ -656,7 +690,7 @@ class PhotonBase:
         self.infos.clear()
         self._atomic_results.clear()
         self.counters.add("photon.crashes")
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     def rejoin(self):
         """Restart this endpoint in place (generator, charges real time).
@@ -689,7 +723,7 @@ class PhotonBase:
             self._top_up_recvs(peer)
         self.alive = True
         self.counters.add("photon.rejoins")
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     def rearm_peer(self, rank: int) -> None:
         """Survivor side of a peer restart: reset the pairing's state.
@@ -709,7 +743,7 @@ class PhotonBase:
             peer.qp.reset_and_reconnect()
         self._top_up_recvs(peer)
         self.counters.add("photon.peer_rearms")
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     def _rearm_peer_state(self, peer: PeerState) -> None:
         """Reset both ring views of one pairing to their bootstrap state."""
@@ -764,41 +798,24 @@ class PhotonBase:
         return False
 
     # ------------------------------------------------------------- progress
-    def progress_pending(self) -> bool:
-        """True when a progress pass could do more than charge poll time.
-
-        Pure check, no time cost: polling servers use it to fuse an idle
-        pass's poll-interval charge into their own backoff sleep instead
-        of paying a kernel event for a pass that cannot find work.  The
-        check mirrors the sections of :meth:`_progress_once` exactly —
-        CQ entries, a ledger write since the last scan (watch version),
-        or any reliable op whose deadline machinery needs the scan.
-        """
-        return bool(self.send_cq._entries
-                    or (self._use_imm and self.recv_cq._entries)
-                    or self.memory.watch_version != self._scanned_version
-                    or self._reliable)
-
-    def _progress_once(self, charge_poll: bool = True):
+    def _progress_once(self):
         """One polling pass: CQs, ledgers, then retry deadlines (generator,
         charges time).
-
-        ``charge_poll=False`` skips the leading poll-interval sleep for
-        callers that have already charged it themselves (the KV server
-        loop fuses it into its idle backoff) — the pass's checks then run
-        at exactly the instant they would have anyway.
 
         A pass that found nothing runs its checks at one instant, so a
         caller that parks right after it cannot miss an arrival; a pass
         that found anything rings the doorbell when it ends — whoever it
         delivered to may be another process parked on this endpoint, and
-        what landed while it was busy has not been looked at yet.
+        what landed while it was busy has not been looked at yet.  One
+        that harvested a receive completion or a ledger entry rings
+        ``arrivals``: ``_scan_peer`` advances a ring before its cost yield
+        and hands the entry out after it, so a server pass woken by the
+        same write can find neither and park in between.
         """
         env = self.env
         cqe_ns = self._cqe_poll_ns
-        if charge_poll:
-            yield env.timeout(self._poll_ns)
-        found = False
+        yield env.timeout(self._poll_ns)
+        found = arrived = False
         # 1) source completions (successes and errors)
         for wc in self.send_cq.poll(max_entries=32):
             found = True
@@ -825,7 +842,7 @@ class PhotonBase:
         if self._use_imm:
             wcs = self.recv_cq.poll(max_entries=32)
             if wcs:
-                found = True
+                arrived = True
                 for wc in wcs:
                     yield env.timeout(cqe_ns)
                     peer = self.peers.get(wc.src_rank)
@@ -863,7 +880,7 @@ class PhotonBase:
             for peer in self.peers.values():
                 for ring in peer.scan_rings:
                     if ring.ready() or ring.credit_due():
-                        found = True
+                        arrived = True
                         yield from self._scan_peer(peer)
                         break
         # 4) retry-deadline scan (skipped when re-entered from a replay's
@@ -889,8 +906,15 @@ class PhotonBase:
             finally:
                 self._in_deadline_scan = False
         self.counters.add("photon.progress_passes")
-        if found:
+        if arrived:
+            self.arrivals.fire()
+        elif found:
             self.doorbell.fire()
+
+    def attend_sends(self, on: bool) -> None:
+        """While ``on``, send completions ring ``arrivals`` too: the
+        caller is owed an RDMA read, which completes on the send CQ."""
+        self.send_cq.doorbell = self.arrivals if on else self.doorbell
 
     def next_deadline(self) -> Optional[int]:
         """Earliest future instant a progress pass is owed with no
@@ -1006,6 +1030,7 @@ class PhotonBase:
             "photon.op_failures": c.get("photon.op_failures"),
             "photon.dup_drops": c.get("photon.dup_drops"),
             "photon.entry_resends": c.get("photon.entry_resends"),
+            "photon.entry_rewrites": c.get("photon.entry_rewrites"),
             "photon.wr_errors": c.get("photon.wr_errors"),
             "photon.qp_reconnects": c.get("photon.qp_reconnects"),
             "transport.peer_down": c.get("transport.peer_down"),

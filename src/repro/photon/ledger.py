@@ -70,6 +70,9 @@ class RemoteRing:
         self.credit_addr = credit_addr
         self.memory = memory
         self.produced = 0
+        #: bumped by every :meth:`reset`: a (generation, seq) names one
+        #: slot claim for good
+        self.generation = 0
 
     @property
     def credit(self) -> int:
@@ -103,6 +106,7 @@ class RemoteRing:
         the first valid one.
         """
         self.produced = 0
+        self.generation += 1
 
 
 class LocalRing:

@@ -76,7 +76,7 @@ class MessagingMixin:
             yield self.env.timeout(self.memory.memcpy_cost_ns(size))
             self._self_rendezvous.append((tag, data, req.rid))
             self.requests.complete(req.rid, self.env.now)
-            self.doorbell.fire()
+            self.arrivals.fire()
             return req.rid
         peer = self._peer(dst)
         mr = yield from self.rcache.acquire(local_addr, size)

@@ -40,9 +40,9 @@ class PwcMixin:
         not already covered.  Returns once the first attempt is *posted*;
         completions surface via :meth:`probe_completion`.  On a lossy
         fabric the operation is tracked by the reliability layer: failed
-        or expired attempts are replayed (the data write is idempotent and
-        the completion entry carries the op id for target-side dedup)
-        until success or ``max_op_retries`` is exhausted, at which point
+        or expired attempts are replayed (the data write is idempotent,
+        the completion entry goes back into the slot it claimed and
+        carries the op id for target-side dedup) until success or ``max_op_retries`` is exhausted, at which point
         the local completion surfaces with ``WCStatus.RETRY_EXC_ERR``.
         Returns the op handle (:class:`~repro.photon.base.ReliableOp`;
         None for self-puts): ``op.status`` is None until the op settles.
@@ -96,7 +96,7 @@ class PwcMixin:
                     lambda seq: CompletionEntry(
                         seq=seq, cid=remote_cid, src=self.rank,
                         op=op.op_id).pack(),
-                    on_ack=on_ack, on_error=on_error)
+                    on_ack=on_ack, on_error=on_error, op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)
@@ -155,7 +155,7 @@ class PwcMixin:
                 peer, "cmp",
                 lambda seq: CompletionEntry(seq=seq, cid=remote_cid,
                                             src=self.rank, op=op.op_id).pack(),
-                on_ack=on_ack, on_error=on_error)
+                on_ack=on_ack, on_error=on_error, op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)
@@ -169,8 +169,8 @@ class PwcMixin:
         Payload must fit the eager limit; larger transfers use the
         rendezvous API (:meth:`send_rdma`).  Surfaces at the target via
         :meth:`probe_message` as ``(src, remote_cid, payload)``.  Replays
-        land in a fresh eager slot and are deduped at the target by op id.
-        Returns the op handle (None for self-sends).
+        rewrite the eager slot the first attempt claimed; the target still
+        dedups by op id.  Returns the op handle (None for self-sends).
         """
         if len(data) > self.config.eager_limit:
             raise SimulationError(
@@ -181,7 +181,7 @@ class PwcMixin:
             self.messages.append((self.rank, remote_cid, bytes(data)))
             if local_cid is not None:
                 self.local_cids.append((local_cid, WCStatus.SUCCESS))
-            self.doorbell.fire()
+            self.arrivals.fire()
             self.counters.add("photon.pwc_sends")
             return None
         peer = self._peer(dst)
@@ -200,7 +200,8 @@ class PwcMixin:
                 return header.pack() + payload + seq.to_bytes(8, "little")
 
             yield from self._post_ring_entry(peer, "eager", build,
-                                             on_ack=on_ack, on_error=on_error)
+                                             on_ack=on_ack, on_error=on_error,
+                                             op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)
@@ -292,7 +293,7 @@ class PwcMixin:
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
         if remote_cid is not None:
             self.remote_cids.append((remote_cid, self.rank))
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     def _self_get(self, local_addr, size, remote_addr, local_cid, remote_cid):
         data = self.memory.read_bytes(remote_addr, size)
@@ -302,7 +303,7 @@ class PwcMixin:
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
         if remote_cid is not None:
             self.remote_cids.append((remote_cid, self.rank))
-        self.doorbell.fire()
+        self.arrivals.fire()
 
     # ------------------------------------------------------------------ helpers
     def _inline_ok(self, size: int) -> bool:

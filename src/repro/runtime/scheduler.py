@@ -72,7 +72,7 @@ class Runtime:
     def _enqueue_local(self, parcel: Parcel) -> None:
         """Queue a parcel for this rank; the rank's scheduler may be parked."""
         self._local.append(parcel)
-        self.transport.doorbell.fire()
+        self.transport.arrivals.fire()
 
     def invoke(self, dst: int, action: str, payload: bytes = b""):
         """Remote invocation (generator → Future) — requires

@@ -65,10 +65,13 @@ class Transport:
 
     The layers above use exactly the public surface of this class:
     ``rank``, ``env``, ``memory``, ``counters`` (this rank's scope),
-    ``max_parcel``, ``doorbell`` (the wire library's arrival signal: rung
-    whenever :meth:`poll` may have something new to find), ``breaker_log``
-    (the wire's bounded log of breaker transitions) and the methods below.
-    One process drives a transport.
+    ``max_parcel``, ``doorbell`` (the wire library's signal: rung
+    whenever :meth:`poll` may have something new to find), ``arrivals``
+    (the doorbell's receive side: rung when a parcel may have landed or a
+    send of this transport's has failed, not when one merely completed — a
+    server loop parks here, so a co-located client's sends cost it
+    nothing), ``breaker_log`` (the wire's bounded log of breaker
+    transitions) and the methods below.  One process drives a transport.
     """
 
     def __init__(self, lib, counters, max_parcel: int):
@@ -76,6 +79,7 @@ class Transport:
         self.env = lib.env
         self.memory = lib.memory
         self.doorbell = lib.doorbell
+        self.arrivals = lib.arrivals
         self.counters = counters
         self.max_parcel = max_parcel
 
@@ -90,11 +94,6 @@ class Transport:
         encoded parcel or None (generator)."""
         raise NotImplementedError
 
-    def poll_pending(self) -> bool:
-        """False only when :meth:`poll` could do nothing but charge poll
-        time (pure check)."""
-        return True
-
     def flush(self, dst: Optional[int] = None):
         """Ship what is buffered for ``dst`` (default: everyone) now
         (generator) — nothing, below a coalescing layer."""
@@ -107,8 +106,8 @@ class Transport:
     def next_deadline(self) -> Optional[int]:
         """Earliest future instant :meth:`poll` or :meth:`flush_stale` has
         work with no arrival — a retry deadline, a batch's latency bound —
-        or None (pure check).  A scheduler parked on ``doorbell`` wakes
-        then at the latest."""
+        or None (pure check).  A scheduler parked on ``doorbell`` or
+        ``arrivals`` wakes then at the latest."""
         return None
 
     def attach_health(self, monitor) -> None:
@@ -392,26 +391,14 @@ class PhotonTransport(WireTransport):
         return resend
 
     # ----------------------------------------------------------------- poll
-    def poll_pending(self) -> bool:
-        """True when :meth:`poll` could do more than charge poll time.
-
-        Pure check (no yields): eager sends awaiting settlement, queued
-        messages or rendezvous advertisements, in-flight landing fetches,
-        or anything the endpoint's own progress pass could act on.
-        """
-        ph = self.ph
-        return bool(self._eager_ops or self._fetches or self._slots_live
-                    or ph.messages or ph.infos or ph.progress_pending())
-
-    def poll(self, charge_poll: bool = True):
+    def poll(self):
         """One progress pass; returns an encoded parcel or None (generator).
 
         Large parcels arrive as rendezvous advertisements; fetches are
         issued concurrently into the landing ring (pipelined, like an
         irecv window) and completed ones are handed out in issue order.
         Failed sends/fetches detected here drive the retry and breaker
-        machinery.  ``charge_poll=False``: the caller already charged the
-        poll interval (see :meth:`PhotonEndpoint._progress_once`).
+        machinery.
         """
         # settle eager sends and re-ship the ones Photon gave up on
         for dst, raw, attempts in self._reap_eager():
@@ -424,7 +411,7 @@ class PhotonTransport(WireTransport):
             yield from self._settle_slots()
         # inlined ph.probe_message(_parcel_match): one fewer generator
         # set-up on the hottest polling chain in the runtime
-        yield from self.ph._progress_once(charge_poll)
+        yield from self.ph._progress_once()
         got = self.ph._pop_message(_parcel_match)
         if got is not None:
             return got[2]
@@ -433,13 +420,11 @@ class PhotonTransport(WireTransport):
             info = self.ph._match_info(src=-1, tag=PARCEL_TAG)
             if info is None:
                 break
-            addr = self._free_landings.pop()
-            rid = yield from self.ph.post_os_get(info.src, addr, info.size,
-                                                 info.addr, info.rkey)
-            self._fetches.append((rid, addr, info, 0))
+            yield from self._fetch(info, self._free_landings.pop(), 0)
         # hand out the oldest settled fetch
         if self._fetches and self.ph.test(self._fetches[0][0]):
             rid, addr, info, attempts = self._fetches.popleft()
+            self.ph.attend_sends(bool(self._fetches))
             failed = self.ph.request_info(rid).failed
             self.ph.free_request(rid)
             if failed:
@@ -447,9 +432,7 @@ class PhotonTransport(WireTransport):
                 self._record_failure(info.src)
                 if attempts < self.max_send_retries:
                     # the read is idempotent — repost into the same landing
-                    rid = yield from self.ph.post_os_get(
-                        info.src, addr, info.size, info.addr, info.rkey)
-                    self._fetches.append((rid, addr, info, attempts + 1))
+                    yield from self._fetch(info, addr, attempts + 1)
                 else:
                     self._free_landings.append(addr)
                     self.counters.add("transport.parcel_failures")
@@ -462,6 +445,16 @@ class PhotonTransport(WireTransport):
             yield from self.ph._post_fin(info)
             return raw
         return None
+
+    def _fetch(self, info, addr: int, attempts: int):
+        """Post the read of one advertised parcel into ``addr``
+        (generator).  It completes on the *send* CQ: have that ring
+        ``arrivals`` while a fetch is in flight, or a scheduler parked
+        there sits on the landed parcel until the next arrival."""
+        rid = yield from self.ph.post_os_get(info.src, addr, info.size,
+                                             info.addr, info.rkey)
+        self._fetches.append((rid, addr, info, attempts))
+        self.ph.attend_sends(True)
 
     def stats(self) -> Dict[str, object]:
         return dict(super().stats(),

@@ -138,10 +138,15 @@ class Signal:
     it before a progress pass and again after knows whether anything rang
     *during* the pass, which closes the gap between the pass's last check
     and the park (see :func:`poll_until`).
+
+    ``relay``: a signal for a subset of another's events — arrivals among
+    everything that rings a doorbell — rings that one too, after its own
+    waiters.
     """
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, relay: Optional["Signal"] = None):
         self.env = env
+        self.relay = relay
         self.fires = 0
         self._waiters: list = []
         self._alarm: Optional[Event] = None
@@ -159,14 +164,15 @@ class Signal:
         """Wake all current waiters; returns how many were woken."""
         self.fires += 1
         waiters = self._waiters
-        if not waiters:
-            return 0
-        self._waiters = []
-        if self._alarm is not None:
-            self.env.unschedule(self._alarm, self._alarm_at)
-            self._alarm = None
-        for ev in waiters:
-            ev.succeed(value)
+        if waiters:
+            self._waiters = []
+            if self._alarm is not None:
+                self.env.unschedule(self._alarm, self._alarm_at)
+                self._alarm = None
+            for ev in waiters:
+                ev.succeed(value)
+        if self.relay is not None:
+            self.relay.fire(value)
         return len(waiters)
 
     def _set_alarm(self, at: int) -> None:

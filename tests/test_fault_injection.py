@@ -264,20 +264,73 @@ def test_retry_exhaustion_surfaces_error_not_hang():
 
 
 def test_replayed_entries_deduped_exactly_once():
-    """Completion-ledger puts under heavy loss: replays produce duplicate
-    ledger entries, the target dedups them, delivery is exactly-once."""
+    """Completion-ledger puts under heavy loss: a replay rewrites the ring
+    slot its first attempt claimed, so it fills the hole a lost write left
+    and cannot deliver an entry twice.  Target-side dedup by op id stays
+    as defence in depth (an entry rewritten under the consumer's read
+    index is the one way left to see it fire); delivery is exactly-once."""
     cl = real_loss_cluster(drop=0.05, seed=1)
     # use_imm=False routes the completion through a second ledger write,
-    # the path where a replay can duplicate an already-delivered entry
+    # the path where a replay used to duplicate an already-delivered entry
     ph = photon_init(cl, PhotonConfig(max_op_retries=8, use_imm=False))
     n = 40
     statuses, got = put_stream(cl, ph, n, size=8192)
     assert len(statuses) == n and all(s.name == "SUCCESS" for s in statuses)
     assert sorted(got) == list(range(1, n + 1))  # exactly once, all of them
     assert cl.counters.get("photon.op_retries") > 0
-    assert cl.counters.get("photon.dup_drops") > 0
+    assert cl.counters.get("photon.entry_rewrites") > 0
+    assert cl.counters.get("photon.dup_drops") == 0
     # lost ledger writes were repaired in place (ring liveness)
     assert cl.counters.get("photon.entry_drops") == 0
+
+
+def test_deadline_replay_across_a_partition_leaves_no_ring_hole():
+    """On the reliable fabric a partition drops chunks at delivery with no
+    error CQE: a lost eager entry is only ever noticed by ``op.deadline``.
+    The replay must go back into the slot the entry claimed — a fresh
+    claim leaves the lost slot a hole the in-order consumer never passes,
+    credit stops, and ``nslots`` sends later the producer waits for ring
+    room for good."""
+    cfg = PhotonConfig(eager_slots=8, op_timeout_ns=100_000, max_op_retries=8)
+    cl = build_cluster(2, params="ib-fdr", seed=3)
+    ph = photon_init(cl, cfg)
+    env = cl.env
+    n_lost, n_after = 3, cfg.eager_slots
+    got = []
+
+    def chaos(env):
+        yield env.timeout(1_000)
+        cl.topology.partition((0,), (1,))
+        yield env.timeout(3 * cfg.op_timeout_ns)  # outlasts a whole attempt
+        cl.topology.heal()
+
+    def sender(env):
+        yield env.timeout(2_000)
+        for i in range(n_lost + n_after):
+            if i == n_lost:
+                # the healed fabric has delivered every replay
+                ok = yield from ph[0].wait_op(op, 50 * cfg.op_timeout_ns)
+                assert ok
+            op = yield from ph[0].send_pwc(1, b"msg-%02d" % i, remote_cid=i)
+        ok = yield from ph[0].wait_op(op, 50 * cfg.op_timeout_ns)
+        assert ok
+
+    def receiver(env):
+        while len(got) < n_lost + n_after:
+            m = yield from ph[1].wait_message(
+                timeout_ns=100 * cfg.op_timeout_ns)
+            if m is None:
+                return
+            got.append(m[1])
+
+    env.process(chaos(env))
+    procs = [env.process(sender(env)), env.process(receiver(env))]
+    env.run(until=env.all_of(procs))
+    assert got == list(range(n_lost + n_after))  # in order, exactly once
+    assert cl.counters.get("photon.op_retries") >= n_lost
+    assert cl.counters.get("photon.entry_rewrites") >= n_lost
+    assert cl.counters.get("photon.dup_drops") == 0
+    assert cl.counters.get("photon.op_failures") == 0
 
 
 def test_qp_error_flush_reconnect_roundtrip():

@@ -17,6 +17,7 @@ schedules nothing.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.kv.workload import WorkloadStats, ZipfKeys
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
 from repro.runtime.health import HealthConfig, build_health
+from repro.sim.resources import Signal
 from repro.sim.rng import RngRegistry
 
 from tests.test_determinism_golden import (GOLDEN, _photon_clean_workload,
@@ -732,6 +734,16 @@ def test_hub_gc_sweeps_unclaimed_responses():
     assert out["backlog"] == {}
 
 
+def _stub_node(env, hub=None):
+    """As much of a ``KVNode`` as a ``KVClient`` touches."""
+    node = SimpleNamespace(
+        env=env, hub={} if hub is None else hub, hub_bell=Signal(env),
+        photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
+        config=SimpleNamespace(slot_size=160),
+        shard_map=ShardMap(1, 2, rf=2))
+    return node
+
+
 def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     """Two replicas whose leader hints point at each other must not eat
     the whole attempt budget at wire speed: after the first followed
@@ -754,18 +766,8 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
             hub[(client, seq)] = (RESP_NOT_LEADER, 1 - dst, b"", env.now)
             yield env.timeout(50)
 
-    class _Photon:
-        @staticmethod
-        def buffer(size):
-            return type("B", (), {"addr": 0})()
-
-    node = type("N", (), {})()
-    node.env = env
-    node.hub = hub
-    node.runtime = _Runtime()
-    node.photon = _Photon()
-    node.config = type("C", (), {"slot_size": 160})()
-    node.shard_map = ShardMap(1, 2, rf=2)
+    node = _stub_node(env, hub)
+    node.runtime = _Runtime()  # answers before the wait: the bell never rings
 
     c = KVClient(node, client_id=1)
     out = {}
@@ -783,6 +785,125 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     # without backoff 24 wire-speed hops take ~1 µs; with it the loop
     # spans well over a millisecond — longer than a leaderless window
     assert out["elapsed"] >= 1_000_000
+
+
+# --------------------------------------------------------------------------
+# attentive server loop and client wait (wake-on-arrival)
+# --------------------------------------------------------------------------
+
+def _oracle_await(client, seq):
+    """The literal hub poll ``KVClient._await`` stands for: look, sleep
+    ``poll_ns``, look again — every probe run, none skipped."""
+    env, hub = client.env, client.node.hub
+    key = (client.client_id, seq)
+    deadline = env.now + client.timeout_ns
+    while key not in hub:
+        if env.now >= deadline:
+            return None
+        yield env.timeout(client.poll_ns)
+    status, hint, value, _arrived = hub.pop(key)
+    return status, hint, value
+
+
+#: (name, [(instant, "file" | "wipe"), ...]) for a client that starts to
+#: wait at T0 with poll_ns 2000 and timeout_ns 9000: probes at T0 + 2000k,
+#: the last one at T0 + 10000
+_AWAIT_T0 = 500
+_AWAIT_SCRIPTS = [
+    ("already there", [(200, "file")]),
+    ("on a grid instant", [(_AWAIT_T0 + 4_000, "file")]),
+    ("off the grid", [(_AWAIT_T0 + 4_500, "file")]),
+    ("a nanosecond before a probe", [(_AWAIT_T0 + 5_999, "file")]),
+    ("past the deadline, before the last probe",
+     [(_AWAIT_T0 + 9_200, "file")]),
+    ("on the last probe", [(_AWAIT_T0 + 10_000, "file")]),
+    ("after the last probe", [(_AWAIT_T0 + 10_500, "file")]),
+    ("never", []),
+    ("wiped by on_crash before the probe",
+     [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_500, "wipe")]),
+    ("wiped, then answered again",
+     [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_500, "wipe"),
+      (_AWAIT_T0 + 6_100, "file")]),
+]
+
+
+@pytest.mark.parametrize("name,script", _AWAIT_SCRIPTS,
+                         ids=[n for n, _s in _AWAIT_SCRIPTS])
+def test_await_returns_what_the_literal_hub_poll_returns(name, script):
+    """``_await`` parks on the hub bell and looks only on its probe grid:
+    same answer at the same instant as the loop that runs every probe,
+    and nothing of it left on the event queue afterwards.  A second
+    waiter with another phase and period shares the bell.  Responses are
+    filed the way the server files them, 150 ns (the handler cost) after
+    the timer before: a probe due the same nanosecond was armed a whole
+    period earlier and runs first."""
+    def run(await_fn):
+        env = build_cluster(2, "ib-fdr", seed=41).env
+        node = _stub_node(env)
+        clients = [KVClient(node, client_id=1, poll_ns=2_000,
+                            timeout_ns=9_000),
+                   KVClient(node, client_id=2, poll_ns=1_700,
+                            timeout_ns=9_000)]
+        starts = [_AWAIT_T0, _AWAIT_T0 + 333]
+
+        def respond(at, what):
+            yield env.timeout(at - 150)
+            yield env.timeout(150)
+            if what == "wipe":
+                node.hub.clear()
+                return
+            for c in clients:
+                node.hub[(c.client_id, 7)] = (0, 1, b"v%d" % at, env.now)
+            node.hub_bell.fire(True)
+
+        def wait(c, start):
+            yield env.timeout(start)
+            answer = yield from await_fn(c, 7)
+            return env.now, answer
+
+        for at, what in script:
+            env.process(respond(at, what))
+        procs = [env.process(wait(c, t)) for c, t in zip(clients, starts)]
+        env.run(until=env.all_of(procs))
+        return [p.value for p in procs], env.peek()
+
+    got, pending = run(KVClient._await)
+    want, _ = run(_oracle_await)
+    assert got == want
+    # whatever is still queued is a later scripted response, not a timer
+    # of ours: none of the scripts outlasts the last probe by 1 us
+    assert pending is None or pending < _AWAIT_T0 + 11_000
+
+
+def test_colocated_onesided_reads_cost_the_serve_loop_nothing():
+    """A node whose only activity is a co-located client streaming
+    ``get_pwc`` reads of a remote table: its serve loop runs no pass at
+    all (every progress pass on the rank is one the client would have run
+    with the loop stopped).  Parked on the doorbell instead of
+    ``arrivals`` it is woken by every read's CQE."""
+    def run(serving: bool):
+        cl = build_cluster(2, "ib-fdr", seed=33)
+        ph = photon_init(cl)
+        nodes = build_kv(cl, ph, KVConfig(n_groups=1, rf=1))
+        assert not nodes[1].raft        # no Raft timers on the client's rank
+        if not serving:
+            nodes[1].stop()
+        table = nodes[0].tables[0]
+        scratch = ph[1].buffer(64)
+        passes = cl.scope(1)
+
+        def client(env):
+            yield env.timeout(20_000)   # boot passes out of the way
+            before = passes.get("photon.progress_passes")
+            for _ in range(50):
+                op = yield from ph[1].get_pwc(0, scratch.addr, 64,
+                                              table.addr, table.rkey)
+                yield from ph[1].wait_op(op, 10 ** 9)
+            return passes.get("photon.progress_passes") - before, env.now
+
+        return cl.env.run(until=cl.env.process(client(cl.env)))
+
+    assert run(serving=True) == run(serving=False)
 
 
 # --------------------------------------------------------------------------

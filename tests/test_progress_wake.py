@@ -9,6 +9,8 @@ endpoint is woken, deadlines still fire while parked, and an idle wait
 costs neither kernel events nor a timer left on the queue.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -17,6 +19,7 @@ from repro.photon import PhotonConfig, photon_init
 from repro.photon.base import TimeoutStatus
 from repro.runtime import ActionRegistry, build_runtime
 from repro.runtime.scheduler import RECHECK_NS
+from repro.sim.resources import poll_until
 from repro.verbs.enums import WCStatus
 
 FAR = 10 ** 12
@@ -320,3 +323,107 @@ def test_coalesced_batch_leaves_on_time_from_a_rank_parked_in_future_wait():
     t0, reply = procs[0].value
     assert reply == b"ping"
     assert 0 <= shipped[0] - (t0 + tp.max_delay_ns) <= 200
+
+
+# ------------------------------------------------- the server's bell: arrivals
+
+
+def _parked_server(ph0, got):
+    """A server loop in miniature: ``poll_until`` on the endpoint's
+    ``arrivals``, a pass = one progress pass + pop one eager message."""
+    env = ph0.env
+
+    def probe():
+        yield from ph0._progress_once()
+        m = ph0._pop_message()
+        if m is not None:
+            got.append((env.now, m[2]))
+        return m is not None
+
+    return poll_until(ph0.arrivals, probe, lambda: bool(got), FAR)
+
+
+def test_entry_in_limbo_in_another_pass_still_reaches_a_parked_server():
+    """``_scan_peer`` advances a ring before its cost yield and appends to
+    ``messages`` after it.  While a waiter's pass holds an entry there, a
+    server pass woken by the same ledger write finds neither and parks:
+    the waiter's pass must ring ``arrivals`` when it ends, not only the
+    doorbell.  Slide a doorbell-only kick so the waiter's pass reaches the
+    ring just before the server's does."""
+    def run(kick_at):
+        cl = build_cluster(2, "ib-fdr", seed=5)
+        ph = photon_init(cl)
+        env, got, rings = cl.env, [], []
+        ph[0].arrivals.wait().add_callback(lambda _ev: rings.append(env.now))
+
+        def waiter():  # a client blocked on an op of its own
+            yield from ph[0].wait_op(SimpleNamespace(status=None), 50_000)
+
+        def kick():
+            yield env.timeout(kick_at)
+            ph[0].doorbell.fire()
+
+        env.process(waiter())
+        env.process(ph[1].send_pwc(0, b"parcel", remote_cid=9))
+        if kick_at is not None:
+            env.process(kick())
+        env.run(until=env.process(_parked_server(ph[0], got)))
+        return rings[0], got[0]
+
+    arrival, _ = run(None)
+    poll_ns = PhotonConfig().progress_poll_ns
+    for kick_at in range(arrival - poll_ns - 4, arrival + 4):
+        _, (t_got, data) = run(kick_at)
+        assert data == b"parcel"
+        # one pass of the waiter's, one of the server's — not the 50 us
+        # the waiter's own timeout would take to ring anything
+        assert t_got - arrival < 1_000, kick_at
+
+
+def test_send_side_traffic_does_not_ring_arrivals():
+    """A co-located client's one-sided reads complete on the send CQ and
+    settle through ``_op_done``: the doorbell rings, ``arrivals`` does
+    not — a parked server pays nothing for them."""
+    cl = build_cluster(2, "ib-fdr", seed=5)
+    ph = photon_init(cl)
+    a, b = ph[0].buffer(64), ph[1].buffer(64)
+
+    def client():
+        for _ in range(20):
+            op = yield from ph[0].get_pwc(1, a.addr, 64, b.addr, b.rkey)
+            yield from ph[0].wait_op(op, FAR)
+            assert op.status is WCStatus.SUCCESS
+
+    before = ph[0].arrivals.fires, ph[0].doorbell.fires
+    cl.env.run(until=cl.env.process(client()))
+    assert ph[0].arrivals.fires == before[0]
+    assert ph[0].doorbell.fires >= before[1] + 20
+
+
+def test_rendezvous_parcel_reaches_a_scheduler_parked_on_arrivals():
+    """A parcel over the eager limit is advertised, then fetched with an
+    RDMA read that completes on the *send* CQ.  With nothing else arriving,
+    the scheduler parked on ``arrivals`` must still hear the fetch settle."""
+    cl = build_cluster(2, "ib-fdr", seed=5)
+    reg = ActionRegistry()
+    seen = []
+    reg.register("big", lambda rt, src, payload: seen.append(
+        (rt.env.now, len(payload))))
+    ph = photon_init(cl)
+    rts = build_runtime(cl, reg, "photon", photon=ph)
+    size = 3 * ph[0].config.eager_limit
+    tp = rts[0].transport
+
+    def server():
+        return (yield from poll_until(tp.arrivals, rts[0].progress,
+                                      lambda: bool(seen), 200_000))
+
+    def sender():
+        yield from rts[1].send(0, "big", b"z" * size)
+        yield from rts[1].process_until(lambda: bool(seen), 200_000)
+
+    procs = [cl.env.process(server()), cl.env.process(sender())]
+    cl.env.run(until=cl.env.all_of(procs))
+    assert procs[0].value and seen[0][1] == size
+    # and the send CQ is back on the doorbell alone once nothing is owed
+    assert ph[0].send_cq.doorbell is ph[0].doorbell

@@ -134,14 +134,19 @@ def test_pwc_completion_has_one_mechanism():
 
 
 def test_blocking_waits_have_one_pacing_mechanism():
-    """Waits park on a doorbell (``sim.resources.poll_until``); the idle
-    back-off knobs must not come back.  ``KVNode._serve`` keeps its own
-    fused back-off (``KVConfig.idle_backoff_ns``), hence the exemption."""
-    pattern = re.compile(r"wait_backoff|idle_backoff_ns=")
+    """Waits and the KV serve loop park on a bell
+    (``sim.resources.poll_until``); the idle back-off knobs, the fused
+    poll charge and the "could a pass find anything" predicates that
+    served the last polling loop must not come back."""
+    pattern = re.compile(r"wait_backoff|idle_backoff|dead_poll_ns|charge_poll"
+                         r"|poll_pending|progress_pending|pre_slept")
     bad = [path for path in _py_files("src")
-           if not path.endswith(os.path.join("kv", "store.py"))
-           and pattern.search(open(path).read())]
+           if pattern.search(open(path).read())]
     assert not bad, bad
+    # one path per job: the serve loop keeps no timer of its own
+    serve = open(os.path.join("src", "repro", "kv", "store.py")).read()
+    serve = serve[serve.index("def _serve("):serve.index("def _next_due(")]
+    assert "timeout(" not in serve and "backoff" not in serve
 
 
 def test_links_have_one_path_per_job():

@@ -10,8 +10,8 @@ import pytest
 from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.photon import photon_init
-from repro.runtime import (CoalescingTransport, MpiTransport, PeerDownError,
-                           PhotonTransport, Transport)
+from repro.runtime import (ActionRegistry, CoalescingTransport, MpiTransport,
+                           PeerDownError, PhotonTransport, Runtime, Transport)
 from repro.runtime.transport import WireTransport
 from repro.sim import Signal, SimulationError
 
@@ -93,7 +93,15 @@ def test_members_and_defaults(pair):
     # nobody down, nothing logged
     assert tp.peer_is_down(1) is False
     assert list(tp.breaker_log) == []
-    assert isinstance(tp.poll_pending(), bool)
+    # what a server loop parks on: the doorbell's receive side (the
+    # doorbell itself on a wire that cannot tell the two apart), rung by a
+    # parcel queued for this very rank — together with the doorbell
+    assert isinstance(tp.arrivals, Signal) and tp.arrivals is wire.arrivals
+    reg = ActionRegistry()
+    reg.register("noop", lambda rt, src, payload: None)
+    before = tp.arrivals.fires, tp.doorbell.fires
+    _run(cl, Runtime(0, cl.env, tp, reg).send(0, "noop"))
+    assert tp.arrivals.fires > before[0] and tp.doorbell.fires > before[1]
 
     def idle(env):
         t0 = env.now
