@@ -41,9 +41,9 @@ class PwcMixin:
         completions surface via :meth:`probe_completion`.  On a lossy
         fabric the operation is tracked by the reliability layer: failed
         or expired attempts are replayed (the data write is idempotent,
-        the completion entry goes back into the slot it claimed and
-        carries the op id for target-side dedup) until success or ``max_op_retries`` is exhausted, at which point
-        the local completion surfaces with ``WCStatus.RETRY_EXC_ERR``.
+        the completion entry goes back into the slot it claimed) until
+        success or ``max_op_retries`` is exhausted, at which point the
+        local completion surfaces with ``WCStatus.RETRY_EXC_ERR``.
         Returns the op handle (:class:`~repro.photon.base.ReliableOp`;
         None for self-puts): ``op.status`` is None until the op settles.
         """

@@ -736,12 +736,11 @@ def test_hub_gc_sweeps_unclaimed_responses():
 
 def _stub_node(env, hub=None):
     """As much of a ``KVNode`` as a ``KVClient`` touches."""
-    node = SimpleNamespace(
+    return SimpleNamespace(
         env=env, hub={} if hub is None else hub, hub_bell=Signal(env),
         photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
         config=SimpleNamespace(slot_size=160),
         shard_map=ShardMap(1, 2, rf=2))
-    return node
 
 
 def test_redirect_bounce_backs_off_instead_of_burning_attempts():
