@@ -359,29 +359,31 @@ class KVClient:
         per-attempt timeout (generator → answer or None).
 
         The simulator skips the probes that cannot succeed: the client
-        parks on the hub's bell and, once it rings, sleeps out the rest of
-        its probe period — the grid ``t0 + k·poll_ns`` — before it looks.
-        A probe's timer is armed a whole period ahead, the handler's that
-        files a response 150 ns ahead, so a response filed on a grid
-        instant is found one period later, and one filed on the last
-        probe's instant — the first grid instant at or past the timeout,
-        the bell's alarm — is not found.
+        parks on the hub's bell and, once it rings, sleeps to its next
+        probe instant — the grid ``t0 + k·poll_ns`` — before it looks.
+        A probe finds what was filed before its own nanosecond (its timer
+        was armed a whole period ahead, the filing handler's 150 ns ahead).
+        The last probe is the first grid instant at or past the timeout,
+        which is the bell's alarm.
         """
         env, hub, bell = self.env, self.node.hub, self.node.hub_bell
         key = (self.client_id, seq)
         t0, poll_ns = env.now, self.poll_ns
         deadline = t0 + self.timeout_ns
         last = t0 + -(-self.timeout_ns // poll_ns) * poll_ns
-        while key not in hub:
+        while True:
+            entry = hub.get(key)
+            if entry is not None and entry[3] < env.now:
+                del hub[key]
+                return entry[:3]
             if env.now >= deadline:
                 return None
-            filed = yield bell.wait(last)
-            if env.now < last:
+            if entry is not None:  # filed this nanosecond: the next probe's
+                yield env.timeout(poll_ns)
+                continue
+            yield bell.wait(last)
+            if (env.now - t0) % poll_ns:
                 yield env.timeout(poll_ns - (env.now - t0) % poll_ns)
-            elif not filed:
-                return None
-        status, hint, value, _arrived = hub.pop(key)
-        return status, hint, value
 
     # ------------------------------------------------------- resharding ops
     def admin_cmd(self, group: int, op: int, value: bytes = b""):

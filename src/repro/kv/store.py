@@ -479,7 +479,7 @@ class KVNode:
     def handle_response(self, src: int, payload: bytes) -> None:
         status, hint, client, seq, value = unpack_response(payload)
         self.hub[(client, seq)] = (status, hint, value, self.env.now)
-        self.hub_bell.fire(True)  # the bell's alarm wakes with None
+        self.hub_bell.fire()
 
     def _respond(self, dst: int, status: int, hint: int, client: int,
                  seq: int, value: bytes = b"") -> None:

@@ -130,8 +130,7 @@ class Signal:
 
     ``wait()`` returns an event; ``fire(value)`` triggers *all* waiters
     registered so far and re-arms.  ``wait(until=t)`` also sets the
-    signal's one alarm, so the waiters are woken at ``t`` at the latest
-    (the alarm's wake carries the value None);
+    signal's one alarm, so the waiters are woken at ``t`` at the latest;
     the alarm is withdrawn from the kernel as soon as the signal fires,
     so a far-off bound leaves nothing behind on the event queue.
 

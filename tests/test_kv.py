@@ -804,7 +804,7 @@ def _oracle_await(client, seq):
     return status, hint, value
 
 
-#: (name, [(instant, "file" | "wipe"), ...]) for a client that starts to
+#: (name, [(instant, "file" | "ring" | "wipe"), ...]) for a client that starts to
 #: wait at T0 with poll_ns 2000 and timeout_ns 9000: probes at T0 + 2000k,
 #: the last one at T0 + 10000
 _AWAIT_T0 = 500
@@ -823,6 +823,8 @@ _AWAIT_SCRIPTS = [
     ("wiped, then answered again",
      [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_500, "wipe"),
       (_AWAIT_T0 + 6_100, "file")]),
+    ("somebody else's answer rings 100 ns before the probe ours lands on",
+     [(_AWAIT_T0 + 3_900, "ring"), (_AWAIT_T0 + 4_000, "file")]),
 ]
 
 
@@ -851,9 +853,10 @@ def test_await_returns_what_the_literal_hub_poll_returns(name, script):
             if what == "wipe":
                 node.hub.clear()
                 return
-            for c in clients:
-                node.hub[(c.client_id, 7)] = (0, 1, b"v%d" % at, env.now)
-            node.hub_bell.fire(True)
+            if what == "file":
+                for c in clients:
+                    node.hub[(c.client_id, 7)] = (0, 1, b"v%d" % at, env.now)
+            node.hub_bell.fire()
 
         def wait(c, start):
             yield env.timeout(start)
