@@ -384,7 +384,8 @@ class RaftNode:
 
     # ------------------------------------------------------------- role flips
     def _become_follower(self, term: int, now: int,
-                         leader: Optional[int] = None) -> None:
+                         leader: Optional[int] = None,
+                         heard_leader: bool = True) -> None:
         stepped_down = self.role == LEADER
         if term > self.term:
             self.term = term
@@ -397,7 +398,8 @@ class RaftNode:
             self.match_index.clear()
             self._ack_round.clear()
             self._snap_xfer.clear()
-        self._reset_election_timer(now)
+        if heard_leader or stepped_down:  # a deposed leader has no timer
+            self._reset_election_timer(now)
 
     def _become_leader(self, now: int) -> None:
         self.role = LEADER
@@ -606,10 +608,11 @@ class RaftNode:
             raise SimulationError(
                 f"group {self.group} got message for group {msg.group}")
         if msg.term > self.term:
-            self._become_follower(
-                msg.term, now,
-                leader=(msg.src if msg.kind in (MSG_APPEND, MSG_SNAP)
-                        else None))
+            # Raft §5.2: a higher term is not word from a leader.  Only a
+            # granted vote or the leader's own AppendEntries / snapshot
+            # chunk (both below) push the election timer back — else a
+            # candidate that can never win keeps resetting one that can
+            self._become_follower(msg.term, now, heard_leader=False)
         if msg.kind == MSG_VOTE_REQ:
             self._on_vote_req(msg, now)
         elif msg.kind == MSG_VOTE_REPLY:

@@ -26,9 +26,10 @@ from repro.cluster import build_cluster
 from repro.kv import (Command, KVClient, KVConfig, KVStateMachine,
                       RaftConfig, RaftNode, ShardMap, build_kv,
                       decode_command, encode_command)
-from repro.kv.raft import (LEADER, MSG_APPEND, MSG_APPEND_REPLY, MSG_SNAP,
-                           MSG_SNAP_REPLY, MSG_VOTE_REPLY, MSG_VOTE_REQ,
-                           RaftMsg, decode_msg, encode_msg)
+from repro.kv.raft import (CANDIDATE, FOLLOWER, LEADER, MSG_APPEND,
+                           MSG_APPEND_REPLY, MSG_SNAP, MSG_SNAP_REPLY,
+                           MSG_VOTE_REPLY, MSG_VOTE_REQ, RaftMsg, decode_msg,
+                           encode_msg)
 from repro.kv.shard import (CodecError, OP_CAS, OP_PUT, ST_CAS_FAIL,
                             ST_MISS, ST_OK)
 from repro.kv.workload import WorkloadStats, ZipfKeys
@@ -210,6 +211,57 @@ def test_detection_driven_election_beats_the_timeout():
     fast_bound = cfg.fast_election_ns + cfg.election_jitter_ns + 50_000
     assert bus.now - t0 <= fast_bound
     assert bus.now - t0 < cfg.election_timeout_ns
+
+
+def _voter(role, log):
+    """Rank 1 of three at term 2 with ``log``, election armed for 900 us."""
+    ns = RngRegistry(17).namespace("kv.raft.test")
+    node = RaftNode(0, 1, [0, 1, 2], RaftConfig(), ns.stream("timer"))
+    node.term, node.role, node.log = 2, role, list(log)
+    node.voted_for = 1 if role == CANDIDATE else None
+    node.election_due = 900_000
+    return node
+
+
+@pytest.mark.parametrize("role", [FOLLOWER, CANDIDATE])
+def test_refused_higher_term_vote_request_leaves_the_election_timer(role):
+    """Raft §5.2: the timer is pushed back by a granted vote or by the
+    current leader, not by a higher term alone — a candidate whose log is
+    too short to win must not keep resetting the replica that can."""
+    node = _voter(role, [(1, b"a"), (2, b"b")])
+    stale = RaftMsg(MSG_VOTE_REQ, 0, 3, 2, last_log_index=1, last_log_term=1)
+    node.on_message(stale, now=500_000)
+    reply = decode_msg(node.outbox[-1][1])
+    assert not reply.granted and reply.term == 3
+    assert (node.term, node.role, node.voted_for) == (3, FOLLOWER, None)
+    assert node.election_due == 900_000
+    # same for a refusal that comes back as a higher-term VoteReply
+    node.on_message(RaftMsg(MSG_VOTE_REPLY, 0, 4, 2, granted=False),
+                    now=600_000)
+    assert node.term == 4 and node.election_due == 900_000
+
+
+def test_granted_vote_moves_the_election_timer():
+    node = _voter(FOLLOWER, [(1, b"a")])
+    fresh = RaftMsg(MSG_VOTE_REQ, 0, 3, 2, last_log_index=2, last_log_term=2)
+    node.on_message(fresh, now=500_000)
+    assert decode_msg(node.outbox[-1][1]).granted and node.voted_for == 2
+    assert node.election_due >= 500_000 + node.config.election_timeout_ns
+
+
+def test_deposed_leader_arms_a_finite_election_timer():
+    """A leader's ``election_due`` is "never"; whatever deposes it — here
+    a refused RequestVote of a higher term — must leave a real one."""
+    bus = Bus(n=3)
+    leader = bus.elect()
+    assert leader.election_due > bus.now + (1 << 60)
+    leader.on_message(RaftMsg(MSG_VOTE_REQ, 0, leader.term + 1,
+                              (leader.rank + 1) % 3), now=bus.now)
+    assert leader.role == FOLLOWER
+    assert not decode_msg(leader.outbox[-1][1]).granted   # log too short
+    cfg = leader.config
+    assert 0 <= leader.election_due - bus.now - cfg.election_timeout_ns \
+        < cfg.election_jitter_ns
 
 
 def test_lease_granted_by_acked_rounds_and_expires():

@@ -143,24 +143,25 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
 
 
 # ---------------------------------------------------------------------------
-# election churn on the lossy fabric (ROADMAP item 1c): pinned, not fixed
+# election churn on the lossy fabric (ROADMAP item 1c, closed by PR 20)
 # ---------------------------------------------------------------------------
 
-def test_election_churn_on_the_lossy_fabric_is_bounded():
-    """OPEN DEFECT, pinned here so a change of election cadence cannot
-    make it silently worse.  The ``kv_chaos`` benchmark's block at seed
-    100196, rebuilt from ``repro.chaos`` + ``build_kv`` (nothing imported
-    from ``perf/``), without any restart: 6 ranks, 2 groups x rf 3, 1 %
-    chunk loss, a 500 us partition of a group-1 follower, then a crash of
-    the rank leading *both* groups.  Group 1's two survivors then churn:
-    the one with the shorter log times out first and can never win, but
-    its higher-term RequestVote resets the other's election timer, so
-    every round re-draws the jitter and a lost round costs a whole
-    election timeout.  Group 1 reaches term 4 after 3.7 ms without a
-    leader on PR 17's tree and term 6 after 6.5 ms with the event-driven
-    serve loop (same mechanism, other jitter phase; EXPERIMENTS.md PR 19).
-    What must hold meanwhile: a leader for every group within 10 ms of
-    the crash, every op OK, no acknowledged write missing from a survivor.
+@pytest.mark.parametrize("seed", [100196, 100148, 7003])
+def test_election_churn_on_the_lossy_fabric_is_bounded(seed):
+    """The ``kv_chaos`` benchmark's block at ``seed``, rebuilt from
+    ``repro.chaos`` + ``build_kv`` (nothing imported from ``perf/``),
+    without any restart: 6 ranks, 2 groups x rf 3, 1 % chunk loss, a
+    500 us partition of a group-1 follower, then a crash of the rank
+    leading a group (at 100196: *both* groups).  Until PR 20 group 1's two
+    survivors churned at 100196: the one with the shorter log timed out
+    first and could never win, but its higher-term RequestVote reset the
+    other's election timer, so every round re-drew the jitter and a lost
+    round cost a whole election timeout (term 6 after 6.5 ms without a
+    leader on PR 19's tree; 100148 and 7003 never churned).  With the
+    timer following Raft §5.2 the up-to-date survivor's own timeout
+    stands: a leader for every group within 2 ms of the crash — one lost
+    round would be 2.1 or more — every op OK, no acknowledged write
+    missing from a survivor.
     """
     import numpy as np
 
@@ -171,7 +172,7 @@ def test_election_churn_on_the_lossy_fabric_is_bounded():
     from repro.photon import photon_init
     from repro.runtime.health import HealthConfig, build_health
 
-    seed, n_ranks, n_groups, n_keys, n_ops, hb = 100196, 6, 2, 192, 290, 50_000
+    n_ranks, n_groups, n_keys, n_ops, hb = 6, 2, 192, 290, 50_000
     rng = np.random.default_rng(seed)
     cl = build_cluster(n_ranks, "ib-fdr", seed=seed, link__loss_mode="lossy",
                        link__drop_rate=0.01)
@@ -246,9 +247,7 @@ def test_election_churn_on_the_lossy_fabric_is_bounded():
     env.run(until=env.now + 40 * hb)   # followers catch up
 
     assert out["failed"] == 0
-    assert out["led_again"] is not None and out["led_again"] <= 10_000_000
-    # the churn itself: more than the one term a clean failover takes
-    assert max(rn.term for n in nodes for rn in n.raft.values()) >= 3
+    assert out["led_again"] is not None and out["led_again"] <= 2_000_000
     for client in clients + [loader]:
         for (cid, seq, _op, key, _v) in client.acked:
             group = smap.group_of(key)
