@@ -1,10 +1,11 @@
 """KV client: leader discovery, redirects, retries, two read arms.
 
 A :class:`KVClient` lives on some rank and talks to the store through
-that rank's :class:`~repro.kv.store.KVNode` hub (responses are delivered
-by the node's server loop, requests go straight onto the shared parcel
-transport — concurrent senders per rank are a supported pattern
-everywhere in this repo).
+that rank's :class:`~repro.kv.store.KVNode` (every RPC registers with the
+node's hub while it runs and the node's server loop hands the answer to
+that registration; requests go straight onto the shared parcel transport
+— concurrent senders per rank are a supported pattern everywhere in this
+repo).
 
 Write path: the client hashes the key to a group, sends the command to
 its best guess for the group's leader, and follows ``NotLeader``
@@ -47,10 +48,11 @@ from typing import Dict, List, Tuple
 
 from .shard import (Command, OP_CAS, OP_DELETE, OP_PUT, ST_CAS_FAIL,
                     ST_MISS, ST_OK, encode_command)
-from .store import (ACT_REQ, KVNode, REQ_LOC, REQ_READ, REQ_SNAP, REQ_WRITE,
-                    RESP_FAIL, RESP_NO_LEASE, RESP_NOT_LEADER,
-                    RESP_WRONG_EPOCH, SLOT_OVERSIZE, SLOT_PRESENT, _SLOT,
-                    pack_request, unpack_loc)
+from .shard import CodecError
+from .store import (ACT_REQ, KVNode, PendingReply, REQ_LOC, REQ_READ,
+                    REQ_SNAP, REQ_WRITE, RESP_FAIL, RESP_NO_LEASE,
+                    RESP_NOT_LEADER, RESP_WRONG_EPOCH, SLOT_OVERSIZE,
+                    SLOT_PRESENT, _SLOT, pack_request, unpack_loc)
 from ..runtime.transport import PeerDownError
 from ..verbs.enums import WCStatus
 
@@ -73,7 +75,13 @@ class ClientStats:
 
 
 class KVClient:
-    """One logical client session (unique id, monotonically growing seq)."""
+    """One logical client session (unique id, monotonically growing seq).
+
+    ``timeout_ns`` bounds one attempt of an RPC, ``max_attempts`` the
+    RPC.  ``poll_ns`` is the unit of the redirect / lease back-off, which
+    starts at ``8 * poll_ns`` and doubles — nothing polls: a waiting
+    client is woken by its answer.
+    """
 
     def __init__(self, node: KVNode, client_id: int,
                  read_mode: str = "rpc", timeout_ns: int = 2_000_000,
@@ -233,7 +241,11 @@ class KVClient:
         self.stats.loc_lookups += 1
         if status != ST_OK:
             return None
-        leader, _slot, slot_size, addr, rkey = unpack_loc(raw)
+        try:
+            leader, _slot, slot_size, addr, rkey = unpack_loc(raw)
+        except CodecError:
+            self.node.counters.add("kv.codec_errors")
+            return None
         loc = (leader, addr, rkey, slot_size, self.env.now)
         self._loc[key] = loc
         return loc
@@ -272,6 +284,24 @@ class KVClient:
         """Send to the believed leader, follow redirects, retry on
         timeout.  Returns ``(status, value)`` with RESP_FAIL on give-up.
 
+        The RPC is registered with the node's hub from the first send to
+        the return — every attempt and every back-off in between — so an
+        answer to attempt *k* that lands during the back-off before
+        attempt *k+1* is there when that one looks; once the RPC is over
+        the node drops whatever still arrives for it.
+        """
+        uid = (self.client_id, seq)
+        reply = self.node.hub[uid] = PendingReply(self.env)
+        try:
+            return (yield from self._attempts(kind, body, seq, key, group,
+                                              reply))
+        finally:
+            del self.node.hub[uid]
+
+    def _attempts(self, kind: int, body: bytes, seq: int, key: bytes,
+                  group: int, reply: PendingReply):
+        """The retry loop of :meth:`_rpc`.
+
         Routing: ``key`` requests hash through this client's frozen ring
         view and re-route after a WRONG_EPOCH refetch; ``group`` pins an
         explicit target (admin ops) and only the stamped epoch refreshes.
@@ -295,7 +325,7 @@ class KVClient:
                 sent = False
             answer = None
             if sent:
-                answer = yield from self._await(seq)
+                answer = yield from self._await(reply)
             if answer is None:
                 # dead/laggy replica: rotate through the replica set
                 self.stats.timeouts += sent
@@ -354,36 +384,17 @@ class KVClient:
             return status, value
         return RESP_FAIL, b""
 
-    def _await(self, seq: int):
-        """Probe the hub for our response every ``poll_ns`` until the
-        per-attempt timeout (generator → answer or None).
-
-        The simulator skips the probes that cannot succeed: the client
-        parks on the hub's bell and, once it rings, sleeps to its next
-        probe instant — the grid ``t0 + k·poll_ns`` — before it looks.
-        A probe finds what was filed before its own nanosecond (its timer
-        was armed a whole period ahead, the filing handler's 150 ns ahead).
-        The last probe is the first grid instant at or past the timeout,
-        which is the bell's alarm.
-        """
-        env, hub, bell = self.env, self.node.hub, self.node.hub_bell
-        key = (self.client_id, seq)
-        t0, poll_ns = env.now, self.poll_ns
-        deadline = t0 + self.timeout_ns
-        last = t0 + -(-self.timeout_ns // poll_ns) * poll_ns
-        while True:
-            entry = hub.get(key)
-            if entry is not None and entry[3] < env.now:
-                del hub[key]
-                return entry[:3]
-            if env.now >= deadline:
-                return None
-            if entry is not None:  # filed this nanosecond: the next probe's
-                yield env.timeout(poll_ns)
-                continue
-            yield bell.wait(last)
-            if (env.now - t0) % poll_ns:
-                yield env.timeout(poll_ns - (env.now - t0) % poll_ns)
+    def _await(self, reply: PendingReply):
+        """Take the answer if it is there, else park on this RPC's own
+        bell until the attempt deadline (generator → answer or None).
+        ``KVNode.handle_response`` rings the bell the instant it files the
+        answer; ``on_crash`` may wipe a filed answer before we run, hence
+        the loop."""
+        deadline = self.env.now + self.timeout_ns
+        while reply.answer is None and self.env.now < deadline:
+            yield reply.bell.wait(deadline)
+        answer, reply.answer = reply.answer, None
+        return answer
 
     # ------------------------------------------------------- resharding ops
     def admin_cmd(self, group: int, op: int, value: bytes = b""):

@@ -43,7 +43,7 @@ from .shard import (Command, CodecError, KVStateMachine, OP_CAS, OP_DELETE,
                     OP_MERGE, OP_NOOP, OP_PURGE, OP_PUT, OP_SEAL, ShardMap,
                     ST_MISS, ST_OK, decode_command, snapshot_keys)
 
-__all__ = ["KVConfig", "KVNode", "build_kv",
+__all__ = ["KVConfig", "KVNode", "PendingReply", "build_kv",
            "ACT_RAFT", "ACT_REQ", "ACT_RESP",
            "REQ_WRITE", "REQ_READ", "REQ_LOC", "REQ_SNAP",
            "RESP_OK", "RESP_MISS", "RESP_CAS_FAIL", "RESP_NOT_LEADER",
@@ -106,8 +106,14 @@ def pack_response(status: int, hint: int, client: int, seq: int,
 
 
 def unpack_response(raw: bytes) -> Tuple[int, int, int, int, bytes]:
+    if len(raw) < _RESP.size:
+        raise CodecError(
+            f"response frame truncated: {len(raw)} < {_RESP.size}")
     status, hint, client, seq, vlen = _RESP.unpack_from(raw, 0)
-    return status, hint, client, seq, raw[_RESP.size:_RESP.size + vlen]
+    if len(raw) != _RESP.size + vlen:
+        raise CodecError(f"response declares {vlen} value bytes, frame has "
+                         f"{len(raw) - _RESP.size}")
+    return status, hint, client, seq, raw[_RESP.size:]
 
 
 def pack_loc(leader: int, slot: int, slot_size: int, addr: int,
@@ -116,7 +122,10 @@ def pack_loc(leader: int, slot: int, slot_size: int, addr: int,
 
 
 def unpack_loc(raw: bytes) -> Tuple[int, int, int, int, int]:
-    return _LOC.unpack_from(raw, 0)
+    if len(raw) != _LOC.size:
+        raise CodecError(
+            f"loc payload is {len(raw)} bytes, expected {_LOC.size}")
+    return _LOC.unpack(raw)
 
 
 @dataclass(frozen=True)
@@ -138,11 +147,6 @@ class KVConfig:
     #: snapshot, and when it deserializes + swaps in an installed one
     snapshot_cost_ns: int = 20_000
     install_cost_ns: int = 40_000
-    #: response-hub entries unclaimed for this long are garbage-collected
-    #: (late replies to clients that gave up); must comfortably exceed
-    #: the largest client per-attempt timeout or a slow client's answer
-    #: could be swept while it still polls
-    hub_ttl_ns: int = 10_000_000
 
     def validate(self) -> None:
         if self.n_groups < 1:
@@ -152,7 +156,7 @@ class KVConfig:
         if self.slot_size <= SLOT_HDR:
             raise ValueError(f"slot_size must exceed the {SLOT_HDR}B header")
         for name in ("slots_per_group", "apply_cost_ns", "snapshot_cost_ns",
-                     "install_cost_ns", "hub_ttl_ns"):
+                     "install_cost_ns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.raft.validate()
@@ -182,6 +186,18 @@ def register_actions(registry: ActionRegistry) -> None:
     registry.register(ACT_RAFT, raft_handler)
     registry.register(ACT_REQ, req_handler)
     registry.register(ACT_RESP, resp_handler)
+
+
+class PendingReply:
+    """One client RPC in progress, as its node sees it: where the answer
+    is filed and the bell that wakes the one process waiting for it."""
+
+    __slots__ = ("answer", "bell")
+
+    def __init__(self, env):
+        #: ``(status, hint, value)`` until the client takes it, else None
+        self.answer: Optional[Tuple[int, int, bytes]] = None
+        self.bell = Signal(env)
 
 
 class KVNode:
@@ -218,13 +234,10 @@ class KVNode:
         self._pending_uid: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: outgoing (dst, action, payload) drained by the server loop
         self._tx: Deque[Tuple[int, str, bytes]] = deque()
-        #: client hub: (client, seq) -> (status, hint, value, arrived_ns);
-        #: entries a client never claims (it gave up, or a retry already
-        #: completed) are swept once they outlive ``hub_ttl_ns``
-        self.hub: Dict[Tuple[int, int], Tuple[int, int, bytes, int]] = {}
-        #: rung by every response filed in ``hub`` (clients park here)
-        self.hub_bell = Signal(self.env)
-        self._hub_gc_due = 0
+        #: client hub: (client, seq) -> the RPC a co-located client has in
+        #: progress, registered by ``KVClient._rpc`` for exactly as long as
+        #: it runs — an answer for anything else is dropped on arrival
+        self.hub: Dict[Tuple[int, int], PendingReply] = {}
         # local high-water caches so the per-tick set_max telemetry only
         # pays a counter call when a peak actually moves
         self._log_peak = 0
@@ -265,7 +278,8 @@ class KVNode:
         self._pending.clear()
         self._pending_uid.clear()
         self._tx.clear()
-        self.hub.clear()
+        for reply in self.hub.values():  # the waiters outlive the answers
+            reply.answer = None
         self.counters.add("kv.crashes")
 
     def reseed(self) -> None:
@@ -477,9 +491,18 @@ class KVNode:
         self.counters.add("kv.snap_serves")
 
     def handle_response(self, src: int, payload: bytes) -> None:
-        status, hint, client, seq, value = unpack_response(payload)
-        self.hub[(client, seq)] = (status, hint, value, self.env.now)
-        self.hub_bell.fire()
+        try:
+            status, hint, client, seq, value = unpack_response(payload)
+        except CodecError:
+            self.counters.add("kv.codec_errors")
+            return
+        reply = self.hub.get((client, seq))
+        if reply is None:
+            # a late duplicate, or the client gave up: nobody to hand it to
+            self.counters.add("kv.late_responses")
+            return
+        reply.answer = (status, hint, value)
+        reply.bell.fire()
 
     def _respond(self, dst: int, status: int, hint: int, client: int,
                  seq: int, value: bytes = b"") -> None:
@@ -510,8 +533,13 @@ class KVNode:
                               next_due=self._next_due)
 
     def _pass(self):
-        """One runtime progress pass, then timers, apply and flush
-        (generator → did anything)."""
+        """One runtime progress pass, then timers, flush, apply, and a
+        second flush for the answers apply produced (generator → did
+        anything).  What the pass owes its peers — a follower's ack, a
+        leader's next AppendEntries, a redirect — ships before
+        ``apply_cost_ns`` is charged: an ack promises the entry is in the
+        log, not that it is applied (Raft §5.3).  Only an answer that
+        carries apply's result waits for it."""
         if not self.photon.alive:
             # fail-stop: a crashed rank neither serves nor ticks
             return False
@@ -520,7 +548,7 @@ class KVNode:
         # most ticks apply nothing and flush nothing: precheck with
         # plain attribute reads so the idle path skips two generator
         # set-ups per tick
-        apply_due = flush_due = bool(self._tx)
+        apply_due, flush_due = False, bool(self._tx)
         for rn in self.raft.values():
             rn.tick(now)
             if rn._applied_out or rn._installed_out or (
@@ -535,45 +563,24 @@ class KVNode:
             if rn.base_index > self._base_peak:
                 self._base_peak = rn.base_index
                 self.counters.set_max("kv.raft.base_index", rn.base_index)
+        sent = (yield from self._flush()) if flush_due else 0
         applied = (yield from self._apply_committed()) if apply_due else 0
-        # apply can enqueue responses (_respond → _tx), so recheck
-        sent = (yield from self._flush()) if flush_due or self._tx else 0
-        if now >= self._hub_gc_due:
-            self._gc_hub(now)
+        if self._tx:
+            sent += yield from self._flush()
         return bool(busy or applied or sent)
 
     def _next_due(self) -> Optional[int]:
-        """Earliest instant a pass is owed with no arrival: a Raft timer,
-        a transport retry deadline, the hub sweep.  None while crashed —
-        ``rejoin`` rings."""
+        """Earliest instant a pass is owed with no arrival: a Raft timer
+        or a transport retry deadline (None: neither).  None while
+        crashed — ``rejoin`` rings."""
         if not self.photon.alive:
             return None
-        due = self._hub_gc_due
-        t = self.runtime.transport.next_deadline()
-        if t is not None and t < due:
-            due = t
+        due = self.runtime.transport.next_deadline()
         for rn in self.raft.values():
             t = rn.next_due()
-            if t < due:
+            if due is None or t < due:
                 due = t
         return due
-
-    def _gc_hub(self, now: int) -> None:
-        """Sweep unclaimed responses older than ``hub_ttl_ns``.
-
-        A client that exhausts its attempts stops polling its
-        ``(client, seq)`` key, and a retry that already completed leaves
-        the duplicate answer behind — without a sweep those entries
-        accumulate for the life of the run (an unbounded leak under
-        open-loop load, visible only as ``hub_backlog``).
-        """
-        ttl = self.config.hub_ttl_ns
-        stale = [k for k, v in self.hub.items() if now - v[3] > ttl]
-        for k in stale:
-            del self.hub[k]
-        if stale:
-            self.counters.add("kv.hub_expired", len(stale))
-        self._hub_gc_due = now + ttl
 
     def _apply_committed(self) -> int:
         """Apply newly committed entries; answer pending clients.
@@ -749,7 +756,7 @@ class KVNode:
                          for g, sm in self.machines.items()},
             "slots_used": {str(g): self._next_slot[g] for g in self.raft},
             "pending_writes": len(self._pending),
-            "hub_backlog": len(self.hub),
+            "rpcs_in_flight": len(self.hub),
         }
 
 

@@ -32,11 +32,14 @@ from repro.kv.raft import (CANDIDATE, FOLLOWER, LEADER, MSG_APPEND,
                            encode_msg)
 from repro.kv.shard import (CodecError, OP_CAS, OP_PUT, ST_CAS_FAIL,
                             ST_MISS, ST_OK)
+from repro.kv.store import (ACT_RESP, PendingReply, RESP_FAIL, RESP_NO_LEASE,
+                            RESP_NOT_LEADER, RESP_OK, pack_loc,
+                            pack_response, unpack_loc, unpack_request,
+                            unpack_response)
 from repro.kv.workload import WorkloadStats, ZipfKeys
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
 from repro.runtime.health import HealthConfig, build_health
-from repro.sim.resources import Signal
 from repro.sim.rng import RngRegistry
 
 from tests.test_determinism_golden import (GOLDEN, _photon_clean_workload,
@@ -520,6 +523,19 @@ def test_command_decode_rejects_malformed_frames():
         decode_command(good + b"xx")   # body longer than lengths claim
 
 
+def test_response_and_loc_decode_reject_malformed_frames():
+    good = pack_response(0, -1, 7, 9, b"value")
+    assert unpack_response(good) == (0, -1, 7, 9, b"value")
+    for bad in (b"", good[:5], good[:-2], good + b"x"):
+        with pytest.raises(CodecError):
+            unpack_response(bad)       # truncated / vlen past the end / long
+    loc = pack_loc(2, 3, 160, 0x1000, 0xbeef)
+    assert unpack_loc(loc) == (2, 3, 160, 0x1000, 0xbeef)
+    for bad in (b"", loc[:-1], loc + b"x"):
+        with pytest.raises(CodecError):
+            unpack_loc(bad)
+
+
 def test_shard_map_reassign_flips_ownership_and_epoch():
     sm = ShardMap(n_groups=4, n_ranks=6, rf=3)
     keys = [f"key:{i}".encode() for i in range(2000)]
@@ -768,31 +784,54 @@ def test_onesided_version_regression_falls_back_to_rpc():
     assert out["stats"].rpc_reads == 1
 
 
-def test_hub_gc_sweeps_unclaimed_responses():
-    from repro.kv.store import pack_response
-
+def test_late_response_is_dropped_and_the_hub_holds_only_rpcs_in_progress():
+    """The hub is a table of RPCs in progress, not a mailbox: an answer
+    nobody is registered for — a duplicate to a retry that already
+    completed, a client that gave up — is dropped on arrival and counted,
+    so there is nothing to sweep.  At quiescence the table is empty."""
     def body(env, cl, nodes, out):
         c = KVClient(nodes[0], client_id=9)
-        yield from c.put(b"gc", b"v")
-        # a response no client will ever claim — e.g. a duplicate answer
-        # to a retried attempt that already completed
-        nodes[0].handle_response(0, pack_response(0, 0, 999, 1, b"zombie"))
-        assert (999, 1) in nodes[0].hub
-        yield env.timeout(3 * nodes[0].config.hub_ttl_ns)
-        out["backlog"] = dict(nodes[0].hub)
+        put = env.process(c.put(b"gc", b"v"))
+        yield env.timeout(1_000)
+        out["during"] = set(nodes[0].hub)
+        yield put
+        late = cl.scope(0).get("kv.late_responses")
+        for client, seq in [(999, 1), (9, c.seq)]:
+            nodes[0].handle_response(
+                0, pack_response(0, 0, client, seq, b"zombie"))
+        out["dropped"] = cl.scope(0).get("kv.late_responses") - late
+        out["get"] = yield from c.get(b"gc")   # the zombie is not its answer
 
-    _cl, _nodes, out = _run_kv(body)
-    assert (999, 1) not in out["backlog"]
-    assert out["backlog"] == {}
+    _cl, nodes, out = _run_kv(body)
+    assert out["during"] == {(9, 1)}
+    assert out["dropped"] == 2 and out["get"] == (ST_OK, b"v")
+    assert [len(n.hub) for n in nodes] == [0, 0, 0]
+    assert nodes[0].stats()["rpcs_in_flight"] == 0
 
 
 def _stub_node(env, hub=None):
     """As much of a ``KVNode`` as a ``KVClient`` touches."""
     return SimpleNamespace(
-        env=env, hub={} if hub is None else hub, hub_bell=Signal(env),
+        env=env, hub={} if hub is None else hub,
         photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
         config=SimpleNamespace(slot_size=160),
         shard_map=ShardMap(1, 2, rf=2))
+
+
+def _scripted_runtime(env, hub, sends, answer_for):
+    """A runtime whose ``send`` files ``answer_for(n, dst)`` (None: nothing)
+    in the sender's registration before it returns."""
+    class _Runtime:
+        @staticmethod
+        def send(dst, action, payload):
+            sends.append(env.now)
+            _kind, client, seq, _group, _epoch, _body = \
+                unpack_request(payload)
+            answer = answer_for(len(sends), dst)
+            if answer is not None:
+                hub[(client, seq)].answer = answer
+            yield env.timeout(50)
+    return _Runtime()
 
 
 def test_redirect_bounce_backs_off_instead_of_burning_attempts():
@@ -800,25 +839,13 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     the whole attempt budget at wire speed: after the first followed
     hint every further redirect pays the same exponential backoff as
     the hint-less path, so the retry loop outlives an election."""
-    from repro.kv.store import RESP_FAIL, RESP_NOT_LEADER
-
     cl = build_cluster(2, "ib-fdr", seed=41)
     env = cl.env
-    hub = {}
-    sends = {"n": 0}
-
-    class _Runtime:
-        @staticmethod
-        def send(dst, action, payload):
-            sends["n"] += 1
-            from repro.kv.store import unpack_request
-            _kind, client, seq, _group, _epoch, _body = \
-                unpack_request(payload)
-            hub[(client, seq)] = (RESP_NOT_LEADER, 1 - dst, b"", env.now)
-            yield env.timeout(50)
-
+    hub, sends = {}, []
     node = _stub_node(env, hub)
-    node.runtime = _Runtime()  # answers before the wait: the bell never rings
+    # answers before the wait: no bell ever rings
+    node.runtime = _scripted_runtime(
+        env, hub, sends, lambda n, dst: (RESP_NOT_LEADER, 1 - dst, b""))
 
     c = KVClient(node, client_id=1)
     out = {}
@@ -832,101 +859,239 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     env.run(until=done)
     assert out["result"][0] == RESP_FAIL
     assert c.stats.redirects == c.max_attempts
-    assert sends["n"] == c.max_attempts
+    assert len(sends) == c.max_attempts
     # without backoff 24 wire-speed hops take ~1 µs; with it the loop
     # spans well over a millisecond — longer than a leaderless window
     assert out["elapsed"] >= 1_000_000
+    assert hub == {}    # the give-up unregistered
+
+
+def test_answer_that_lands_during_a_backoff_is_there_for_the_next_attempt():
+    """The registration spans the whole RPC: attempt 1 is told NO_LEASE
+    and backs off ``8 * poll_ns``; the OK that lands 5 us into that sleep
+    (a slower replica's answer to the same uid) is not dropped — attempt 2
+    takes it without waiting."""
+    env = build_cluster(2, "ib-fdr", seed=41).env
+    hub, sends = {}, []
+    node = _stub_node(env, hub)
+    node.runtime = _scripted_runtime(
+        env, hub, sends,
+        lambda n, dst: (RESP_NO_LEASE, dst, b"") if n == 1 else None)
+    c = KVClient(node, client_id=1, poll_ns=2_000)
+
+    def late_ok():
+        yield env.timeout(5_000)
+        hub[(1, 1)].answer = (RESP_OK, 0, b"late")
+        hub[(1, 1)].bell.fire()        # nobody is parked: woken nobody
+
+    env.process(late_ok())
+    done = env.process(c._get_rpc(b"k"))
+    env.run(until=done)
+    assert done.value == (ST_OK, b"late")
+    assert sends == [0, 50 + 16_000] and env.now == 50 + 16_000 + 50
+    assert c.stats.lease_retries == 1 and c.stats.timeouts == 0
+    assert hub == {} and env.peek() is None
 
 
 # --------------------------------------------------------------------------
 # attentive server loop and client wait (wake-on-arrival)
 # --------------------------------------------------------------------------
 
-def _oracle_await(client, seq):
-    """The literal hub poll ``KVClient._await`` stands for: look, sleep
-    ``poll_ns``, look again — every probe run, none skipped."""
-    env, hub = client.env, client.node.hub
-    key = (client.client_id, seq)
+def _oracle_await(client, reply):
+    """The most attentive poll there is — look at the registration every
+    nanosecond until the attempt deadline, every probe run, none skipped.
+    ``KVClient._await`` must be exactly that, for one wake."""
+    env = client.env
     deadline = env.now + client.timeout_ns
-    while key not in hub:
+    while reply.answer is None:
         if env.now >= deadline:
             return None
-        yield env.timeout(client.poll_ns)
-    status, hint, value, _arrived = hub.pop(key)
-    return status, hint, value
+        yield env.timeout(1)
+    answer, reply.answer = reply.answer, None
+    return answer
 
 
-#: (name, [(instant, "file" | "ring" | "wipe"), ...]) for a client that starts to
-#: wait at T0 with poll_ns 2000 and timeout_ns 9000: probes at T0 + 2000k,
-#: the last one at T0 + 10000
+#: (name, [(instant, "file" | "ring" | "wipe"), ...], answered) for client 1,
+#: which starts to wait at T0 with timeout_ns 9000; ``answered`` is (instant
+#: the wait returns, instant its answer was filed), or None: no answer, at
+#: T0 + 9000.  The names place each instant on the probe grid PR 19's
+#: ``_await`` looked on (T0 + 2000k, last probe T0 + 10000): there is no grid
+#: any more — an answer filed before the deadline comes back at that instant
 _AWAIT_T0 = 500
 _AWAIT_SCRIPTS = [
-    ("already there", [(200, "file")]),
-    ("on a grid instant", [(_AWAIT_T0 + 4_000, "file")]),
-    ("off the grid", [(_AWAIT_T0 + 4_500, "file")]),
-    ("a nanosecond before a probe", [(_AWAIT_T0 + 5_999, "file")]),
+    ("already there", [(200, "file")], (_AWAIT_T0, 200)),
+    ("on a grid instant", [(_AWAIT_T0 + 4_000, "file")],
+     (_AWAIT_T0 + 4_000, _AWAIT_T0 + 4_000)),
+    ("off the grid", [(_AWAIT_T0 + 4_500, "file")],
+     (_AWAIT_T0 + 4_500, _AWAIT_T0 + 4_500)),
+    ("a nanosecond before a probe", [(_AWAIT_T0 + 5_999, "file")],
+     (_AWAIT_T0 + 5_999, _AWAIT_T0 + 5_999)),
     ("past the deadline, before the last probe",
-     [(_AWAIT_T0 + 9_200, "file")]),
-    ("on the last probe", [(_AWAIT_T0 + 10_000, "file")]),
-    ("after the last probe", [(_AWAIT_T0 + 10_500, "file")]),
-    ("never", []),
+     [(_AWAIT_T0 + 9_200, "file")], None),
+    ("on the last probe", [(_AWAIT_T0 + 10_000, "file")], None),
+    ("after the last probe", [(_AWAIT_T0 + 10_500, "file")], None),
+    ("never", [], None),
+    # on_crash in the nanosecond of the filing, before the woken client runs
     ("wiped by on_crash before the probe",
-     [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_500, "wipe")]),
+     [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_000, "wipe")], None),
     ("wiped, then answered again",
-     [(_AWAIT_T0 + 3_000, "file"), (_AWAIT_T0 + 3_500, "wipe"),
-      (_AWAIT_T0 + 6_100, "file")]),
+     [(_AWAIT_T0 + 2_000, "wipe"), (_AWAIT_T0 + 3_000, "file"),
+      (_AWAIT_T0 + 3_000, "wipe"), (_AWAIT_T0 + 6_100, "file")],
+     (_AWAIT_T0 + 6_100, _AWAIT_T0 + 6_100)),
     ("somebody else's answer rings 100 ns before the probe ours lands on",
-     [(_AWAIT_T0 + 3_900, "ring"), (_AWAIT_T0 + 4_000, "file")]),
+     [(_AWAIT_T0 + 3_900, "ring"), (_AWAIT_T0 + 4_000, "file")],
+     (_AWAIT_T0 + 4_000, _AWAIT_T0 + 4_000)),
 ]
 
 
-@pytest.mark.parametrize("name,script", _AWAIT_SCRIPTS,
-                         ids=[n for n, _s in _AWAIT_SCRIPTS])
-def test_await_returns_what_the_literal_hub_poll_returns(name, script):
-    """``_await`` parks on the hub bell and looks only on its probe grid:
-    same answer at the same instant as the loop that runs every probe,
-    and nothing of it left on the event queue afterwards.  A second
-    waiter with another phase and period shares the bell.  Responses are
-    filed the way the server files them, 150 ns (the handler cost) after
-    the timer before: a probe due the same nanosecond was armed a whole
-    period earlier and runs first."""
+@pytest.mark.parametrize("name,script,answered", _AWAIT_SCRIPTS,
+                         ids=[n for n, _s, _a in _AWAIT_SCRIPTS])
+def test_await_returns_what_the_literal_hub_poll_returns(name, script,
+                                                         answered):
+    """``_await`` parks on its own registration's bell: same answer at the
+    same instant as the loop that looks every nanosecond, one wake, and
+    nothing of it left on the event queue afterwards.  Answers are filed
+    by a real (unstarted) node's ``handle_response`` and wiped by its
+    ``on_crash``, the way the server does it: 150 ns (the handler cost)
+    after the timer before.  A second client on the node waits from
+    another instant; a third (``ring``) is answered beside them."""
     def run(await_fn):
-        env = build_cluster(2, "ib-fdr", seed=41).env
-        node = _stub_node(env)
-        clients = [KVClient(node, client_id=1, poll_ns=2_000,
-                            timeout_ns=9_000),
-                   KVClient(node, client_id=2, poll_ns=1_700,
-                            timeout_ns=9_000)]
+        cl = build_cluster(2, "ib-fdr", seed=41)
+        env = cl.env
+        node = build_kv(cl, photon_init(cl), KVConfig(n_groups=1, rf=1),
+                        start=False)[1]
+        clients = [KVClient(node, client_id=c, timeout_ns=9_000)
+                   for c in (1, 2)]
         starts = [_AWAIT_T0, _AWAIT_T0 + 333]
+        replies = {cid: PendingReply(env) for cid in (1, 2, 3)}
+        node.hub.update(((cid, 7), r) for cid, r in replies.items())
 
         def respond(at, what):
             yield env.timeout(at - 150)
             yield env.timeout(150)
             if what == "wipe":
-                node.hub.clear()
+                node.on_crash()
                 return
-            if what == "file":
-                for c in clients:
-                    node.hub[(c.client_id, 7)] = (0, 1, b"v%d" % at, env.now)
-            node.hub_bell.fire()
+            for cid in ((1, 2) if what == "file" else (3,)):
+                node.handle_response(
+                    0, pack_response(0, 1, cid, 7, b"v%d" % at))
 
         def wait(c, start):
             yield env.timeout(start)
-            answer = yield from await_fn(c, 7)
+            answer = yield from await_fn(c, replies[c.client_id])
             return env.now, answer
 
         for at, what in script:
             env.process(respond(at, what))
         procs = [env.process(wait(c, t)) for c, t in zip(clients, starts)]
         env.run(until=env.all_of(procs))
-        return [p.value for p in procs], env.peek()
+        return ([p.value for p in procs], env.peek(),
+                [replies[cid].bell.fires for cid in (1, 2)])
 
-    got, pending = run(KVClient._await)
-    want, _ = run(_oracle_await)
+    got, pending, rings = run(KVClient._await)
+    want, _, _ = run(_oracle_await)
     assert got == want
+    assert got[0] == ((answered[0], (0, 1, b"v%d" % answered[1])) if answered
+                      else (_AWAIT_T0 + 9_000, None))
+    # a bell rings for its own answers and its own deadline, never for
+    # client 3's ("ring") — on a shared bell that script rings twice
+    own = sum(what == "file" for _t, what in script) + (answered is None)
+    assert all(0 < n <= own for n in rings)
     # whatever is still queued is a later scripted response, not a timer
-    # of ours: none of the scripts outlasts the last probe by 1 us
+    # of ours: none of the scripts outlasts the old last probe by 1 us
     assert pending is None or pending < _AWAIT_T0 + 11_000
+
+
+def test_malformed_response_frames_are_dropped_and_wake_nobody():
+    """A truncated response frame, and one whose ``vlen`` runs past its
+    end, arrive over the wire at a serving node: typed, counted, dropped
+    — the serve loop survives and the registered waiter stays parked."""
+    good = pack_response(0, 0, 77, 1, b"value")
+
+    def body(env, cl, nodes, out):
+        reply = nodes[0].hub[(77, 1)] = PendingReply(env)
+        out["parked"] = reply.bell.wait()
+        before = cl.scope(0).get("kv.codec_errors")
+        for bad in (good[:5], good[:-2]):
+            yield from nodes[1].runtime.send(0, ACT_RESP, bad)
+        yield env.timeout(20_000)
+        out["errors"] = cl.scope(0).get("kv.codec_errors") - before
+        out["reply"] = reply
+
+    _cl, nodes, out = _run_kv(body)
+    assert out["errors"] == 2 and nodes[0]._proc.is_alive
+    assert not out["parked"].triggered and out["reply"].answer is None
+    assert out["reply"].bell.fires == 0
+
+
+def test_a_pass_ships_before_it_applies():
+    """Nothing waits for an apply it does not need: whenever a replica
+    applies a command its Raft outbox is empty — the follower's ack and
+    the leader's next AppendEntries left before ``apply_cost_ns`` was
+    charged — while the client's answer, which carries the result, is
+    shipped only after its own apply."""
+    def body(env, cl, nodes, out):
+        cost = nodes[0].config.apply_cost_ns
+        applies, waiting, early = {}, [], []
+
+        def hook(node):
+            sm, ship = node.machines[0], node._ship
+
+            def apply(cmd, _inner=sm.apply):
+                applies[node.rank] = applies.get(node.rank, 0) + 1
+                waiting.append(len(node.raft[0].outbox))
+                if node.is_leader(0):
+                    out.setdefault("applied_at", {})[cmd.uid] = env.now
+                return _inner(cmd)
+
+            def shipped(dst, action, payload):
+                if action == ACT_RESP:
+                    _st, _hint, client, seq, _v = unpack_response(payload)
+                    t = out.get("applied_at", {}).get((client, seq))
+                    early.append(t is None or env.now < t + cost)
+                return ship(dst, action, payload)
+            sm.apply, node._ship = apply, shipped
+
+        for node in nodes:
+            hook(node)
+        c = KVClient(nodes[1], client_id=5)
+        for i in range(20):
+            assert (yield from c.put(b"k%d" % (i % 3), b"v%d" % i)) == ST_OK
+        yield env.timeout(4 * HB)      # followers apply the tail
+        out.update(applies=applies, waiting=waiting, early=early)
+
+    _cl, _nodes, out = _run_kv(body)
+    assert out["applies"] == {0: 20, 1: 20, 2: 20}
+    assert set(out["waiting"]) == {0}
+    assert len(out["early"]) == 20 and not any(out["early"])
+
+
+def test_rpc_get_after_an_acknowledged_put_sees_it_or_a_later_one():
+    """Shipping before applying must not let a read overtake a write the
+    store already acknowledged: a reader that starts a get after put *i*
+    returned OK gets value *i* or a later one (rpc arm)."""
+    def body(env, cl, nodes, out):
+        writer = KVClient(nodes[1], client_id=1)
+        reader = KVClient(nodes[2], client_id=2)
+        acked = [-1]
+        seen = out["seen"] = []
+
+        def write():
+            for i in range(60):
+                assert (yield from writer.put(b"reg", b"%04d" % i)) == ST_OK
+                acked[0] = i
+
+        done = env.process(write())
+        while not done.triggered:
+            floor = acked[0]
+            status, value = yield from reader.get(b"reg")
+            if status == ST_OK:
+                seen.append((floor, int(value)))
+
+    _cl, _nodes, out = _run_kv(body)
+    assert len(out["seen"]) > 60
+    assert all(got >= floor for floor, got in out["seen"])
+    assert max(floor for floor, _got in out["seen"]) >= 58
 
 
 def test_colocated_onesided_reads_cost_the_serve_loop_nothing():

@@ -149,6 +149,21 @@ def test_blocking_waits_have_one_pacing_mechanism():
     assert "timeout(" not in serve and "backoff" not in serve
 
 
+def test_a_reply_has_one_way_to_its_request():
+    """A KV answer is handed to the RPC registered for it and wakes that
+    waiter: the shared reply bell, the mailbox sweep and its option must
+    not come back, and the client's wait keeps no timer of its own (its
+    deadline is the alarm of the bell it parks on)."""
+    pattern = re.compile(r"hub_bell|hub_ttl_ns|_gc_hub|_hub_gc_due")
+    bad = [path for path in _py_files("src")
+           if pattern.search(open(path).read())]
+    assert not bad, bad
+    client = open(os.path.join("src", "repro", "kv", "client.py")).read()
+    await_ = client[client.index("def _await("):]
+    await_ = await_[:await_.index("\n    # ---")]
+    assert "timeout(" not in await_ and "poll_ns" not in await_
+
+
 def test_links_have_one_path_per_job():
     """A clean link is a schedule and a served link two timers: the
     virtual holds, the burst drain's wakeup, the per-chunk propagate
