@@ -1066,6 +1066,40 @@ def test_a_pass_ships_before_it_applies():
     assert len(out["early"]) == 20 and not any(out["early"])
 
 
+def test_op_timeline_is_a_tool_not_a_model(monkeypatch):
+    """``tests/op_timeline.py`` wrapped around the KV classes moves no
+    instant, and lays a put out hop by hop in causal order: proposed,
+    shipped, appended and acked on both followers before either applies
+    anything, committed, applied, answered, filed, returned."""
+    from tests.op_timeline import Recorder, hops, install
+
+    def body(env, cl, nodes, out):
+        c = KVClient(nodes[1], client_id=5)
+        for i in range(3):
+            yield from c.put(b"k", b"v%d" % i)
+        out["now"] = env.now
+
+    _cl, _nodes, plain = _run_kv(body)
+    rec = Recorder()
+    install(rec, monkeypatch.setattr)
+    rec.want = 100
+    _cl, _nodes, traced = _run_kv(body)
+    assert traced["now"] == plain["now"]
+    assert [r[4] for r in rec.rpcs] == [1, 2, 3]
+    lines = hops(rec, rec.rpcs[2])
+    assert [t for t, _r, _text in lines] == sorted(t for t, _r, _x in lines)
+    seen = [next(i for i, (_t, _r, text) in enumerate(lines) if word in text)
+            for word in ("_rpc starts", "proposed as g0", "AppendEntries [",
+                         "appended", "ack shipped", "commits index",
+                         "applied 1 entries", "answer (status 0)", "filed",
+                         "_rpc returns status 0")]
+    assert seen == sorted(seen)
+    for f in {r for _t, r, text in lines if "ack shipped" in text}:
+        mine = [text for _t, r, text in lines if r == f]
+        assert mine.index(next(x for x in mine if "ack shipped" in x)) < \
+            mine.index(next(x for x in mine if "(earlier)" in x))
+
+
 def test_rpc_get_after_an_acknowledged_put_sees_it_or_a_later_one():
     """Shipping before applying must not let a read overtake a write the
     store already acknowledged: a reader that starts a get after put *i*
