@@ -1,11 +1,10 @@
 """KV client: leader discovery, redirects, retries, two read arms.
 
 A :class:`KVClient` lives on some rank and talks to the store through
-that rank's :class:`~repro.kv.store.KVNode` (every RPC registers with the
-node's hub while it runs and the node's server loop hands the answer to
-that registration; requests go straight onto the shared parcel transport
-— concurrent senders per rank are a supported pattern everywhere in this
-repo).
+that rank's :class:`~repro.kv.store.KVNode` (an RPC registers with the
+node's hub and the server loop hands its answer to that registration;
+requests go straight onto the shared parcel transport — concurrent
+senders per rank are a supported pattern everywhere in this repo).
 
 Write path: the client hashes the key to a group, sends the command to
 its best guess for the group's leader, and follows ``NotLeader``
@@ -46,9 +45,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Tuple
 
-from .shard import (Command, OP_CAS, OP_DELETE, OP_PUT, ST_CAS_FAIL,
-                    ST_MISS, ST_OK, encode_command)
-from .shard import CodecError
+from .shard import (CodecError, Command, OP_CAS, OP_DELETE, OP_PUT,
+                    ST_CAS_FAIL, ST_MISS, ST_OK, encode_command)
 from .store import (ACT_REQ, KVNode, PendingReply, REQ_LOC, REQ_READ,
                     REQ_SNAP, REQ_WRITE, RESP_FAIL, RESP_NO_LEASE,
                     RESP_NOT_LEADER, RESP_WRONG_EPOCH, SLOT_OVERSIZE,
@@ -76,12 +74,9 @@ class ClientStats:
 
 class KVClient:
     """One logical client session (unique id, monotonically growing seq).
-
-    ``timeout_ns`` bounds one attempt of an RPC, ``max_attempts`` the
-    RPC.  ``poll_ns`` is the unit of the redirect / lease back-off, which
-    starts at ``8 * poll_ns`` and doubles — nothing polls: a waiting
-    client is woken by its answer.
-    """
+    ``timeout_ns`` bounds one attempt of an RPC, ``max_attempts`` the RPC;
+    ``poll_ns`` is the unit of the redirect / lease back-off (``8 *
+    poll_ns``, doubling) — nothing polls: an answer wakes its waiter."""
 
     def __init__(self, node: KVNode, client_id: int,
                  read_mode: str = "rpc", timeout_ns: int = 2_000_000,
@@ -284,112 +279,103 @@ class KVClient:
         """Send to the believed leader, follow redirects, retry on
         timeout.  Returns ``(status, value)`` with RESP_FAIL on give-up.
 
-        The RPC is registered with the node's hub from the first send to
-        the return — every attempt and every back-off in between — so an
-        answer to attempt *k* that lands during the back-off before
-        attempt *k+1* is there when that one looks; once the RPC is over
-        the node drops whatever still arrives for it.
+        Routing: ``key`` requests hash through this client's frozen ring
+        view and re-route after a WRONG_EPOCH refetch; ``group`` pins an
+        explicit target (admin ops) and only the stamped epoch refreshes.
+
+        The RPC stays registered with the node's hub across every attempt
+        and every back-off in between: an answer that lands during a
+        back-off is there for the next attempt, one that lands after the
+        return is dropped.
         """
         uid = (self.client_id, seq)
         reply = self.node.hub[uid] = PendingReply(self.env)
         try:
-            return (yield from self._attempts(kind, body, seq, key, group,
-                                              reply))
-        finally:
-            del self.node.hub[uid]
-
-    def _attempts(self, kind: int, body: bytes, seq: int, key: bytes,
-                  group: int, reply: PendingReply):
-        """The retry loop of :meth:`_rpc`.
-
-        Routing: ``key`` requests hash through this client's frozen ring
-        view and re-route after a WRONG_EPOCH refetch; ``group`` pins an
-        explicit target (admin ops) and only the stamped epoch refreshes.
-        """
-        g = group if group is not None else self._view.group_of(key)
-        replicas = self.node.shard_map.replicas(g)
-        dst = self._leader.get(g, replicas[0])
-        fallback = 0
-        redirects = 0
-        # leaderless windows (bootstrap, failover) last an election
-        # timeout or more: back off exponentially instead of burning the
-        # attempt budget at poll speed
-        backoff = self.poll_ns * 8
-        for _attempt in range(self.max_attempts):
-            payload = pack_request(kind, self.client_id, seq, g,
-                                   self._view.epoch, body)
-            sent = True
-            try:
-                yield from self.node.runtime.send(dst, ACT_REQ, payload)
-            except PeerDownError:
-                sent = False
-            answer = None
-            if sent:
-                answer = yield from self._await(reply)
-            if answer is None:
-                # dead/laggy replica: rotate through the replica set
-                self.stats.timeouts += sent
-                fallback += 1
-                dst = replicas[fallback % len(replicas)]
-                self._leader.pop(g, None)
-                continue
-            status, hint, value = answer
-            if status == RESP_NOT_LEADER:
-                self.stats.redirects += 1
-                redirects += 1
-                followed_hint = hint >= 0 and hint != dst
-                if followed_hint:
-                    dst = hint
-                else:
+            g = group if group is not None else self._view.group_of(key)
+            replicas = self.node.shard_map.replicas(g)
+            dst = self._leader.get(g, replicas[0])
+            fallback = 0
+            redirects = 0
+            # leaderless windows (bootstrap, failover) last an election
+            # timeout or more: back off exponentially instead of burning the
+            # attempt budget at wire speed
+            backoff = self.poll_ns * 8
+            for _attempt in range(self.max_attempts):
+                payload = pack_request(kind, self.client_id, seq, g,
+                                       self._view.epoch, body)
+                sent = True
+                try:
+                    yield from self.node.runtime.send(dst, ACT_REQ, payload)
+                except PeerDownError:
+                    sent = False
+                answer = None
+                if sent:
+                    answer = yield from self._await(reply)
+                if answer is None:
+                    # dead/laggy replica: rotate through the replica set
+                    self.stats.timeouts += sent
                     fallback += 1
                     dst = replicas[fallback % len(replicas)]
-                # one fresh hint is followed for free (the common
-                # steady-state redirect); after that, or with no usable
-                # hint, back off — mid-election the replicas' stale
-                # leader views can bounce a request between each other
-                # at wire speed and burn the whole attempt budget in
-                # less than a leaderless window
-                if not followed_hint or redirects >= 2:
+                    self._leader.pop(g, None)
+                    continue
+                status, hint, value = answer
+                if status == RESP_NOT_LEADER:
+                    self.stats.redirects += 1
+                    redirects += 1
+                    followed_hint = hint >= 0 and hint != dst
+                    if followed_hint:
+                        dst = hint
+                    else:
+                        fallback += 1
+                        dst = replicas[fallback % len(replicas)]
+                    # one fresh hint is followed for free (the common
+                    # steady-state redirect); after that, or with no usable
+                    # hint, back off — mid-election the replicas' stale
+                    # leader views can bounce a request between each other
+                    # at wire speed and burn the whole attempt budget in
+                    # less than a leaderless window
+                    if not followed_hint or redirects >= 2:
+                        yield self.env.timeout(backoff)
+                        backoff = min(backoff * 2, 400_000)
+                    continue
+                if status == RESP_NO_LEASE:
+                    self.stats.lease_retries += 1
                     yield self.env.timeout(backoff)
                     backoff = min(backoff * 2, 400_000)
-                continue
-            if status == RESP_NO_LEASE:
-                self.stats.lease_retries += 1
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 400_000)
-                continue
-            if status == RESP_WRONG_EPOCH:
-                # the ring moved under us (or the range is sealed while
-                # a move is in flight): refetch the map, re-route, retry.
-                # Pre-flip sealed rejections return the *same* epoch, so
-                # this degenerates to a plain backoff until the flip —
-                # which is exactly the intended client behaviour.
-                self.stats.wrong_epoch += 1
-                self._refresh_view()
-                if group is None:
-                    new_g = self._view.group_of(key)
-                    if new_g != g:
-                        g = new_g
-                        replicas = self.node.shard_map.replicas(g)
-                        fallback = 0
-                        dst = self._leader.get(g, replicas[0])
-                        # dropped keys' cached one-sided locations now
-                        # point at the old owner — invalidate this one
-                        if key is not None:
-                            self._loc.pop(key, None)
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 400_000)
-                continue
-            self._leader[g] = dst
-            return status, value
-        return RESP_FAIL, b""
+                    continue
+                if status == RESP_WRONG_EPOCH:
+                    # the ring moved under us (or the range is sealed while
+                    # a move is in flight): refetch the map, re-route, retry.
+                    # Pre-flip sealed rejections return the *same* epoch, so
+                    # this degenerates to a plain backoff until the flip —
+                    # which is exactly the intended client behaviour.
+                    self.stats.wrong_epoch += 1
+                    self._refresh_view()
+                    if group is None:
+                        new_g = self._view.group_of(key)
+                        if new_g != g:
+                            g = new_g
+                            replicas = self.node.shard_map.replicas(g)
+                            fallback = 0
+                            dst = self._leader.get(g, replicas[0])
+                            # dropped keys' cached one-sided locations now
+                            # point at the old owner — invalidate this one
+                            if key is not None:
+                                self._loc.pop(key, None)
+                    yield self.env.timeout(backoff)
+                    backoff = min(backoff * 2, 400_000)
+                    continue
+                self._leader[g] = dst
+                return status, value
+            return RESP_FAIL, b""
+        finally:
+            del self.node.hub[uid]
 
     def _await(self, reply: PendingReply):
         """Take the answer if it is there, else park on this RPC's own
         bell until the attempt deadline (generator → answer or None).
-        ``KVNode.handle_response`` rings the bell the instant it files the
-        answer; ``on_crash`` may wipe a filed answer before we run, hence
-        the loop."""
+        ``handle_response`` rings it the instant it files the answer;
+        ``on_crash`` may wipe that before we run, hence the loop."""
         deadline = self.env.now + self.timeout_ns
         while reply.answer is None and self.env.now < deadline:
             yield reply.bell.wait(deadline)

@@ -608,10 +608,9 @@ class RaftNode:
             raise SimulationError(
                 f"group {self.group} got message for group {msg.group}")
         if msg.term > self.term:
-            # Raft §5.2: a higher term is not word from a leader.  Only a
-            # granted vote or the leader's own AppendEntries / snapshot
-            # chunk (both below) push the election timer back — else a
-            # candidate that can never win keeps resetting one that can
+            # Raft §5.2: a higher term is not word from a leader — only a
+            # granted vote or the leader's AppendEntries / snapshot chunk
+            # (below) may push back the timer of a replica that can win
             self._become_follower(msg.term, now, heard_leader=False)
         if msg.kind == MSG_VOTE_REQ:
             self._on_vote_req(msg, now)

@@ -106,14 +106,12 @@ def pack_response(status: int, hint: int, client: int, seq: int,
 
 
 def unpack_response(raw: bytes) -> Tuple[int, int, int, int, bytes]:
-    if len(raw) < _RESP.size:
-        raise CodecError(
-            f"response frame truncated: {len(raw)} < {_RESP.size}")
-    status, hint, client, seq, vlen = _RESP.unpack_from(raw, 0)
-    if len(raw) != _RESP.size + vlen:
-        raise CodecError(f"response declares {vlen} value bytes, frame has "
-                         f"{len(raw) - _RESP.size}")
-    return status, hint, client, seq, raw[_RESP.size:]
+    if len(raw) >= _RESP.size:
+        status, hint, client, seq, vlen = _RESP.unpack_from(raw, 0)
+        if len(raw) == _RESP.size + vlen:
+            return status, hint, client, seq, raw[_RESP.size:]
+    raise CodecError(f"response frame of {len(raw)} bytes: truncated, or "
+                     "not the length its header declares")
 
 
 def pack_loc(leader: int, slot: int, slot_size: int, addr: int,
@@ -189,13 +187,13 @@ def register_actions(registry: ActionRegistry) -> None:
 
 
 class PendingReply:
-    """One client RPC in progress, as its node sees it: where the answer
-    is filed and the bell that wakes the one process waiting for it."""
+    """One client RPC in progress, as its node sees it: the answer
+    ``(status, hint, value)`` from its filing until the client takes it,
+    and the bell that wakes the one process waiting for it."""
 
     __slots__ = ("answer", "bell")
 
     def __init__(self, env):
-        #: ``(status, hint, value)`` until the client takes it, else None
         self.answer: Optional[Tuple[int, int, bytes]] = None
         self.bell = Signal(env)
 
@@ -234,9 +232,8 @@ class KVNode:
         self._pending_uid: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: outgoing (dst, action, payload) drained by the server loop
         self._tx: Deque[Tuple[int, str, bytes]] = deque()
-        #: client hub: (client, seq) -> the RPC a co-located client has in
-        #: progress, registered by ``KVClient._rpc`` for exactly as long as
-        #: it runs — an answer for anything else is dropped on arrival
+        #: client hub: (client, seq) -> the RPC ``KVClient._rpc`` registered,
+        #: for as long as it runs; an answer for anything else is dropped
         self.hub: Dict[Tuple[int, int], PendingReply] = {}
         # local high-water caches so the per-tick set_max telemetry only
         # pays a counter call when a peak actually moves
@@ -497,8 +494,7 @@ class KVNode:
             self.counters.add("kv.codec_errors")
             return
         reply = self.hub.get((client, seq))
-        if reply is None:
-            # a late duplicate, or the client gave up: nobody to hand it to
+        if reply is None:  # a late duplicate, or its client gave up
             self.counters.add("kv.late_responses")
             return
         reply.answer = (status, hint, value)
@@ -533,13 +529,10 @@ class KVNode:
                               next_due=self._next_due)
 
     def _pass(self):
-        """One runtime progress pass, then timers, flush, apply, and a
-        second flush for the answers apply produced (generator → did
-        anything).  What the pass owes its peers — a follower's ack, a
-        leader's next AppendEntries, a redirect — ships before
-        ``apply_cost_ns`` is charged: an ack promises the entry is in the
-        log, not that it is applied (Raft §5.3).  Only an answer that
-        carries apply's result waits for it."""
+        """One runtime progress pass, then timers, flush, apply, flush
+        (generator → did anything).  An ack or the next AppendEntries
+        ships before ``apply_cost_ns`` is charged — it promises the entry
+        is logged, not applied — and only apply's own answers wait for it."""
         if not self.photon.alive:
             # fail-stop: a crashed rank neither serves nor ticks
             return False
@@ -756,7 +749,6 @@ class KVNode:
                          for g, sm in self.machines.items()},
             "slots_used": {str(g): self._next_slot[g] for g in self.raft},
             "pending_writes": len(self._pending),
-            "rpcs_in_flight": len(self.hub),
         }
 
 

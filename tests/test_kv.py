@@ -806,7 +806,6 @@ def test_late_response_is_dropped_and_the_hub_holds_only_rpcs_in_progress():
     assert out["during"] == {(9, 1)}
     assert out["dropped"] == 2 and out["get"] == (ST_OK, b"v")
     assert [len(n.hub) for n in nodes] == [0, 0, 0]
-    assert nodes[0].stats()["rpcs_in_flight"] == 0
 
 
 def _stub_node(env, hub=None):
