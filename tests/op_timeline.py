@@ -147,12 +147,13 @@ def hops(rec: Recorder, rpc) -> list:
     t0, t1, rank, client, seq, kind, status = rpc
     uid = (client, seq)
     out = [(t0, rank, f"_rpc starts ({_KINDS.get(kind, kind)})")]
-    tail = []       # same-instant hops print in causal order: sort is stable
-    for a, b, r, dst, action, dec in rec.ships:
-        if action == ACT_RESP and dec and (dec[2], dec[3]) == uid \
-                and t0 <= a <= t1:
-            tail.append((b, r, f"answer (status {dec[0]}) shipped to r{dst} "
-                               f"in {(b - a) / 1e3:.2f}"))
+    answers = [(a, b, r, dst, dec[0])
+               for a, b, r, dst, action, dec in rec.ships
+               if action == ACT_RESP and dec and (dec[2], dec[3]) == uid
+               and t0 <= a <= t1]
+    # same-instant hops print in causal order: the sort is stable
+    tail = [(b, r, f"answer (status {st}) shipped to r{dst} in "
+                   f"{(b - a) / 1e3:.2f}") for a, b, r, dst, st in answers]
     for t, r, c, s, st in rec.resps:
         if (c, s) == uid and t0 <= t <= t1:
             tail.append((t, r, f"handle_response: status {st} filed"))
@@ -200,10 +201,8 @@ def hops(rec: Recorder, rpc) -> list:
             out.append((got[0], leader, f"handle_raft: ack from r{f}"
                         + (f" commits index {index}" if commits else "")))
     if t_commit is not None:
-        t_ans = min((b for a, b, r, _d, action, dec in rec.ships
-                     if r == leader and action == ACT_RESP and dec
-                     and (dec[2], dec[3]) == uid and a >= t_commit),
-                    default=t1)
+        t_ans = min((b for a, b, r, _dst, _st in answers
+                     if r == leader and a >= t_commit), default=t1)
         out += [(b, leader, f"applied {n} entries for {(b - a) / 1e3:.2f}")
                 for a, b, r, n in rec.applies
                 if r == leader and t_commit <= a <= t_ans]

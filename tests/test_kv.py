@@ -820,17 +820,14 @@ def _stub_node(env, hub=None):
 def _scripted_runtime(env, hub, sends, answer_for):
     """A runtime whose ``send`` files ``answer_for(n, dst)`` (None: nothing)
     in the sender's registration before it returns."""
-    class _Runtime:
-        @staticmethod
-        def send(dst, action, payload):
-            sends.append(env.now)
-            _kind, client, seq, _group, _epoch, _body = \
-                unpack_request(payload)
-            answer = answer_for(len(sends), dst)
-            if answer is not None:
-                hub[(client, seq)].answer = answer
-            yield env.timeout(50)
-    return _Runtime()
+    def send(dst, action, payload):
+        sends.append(env.now)
+        _kind, client, seq, _group, _epoch, _body = unpack_request(payload)
+        answer = answer_for(len(sends), dst)
+        if answer is not None:
+            hub[(client, seq)].answer = answer
+        yield env.timeout(50)
+    return SimpleNamespace(send=send)
 
 
 def test_redirect_bounce_backs_off_instead_of_burning_attempts():
@@ -911,20 +908,18 @@ def _oracle_await(client, reply):
 
 
 #: (name, [(instant, "file" | "ring" | "wipe"), ...], answered) for client 1,
-#: which starts to wait at T0 with timeout_ns 9000; ``answered`` is (instant
-#: the wait returns, instant its answer was filed), or None: no answer, at
-#: T0 + 9000.  The names place each instant on the probe grid PR 19's
-#: ``_await`` looked on (T0 + 2000k, last probe T0 + 10000): there is no grid
-#: any more — an answer filed before the deadline comes back at that instant
+#: which starts to wait at T0 with timeout_ns 9000; ``answered`` is the
+#: filing instant of the answer its wait returns — at that instant — or
+#: None: no answer, at T0 + 9000.  The names place each instant on the probe
+#: grid PR 19's ``_await`` looked on (T0 + 2000k, last probe T0 + 10000):
+#: there is no grid any more
 _AWAIT_T0 = 500
 _AWAIT_SCRIPTS = [
-    ("already there", [(200, "file")], (_AWAIT_T0, 200)),
-    ("on a grid instant", [(_AWAIT_T0 + 4_000, "file")],
-     (_AWAIT_T0 + 4_000, _AWAIT_T0 + 4_000)),
-    ("off the grid", [(_AWAIT_T0 + 4_500, "file")],
-     (_AWAIT_T0 + 4_500, _AWAIT_T0 + 4_500)),
+    ("already there", [(200, "file")], 200),
+    ("on a grid instant", [(_AWAIT_T0 + 4_000, "file")], _AWAIT_T0 + 4_000),
+    ("off the grid", [(_AWAIT_T0 + 4_500, "file")], _AWAIT_T0 + 4_500),
     ("a nanosecond before a probe", [(_AWAIT_T0 + 5_999, "file")],
-     (_AWAIT_T0 + 5_999, _AWAIT_T0 + 5_999)),
+     _AWAIT_T0 + 5_999),
     ("past the deadline, before the last probe",
      [(_AWAIT_T0 + 9_200, "file")], None),
     ("on the last probe", [(_AWAIT_T0 + 10_000, "file")], None),
@@ -936,10 +931,10 @@ _AWAIT_SCRIPTS = [
     ("wiped, then answered again",
      [(_AWAIT_T0 + 2_000, "wipe"), (_AWAIT_T0 + 3_000, "file"),
       (_AWAIT_T0 + 3_000, "wipe"), (_AWAIT_T0 + 6_100, "file")],
-     (_AWAIT_T0 + 6_100, _AWAIT_T0 + 6_100)),
+     _AWAIT_T0 + 6_100),
     ("somebody else's answer rings 100 ns before the probe ours lands on",
      [(_AWAIT_T0 + 3_900, "ring"), (_AWAIT_T0 + 4_000, "file")],
-     (_AWAIT_T0 + 4_000, _AWAIT_T0 + 4_000)),
+     _AWAIT_T0 + 4_000),
 ]
 
 
@@ -990,8 +985,8 @@ def test_await_returns_what_the_literal_hub_poll_returns(name, script,
     got, pending, rings = run(KVClient._await)
     want, _, _ = run(_oracle_await)
     assert got == want
-    assert got[0] == ((answered[0], (0, 1, b"v%d" % answered[1])) if answered
-                      else (_AWAIT_T0 + 9_000, None))
+    assert got[0] == ((max(answered, _AWAIT_T0), (0, 1, b"v%d" % answered))
+                      if answered else (_AWAIT_T0 + 9_000, None))
     # a bell rings for its own answers and its own deadline, never for
     # client 3's ("ring") — on a shared bell that script rings twice
     own = sum(what == "file" for _t, what in script) + (answered is None)
@@ -1031,7 +1026,7 @@ def test_a_pass_ships_before_it_applies():
     shipped only after its own apply."""
     def body(env, cl, nodes, out):
         cost = nodes[0].config.apply_cost_ns
-        applies, waiting, early = {}, [], []
+        applies, applied_at, waiting, early = {}, {}, [], []
 
         def hook(node):
             sm, ship = node.machines[0], node._ship
@@ -1040,13 +1035,13 @@ def test_a_pass_ships_before_it_applies():
                 applies[node.rank] = applies.get(node.rank, 0) + 1
                 waiting.append(len(node.raft[0].outbox))
                 if node.is_leader(0):
-                    out.setdefault("applied_at", {})[cmd.uid] = env.now
+                    applied_at[cmd.uid] = env.now
                 return _inner(cmd)
 
             def shipped(dst, action, payload):
                 if action == ACT_RESP:
                     _st, _hint, client, seq, _v = unpack_response(payload)
-                    t = out.get("applied_at", {}).get((client, seq))
+                    t = applied_at.get((client, seq))
                     early.append(t is None or env.now < t + cost)
                 return ship(dst, action, payload)
             sm.apply, node._ship = apply, shipped
