@@ -383,23 +383,23 @@ class RaftNode:
         self.election_due = now + self._election_delay()
 
     # ------------------------------------------------------------- role flips
-    def _become_follower(self, term: int, now: int,
-                         leader: Optional[int] = None,
-                         heard_leader: bool = True) -> None:
-        stepped_down = self.role == LEADER
+    def _step_down(self, term: int, leader: Optional[int] = None) -> None:
+        """Follower of ``term``; the election timer is the caller's."""
         if term > self.term:
             self.term = term
             self.voted_for = None
-        self.role = FOLLOWER
-        self.leader = leader
-        self._votes.clear()
-        if stepped_down:
+        if self.role == LEADER:
             self.next_index.clear()
             self.match_index.clear()
             self._ack_round.clear()
             self._snap_xfer.clear()
-        if heard_leader or stepped_down:  # a deposed leader has no timer
-            self._reset_election_timer(now)
+        self.role = FOLLOWER
+        self.leader = leader
+        self._votes.clear()
+
+    def _become_follower(self, term: int, now: int, leader: int) -> None:
+        self._step_down(term, leader)
+        self._reset_election_timer(now)
 
     def _become_leader(self, now: int) -> None:
         self.role = LEADER
@@ -609,9 +609,12 @@ class RaftNode:
                 f"group {self.group} got message for group {msg.group}")
         if msg.term > self.term:
             # Raft §5.2: a higher term is not word from a leader — only a
-            # granted vote or the leader's AppendEntries / snapshot chunk
-            # (below) may push back the timer of a replica that can win
-            self._become_follower(msg.term, now, heard_leader=False)
+            # granted vote or the leader's AE / snapshot chunk (below) push
+            # a running timer back; a deposed leader had none and arms one
+            was_leader = self.role == LEADER
+            self._step_down(msg.term)
+            if was_leader:
+                self._reset_election_timer(now)
         if msg.kind == MSG_VOTE_REQ:
             self._on_vote_req(msg, now)
         elif msg.kind == MSG_VOTE_REPLY:

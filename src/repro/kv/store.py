@@ -121,8 +121,7 @@ def pack_loc(leader: int, slot: int, slot_size: int, addr: int,
 
 def unpack_loc(raw: bytes) -> Tuple[int, int, int, int, int]:
     if len(raw) != _LOC.size:
-        raise CodecError(
-            f"loc payload is {len(raw)} bytes, expected {_LOC.size}")
+        raise CodecError(f"loc payload of {len(raw)} bytes, not {_LOC.size}")
     return _LOC.unpack(raw)
 
 
