@@ -267,6 +267,44 @@ def test_deposed_leader_arms_a_finite_election_timer():
         < cfg.election_jitter_ns
 
 
+def test_split_vote_costs_a_whole_election_timeout():
+    """Two survivors whose detection-driven timers fire closer together
+    than a message flight each vote for themselves; the crossed same-term
+    RequestVotes are refused and move no timer, so the next round waits
+    out the earlier candidate's full timeout — and elects (ROADMAP item
+    1e; PR 19's tree does the same)."""
+    ns = RngRegistry(7).namespace("kv.raft.test")
+    cfg = RaftConfig()
+    a, b = pair = [RaftNode(0, r, [0, 1, 2], cfg, ns.stream(f"r{r}"))
+                   for r in (1, 2)]
+    for node in pair:
+        node.term, node.leader, node.log = 1, 0, [(1, b""), (1, b"x")]
+        node.on_peer_dead(0, now=0)
+
+    def cross(now):
+        for node, peer in ((a, b), (b, a)):
+            pending, node.outbox[:] = list(node.outbox), []
+            for dst, raw in pending:
+                if dst == peer.rank:
+                    peer.on_message(decode_msg(raw), now)
+
+    t = a.election_due
+    a.tick(t)
+    b.tick(t + 1_000)
+    due = (a.election_due, b.election_due)
+    cross(t + 2_500)
+    cross(t + 5_000)
+    assert [(n.role, n.term, n.voted_for) for n in pair] == \
+        [(CANDIDATE, 2, 1), (CANDIDATE, 2, 2)]
+    assert (a.election_due, b.election_due) == due
+    assert min(due) >= t + cfg.election_timeout_ns
+    first = min(pair, key=lambda n: n.election_due)
+    first.tick(first.election_due)
+    cross(first.election_due + 1_500)
+    cross(first.election_due + 3_000)
+    assert first.role == LEADER and first.term == 3
+
+
 def test_lease_granted_by_acked_rounds_and_expires():
     bus = Bus(n=3)
     leader = bus.elect()
@@ -805,6 +843,35 @@ def test_late_response_is_dropped_and_the_hub_holds_only_rpcs_in_progress():
     _cl, nodes, out = _run_kv(body)
     assert out["during"] == {(9, 1)}
     assert out["dropped"] == 2 and out["get"] == (ST_OK, b"v")
+    assert [len(n.hub) for n in nodes] == [0, 0, 0]
+
+
+def test_one_attempt_client_times_out_as_a_failed_op():
+    """What the benchmark's "a client timeout counts as a failed op"
+    contract asks of ``KVClient``, at a deadline no put can make (the
+    frozen ``perf/tests`` one sits between a get and the slowest put, and
+    rots whenever a put gets faster): one attempt shorter than a Raft
+    round returns RESP_FAIL — not OK, not acknowledged, one timeout
+    counted — the answer that arrives afterwards is dropped as late, and
+    the write nobody waited for committed all the same."""
+    def body(env, cl, nodes, out):
+        leader = next(n.rank for n in nodes if n.is_leader(0))
+        node = nodes[(leader + 1) % 3]
+        hasty = out["hasty"] = KVClient(node, client_id=3, timeout_ns=3_000,
+                                        max_attempts=1)
+        t0 = env.now
+        out["put"] = yield from hasty.put(b"k", b"v")
+        out["elapsed"] = env.now - t0
+        yield env.timeout(20 * HB)
+        out["late"] = cl.scope(node.rank).get("kv.late_responses")
+        out["get"] = yield from KVClient(node, client_id=4).get(b"k")
+
+    _cl, nodes, out = _run_kv(body)
+    assert out["put"] == RESP_FAIL and 3_000 <= out["elapsed"] < 4_000
+    stats = out["hasty"].stats
+    assert (stats.timeouts, stats.failures, stats.writes) == (1, 1, 0)
+    assert out["hasty"].acked == [] and out["late"] == 1
+    assert out["get"] == (ST_OK, b"v")
     assert [len(n.hub) for n in nodes] == [0, 0, 0]
 
 

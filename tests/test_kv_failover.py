@@ -146,22 +146,16 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
 # election churn on the lossy fabric (ROADMAP item 1c, closed by PR 20)
 # ---------------------------------------------------------------------------
 
-def _check_election_bound(seed):
+def _chaos_block(seed, n_ops=290):
     """The ``kv_chaos`` benchmark's block at ``seed``, rebuilt from
     ``repro.chaos`` + ``build_kv`` (nothing imported from ``perf/``),
-    without any restart: 6 ranks, 2 groups x rf 3, 1 % chunk loss, a
-    500 us partition of a group-1 follower, then a crash of the rank
-    leading a group (at 100196: *both* groups).  Until PR 20 group 1's two
-    survivors churned at 100196: the one with the shorter log timed out
-    first and could never win, but its higher-term RequestVote reset the
-    other's election timer, so every round re-drew the jitter and a lost
-    round cost a whole election timeout (term 6 after 6.5 ms without a
-    leader on PR 19's tree; 100148 and 7003 never churned).  With the
-    timer following Raft §5.2 the up-to-date survivor's own timeout
-    stands: a leader for every group within 2 ms of the crash — one lost
-    round would be 2.1 or more — every op OK, no acknowledged write
-    missing from a survivor.
-    """
+    without any restart: 6 ranks, 2 groups x rf 3, 1 % chunk loss, 4
+    closed-loop clients of ``n_ops`` ops each (the benchmark's 290 x
+    ``--scale``), a 500 us partition of a group-1 follower, then a crash
+    of the rank leading group 0.  Runs the clients to completion and
+    returns the block, stopped there."""
+    from types import SimpleNamespace
+
     import numpy as np
 
     from repro.chaos import (ChaosController, CrashRank, FaultSchedule,
@@ -171,7 +165,7 @@ def _check_election_bound(seed):
     from repro.photon import photon_init
     from repro.runtime.health import HealthConfig, build_health
 
-    n_ranks, n_groups, n_keys, n_ops, hb = 6, 2, 192, 290, 50_000
+    n_ranks, n_groups, n_keys, hb = 6, 2, 192, 50_000
     rng = np.random.default_rng(seed)
     cl = build_cluster(n_ranks, "ib-fdr", seed=seed, link__loss_mode="lossy",
                        link__drop_rate=0.01)
@@ -222,38 +216,58 @@ def _check_election_bound(seed):
         HealEvent(env.now + 800_000),
         CrashRank(t_crash, victim),
     ]), photon=ph, monitors=monitors, kv=nodes).arm()
-    out = {"failed": 0, "worst_op": 0, "led_again": None}
+    blk = SimpleNamespace(env=env, nodes=nodes, smap=smap, hb=hb,
+                          t_crash=t_crash, failed=0, led_again=None)
 
     def client_loop(client, plan):
         for key_rank, is_get in plan:
-            t = env.now
             if is_get:
                 status, _value = yield from client.get(keys[key_rank])
             else:
                 status = yield from client.put(keys[key_rank], value(client))
-            out["failed"] += status != ST_OK
-            out["worst_op"] = max(out["worst_op"], env.now - t)
+            blk.failed += status != ST_OK
 
     def watch():
         yield env.timeout(t_crash - env.now + 1)
         while not leaders_ready():
             yield env.timeout(10_000)
-        out["led_again"] = env.now - t_crash
+        blk.led_again = env.now - t_crash
 
-    env.process(watch())
+    blk.watch = env.process(watch())
     procs = [env.process(client_loop(c, p)) for c, p in zip(clients, plans)]
     env.run(until=env.all_of(procs))
-    env.run(until=env.now + 40 * hb)   # followers catch up
+    blk.acked = [(smap.group_of(key), (cid, seq))
+                 for client in clients + [loader]
+                 for (cid, seq, _op, key, _v) in client.acked]
+    return blk
 
-    assert out["failed"] == 0
-    assert out["led_again"] is not None and out["led_again"] <= 2_000_000
-    for client in clients + [loader]:
-        for (cid, seq, _op, key, _v) in client.acked:
-            group = smap.group_of(key)
-            for rank in smap.replicas(group):
-                if nodes[rank].photon.alive:
-                    assert (cid, seq) in \
-                        nodes[rank].machines[group].applied_uids
+
+def _unapplied_acks(blk):
+    """The benchmark's audit: ``(rank, group, uid)`` for every acknowledged
+    write a surviving replica of its group has not applied."""
+    return [(rank, group, uid) for group, uid in blk.acked
+            for rank in blk.smap.replicas(group)
+            if blk.nodes[rank].photon.alive
+            and uid not in blk.nodes[rank].machines[group].applied_uids]
+
+
+def _check_election_bound(seed):
+    """Until PR 20 group 1's two survivors churned at 100196 (where the
+    victim led *both* groups): the one with the shorter log timed out
+    first and could never win, but its higher-term RequestVote reset the
+    other's election timer, so every round re-drew the jitter and a lost
+    round cost a whole election timeout (term 6 after 6.5 ms without a
+    leader on PR 19's tree; 100148 and 7003 never churned).  With the
+    timer following Raft §5.2 the up-to-date survivor's own timeout
+    stands: a leader for every group within 2 ms of the crash — one lost
+    round would be 2.1 or more — every op OK, no acknowledged write
+    missing from a survivor.
+    """
+    blk = _chaos_block(seed)
+    blk.env.run(until=blk.env.now + 40 * blk.hb)   # followers catch up
+    assert blk.failed == 0
+    assert blk.led_again is not None and blk.led_again <= 2_000_000
+    assert _unapplied_acks(blk) == []
 
 
 def test_election_churn_on_the_lossy_fabric_is_bounded():
@@ -263,3 +277,35 @@ def test_election_churn_on_the_lossy_fabric_is_bounded():
 @pytest.mark.parametrize("seed", [100148, 7003])
 def test_election_bound_holds_on_the_seeds_that_never_churned(seed):
     _check_election_bound(seed)
+
+
+def test_acked_write_outlives_a_split_vote_after_the_clients_are_done():
+    """``perf/run.py --workload kv_chaos --seed 7 --scale 0.3``, block
+    7007 (87 ops a client): the last put is acknowledged 18 us before the
+    leader crash, so nobody is left to wait for the next leader and the
+    victim dies before any AppendEntries tells the survivors that entry
+    is committed.  Their detection-driven election timers then land 1 us
+    apart — a split vote, each candidate votes for itself (ROADMAP item
+    1e) — and the benchmark's audit, 2 ms after the crash, finds group 0
+    still leaderless and the write applied on neither survivor.  It is
+    not lost: it sits in both survivors' logs, and once the next round
+    has elected one of them (one lost round, not two) every acknowledged
+    write is applied on every surviving replica.
+    """
+    from repro.kv.shard import decode_command
+
+    blk = _chaos_block(7007, n_ops=87)
+    env = blk.env
+    assert blk.failed == 0
+    # the benchmark's audit instant
+    env.run(until=max(env.now, blk.t_crash) + 40 * blk.hb)
+    for rank, group, uid in _unapplied_acks(blk):
+        rn = blk.nodes[rank].raft[group]
+        unapplied = rn.log[rn.last_applied - rn.base_index:]
+        assert uid in {decode_command(cmd).uid for _t, cmd in unapplied
+                       if cmd}, (rank, group, uid)
+    env.run(until=blk.watch)                   # every group led again
+    assert blk.led_again <= 4_000_000
+    env.run(until=env.now + 40 * blk.hb)       # followers catch up
+    assert _unapplied_acks(blk) == []
+
