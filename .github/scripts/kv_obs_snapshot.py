@@ -20,11 +20,10 @@ def main(scenario: str, out_path: str) -> None:
         run = run_chaos_move(quick=True)
     else:
         sys.exit(f"unknown scenario {scenario!r} (failover | restart)")
-    nodes = run["nodes"]
+    sc = run["scenario"]
     snap = build_snapshot(
-        run["cluster"],
-        photons=[n.photon for n in nodes],
-        transports=[n.runtime.transport for n in nodes])
+        sc.cluster, photons=sc.photon,
+        transports=[n.runtime.transport for n in sc.nodes])
     if scenario == "failover":
         dead = [r for r, e in snap["ranks"].items() if e.get("dead")]
         print("dead ranks in snapshot:", dead)

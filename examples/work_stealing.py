@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Distributed dynamic load balancing with remote atomics and the GAS.
+"""Distributed dynamic load balancing with remote atomics and one-sided reads.
 
-A bag of 64 unevenly sized tasks lives in a global address space; a
-single global ticket counter on rank 0 hands out task indices via remote
-fetch-and-add.  Every rank loops: take a ticket, memget the task
-descriptor, "compute" for the task's duration — no master process, no
-message matching, just one-sided operations.  Compare with a static
+A bag of 64 unevenly sized tasks lives in a registered table on rank 0,
+next to a global ticket counter that hands out task indices via remote
+fetch-and-add.  Every rank loops: take a ticket, read the task
+descriptor with a one-sided get, "compute" for the task's duration — no
+master process, no message matching, just one-sided operations.  Compare with a static
 block partition of the same tasks: dynamic balancing finishes close to
 the theoretical optimum even though task sizes are skewed.
 
@@ -16,7 +16,6 @@ import struct
 
 from repro.cluster import build_cluster
 from repro.photon import photon_init
-from repro.runtime import gas_allocate
 from repro.util import to_us
 
 RANKS = 4
@@ -32,19 +31,14 @@ def task_cost_ns(i: int) -> int:
 def main() -> None:
     cluster = build_cluster(RANKS, params="ib-fdr")
     ph = photon_init(cluster)
-    gas = gas_allocate(ph, total=N_TASKS * 8, block_size=256)
+    table = ph[0].buffer(N_TASKS * 8)
     counter = ph[0].buffer(8)
-    scratch = [ep.buffer(4096) for ep in ph]
+    scratch = [ep.buffer(8) for ep in ph]
 
-    # rank 0 publishes the task table into the GAS
-    def publish(env):
-        for i in range(N_TASKS):
-            yield from gas[0].memput(i * 8,
-                                     struct.pack("<q", task_cost_ns(i)),
-                                     scratch[0].addr)
-
-    p = cluster.env.process(publish(cluster.env))
-    cluster.env.run(until=p)
+    # rank 0 publishes the task table in its own registered memory
+    for i in range(N_TASKS):
+        ph[0].memory.write(table.addr + i * 8,
+                           struct.pack("<q", task_cost_ns(i)))
 
     done_at = {}
     tasks_by = {r: 0 for r in range(RANKS)}
@@ -56,9 +50,13 @@ def main() -> None:
                 0, counter.addr, counter.rkey, 1)
             if ticket >= N_TASKS:
                 break
-            raw = yield from gas[rank].memget(ticket * 8, 8,
-                                              scratch[rank].addr)
-            cost, = struct.unpack("<q", raw)
+            rid = yield from ep.post_os_get(0, scratch[rank].addr, 8,
+                                            table.addr + ticket * 8,
+                                            table.rkey)
+            yield from ep.wait(rid)
+            ep.free_request(rid)
+            cost, = struct.unpack("<q", ep.memory.read_bytes(
+                scratch[rank].addr, 8))
             yield env.timeout(cost)  # "compute"
             tasks_by[rank] += 1
         done_at[rank] = env.now

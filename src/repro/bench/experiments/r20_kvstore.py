@@ -24,184 +24,115 @@ sends + completion-ledger probes).  Three questions, one per section:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ...chaos import ChaosController, CrashRank, FaultSchedule
-from ...chaos.invariants import check_membership_monotonic
-from ...cluster import build_cluster
-from ...kv import KVClient, KVConfig, build_kv
-from ...kv.workload import WorkloadStats, ZipfKeys, closed_loop, open_loop, \
-    value_for
-from ...photon import photon_init
-from ...runtime.health import HealthConfig, build_health
+from ...chaos import CrashRank
+from ...chaos.invariants import check_membership_monotonic, unapplied_acks
+from ...kv.scenario import (DETECT_BUDGET_NS, HB_PERIOD, PHI_DEAD, Scenario,
+                            keyspace, ops_per_sec, outcomes, pct_us,
+                            zipf_plan)
 from ..result import ExperimentResult
 
-HB_PERIOD = 50_000
-PHI_DEAD = 6.0
-#: phi-accrual detection budget on a quiet fabric (mean == period)
-DETECT_BUDGET_NS = int(PHI_DEAD * HB_PERIOD * 2.302585)
-
-VALUE_SIZE = 64
-DRAIN = 10 ** 12
-
-
-def _build(n_ranks: int, n_groups: int, seed: int):
-    cl = build_cluster(n_ranks, "ib-fdr", seed=seed, spans=True)
-    ph = photon_init(cl)
-    monitors = build_health(cl, HealthConfig(period_ns=HB_PERIOD,
-                                             phi_dead=PHI_DEAD))
-    cfg = KVConfig(n_groups=n_groups, rf=min(3, n_ranks))
-    nodes = build_kv(cl, ph, cfg, monitors=monitors)
-    return cl, ph, monitors, nodes
-
-
-def _leaders_ready(nodes, n_groups: int) -> bool:
-    return all(any(n.is_leader(g) for n in nodes) for g in range(n_groups))
+LOADER_ID = 1000
 
 
 def run_serving(quick: bool = True, read_mode: str = "rpc",
                 n_groups: int = 2, theta: float = 0.99,
                 n_ranks: int = 6, open_rate_ops_s: float = 0.0,
                 seed: int = 101) -> dict:
-    """One serving run; returns the merged WorkloadStats + store state."""
+    """One serving run; returns the scenario and the measured rows."""
     n_clients = 2 if quick else 4
     ops_per_client = 150 if quick else 400
-    n_keys = 48 if quick else 192
-    cl, ph, monitors, nodes = _build(n_ranks, n_groups, seed)
-    # clients live on replica-free ranks when the placement leaves any:
-    # a co-located client's ops skip the wire and would pollute the
-    # RDMA-vs-RPC comparison with 0-hop latencies
-    free = [r for r in range(n_ranks)
-            if not nodes[r].shard_map.groups_on(r)]
-    client_ranks = free or list(range(n_ranks))
-    stats = WorkloadStats()
-    out = {}
+    keys = keyspace(48 if quick else 192)
+    sc = Scenario(n_ranks, n_groups, seed)
+    env, rng = sc.env, sc.cluster.rng
 
-    def bench(env):
+    def bench():
         # barrier: measurement starts after every group has a leader
-        while not _leaders_ready(nodes, n_groups):
-            yield env.timeout(HB_PERIOD)
-        # preload the key population so gets hit and loc lookups resolve
-        loader = KVClient(nodes[0], client_id=1000)
-        keys = ZipfKeys(n_keys, 0.0, cl.rng.stream("kv.wl.preload")).keys
-        for key in keys:
-            yield from loader.put(
-                key, value_for(1000, loader.seq + 1, VALUE_SIZE))
-        t0 = env.now
+        yield from sc.wait_leaders()
+        yield from sc.preload(sc.client(0, LOADER_ID), keys)
         if open_rate_ops_s > 0:
-            pool = [KVClient(nodes[client_ranks[c % len(client_ranks)]],
-                             client_id=c + 1, read_mode=read_mode)
+            pool = [sc.client(sc.free[c % len(sc.free)], c + 1,
+                              read_mode=read_mode)
                     for c in range(n_clients * 4)]
-            z = ZipfKeys(n_keys, theta, cl.rng.stream("kv.wl.zipf.open"))
-            rng = cl.rng.stream("kv.wl.mix.open")
+            # the coin and the Poisson gaps interleave on one stream
+            mix = rng.stream("kv.wl.mix.open")
+            plan = zipf_plan(keys, theta, 0.5,
+                             rng.stream("kv.wl.zipf.open"), mix)
             duration = ops_per_client * n_clients * int(1e9 / open_rate_ops_s)
-            yield from open_loop(env, pool, z, rng, open_rate_ops_s,
-                                 duration, stats, value_size=VALUE_SIZE)
+            yield from sc.open_loop(pool, plan, open_rate_ops_s, duration,
+                                    mix)
         else:
             procs = []
             for c in range(n_clients):
-                rank = client_ranks[c % len(client_ranks)]
-                client = KVClient(nodes[rank], client_id=c + 1,
-                                  read_mode=read_mode)
-                z = ZipfKeys(n_keys, theta,
-                             cl.rng.stream(f"kv.wl.zipf.{c}"))
-                rng = cl.rng.stream(f"kv.wl.mix.{c}")
-                procs.append(env.process(
-                    closed_loop(env, client, z, rng, ops_per_client, stats,
-                                value_size=VALUE_SIZE,
-                                scope=cl.scope(rank)),
-                    name=f"kv.bench.{c}"))
+                client = sc.client(sc.free[c % len(sc.free)], c + 1,
+                                   read_mode=read_mode)
+                plan = zipf_plan(keys, theta, 0.5,
+                                 rng.stream(f"kv.wl.zipf.{c}"),
+                                 rng.stream(f"kv.wl.mix.{c}"),
+                                 ops_per_client)
+                procs.append(env.process(sc.closed_loop(client, plan),
+                                         name=f"kv.bench.{c}"))
             yield env.all_of(procs)
-        out["bench_ns"] = env.now - t0
 
-    done = cl.env.process(bench(cl.env), name="kv.bench")
-    cl.env.run(until=done)
-    out.update({
-        "cluster": cl, "nodes": nodes, "stats": stats,
-        "read_mode": read_mode, "n_groups": n_groups, "theta": theta,
-    })
-    return out
+    sc.run(bench(), name="kv.bench")
+    return {"scenario": sc, "read_mode": read_mode, "n_groups": n_groups,
+            "theta": theta,
+            "rows": [op for op in sc.history if op.client != LOADER_ID]}
 
 
 def run_failover(quick: bool = True, seed: int = 303) -> dict:
     """Crash the leader mid write-burst; account for every ack."""
     n_ops = 240 if quick else 600
     n_ranks = 5
-    cl, ph, monitors, nodes = _build(n_ranks, 1, seed)
-    group = 0
-    out = {"t_new_leader": None, "leader_before": None}
+    sc = Scenario(n_ranks, 1, seed)
+    env = sc.env
+    out = {"scenario": sc, "n_ops": n_ops}
 
-    def burst(env):
-        while not _leaders_ready(nodes, 1):
-            yield env.timeout(HB_PERIOD)
-        out["leader_before"] = next(n.rank for n in nodes
-                                    if n.is_leader(group))
+    def burst():
+        yield from sc.wait_leaders()
+        victim = out["leader_before"] = sc.leader(0)
         # schedule the crash squarely inside the burst: writes run a
         # few microseconds each, so half the ops land before the axe
         t_crash = env.now + 1_200_000
-        out["t_crash"] = t_crash
-        ctrl = ChaosController(
-            cl, FaultSchedule([CrashRank(t_crash, out["leader_before"])]),
-            photon=ph, monitors=monitors)
-        ctrl.arm()
-        client = KVClient(nodes[n_ranks - 1], client_id=7)
-        for i in range(n_ops):
-            v = value_for(7, client.seq + 1, VALUE_SIZE)
-            yield from client.put(f"fo:{i % 40:04d}".encode(), v)
-        out["client"] = client
-        # let follower apply loops drain before the uid audit
-        yield env.timeout(20 * HB_PERIOD)
+        sc.arm([CrashRank(t_crash, victim)])
+        watch = env.process(sc.wait_leaders(since=t_crash + 1),
+                            name="kv.fo.watch")
+        client = sc.client(n_ranks - 1, 7)
+        yield from sc.closed_loop(
+            client, ((b"fo:%04d" % (i % 40), False) for i in range(n_ops)))
+        out["failover_ns"] = (yield watch) - t_crash
+        out["new_leader"] = sc.leader(0)
+        yield from sc.drain()
 
-    def watch_new_leader(env):
-        while out["leader_before"] is None or env.now < out.get("t_crash", 0):
-            yield env.timeout(HB_PERIOD // 5)
-        victim = out["leader_before"]
-        while True:
-            for n in nodes:
-                if n.rank != victim and n.photon.alive and n.is_leader(group):
-                    out["t_new_leader"] = env.now
-                    out["new_leader"] = n.rank
-                    return
-            yield env.timeout(HB_PERIOD // 5)
-
-    env = cl.env
-    procs = [env.process(burst(env), name="kv.fo.burst"),
-             env.process(watch_new_leader(env), name="kv.fo.watch")]
-    env.run(until=env.all_of(procs))
-
-    client = out["client"]
-    acked = {(c, s) for (c, s, _op, _k, _v) in client.acked}
-    survivors = [n for n in nodes
-                 if n.photon.alive and group in n.machines]
-    lost = {n.rank: sorted(acked - n.machines[group].applied_uids)
-            for n in survivors}
+    sc.run(burst(), name="kv.fo.burst")
+    lost = unapplied_acks(sc)
     out.update({
-        "cluster": cl, "nodes": nodes, "monitors": monitors,
-        "acked": len(acked), "n_ops": n_ops,
-        "lost_per_survivor": lost,
-        "lost_on_new_leader": lost.get(out.get("new_leader"), ["no-leader"]),
-        "failover_ns": (out["t_new_leader"] - out["t_crash"]
-                        if out["t_new_leader"] else None),
-        "detect_ns": cl.metrics.span_durations("health.detect"),
-        "survivor_monitors": [monitors[n.rank] for n in nodes
+        "acked": len(sc.clients[0].acked),
+        "lost": lost,
+        "lost_on_new_leader": [u for u in lost if u[0] == out["new_leader"]],
+        "detect_ns": sc.cluster.metrics.span_durations("health.detect"),
+        "survivor_monitors": [sc.monitors[n.rank] for n in sc.nodes
                               if n.photon.alive],
     })
     return out
 
 
 def _arm_rows(r: dict) -> list:
-    s: WorkloadStats = r["stats"]
+    rows = r["rows"]
     return [[
         r["read_mode"], r["n_groups"], f"{r['theta']:g}",
-        s.completed, f"{s.ops_per_sec() / 1e3:.1f}",
-        f"{s.pct_us('get', 50):.1f}", f"{s.pct_us('get', 95):.1f}",
-        f"{s.pct_us('get', 99):.1f}",
-        f"{s.pct_us('put', 50):.1f}", f"{s.pct_us('put', 99):.1f}",
+        len(rows) - outcomes(rows)["failed"],
+        f"{ops_per_sec(rows) / 1e3:.1f}",
+        f"{pct_us(rows, 'get', 50):.1f}", f"{pct_us(rows, 'get', 95):.1f}",
+        f"{pct_us(rows, 'get', 99):.1f}",
+        f"{pct_us(rows, 'put', 50):.1f}", f"{pct_us(rows, 'put', 99):.1f}",
     ]]
 
 
-def run(quick: bool = True, scenario: Optional[dict] = None) \
-        -> ExperimentResult:
+def _all_completed(r: dict) -> bool:
+    return bool(r["rows"]) and outcomes(r["rows"])["failed"] == 0
+
+
+def run(quick: bool = True) -> ExperimentResult:
     rpc = run_serving(quick, "rpc")
     onesided = run_serving(quick, "onesided")
     rows = _arm_rows(rpc) + _arm_rows(onesided)
@@ -217,9 +148,9 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
                                       open_rate_ops_s=2_000_000.0,
                                       seed=151))
 
-    fo = scenario if scenario is not None else run_failover(quick)
+    fo = run_failover(quick)
     detect = fo["detect_ns"]
-    fo_us = fo["failover_ns"] / 1000.0 if fo["failover_ns"] else -1.0
+    fo_us = fo["failover_ns"] / 1000.0
     rows.append(["failover", 1, "-", fo["acked"],
                  f"lost={len(fo['lost_on_new_leader'])}",
                  f"crash->leader {fo_us:.0f}us",
@@ -233,25 +164,21 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
     except AssertionError:
         membership_ok = False
 
-    rpc_s, os_s = rpc["stats"], onesided["stats"]
     checks = {
-        "rpc arm: every op completed":
-            rpc_s.failed == 0 and rpc_s.completed > 0,
-        "one-sided arm: every op completed":
-            os_s.failed == 0 and os_s.completed > 0,
+        "rpc arm: every op completed": _all_completed(rpc),
+        "one-sided arm: every op completed": _all_completed(onesided),
         "one-sided reads actually used the PWC path":
             _onesided_used(onesided),
         "one-sided median read beats the RPC round-trip":
-            os_s.pct_us("get", 50) < rpc_s.pct_us("get", 50),
+            pct_us(onesided["rows"], "get", 50)
+            < pct_us(rpc["rows"], "get", 50),
         "failover: a new leader takes over":
-            fo["t_new_leader"] is not None,
+            fo["new_leader"] not in (None, fo["leader_before"]),
         "failover: election within 2x phi budget + election time":
-            fo["failover_ns"] is not None
-            and fo["failover_ns"] < 2 * DETECT_BUDGET_NS + 500_000,
+            fo["failover_ns"] < 2 * DETECT_BUDGET_NS + 500_000,
         "failover: zero acknowledged-write loss on the new leader":
             fo["lost_on_new_leader"] == [],
-        "failover: every acked write on every survivor":
-            all(v == [] for v in fo["lost_per_survivor"].values()),
+        "failover: every acked write on every survivor": fo["lost"] == [],
         "membership monotonic on surviving monitors": membership_ok,
     }
     return ExperimentResult(
@@ -264,14 +191,14 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
         rows=rows,
         checks=checks,
         notes=f"phi-accrual period {HB_PERIOD // 1000}us, phi_dead "
-              f"{PHI_DEAD:g}; failover: leader r{fo.get('leader_before')}"
-              f" -> r{fo.get('new_leader')} in {fo_us:.0f}us; acked "
+              f"{PHI_DEAD:g}; failover: leader r{fo['leader_before']}"
+              f" -> r{fo['new_leader']} in {fo_us:.0f}us; acked "
               f"writes audited uid-by-uid on all survivors")
 
 
 def _onesided_used(r: dict) -> bool:
-    # the serving run drops client handles; infer PWC usage from the
-    # photon counters: the one-sided arm must have issued raw gets
-    cl = r["cluster"]
+    # infer PWC usage from the photon counters: the one-sided arm must
+    # have issued raw gets
+    cl = r["scenario"].cluster
     return sum(cl.scope(rank).values.get("photon.pwc_gets", 0)
                for rank in range(cl.n)) > 0

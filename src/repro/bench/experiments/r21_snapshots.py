@@ -29,27 +29,17 @@ mechanisms through one sustained write run and audits the contract:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ...chaos import (ChaosController, CrashRank, FaultSchedule, HealEvent,
-                      PartitionEvent, RestartRank)
+from ...chaos import CrashRank, HealEvent, PartitionEvent, RestartRank
 from ...chaos.invariants import (InvariantViolation, check_log_bounded,
-                                 check_membership_monotonic)
-from ...cluster import build_cluster
-from ...kv import KVClient, KVConfig, RaftConfig, build_kv, move_group
+                                 check_membership_monotonic, unapplied_acks)
+from ...kv import RaftConfig, move_group
+from ...kv.scenario import HB_PERIOD, Scenario
 from ...kv.shard import ST_OK
-from ...kv.workload import value_for
-from ...photon import photon_init
-from ...runtime.health import HealthConfig, build_health
 from ..result import ExperimentResult
-
-HB_PERIOD = 50_000
-PHI_DEAD = 6.0
 
 N_RANKS = 6
 N_GROUPS = 2
 RF = 3
-VALUE_SIZE = 64
 #: small on purpose: trimming must fire many times inside the run
 COMPACT_THRESHOLD = 16
 COMPACT_MARGIN = 4
@@ -62,22 +52,6 @@ PARTITION_NS = 500_000
 SAMPLER_SLACK = 32
 
 
-def _build(seed: int):
-    cl = build_cluster(N_RANKS, "ib-fdr", seed=seed, spans=True)
-    ph = photon_init(cl)
-    monitors = build_health(cl, HealthConfig(period_ns=HB_PERIOD,
-                                             phi_dead=PHI_DEAD))
-    cfg = KVConfig(n_groups=N_GROUPS, rf=RF,
-                   raft=RaftConfig(compact_threshold=COMPACT_THRESHOLD,
-                                   compact_margin=COMPACT_MARGIN))
-    nodes = build_kv(cl, ph, cfg, monitors=monitors)
-    return cl, ph, monitors, nodes
-
-
-def _leaders_ready(nodes) -> bool:
-    return all(any(n.is_leader(g) for n in nodes) for g in range(N_GROUPS))
-
-
 def run_chaos_move(quick: bool = True, seed: int = 404,
                    crash: str = "leader") -> dict:
     """Sustained writes + partition + crash/restart + one live move.
@@ -87,71 +61,58 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
     snapshot install after restart.
     """
     n_ops = 700 if quick else 1600
-    think_ns = 1_000
-    cl, ph, monitors, nodes = _build(seed)
-    env = cl.env
+    sc = Scenario(N_RANKS, N_GROUPS, seed,
+                  raft=RaftConfig(compact_threshold=COMPACT_THRESHOLD,
+                                  compact_margin=COMPACT_MARGIN))
+    env, nodes, smap, free = sc.env, sc.nodes, sc.shard_map, sc.free
     # ranks with no replica host the clients (writes always cross the
     # wire, like R20's serving arms)
-    free = [r for r in range(N_RANKS)
-            if not nodes[r].shard_map.groups_on(r)]
-    writers = [KVClient(nodes[free[c % len(free)]], client_id=c + 1)
-               for c in range(2)]
-    lagger = max(nodes[0].shard_map.replicas(1))   # group-1-only replica
-    out = {"victim": None, "move": None, "max_retained": 0}
+    writers = [sc.client(free[c % len(free)], c + 1) for c in range(2)]
+    lagger = max(smap.replicas(1))   # group-1-only replica
+    out = {"scenario": sc, "n_ops": 2 * n_ops, "move": None,
+           "max_retained": 0}
 
     def writer(client, wid):
         keys = [f"r21:w{wid}:{i:04d}".encode() for i in range(40)]
-        for i in range(n_ops):
-            v = value_for(client.client_id, client.seq + 1, VALUE_SIZE)
-            yield from client.put(keys[i % len(keys)], v)
-            yield env.timeout(think_ns)
+        return sc.closed_loop(
+            client, ((keys[i % 40], False) for i in range(n_ops)),
+            think_ns=1_000)
 
-    def chaos(env):
-        while not _leaders_ready(nodes):
-            yield env.timeout(HB_PERIOD)
-        t0 = env.now
-        group0 = nodes[0].shard_map.replicas(0)
-        leader0 = next(n.rank for n in nodes if n.is_leader(0))
-        victim = leader0 if crash == "leader" else \
-            next(r for r in group0 if r != leader0 and r != lagger)
-        out["victim"] = victim
+    def chaos():
+        t0 = out["t0"] = yield from sc.wait_leaders()
+        leader0 = sc.leader(0)
+        victim = out["victim"] = leader0 if crash == "leader" else \
+            next(r for r in smap.replicas(0) if r not in (leader0, lagger))
         others = tuple(r for r in range(N_RANKS) if r != lagger)
-        sched = FaultSchedule([
+        sc.arm([
             PartitionEvent(t0 + 300_000, (lagger,), others),
             HealEvent(t0 + 300_000 + PARTITION_NS),
             CrashRank(t0 + 1_200_000, victim),
             RestartRank(t0 + 3_600_000, victim),
         ])
-        ctrl = ChaosController(cl, sched, photon=ph, monitors=monitors,
-                               kv=nodes)
-        ctrl.arm()
-        out["ctrl"] = ctrl
-        out["t0"] = t0
 
-    def sampler(env):
+    def sampler():
         # worst applied suffix ever retained on any live replica
         while not out.get("writers_done"):
             for node in nodes:
-                for g, rn in node.raft.items():
-                    if rn.snapshot_fn is None:
-                        continue
-                    out["max_retained"] = max(
-                        out["max_retained"], rn.last_applied - rn.base_index)
+                for rn in node.raft.values():
+                    if rn.snapshot_fn is not None:
+                        out["max_retained"] = max(
+                            out["max_retained"],
+                            rn.last_applied - rn.base_index)
             yield env.timeout(HB_PERIOD)
 
-    def mover(env):
+    def mover():
         # flip mid-stream, but only after the restart has happened so
         # the move also exercises a freshly rejoined replica
-        total = 2 * n_ops
-        while (sum(len(c.acked) for c in writers) < (6 * total) // 10
-               or out["victim"] is None
-               or env.now < out.get("t0", 0) + 4_200_000):
+        while (sum(len(c.acked) for c in writers) < (6 * 2 * n_ops) // 10
+               or env.now < out["t0"] + 4_200_000):
             yield env.timeout(2 * HB_PERIOD)
         out["move"] = yield from move_group(nodes, 1, 0, via_rank=free[0])
 
-    def post_move_probe(env):
+    def post_move_probe():
         # fresh traffic after the flip must be served by the new owner
-        probe = KVClient(nodes[free[-1]], client_id=77)
+        probe = sc.client(free[-1], 77)
         ok = 0
         for i in range(20):
             key = f"r21:post:{i:03d}".encode()
@@ -160,51 +121,36 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
             ok += (st == ST_OK and st2 == ST_OK
                    and val == b"post-move-" + bytes([i]))
         out["post_move_ok"] = ok
-        out["probe"] = probe
 
-    def driver(env):
-        yield env.process(chaos(env), name="r21.chaos")
+    def driver():
+        yield from chaos()
         wprocs = [env.process(writer(c, i), name=f"r21.w{i}")
                   for i, c in enumerate(writers)]
-        env.process(sampler(env), name="r21.sampler")
-        mproc = env.process(mover(env), name="r21.mover")
+        env.process(sampler(), name="r21.sampler")
+        mproc = env.process(mover(), name="r21.mover")
         yield env.all_of(wprocs)
         out["writers_done"] = True
         yield mproc
-        yield from post_move_probe(env)
-        # let follower apply loops and the rejoined replica drain
-        yield env.timeout(40 * HB_PERIOD)
+        yield from post_move_probe()
+        yield from sc.drain()
 
-    done = env.process(driver(env), name="r21.driver")
-    env.run(until=done)
+    sc.run(driver(), name="r21.driver")
 
-    victim = out["victim"]
-    acked = [t for c in writers + [out["probe"]] for t in c.acked]
-    owners = {}   # final owner group per key (post-flip ring)
-    lost = {}
-    smap = nodes[0].shard_map
-    for (c, s, _op, k, _v) in acked:
-        owners.setdefault(k, smap.group_of(k))
-    for rank in smap.replicas(0):
-        sm = nodes[rank].machines[0]
-        lost[rank] = sorted(
-            (c, s) for (c, s, _op, k, _v) in acked
-            if owners[k] == 0 and (c, s) not in sm.applied_uids)
-    victim_installs = sum(rn.snapshot_installs
-                          for rn in nodes[victim].raft.values())
-    lagger_installs = nodes[lagger].raft[1].snapshot_installs
+    victim, cl = out["victim"], sc.cluster
     log_bounded_final = True
     try:
         check_log_bounded(nodes, slack=0)
     except InvariantViolation:
         log_bounded_final = False
     out.update({
-        "cluster": cl, "nodes": nodes, "monitors": monitors,
-        "writers": writers, "n_ops": 2 * n_ops,
-        "acked": len({(c, s) for (c, s, *_r) in acked}),
-        "lost_per_replica": lost,
-        "victim_installs": victim_installs,
-        "lagger_installs": lagger_installs,
+        "acked": len({t[:2] for c in sc.clients for t in c.acked}),
+        # every key's final owner is group 0: its replicas owe every ack
+        "unapplied": unapplied_acks(sc),
+        "owners_alive": sum(nodes[r].photon.alive
+                            for r in smap.replicas(0)),
+        "victim_installs": sum(rn.snapshot_installs
+                               for rn in nodes[victim].raft.values()),
+        "lagger_installs": nodes[lagger].raft[1].snapshot_installs,
         "log_bounded_final": log_bounded_final,
         "wrong_epoch": sum(c.stats.wrong_epoch for c in writers),
         "map_refreshes": sum(c.stats.map_refreshes for c in writers),
@@ -216,9 +162,8 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
     return out
 
 
-def run(quick: bool = True, scenario: Optional[dict] = None) \
-        -> ExperimentResult:
-    r = scenario if scenario is not None else run_chaos_move(quick)
+def run(quick: bool = True) -> ExperimentResult:
+    r = run_chaos_move(quick)
     move = r["move"] or {}
     bound = COMPACT_THRESHOLD + COMPACT_MARGIN
     installs = r["install_spans"]
@@ -241,8 +186,7 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
         "every issued write was eventually acked exactly once":
             r["acked"] == r["n_ops"] + 20,  # writers + post-move probes
         "zero acked-write loss on every final-owner replica":
-            all(v == [] for v in r["lost_per_replica"].values())
-            and len(r["lost_per_replica"]) == RF,
+            r["unapplied"] == [] and r["owners_alive"] == RF,
         "restarted replica rejoined via snapshot install":
             r["victim_installs"] >= 1,
         "partitioned follower caught up via snapshot install":
@@ -258,7 +202,7 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
         "post-move traffic serves from the new owner":
             r.get("post_move_ok", 0) == 20,
         "membership stayed monotonic on every monitor":
-            _membership_ok(r["monitors"]),
+            _membership_ok(r["scenario"].monitors),
     }
     fo_note = (f"victim r{r['victim']} rejoined with "
                f"{r['victim_installs']} install(s); lagger installs "

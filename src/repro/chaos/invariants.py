@@ -18,6 +18,12 @@ the four properties the fault model promises (see DESIGN.md):
   entries, even with laggards or partitioned peers (that is the whole
   point of trimming past them and streaming snapshots instead).
 
+Three more audit a *finished* KV scenario (anything shaped like
+:class:`repro.kv.scenario.Scenario`; duck-typed, this package imports no
+kv): every acknowledged write uid is applied on every live replica of
+its key's group on the final ring, live replicas of a group are byte
+identical, and every get returned a value some put of that key wrote.
+
 All checkers raise :class:`InvariantViolation` (an ``AssertionError``
 subclass, so plain pytest asserts and CI greps both catch it).
 """
@@ -25,14 +31,16 @@ subclass, so plain pytest asserts and CI greps both catch it).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..photon.rcache import assert_reg_balance
 from ..runtime.health import ALIVE, DEAD
 
 __all__ = ["InvariantViolation", "check_no_duplicate_delivery",
            "check_reg_balance", "check_breaker_legality",
-           "check_membership_monotonic", "check_log_bounded", "check_all"]
+           "check_membership_monotonic", "check_log_bounded",
+           "unapplied_acks", "check_replicas_identical",
+           "check_reads_return_written", "check_all"]
 
 
 class InvariantViolation(AssertionError):
@@ -142,11 +150,59 @@ def check_log_bounded(kv_nodes: Iterable, slack: int = 0) -> None:
                     f"{rn.last_applied}) > bound {bound}")
 
 
+def unapplied_acks(scenario) -> List[Tuple[int, int, Tuple[int, int]]]:
+    """``(rank, group, uid)`` for every write acknowledged to one of
+    ``scenario.clients`` that a live replica of its key's group — on the
+    *final* ring, so a moved key is owed by its new owner — has not
+    applied.  Dead ranks are skipped; a reborn-empty one is not."""
+    nodes, smap = scenario.nodes, scenario.nodes[0].shard_map
+    missing = []
+    for client in scenario.clients:
+        for cid, seq, _op, key, _value in client.acked:
+            group = smap.group_of(key)
+            for rank in smap.replicas(group):
+                machine = nodes[rank].machines.get(group)
+                if nodes[rank].photon.alive and (
+                        machine is None
+                        or (cid, seq) not in machine.applied_uids):
+                    missing.append((rank, group, (cid, seq)))
+    return missing
+
+
+def check_replicas_identical(scenario) -> None:
+    """At quiescence the live replicas of a group serialise to the same
+    bytes."""
+    nodes, smap = scenario.nodes, scenario.nodes[0].shard_map
+    for group in range(smap.n_groups):
+        blobs = {nodes[r].machines[group].serialize()
+                 for r in smap.replicas(group) if nodes[r].photon.alive}
+        if len(blobs) > 1:
+            raise InvariantViolation(
+                f"group {group}: live replicas hold {len(blobs)} "
+                "different states")
+
+
+def check_reads_return_written(scenario) -> None:
+    """Every OK get in ``scenario.history`` returned a value some put of
+    that key wrote (answered or not: a timed-out put may have landed)."""
+    written: Dict[bytes, set] = {}
+    for op in scenario.history:
+        if op.kind == "put":
+            written.setdefault(op.key, set()).add(op.value)
+    for op in scenario.history:
+        if op.kind == "get" and op.status == 0 \
+                and op.value not in written.get(op.key, ()):  # 0: ST_OK
+            raise InvariantViolation(
+                f"client {op.client} get {op.key!r} at t={op.t_return} "
+                f"returned {op.value!r}, which nobody wrote")
+
+
 def check_all(cluster, delivered: Iterable = (),
               transports: Sequence = (),
               monitors: Sequence = (),
-              kv_nodes: Sequence = ()) -> None:
-    """Run every applicable checker; raises on the first violation."""
+              kv_nodes: Sequence = (), scenario=None) -> None:
+    """Run every applicable checker; raises on the first violation.
+    ``scenario``: a finished, drained KV scenario."""
     check_no_duplicate_delivery(delivered)
     check_reg_balance(cluster)
     for tp in transports:
@@ -155,3 +211,11 @@ def check_all(cluster, delivered: Iterable = (),
         check_membership_monotonic(mon)
     if kv_nodes:
         check_log_bounded(kv_nodes)
+    if scenario is not None:
+        missing = unapplied_acks(scenario)
+        if missing:
+            raise InvariantViolation(
+                f"{len(missing)} acknowledged writes missing from a live "
+                f"replica, first {missing[0]}")
+        check_replicas_identical(scenario)
+        check_reads_return_written(scenario)

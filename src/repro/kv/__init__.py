@@ -8,8 +8,8 @@ chaos schedules make leader crashes a testable event.
 
 Entry points: :func:`build_kv` wires one :class:`KVNode` per rank over a
 cluster + photon endpoints; :class:`KVClient` is the session handle;
-``workload`` has the Zipf closed/open-loop drivers.  See docs/API.md
-(`repro.kv`) and DESIGN.md §10.
+:mod:`repro.kv.scenario` is the harness experiments and chaos tests
+are specs over.  See docs/API.md (`repro.kv`) and DESIGN.md §10.
 
 Importing this package arms nothing: no processes, no RNG draws, no
 photon traffic — golden traces stay bit-identical until a node is built
@@ -25,8 +25,6 @@ from .shard import (CodecError, Command, KVStateMachine, OP_CAS, OP_DELETE,
                     ShardMap, ST_CAS_FAIL, ST_MISS, ST_OK, ST_SEALED,
                     decode_command, encode_command, snapshot_keys)
 from .store import KVConfig, KVNode, build_kv
-from .workload import (WorkloadStats, ZipfKeys, closed_loop, open_loop,
-                       value_for)
 
 __all__ = [
     "FOLLOWER", "CANDIDATE", "LEADER",
@@ -38,6 +36,5 @@ __all__ = [
     "ST_OK", "ST_MISS", "ST_CAS_FAIL", "ST_SEALED",
     "KVConfig", "KVNode", "build_kv",
     "KVClient", "ClientStats",
-    "ZipfKeys", "WorkloadStats", "closed_loop", "open_loop", "value_for",
     "move_group", "MoveError",
 ]

@@ -2,16 +2,14 @@
 
 The runtime consumes Photon (or minimpi) through the transport layer,
 reproducing the paper's "middleware under a runtime system" integration:
-parcels, an action registry, per-rank schedulers, LCOs, a one-sided
-global address space, and an active-message invocation layer
-(:mod:`repro.runtime.am`).
+parcels, an action registry, per-rank schedulers, LCOs, and an
+active-message invocation layer (:mod:`repro.runtime.am`).
 """
 
 from .actions import ActionRegistry
 from .am import (AM_ERR, AM_REP, AM_REQ, ActiveMessageEngine, AmConfig,
                  CreditExhaustedError, RemoteActionError)
 from .coalesce import CoalescingTransport
-from .gas import GlobalAddressSpace, gas_allocate
 from .health import (ALIVE, DEAD, SUSPECT, HealthConfig, HealthMonitor,
                      MembershipView, PhiAccrualDetector, build_health)
 from .lco import AndGate, Future, ReduceLCO
@@ -25,7 +23,6 @@ __all__ = [
     "AM_ERR", "AM_REP", "AM_REQ", "ActiveMessageEngine", "AmConfig",
     "CreditExhaustedError", "RemoteActionError",
     "CoalescingTransport",
-    "GlobalAddressSpace", "gas_allocate",
     "ALIVE", "DEAD", "SUSPECT", "HealthConfig", "HealthMonitor",
     "MembershipView", "PhiAccrualDetector", "build_health",
     "AndGate", "Future", "ReduceLCO",

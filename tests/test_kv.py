@@ -36,10 +36,9 @@ from repro.kv.store import (ACT_RESP, PendingReply, RESP_FAIL, RESP_NO_LEASE,
                             RESP_NOT_LEADER, RESP_OK, pack_loc,
                             pack_response, unpack_loc, unpack_request,
                             unpack_response)
-from repro.kv.workload import WorkloadStats, ZipfKeys
+from repro.kv.scenario import Op, Scenario, keyspace, pct_us, zipf_plan
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
-from repro.runtime.health import HealthConfig, build_health
 from repro.sim.rng import RngRegistry
 
 from tests.test_determinism_golden import (GOLDEN, _photon_clean_workload,
@@ -662,17 +661,23 @@ def test_state_machine_ops_and_exactly_once_sessions():
 
 
 def test_zipf_skew_and_stats_percentiles():
-    rng = RngRegistry(3).stream("zipf")
-    z = ZipfKeys(64, 1.2, rng)
-    draws = [z.sample() for _ in range(4000)]
+    rng, keys = RngRegistry(3), keyspace(64)
+    plan = zipf_plan(keys, 1.2, 0.25, rng.stream("zipf"), rng.stream("coin"),
+                     4000)
+    draws = [key for key, _is_get in plan]
     top = max(set(draws), key=draws.count)
-    assert top == z.keys[0]  # rank-0 key dominates under skew
+    assert top == keys[0]  # rank-0 key dominates under skew
     assert draws.count(top) > 3 * (len(draws) // 64)
-    stats = WorkloadStats()
-    for i in range(100):
-        stats.record("get", 0, (i + 1) * 1000, ST_OK)
-    assert stats.completed == 100
-    assert stats.pct_us("get", 50) < stats.pct_us("get", 99)
+    assert 800 < sum(is_get for _key, is_get in plan) < 1200
+    # a plan drawn ahead is the plan drawn op by op: same streams, same pairs
+    again = RngRegistry(3)
+    lazy = zipf_plan(keys, 1.2, 0.25, again.stream("zipf"),
+                     again.stream("coin"))
+    assert [next(lazy) for _ in range(4000)] == plan
+    history = [Op(1, i + 1, "get", b"k", b"v", ST_OK, 0, (i + 1) * 1000)
+               for i in range(100)]
+    assert pct_us(history, "get", 50) < pct_us(history, "get", 99)
+    assert pct_us(history, "put", 50) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -680,23 +685,15 @@ def test_zipf_skew_and_stats_percentiles():
 # --------------------------------------------------------------------------
 
 def _run_kv(body, n_ranks=3, n_groups=1, seed=21):
-    cl = build_cluster(n_ranks, "ib-fdr", seed=seed)
-    ph = photon_init(cl)
-    monitors = build_health(cl, HealthConfig(period_ns=HB, phi_dead=6.0))
-    nodes = build_kv(cl, ph, KVConfig(n_groups=n_groups,
-                                      rf=min(3, n_ranks)),
-                     monitors=monitors)
+    sc = Scenario(n_ranks, n_groups, seed, spans=False)
     out = {}
 
-    def driver(env):
-        while not all(any(n.is_leader(g) for n in nodes)
-                      for g in range(n_groups)):
-            yield env.timeout(HB)
-        yield from body(env, cl, nodes, out)
+    def driver():
+        yield from sc.wait_leaders()
+        yield from body(sc.env, sc.cluster, sc.nodes, out)
 
-    done = cl.env.process(driver(cl.env), name="kv.test.driver")
-    cl.env.run(until=done)
-    return cl, nodes, out
+    sc.run(driver())
+    return sc.cluster, sc.nodes, out
 
 
 def test_end_to_end_put_get_cas_delete():

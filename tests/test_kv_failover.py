@@ -19,11 +19,18 @@ suite asserts the whole contract:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.bench.experiments.r20_kvstore import (DETECT_BUDGET_NS,
-                                                 run_failover)
-from repro.chaos.invariants import check_membership_monotonic
+from repro.bench.experiments.r20_kvstore import run_failover
+from repro.chaos import CrashRank, HealEvent, PartitionEvent
+from repro.chaos.invariants import (check_membership_monotonic,
+                                    check_reads_return_written,
+                                    unapplied_acks)
+from repro.kv import RaftConfig, ST_OK
+from repro.kv.scenario import (DETECT_BUDGET_NS, HB_PERIOD, Scenario,
+                               keyspace, zipf_plan)
+from repro.kv.store import ACT_RAFT
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +46,23 @@ def test_burst_made_progress_before_and_after_the_crash(fo):
 
 
 def test_new_leader_is_elected_and_is_not_the_victim(fo):
-    assert fo["t_new_leader"] is not None
-    assert fo["new_leader"] != fo["leader_before"]
+    assert fo["new_leader"] not in (None, fo["leader_before"])
 
 
 def test_election_within_the_detection_bound(fo):
     # crash -> new leader must be driven by detection (phi budget plus a
     # fast election), far under the idle election timeout
-    assert fo["failover_ns"] is not None
     assert fo["failover_ns"] < 2 * DETECT_BUDGET_NS + 500_000
     detections = fo["detect_ns"]
     assert detections and max(detections) <= 2 * DETECT_BUDGET_NS
 
 
 def test_zero_acked_write_loss_on_every_survivor(fo):
-    assert fo["lost_on_new_leader"] == []
-    assert fo["lost_per_survivor"]  # the audit actually covered replicas
-    for rank, missing in fo["lost_per_survivor"].items():
-        assert missing == [], f"rank {rank} lost acked writes {missing[:5]}"
+    sc = fo["scenario"]
+    # the audit actually covered replicas: two of three outlived the crash
+    assert sum(sc.nodes[r].photon.alive
+               for r in sc.shard_map.replicas(0)) == 2
+    assert fo["lost"] == [], f"lost acked writes {fo['lost'][:5]}"
 
 
 def test_membership_monotonic_on_survivors(fo):
@@ -71,17 +77,9 @@ def test_membership_monotonic_on_survivors(fo):
 
 @pytest.mark.parametrize("where", ["apply", "flush"])
 def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
-    from repro.bench.experiments.r20_kvstore import (HB_PERIOD, VALUE_SIZE,
-                                                     _build, _leaders_ready)
-    from repro.chaos import ChaosController, FaultSchedule
-    from repro.kv import KVClient
-    from repro.kv.store import ACT_RAFT
-    from repro.kv.workload import value_for
-
-    cl, ph, monitors, nodes = _build(5, 1, seed=303)
-    env = cl.env
-    ctrl = ChaosController(cl, FaultSchedule([]), photon=ph,
-                           monitors=monitors, kv=nodes)
+    sc = Scenario(5, 1, seed=303)
+    env, nodes = sc.env, sc.nodes
+    ctrl = sc.arm([])
     out = {"armed": False, "t_crash": None}
 
     def crash(victim):
@@ -112,34 +110,28 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
                 return inner(dst, action, payload)
             node._ship = ship
 
-    def burst(env):
-        while not _leaders_ready(nodes, 1):
-            yield env.timeout(HB_PERIOD)
-        victim = out["victim"] = next(n.rank for n in nodes
-                                      if n.is_leader(0))
+    def burst():
+        yield from sc.wait_leaders()
+        victim = out["victim"] = sc.leader(0)
         hook(victim)
-        client = out["client"] = KVClient(nodes[4], client_id=7)
+        client = sc.client(4, 7)
         for i in range(120):
             out["armed"] = out["t_crash"] is None and i >= 40
-            v = value_for(7, client.seq + 1, VALUE_SIZE)
-            yield from client.put(f"cr:{i % 40:04d}".encode(), v)
-        yield env.timeout(20 * HB_PERIOD)
+            yield from sc.op(client, b"cr:%04d" % (i % 40), False)
+        yield from sc.drain()
 
     # a dead serve loop surfaces here: the kernel re-raises the failure
     # of a process nobody waits on ("dictionary changed size ...")
-    env.run(until=env.process(burst(env), name="kv.crash.burst"))
+    sc.run(burst())
 
     victim = nodes[out["victim"]]
     assert out["t_crash"] is not None, "the crash hook never fired"
     # loop alive (parked until a rejoin), endpoint dead, replica state wiped
     assert victim._proc.is_alive and not victim.photon.alive
     assert not victim.raft and not victim.machines
-    acked = {(c, s) for (c, s, _op, _k, _v) in out["client"].acked}
-    assert len(acked) == 120
-    survivors = [n for n in nodes if n.photon.alive and 0 in n.machines]
-    assert len(survivors) == 2
-    for n in survivors:
-        assert acked <= n.machines[0].applied_uids, n.rank
+    assert len(sc.clients[0].acked) == 120
+    assert sum(n.photon.alive and 0 in n.machines for n in nodes) == 2
+    assert unapplied_acks(sc) == []
 
 
 # ---------------------------------------------------------------------------
@@ -147,108 +139,42 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
 # ---------------------------------------------------------------------------
 
 def _chaos_block(seed, n_ops=290):
-    """The ``kv_chaos`` benchmark's block at ``seed``, rebuilt from
-    ``repro.chaos`` + ``build_kv`` (nothing imported from ``perf/``),
-    without any restart: 6 ranks, 2 groups x rf 3, 1 % chunk loss, 4
-    closed-loop clients of ``n_ops`` ops each (the benchmark's 290 x
-    ``--scale``), a 500 us partition of a group-1 follower, then a crash
-    of the rank leading group 0.  Runs the clients to completion and
-    returns the block, stopped there."""
-    from types import SimpleNamespace
-
-    import numpy as np
-
-    from repro.chaos import (ChaosController, CrashRank, FaultSchedule,
-                             HealEvent, PartitionEvent)
-    from repro.cluster import build_cluster
-    from repro.kv import (KVClient, KVConfig, RaftConfig, ST_OK, build_kv)
-    from repro.photon import photon_init
-    from repro.runtime.health import HealthConfig, build_health
-
-    n_ranks, n_groups, n_keys, hb = 6, 2, 192, 50_000
+    """The ``kv_chaos`` benchmark's block at ``seed`` as a scenario spec
+    (nothing imported from ``perf/``), without any restart: 6 ranks, 2
+    groups x rf 3, 1 % chunk loss, 4 closed-loop clients of ``n_ops`` ops
+    each (the benchmark's 290 x ``--scale``) drawn from one stream the
+    way the benchmark draws them, a 500 us partition of a group-1
+    follower, then a crash of the rank leading group 0.  Runs the clients
+    to completion and returns the scenario, stopped there."""
     rng = np.random.default_rng(seed)
-    cl = build_cluster(n_ranks, "ib-fdr", seed=seed, link__loss_mode="lossy",
-                       link__drop_rate=0.01)
-    env = cl.env
-    ph = photon_init(cl)
-    monitors = build_health(cl, HealthConfig(period_ns=hb, phi_dead=6.0))
-    nodes = build_kv(cl, ph, KVConfig(
-        n_groups=n_groups, rf=3,
-        raft=RaftConfig(compact_threshold=16, compact_margin=4)),
-        monitors=monitors)
-    smap = nodes[0].shard_map
-    free = [r for r in range(n_ranks) if not smap.groups_on(r)]
-    keys = [b"kv:%08d" % i for i in range(n_keys)]
-    weights = np.arange(1, n_keys + 1, dtype=np.float64) ** -0.99
-    cdf = np.cumsum(weights) / weights.sum()
-    plans, clients = [], []
+    sc = Scenario(6, 2, seed, spans=False,
+                  raft=RaftConfig(compact_threshold=16, compact_margin=4),
+                  link__loss_mode="lossy", link__drop_rate=0.01)
+    env, keys, free = sc.env, keyspace(192), sc.free
+    plans = []
     for c in range(4):
-        ranks = np.searchsorted(cdf, rng.random(n_ops), side="left")
-        gets = rng.random(n_ops) < 0.5
-        plans.append(list(zip(ranks.tolist(), gets.tolist())))
-        clients.append(KVClient(
-            nodes[free[c % len(free)]], client_id=c + 1,
-            poll_ns=2_000 + int(rng.integers(-400, 401)), max_attempts=200))
-    loader = KVClient(nodes[free[0]], client_id=1000)
+        plans.append(zipf_plan(keys, 0.99, 0.5, rng, rng, n_ops))
+        sc.client(free[c % len(free)], c + 1, max_attempts=200,
+                  poll_ns=2_000 + int(rng.integers(-400, 401)))
+    clients, loader = list(sc.clients), sc.client(free[0], 1000)
 
-    def value(client):
-        tag = b"c%d:s%d:" % (client.client_id, client.seq + 1)
-        return tag + b"x" * (64 - len(tag))
+    def setup():
+        yield from sc.wait_leaders()
+        yield from sc.preload(loader, keys)
 
-    def leaders_ready():
-        return all(any(n.photon.alive and n.is_leader(g) for n in nodes)
-                   for g in range(n_groups))
-
-    def preload():
-        while not leaders_ready():
-            yield env.timeout(hb)
-        for key in keys:
-            assert (yield from loader.put(key, value(loader))) == ST_OK
-
-    env.run(until=env.process(preload()))
-    victim = next(n.rank for n in nodes if n.is_leader(0))
-    lagger = max(r for r in smap.replicas(1)
-                 if r != victim and not nodes[r].is_leader(1))
-    t_crash = env.now + 1_200_000
-    ChaosController(cl, FaultSchedule([
-        PartitionEvent(env.now + 300_000, (lagger,),
-                       tuple(r for r in range(n_ranks) if r != lagger)),
-        HealEvent(env.now + 800_000),
-        CrashRank(t_crash, victim),
-    ]), photon=ph, monitors=monitors, kv=nodes).arm()
-    blk = SimpleNamespace(env=env, nodes=nodes, smap=smap, hb=hb,
-                          t_crash=t_crash, failed=0, led_again=None)
-
-    def client_loop(client, plan):
-        for key_rank, is_get in plan:
-            if is_get:
-                status, _value = yield from client.get(keys[key_rank])
-            else:
-                status = yield from client.put(keys[key_rank], value(client))
-            blk.failed += status != ST_OK
-
-    def watch():
-        yield env.timeout(t_crash - env.now + 1)
-        while not leaders_ready():
-            yield env.timeout(10_000)
-        blk.led_again = env.now - t_crash
-
-    blk.watch = env.process(watch())
-    procs = [env.process(client_loop(c, p)) for c, p in zip(clients, plans)]
-    env.run(until=env.all_of(procs))
-    blk.acked = [(smap.group_of(key), (cid, seq))
-                 for client in clients + [loader]
-                 for (cid, seq, _op, key, _v) in client.acked]
-    return blk
-
-
-def _unapplied_acks(blk):
-    """The benchmark's audit: ``(rank, group, uid)`` for every acknowledged
-    write a surviving replica of its group has not applied."""
-    return [(rank, group, uid) for group, uid in blk.acked
-            for rank in blk.smap.replicas(group)
-            if blk.nodes[rank].photon.alive
-            and uid not in blk.nodes[rank].machines[group].applied_uids]
+    sc.run(setup())
+    victim = sc.leader(0)
+    lagger = max(r for r in sc.shard_map.replicas(1)
+                 if r != victim and not sc.nodes[r].is_leader(1))
+    sc.t_crash = env.now + 1_200_000
+    sc.arm([PartitionEvent(env.now + 300_000, (lagger,),
+                           tuple(r for r in range(6) if r != lagger)),
+            HealEvent(env.now + 800_000), CrashRank(sc.t_crash, victim)])
+    #: ends at the first instant after the crash every group is led again
+    sc.watch = env.process(sc.wait_leaders(since=sc.t_crash + 1))
+    env.run(until=env.all_of([env.process(sc.closed_loop(c, p))
+                              for c, p in zip(clients, plans)]))
+    return sc
 
 
 def _check_election_bound(seed):
@@ -263,11 +189,12 @@ def _check_election_bound(seed):
     round would be 2.1 or more — every op OK, no acknowledged write
     missing from a survivor.
     """
-    blk = _chaos_block(seed)
-    blk.env.run(until=blk.env.now + 40 * blk.hb)   # followers catch up
-    assert blk.failed == 0
-    assert blk.led_again is not None and blk.led_again <= 2_000_000
-    assert _unapplied_acks(blk) == []
+    sc = _chaos_block(seed)
+    sc.run(sc.drain())
+    assert all(op.status == ST_OK for op in sc.history)
+    assert sc.watch.value - sc.t_crash <= 2_000_000
+    assert unapplied_acks(sc) == []
+    check_reads_return_written(sc)
 
 
 def test_election_churn_on_the_lossy_fabric_is_bounded():
@@ -286,26 +213,27 @@ def test_acked_write_outlives_a_split_vote_after_the_clients_are_done():
     victim dies before any AppendEntries tells the survivors that entry
     is committed.  Their detection-driven election timers then land 1 us
     apart — a split vote, each candidate votes for itself (ROADMAP item
-    1e) — and the benchmark's audit, 2 ms after the crash, finds group 0
-    still leaderless and the write applied on neither survivor.  It is
-    not lost: it sits in both survivors' logs, and once the next round
-    has elected one of them (one lost round, not two) every acknowledged
-    write is applied on every surviving replica.
+    1e) — and the benchmark's audit, a fixed 2 ms after the crash, finds
+    group 0 still leaderless and the write applied on neither survivor.
+    It is not lost: it sits in both survivors' logs, and ``drain()``,
+    which waits for the next round to elect one of them (one lost round,
+    not two) before it counts its heartbeats, ends with every
+    acknowledged write applied on every surviving replica.
     """
     from repro.kv.shard import decode_command
 
-    blk = _chaos_block(7007, n_ops=87)
-    env = blk.env
-    assert blk.failed == 0
+    sc = _chaos_block(7007, n_ops=87)
+    env = sc.env
+    assert all(op.status == ST_OK for op in sc.history)
     # the benchmark's audit instant
-    env.run(until=max(env.now, blk.t_crash) + 40 * blk.hb)
-    for rank, group, uid in _unapplied_acks(blk):
-        rn = blk.nodes[rank].raft[group]
+    env.run(until=max(env.now, sc.t_crash) + 40 * HB_PERIOD)
+    early = unapplied_acks(sc)
+    assert early and sc.leader(0) is None
+    for rank, group, uid in early:
+        rn = sc.nodes[rank].raft[group]
         unapplied = rn.log[rn.last_applied - rn.base_index:]
         assert uid in {decode_command(cmd).uid for _t, cmd in unapplied
                        if cmd}, (rank, group, uid)
-    env.run(until=blk.watch)                   # every group led again
-    assert blk.led_again <= 4_000_000
-    env.run(until=env.now + 40 * blk.hb)       # followers catch up
-    assert _unapplied_acks(blk) == []
-
+    sc.run(sc.drain())
+    assert sc.watch.value - sc.t_crash <= 4_000_000
+    assert unapplied_acks(sc) == []

@@ -194,3 +194,22 @@ def test_links_have_one_path_per_job():
     Link(env, params, "served", rng=RngRegistry(1).stream("link.served"))
     # with an rng or without: nothing spawned, nothing armed
     assert env.peek() is None
+
+
+def test_kv_scenarios_are_built_in_one_place():
+    """``repro.kv.scenario`` is the one builder of a replicated KV cluster
+    and ``repro.chaos.invariants`` the one reader of ``applied_uids``:
+    experiments, tests and CI scripts are specs over them, and the two
+    modules they replaced stay gone."""
+    specs = [p for p in _py_files("src/repro/bench", "tests",
+                                  ".github/scripts")
+             if os.path.basename(p) != "test_repo_consistency.py"]
+    text = {path: open(path).read() for path in specs}
+    unit = os.path.join("tests", "test_kv.py")   # single-node / pure-logic
+    assert not [p for p, src in text.items()
+                if re.search(r"def _?leaders_ready\b", src)]
+    assert [p for p, src in text.items() if "build_kv(" in src] == [unit]
+    assert {p for p, src in text.items() if "applied_uids" in src} == \
+        {unit, os.path.join("tests", "test_kv_scenario.py")}
+    for module in ("repro.kv.workload", "repro.runtime.gas"):
+        assert importlib.util.find_spec(module) is None, module

@@ -12,7 +12,6 @@ from repro.runtime import (
     Parcel,
     ReduceLCO,
     build_runtime,
-    gas_allocate,
 )
 from repro.sim import SimulationError
 
@@ -216,79 +215,3 @@ def test_reduce_lco():
     p0 = cl.env.process(rank0(cl.env))
     run_all(cl, procs + [p0])
     assert p0.value == 30
-
-
-# ------------------------------------------------------------- GAS
-
-
-def test_gas_memput_memget_roundtrip():
-    cl = build_cluster(4)
-    ph = photon_init(cl)
-    gas = gas_allocate(ph, total=64 * 1024, block_size=4096)
-    scratch = [ph[r].buffer(16 * 1024) for r in range(4)]
-
-    def writer(env):
-        yield from gas[0].memput(10_000, b"gas data " * 3, scratch[0].addr)
-
-    def reader(env):
-        yield cl.env.process(writer(cl.env))
-        data = yield from gas[1].memget(10_000, 27, scratch[1].addr)
-        return data
-
-    p = cl.env.process(reader(cl.env))
-    run_all(cl, [p])
-    assert p.value == b"gas data " * 3
-
-
-def test_gas_block_cyclic_homes():
-    cl = build_cluster(4)
-    ph = photon_init(cl)
-    gas = gas_allocate(ph, total=16 * 4096, block_size=4096)
-    homes = [gas[0].home_of(b * 4096) for b in range(8)]
-    assert homes == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_gas_straddling_put_splits_blocks():
-    cl = build_cluster(2)
-    ph = photon_init(cl)
-    gas = gas_allocate(ph, total=8 * 4096, block_size=4096)
-    scratch = ph[0].buffer(16 * 1024)
-    data = bytes(range(256)) * 32  # 8 KiB spans 2+ blocks
-
-    def prog(env):
-        yield from gas[0].memput(4000, data, scratch.addr)
-        got = yield from gas[0].memget(4000, len(data), scratch.addr + 8192)
-        return got
-
-    p = cl.env.process(prog(cl.env))
-    run_all(cl, [p])
-    assert p.value == data
-
-
-def test_gas_memput_pwc_notifies_home():
-    cl = build_cluster(2)
-    ph = photon_init(cl)
-    gas = gas_allocate(ph, total=8 * 4096, block_size=4096)
-    scratch = ph[0].buffer(4096)
-
-    def writer(env):
-        # block 1 lives on rank 1
-        yield from gas[0].memput_pwc(4096, b"notified!", scratch.addr,
-                                     remote_cid=42)
-
-    def home(env):
-        c = yield from ph[1].wait_completion("remote", timeout_ns=TIMEOUT)
-        return c
-
-    p0 = cl.env.process(writer(cl.env))
-    p1 = cl.env.process(home(cl.env))
-    run_all(cl, [p0, p1])
-    assert p1.value.cid == 42
-
-
-def test_gas_out_of_range_rejected():
-    cl = build_cluster(2)
-    ph = photon_init(cl)
-    gas = gas_allocate(ph, total=4096, block_size=1024)
-    with pytest.raises(SimulationError):
-        gas[0].locate(5000)

@@ -1,5 +1,5 @@
 """Unit tests for runtime building blocks: actions, parcels, scheduler,
-GAS addressing, LCO edge cases."""
+LCO edge cases."""
 
 import pytest
 
@@ -12,9 +12,7 @@ from repro.runtime import (
     Parcel,
     ReduceLCO,
     build_runtime,
-    gas_allocate,
 )
-from repro.runtime.gas import GlobalAddressSpace
 from repro.sim import SimulationError
 
 
@@ -128,51 +126,6 @@ def test_process_until_timeout_returns_false():
     cl.env.run(until=p)
     ok, t = p.value
     assert not ok and t >= 500_000
-
-
-# ---------------------------------------------------------------- GAS
-
-
-def gas_fixture(n=4, total=64 * 1024, block=4096):
-    cl = build_cluster(n)
-    ph = photon_init(cl)
-    return cl, ph, gas_allocate(ph, total=total, block_size=block)
-
-
-def test_locate_straddle_rejected():
-    cl, ph, gas = gas_fixture()
-    with pytest.raises(SimulationError, match="straddles"):
-        gas[0].locate(4090, 16)
-
-
-def test_block_span_partitions_exactly():
-    cl, ph, gas = gas_fixture()
-    spans = gas[0].block_span(4090, 10000)
-    assert sum(s for _, s in spans) == 10000
-    assert spans[0] == (4090, 6)
-    for addr, size in spans:
-        # no piece straddles a block
-        assert addr % 4096 + size <= 4096
-
-
-def test_gas_alloc_invalid_params():
-    cl = build_cluster(2)
-    ph = photon_init(cl)
-    with pytest.raises(SimulationError):
-        gas_allocate(ph, total=0)
-
-
-def test_gas_memput_pwc_straddle_rejected():
-    cl, ph, gas = gas_fixture()
-    scratch = ph[0].buffer(8192)
-
-    def prog(env):
-        yield from gas[0].memput_pwc(4090, bytes(100), scratch.addr,
-                                     remote_cid=1)
-
-    p = cl.env.process(prog(cl.env))
-    with pytest.raises(SimulationError):
-        cl.env.run(until=p)
 
 
 # ---------------------------------------------------------------- LCOs
