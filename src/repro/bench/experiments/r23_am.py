@@ -13,9 +13,10 @@ A client floods ``count`` 16-byte echo invocations at one server,
 pipelined under the AM layer's credit window (credit backpressure is
 the only flow control), on a clean and a lossy fabric.  Expected shape:
 coalescing multiplies delivered invocation throughput (per-message
-overhead amortises across the batch) at a latency cost per invoke,
-while the per-parcel PWC arm keeps the lowest p50 — the paper's
-small-message argument, now at the RPC layer.  A Monte-Carlo Tree
+overhead amortises across the batch); an unloaded invoke pays only the
+batch framing on each leg, because a batch waits only while its rank is
+busy, so the per-parcel PWC arm keeps the lowest p50 by a small margin —
+the paper's small-message argument, now at the RPC layer.  A Monte-Carlo Tree
 Search row (4 ranks, fan-out invocations with tiny replies) exercises
 the same machinery under an irregular app.
 """
@@ -204,7 +205,8 @@ def run(quick: bool = True) -> ExperimentResult:
         rows=rows,
         checks=checks,
         notes=["throughput from the windowed flood, latency from an "
-               "unloaded window-1 probe: coalescing trades per-invoke "
-               "latency for throughput; the per-parcel PWC arm is the "
-               "latency floor (paper's small-message claim at the RPC "
-               "layer)"])
+               "unloaded window-1 probe: a coalesced batch ships when "
+               "its rank goes idle, so an unloaded invoke pays the batch "
+               "framing, not the flush delay; the per-parcel PWC arm is "
+               "the latency floor (paper's small-message claim at the "
+               "RPC layer)"])

@@ -87,9 +87,6 @@ class NicParams:
     bulk_threshold: Optional[int] = None
     #: one-time startup cost when the bulk engine is used (ns)
     bulk_startup_ns: int = 0
-    #: how many chunks may sit in the first-hop queue before the send engine
-    #: blocks (models shallow NIC FIFOs; provides backpressure)
-    inject_depth: int = 4
     #: penalty charged when a message arrives before a receive is posted
     #: (receiver-not-ready retry, ns); well-behaved middleware never pays it
     rnr_retry_ns: int = 5000

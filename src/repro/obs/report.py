@@ -14,7 +14,8 @@ into one JSON-serializable document:
 
 ``python -m repro.obs.report`` runs a small R17-style lossy workload
 (PWC puts, eager sends, a rendezvous message, minimpi eager+rendezvous
-traffic) with spans and tracing enabled, prints a summary, and can write
+traffic, then coalesced active-message echoes over the parcel runtime)
+with spans and tracing enabled, prints a summary, and can write
 the snapshot (``--json``) and the bounded JSONL trace (``--trace``) —
 the same artifacts CI uploads from the smoke run.
 """
@@ -145,12 +146,15 @@ def run_demo(n_msgs: int = 12, loss: float = 1e-3, seed: int = 7):
 
     Photon PWC puts + eager sends + one rendezvous message and a minimpi
     eager/rendezvous stream share one 2-rank lossy fabric (NIC ARQ off so
-    drops surface to the middleware).  Returns ``(cluster, photons,
-    comms, snapshot)``.
+    drops surface to the middleware); once they are through, a runtime
+    over the same endpoints floods ``n_msgs`` coalesced echo invokes and
+    then sends one alone.  Returns ``(cluster, photons, comms,
+    snapshot)``.
     """
     from ..cluster import build_cluster
     from ..minimpi import mpi_init
     from ..photon import PhotonConfig, photon_init
+    from ..runtime import ActionRegistry, build_runtime
     from ..sim.core import SimulationError
 
     cl = build_cluster(2, params="ib-fdr", seed=seed, trace=True, spans=True,
@@ -219,7 +223,32 @@ def run_demo(n_msgs: int = 12, loss: float = 1e-3, seed: int = 7):
     cl.env.run(until=cl.env.all_of(procs))
     if bytes(cl[1].memory.read(dst.addr, size)) != pattern:
         raise SimulationError("demo payload corrupted")
-    snapshot = build_snapshot(cl, photons=ph, comms=mm)
+
+    reg = ActionRegistry()
+    reg.register("echo", lambda rt, src, payload: payload)
+    rts = build_runtime(cl, reg, "photon", photon=ph, am=True,
+                        coalesce_opts={"flush_count": 4})
+    echoed = []
+
+    def am_client(env):
+        futs = []
+        for i in range(n_msgs):
+            futs.append((yield from rts[0].invoke(1, "echo", bytes([i]) * 16)))
+        for fut in futs:
+            echoed.append((yield from fut.wait(rts[0], _WAIT)))
+        # ... and one alone, with nothing to share a batch with
+        fut = yield from rts[0].invoke(1, "echo", bytes([n_msgs]) * 16)
+        echoed.append((yield from fut.wait(rts[0], _WAIT)))
+
+    def am_server(env):
+        yield from rts[1].process_until(lambda: len(echoed) > n_msgs, _WAIT)
+
+    cl.env.run(until=cl.env.all_of([cl.env.process(am_client(cl.env)),
+                                    cl.env.process(am_server(cl.env))]))
+    if echoed != [bytes([i]) * 16 for i in range(n_msgs + 1)]:
+        raise SimulationError("demo echo corrupted")
+    snapshot = build_snapshot(cl, photons=ph, comms=mm,
+                              transports=[rt.transport for rt in rts])
     return cl, ph, mm, snapshot
 
 
@@ -257,6 +286,16 @@ def main(argv=None) -> int:
     for key in ("photon.op_retries", "photon.dup_drops", "link.drops",
                 "mpi.ctrl_resends"):
         print(f"  {key}: {agg.get(key, 0)}")
+    # runtime: why coalesced batches left, and how long they had been open
+    why = {k: agg.get(f"coalesce.ship.{k}", 0)
+           for k in ("full", "stale", "idle", "flush")}
+    print(f"  coalesce.batches_sent: {agg.get('coalesce.batches_sent', 0)} "
+          + " ".join(f"{k}={n}" for k, n in why.items()))
+    for r, entry in snapshot["ranks"].items():
+        hist = entry["metrics"]["histograms"].get("coalesce.open_ns")
+        if hist:
+            print(f"  rank {r} coalesce.open_ns: n={hist['count']} "
+                  f"min={hist['min']} max={hist['max']}")
     gaps = snapshot["aggregate"]["attribution_gaps"]
     if gaps:
         print(f"  attribution gaps: {gaps}")

@@ -7,11 +7,13 @@ invocation coalescing is the RPC-layer version).  This layer wraps any
 transport:
 
 - ``send`` appends the encoded parcel to the destination's open batch and
-  ships the batch when it reaches ``flush_bytes`` / ``flush_count`` — or
-  when ``flush``/``flush_stale``/``poll`` observes it has been open
-  longer than ``max_delay_ns`` (latency bound);
+  ships the batch when it reaches ``flush_bytes`` / ``flush_count``;
 - ``poll`` unpacks batches from the underlying transport and hands the
-  contained parcels out one at a time.
+  contained parcels out one at a time — and when it finds nothing, its
+  rank is idle and about to park: nothing more can join an open batch,
+  so every open batch ships there.  A batch waits only while its rank is
+  busy, and then at most ``max_delay_ns`` (``flush_stale``, from every
+  ``poll`` and from the scheduler between local dispatches).
 
 Failure handling is deliberate rather than accidental: when the inner
 transport raises :class:`~repro.runtime.transport.PeerDownError` mid-
@@ -95,7 +97,7 @@ class CoalescingTransport(Transport):
         if batch is None:
             batch = self._open[dst] = _Batch(self.env.now)
         elif batch.nbytes + framed_len > self.flush_bytes:
-            yield from self._ship(dst)
+            yield from self._ship(dst, "full")
             batch = self._open.get(dst)
             if batch is None:
                 batch = self._open[dst] = _Batch(self.env.now)
@@ -105,12 +107,15 @@ class CoalescingTransport(Transport):
         self.parcels_batched += 1
         if (len(batch.chunks) // 2 >= self.flush_count
                 or batch.nbytes >= self.flush_bytes):
-            yield from self._ship(dst)
+            yield from self._ship(dst, "full")
 
-    def _ship(self, dst: int):
+    def _ship(self, dst: int, why: str):
+        """Hand ``dst``'s open batch to the wire (generator); ``why`` it
+        leaves — full / stale / idle / flush — is counted."""
         batch = self._open.pop(dst, None)
         if batch is None or not batch.chunks:
             return
+        open_ns = self.env.now - batch.opened_at
         try:
             yield from self.inner.send(dst, b"".join(batch.chunks))
         except PeerDownError:
@@ -136,15 +141,18 @@ class CoalescingTransport(Transport):
             raise
         self.batches_sent += 1
         self.counters.add("coalesce.batches_sent")
+        self.counters.add("coalesce.ship." + why)
+        self.counters.observe("coalesce.open_ns", open_ns)
 
     def flush(self, dst: Optional[int] = None):
         """Ship open batches now (generator) — call at phase boundaries."""
         targets = [dst] if dst is not None else list(self._open)
         for d in targets:
-            yield from self._ship(d)
+            yield from self._ship(d, "flush")
 
-    def flush_stale(self):
-        """Ship batches older than ``max_delay_ns`` (generator).
+    def flush_stale(self, min_age_ns: Optional[int] = None):
+        """Ship batches open for ``min_age_ns`` (default ``max_delay_ns``)
+        or longer (generator).
 
         Called from :meth:`poll` and from the runtime scheduler between
         dispatches, so the latency bound holds even on ranks that are
@@ -153,37 +161,38 @@ class CoalescingTransport(Transport):
         (no churn), in shed mode the loss is counted and swallowed —
         there is no specific send to fail.
         """
+        if min_age_ns is None:
+            min_age_ns = self.max_delay_ns
         now = self.env.now
-        stale = [d for d, b in self._open.items()
-                 if now - b.opened_at >= self.max_delay_ns]
-        for d in stale:
-            if self.requeue_on_peer_down and self.peer_is_down(d):
+        for d, age in [(d, now - b.opened_at)
+                       for d, b in self._open.items()]:
+            if age < min_age_ns or (self.requeue_on_peer_down
+                                    and self.peer_is_down(d)):
                 continue
             try:
-                yield from self._ship(d)
+                yield from self._ship(
+                    d, "stale" if age >= self.max_delay_ns else "idle")
             except PeerDownError:
                 pass
 
     def next_deadline(self) -> Optional[int]:
-        """The wire's next deadline or the instant the oldest open batch
-        :meth:`flush_stale` would ship reaches ``max_delay_ns``."""
-        due = self.inner.next_deadline()
-        for d, b in self._open.items():
-            if self.requeue_on_peer_down and self.peer_is_down(d):
-                continue
-            stale_at = b.opened_at + self.max_delay_ns
-            if due is None or stale_at < due:
-                due = stale_at
-        return due
+        """The wire's: a rank that parks has shipped its open batches."""
+        return self.inner.next_deadline()
 
     # ------------------------------------------------------------- receiving
     def poll(self):
-        """Return the next parcel, unpacking inner batches (generator)."""
+        """Return the next parcel, unpacking inner batches (generator).
+
+        A poll that finds nothing ships every open batch before it says
+        so: the caller is idle.  A raw-transport loop that polls between
+        its ``send``s therefore ships per poll (no caller does).
+        """
         yield from self.flush_stale()
         if self._ready:
             return self._ready.popleft()
         blob = yield from self.inner.poll()
         if blob is None:
+            yield from self.flush_stale(0)
             return None
         offset = 0
         records = 0

@@ -272,3 +272,160 @@ def test_stale_flush_swallows_peer_down():
     cl.env.run(until=cl.env.process(prog(cl.env)))
     assert tp.parcels_dropped == 1
     assert cl.counters.get("coalesce.parcels_dropped") == 1
+
+
+# ---------------------------------------------------------------------------
+# work conservation: a batch waits only while its rank is busy
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def coalescers(monkeypatch):
+    """Every coalescer built during the test, and in ``.parks`` each park
+    on one's doorbell as ``(rank, now, [peers not marked down it holds an
+    open batch for])`` — the constructor and ``Signal.wait`` wrapped from
+    the test tree (the ``heap_oracle`` mould: no hook in ``src/``)."""
+    from repro.sim.resources import Signal
+
+    class Built(list):
+        parks = []
+
+    built = Built()
+    init, wait = CoalescingTransport.__init__, Signal.wait
+
+    def spy_init(tp, *args, **kw):
+        init(tp, *args, **kw)
+        built.append(tp)
+
+    def spy_wait(bell, until=None):
+        for tp in built:
+            if tp.doorbell is bell:
+                built.parks.append((tp.rank, bell.env.now, [
+                    d for d in tp._open if not tp.peer_is_down(d)]))
+        return wait(bell, until)
+
+    monkeypatch.setattr(CoalescingTransport, "__init__", spy_init)
+    monkeypatch.setattr(Signal, "wait", spy_wait)
+    return built
+
+
+@pytest.mark.parametrize("scenario", ["mcts", "flood", "lossy flood"])
+def test_no_rank_parks_on_an_open_batch(coalescers, scenario):
+    """The invariant the idle flush buys: whenever a rank parks — in
+    ``Future.wait``, in a credit stall, as a server between requests —
+    its coalescer holds nothing it could have shipped.  Over R23's own
+    4-rank MCTS demo and its window-32 floods, clean and 2 % lossy."""
+    from repro.bench.experiments import r23_am
+
+    if scenario == "mcts":
+        out = r23_am._mcts_demo(6)
+        assert out["root_visits"] == out["expected_visits"]
+    else:
+        out = r23_am._invoke_flood("am/photon+coal", 300,
+                                   lossy=scenario != "flood")
+        # a busy rank still batches: the flood's batches fill by count,
+        # as many of them and as many wire messages as before the idle
+        # flush existed
+        assert [tp.batches_sent for tp in coalescers] == [19, 19]
+        assert out["wire"] == 40
+    assert len(coalescers.parks) > 10
+    assert [p for p in coalescers.parks if p[2]] == []
+
+
+def _down_peer_pair(requeue):
+    """Rank 0's coalescer with two parcels open towards rank 1, which a
+    failure detector reports dead (``dead[0]``); ``ships`` logs every
+    ``_ship`` call of rank 0's."""
+    from types import SimpleNamespace
+
+    cl = build_cluster(2)
+    ph = photon_init(cl)
+    tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100,
+                               max_delay_ns=10 ** 9,
+                               requeue_on_peer_down=requeue, max_requeues=2)
+           for r in range(2)]
+    dead = [True]
+    tps[0].inner.monitor = SimpleNamespace(is_dead=lambda rank: dead[0])
+    ships = []
+    ship = tps[0]._ship
+
+    def spy(dst, why):
+        ships.append((cl.env.now, why))
+        yield from ship(dst, why)
+
+    tps[0]._ship = spy
+    return cl, tps, dead, ships
+
+
+def _idle_polls(tp, n):
+    """``n`` polls that find nothing; each must cost what the first does."""
+    env = tp.env
+    costs = []
+    for _ in range(n):
+        t0 = env.now
+        assert (yield from tp.poll()) is None
+        costs.append(env.now - t0)
+    return costs
+
+
+def test_idle_flush_towards_a_down_peer_neither_spins_nor_loses():
+    """Requeue mode.  While the breaker is open the idle pass skips the
+    peer (no ``_ship`` at all); a ``_ship`` that finds the peer dead under
+    a breaker that has cooled down puts the batch back and returns, once
+    per pass and ``max_requeues`` times at most — every such pass ends in
+    the nanosecond it began — and after ``peer_up`` the next idle pass
+    delivers both parcels."""
+    cl, tps, dead, ships = _down_peer_pair(requeue=True)
+    tp, wire = tps[0], tps[0].inner
+    wire.breaker_threshold, wire.breaker_cooldown_ns = 1, 50_000
+    got = []
+
+    def sender(env):
+        (base,) = yield from _idle_polls(tp, 1)
+        yield from tp.send(1, b"one!")
+        yield from tp.send(1, b"two!")
+        wire._record_failure(1)  # breaker open: skipped, not shipped
+        assert (yield from _idle_polls(tp, 3)) == [base] * 3
+        assert ships == []
+        yield env.timeout(60_000)  # cooled down, the detector still says dead
+        assert not tp.peer_is_down(1)
+        assert (yield from _idle_polls(tp, 2)) == [base] * 2
+        assert [why for _t, why in ships] == ["idle"] * 2
+        assert cl.counters.get("coalesce.parcels_requeued") == 4
+        dead[0] = False
+        wire._on_peer_join(1)
+        yield from tp.poll()
+        assert not tp._open and tp.parcels_dropped == 0
+
+    def receiver(env):
+        while len(got) < 2:
+            raw = yield from tps[1].poll()
+            if raw is not None:
+                got.append(raw)
+            else:
+                yield env.timeout(500)
+
+    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
+    cl.env.run(until=cl.env.all_of(procs))
+    assert got == [b"one!", b"two!"]
+    assert len(ships) == tp.max_requeues + 1  # two put back, one delivered
+
+
+@pytest.mark.parametrize("requeue", [False, True])
+def test_idle_flush_counts_every_shed_parcel_once(requeue):
+    """The peer stays dead.  Shed mode: the first idle pass drops the
+    batch and counts its parcels; requeue mode: the pass after the last
+    requeue does.  Either way once, without raising into the poll loop,
+    and the passes after it find nothing to do."""
+    cl, tps, _dead, ships = _down_peer_pair(requeue)
+    tp = tps[0]
+
+    def prog(env):
+        yield from tp.send(1, b"a" * 16)
+        yield from tp.send(1, b"b" * 16)
+        yield from _idle_polls(tp, 6)
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert len(ships) == (tp.max_requeues + 1 if requeue else 1)
+    assert tp.parcels_dropped == 2 and not tp._open
+    assert cl.counters.get("coalesce.parcels_dropped") == 2
+    assert cl.counters.get("coalesce.batches_sent") == 0

@@ -233,6 +233,27 @@ def test_lossy_fabric_links_report_drops(lossy_run):
         cl.counters.get("link.chunks")
 
 
+def test_lossy_runtime_section_says_why_batches_left(lossy_run, capsys):
+    """Aim 4's "parcel coalescing delay": every batch is counted under the
+    reason it left and its time open is observed on the rank that held it;
+    the CLI prints both."""
+    _cl, _ph, _mm, snapshot = lossy_run
+    agg = snapshot["aggregate"]["counters"]
+    why = {k: agg.get(f"coalesce.ship.{k}", 0)
+           for k in ("full", "stale", "idle", "flush")}
+    assert sum(why.values()) == agg["coalesce.batches_sent"]
+    assert why["full"] and why["idle"] and not why["stale"]
+    for entry in snapshot["ranks"].values():
+        hist = entry["metrics"]["histograms"]["coalesce.open_ns"]
+        assert hist["count"] == entry["transport"]["batches_sent"]
+        assert hist["max"] < 1_000  # nobody sat on a batch
+    from repro.obs.report import main
+    assert main(["--msgs", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "coalesce.batches_sent: " in out and " idle=" in out
+    assert "rank 1 coalesce.open_ns: n=" in out
+
+
 # --------------------------------------------------------- golden neutrality
 
 

@@ -149,6 +149,21 @@ def test_blocking_waits_have_one_pacing_mechanism():
     assert "timeout(" not in serve and "backoff" not in serve
 
 
+def test_a_batch_waits_only_while_its_rank_is_busy():
+    """The coalescer ships what is open when its rank goes idle, so a
+    parked rank owes no batch: ``next_deadline`` is the wire's and nothing
+    else, and the dead NIC knob found beside it stays gone."""
+    coalesce = open(os.path.join("src", "repro", "runtime",
+                                 "coalesce.py")).read()
+    due = coalesce[coalesce.index("def next_deadline("):]
+    due = due[:due.index("\n    # ---")]
+    assert "max_delay_ns" not in due and "_open" not in due
+    assert coalesce.count("def flush_stale(") == 1
+    bad = [path for path in _py_files("src")
+           if "inject_depth" in open(path).read()]
+    assert not bad, bad
+
+
 def test_a_reply_has_one_way_to_its_request():
     """A KV answer is handed to the RPC registered for it and wakes that
     waiter: the shared reply bell, the mailbox sweep and its option must
