@@ -154,12 +154,11 @@ class CoalescingTransport(Transport):
         """Ship batches open for ``min_age_ns`` (default ``max_delay_ns``)
         or longer (generator).
 
-        Called from :meth:`poll` and from the runtime scheduler between
-        dispatches, so the latency bound holds even on ranks that are
-        busy with local work and rarely poll.  A tripped breaker never
-        propagates out of here: in requeue mode down peers are skipped
-        (no churn), in shed mode the loss is counted and swallowed —
-        there is no specific send to fail.
+        Every :meth:`poll` and the runtime scheduler between local
+        dispatches call it, so the latency bound holds on a rank too busy
+        to go idle.  A tripped breaker never propagates out of here: in
+        requeue mode down peers are skipped (no churn), in shed mode the
+        loss is counted and swallowed — there is no specific send to fail.
         """
         if min_age_ns is None:
             min_age_ns = self.max_delay_ns
@@ -182,11 +181,9 @@ class CoalescingTransport(Transport):
     # ------------------------------------------------------------- receiving
     def poll(self):
         """Return the next parcel, unpacking inner batches (generator).
-
-        A poll that finds nothing ships every open batch before it says
-        so: the caller is idle.  A raw-transport loop that polls between
-        its ``send``s therefore ships per poll (no caller does).
-        """
+        One that finds nothing ships every open batch first: its caller
+        is idle.  (A raw loop polling between ``send``s would therefore
+        ship per poll; there is none.)"""
         yield from self.flush_stale()
         if self._ready:
             return self._ready.popleft()

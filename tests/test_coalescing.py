@@ -1,5 +1,7 @@
 """Tests for the parcel-coalescing transport layer."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -280,32 +282,29 @@ def test_stale_flush_swallows_peer_down():
 
 @pytest.fixture
 def coalescers(monkeypatch):
-    """Every coalescer built during the test, and in ``.parks`` each park
-    on one's doorbell as ``(rank, now, [peers not marked down it holds an
+    """``.built``: every coalescer built during the test; ``.parks``: each
+    park on one's doorbell as ``(rank, now, [peers not marked down it holds an
     open batch for])`` — the constructor and ``Signal.wait`` wrapped from
     the test tree (the ``heap_oracle`` mould: no hook in ``src/``)."""
     from repro.sim.resources import Signal
 
-    class Built(list):
-        parks = []
-
-    built = Built()
+    seen = SimpleNamespace(built=[], parks=[])
     init, wait = CoalescingTransport.__init__, Signal.wait
 
     def spy_init(tp, *args, **kw):
         init(tp, *args, **kw)
-        built.append(tp)
+        seen.built.append(tp)
 
     def spy_wait(bell, until=None):
-        for tp in built:
+        for tp in seen.built:
             if tp.doorbell is bell:
-                built.parks.append((tp.rank, bell.env.now, [
+                seen.parks.append((tp.rank, bell.env.now, [
                     d for d in tp._open if not tp.peer_is_down(d)]))
         return wait(bell, until)
 
     monkeypatch.setattr(CoalescingTransport, "__init__", spy_init)
     monkeypatch.setattr(Signal, "wait", spy_wait)
-    return built
+    return seen
 
 
 @pytest.mark.parametrize("scenario", ["mcts", "flood", "lossy flood"])
@@ -325,7 +324,7 @@ def test_no_rank_parks_on_an_open_batch(coalescers, scenario):
         # a busy rank still batches: the flood's batches fill by count,
         # as many of them and as many wire messages as before the idle
         # flush existed
-        assert [tp.batches_sent for tp in coalescers] == [19, 19]
+        assert [tp.batches_sent for tp in coalescers.built] == [19, 19]
         assert out["wire"] == 40
     assert len(coalescers.parks) > 10
     assert [p for p in coalescers.parks if p[2]] == []
@@ -335,8 +334,6 @@ def _down_peer_pair(requeue):
     """Rank 0's coalescer with two parcels open towards rank 1, which a
     failure detector reports dead (``dead[0]``); ``ships`` logs every
     ``_ship`` call of rank 0's."""
-    from types import SimpleNamespace
-
     cl = build_cluster(2)
     ph = photon_init(cl)
     tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100,
