@@ -12,13 +12,21 @@ naturally from queueing.
 Event economy: a link is in one of two states.
 
 *Scheduled* — no drop stream (``rng``), no chaos, nothing queued for the
-server.  One-at-a-time service of a clean link is pure arithmetic, so
-admission itself computes it: the chunk starts at ``max(end, now)``, exits
-at ``start + ser``, and one raw timer delivers it at ``exit + latency`` —
-one kernel event per chunk-hop, no process.  The bounded queue is the
-deque of start times still ahead of the clock (a chunk holds its slot
-until it starts serialising); a producer that finds it full parks FIFO and
-is admitted by one timer at the start time that frees its slot.
+server: one-at-a-time service is arithmetic, computed at admission.  A
+chunk admitted at ``at`` starts at ``max(end, at)`` and exits at ``start +
+ser``; the bounded queue is the deque of start times still ahead of the
+clock (a chunk holds its slot until it starts serialising), and a producer
+that finds it full parks FIFO, admitted by one timer at the start that
+frees its slot.  Admission is a booking (:meth:`Link.reserve`), ``at`` now
+or ahead of the clock: a clean hop books its chunk on the path's last hop,
+if clean, at ``exit + latency``, and the NIC books a message's DMA fetches
+on its first hop at their ends — a clean path costs one kernel event per
+chunk and one engine wake per message.  What would reach the link ahead of
+a booking (a producer, an earlier booking, an unbooked chunk's timer,
+chaos here or on the hop it came from) *withdraws* it: wire, slots,
+tallies and counters restored, its timer unscheduled, the chunk handed
+back to that hop's delivery timer or the NIC's wake.  At equal instants
+the earlier booking is first.
 
 *Served* — built with an ``rng``, or from :meth:`Link.arm_chaos` until
 chaos is cleared and the queue has drained.  Two timers, no process:
@@ -29,14 +37,15 @@ chunk the same way.  Two kernel events per chunk-hop, plus one per failed
 reliable-mode attempt; draws are made at service start, FIFO per link, so
 draw order and drop points never depend on queue depth.  The wire's
 busy-until time and the slot count are shared with the schedule: chunks
-scheduled before the switch are not served again.
+scheduled before the switch are not served again; nothing is booked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from ..sim.core import Environment, Event
 from ..sim.trace import Counters
@@ -95,6 +104,12 @@ class Chunk:
                 f"hop={self.hop}/{len(self.path)}>")
 
 
+#: a booking (a list): ``out`` is the delivery timer it armed, due at
+#: ``due``, or its booking on the next hop; ``src`` takes the chunk back if
+#: it is withdrawn (None once it was); ``up`` is its booking on that hop
+_AT, _CHUNK, _PREV, _SER, _HELD, _OUT, _DUE, _SRC, _UP = range(9)
+
+
 class Link:
     """One directed link: a bounded input queue in front of one wire.
 
@@ -130,6 +145,11 @@ class Link:
         #: serialisation starts of scheduled chunks still waiting for the
         #: wire, ascending: each holds a queue slot until the clock is there
         self._starts: Deque[int] = deque()
+        #: bookings by instant, unbooked chunks on their way here (nothing
+        #: is booked while one is), links this one booked chunks on
+        self._booked: Deque[list] = deque()
+        self._inbound = 0
+        self._booked_on: Set["Link"] = set()
         #: producers waiting for a slot, FIFO: (chunk, event or None)
         self._parked: Deque[Tuple[Chunk, Optional[Event]]] = deque()
         self._wake_at = -1
@@ -147,17 +167,28 @@ class Link:
         """Install (or clear, with ``None``) gray-failure state."""
         self.chaos = None if chaos is not None and chaos.is_neutral() \
             else chaos
+        if self.chaos is not None:
+            # nothing booked from now on may skip the served state here, or
+            # the dark-link check in _deliver of a chunk booked on the next
+            for link in (self, *self._booked_on):
+                link._recall(link._first_after(self.env.now - 1))
 
     def occupancy_ns(self) -> int:
         """Total time this link spent serialising (utilisation numerator):
         what is committed, less the part of it still ahead of the clock."""
-        return self._busy_ns - max(0, self._end - self.env.now)
+        ahead = list(self._booked)[self._first_after(self.env.now):]
+        end = ahead[0][_PREV] if ahead else self._end
+        return (self._busy_ns - sum(b[_SER] for b in ahead)
+                - max(0, end - self.env.now))
 
     def stats(self) -> dict:
         """JSON-serializable per-link tallies (fabric section of reports)."""
-        return {"name": self.name, "chunks": self._chunks,
-                "bytes": self._bytes, "drops": self._drops,
-                "busy_ns": self.occupancy_ns(), "latency_ns": self.latency_ns}
+        ahead = list(self._booked)[self._first_after(self.env.now):]
+        return {"name": self.name, "chunks": self._chunks - len(ahead),
+                "bytes": self._bytes - sum(b[_CHUNK].wire_bytes
+                                           for b in ahead),
+                "drops": self._drops, "busy_ns": self.occupancy_ns(),
+                "latency_ns": self.latency_ns}
 
     # ------------------------------------------------------------ admission
     def try_put(self, chunk: Chunk, _head: bool = False) -> bool:
@@ -166,8 +197,9 @@ class Link:
         otherwise — the caller falls back to :meth:`put`."""
         if self._parked and not _head:
             return False
-        env = self.env
-        now = env.now
+        now = self.env.now
+        if self._booked and self._booked[-1][_AT] > now:
+            self._recall(self._first_after(now))
         starts = self._starts
         while starts and starts[0] <= now:
             starts.popleft()
@@ -184,23 +216,137 @@ class Link:
             return True
         if len(starts) >= self._depth:
             return False
-        # scheduled: one-at-a-time service, computed instead of run
-        start = self._end
-        if start > now:
-            starts.append(start)
-        else:
-            start = now
-        ser = serialization_ns(chunk.wire_bytes, self.params.bandwidth_gbps)
-        self._end = end = start + ser
-        self._busy_ns += ser
-        self._chunks += 1
-        self._bytes += chunk.wire_bytes
-        self.counters.add("link.chunks")
-        self.counters.add("link.bytes", chunk.wire_bytes)
-        dt = env.timeout(end + self.latency_ns - now)
-        dt.callbacks.append(partial(self._deliver, chunk))
+        self._book(chunk, now, None, None)
         return True
 
+    def reserve(self, chunk: Chunk, at: int, src,
+                up: Optional[list] = None) -> Optional[list]:
+        """Book ``chunk`` at ``at`` (>= now), or None (served, a producer
+        parked, an unbooked chunk due, full then, or :meth:`_book` says
+        no).  Withdrawn, it calls ``src.take_back(chunk, at, up)``."""
+        if (self._inbound or self._parked or self._serving
+                or self.chaos is not None or self.rng is not None):
+            return None
+        booked, now = self._booked, self.env.now
+        while booked and booked[0][_AT] < now:
+            booked.popleft()[_OUT] = None     # passed: no longer withdrawable
+        if booked and booked[-1][_AT] > at:
+            self._recall(self._first_after(at))
+        starts, depth = self._starts, self._depth
+        if (len(starts) >= depth
+                and len(starts) - bisect_right(starts, at) >= depth):
+            return None
+        b = self._book(chunk, at, src, up)
+        if b is not None:
+            booked.append(b)
+        return b
+
+    def _book(self, chunk: Chunk, at: int, src,
+              up: Optional[list]) -> Optional[list]:
+        """The one admission, at ``at`` (a booking if ``src`` is given): on
+        to a booking on the path's last hop if that is next, else a timer
+        here — too early for a booking ahead of the clock, not made."""
+        start = prev_end = self._end
+        if start < at:
+            start = at
+        wire = chunk.wire_bytes
+        ser = serialization_ns(wire, self.params.bandwidth_gbps)
+        b = (None if src is None
+             else [at, chunk, prev_end, ser, start > at, None, 0, src, up])
+        due = start + ser + self.latency_ns
+        path, hop = chunk.path, chunk.hop + 1
+        out = None
+        if hop + 1 == len(path):
+            chunk.hop = hop
+            out = path[hop].reserve(chunk, due, self, b)
+            if out is None:
+                chunk.hop -= 1
+                if b is not None and at > self.env.now:
+                    return None
+        if start > at:
+            self._starts.append(start)
+        self._end = start + ser
+        self._busy_ns += ser
+        self._chunks += 1
+        self._bytes += wire
+        self.counters.add("link.chunks")
+        self.counters.add("link.bytes", wire)
+        if out is not None:
+            self._booked_on.add(path[hop])
+        elif hop < len(path):
+            out = self._arm(chunk, due, self._deliver)
+        else:                                  # the last hop: no one to tell
+            out = self.env.timeout(due - self.env.now)
+            out.callbacks.append(partial(self._deliver, chunk))
+        if b is not None:
+            b[_OUT], b[_DUE] = out, due
+        return b
+
+    def _arm(self, chunk: Chunk, due: int, then) -> Event:
+        """``then`` when ``chunk`` reaches the far end (at ``due``): the
+        next hop withdraws what it booked from then on."""
+        if chunk.hop + 1 < len(chunk.path):
+            nxt = chunk.path[chunk.hop + 1]
+            nxt._inbound += 1
+            if nxt._booked:
+                nxt._recall(nxt._first_after(due - 1))
+        timer = self.env.timeout(due - self.env.now)
+        timer.callbacks.append(partial(then, chunk))
+        return timer
+
+    def take_back(self, chunk: Chunk, at: int, up: Optional[list]) -> None:
+        """Withdrawn from the next hop: a delivery timer here after all —
+        or, booked here too ahead of the clock, withdrawn here too."""
+        if up is not None and up[_AT] > self.env.now:
+            return self._recall(self._booked.index(up))
+        chunk.hop -= 1
+        timer = self._arm(chunk, at, self._deliver)
+        if up is not None:
+            up[_OUT], up[_DUE] = timer, at
+
+    # ----------------------------------------------------------- withdrawal
+    def _first_after(self, t: int) -> int:
+        """Index of the first booking dated after ``t``."""
+        booked, i = self._booked, len(self._booked)
+        while i and booked[i - 1][_AT] > t:
+            i -= 1
+        return i
+
+    def _recall(self, i: int) -> None:
+        """Withdraw bookings ``i..``: restore the wire, slots and tallies,
+        cancel what each armed, hand every chunk back, oldest first."""
+        booked = self._booked
+        gone = [booked.pop() for _ in range(len(booked) - i)][::-1]
+        if not gone:
+            return
+        self._end = gone[0][_PREV]
+        for _ in range(sum(b[_HELD] for b in gone)):
+            self._starts.pop()
+        wire = sum(b[_CHUNK].wire_bytes for b in gone)
+        self._busy_ns -= sum(b[_SER] for b in gone)
+        self._chunks -= len(gone)
+        self._bytes -= wire
+        self.counters.add("link.chunks", -len(gone))
+        self.counters.add("link.bytes", -wire)
+        srcs = [b[_SRC] for b in gone]
+        for b in gone:
+            b[_SRC] = None                     # withdrawn
+        for b in gone:
+            out, chunk = b[_OUT], b[_CHUNK]
+            if type(out) is list:              # booked on the last hop
+                if out[_SRC] is not None:
+                    last = chunk.path[-1]
+                    last._recall(last._booked.index(out))
+                chunk.hop -= 1
+            else:
+                self.env.unschedule(out, b[_DUE])
+                if chunk.hop + 1 < len(chunk.path):
+                    chunk.path[chunk.hop + 1]._inbound -= 1
+        for b, src in zip(gone, srcs):
+            if b[_UP] is None or b[_UP][_SRC] is not None:
+                src.take_back(b[_CHUNK], b[_AT], b[_UP])
+
+    # ------------------------------------------------------------- parking
     def put(self, chunk: Chunk) -> Event:
         """Blocking put: the returned event fires once ``chunk`` has a slot."""
         ev = Event(self.env)
@@ -320,12 +466,14 @@ class Link:
             delay += chaos.latency_add_ns
             if chaos.jitter_ns and chaos.rng is not None:
                 delay += int(chaos.rng.integers(0, chaos.jitter_ns))
-        self.env.timeout(delay).callbacks.append(partial(self._exit, chunk))
+        self._arm(chunk, self.env.now + delay, self._exit)
         self._next()
 
     # ----------------------------------------------------------------- exit
     def _deliver(self, chunk: Chunk, _ev) -> None:
         """Timer callback: a scheduled chunk reaches the far end."""
+        while self._booked and self._booked[0][_AT] < self.env.now:
+            self._booked.popleft()[_OUT] = None   # frees the firing timer
         chaos = self.chaos
         if chaos is not None and not chaos.up:
             # the link went dark after this chunk was scheduled: served, it
@@ -333,6 +481,8 @@ class Link:
             # traffic across a partition
             self._drops += 1
             self.counters.add("link.chaos_drops")
+            if chunk.hop + 1 < len(chunk.path):
+                chunk.path[chunk.hop + 1]._inbound -= 1
             return
         self._exit(chunk, _ev)
 
@@ -344,6 +494,7 @@ class Link:
         if hop < len(path):
             # fire-and-forget: admission order and backpressure are the
             # next hop's FIFO parked line
+            path[hop]._inbound -= 1
             path[hop].put_discard(chunk)
         elif self.sink is None:
             raise RuntimeError(f"link {self.name}: no sink at end of path")

@@ -14,7 +14,11 @@ opcodes Photon and minimpi need:
 Completion semantics follow the hardware: the sender-side completion for a
 write/send fires after the (modelled) transport ack returns; reads and
 atomics complete when the response data lands.  Unsignaled work requests
-consume a send-queue slot but produce no CQE.
+consume a send-queue slot but produce no CQE.  A write, read or atomic the
+target refuses (unknown rkey, out of its region, missing permission)
+places nothing: its request crosses the wire without payload and the NAK
+returns like an ack, completing the WR with ``REM_ACCESS_ERR`` and moving
+the QP to ERROR.
 
 Cost accounting: ``post_send``/``post_recv`` are zero-time bookkeeping —
 callers charge the host-CPU post overhead via :meth:`post_send_timed` (or
@@ -36,6 +40,7 @@ from .enums import Access, Opcode, QPState, WCOpcode, WCStatus
 from .errors import (
     BadWorkRequest,
     NotConnected,
+    ProtectionError,
     QueueFullError,
 )
 
@@ -236,18 +241,27 @@ class QueuePair:
                     wr_id=wr.wr_id, opcode=wc_opcode, byte_len=wr.length,
                     src_rank=self.remote_rank, qp_num=self.qp_num))
 
-        def fail():
+        def fail(status: WCStatus = WCStatus.RETRY_EXC_ERR):
             if self._pending.pop(token, None) is None:
                 return
             self._sq_outstanding -= 1
             self.context.counters.add("qp.wr_errors")
             self.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wc_opcode,
-                status=WCStatus.RETRY_EXC_ERR, src_rank=self.remote_rank,
-                qp_num=self.qp_num))
+                wr_id=wr.wr_id, opcode=wc_opcode, status=status,
+                src_rank=self.remote_rank, qp_num=self.qp_num))
             self._enter_error()
 
         return done, fail
+
+    def _refused(self, wr: SendWR, wc_opcode: WCOpcode,
+                 kind: str) -> WireMsg:
+        """The request of a WR the target's NIC refuses: no payload, and a
+        NAK one ack's return trip after it lands."""
+        _done, fail = self._source_callbacks(wr, wc_opcode)
+        return WireMsg(
+            src=self.context.rank, dst=self.remote_rank, nbytes=0, kind=kind,
+            on_acked=lambda: fail(WCStatus.REM_ACCESS_ERR), on_error=fail,
+            ack=True)
 
     # -- error state -----------------------------------------------------------
     def teardown(self) -> None:
@@ -329,8 +343,13 @@ class QueuePair:
 
     def _build_write(self, wr: SendWR) -> WireMsg:
         target = self.peer.context
-        target.check_remote(wr.rkey, wr.remote_addr, wr.length,
-                            Access.REMOTE_WRITE)
+        with_imm = wr.opcode is Opcode.RDMA_WRITE_WITH_IMM
+        kind = "write_imm" if with_imm else "write"
+        try:
+            target.check_remote(wr.rkey, wr.remote_addr, wr.length,
+                                Access.REMOTE_WRITE)
+        except ProtectionError:
+            return self._refused(wr, WCOpcode.RDMA_WRITE, kind)
         inline_data = None
         fetch = None
         if wr.length:
@@ -343,12 +362,11 @@ class QueuePair:
                 fetch = self._local_fetch(wr)
         tmem = target.memory
         base = wr.remote_addr
-        with_imm = wr.opcode is Opcode.RDMA_WRITE_WITH_IMM
         peer = self.peer
         done, fail = self._source_callbacks(wr, WCOpcode.RDMA_WRITE)
         msg = WireMsg(
             src=self.context.rank, dst=self.remote_rank, nbytes=wr.length,
-            kind="write_imm" if with_imm else "write",
+            kind=kind,
             fetch=fetch, inline_data=inline_data,
             place=lambda off, data: tmem.write(base + off, data),
             on_delivered=(lambda nic, m: peer._on_imm_arrival(m))
@@ -359,8 +377,11 @@ class QueuePair:
 
     def _build_read(self, wr: SendWR) -> WireMsg:
         target = self.peer.context
-        target.check_remote(wr.rkey, wr.remote_addr, wr.length,
-                            Access.REMOTE_READ)
+        try:
+            target.check_remote(wr.rkey, wr.remote_addr, wr.length,
+                                Access.REMOTE_READ)
+        except ProtectionError:
+            return self._refused(wr, WCOpcode.RDMA_READ, "read_req")
         self.pd.find_local(wr.local_addr, wr.length, Access.LOCAL_WRITE)
         lmem = self.context.memory
         tmem = target.memory
@@ -387,7 +408,11 @@ class QueuePair:
             raise BadWorkRequest("atomics operate on 8-byte words")
         wr.length = 8
         target = self.peer.context
-        target.check_remote(wr.rkey, wr.remote_addr, 8, Access.REMOTE_ATOMIC)
+        try:
+            target.check_remote(wr.rkey, wr.remote_addr, 8,
+                                Access.REMOTE_ATOMIC)
+        except ProtectionError:
+            return self._refused(wr, WCOpcode.ATOMIC, "atomic_req")
         self.pd.find_local(wr.local_addr, 8, Access.LOCAL_WRITE)
         lmem = self.context.memory
         tmem = target.memory

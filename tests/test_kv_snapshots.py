@@ -28,7 +28,6 @@ from repro.chaos.invariants import (InvariantViolation, check_log_bounded,
 from repro.kv import RaftConfig, ST_OK
 from repro.kv.scenario import Scenario
 from repro.kv.shard import decode_command
-from repro.verbs.errors import ProtectionError
 
 
 @pytest.fixture(scope="module")
@@ -242,16 +241,22 @@ def test_restarted_replica_votes_with_amnesia_and_acked_writes_vanish():
         assert uid not in logged
 
 
-def test_restart_before_anybody_detected_the_death_kills_the_leader():
-    """DEFECT, pinned not fixed (ROADMAP item 1d): F1 restarts 60 us
-    after its crash, before any survivor's detector has declared it
-    dead, so the leader's reliable-op replay of an AppendEntries posts
-    against the reborn rank's ring — rebuilt, not yet re-registered
-    under that rkey — and ``device.check_remote`` raises in the *sender*
-    (``KVNode._flush`` -> ``send_pwc`` -> ``replay`` ->
-    ``qp._build_write``), killing its serve loop.  A remote access fault
-    is a ``WCStatus`` on the sender's CQ, not a Python exception; gaps
-    of 300 us - 1 ms are fine."""
-    with pytest.raises(ProtectionError, match="unknown rkey"):
-        _restart_burst(lambda t0, ldr, f1, f2: [
-            CrashRank(t0 + 400_000, f1), RestartRank(t0 + 460_000, f1)])
+def test_restart_before_anybody_detected_the_death_keeps_the_leader_serving():
+    """ROADMAP item 1d: F1 restarts 60 us after its crash, before any
+    survivor's detector has declared it dead, so the leader's reliable-op
+    replay of an AppendEntries posts against the reborn rank's ring —
+    rebuilt, not yet re-registered under that rkey.  The target refuses
+    it: the WR completes with ``REM_ACCESS_ERR`` on the leader's CQ (it
+    used to raise ``ProtectionError`` in the poster, ``KVNode._flush`` ->
+    ``send_pwc`` -> ``replay`` -> ``qp._build_write``, and kill the serve
+    loop).  Nothing here is about the data: that is item 1."""
+    roles = {}
+
+    def events(t0, ldr, f1, f2):
+        roles["leader"] = ldr
+        return [CrashRank(t0 + 400_000, f1), RestartRank(t0 + 460_000, f1)]
+
+    sc = _restart_burst(events)
+    leader = sc.nodes[roles["leader"]]
+    assert leader._proc.is_alive
+    assert leader.photon.counters.get("photon.wr_errors") >= 1

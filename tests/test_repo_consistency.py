@@ -183,7 +183,10 @@ def test_links_have_one_path_per_job():
     """A clean link is a schedule and a served link two timers: the
     virtual holds, the burst drain's wakeup, the per-chunk propagate
     process, the link server process and the per-message ARQ process must
-    not come back, and no link is a process."""
+    not come back, and no link is a process.  A clean link has one
+    admission, ``_book``: immediate admission (``try_put``) is a booking
+    dated ``now``, a reservation one dated ahead, and nothing else puts a
+    chunk on the schedule."""
     pattern = re.compile(r"add_holds|_hold_wakeup|_propagate"
                          r"|\b_server\b|_start_server|_retry_monitor")
     bad = [path for path in _py_files("src")
@@ -198,6 +201,23 @@ def test_links_have_one_path_per_job():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "process"]
     assert "any_of" not in open("src/repro/fabric/nic.py").read()
+    methods = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+
+    def calls(fn, attr):
+        return [node for node in ast.walk(methods[fn])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr]
+
+    assert {fn for fn in methods if calls(fn, "_book")} == {"try_put",
+                                                            "reserve"}
+    (now,) = [call.args[1].id for call in calls("try_put", "_book")]
+    assert now == "now"
+    assert [fn for fn in methods
+            if any(isinstance(call.func.value, ast.Attribute)
+                   and call.func.value.attr == "_starts"
+                   for call in calls(fn, "append"))] == ["_book"]
 
     from repro.fabric.link import Link
     from repro.fabric.params import LinkParams

@@ -9,6 +9,7 @@ from repro.verbs import (
     NotConnected,
     Opcode,
     ProtectionError,
+    QPState,
     QueueFullError,
     RecvWR,
     SendWR,
@@ -65,22 +66,59 @@ def test_rdma_write_moves_bytes_and_completes():
     assert wcs[0].ok
 
 
+def _refused(cl, qp, cq, wr):
+    """Post ``wr``, which the target refuses: no exception in the poster,
+    an error completion one ack round trip later — exactly when a
+    zero-length write (a header-only request, acked on delivery) would
+    have completed — and the QP in ERROR."""
+    t0 = cl.env.now
+    qp.post_send(wr)
+    (wc,) = drain(cq, cl.env)
+    assert (wc.wr_id, wc.status) == (wr.wr_id, WCStatus.REM_ACCESS_ERR)
+    assert qp.state is QPState.ERROR
+    assert qp.context.counters.get("qp.wr_errors") == 1
+    ref, setups, qps = make_pair()
+    (_, heap0, _, ref_cq, _), (_, heap1, mr1, _, _) = setups
+    qps[0].post_send(SendWR(opcode=Opcode.RDMA_WRITE, local_addr=heap0,
+                            length=0, remote_addr=heap1, rkey=mr1.rkey))
+    drain(ref_cq, ref.env)
+    assert cl.env.now - t0 == ref.env.now
+    return wc
+
+
 def test_rdma_write_unknown_rkey_rejected():
     cl, setups, qps = make_pair()
-    (_, heap0, _, _, _), (_, heap1, _, _, _) = setups
+    (_, heap0, _, cq0, _), (_, heap1, _, _, _) = setups
+    cl[0].memory.write(heap0, b"x" * 8)
+    wc = _refused(cl, qps[0], cq0, SendWR(
+        opcode=Opcode.RDMA_WRITE, wr_id=3, local_addr=heap0, length=8,
+        remote_addr=heap1, rkey=999999))
+    assert wc.opcode is WCOpcode.RDMA_WRITE
+    assert cl[1].memory.read(heap1, 8) == bytes(8)     # nothing placed
+    # Context.check_remote itself still raises for a direct caller
     with pytest.raises(ProtectionError):
-        qps[0].post_send(SendWR(
-            opcode=Opcode.RDMA_WRITE, local_addr=heap0, length=8,
-            remote_addr=heap1, rkey=999999))
+        cl[1].context.check_remote(999999, heap1, 8, Access.REMOTE_WRITE)
 
 
 def test_rdma_write_outside_mr_rejected():
     cl, setups, qps = make_pair()
-    (_, heap0, _, _, _), (_, heap1, mr1, _, _) = setups
-    with pytest.raises(ProtectionError):
-        qps[0].post_send(SendWR(
-            opcode=Opcode.RDMA_WRITE, local_addr=heap0, length=8,
-            remote_addr=mr1.end - 4, rkey=mr1.rkey))
+    (_, heap0, _, cq0, _), (_, heap1, mr1, _, _) = setups
+    cl[0].memory.write(heap0, b"x" * 8)
+    _refused(cl, qps[0], cq0, SendWR(
+        opcode=Opcode.RDMA_WRITE, wr_id=4, local_addr=heap0, length=8,
+        remote_addr=mr1.end - 4, rkey=mr1.rkey))
+    assert cl[1].memory.read(mr1.end - 4, 4) == bytes(4)
+    # a read and an atomic outside the region are refused the same way
+    for op, length in ((Opcode.RDMA_READ, 8), (Opcode.ATOMIC_FETCH_ADD, 8)):
+        cl, setups, qps = make_pair()
+        (_, heap0, _, cq0, _), (_, heap1, mr1, _, _) = setups
+        cl[0].memory.write(heap0, b"y" * 8)
+        wc = _refused(cl, qps[0], cq0, SendWR(
+            opcode=op, wr_id=5, local_addr=heap0, length=length,
+            remote_addr=mr1.end - 4, rkey=mr1.rkey, compare_add=1))
+        assert wc.opcode is (WCOpcode.RDMA_READ if op is Opcode.RDMA_READ
+                             else WCOpcode.ATOMIC)
+        assert cl[0].memory.read(heap0, 8) == b"y" * 8  # nothing landed
 
 
 def test_rdma_write_requires_remote_write_permission():
@@ -99,10 +137,10 @@ def test_rdma_write_requires_remote_write_permission():
     qp1 = qp_stuff[1][0].context.create_qp(qp_stuff[1][1], qp_stuff[1][4],
                                            qp_stuff[1][4])
     qp0.connect(qp1)
-    with pytest.raises(ProtectionError):
-        qp0.post_send(SendWR(
-            opcode=Opcode.RDMA_WRITE, local_addr=qp_stuff[0][2], length=8,
-            remote_addr=qp_stuff[1][2], rkey=qp_stuff[1][3].rkey))
+    _refused(cl, qp0, qp_stuff[0][4], SendWR(
+        opcode=Opcode.RDMA_WRITE, wr_id=6, local_addr=qp_stuff[0][2],
+        length=8, remote_addr=qp_stuff[1][2], rkey=qp_stuff[1][3].rkey))
+    assert cl[1].memory.read(qp_stuff[1][2], 8) == bytes(8)
 
 
 def test_rdma_read_pulls_remote_bytes():
