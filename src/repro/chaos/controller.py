@@ -184,8 +184,7 @@ class ChaosController:
     def _flap(self, ev: FlapLink):
         link = self.cluster.topology.link(ev.link)
         rng = self._streams.stream(f"flap.{ev.link}")
-        chaos = LinkChaos(up=False)
-        link.arm_chaos(chaos)
+        link.arm_chaos(LinkChaos(up=False))
         self.counters.add("chaos.flaps")
         self.tracer.log(self.env.now, "chaos.flap", link=ev.link,
                         period_ns=ev.period_ns, duty=ev.duty)
@@ -201,11 +200,11 @@ class ChaosController:
 
         while deadline is None or self.env.now < deadline:
             yield self.env.timeout(jittered(down_ns))
-            chaos.up = True
+            link.arm_chaos(None)
             if deadline is not None and self.env.now >= deadline:
                 break
             yield self.env.timeout(jittered(up_ns))
-            chaos.up = False
+            link.arm_chaos(LinkChaos(up=False))
             self.counters.add("chaos.flap_downs")
         link.arm_chaos(None)
         self.tracer.log(self.env.now, "chaos.clear", link=ev.link)

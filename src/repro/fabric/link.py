@@ -9,35 +9,33 @@ pipeline across multi-hop paths (cut-through behaviour) and contention on a
 shared hop (e.g. the destination's downlink during an incast) emerges
 naturally from queueing.
 
-Event economy: a link is in one of two states.
+Event economy: a link is a schedule, and service is arithmetic computed at
+admission — a *booking* (:meth:`Link.reserve`), dated now or ahead of the
+clock.  A chunk admitted at ``at`` starts at ``max(end, at)`` and holds a
+queue slot until then (a producer that finds the queue full parks FIFO,
+admitted by one timer at the start that frees its slot).  Chaos scales its
+serialisation by ``bw_scale`` or, dark, swallows it there; a dropped
+attempt holds the wire for one serialisation, followed in reliable mode by
+a retry ``retransmit_ns`` later; it propagates for ``latency_ns`` plus
+chaos's ``latency_add_ns`` and jitter.  Draws belong to service positions:
+a booking takes its link's next drop (and jitter) draws and a withdrawn one
+hands them back, so the k-th chunk served gets the k-th draw.  A hop books
+its chunk on the path's last hop at its exit + propagation, and the NIC a
+message's DMA fetches on its first hop at their ends: one kernel event per
+delivered chunk on a path, one engine wake per message.  What would reach
+a link ahead of a booking (a producer, an earlier booking, an unbooked
+chunk's timer, chaos here or on the hop it came from) *withdraws* it —
+wire, slots, draws, tallies and counters restored, its timer unscheduled,
+the chunk handed back to that hop's delivery timer or the NIC's wake.  At
+equal instants the earlier booking is first.
 
-*Scheduled* — no drop stream (``rng``), no chaos, nothing queued for the
-server: one-at-a-time service is arithmetic, computed at admission.  A
-chunk admitted at ``at`` starts at ``max(end, at)`` and exits at ``start +
-ser``; the bounded queue is the deque of start times still ahead of the
-clock (a chunk holds its slot until it starts serialising), and a producer
-that finds it full parks FIFO, admitted by one timer at the start that
-frees its slot.  Admission is a booking (:meth:`Link.reserve`), ``at`` now
-or ahead of the clock: a clean hop books its chunk on the path's last hop,
-if clean, at ``exit + latency``, and the NIC books a message's DMA fetches
-on its first hop at their ends — a clean path costs one kernel event per
-chunk and one engine wake per message.  What would reach the link ahead of
-a booking (a producer, an earlier booking, an unbooked chunk's timer,
-chaos here or on the hop it came from) *withdraws* it: wire, slots,
-tallies and counters restored, its timer unscheduled, the chunk handed
-back to that hop's delivery timer or the NIC's wake.  At equal instants
-the earlier booking is first.
-
-*Served* — built with an ``rng``, or from :meth:`Link.arm_chaos` until
-chaos is cleared and the queue has drained.  Two timers, no process:
-admission to an idle link starts service on the spot (chaos read, drop
-draw, one serialisation timer); that timer's callback samples the
-propagation delay, arms the delivery timer and starts the next queued
-chunk the same way.  Two kernel events per chunk-hop, plus one per failed
-reliable-mode attempt; draws are made at service start, FIFO per link, so
-draw order and drop points never depend on queue depth.  The wire's
-busy-until time and the slot count are shared with the schedule: chunks
-scheduled before the switch are not served again; nothing is booked.
+A booking reads the drop rate and chaos of its service start (chaos again,
+for propagation, where it leaves the wire): a change of either
+(:meth:`Link.arm_chaos`, ``Topology.set_drop_rate``) books again those
+that start after it and re-reads the propagation of those on the wire.
+Except: a chunk admitted while the link had neither keeps its schedule
+(dropped at the far end if the link went dark), and the first admitted
+with them behind such chunks waits, slotless, under its admission state.
 """
 
 from __future__ import annotations
@@ -104,10 +102,17 @@ class Chunk:
                 f"hop={self.hop}/{len(self.path)}>")
 
 
-#: a booking (a list): ``out`` is the delivery timer it armed, due at
-#: ``due``, or its booking on the next hop; ``src`` takes the chunk back if
-#: it is withdrawn (None once it was); ``up`` is its booking on that hop
-_AT, _CHUNK, _PREV, _SER, _HELD, _OUT, _DUE, _SRC, _UP = range(9)
+#: one admission (a list): ``busy`` wire ns from ``start`` (a slot until
+#: then if ``held``) to ``end``, after ``prev``; ``out``: its timer, due at
+#: ``due``, or booking on the next hop (None: not sent on); ``src`` takes
+#: it back if withdrawn (None: booked again here; _GONE: withdrawn);
+#: ``up``: its booking on the hop before; ``srv``: reads the drop rate and
+#: chaos of its service start; ``draws``: the drop draws it took;
+#: ``drops``: failed attempts (-1: swallowed); ``jit``: (stream, state
+#: before, value) of its jitter draw
+(_AT, _CHUNK, _PREV, _BUSY, _HELD, _OUT, _DUE, _SRC, _UP, _SRV, _START, _END,
+ _DRAWS, _DROPS, _JIT) = range(15)
+_GONE = "withdrawn"
 
 
 class Link:
@@ -127,12 +132,9 @@ class Link:
         self.name = name
         self.counters = counters or Counters()
         self.latency_ns = params.latency_ns + extra_latency_ns
-        #: deterministic fault stream (set by the topology when the link
-        #: parameters specify a non-zero drop_rate)
+        #: the drop stream (given with a non-zero drop_rate) and the
+        #: gray-failure state (None until a chaos controller arms it)
         self.rng = rng
-        #: gray-failure state (None until a chaos controller arms it);
-        #: checked with a plain ``is not None`` so unarmed runs draw no
-        #: extra RNG values and take no extra simulated time
         self.chaos: Optional[LinkChaos] = None
         #: the input queue, by the name producers reach it
         self.inbox = self
@@ -142,21 +144,17 @@ class Link:
         self._depth = queue_depth
         #: the wire is committed until this instant
         self._end = 0
-        #: serialisation starts of scheduled chunks still waiting for the
-        #: wire, ascending: each holds a queue slot until the clock is there
+        #: starts still ahead of the clock, ascending: each holds a slot
         self._starts: Deque[int] = deque()
-        #: bookings by instant, unbooked chunks on their way here (nothing
-        #: is booked while one is), links this one booked chunks on
+        #: records by instant, unbooked chunks on their way here (nothing is
+        #: booked while one is), links booked on, drop draws handed back
         self._booked: Deque[list] = deque()
         self._inbound = 0
         self._booked_on: Set["Link"] = set()
+        self._spare: Deque[float] = deque()
         #: producers waiting for a slot, FIFO: (chunk, event or None)
         self._parked: Deque[Tuple[Chunk, Optional[Event]]] = deque()
         self._wake_at = -1
-        #: served chunks waiting behind the one in service (their slots
-        #: count with ``_starts``), and whether one is in service
-        self._queue: Deque[Chunk] = deque()
-        self._serving = False
         self._busy_ns = 0
         # per-link tallies (the counters above are fabric-wide)
         self._chunks = 0
@@ -168,22 +166,32 @@ class Link:
         self.chaos = None if chaos is not None and chaos.is_neutral() \
             else chaos
         if self.chaos is not None:
-            # nothing booked from now on may skip the served state here, or
-            # the dark-link check in _deliver of a chunk booked on the next
-            for link in (self, *self._booked_on):
+            # a chunk admitted clean here and booked on the next hop meets
+            # the dark-link check at this link's far end after all
+            for link in self._booked_on:
                 link._recall(link._first_after(self.env.now - 1))
+        self._restate(True)
 
     def occupancy_ns(self) -> int:
         """Total time this link spent serialising (utilisation numerator):
         what is committed, less the part of it still ahead of the clock."""
-        ahead = list(self._booked)[self._first_after(self.env.now):]
-        end = ahead[0][_PREV] if ahead else self._end
-        return (self._busy_ns - sum(b[_SER] for b in ahead)
-                - max(0, end - self.env.now))
+        now, booked = self.env.now, self._booked
+        ahead = max(0, self._end - max(now, booked[-1][_END] if booked
+                                       else now))
+        for b in reversed(booked):
+            if b[_END] <= now:
+                break
+            n = b[_DROPS] + 1 if b[_OUT] is not None else 1
+            p = b[_BUSY] // n
+            for k in range(n):
+                t = b[_START] + k * (p + self.params.retransmit_ns)
+                ahead += max(0, min(p, t + p - now))
+        return self._busy_ns - ahead
 
     def stats(self) -> dict:
         """JSON-serializable per-link tallies (fabric section of reports)."""
-        ahead = list(self._booked)[self._first_after(self.env.now):]
+        ahead = [b for b in list(self._booked)[self._first_after(
+            self.env.now):] if b[_OUT] is not None]  # counted, not yet due
         return {"name": self.name, "chunks": self._chunks - len(ahead),
                 "bytes": self._bytes - sum(b[_CHUNK].wire_bytes
                                            for b in ahead),
@@ -203,17 +211,6 @@ class Link:
         starts = self._starts
         while starts and starts[0] <= now:
             starts.popleft()
-        if self.chaos is not None or self.rng is not None or self._serving:
-            # served: armed, or a served chunk still holds the wire
-            if len(starts) + len(self._queue) >= self._depth:
-                return False
-            if self._serving:
-                self._queue.append(chunk)
-            else:
-                self._serving = True
-                if not self._start(chunk):
-                    self._next()
-            return True
         if len(starts) >= self._depth:
             return False
         self._book(chunk, now, None, None)
@@ -221,77 +218,131 @@ class Link:
 
     def reserve(self, chunk: Chunk, at: int, src,
                 up: Optional[list] = None) -> Optional[list]:
-        """Book ``chunk`` at ``at`` (>= now), or None (served, a producer
-        parked, an unbooked chunk due, full then, or :meth:`_book` says
-        no).  Withdrawn, it calls ``src.take_back(chunk, at, up)``."""
-        if (self._inbound or self._parked or self._serving
-                or self.chaos is not None or self.rng is not None):
+        """Book ``chunk`` at ``at`` (>= now), or None (a producer parked, an
+        unbooked chunk due, full then, or :meth:`_book` says no)."""
+        if self._inbound or self._parked:
             return None
-        booked, now = self._booked, self.env.now
-        while booked and booked[0][_AT] < now:
-            booked.popleft()[_OUT] = None     # passed: no longer withdrawable
+        booked = self._booked
         if booked and booked[-1][_AT] > at:
             self._recall(self._first_after(at))
-        starts, depth = self._starts, self._depth
-        if (len(starts) >= depth
-                and len(starts) - bisect_right(starts, at) >= depth):
+        starts = self._starts
+        while starts and starts[0] <= self.env.now:
+            starts.popleft()                   # slots freed already
+        if len(starts) - bisect_right(starts, at) >= self._depth:
             return None
-        b = self._book(chunk, at, src, up)
-        if b is not None:
-            booked.append(b)
-        return b
+        return self._book(chunk, at, src, up)
 
     def _book(self, chunk: Chunk, at: int, src,
               up: Optional[list]) -> Optional[list]:
-        """The one admission, at ``at`` (a booking if ``src`` is given): on
-        to a booking on the path's last hop if that is next, else a timer
-        here — too early for a booking ahead of the clock, not made."""
-        start = prev_end = self._end
+        """The one admission, at ``at``: service computed now, then
+        :meth:`_send` (a booking ahead it cannot send on is not made)."""
+        now, booked, params = self.env.now, self._booked, self.params
+        while booked and booked[0][_AT] < now and booked[0][_END] < now:
+            booked.popleft()[_OUT] = None     # passed: no longer withdrawable
+        tail = booked[-1] if booked else None
+        chaos, rng = self.chaos, self.rng
+        behind = tail is not None and tail[_SRV] and tail[_END] > at
+        srv = chaos is not None or rng is not None or behind
+        start = prev = self._end
         if start < at:
             start = at
+        held = start > at and (behind or not srv)   # else late, or starting
         wire = chunk.wire_bytes
-        ser = serialization_ns(wire, self.params.bandwidth_gbps)
-        b = (None if src is None
-             else [at, chunk, prev_end, ser, start > at, None, 0, src, up])
-        due = start + ser + self.latency_ns
-        path, hop = chunk.path, chunk.hop + 1
+        end, busy, drops, draws, sent = prev, 0, -1, (), False
+        if chaos is None or chaos.up:         # else swallowed where it starts
+            busy = ser = serialization_ns(wire, params.bandwidth_gbps * (
+                1.0 if chaos is None else chaos.bw_scale))
+            end, drops = start + ser, 0
+            rate = 0.0 if rng is None else params.drop_rate
+            sent = True
+            if rate > 0.0:
+                spare = self._spare
+                while True:
+                    draw = spare.popleft() if spare else rng.random()
+                    draws += (draw,)
+                    if draw >= rate:
+                        break
+                    drops += 1
+                    if params.loss_mode == "lossy":
+                        sent = False
+                        break
+                    busy += ser
+                    end += ser + params.retransmit_ns
+        b = None
+        if src is not None or srv or (tail is not None and tail[_END] >= now):
+            b = [at, chunk, prev, busy, held, None, 0, src, up, srv, start,
+                 end, draws, drops, None]
+            booked.append(b)
+        if held:
+            self._starts.append(start)
+        self._end = end
+        self._busy_ns += busy
+        self._tally(wire, drops, sent, 1)
+        ahead = src is not None and at > now
+        if sent and self._send(chunk, end, b, srv, ahead) is None and ahead:
+            self._withdraw(len(booked) - 1)
+            return None
+        return b
+
+    def _send(self, chunk: Chunk, end: int, b: Optional[list], srv: bool,
+              ahead: bool = False) -> Optional[object]:
+        """``chunk`` leaves the wire at ``end``: propagation under today's
+        chaos, then a booking on the path's last hop if that is next, else a
+        timer here — none (None) for a booking ``b`` ahead of the clock."""
+        chaos, lat, jit = self.chaos, self.latency_ns, None
+        if chaos is not None:
+            lat += chaos.latency_add_ns
+            if chaos.jitter_ns and chaos.rng is not None:
+                if ahead:   # dues out of order: no booking ahead goes on
+                    return None
+                gen = chaos.rng
+                jit = (gen, gen.bit_generator.state,
+                       int(gen.integers(0, chaos.jitter_ns)))
+                lat += jit[2]
+        due, path, hop = end + lat, chunk.path, chunk.hop + 1
         out = None
         if hop + 1 == len(path):
             chunk.hop = hop
             out = path[hop].reserve(chunk, due, self, b)
             if out is None:
                 chunk.hop -= 1
-                if b is not None and at > self.env.now:
+                if ahead:
                     return None
-        if start > at:
-            self._starts.append(start)
-        self._end = start + ser
-        self._busy_ns += ser
-        self._chunks += 1
-        self._bytes += wire
-        self.counters.add("link.chunks")
-        self.counters.add("link.bytes", wire)
-        if out is not None:
-            self._booked_on.add(path[hop])
-        elif hop < len(path):
-            out = self._arm(chunk, due, self._deliver)
-        else:                                  # the last hop: no one to tell
-            out = self.env.timeout(due - self.env.now)
-            out.callbacks.append(partial(self._deliver, chunk))
+            elif path[hop] not in self._booked_on:
+                self._booked_on.add(path[hop])
+        if out is None:
+            out = self._arm(chunk, due, not srv)
         if b is not None:
-            b[_OUT], b[_DUE] = out, due
-        return b
+            b[_OUT], b[_DUE], b[_JIT] = out, due, jit
+        return out
 
-    def _arm(self, chunk: Chunk, due: int, then) -> Event:
-        """``then`` when ``chunk`` reaches the far end (at ``due``): the
-        next hop withdraws what it booked from then on."""
+    def _tally(self, wire: int, drops: int, sent: bool, sign: int) -> None:
+        """Count (``sign`` 1) or uncount (-1) one admission's outcome."""
+        add = self.counters.add
+        if drops < 0:
+            self._drops += sign
+            add("link.chaos_drops", sign)
+        elif drops:
+            self._drops += sign * drops
+            add("link.drops", sign * drops)
+            add("link.retrans_bytes" if sent else "link.lost_bytes",
+                sign * wire * (drops if sent else 1))
+        if sent:
+            self._chunks += sign
+            self._bytes += sign * wire
+            add("link.chunks", sign)
+            add("link.bytes", sign * wire)
+
+    def _arm(self, chunk: Chunk, due: int, checked: bool) -> Event:
+        """A timer for ``chunk`` reaching the far end at ``due`` (``checked``:
+        admitted clean); the next hop withdraws its bookings from then on."""
         if chunk.hop + 1 < len(chunk.path):
             nxt = chunk.path[chunk.hop + 1]
             nxt._inbound += 1
             if nxt._booked:
                 nxt._recall(nxt._first_after(due - 1))
         timer = self.env.timeout(due - self.env.now)
-        timer.callbacks.append(partial(then, chunk))
+        timer.callbacks.append(partial(self._arrive, chunk, checked))
         return timer
 
     def take_back(self, chunk: Chunk, at: int, up: Optional[list]) -> None:
@@ -300,7 +351,7 @@ class Link:
         if up is not None and up[_AT] > self.env.now:
             return self._recall(self._booked.index(up))
         chunk.hop -= 1
-        timer = self._arm(chunk, at, self._deliver)
+        timer = self._arm(chunk, at, up is None or not up[_SRV])
         if up is not None:
             up[_OUT], up[_DUE] = timer, at
 
@@ -313,38 +364,99 @@ class Link:
         return i
 
     def _recall(self, i: int) -> None:
-        """Withdraw bookings ``i..``: restore the wire, slots and tallies,
-        cancel what each armed, hand every chunk back, oldest first."""
-        booked = self._booked
+        """Withdraw records ``i..``; hand each chunk back, oldest first."""
+        self._readmit(self._withdraw(i))
+
+    def _readmit(self, pairs: List[Tuple[list, object]]) -> None:
+        """Withdrawn (record, src) pairs: one admitted already is booked
+        again here, a booking ahead goes back to its ``src``."""
+        now = self.env.now
+        for b, src in pairs:
+            up = b[_UP]
+            if up is not None and up[_SRC] is _GONE:
+                continue                       # its hop withdrew it too
+            if src is None or b[_AT] < now:
+                again = self._book(b[_CHUNK], b[_AT], src, up)
+                if up is not None:
+                    up[_OUT] = again
+            else:
+                src.take_back(b[_CHUNK], b[_AT], up)
+
+    def _withdraw(self, i: int) -> List[Tuple[list, object]]:
+        """Undo records ``i..``: restore the wire, slots, draws and
+        tallies, cancel what each armed; returns (record, src) pairs."""
+        booked, now, starts = self._booked, self.env.now, self._starts
         gone = [booked.pop() for _ in range(len(booked) - i)][::-1]
         if not gone:
-            return
+            return []
         self._end = gone[0][_PREV]
-        for _ in range(sum(b[_HELD] for b in gone)):
-            self._starts.pop()
-        wire = sum(b[_CHUNK].wire_bytes for b in gone)
-        self._busy_ns -= sum(b[_SER] for b in gone)
-        self._chunks -= len(gone)
-        self._bytes -= wire
-        self.counters.add("link.chunks", -len(gone))
-        self.counters.add("link.bytes", -wire)
-        srcs = [b[_SRC] for b in gone]
+        while starts and starts[0] <= now:
+            starts.popleft()                   # slots freed already
+        for _ in range(sum(b[_HELD] and b[_START] > now for b in gone)):
+            starts.pop()
+        self._busy_ns -= sum(b[_BUSY] for b in gone)
+        self._unspend([(b[_DRAWS], b[_JIT]) for b in gone])
+        pairs = [(b, b[_SRC]) for b in gone]
         for b in gone:
-            b[_SRC] = None                     # withdrawn
+            b[_SRC] = _GONE
+            drops = b[_DROPS]
+            self._tally(b[_CHUNK].wire_bytes, drops, drops == 0 or drops > 0
+                        and self.params.loss_mode != "lossy", -1)
         for b in gone:
-            out, chunk = b[_OUT], b[_CHUNK]
-            if type(out) is list:              # booked on the last hop
-                if out[_SRC] is not None:
-                    last = chunk.path[-1]
-                    last._recall(last._booked.index(out))
-                chunk.hop -= 1
-            else:
-                self.env.unschedule(out, b[_DUE])
-                if chunk.hop + 1 < len(chunk.path):
-                    chunk.path[chunk.hop + 1]._inbound -= 1
-        for b, src in zip(gone, srcs):
-            if b[_UP] is None or b[_UP][_SRC] is not None:
-                src.take_back(b[_CHUNK], b[_AT], b[_UP])
+            self._unsend(b)
+        return pairs
+
+    def _unsend(self, b: list) -> None:
+        """Cancel the delivery timer or next-hop booking ``b`` made."""
+        out, chunk = b[_OUT], b[_CHUNK]
+        if type(out) is list:                  # booked on the last hop
+            if out[_SRC] is not _GONE:
+                last = chunk.path[-1]
+                last._recall(last._booked.index(out))
+            chunk.hop -= 1
+        elif out is not None:
+            self.env.unschedule(out, b[_DUE])
+            if chunk.hop + 1 < len(chunk.path):
+                chunk.path[chunk.hop + 1]._inbound -= 1
+
+    def _unspend(self, spent) -> None:
+        """Hand back (drop draws, jitter) pairs, oldest first."""
+        self._spare.extendleft(reversed([d for draws, _ in spent
+                                         for d in draws]))
+        for _, jit in reversed(spent):
+            if jit is not None:
+                jit[0].bit_generator.state = jit[1]
+
+    def _restate(self, chaos: bool) -> None:
+        """Chaos (``chaos``) or the drop rate changed: book again the
+        ``srv`` chunks starting after now (not a late one), hand back
+        bookings ahead, and for chaos re-send the ``srv`` ones on the
+        wire."""
+        if not chaos and self.rng is None:
+            return
+        now, booked = self.env.now, self._booked
+        i = len(booked)
+        while i:
+            b = booked[i - 1]
+            late = b[_START] > b[_AT] and not b[_HELD]
+            if not (b[_START] > now and not late if b[_SRV]
+                    else b[_AT] >= now):
+                break
+            i -= 1
+        pairs = self._withdraw(i)
+        j = i
+        while chaos and j and booked[j - 1][_END] > now:
+            j -= 1
+        live = [b for b in list(booked)[j:i]
+                if b[_SRV] and b[_OUT] is not None]
+        for b in live:
+            src, b[_SRC] = b[_SRC], _GONE      # not handed back to us
+            self._unsend(b)
+            b[_SRC] = src
+        self._unspend([((), b[_JIT]) for b in live])
+        for b in live:
+            self._send(b[_CHUNK], b[_END], b, True)
+        self._readmit(pairs)
 
     # ------------------------------------------------------------- parking
     def put(self, chunk: Chunk) -> Event:
@@ -353,22 +465,20 @@ class Link:
         if self.try_put(chunk):
             ev.succeed()
         else:
-            self._park(chunk, ev)
+            self._parked.append((chunk, ev))
+            self._arm_wake()
         return ev
 
     def put_discard(self, chunk: Chunk) -> None:
         """Fire-and-forget put: same FIFO admission and backpressure as
         :meth:`put`, with no event for anyone to wait on."""
         if not self.try_put(chunk):
-            self._park(chunk, None)
-
-    def _park(self, chunk: Chunk, ev: Optional[Event]) -> None:
-        self._parked.append((chunk, ev))
-        self._arm_wake()
+            self._parked.append((chunk, None))
+            self._arm_wake()
 
     def _arm_wake(self) -> None:
-        # a slot held by a scheduled chunk frees when the clock reaches
-        # its start: one timer, at the next such instant
+        # a slot frees when the clock reaches its chunk's start: one timer,
+        # at the next such instant
         starts = self._starts
         if starts and self._wake_at != starts[0]:
             self._wake_at = starts[0]
@@ -376,8 +486,7 @@ class Link:
             wake.callbacks.append(self._admit_parked)
 
     def _admit_parked(self, _ev=None) -> None:
-        """Admit parked producers while slots are free: the wake timer's
-        callback, and called when a served chunk leaves the queue."""
+        """Wake timer: admit parked producers while slots are free."""
         parked = self._parked
         while parked and self.try_put(parked[0][0], _head=True):
             ev = parked.popleft()[1]
@@ -386,115 +495,24 @@ class Link:
         if parked:
             self._arm_wake()
 
-    # -------------------------------------------------------------- service
-    def _next(self, _ev=None) -> None:
-        """The wire is free: start the next queued chunk, or go idle."""
-        while self._queue:
-            chunk = self._queue.popleft()
-            if self._parked:
-                self._admit_parked()  # the chunk's slot is free
-            if self._start(chunk):
-                return
-            if self.rng is not None:
-                # a dark link swallowed it; with a drop stream that empty turn
-                # still ends in its own event, so what else happens in this
-                # nanosecond interleaves per chunk whatever the queue depth
-                self.env.timeout(0).callbacks.append(self._next)
-                return
-        self._serving = False
-
-    def _start(self, chunk: Chunk) -> bool:
-        """Start service of ``chunk``; False if a dark link swallowed it on
-        the spot (nothing armed: the caller moves on)."""
-        chaos = self.chaos
-        wait = self._end - self.env.now
-        if wait > 0:
-            # chunks scheduled before the switch still own the wire; the
-            # chaos state that applies is the one read here
-            late = self.env.timeout(wait)
-            late.callbacks.append(
-                lambda _ev: self._begin(chunk, chaos) or self._next())
-            return True
-        return self._begin(chunk, chaos)
-
-    def _begin(self, chunk: Chunk, chaos: Optional[LinkChaos]) -> bool:
-        bw = self.params.bandwidth_gbps
-        if chaos is not None:
-            if not chaos.up:
-                self._drops += 1
-                self.counters.add("link.chaos_drops")
-                return False
-            bw *= chaos.bw_scale
-        # ``params`` is frozen, but harnesses heal the fabric mid-run by
-        # object.__setattr__ on it: the drop knobs are re-read per chunk
-        self._attempt(chunk, serialization_ns(chunk.wire_bytes, bw),
-                      0.0 if self.rng is None else self.params.drop_rate)
-        return True
-
-    def _attempt(self, chunk: Chunk, ser: int, drop_rate: float, _ev=None):
-        """One attempt: failed or not, it occupies the wire for ``ser`` ns."""
-        counters = self.counters
-        timeout = self.env.timeout
-        self._busy_ns += ser
-        self._end = self.env.now + ser
-        if drop_rate > 0.0 and self.rng.random() < drop_rate:
-            self._drops += 1
-            counters.add("link.drops")
-            if self.params.loss_mode == "lossy":
-                # genuine loss: the chunk vanishes after its serialisation
-                # time.  Recovery (if any) is end-to-end at the sending NIC.
-                counters.add("link.lost_bytes", chunk.wire_bytes)
-                timeout(ser).callbacks.append(self._next)
-            else:
-                # reliable mode: the recovery timeout, then a fresh attempt
-                counters.add("link.retrans_bytes", chunk.wire_bytes)
-                timeout(ser + self.params.retransmit_ns).callbacks.append(
-                    partial(self._attempt, chunk, ser, drop_rate))
-            return
-        self._chunks += 1
-        self._bytes += chunk.wire_bytes
-        counters.add("link.chunks")
-        counters.add("link.bytes", chunk.wire_bytes)
-        timeout(ser).callbacks.append(partial(self._sent, chunk))
-
-    def _sent(self, chunk: Chunk, _ev) -> None:
-        """Off the wire: propagation (sampled now, from the chaos state of
-        this instant) overlaps with serialising the next chunk."""
-        delay = self.latency_ns
-        chaos = self.chaos
-        if chaos is not None:
-            delay += chaos.latency_add_ns
-            if chaos.jitter_ns and chaos.rng is not None:
-                delay += int(chaos.rng.integers(0, chaos.jitter_ns))
-        self._arm(chunk, self.env.now + delay, self._exit)
-        self._next()
-
     # ----------------------------------------------------------------- exit
-    def _deliver(self, chunk: Chunk, _ev) -> None:
-        """Timer callback: a scheduled chunk reaches the far end."""
-        while self._booked and self._booked[0][_AT] < self.env.now:
-            self._booked.popleft()[_OUT] = None   # frees the firing timer
-        chaos = self.chaos
-        if chaos is not None and not chaos.up:
-            # the link went dark after this chunk was scheduled: served, it
-            # would have been dropped, so drop it here rather than leak
-            # traffic across a partition
+    def _arrive(self, chunk: Chunk, checked: bool, _ev) -> None:
+        """Timer callback: a chunk reaches the far end — dropped if admitted
+        clean (``checked``) and the link went dark since."""
+        booked, now = self._booked, self.env.now
+        while booked and booked[0][_AT] < now and booked[0][_END] < now:
+            booked.popleft()[_OUT] = None     # frees the firing timer
+        chunk.hop = hop = chunk.hop + 1
+        path, chaos = chunk.path, self.chaos
+        on = hop < len(path)
+        if on:
+            path[hop]._inbound -= 1
+        if checked and chaos is not None and not chaos.up:
             self._drops += 1
             self.counters.add("link.chaos_drops")
-            if chunk.hop + 1 < len(chunk.path):
-                chunk.path[chunk.hop + 1]._inbound -= 1
-            return
-        self._exit(chunk, _ev)
-
-    def _exit(self, chunk: Chunk, _ev) -> None:
-        """Timer callback: a chunk that left the wire reaches the far end
-        (a served chunk met its dark-link check at service start)."""
-        chunk.hop = hop = chunk.hop + 1
-        path = chunk.path
-        if hop < len(path):
+        elif on:
             # fire-and-forget: admission order and backpressure are the
             # next hop's FIFO parked line
-            path[hop]._inbound -= 1
             path[hop].put_discard(chunk)
         elif self.sink is None:
             raise RuntimeError(f"link {self.name}: no sink at end of path")

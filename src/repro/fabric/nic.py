@@ -1,24 +1,17 @@
 """The simulated RDMA-capable NIC.
 
-Each rank owns one :class:`Nic`.  The NIC exposes two transmit paths:
+Each rank owns one :class:`Nic`, with two transmit paths: :meth:`transmit`
+(the *requester*: a posted work request is processed by the send engine —
+per-WQE cost, optional bulk-engine startup — segmented into chunks,
+DMA-fetched and streamed into the route's first link) and :meth:`respond`
+(the *responder*: READ responses and atomic replies share the target's
+links but bypass its send queue, as on real hardware).
 
-- :meth:`transmit` — the *requester* path: work requests posted through a
-  queue pair land here (after post + doorbell costs charged by the verbs
-  layer), are processed by the send engine (per-WQE cost, optional bulk-
-  engine startup), segmented into chunks, source data is DMA-fetched, and
-  the chunks stream into the first link of the route.
-- :meth:`respond` — the *responder* path: RDMA READ responses and atomic
-  replies are generated by the target NIC without consuming a WQE there;
-  they share the target's links (so read traffic contends with its sends)
-  but bypass its send queue, as on real hardware.
-
-Ingress: the last link of a route hands chunks to :meth:`_ingress`.  Data
-chunks are placed into destination memory immediately (RDMA semantics —
-no destination CPU involvement); when the *last* chunk of a message arrives
-the message is queued for the delivery loop, which charges the per-message
-delivery cost and fires the message's ``on_delivered`` callback (the verbs
-layer generates CQEs there).  Reliable-connection acks are modelled by
-scheduling the source-side ``on_acked`` callback one return-latency later.
+Ingress (:meth:`_ingress`, fed by a route's last link) places data chunks
+in memory at once (RDMA: no destination CPU); the last chunk of a message
+queues it for the delivery loop, which charges the per-message cost and
+fires ``on_delivered`` (the verbs layer's CQEs).  A reliable-connection ack
+is the source's ``on_acked`` one return latency later.
 
 Event economy: a message handed to an *idle* engine / responder / delivery
 loop wakes it one fixed stage cost (``wqe_process_ns`` / ``delivery_ns``)
@@ -216,9 +209,8 @@ def _after(event, rest):
 
 class _Train:
     """A message's DMA fetches booked on its first hop at their ends
-    (``ats``) and the one wake of the loop streaming it.  A withdrawn
-    booking cuts the train (``cut``: its first chunk so withdrawn): the
-    wake moves to that chunk's fetch end, the rest stream one by one."""
+    (``ats``) and the one wake of its loop.  A withdrawn booking cuts it
+    (``cut``): the wake moves to that fetch end, the rest stream singly."""
 
     __slots__ = ("env", "chunks", "ats", "cut", "wake")
 
@@ -257,13 +249,10 @@ class Nic:
         self.counters = counters or Counters()
         self.tracer = tracer or Tracer()
         #: fault injection was armed at build time: lossy-mode bookkeeping
-        #: (offset tracking, ARQ records) stays on even if a harness later
-        #: disarms drop_rate mid-run, so in-flight recovery state remains
-        #: coherent.  Never-armed clean fabrics skip it all.
+        #: (offsets, ARQ records) stays on if the drop rate later falls to 0
         self._fault_armed = params.link.drop_rate > 0.0
         #: crash injection: a downed NIC drops all ingress, discards queued
-        #: work, suppresses acks and drops its ARQ records.  Always False
-        #: outside chaos runs, so the checks below never fire.
+        #: work, suppresses acks and drops its ARQ records
         self.down = False
         #: ARQ records of un-acked lossy-mode messages
         self._arqs: set = set()
@@ -280,14 +269,9 @@ class Nic:
 
     # ------------------------------------------------------------ crash power
     def power_off(self) -> None:
-        """Crash injection: drop queued work and go dark.
-
-        Everything already on the wire still arrives at its destination
-        links; it is discarded at this NIC's ingress.  Pending engine /
-        responder / delivery queue entries vanish (their callbacks never
-        fire — exactly what a host crash looks like to its peers), and so do
-        the ARQ records of un-acked messages: no retransmit, no ``on_error``.
-        """
+        """Crash injection: queued work and ARQ records vanish (no callback,
+        retransmit or ``on_error`` — a host crash as its peers see it); what
+        is on the wire still arrives, and is discarded at ingress."""
         self.down = True
         self._engine_q.items.clear()
         self._responder_q.items.clear()
@@ -366,13 +350,10 @@ class Nic:
 
     def _stream(self, msg: WireMsg):
         """Fetch + inject all chunks of one message (runs in engine ctx).
-
-        The message's bytes are read when its stream starts: a source
-        modified before local completion is undefined.  A multi-chunk one
-        fetched by DMA is a train (:class:`_Train`): each fetch is booked
-        on the first hop at its end, up to the first it will not take, and
-        the loop sleeps once, to the last; from that chunk, or from one a
-        cut withdrew, chunks go out one fetch sleep at a time."""
+        Its bytes are read when the stream starts (a source modified before
+        local completion is undefined); a multi-chunk one fetched by DMA is
+        a :class:`_Train` up to the first fetch the first hop will not book,
+        then one fetch sleep per chunk."""
         if msg.dst == self.rank:
             yield from self._loopback(msg)
             return
@@ -380,8 +361,9 @@ class Nic:
         env = self.env
         path = self.topology.path(self.rank, msg.dst)
         msg.t_injected = env.now
-        lossy = (self.params.link.loss_mode == "lossy"
-                 and (self._fault_armed or self.params.link.drop_rate > 0.0))
+        link = self.topology.link_params
+        lossy = (link.loss_mode == "lossy"
+                 and (self._fault_armed or link.drop_rate > 0.0))
         inline = (msg.inline_data is not None
                   and msg.nbytes <= nic.max_inline)
         chunks = self._segment(msg, path)
@@ -484,10 +466,8 @@ class Nic:
 
     def _transport_ack_fire(self, msg: WireMsg, _ev) -> None:
         """Lossy mode: tell the sender's ARQ record the message landed.
-
-        Acks ride a reliable control channel (as link-level credits and
-        acks do on real fabrics), so only data chunks are subject to loss.
-        """
+        Acks ride a reliable control channel (as link-level credits do on
+        real fabrics): only data chunks are lost."""
         if self.down or not self.topology.reachable(self.rank, msg.src):
             return
         if msg.ack_event is not None:

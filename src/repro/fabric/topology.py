@@ -14,6 +14,7 @@ Provided shapes:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..sim.core import Environment, SimulationError
@@ -94,6 +95,17 @@ class Topology:
                 self._cut.discard((src, dst))
                 self._cut.discard((dst, src))
         self.counters.add("fabric.heal_events")
+
+    def set_drop_rate(self, rate: float) -> None:
+        """Change every link's drop rate from now on (a harness healing or
+        degrading the fabric mid-run).  Each link books again the chunks
+        whose service starts after now, with the draws they took; the NICs
+        read the rate from ``link_params``.  A link built without a drop
+        stream stays clean."""
+        self.link_params = replace(self.link_params, drop_rate=rate)
+        for link in self.iter_links():
+            link.params = replace(link.params, drop_rate=rate)
+            link._restate(False)
 
     def reachable(self, src: int, dst: int) -> bool:
         """False while a partition cuts the ordered pair ``src -> dst``."""

@@ -476,29 +476,15 @@ class PhotonBase:
 
     def _send_credit(self, peer: PeerState, ring_name: str):
         """Return ledger credit to the producer (tiny RDMA write)."""
-        local = peer.local[ring_name]
-        value = local.mark_credit_sent()
-        stage = peer.credit_staging[ring_name]
-        self.memory.write_u64(stage, value)
-        nic = self.cluster.params.nic
-        wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage, length=8,
-                    remote_addr=local.producer_credit_addr,
-                    rkey=local.producer_rkey,
-                    inline=self.config.use_inline and 8 <= nic.max_inline)
-
-        def on_error():
-            # a credit write carries an absolute value — resending the
-            # current word is always safe and keeps the producer unblocked
-            if self.health is not None and self.health.is_dead(peer.rank):
-                return  # the re-arm resets credit state from scratch
-            self.counters.add("photon.credit_resends")
-            self.env.process(self._resend_credit(peer, ring_name),
-                             name="photon:credit-resend")
-
-        yield from self._post(peer, wr, None, on_error)
+        peer.local[ring_name].mark_credit_sent()
+        yield from self._post_credit(peer, ring_name)
         self.counters.add("photon.credit_writes")
 
-    def _resend_credit(self, peer: PeerState, ring_name: str):
+    def _post_credit(self, peer: PeerState, ring_name: str):
+        """Write the ring's credit word to the producer.  The word is an
+        absolute value, so a lost write is resent as it stands now — which
+        keeps the producer unblocked — unless the peer is dead (its re-arm
+        resets credit state from scratch)."""
         local = peer.local[ring_name]
         stage = peer.credit_staging[ring_name]
         self.memory.write_u64(stage, local.credit_sent)
@@ -512,7 +498,7 @@ class PhotonBase:
             if self.health is not None and self.health.is_dead(peer.rank):
                 return
             self.counters.add("photon.credit_resends")
-            self.env.process(self._resend_credit(peer, ring_name),
+            self.env.process(self._post_credit(peer, ring_name),
                              name="photon:credit-resend")
 
         yield from self._post(peer, wr, None, on_error)

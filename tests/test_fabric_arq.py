@@ -76,22 +76,29 @@ class Rig:
             self._watch(uplink)
 
     def _watch(self, uplink):
-        inner, env = uplink.try_put, self.env
+        inner, book, env = uplink.try_put, uplink.reserve, self.env
         heads, started, offered, restarts = set(), set(), {}, set()
 
-        def try_put(chunk, _head=False):
+        def offer(chunk, at):
             tag = chunk.msg.meta["tag"]
             if chunk.is_first and chunk not in heads:
                 heads.add(chunk)
                 if tag in started:
-                    restarts.add(env.now)   # a fresh copy of a first chunk
+                    restarts.add(at)        # a fresh copy of a first chunk
                 started.add(tag)
-            offered.setdefault(env.now, set()).add(tag)
-            if env.now in restarts and len(offered[env.now]) > 1:
+            offered.setdefault(at, set()).add(tag)
+            if at in restarts and len(offered[at]) > 1:
                 self.contended = True
+
+        def try_put(chunk, _head=False):
+            offer(chunk, env.now)
             return inner(chunk, _head)
 
-        uplink.try_put = try_put
+        def reserve(chunk, at, src, up=None):
+            offer(chunk, at)                # a DMA train's chunk, at its fetch end
+            return book(chunk, at, src, up)
+
+        uplink.try_put, uplink.reserve = try_put, reserve
 
     def send(self, src, nbytes):
         tag, env = len(self.msgs), self.env

@@ -1,6 +1,6 @@
 """Link-level accounting under faults.
 
-Pins the occupancy/byte bookkeeping of a served :class:`Link`:
+Pins the occupancy/byte bookkeeping of a lossy :class:`Link`:
 ``_busy_ns`` must grow by one serialisation per *attempt* (failed or
 not), ``link.bytes`` must stay goodput-only with wasted attempts tallied
 under ``link.retrans_bytes`` / ``link.lost_bytes``, and recovery delay
@@ -15,10 +15,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.fabric import IB_FDR, Memory, Nic, WireMsg
 from repro.fabric.link import Chunk, Link, LinkChaos
 from repro.fabric.params import LinkParams
+from repro.fabric.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.trace import Counters
 from repro.util.units import serialization_ns
-from tests.link_oracle import OracleLink, UnbookedLink
+from tests.link_oracle import OracleLink, ServedLink, UnbookedLink
 
 
 class ScriptedRng:
@@ -125,11 +126,12 @@ def test_lossy_drop_accounting():
 
 
 # ---------------------------------------------------------------------------
-# the served state across three transitions: chaos armed on a clean link
+# served chunks across three transitions: chaos armed on a clean link
 # mid-burst, chaos armed on a drop-rate link, a drop-rate link healed
 # mid-run.  The expected values were captured from the two-server-process
 # implementation and must never move; only the ``events`` totals follow
-# the kernel events the link spends (now two timers per chunk).
+# the kernel events the link spends (now one timer per delivered chunk-path
+# where it books), and one named tie (below) moved the reliable tail.
 # ---------------------------------------------------------------------------
 
 class CyclicRng:
@@ -146,16 +148,16 @@ class CyclicRng:
         return v
 
 
-def _two_hop(rng=None, **link_kw):
+def _two_hop(rng=None, link_cls=Link, **link_kw):
     """hop0 (the link under test) -> hop1 (clean) -> sink."""
     env = Environment()
     counters = Counters()
     params = LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096,
                         **link_kw)
-    hop0 = Link(env, params, "hop0", counters=counters, rng=rng,
-                queue_depth=4)
-    hop1 = Link(env, LinkParams(bandwidth_gbps=8.0, latency_ns=500, mtu=4096),
-                "hop1", counters=Counters())
+    hop0 = link_cls(env, params, "hop0", counters=counters, rng=rng,
+                    queue_depth=4)
+    hop1 = link_cls(env, LinkParams(bandwidth_gbps=8.0, latency_ns=500,
+                                    mtu=4096), "hop1", counters=Counters())
     delivered = []
     hop1.sink = lambda chunk: delivered.append((env.now, chunk.offset))
     return env, counters, hop0, hop1, delivered
@@ -202,8 +204,8 @@ EXPECT_CHAOS_ON_CLEAN = {'busy_ns': 21640,
                (7160, 5), (7950, 6), (8830, 7), (9800, 8), (10860, 9),
                (11900, 10), (13570, 11), (15420, 12), (17450, 13),
                (33120, 19), (33820, 20), (43120, 24), (43820, 25)],
- # a chunk scheduled on clean hop0 is booked on hop1: one timer fewer
- 'events': 77,
+ # every chunk on hop0 is booked on hop1
+ 'events': 74,
  'link': (21, 18300, 8)}
 
 EXPECT_CHAOS_ON_LOSSY = {'busy_ns': 30460,
@@ -215,22 +217,26 @@ EXPECT_CHAOS_ON_LOSSY = {'busy_ns': 30460,
  'delivered': [(2400, 0), (4250, 2), (5610, 3), (12380, 5), (15630, 6),
                (19240, 7), (23210, 8), (42760, 17), (43820, 18), (45310, 20),
                (46190, 21), (47160, 22)],
- 'events': 74,
+ 'events': 56,
  'link': (12, 10110, 11)}
 
-EXPECT_CHAOS_ON_RELIABLE = {'busy_ns': 46140,
- 'counters': {'link.bytes': 17600,
-              'link.chaos_drops': 3,
-              'link.chunks': 20,
-              'link.drops': 7,
-              'link.retrans_bytes': 6340},
+#: the named tie: the two-timer machine took a zero-delay turn per chunk a
+#: dark link with a drop stream swallowed, and the clear at 50 700 ns (the
+#: feeder is parked until then) came after three turns, so chunks 13-16
+#: were served; booked, the queue is swallowed in its nanosecond at once
+#: (test_a_dark_link_swallows_its_queue_in_one_nanosecond)
+EXPECT_CHAOS_ON_RELIABLE = {'busy_ns': 41560,
+ 'counters': {'link.bytes': 14080,
+              'link.chaos_drops': 7,
+              'link.chunks': 16,
+              'link.drops': 6,
+              'link.retrans_bytes': 5280},
  'delivered': [(2400, 0), (8070, 1), (9040, 2), (15370, 3), (19700, 4),
                (22140, 5), (25390, 6), (36520, 7), (40490, 8), (52760, 9),
-               (53730, 13), (54790, 14), (55490, 15), (60800, 16),
-               (61770, 17), (67800, 18), (68950, 19), (69650, 20),
-               (70440, 21), (76020, 22)],
- 'events': 95,
- 'link': (20, 17600, 10)}
+               (53640, 17), (54610, 18), (55670, 19), (60710, 20),
+               (61590, 21), (67440, 22)],
+ 'events': 66,
+ 'link': (16, 14080, 13)}
 
 EXPECT_HEALED = {'busy_ns': 20940,
  'counters': {'link.bytes': 19090,
@@ -242,7 +248,7 @@ EXPECT_HEALED = {'busy_ns': 20940,
                (13230, 12), (14200, 13), (15260, 14), (15960, 15),
                (16750, 16), (17630, 17), (18600, 18), (19660, 19),
                (20360, 20), (21150, 21), (22030, 22), (23000, 23)],
- 'events': 95,
+ 'events': 68,
  'link': (22, 19090, 2)}
 
 
@@ -265,23 +271,51 @@ def test_chaos_armed_mid_burst_on_clean_link():
     assert _observed(env, counters, hop0, delivered) == EXPECT_CHAOS_ON_CLEAN
 
 
+def _chaos_on_drop_rate_link(mode, link_cls=Link):
+    env, counters, hop0, hop1, delivered = _two_hop(
+        rng=CyclicRng(), drop_rate=0.25, loss_mode=mode, retransmit_ns=4_000,
+        link_cls=link_cls)
+    _feed(env, hop0, hop1, [
+        (0, 8),
+        (2_500, lambda: hop0.arm_chaos(
+            LinkChaos(bw_scale=0.25, latency_add_ns=300))),
+        (2_500, 6),
+        (20_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
+        (20_000, 3),
+        (40_000, lambda: hop0.arm_chaos(None)),
+        (40_000, 6),
+    ])
+    return _observed(env, counters, hop0, delivered)
+
+
 def test_chaos_armed_on_drop_rate_link():
     for mode, expect in (("lossy", EXPECT_CHAOS_ON_LOSSY),
                          ("reliable", EXPECT_CHAOS_ON_RELIABLE)):
-        env, counters, hop0, hop1, delivered = _two_hop(
-            rng=CyclicRng(), drop_rate=0.25, loss_mode=mode,
-            retransmit_ns=4_000)
-        _feed(env, hop0, hop1, [
-            (0, 8),
-            (2_500, lambda: hop0.arm_chaos(
-                LinkChaos(bw_scale=0.25, latency_add_ns=300))),
-            (2_500, 6),
-            (20_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
-            (20_000, 3),
-            (40_000, lambda: hop0.arm_chaos(None)),
-            (40_000, 6),
-        ])
-        assert _observed(env, counters, hop0, delivered) == expect, mode
+        assert _chaos_on_drop_rate_link(mode) == expect, mode
+
+
+def test_a_dark_link_swallows_its_queue_in_one_nanosecond():
+    """The named tie against the two-timer machine: identical up to the
+    nanosecond the parked feeder clears chaos, after the old machine's
+    third zero-delay turn."""
+    got = _chaos_on_drop_rate_link("reliable")
+    want = _chaos_on_drop_rate_link("reliable", ServedLink)
+    assert got["delivered"][:10] == want["delivered"][:10]
+    assert [tag for _, tag in want["delivered"][10:14]] == [13, 14, 15, 16]
+    assert all(tag >= 17 for _, tag in got["delivered"][10:])
+    assert got["counters"]["link.chaos_drops"] == 7
+    assert want["counters"]["link.chaos_drops"] == 3
+
+
+class _Wires(Topology):
+    """The fabric of a test's hand-built links."""
+
+    def __init__(self, env, links):
+        super().__init__(env, 1, links[0].params, Counters())
+        self.links = links
+
+    def iter_links(self):
+        return self.links
 
 
 def test_drop_rate_link_healed_mid_run():
@@ -289,7 +323,7 @@ def test_drop_rate_link_healed_mid_run():
         rng=CyclicRng(), drop_rate=0.25, loss_mode="lossy")
     _feed(env, hop0, hop1, [
         (0, 12),
-        (6_000, lambda: object.__setattr__(hop0.params, "drop_rate", 0.0)),
+        (6_000, lambda: _Wires(env, [hop0, hop1]).set_drop_rate(0.0)),
         (6_000, 12),
     ])
     # healed: no draws, no drops after 6 us — but still one chunk per
@@ -443,7 +477,7 @@ def test_chaos_armed_over_scheduled_chunks_does_not_reserve_them():
 
     def arm_and_put():
         link.arm_chaos(LinkChaos(bw_scale=0.5))
-        link.inbox.put_discard(late)     # served, behind the schedule
+        link.inbox.put_discard(late)     # under chaos, behind the schedule
 
     _at(env, ser + ser // 2, arm_and_put)
     env.run()
@@ -474,23 +508,22 @@ def test_chaos_cleared_with_backlog_drains_per_chunk_then_schedules():
     link.arm_chaos(LinkChaos(bw_scale=0.5))
     backlog = [_chunk(link) for _ in range(3)]
     for c in backlog:
-        link.inbox.put_discard(c)        # served: first in service, 2 queued
+        link.inbox.put_discard(c)        # booked under chaos, back to back
     joiner = _chunk(link)
 
     def clear_and_put():
         link.arm_chaos(None)
-        link.inbox.put_discard(joiner)   # a chunk is in service: still served
-        assert link._queue[-1] is joiner
+        link.inbox.put_discard(joiner)   # booked behind the backlog
 
     _at(env, ser, clear_and_put)         # mid-way through the first (2*ser)
     env.run()
-    # chaos is read when a chunk is taken: the first pays half bandwidth,
-    # the rest drain one per serialisation at full bandwidth
+    # chaos is read where service starts: the first pays half bandwidth;
+    # the clear books the rest again, one serialisation each at full
     assert delivered == [(2 * ser + 500, backlog[0]),
                          (3 * ser + 500, backlog[1]),
                          (4 * ser + 500, backlog[2]),
                          (5 * ser + 500, joiner)]
-    # drained: admission is the schedule again — one event per chunk
+    # one event per chunk
     before = env.events_processed
     link.inbox.put_discard(_chunk(link))
     env.run()
@@ -517,6 +550,7 @@ class _Incast:
 
     def __init__(self, ups, down):
         self.ups, self.down = ups, down
+        self.link_params = NIC_PARAMS.link
 
     def attach(self, rank, sink):
         pass
@@ -613,8 +647,9 @@ def _drive_incast(link_cls, depth, latencies, puts, sends, chaos):
         "delivered": delivered, "admitted": sorted(admitted),
         "tallies": [(lk._busy_ns, lk._chunks, lk._bytes, lk._drops)
                     for lk in links],
+        # a withdrawn count leaves its key at 0
         "counters": {k: v for k, v in sorted(snap.items())
-                     if k.startswith(("link.", "nic."))}}
+                     if k.startswith(("link.", "nic.")) and v}}
 
 
 EVEN = (500, 500, 500)
@@ -659,8 +694,8 @@ EVEN = (500, 500, 500)
                                         ([], [])),
          sends=[(200, 5000, False)], chaos=[])
 # chaos armed on the instant of a booking, armed first: the chunk meets the
-# served downlink; the train chunk whose fetch ends then meets the served
-# first hop; a chunk booked on the downlink from an uplink going dark then
+# chaos-armed downlink; the train chunk whose fetch ends then meets the
+# chaos-armed first hop; a chunk booked on the downlink from an uplink going dark then
 # is dropped by the uplink's own delivery
 @example(depth=1, latencies=EVEN, puts=(([], [(0, 1000)]), ([], [])),
          sends=[], chaos=[(1500, 3, "slow")])

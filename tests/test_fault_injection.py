@@ -379,7 +379,7 @@ def test_qp_error_flush_reconnect_roundtrip():
     qps[0].reset_and_reconnect()
     assert qps[0].state is QPState.READY
     assert cl.counters.get("qp.reconnects") == 1
-    object.__setattr__(cl.params.link, "drop_rate", 0.0)
+    cl.topology.set_drop_rate(0.0)
     qps[0].post_send(SendWR(opcode=Opcode.RDMA_WRITE, wr_id=3,
                             local_addr=heap0, length=17,
                             remote_addr=heap1, rkey=mr1.rkey))
@@ -417,7 +417,7 @@ def test_circuit_breaker_trips_and_recovers():
             yield from tps[0].send(1, b"nope" + bytes(60))
         assert cl.counters.get("transport.fast_fails") == 1
         # outage ends; cooldown expires; one probe send is let through
-        object.__setattr__(cl.params.link, "drop_rate", 0.0)
+        cl.topology.set_drop_rate(0.0)
         yield env.timeout(1_200_000)
         assert not tps[0].peer_is_down(1)
         yield from tps[0].send(1, b"probe!" + bytes(58))
@@ -507,3 +507,90 @@ def test_qp_reconnect_under_rapid_flaps():
     assert ph[0].rcache.hits - hits_before >= 5
     cl.env.run(until=2_000_000)
     assert cl.topology.link("up0").chaos is None
+
+
+# --------------------------------------------------------------------------
+# credit writes: one retry path
+# --------------------------------------------------------------------------
+
+def _credit_cluster(**nic):
+    """Lossy mode armed but never dropping, and a NIC that gives up on a
+    message after its first attempt: a credit write lost to a fault comes
+    back to Photon as a WR error."""
+    return build_cluster(2, "ib-fdr", seed=5, link__loss_mode="lossy",
+                         link__drop_rate=1e-12, nic__transport_retries=0,
+                         **{f"nic__{k}": v for k, v in nic.items()})
+
+
+def test_a_lost_credit_write_is_resent_and_the_producer_unblocks():
+    """The consumer's uplink is dark for 100 us: every credit write is
+    lost and resent (the credit word is absolute), the last resend lands,
+    and the producer blocked on a full eager ring goes on."""
+    from repro.fabric.link import LinkChaos
+    cfg = PhotonConfig(eager_slots=4)
+    cl = _credit_cluster()
+    ph = photon_init(cl, cfg)
+    env, n, got = cl.env, 3 * cfg.eager_slots, []
+    uplink = cl.topology.link("up1")
+    uplink.arm_chaos(LinkChaos(up=False))
+
+    def heal(env):
+        yield env.timeout(100_000)
+        uplink.arm_chaos(None)
+
+    def sender(env):
+        for i in range(n):
+            op = yield from ph[0].send_pwc(1, b"m%02d" % i, remote_cid=i)
+        assert (yield from ph[0].wait_op(op, 10_000_000))
+
+    def receiver(env):
+        while len(got) < n:
+            m = yield from ph[1].wait_message(timeout_ns=10_000_000)
+            got.append(m[1])
+
+    env.process(heal(env))
+    env.run(until=env.all_of([env.process(sender(env)),
+                              env.process(receiver(env))]))
+    assert got == list(range(n))
+    assert cl.counters.get("photon.eager_stalls") >= 1
+    assert cl.counters.get("photon.credit_resends") >= 1
+    assert env.now > 100_000              # released by a resend after all
+
+
+@pytest.mark.parametrize("watched", [True, False])
+def test_no_credit_is_resent_to_a_peer_declared_dead(watched):
+    """The producer crashes with its ring full; the consumer then drains
+    it and writes credit to the dead NIC, which never acks.  By the time
+    that write errors (a 5 ms ack timeout) the health monitor has declared
+    the producer dead, and nothing is resent; with no monitor the write is
+    resent like any lost one."""
+    from repro.runtime.health import build_health
+    cfg = PhotonConfig(eager_slots=4)
+    cl = _credit_cluster(ack_timeout_ns=5_000_000)
+    ph = photon_init(cl, cfg)
+    mons = build_health(cl)
+    if watched:
+        for r in range(2):
+            ph[r].attach_health(mons[r])
+    got = []
+
+    def script(env):
+        yield env.timeout(400_000)
+        for i in range(cfg.eager_slots):
+            yield from ph[0].send_pwc(1, b"m%02d" % i, remote_cid=i)
+        yield env.timeout(100_000)
+        mons[0].halt()
+        ph[0].crash_local()
+        cl[0].nic.power_off()
+        while env.now < 12_000_000:    # progress reaps the error CQE
+            m = yield from ph[1].wait_message(timeout_ns=100_000)
+            if m is not None:
+                got.append(m[1])
+
+    cl.env.process(script(cl.env))
+    cl.env.run(until=12_000_000)
+    assert got == list(range(cfg.eager_slots))
+    assert cl.counters.get("photon.credit_writes") == 1
+    assert mons[1].is_dead(0)
+    resends = cl.counters.get("photon.credit_resends")
+    assert resends == 0 if watched else resends >= 1

@@ -180,13 +180,15 @@ def test_a_reply_has_one_way_to_its_request():
 
 
 def test_links_have_one_path_per_job():
-    """A clean link is a schedule and a served link two timers: the
-    virtual holds, the burst drain's wakeup, the per-chunk propagate
-    process, the link server process and the per-message ARQ process must
-    not come back, and no link is a process.  A clean link has one
-    admission, ``_book``: immediate admission (``try_put``) is a booking
-    dated ``now``, a reservation one dated ahead, and nothing else puts a
-    chunk on the schedule."""
+    """Every link is a schedule: the virtual holds, the burst drain's
+    wakeup, the per-chunk propagate process, the link server process, the
+    two-timer service machine and the per-message ARQ process must not
+    come back, and no link is a process.  A link has one admission,
+    ``_book``: immediate admission (``try_put``) is a booking dated
+    ``now``, a reservation one dated ahead, a withdrawn admission is
+    booked again (``_readmit``), and nothing else puts a chunk on the
+    schedule; neither entry point asks whether the link has a drop stream
+    or chaos armed."""
     pattern = re.compile(r"add_holds|_hold_wakeup|_propagate"
                          r"|\b_server\b|_start_server|_retry_monitor")
     bad = [path for path in _py_files("src")
@@ -201,8 +203,15 @@ def test_links_have_one_path_per_job():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "process"]
     assert "any_of" not in open("src/repro/fabric/nic.py").read()
+    served = re.compile(r"\b(_serving|_queue|_attempt|_sent|_begin|_start"
+                        r"|_exit|_next)\b")
+    assert not served.findall(link_src)
     methods = {node.name: node for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
+    for fn in ("try_put", "reserve"):
+        assert not [node.attr for node in ast.walk(methods[fn])
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("rng", "chaos")], fn
 
     def calls(fn, attr):
         return [node for node in ast.walk(methods[fn])
@@ -210,8 +219,8 @@ def test_links_have_one_path_per_job():
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == attr]
 
-    assert {fn for fn in methods if calls(fn, "_book")} == {"try_put",
-                                                            "reserve"}
+    assert {fn for fn in methods if calls(fn, "_book")} == {
+        "try_put", "reserve", "_readmit"}
     (now,) = [call.args[1].id for call in calls("try_put", "_book")]
     assert now == "now"
     assert [fn for fn in methods
@@ -229,6 +238,16 @@ def test_links_have_one_path_per_job():
     Link(env, params, "served", rng=RngRegistry(1).stream("link.served"))
     # with an rng or without: nothing spawned, nothing armed
     assert env.peek() is None
+
+
+def test_drop_rate_changes_go_through_the_fabric():
+    """Fabric parameters are frozen: a harness that heals or degrades the
+    fabric mid-run calls ``Topology.set_drop_rate``, which books again what
+    the change affects, instead of mutating them in place."""
+    pattern = re.compile(r"object\.__setattr__\(")
+    bad = [path for path in _py_files("src", "tests")
+           if path != __file__ and pattern.search(open(path).read())]
+    assert not bad, bad
 
 
 def test_kv_scenarios_are_built_in_one_place():

@@ -334,7 +334,7 @@ def test_mpi_failed_send_is_reissued_from_its_staging_slot():
         owner = tps[0]._slot_sends[0]
         yield from comms[0].wait(owner[0])
         assert owner[0].failed
-        object.__setattr__(cl.params.link, "drop_rate", 0.0)
+        cl.topology.set_drop_rate(0.0)
         for i in range(8):  # a full lap of the staging ring
             yield from tps[0].send(1, bytes([i]) * 24)
         for _ in range(400):
