@@ -164,7 +164,7 @@ class Memory:
         n = len(payload)
         self._check(addr, n)
         if isinstance(payload, memoryview) and payload.obj is self._mm:
-            # self-aliasing copy (e.g. loopback into an overlapping range):
+            # self-aliasing copy (a rank copying into an overlapping range):
             # snapshot the source first — slice assignment between
             # overlapping views of one mmap is not defined to memmove
             payload = payload.tobytes()

@@ -354,9 +354,6 @@ class Nic:
         local completion is undefined); a multi-chunk one fetched by DMA is
         a :class:`_Train` up to the first fetch the first hop will not book,
         then one fetch sleep per chunk."""
-        if msg.dst == self.rank:
-            yield from self._loopback(msg)
-            return
         nic = self.params.nic
         env = self.env
         path = self.topology.path(self.rank, msg.dst)
@@ -411,28 +408,6 @@ class Nic:
             msg.ack_event = _Arq(self, msg, chunks)
         self.tracer.log(self.env.now, "nic.tx", src=self.rank, dst=msg.dst,
                         kind=msg.kind, nbytes=msg.nbytes)
-
-    def _loopback(self, msg: WireMsg):
-        """Same-rank transfer: memory copy through the DMA engines."""
-        nic = self.params.nic
-        cost = serialization_ns(msg.nbytes, nic.dma_gbps) + nic.delivery_ns
-        yield self.env.timeout(cost)
-        data = b""
-        if msg.nbytes:
-            if msg.inline_data is not None:
-                data = msg.inline_data
-            elif msg.fetch is not None:
-                data = msg.fetch(0, msg.nbytes)
-        if msg.place is not None and msg.nbytes:
-            msg.place(0, data)
-        elif msg.rx_buffer is not None and msg.nbytes:
-            msg.rx_buffer.append((0, data))
-        msg.t_delivered = self.env.now
-        self.counters.add("nic.loopback_msgs")
-        if msg.on_delivered is not None:
-            msg.on_delivered(self, msg)
-        if msg.ack and msg.on_acked is not None:
-            msg.on_acked()
 
     # ------------------------------------------------------------------ ingress
     def _ingress(self, chunk: Chunk) -> None:

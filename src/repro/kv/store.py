@@ -778,7 +778,7 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
         runtime.kv = node
         if monitors is not None:
             photons[r].attach_health(monitors[r])
-            runtime.transport.attach_health(monitors[r])
+            runtime.attach_health(monitors[r])
             node.attach_health(monitors[r])
         nodes.append(node)
     if start:

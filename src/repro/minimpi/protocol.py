@@ -131,7 +131,7 @@ class Engine:
         self.env: Environment = cluster.env
         self.context = node.context
         self.memory = node.memory
-        # this rank's counter scope: writes mirror into cluster.counters
+        # this rank's counter scope (cluster.counters sums the scopes)
         self.counters = cluster.scope(node.rank)
         self.pd = self.context.alloc_pd()
         depth = cluster.n * (config.eager_credits + config.prepost) * 2 + 256
@@ -145,9 +145,7 @@ class Engine:
         #: cannot tell the two apart, so it is the doorbell
         self.arrivals = self.doorbell
         self.rcache = RegistrationCache(
-            self.context, self.pd, capacity=config.rcache_capacity,
-            enabled=config.rcache_enabled,
-            max_pinned_bytes=config.rcache_max_pinned_bytes)
+            self.context, self.pd, capacity=config.rcache_capacity)
         self.matcher = MatchEngine()
         self.peers: Dict[int, _PeerChannel] = {}
         self.live_requests: Dict[int, MPIRequest] = {}

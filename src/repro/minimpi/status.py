@@ -33,11 +33,8 @@ class MPIConfig:
     #: host cost of one progress pass (ns); a blocking call probes back
     #: to back, so also how long after an arrival the waiter sees it
     progress_poll_ns: int = 60
-    #: registration cache for rendezvous buffers
-    rcache_enabled: bool = True
+    #: registration-cache entries for rendezvous buffers
     rcache_capacity: int = 128
-    #: pinned-bytes ceiling for the rendezvous rcache (0 = unlimited)
-    rcache_max_pinned_bytes: int = 0
     #: per-call software-stack overhead (ns): request allocation, protocol
     #: selection, matching-engine bookkeeping.  Charged at isend/irecv
     #: entry and per inbound protocol message.  Production MPI libraries

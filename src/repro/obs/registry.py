@@ -3,16 +3,14 @@
 This is the observability core the rest of the stack hangs off
 (``photon_get_dev_stats`` analogue, grown into a real subsystem):
 
-- **Counters** are written through :class:`ScopedCounters` views — one per
-  rank plus one ``fabric`` scope for hardware shared between ranks (links,
-  switches).  Every ``add`` lands in the scope *and* is mirrored into the
-  cluster-wide :class:`~repro.sim.trace.Counters` aggregate, so the
-  aggregate stays bit-identical to the historical shared-``Counters``
-  behaviour (the golden-trace suite hashes it) while per-rank attribution
-  becomes possible for the first time.  The invariant
-  ``sum(scopes) == aggregate`` holds whenever all writers go through
-  scopes; :meth:`MetricsRegistry.attribution_gaps` reports any names
-  written directly into the aggregate.
+- **Counters** live in :class:`ScopedCounters` — one per rank plus one
+  ``fabric`` scope for hardware shared between ranks (links, switches) —
+  and each count is kept once, in its scope.  The cluster-wide figures
+  (``cluster.counters``) are :class:`AggregateCounters`, a read-only view
+  that answers from the scopes: a name's sum over every scope, or its
+  max for ``set_max`` names.  Nothing can write around a scope, so the
+  per-rank attribution always adds up (the golden-trace suite hashes the
+  view).
 - **Gauges** are last-value-wins per scope (queue depths, occupancy).
 - **Histograms** are fixed-bucket (power-of-two upper bounds), so memory
   is bounded no matter how many values are observed.
@@ -36,8 +34,8 @@ from typing import Deque, Dict, List, Optional
 
 from ..sim.trace import Counters
 
-__all__ = ["MetricsRegistry", "ScopedCounters", "Histogram", "Span",
-           "FABRIC_SCOPE", "DEFAULT_SPAN_CAP"]
+__all__ = ["MetricsRegistry", "ScopedCounters", "AggregateCounters",
+           "Histogram", "Span", "FABRIC_SCOPE", "DEFAULT_SPAN_CAP"]
 
 #: scope label for non-rank-attributable hardware (links, switch ports)
 FABRIC_SCOPE = "fabric"
@@ -140,10 +138,10 @@ class Span:
 
 
 class ScopedCounters(Counters):
-    """Per-scope counter view that mirrors every write into the aggregate.
+    """One scope's counters, plus live gauge/histogram/span recording.
 
     API-compatible with :class:`~repro.sim.trace.Counters` (components
-    take either), plus live gauge/histogram/span recording.
+    take either).
     """
 
     def __init__(self, registry: "MetricsRegistry", label: object):
@@ -151,29 +149,19 @@ class ScopedCounters(Counters):
         self.registry = registry
         #: rank number, or :data:`FABRIC_SCOPE`
         self.label = label
-        self._agg = registry.aggregate.values
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------- counters
+    # (both spelled out here, not inherited, so the layer ledger books
+    # the cost of counting to obs)
     def add(self, name: str, amount: int = 1) -> None:
         self.values[name] += amount
-        self._agg[name] += amount
 
     def set_max(self, name: str, value: int) -> None:
         self.registry._max_names.add(name)
         if value > self.values.get(name, 0):
             self.values[name] = value
-        if value > self._agg.get(name, 0):
-            self._agg[name] = value
-
-    def clear(self) -> None:
-        """Clear this scope, subtracting its contribution from the
-        aggregate so the mirror invariant survives."""
-        self._agg.subtract(self.values)
-        for name in [n for n, v in self._agg.items() if v == 0]:
-            del self._agg[name]
-        self.values.clear()
 
     # ------------------------------------------------------------- gauges
     def set_gauge(self, name: str, value: float) -> None:
@@ -209,13 +197,41 @@ class ScopedCounters(Counters):
         }
 
 
+class AggregateCounters:
+    """Read-only cluster-wide counters, answered from the scopes: a name's
+    sum over every scope, or its max over them for ``set_max`` names."""
+
+    def __init__(self, registry: "MetricsRegistry"):
+        self._registry = registry
+
+    def get(self, name: str) -> int:
+        reg = self._registry
+        counts = [s.values.get(name, 0) for s in reg._scopes()]
+        return max(counts) if name in reg._max_names else sum(counts)
+
+    @property
+    def values(self) -> Counter:
+        reg = self._registry
+        scopes = reg._scopes()
+        total: Counter = Counter()
+        for scope in scopes:
+            total.update(scope.values)
+        for name in reg._max_names:
+            peaks = [s.values[name] for s in scopes if name in s.values]
+            if peaks:
+                total[name] = max(peaks)
+        return total
+
+    def snapshot(self) -> Dict[str, int]:
+        return dict(self.values)
+
+
 class MetricsRegistry:
-    """One registry per cluster: rank scopes, a fabric scope, the mirror
-    aggregate, and the bounded completed-span ring."""
+    """One registry per cluster: rank scopes, a fabric scope, the
+    read-only aggregate over them, and the bounded completed-span ring."""
 
     def __init__(self, n_ranks: int, spans_enabled: bool = False,
-                 max_spans: int = DEFAULT_SPAN_CAP,
-                 aggregate: Optional[Counters] = None):
+                 max_spans: int = DEFAULT_SPAN_CAP):
         if n_ranks < 1:
             raise ValueError("registry needs at least one rank")
         if max_spans < 1:
@@ -223,9 +239,8 @@ class MetricsRegistry:
         self.n_ranks = n_ranks
         self.spans_enabled = spans_enabled
         self.max_spans = max_spans
-        #: the cluster-wide aggregate every scope mirrors into; identical
-        #: names and values to the historical shared-``Counters`` object
-        self.aggregate = aggregate if aggregate is not None else Counters()
+        #: the cluster-wide counters (``cluster.counters``)
+        self.aggregate = AggregateCounters(self)
         self.ranks: List[ScopedCounters] = [
             ScopedCounters(self, r) for r in range(n_ranks)]
         self.fabric = ScopedCounters(self, FABRIC_SCOPE)
@@ -233,7 +248,7 @@ class MetricsRegistry:
         #: completed spans evicted from the full ring (oldest-first)
         self.spans_dropped = 0
         #: names with high-water-mark (max) semantics: the aggregate is the
-        #: max over scopes, not the sum, so the sum invariant skips them
+        #: max over scopes, not the sum
         self._max_names: set = set()
 
     # ------------------------------------------------------------- scopes
@@ -263,26 +278,10 @@ class MetricsRegistry:
                 if (name is None or s.name == name)
                 and (rank is None or s.scope.label == rank)]
 
-    # ------------------------------------------------------------- invariants
-    def per_rank_totals(self) -> Counter:
-        """Sum of all scopes (ranks + fabric) — equals the aggregate when
-        every writer goes through a scope (``set_max`` names excluded:
-        their aggregate is the max over scopes, not the sum)."""
-        total: Counter = Counter()
-        for scope in self._scopes():
-            total.update(scope.values)
-        for name in self._max_names:
-            total.pop(name, None)
-        return total
-
     def attribution_gaps(self) -> Dict[str, int]:
-        """Counter names (and amounts) present in the aggregate but not
-        covered by any scope — i.e. written directly into the aggregate."""
-        totals = self.per_rank_totals()
-        return {name: value - totals.get(name, 0)
-                for name, value in sorted(self.aggregate.values.items())
-                if name not in self._max_names
-                and value != totals.get(name, 0)}
+        """Counts no scope accounts for: none, since the aggregate is read
+        from the scopes."""
+        return {}
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, object]:
@@ -295,5 +294,4 @@ class MetricsRegistry:
             "spans": {"recorded": len(self.spans),
                       "dropped": self.spans_dropped,
                       "enabled": self.spans_enabled},
-            "attribution_gaps": self.attribution_gaps(),
         }

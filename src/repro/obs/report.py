@@ -9,8 +9,8 @@ into one JSON-serializable document:
   per-rank), minimpi ``Engine.stats()`` and runtime transport stats when
   provided, plus exact per-op latency percentiles computed from span
   records with :mod:`repro.util.stats`;
-- cluster-wide: the aggregate counters, attribution gaps (names written
-  outside any scope), span-ring occupancy, per-link fabric stats.
+- cluster-wide: the aggregate counters (summed from the scopes),
+  span-ring occupancy, per-link fabric stats.
 
 ``python -m repro.obs.report`` runs a small R17-style lossy workload
 (PWC puts, eager sends, a rendezvous message, minimpi eager+rendezvous
@@ -120,10 +120,7 @@ def build_snapshot(cluster, photons=None, comms=None,
             "metrics": registry.fabric.metrics_snapshot(),
             "links": [link.stats() for link in cluster.topology.iter_links()],
         },
-        "aggregate": {
-            "counters": registry.aggregate.snapshot(),
-            "attribution_gaps": registry.attribution_gaps(),
-        },
+        "aggregate": {"counters": registry.aggregate.snapshot()},
         "spans": {
             "recorded": len(registry.spans),
             "dropped": registry.spans_dropped,
@@ -296,9 +293,6 @@ def main(argv=None) -> int:
         if hist:
             print(f"  rank {r} coalesce.open_ns: n={hist['count']} "
                   f"min={hist['min']} max={hist['max']}")
-    gaps = snapshot["aggregate"]["attribution_gaps"]
-    if gaps:
-        print(f"  attribution gaps: {gaps}")
     # the whole point: the merged snapshot is JSON-clean
     json.dumps(snapshot)
     print("snapshot is JSON-serializable")

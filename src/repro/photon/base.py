@@ -174,7 +174,7 @@ class PhotonBase:
         self._scanned_version = -1
         self.context = node.context
         self.memory = node.memory
-        # this rank's counter scope: writes mirror into cluster.counters
+        # this rank's counter scope (cluster.counters sums the scopes)
         self.counters = cluster.scope(node.rank)
         self.pd: ProtectionDomain = self.context.alloc_pd()
         qp_total = cluster.n * (2 * config.max_outstanding + 64)
@@ -194,9 +194,7 @@ class PhotonBase:
         self.memory.on_watched_write.append(self.arrivals.fire)
         self.rcache = RegistrationCache(
             self.context, self.pd, capacity=config.rcache_capacity,
-            enabled=config.rcache_enabled,
-            max_pinned_bytes=config.rcache_max_pinned_bytes,
-            merge=config.rcache_merge)
+            enabled=config.rcache_enabled)
         self.requests = RequestTable(self.rank)
         self.peers: Dict[int, PeerState] = {}
         # engine queues

@@ -70,12 +70,6 @@ class PhotonConfig:
     rcache_enabled: bool = True
     #: max cached registrations before LRU eviction
     rcache_capacity: int = 128
-    #: pinned-bytes ceiling for cached registrations (0 = unlimited);
-    #: enforced alongside the entry-count cap with LRU victim selection
-    rcache_max_pinned_bytes: int = 0
-    #: merge adjacent/overlapping registrations into one covering region
-    #: (keeps the interval index non-overlapping: O(log n) lookups)
-    rcache_merge: bool = True
     #: use inline sends for payloads within the NIC inline limit
     use_inline: bool = True
     #: maximum outstanding PWC operations per peer before put backpressure
@@ -104,8 +98,6 @@ class PhotonConfig:
             raise ValueError("backoff_jitter_ns must be positive when set")
         if self.rcache_capacity < 1:
             raise ValueError("rcache_capacity must be >= 1")
-        if self.rcache_max_pinned_bytes < 0:
-            raise ValueError("rcache_max_pinned_bytes must be >= 0")
 
 
 DEFAULT_CONFIG = PhotonConfig()

@@ -21,18 +21,18 @@ Lifecycle contract (see docs/API.md):
 
 Lookup is O(log n): entries are indexed by a sorted interval list, so a
 covering lookup is one bisect plus a short leftward scan bounded by the
-largest live entry length.  With ``merge`` on (the default) adjacent or
-overlapping *unpinned* registrations are coalesced into one covering
-registration on a miss, keeping the scan near one probe in steady state.
+largest live entry length.  Adjacent or overlapping *unpinned*
+registrations are coalesced into one covering registration on a miss,
+keeping the scan near one probe in steady state.
 Pinned entries are never absorbed by a merge — their rkeys were exchanged
 with peers and must stay valid — and :meth:`insert` does not merge, so
 overlapping entries are legal and the lookup tolerates them.
 
-Capacity is bounded two ways: an entry-count cap (``capacity``) and an
-optional pinned-bytes cap (``max_pinned_bytes``; 0 = unlimited).  Both are
-enforced on every miss/insert, with LRU victim selection.  Pending-evict
-entries still hold real pinned memory, so they keep counting toward
-``pinned_bytes`` until their deferred deregistration actually runs.
+Capacity is an entry-count cap (``capacity``), enforced on every
+miss/insert with LRU victim selection.  ``pinned_bytes`` (and its peak,
+which R6 reports) accounts the registered bytes; pending-evict entries
+still hold real pinned memory, so they keep counting until their deferred
+deregistration actually runs.
 """
 
 from __future__ import annotations
@@ -70,18 +70,13 @@ class RegistrationCache:
     """Refcounted LRU cache of memory registrations for one rank."""
 
     def __init__(self, context: Context, pd: ProtectionDomain,
-                 capacity: int = 128, enabled: bool = True,
-                 max_pinned_bytes: int = 0, merge: bool = True):
+                 capacity: int = 128, enabled: bool = True):
         if capacity < 1:
             raise ValueError("rcache capacity must be >= 1")
-        if max_pinned_bytes < 0:
-            raise ValueError("rcache max_pinned_bytes must be >= 0")
         self.context = context
         self.pd = pd
         self.capacity = capacity
         self.enabled = enabled
-        self.max_pinned_bytes = max_pinned_bytes
-        self.merge = merge
         self.env = context.env
         self.counters = context.counters
         #: LRU order over live entries, key = (addr, length)
@@ -95,7 +90,7 @@ class RegistrationCache:
         self._pending: Dict[int, CacheEntry] = {}
         #: disabled-mode loans: rkey -> MR, so release/balance stay exact
         self._loaned: Dict[int, MemoryRegion] = {}
-        #: largest live entry length (bounds the merge=False leftward scan)
+        #: largest live entry length (bounds the lookup's leftward scan)
         self._max_len = 0
         # telemetry (mirrored into context counters as photon.rcache.*)
         self.hits = 0
@@ -237,7 +232,7 @@ class RegistrationCache:
         self._count("misses")
         reg_addr, reg_len = addr, length
         absorbed: List[CacheEntry] = []
-        if self.enabled and self.merge:
+        if self.enabled:
             reg_addr, reg_len, absorbed = self._merge_span(addr, length)
         mr = yield from self.context.reg_mr(self.pd, reg_addr, reg_len, access)
         if not self.enabled:
@@ -250,7 +245,7 @@ class RegistrationCache:
             self._count("merges")
             yield from self._retire(old)
         self._index_add(entry)
-        yield from self._enforce_caps()
+        yield from self._enforce_cap()
         return mr
 
     def _merge_span(self, addr: int, length: int):
@@ -308,36 +303,29 @@ class RegistrationCache:
         if entry.mr.valid:
             yield from self.context.dereg_mr(entry.mr)
 
-    def _enforce_caps(self):
-        """Evict LRU entries until both caps hold (generator)."""
-        while self._over_caps():
-            victim = None
-            for entry in self._entries.values():
-                if not entry.pinned:
-                    victim = entry
-                    break
+    def _lru_victim(self) -> Optional[CacheEntry]:
+        """The least recently used entry that is not pinned, if any."""
+        return next((e for e in self._entries.values() if not e.pinned),
+                    None)
+
+    def _enforce_cap(self):
+        """Evict LRU entries until the entry cap holds (generator)."""
+        while len(self._entries) > self.capacity:
+            victim = self._lru_victim()
             if victim is None:
-                return  # everything left is pinned; caps can't be met
+                return  # everything left is pinned; the cap can't be met
             self.evictions += 1
             self._count("evictions")
             yield from self._retire(victim)
-
-    def _over_caps(self) -> bool:
-        if len(self._entries) > self.capacity:
-            return True
-        if self.max_pinned_bytes and self.pinned_bytes > self.max_pinned_bytes:
-            return True
-        return False
 
     # ------------------------------------------------------------------ insert
     def insert(self, mr: MemoryRegion, pinned: bool = False) -> MemoryRegion:
         """Seed an externally registered MR into the cache (bootstrap path).
 
-        Enforces the entry-count and pinned-bytes caps like any miss
-        (idle victims are deregistered by a spawned process so the
-        dereg cost and counters land normally).  ``pinned`` entries are
-        never auto-evicted,
-        which is what :meth:`Photon.buffer` wants: an exposed buffer's
+        Enforces the entry-count cap like any miss (idle victims are
+        deregistered by a spawned process so the dereg cost and counters
+        land normally).  ``pinned`` entries are never auto-evicted, which
+        is what :meth:`Photon.buffer` wants: an exposed buffer's
         rkey must stay valid for peers.  Returns ``mr``.
         """
         if not self.enabled:
@@ -345,12 +333,8 @@ class RegistrationCache:
             return mr
         entry = CacheEntry(mr, pinned=pinned)
         self._index_add(entry)
-        while self._over_caps():
-            victim = None
-            for cand in self._entries.values():
-                if not cand.pinned:
-                    victim = cand
-                    break
+        while len(self._entries) > self.capacity:
+            victim = self._lru_victim()
             if victim is None:
                 break
             self.evictions += 1

@@ -24,9 +24,12 @@ request, or a duplicate reply) are dropped and counted.
 
 Backpressure is credit-based per destination: each in-flight invocation
 to a rank consumes one credit, returned when its reply (or error)
-arrives.  When credits run out the sender either **blocks** (pumping
-the runtime until a credit frees — the default) or **sheds** with
-:class:`CreditExhaustedError` (``on_exhausted="shed"``).
+arrives.  When credits run out the sender **blocks**, pumping the runtime
+until a credit frees (bounded by ``credit_wait_ns`` if set).  With a
+failure detector attached (:meth:`ActiveMessageEngine.attach_health`) no
+wait outlives its destination: a rank declared dead fails its pending
+invocations with :class:`~repro.runtime.transport.PeerDownError`, gives
+their credits back, and an invoke to it leaves through the same error.
 
 Handler contract for invoked actions: ``handler(rt, src, payload)``
 returning the reply payload (``bytes``; ``None`` means ``b""``).
@@ -45,6 +48,7 @@ from typing import Dict, Optional
 from ..sim.core import SimulationError
 from .lco import Future
 from .parcel import Parcel
+from .transport import PeerDownError
 
 __all__ = ["ActiveMessageEngine", "AmConfig", "CreditExhaustedError",
            "RemoteActionError", "AM_REQ", "AM_REP", "AM_ERR"]
@@ -56,8 +60,8 @@ AM_ERR = 3
 
 
 class CreditExhaustedError(SimulationError):
-    """Raised by ``invoke`` in shed mode when a destination's credits
-    are exhausted."""
+    """Raised by ``invoke`` when a blocked credit wait outlasts
+    ``credit_wait_ns``."""
 
     def __init__(self, rank: int, dst: int):
         super().__init__(f"rank {rank}: no invoke credits for dst {dst}")
@@ -79,26 +83,21 @@ class RemoteActionError(SimulationError):
 class AmConfig:
     """Knobs for the active-message engine.
 
-    ``credits_per_dest``: max in-flight invocations per destination.
-    ``on_exhausted``: ``"block"`` (pump the runtime until a credit
-    frees; honours ``credit_wait_ns``) or ``"shed"`` (raise
-    :class:`CreditExhaustedError` immediately).
+    ``credits_per_dest``: max in-flight invocations per destination; an
+    invoke that finds none pumps the runtime until one frees.
+    ``credit_wait_ns``: bound on that wait (None = unbounded), after
+    which it raises :class:`CreditExhaustedError`.
     ``dedup_window``: per-source count of served cids remembered for
     retransmit suppression.
     """
 
     credits_per_dest: int = 32
-    on_exhausted: str = "block"
     credit_wait_ns: Optional[int] = None
     dedup_window: int = 512
 
     def __post_init__(self):
         if self.credits_per_dest < 1:
             raise SimulationError("credits_per_dest must be >= 1")
-        if self.on_exhausted not in ("block", "shed"):
-            raise SimulationError(
-                f"on_exhausted must be 'block' or 'shed', "
-                f"got {self.on_exhausted!r}")
         if self.dedup_window < 1:
             raise SimulationError("dedup_window must be >= 1")
 
@@ -130,6 +129,31 @@ class ActiveMessageEngine:
         self._credits: Dict[int, int] = {}
         #: src -> OrderedDict(cid -> cached (flags, reply payload))
         self._served: Dict[int, OrderedDict] = {}
+        #: failure-detector handle (None unless attach_health was called)
+        self.health = None
+
+    def attach_health(self, monitor) -> None:
+        """Consume a failure detector: when a destination is declared dead
+        its pending invocations fail with :class:`PeerDownError` and give
+        their credits back, and an invoke to it — one parked waiting for a
+        credit included — raises the same error."""
+        self.health = monitor
+        monitor.on_dead(self._on_peer_dead)
+
+    def _on_peer_dead(self, dst: int) -> None:
+        """Fail ``dst``'s pending invocations; a credit wait or
+        ``Future.wait`` parked on this rank sees it at its next re-check
+        (``runtime.scheduler.RECHECK_NS``)."""
+        rt = self.rt
+        now = rt.env.now
+        for cid in [c for c, p in self._pending.items() if p.dst == dst]:
+            pending = self._pending.pop(cid)
+            self._return_credit(dst)
+            if pending.span is not None:
+                pending.span.end(now, status="peer_dead")
+            self.counters.add("am.peer_dead_failures")
+            pending.future.fail(PeerDownError(rt.rank, dst))
+        self._settle_gauges()
 
     # ------------------------------------------------------------- invoking
     def _take_credit(self, dst: int):
@@ -139,15 +163,14 @@ class ActiveMessageEngine:
         if credits is None:
             credits = self._credits[dst] = cfg.credits_per_dest
         if credits <= 0:
-            if cfg.on_exhausted == "shed":
-                self.counters.add("am.credit_sheds")
-                raise CreditExhaustedError(self.rt.rank, dst)
             self.counters.add("am.credit_stalls")
             ok = yield from self.rt.process_until(
                 lambda: self._credits[dst] > 0, cfg.credit_wait_ns)
             if not ok:
                 self.counters.add("am.credit_timeouts")
                 raise CreditExhaustedError(self.rt.rank, dst)
+        if self.health is not None and self.health.is_dead(dst):
+            raise PeerDownError(self.rt.rank, dst)
         self._credits[dst] -= 1
         self.counters.set_gauge(f"am.credits.{dst}", self._credits[dst])
 

@@ -17,12 +17,10 @@ transport:
 
 Failure handling is deliberate rather than accidental: when the inner
 transport raises :class:`~repro.runtime.transport.PeerDownError` mid-
-ship, the batch is either **shed** (default — the loss is counted in
-``parcels_dropped`` and the ``coalesce.parcels_dropped`` counter, and
-the error propagates to the sender) or **requeued**
-(``requeue_on_peer_down=True`` — the parcels go back into the open
-batch, up to ``max_requeues`` times, so a recovering peer still gets
-them).
+ship, the batch is **shed** — every parcel it carried is counted in
+``parcels_dropped`` and the ``coalesce.parcels_dropped`` counter, and the
+error propagates to the sender (``flush_stale``, which has no sender,
+swallows it).
 
 The batch wire format is a chain of ``(u32 length, bytes)`` records.
 """
@@ -44,13 +42,12 @@ _PARSE_NS = 40
 
 
 class _Batch:
-    __slots__ = ("chunks", "nbytes", "opened_at", "requeues")
+    __slots__ = ("chunks", "nbytes", "opened_at")
 
     def __init__(self, now: int):
         self.chunks: List[bytes] = []
         self.nbytes = 0
         self.opened_at = now
-        self.requeues = 0
 
 
 class CoalescingTransport(Transport):
@@ -59,9 +56,7 @@ class CoalescingTransport(Transport):
     kind = "coalescing"
 
     def __init__(self, inner: Transport, flush_bytes: int = 4096,
-                 flush_count: int = 16, max_delay_ns: int = 5_000,
-                 requeue_on_peer_down: bool = False,
-                 max_requeues: int = 1):
+                 flush_count: int = 16, max_delay_ns: int = 5_000):
         if flush_bytes < 64 or flush_count < 1:
             raise SimulationError("unreasonable coalescing thresholds")
         super().__init__(inner, inner.counters, inner.max_parcel)
@@ -69,8 +64,6 @@ class CoalescingTransport(Transport):
         self.flush_bytes = flush_bytes
         self.flush_count = flush_count
         self.max_delay_ns = max_delay_ns
-        self.requeue_on_peer_down = requeue_on_peer_down
-        self.max_requeues = max_requeues
         self._open: Dict[int, _Batch] = {}
         self._ready: Deque[bytes] = deque()
         self.batches_sent = 0
@@ -119,23 +112,9 @@ class CoalescingTransport(Transport):
         try:
             yield from self.inner.send(dst, b"".join(batch.chunks))
         except PeerDownError:
-            n = len(batch.chunks) // 2
-            if (self.requeue_on_peer_down
-                    and batch.requeues < self.max_requeues):
-                # put the parcels back so a recovering peer still gets
-                # them; restart the staleness clock and merge anything
-                # queued behind us while the send was in flight
-                batch.requeues += 1
-                batch.opened_at = self.env.now
-                newer = self._open.get(dst)
-                if newer is not None:
-                    batch.chunks.extend(newer.chunks)
-                    batch.nbytes += newer.nbytes
-                self._open[dst] = batch
-                self.counters.add("coalesce.parcels_requeued", n)
-                return
             # shed: account for every parcel the batch carried, then let
             # the sender see the same error the inner transport raised
+            n = len(batch.chunks) // 2
             self.parcels_dropped += n
             self.counters.add("coalesce.parcels_dropped", n)
             raise
@@ -156,8 +135,7 @@ class CoalescingTransport(Transport):
 
         Every :meth:`poll` and the runtime scheduler between local
         dispatches call it, so the latency bound holds on a rank too busy
-        to go idle.  A tripped breaker never propagates out of here: in
-        requeue mode down peers are skipped (no churn), in shed mode the
+        to go idle.  A tripped breaker never propagates out of here: the
         loss is counted and swallowed — there is no specific send to fail.
         """
         if min_age_ns is None:
@@ -165,8 +143,7 @@ class CoalescingTransport(Transport):
         now = self.env.now
         for d, age in [(d, now - b.opened_at)
                        for d, b in self._open.items()]:
-            if age < min_age_ns or (self.requeue_on_peer_down
-                                    and self.peer_is_down(d)):
+            if age < min_age_ns:
                 continue
             try:
                 yield from self._ship(

@@ -41,7 +41,8 @@ def _parcel_match(_src: int, cid: int) -> bool:
 
 
 class PeerDownError(SimulationError):
-    """Raised by ``send`` when the peer's circuit breaker is open."""
+    """Raised by ``send`` when the peer's circuit breaker is open, and by
+    an invoke to a rank the failure detector has declared dead."""
 
     def __init__(self, rank: int, peer: int):
         super().__init__(f"rank {rank}: peer {peer} marked down "

@@ -6,7 +6,6 @@ from .core import (
     Condition,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -21,7 +20,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",

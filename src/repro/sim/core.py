@@ -45,7 +45,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "total_events_processed",
 ]
@@ -62,17 +61,6 @@ def total_events_processed() -> int:
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (not model errors)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries the value passed to ``interrupt()``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event priorities: events at the same timestamp fire in priority order,
@@ -207,7 +195,7 @@ class Process(Event):
     processes can wait on each other.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None):
@@ -215,7 +203,6 @@ class Process(Event):
             raise SimulationError(f"Process needs a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -223,28 +210,9 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, 0, URGENT)
-
     # -- driver ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Detach from the event that woke us (it may not be our target when
-        # interrupting).
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
         env = self.env
-        env._active_process = self
         try:
             while True:
                 if event._ok:
@@ -261,7 +229,6 @@ class Process(Event):
                         "process yielded an event from another environment")
                 if next_event.callbacks is not None:
                     # pending — park until it fires
-                    self._target = next_event
                     next_event.callbacks.append(self._resume)
                     break
                 # already processed — continue synchronously
@@ -276,8 +243,6 @@ class Process(Event):
             self._ok = False
             self._value = exc
             env._schedule(self, 0, NORMAL)
-        finally:
-            env._active_process = None
 
 
 class Condition(Event):
@@ -355,8 +320,8 @@ class Environment:
     #: cap on recycled Timeout objects kept per environment
     _FREELIST_MAX = 8192
 
-    def __init__(self, initial_time: int = 0):
-        self._now = int(initial_time)
+    def __init__(self):
+        self._now = 0
         #: events due at the current instant, one FIFO deque per priority
         #: (URGENT, NORMAL) — (priority, scheduling) order at one timestamp
         #: is exactly "drain urgent first, each in append order"
@@ -368,7 +333,6 @@ class Environment:
         self._ts_heap: List[int] = []
         #: events fired on this environment (the events/s numerator)
         self.events_processed = 0
-        self._active_process: Optional[Process] = None
         # Timeouts dominate event traffic (every modelled cost is one), so
         # processed instances are recycled instead of reallocated.  An
         # instance is only eligible once nothing outside step() can still
@@ -380,10 +344,6 @@ class Environment:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:

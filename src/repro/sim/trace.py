@@ -46,19 +46,18 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records when enabled; filter by category prefix.
+    """Collects trace records when enabled; :meth:`select` filters them
+    by category prefix.
 
     ``max_records`` bounds memory: once the ring is full each new record
     evicts the oldest one and increments :attr:`dropped`.
     """
 
     def __init__(self, enabled: bool = False,
-                 categories: Optional[List[str]] = None,
                  max_records: int = DEFAULT_TRACE_CAP):
         if max_records < 1:
             raise ValueError("tracer max_records must be >= 1")
         self.enabled = enabled
-        self.categories = tuple(categories) if categories else None
         self.max_records = max_records
         self.records: Deque[TraceRecord] = deque()
         #: records evicted from the full ring (oldest-first)
@@ -66,8 +65,6 @@ class Tracer:
 
     def log(self, time: int, category: str, **fields: Any) -> None:
         if not self.enabled:
-            return
-        if self.categories and not category.startswith(self.categories):
             return
         if len(self.records) >= self.max_records:
             self.records.popleft()

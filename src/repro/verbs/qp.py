@@ -1,7 +1,8 @@
 """Reliable-connection queue pairs.
 
 A :class:`QueuePair` is connected point-to-point to a peer QP on another
-rank (or the same rank — loopback works).  It supports the work-request
+rank; same-rank traffic never reaches a QP (Photon's self-ops, minimpi's
+local delivery and the runtime's local queue stay above the NIC).  It supports the work-request
 opcodes Photon and minimpi need:
 
 - ``SEND`` / posted receives with tag-free FIFO matching (RC semantics:
@@ -123,6 +124,8 @@ class QueuePair:
     def connect(self, peer: "QueuePair") -> None:
         if self.state is not QPState.RESET or peer.state is not QPState.RESET:
             raise NotConnected("both QPs must be in RESET to connect")
+        if peer.context.rank == self.context.rank:
+            raise NotConnected("a QP connects to a peer on another rank")
         self.peer = peer
         peer.peer = self
         self.state = peer.state = QPState.READY

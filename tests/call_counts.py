@@ -18,7 +18,7 @@ prints calls per op in total and by layer, then the ``top`` functions.
 from __future__ import annotations
 
 import cProfile
-import pstats
+import gc
 import re
 import sys
 from collections import Counter
@@ -38,20 +38,41 @@ def _layer(filename: str):
     return match.group(1) if match and match.group(1) in LAYERS else None
 
 
+def _label(code) -> str:
+    """``file:line(name)`` of a Python function, the repr of a builtin."""
+    if isinstance(code, str):
+        return code
+    return f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
+
+
 def count_calls(profile: cProfile.Profile) -> Tuple[Counter, Counter]:
-    """(calls by layer, calls by function) of a finished profile."""
+    """(calls by layer, calls by function) of a finished profile.
+
+    Read from the profiler's own entries, one per code object: ``pstats``
+    keys functions by ``(file, line, name)``, under which every dataclass
+    ``__init__`` is ``<string>:2`` and all but one of them would be lost —
+    which one, a matter of memory layout."""
+    entries = profile.getstats()
+    callers: dict = {}
+    for entry in entries:
+        for sub in entry.calls or ():
+            callers.setdefault(sub.code, []).append((entry.code,
+                                                     sub.callcount))
     by_layer: Counter = Counter()
     by_function: Counter = Counter()
-    for func, (_cc, nc, _tt, _ct, callers) in \
-            pstats.Stats(profile).stats.items():
-        by_function[pstats.func_std_string(func)] += nc
-        layer = _layer(func[0])
+    for entry in entries:
+        code, nc = entry.code, entry.callcount
+        by_function[_label(code)] += nc
+        layer = None if isinstance(code, str) else _layer(code.co_filename)
         if layer is not None:
             by_layer[layer] += nc
             continue
-        for caller, (n, *_rest) in callers.items():
-            by_layer[_layer(caller[0]) or "other"] += n
-        by_layer["other"] += nc - sum(c[0] for c in callers.values())
+        seen = 0
+        for caller, n in callers.get(code, ()):
+            where = None if isinstance(caller, str) else caller.co_filename
+            by_layer[(where and _layer(where)) or "other"] += n
+            seen += n
+        by_layer["other"] += nc - seen
     return by_layer, by_function
 
 
@@ -63,6 +84,9 @@ def profile_block(workload: str, seed: int, scale: float):
     trace = HostTrace(enabled=False)
     block = WORKLOADS[workload](seed, scale, spans=False, trace=trace)
     profile = cProfile.Profile()
+    # earlier garbage finalised mid-block would count its generators'
+    # unwinding here (perf/harness.py collects at the same point)
+    gc.collect()
     with trace.span("timed_region") as region:
         profile.enable()
         block.run(region)

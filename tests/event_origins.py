@@ -98,8 +98,8 @@ class SteppedEnvironment(Environment):
     firing as ``(instant, event type)`` — the reference the attributing
     subclass is compared against."""
 
-    def __init__(self, initial_time: int = 0):
-        super().__init__(initial_time)
+    def __init__(self):
+        super().__init__()
         self.log: list = []
 
     def _fired(self, event: Event) -> None:
@@ -140,8 +140,8 @@ class OriginEnvironment(SteppedEnvironment):
     #: several clusters)
     fired: Counter = Counter()
 
-    def __init__(self, initial_time: int = 0):
-        super().__init__(initial_time)
+    def __init__(self):
+        super().__init__()
         self._origins: dict = {}  # id(scheduled event) -> origin
         self._cur = (_TaggedDeque(), _TaggedDeque())
         for lane in self._cur:

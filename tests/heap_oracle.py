@@ -21,8 +21,8 @@ from repro.sim.core import (NORMAL, URGENT, Environment, Event,
 
 
 class HeapEnvironment(Environment):
-    def __init__(self, initial_time: int = 0):
-        super().__init__(initial_time)
+    def __init__(self):
+        super().__init__()
         self._heap: list = []
         self._seq = 0
         # stand-ins for the two current-instant deques: ``append`` pushes

@@ -7,10 +7,13 @@ from repro.photon import photon_init
 from repro.runtime import (
     ActionRegistry,
     AmConfig,
+    AM_REP,
     AM_REQ,
     CreditExhaustedError,
     Parcel,
+    PeerDownError,
     RemoteActionError,
+    build_health,
     build_runtime,
 )
 from repro.sim import SimulationError
@@ -191,28 +194,8 @@ def test_interleaved_invocations_correlate_by_cid():
 # credit backpressure
 # ---------------------------------------------------------------------------
 
-def test_credit_exhaustion_sheds_with_typed_error():
-    cl, rts = make(am_config=AmConfig(credits_per_dest=3,
-                                      on_exhausted="shed"))
-    out = {}
-
-    def client(env):
-        for _ in range(3):
-            yield from rts[0].invoke(1, "echo", b"x")
-        assert rts[0].am.credits(1) == 0
-        with pytest.raises(CreditExhaustedError):
-            yield from rts[0].invoke(1, "echo", b"x")
-        out["done"] = True
-
-    # server never polls: credits cannot come back
-    cl.env.run(until=cl.env.process(client(cl.env)))
-    assert out["done"]
-    assert cl.scope(0).get("am.credit_sheds") == 1
-
-
 def test_credit_exhaustion_blocks_until_replies_free_credits():
-    cl, rts = make(am_config=AmConfig(credits_per_dest=2,
-                                      on_exhausted="block"))
+    cl, rts = make(am_config=AmConfig(credits_per_dest=2))
     out = {}
 
     def client(env):
@@ -246,6 +229,67 @@ def test_blocked_invoke_times_out_with_typed_error():
     cl.env.run(until=cl.env.process(client(cl.env)))
     assert out["done"]
     assert cl.scope(0).get("am.credit_timeouts") == 1
+
+
+def test_no_invoke_outlives_a_dead_destination():
+    """Rank 1 crashes with two invocations in flight and a third parked
+    for a credit.  When rank 0's detector declares it dead, all three end
+    with PeerDownError and the credits come back; a reply that turns up
+    later for a failed cid is stale and returns none; once rank 1 rejoins
+    an invoke to it completes."""
+    from repro.chaos.controller import ChaosController
+    from repro.chaos.schedule import CrashRank, FaultSchedule, RestartRank
+
+    cl = build_cluster(2, params="ib-fdr", seed=9)
+    ph = photon_init(cl)
+    reg = ActionRegistry()
+    reg.register("echo", lambda rt, src, payload: payload[::-1])
+    rts = build_runtime(cl, reg, "photon", photon=ph, am=True,
+                        coalesce=False,
+                        am_config=AmConfig(credits_per_dest=2))
+    mons = build_health(cl)
+    for r in range(2):
+        ph[r].attach_health(mons[r])
+        rts[r].attach_health(mons[r])
+    ChaosController(cl, FaultSchedule([CrashRank(5_000, 1),
+                                       RestartRank(3_000_000, 1)]),
+                    photon=ph, monitors=mons).arm()
+    out = {}
+
+    def client(env):
+        yield env.timeout(10_000)
+        futs = []
+        for _ in range(2):
+            futs.append((yield from rts[0].invoke(1, "echo", b"x")))
+        with pytest.raises(PeerDownError):
+            yield from rts[0].invoke(1, "echo", b"x")  # parked, then dead
+        out["dead_at"] = env.now
+        assert mons[0].is_dead(1)
+        for fut in futs:
+            assert fut.failed
+            with pytest.raises(PeerDownError):
+                fut.get()
+        assert rts[0].am.pending == 0 and rts[0].am.credits(1) == 2
+        ok = yield from rts[0].process_until(
+            lambda: cl.scope(0).get("am.stale_replies") == 1, TIMEOUT)
+        assert ok and rts[0].am.credits(1) == 2
+        fut = yield from rts[0].invoke(1, "echo", b"back")
+        out["val"] = yield from fut.wait(rts[0], TIMEOUT)
+
+    def reborn(env):
+        yield env.timeout(3_000_000)
+        yield from rts[1].process_until(lambda: not mons[0].is_dead(1),
+                                        TIMEOUT)
+        late = Parcel(action=rts[1].registry.id_of("echo"), src=1,
+                      payload=b"late", cid=1, flags=AM_REP)
+        yield from rts[1].transport.send(0, late.encode())
+        yield from rts[1].process_until(lambda: "val" in out, TIMEOUT)
+
+    procs = [cl.env.process(client(cl.env)), cl.env.process(reborn(cl.env))]
+    cl.env.run(until=cl.env.all_of(procs))
+    assert out["dead_at"] < 3_000_000
+    assert out["val"] == b"kcab"
+    assert cl.scope(0).get("am.peer_dead_failures") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +442,6 @@ def test_parcel_decode_rejects_truncation():
 def test_am_config_validation():
     with pytest.raises(SimulationError):
         AmConfig(credits_per_dest=0)
-    with pytest.raises(SimulationError):
-        AmConfig(on_exhausted="explode")
     with pytest.raises(SimulationError):
         AmConfig(dedup_window=0)
 

@@ -90,13 +90,6 @@ def test_tracer_ring_cap_drops_oldest():
         Tracer(max_records=0)
 
 
-def test_tracer_category_filter():
-    t = Tracer(enabled=True, categories=["nic"])
-    t.log(1, "nic.tx")
-    t.log(2, "qp.post")
-    assert len(t.records) == 1
-
-
 def test_cluster_trace_captures_nic_events():
     cl = build_cluster(2, trace=True)
     ph = photon_init(cl)

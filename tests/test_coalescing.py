@@ -128,7 +128,7 @@ def test_runtime_over_coalescing_transport():
     rts = [Runtime(r, cl.env,
                    CoalescingTransport(PhotonTransport(ph[r]),
                                        flush_count=8),
-                   registry, counters=cl.counters) for r in range(2)]
+                   registry, counters=cl.scope(r)) for r in range(2)]
 
     def sender(env):
         for i in range(24):
@@ -193,8 +193,8 @@ def test_coalescing_improves_small_parcel_rate():
 
 def test_batch_shed_on_breaker_trip_is_accounted():
     """Regression: _ship popped the batch before inner.send, so a
-    PeerDownError made the whole batch vanish with no accounting.  Shed
-    mode (the default) now counts every parcel and re-raises."""
+    PeerDownError made the whole batch vanish with no accounting.  It
+    now counts every parcel and re-raises."""
     from repro.runtime import PeerDownError
 
     cl = build_cluster(2)
@@ -218,46 +218,9 @@ def test_batch_shed_on_breaker_trip_is_accounted():
     assert not tp._open  # nothing silently retained either
 
 
-def test_batch_requeued_when_peer_recovers():
-    """Requeue mode: the tripped batch goes back into the open batch and
-    ships once the breaker lets a probe through."""
-    cl = build_cluster(2)
-    ph = photon_init(cl)
-    inner0 = PhotonTransport(ph[0])
-    inner0.breaker_threshold, inner0.breaker_cooldown_ns = 1, 200_000
-    tp0 = CoalescingTransport(inner0, flush_count=2, max_delay_ns=10 ** 9,
-                              requeue_on_peer_down=True, max_requeues=2)
-    tp1 = CoalescingTransport(PhotonTransport(ph[1]), flush_count=2)
-    inner0._record_failure(1)
-    got = []
-
-    def sender(env):
-        yield from tp0.send(1, b"one!")
-        yield from tp0.send(1, b"two!")  # trips _ship -> requeued, no raise
-        assert tp0.parcels_dropped == 0
-        assert cl.counters.get("coalesce.parcels_requeued") == 2
-        yield env.timeout(300_000)  # breaker cooldown expires
-        yield from tp0.flush()
-
-    def receiver(env):
-        while len(got) < 2:
-            raw = yield from tp1.poll()
-            if raw is not None:
-                got.append(raw)
-            else:
-                yield env.timeout(500)
-
-    p0 = cl.env.process(sender(cl.env))
-    p1 = cl.env.process(receiver(cl.env))
-    cl.env.run(until=cl.env.all_of([p0, p1]))
-    assert got == [b"one!", b"two!"]
-    assert tp0.parcels_dropped == 0
-
-
 def test_stale_flush_swallows_peer_down():
     """flush_stale (poll- or scheduler-driven) must never propagate a
-    tripped breaker: in shed mode the loss is counted and polling
-    continues."""
+    tripped breaker: the loss is counted and polling continues."""
     cl = build_cluster(2)
     ph = photon_init(cl)
     inner = PhotonTransport(ph[0])
@@ -330,18 +293,21 @@ def test_no_rank_parks_on_an_open_batch(coalescers, scenario):
     assert [p for p in coalescers.parks if p[2]] == []
 
 
-def _down_peer_pair(requeue):
-    """Rank 0's coalescer with two parcels open towards rank 1, which a
-    failure detector reports dead (``dead[0]``); ``ships`` logs every
-    ``_ship`` call of rank 0's."""
+def _down_peer_pair(breaker_open):
+    """Rank 0's coalescer towards rank 1, which is down: its failure
+    detector reports it dead, or (``breaker_open``) the wire's breaker has
+    tripped on it.  ``ships`` logs every ``_ship`` call of rank 0's."""
     cl = build_cluster(2)
     ph = photon_init(cl)
     tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100,
-                               max_delay_ns=10 ** 9,
-                               requeue_on_peer_down=requeue, max_requeues=2)
+                               max_delay_ns=10 ** 9)
            for r in range(2)]
-    dead = [True]
-    tps[0].inner.monitor = SimpleNamespace(is_dead=lambda rank: dead[0])
+    wire = tps[0].inner
+    if breaker_open:
+        wire.breaker_threshold, wire.breaker_cooldown_ns = 1, 10 ** 9
+        wire._record_failure(1)
+    else:
+        wire.monitor = SimpleNamespace(is_dead=lambda rank: True)
     ships = []
     ship = tps[0]._ship
 
@@ -350,7 +316,7 @@ def _down_peer_pair(requeue):
         yield from ship(dst, why)
 
     tps[0]._ship = spy
-    return cl, tps, dead, ships
+    return cl, tps, ships
 
 
 def _idle_polls(tp, n):
@@ -364,65 +330,22 @@ def _idle_polls(tp, n):
     return costs
 
 
-def test_idle_flush_towards_a_down_peer_neither_spins_nor_loses():
-    """Requeue mode.  While the breaker is open the idle pass skips the
-    peer (no ``_ship`` at all); a ``_ship`` that finds the peer dead under
-    a breaker that has cooled down puts the batch back and returns, once
-    per pass and ``max_requeues`` times at most — every such pass ends in
-    the nanosecond it began — and after ``peer_up`` the next idle pass
-    delivers both parcels."""
-    cl, tps, dead, ships = _down_peer_pair(requeue=True)
-    tp, wire = tps[0], tps[0].inner
-    wire.breaker_threshold, wire.breaker_cooldown_ns = 1, 50_000
-    got = []
-
-    def sender(env):
-        (base,) = yield from _idle_polls(tp, 1)
-        yield from tp.send(1, b"one!")
-        yield from tp.send(1, b"two!")
-        wire._record_failure(1)  # breaker open: skipped, not shipped
-        assert (yield from _idle_polls(tp, 3)) == [base] * 3
-        assert ships == []
-        yield env.timeout(60_000)  # cooled down, the detector still says dead
-        assert not tp.peer_is_down(1)
-        assert (yield from _idle_polls(tp, 2)) == [base] * 2
-        assert [why for _t, why in ships] == ["idle"] * 2
-        assert cl.counters.get("coalesce.parcels_requeued") == 4
-        dead[0] = False
-        wire._on_peer_join(1)
-        yield from tp.poll()
-        assert not tp._open and tp.parcels_dropped == 0
-
-    def receiver(env):
-        while len(got) < 2:
-            raw = yield from tps[1].poll()
-            if raw is not None:
-                got.append(raw)
-            else:
-                yield env.timeout(500)
-
-    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
-    cl.env.run(until=cl.env.all_of(procs))
-    assert got == [b"one!", b"two!"]
-    assert len(ships) == tp.max_requeues + 1  # two put back, one delivered
-
-
-@pytest.mark.parametrize("requeue", [False, True])
-def test_idle_flush_counts_every_shed_parcel_once(requeue):
-    """The peer stays dead.  Shed mode: the first idle pass drops the
-    batch and counts its parcels; requeue mode: the pass after the last
-    requeue does.  Either way once, without raising into the poll loop,
-    and the passes after it find nothing to do."""
-    cl, tps, _dead, ships = _down_peer_pair(requeue)
+@pytest.mark.parametrize("breaker_open", [False, True])
+def test_idle_flush_counts_every_shed_parcel_once(breaker_open):
+    """The peer stays down.  The first idle pass drops the batch and
+    counts its parcels, once, without raising into the poll loop, and
+    the passes after it find nothing to do."""
+    cl, tps, ships = _down_peer_pair(breaker_open)
     tp = tps[0]
 
     def prog(env):
         yield from tp.send(1, b"a" * 16)
         yield from tp.send(1, b"b" * 16)
-        yield from _idle_polls(tp, 6)
+        costs = yield from _idle_polls(tp, 6)
+        assert len(set(costs[1:])) == 1  # nothing left to ship: no spin
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
-    assert len(ships) == (tp.max_requeues + 1 if requeue else 1)
+    assert len(ships) == 1
     assert tp.parcels_dropped == 2 and not tp._open
     assert cl.counters.get("coalesce.parcels_dropped") == 2
     assert cl.counters.get("coalesce.batches_sent") == 0

@@ -104,24 +104,6 @@ def test_send_style_message_buffers_payload():
     assert got == [payload]
 
 
-def test_loopback_transfer():
-    env, topo, mems, nics, _ = build()
-    src = mems[0].alloc(32)
-    dst = mems[0].alloc(32)
-    mems[0].write(src, b"B" * 32)
-    done = []
-    msg = WireMsg(
-        src=0, dst=0, nbytes=32, kind="write",
-        fetch=lambda off, size: mems[0].read(src + off, size),
-        place=lambda off, chunk: mems[0].write(dst + off, chunk),
-        on_delivered=lambda nic, m: done.append(env.now),
-        on_acked=lambda: done.append(env.now), ack=True)
-    nics[0].transmit(msg)
-    env.run()
-    assert mems[0].read(dst, 32) == b"B" * 32
-    assert len(done) == 2
-
-
 def test_messages_delivered_in_fifo_order():
     env, topo, mems, nics, _ = build()
     order = []

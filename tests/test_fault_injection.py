@@ -594,3 +594,80 @@ def test_no_credit_is_resent_to_a_peer_declared_dead(watched):
     assert mons[1].is_dead(0)
     resends = cl.counters.get("photon.credit_resends")
     assert resends == 0 if watched else resends >= 1
+
+
+# --------------------------------------------------------------------------
+# error paths a dead wire takes: every drop surfaces, nothing is replayed
+# --------------------------------------------------------------------------
+
+def _dead_wire(**photon):
+    """A 2-rank lossy fabric that drops every chunk, NIC ARQ off: each
+    posted WR ends in an error completion."""
+    cl = real_loss_cluster(drop=1.0)
+    return cl, photon_init(cl, PhotonConfig(**photon))
+
+
+def test_failed_one_sided_requests_count_and_release_their_regions():
+    from repro.photon.rcache import assert_reg_balance
+
+    cl, ph = _dead_wire()
+    local = cl[0].memory.alloc(4096)  # unregistered: acquire must pin it
+    dst = ph[1].buffer(4096)
+    out = {}
+
+    def prog(env):
+        rids = [(yield from ph[0].post_os_put(1, local, 4096, dst.addr,
+                                              dst.rkey)),
+                (yield from ph[0].post_os_get(1, local, 4096, dst.addr,
+                                              dst.rkey))]
+        out["settled"] = yield from ph[0].wait_all(rids, timeout_ns=TIMEOUT)
+        out["failed"] = [ph[0].request_info(r).failed for r in rids]
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert out["settled"] and out["failed"] == [True, True]
+    assert cl.scope(0).get("photon.request_failures") == 2
+    assert ph[0].rcache.held_refs == 0
+    cl.env.run()
+    assert_reg_balance(cl.counters, [cl[r].context for r in range(cl.n)])
+
+
+def test_a_lost_atomic_surfaces_its_cid_as_an_error():
+    from repro.verbs.enums import WCStatus
+
+    cl, ph = _dead_wire()
+    word = ph[1].buffer(8)
+    out = {}
+
+    def prog(env):
+        yield from ph[0].atomic_fadd(1, word.addr, word.rkey, 5, local_cid=42)
+        out["c"] = yield from ph[0].wait_completion("local",
+                                                    timeout_ns=TIMEOUT)
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert (out["c"].cid, out["c"].status) == (42, WCStatus.RETRY_EXC_ERR)
+    assert cl.scope(0).get("photon.atomic_failures") == 1
+    with pytest.raises(SimulationError):
+        ph[0].atomic_result(42)
+
+
+def test_an_eager_send_out_of_retries_fails_and_returns_its_slot():
+    from repro.minimpi import MPIConfig
+
+    cl = real_loss_cluster(drop=1.0)
+    mm = mpi_init(cl, MPIConfig(max_op_retries=2))
+    ch = mm[0].engine.peers[1]
+    slots = len(ch.send_slots)
+    src = cl[0].memory.alloc(256)
+    out = {}
+
+    def prog(env):
+        req = yield from mm[0].isend(src, 256, 1, tag=3)
+        out["ok"] = yield from mm[0].engine.wait(req, timeout_ns=TIMEOUT)
+        out["failed"] = req.failed
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert out["ok"] and out["failed"]
+    assert cl.scope(0).get("mpi.ctrl_resends") == 2
+    assert cl.scope(0).get("mpi.ctrl_failures") == 1
+    assert cl.scope(0).get("mpi.send_failures") == 1
+    assert len(ch.send_slots) == slots

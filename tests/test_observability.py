@@ -26,15 +26,18 @@ def test_scoped_add_mirrors_into_aggregate():
     assert reg.scope(1).get("x") == 4
     assert reg.aggregate.get("x") == 8
     assert reg.aggregate.get("y") == 1
-    assert reg.per_rank_totals() == reg.aggregate.values
-    assert reg.attribution_gaps() == {}
+    assert reg.aggregate.snapshot() == {"x": 8, "y": 1}
 
 
-def test_direct_aggregate_write_is_an_attribution_gap():
+def test_aggregate_is_a_read_only_view():
+    """Every count lives in one scope: the aggregate has no write side,
+    so nothing can be counted around the per-rank attribution."""
     reg = MetricsRegistry(2)
     reg.scope(0).add("x", 3)
-    reg.aggregate.add("x", 5)  # bypasses every scope
-    assert reg.attribution_gaps() == {"x": 5}
+    for write in ("add", "set_max", "clear"):
+        assert not hasattr(reg.aggregate, write)
+    assert reg.attribution_gaps() == {}
+    assert reg.aggregate.get("x") == 3
 
 
 def test_scope_clear_preserves_mirror_invariant():
@@ -43,7 +46,7 @@ def test_scope_clear_preserves_mirror_invariant():
     reg.scope(1).add("x", 4)
     reg.scope(0).clear()
     assert reg.aggregate.get("x") == 4
-    assert reg.per_rank_totals() == reg.aggregate.values
+    assert reg.aggregate.values == {"x": 4}
 
 
 def test_set_max_is_high_water_mark_not_sum():
@@ -53,7 +56,7 @@ def test_set_max_is_high_water_mark_not_sum():
     reg.scope(1).set_max("peak", 40)  # never lowers
     assert reg.scope(1).get("peak") == 60
     assert reg.aggregate.get("peak") == 100  # max over scopes, not 160
-    assert reg.attribution_gaps() == {}  # max names exempt from sum check
+    assert reg.aggregate.values["peak"] == 100
 
 
 def test_plain_counters_obs_hooks_are_noops():
@@ -183,11 +186,11 @@ def test_lossy_merged_snapshot_json_roundtrips(lossy_run):
 def test_lossy_per_rank_counters_sum_to_aggregate(lossy_run):
     cl, _ph, _mm, _snapshot = lossy_run
     assert cl.metrics.attribution_gaps() == {}
-    totals = cl.metrics.per_rank_totals()
+    scopes = cl.metrics.ranks + [cl.metrics.fabric]
     for name, value in cl.counters.snapshot().items():
         if name in cl.metrics._max_names:
             continue
-        assert totals[name] == value, name
+        assert sum(s.get(name) for s in scopes) == value, name
 
 
 def test_lossy_fault_counters_are_sane_and_monotone(lossy_run):

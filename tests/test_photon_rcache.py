@@ -9,13 +9,12 @@ from repro.photon.rcache import RegistrationCache, assert_reg_balance
 from repro.verbs.enums import Access
 
 
-def setup(capacity=4, enabled=True, max_pinned_bytes=0, merge=True):
+def setup(capacity=4, enabled=True):
     cl = build_cluster(2)
     node = cl[0]
     pd = node.context.alloc_pd()
     cache = RegistrationCache(node.context, pd, capacity=capacity,
-                              enabled=enabled,
-                              max_pinned_bytes=max_pinned_bytes, merge=merge)
+                              enabled=enabled)
     return cl, node, cache
 
 
@@ -120,25 +119,6 @@ def test_merge_adjacent_registrations():
     assert cache.merges == 1
     assert mr2 is mr3 and mr2.covers(a, 8192)
     assert cache.hits == 1 and cache.misses == 2
-
-
-def test_merge_disabled_keeps_entries_separate():
-    cl, node, cache = setup(capacity=8, merge=False)
-    a = node.memory.alloc(4096, align=4096)
-    node.memory.alloc(4096, align=4096)
-
-    def prog(env):
-        for addr in (a, a + 4096):
-            mr = yield from cache.acquire(addr, 4096)
-            yield from cache.release(mr)
-        mr = yield from cache.acquire(a + 1024, 512)  # inside first entry
-        yield from cache.release(mr)
-        return mr
-
-    mr = run(cl, prog(cl.env))
-    assert cache.size == 2
-    assert cache.merges == 0
-    assert cache.hits == 1
 
 
 def test_eviction_defers_while_referenced():
@@ -250,22 +230,6 @@ def test_insert_enforces_caps():
     assert_reg_balance(cl.counters, [cl[i].context for i in range(cl.n)])
 
 
-def test_max_pinned_bytes_cap():
-    cl, node, cache = setup(capacity=16, max_pinned_bytes=8192)
-    addrs = alloc_gapped(node, 3)
-
-    def prog(env):
-        for a in addrs:
-            mr = yield from cache.acquire(a, 4096)
-            yield from cache.release(mr)
-
-    run(cl, prog(cl.env))
-    assert cache.pinned_bytes <= 8192
-    assert cache.size == 2
-    assert cache.evictions == 1
-    assert cache.pinned_bytes_peak >= 8192
-
-
 def test_acquire_release_balance_property():
     """At shutdown, every registration was deregistered or is still live
     in the cache: reg_mr == dereg_mr + live (both cache modes)."""
@@ -370,7 +334,7 @@ def test_lookup_tolerates_overlapping_entries():
 def test_pending_eviction_counts_pinned_bytes():
     """Regression (review): a deferred-evict victim stays registered
     until its last release, so its bytes must keep counting toward
-    pinned_bytes (and the byte cap) until the dereg actually runs."""
+    pinned_bytes until the dereg actually runs."""
     cl, node, cache = setup(capacity=1)
     a, b = alloc_gapped(node, 2)
 
@@ -386,6 +350,8 @@ def test_pending_eviction_counts_pinned_bytes():
 
     run(cl, prog(cl.env))
     assert cache.pinned_bytes == 4096  # b still cached warm
+    assert cache.pinned_bytes_peak == 8192
+    assert cl.scope(0).get("photon.rcache.pinned_bytes_peak") == 8192
 
 
 def test_pinned_buffer_rkey_survives_adjacent_registration():

@@ -6,7 +6,10 @@ EXPERIMENTS.md — and no build artifact is ever committed.
 """
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -267,3 +270,119 @@ def test_kv_scenarios_are_built_in_one_place():
         {unit, os.path.join("tests", "test_kv_scenario.py")}
     for module in ("repro.kv.workload", "repro.runtime.gas"):
         assert importlib.util.find_spec(module) is None, module
+
+
+#: every option a caller can set: the fields of the config dataclasses and
+#: the defaulted keyword parameters of the builders and layer constructors
+#: (``Class.field`` / ``callable(param=)``).  Adding or removing one fails
+#: ``test_option_inventory`` until this pin moves with it, so a change's
+#: options removed and added read straight off its diff.
+OPTIONS = [
+    "AmConfig.credit_wait_ns", "AmConfig.credits_per_dest",
+    "AmConfig.dedup_window", "CoalescingTransport(flush_bytes=)",
+    "CoalescingTransport(flush_count=)", "CoalescingTransport(max_delay_ns=)",
+    "FabricParams.host", "FabricParams.link", "FabricParams.name",
+    "FabricParams.nic", "FabricParams.topology", "HealthConfig.ewma_alpha",
+    "HealthConfig.min_interval_ns", "HealthConfig.period_ns",
+    "HealthConfig.phi_dead", "HealthConfig.phi_suspect", "HostParams.dereg_ns",
+    "HostParams.memcpy_gbps", "HostParams.page_size", "HostParams.reg_base_ns",
+    "HostParams.reg_per_page_ns", "KVClient(loc_ttl_ns=)",
+    "KVClient(max_attempts=)", "KVClient(poll_ns=)", "KVClient(read_mode=)",
+    "KVClient(timeout_ns=)", "KVConfig.apply_cost_ns",
+    "KVConfig.install_cost_ns", "KVConfig.n_groups", "KVConfig.raft",
+    "KVConfig.rf", "KVConfig.slot_size", "KVConfig.slots_per_group",
+    "KVConfig.snapshot_cost_ns", "Link(counters=)", "Link(extra_latency_ns=)",
+    "Link(queue_depth=)", "Link(rng=)", "LinkParams.bandwidth_gbps",
+    "LinkParams.drop_rate", "LinkParams.header_bytes", "LinkParams.latency_ns",
+    "LinkParams.loss_mode", "LinkParams.mtu", "LinkParams.retransmit_ns",
+    "MPIConfig.coll_scratch", "MPIConfig.eager_credits",
+    "MPIConfig.eager_threshold", "MPIConfig.max_op_retries",
+    "MPIConfig.prepost", "MPIConfig.progress_poll_ns",
+    "MPIConfig.rcache_capacity", "MPIConfig.sw_overhead_ns",
+    "MetricsRegistry(max_spans=)", "MetricsRegistry(spans_enabled=)",
+    "MpiTransport(max_parcel=)", "MpiTransport(window=)",
+    "NicParams.ack_overhead_ns", "NicParams.ack_timeout_ns",
+    "NicParams.atomic_ns", "NicParams.bulk_startup_ns",
+    "NicParams.bulk_threshold", "NicParams.cqe_poll_ns",
+    "NicParams.delivery_ns", "NicParams.dma_gbps", "NicParams.doorbell_ns",
+    "NicParams.max_inline", "NicParams.post_overhead_ns",
+    "NicParams.rnr_retry_ns", "NicParams.transport_retries",
+    "NicParams.wqe_process_ns", "PhotonConfig.backoff_base_ns",
+    "PhotonConfig.backoff_jitter_ns", "PhotonConfig.backoff_max_ns",
+    "PhotonConfig.completion_entries", "PhotonConfig.credit_fraction",
+    "PhotonConfig.eager_limit", "PhotonConfig.eager_slots",
+    "PhotonConfig.entry_resend_limit", "PhotonConfig.fin_entries",
+    "PhotonConfig.imm_prepost", "PhotonConfig.info_entries",
+    "PhotonConfig.max_op_retries", "PhotonConfig.max_outstanding",
+    "PhotonConfig.op_timeout_ns", "PhotonConfig.progress_poll_ns",
+    "PhotonConfig.rcache_capacity", "PhotonConfig.rcache_enabled",
+    "PhotonConfig.use_imm", "PhotonConfig.use_inline",
+    "PhotonTransport(max_parcel=)", "RaftConfig.compact_margin",
+    "RaftConfig.compact_threshold", "RaftConfig.election_jitter_ns",
+    "RaftConfig.election_stagger_ns", "RaftConfig.election_timeout_ns",
+    "RaftConfig.fast_election_ns", "RaftConfig.heartbeat_ns",
+    "RaftConfig.lease_ns", "RaftConfig.max_entries_per_ae",
+    "RaftConfig.snapshot_chunk", "RegistrationCache(capacity=)",
+    "RegistrationCache(enabled=)", "Runtime(counters=)",
+    "Runtime(handler_cost_ns=)", "Scenario(raft=)", "Scenario(spans=)",
+    "Tracer(enabled=)", "Tracer(max_records=)", "build_cluster(mem_size=)",
+    "build_cluster(params=)", "build_cluster(seed=)", "build_cluster(spans=)",
+    "build_cluster(topology=)", "build_cluster(trace=)",
+    "build_cluster(trace_max_records=)", "build_health(config=)",
+    "build_health(start=)", "build_kv(config=)", "build_kv(monitors=)",
+    "build_kv(registry=)", "build_kv(start=)", "build_runtime(am=)",
+    "build_runtime(am_config=)", "build_runtime(coalesce=)",
+    "build_runtime(coalesce_opts=)", "build_runtime(comms=)",
+    "build_runtime(max_parcel=)", "build_runtime(photon=)",
+    "build_runtime(transport=)", "mpi_init(config=)", "photon_init(config=)"
+]
+
+_CONFIGS = ("repro.photon.config:PhotonConfig",
+            "repro.minimpi.status:MPIConfig",
+            "repro.kv.store:KVConfig", "repro.kv.raft:RaftConfig",
+            "repro.runtime.health:HealthConfig", "repro.runtime.am:AmConfig",
+            "repro.fabric.params:LinkParams", "repro.fabric.params:NicParams",
+            "repro.fabric.params:HostParams",
+            "repro.fabric.params:FabricParams")
+_BUILDERS = ("repro.cluster:build_cluster", "repro.photon.api:photon_init",
+             "repro.minimpi.comm:mpi_init", "repro.runtime:build_runtime",
+             "repro.runtime.health:build_health", "repro.kv.store:build_kv",
+             "repro.kv.scenario:Scenario", "repro.kv.client:KVClient",
+             "repro.runtime.coalesce:CoalescingTransport",
+             "repro.runtime.transport:PhotonTransport",
+             "repro.runtime.transport:MpiTransport",
+             "repro.runtime.scheduler:Runtime", "repro.fabric.link:Link",
+             "repro.photon.rcache:RegistrationCache", "repro.sim.trace:Tracer",
+             "repro.obs.registry:MetricsRegistry",
+             "repro.sim.core:Environment")
+
+
+def _resolve(spec):
+    module, name = spec.split(":")
+    return name, getattr(importlib.import_module(module), name)
+
+
+def test_option_inventory():
+    found = []
+    for spec in _CONFIGS:
+        name, cls = _resolve(spec)
+        found += [f"{name}.{field.name}"
+                  for field in dataclasses.fields(cls)]
+    for spec in _BUILDERS:
+        name, fn = _resolve(spec)
+        found += [f"{name}({param.name}=)"
+                  for param in inspect.signature(fn).parameters.values()
+                  if param.default is not param.empty]
+    assert sorted(found) == OPTIONS
+
+
+def test_deleted_modes_stay_deleted():
+    """Paths only their own tests selected were deleted: the coalescer's
+    requeue mode, the AM's shed mode, the rcache's merge-off switch and
+    pinned-bytes cap, kernel interrupts and NIC loopback."""
+    pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
+                         r"|max_pinned_bytes|\bInterrupt\b|_loopback"
+                         r"|_active_process")
+    bad = [path for path in _py_files("src")
+           if pattern.search(open(path).read())]
+    assert not bad, bad

@@ -16,8 +16,8 @@ import random
 import pytest
 
 from repro.cluster import build_cluster
-from repro.sim.core import (Environment, Event, Interrupt, NORMAL,
-                            SimulationError, URGENT)
+from repro.sim.core import (Environment, Event, NORMAL, SimulationError,
+                            URGENT)
 from tests.heap_oracle import HeapEnvironment
 
 KERNELS = (HeapEnvironment, Environment)
@@ -32,8 +32,7 @@ def _drive(env: Environment, seed: int, log: list):
     code uses: process timeout yields (with heavy same-timestamp ties),
     raw callback-only timers (the link delivery path), callbacks that
     schedule more work at the current instant (drain-time scheduling),
-    cross-process ``succeed`` wakeups (URGENT resume ordering), and
-    interrupts.
+    and cross-process ``succeed`` wakeups (URGENT resume ordering).
     """
     rng = random.Random(seed)
 
@@ -43,11 +42,7 @@ def _drive(env: Environment, seed: int, log: list):
             log.append((env.now, f"{name}.{j}"))
 
     def waiter(name: str, ev: Event):
-        try:
-            val = yield ev
-        except Interrupt as exc:
-            log.append((env.now, f"{name}.int.{exc.cause}"))
-            return
+        val = yield ev
         log.append((env.now, f"{name}.woke.{val}"))
         yield env.timeout(rng.choice(DELAYS))
         log.append((env.now, f"{name}.done"))
@@ -67,16 +62,6 @@ def _drive(env: Environment, seed: int, log: list):
         ev = Event(env)
         env.process(waiter(f"w{i}", ev), name=f"w{i}")
         env.process(trigger(ev, rng.choice(DELAYS), i), name=f"g{i}")
-
-    # an interrupted waiter
-    ev = Event(env)
-    victim = env.process(waiter("victim", ev), name="victim")
-
-    def interrupter():
-        yield env.timeout(17)
-        victim.interrupt("bang")
-
-    env.process(interrupter(), name="interrupter")
 
     # raw callback-only timers, including one that schedules more work
     # from inside its callback (both at the current instant and later)

@@ -7,7 +7,6 @@ from repro.sim import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -15,11 +14,6 @@ from repro.sim import (
 def test_clock_starts_at_zero():
     env = Environment()
     assert env.now == 0
-
-
-def test_clock_custom_initial_time():
-    env = Environment(initial_time=500)
-    assert env.now == 500
 
 
 def test_timeout_advances_clock():
@@ -259,38 +253,6 @@ def test_all_of_empty_fires_immediately():
     p = env.process(prog(env))
     env.run()
     assert p.value == 0
-
-
-def test_interrupt_raises_in_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(1000)
-            return "slept"
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def killer(env, victim):
-        yield env.timeout(10)
-        victim.interrupt("enough")
-
-    v = env.process(sleeper(env))
-    env.process(killer(env, v))
-    env.run()
-    assert v.value == ("interrupted", "enough", 10)
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_add_callback_after_fire_runs_immediately():
