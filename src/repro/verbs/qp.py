@@ -113,8 +113,10 @@ class QueuePair:
         self.peer: Optional["QueuePair"] = None
         self._sq_outstanding = 0
         self._rq: Deque[RecvWR] = deque()
-        #: messages that arrived before a receive was posted (RNR)
+        #: messages that arrived before a receive was posted (RNR), in
+        #: arrival order; the first ``_draining`` of them are being drained
         self._rnr: Deque[WireMsg] = deque()
+        self._draining = 0
         #: in-flight send WRs by tracking token — the flush set when the QP
         #: enters ERROR, and the guard that late wire callbacks check
         self._pending: Dict[int, Tuple[SendWR, WCOpcode]] = {}
@@ -155,15 +157,27 @@ class QueuePair:
         if wr.length:
             self.pd.find_local(wr.addr, wr.length, Access.LOCAL_WRITE)
         self._rq.append(wr)
-        if self._rnr:
-            msg = self._rnr.popleft()
+        self._drain()
+
+    def _drain(self) -> None:
+        """RC order: the RNR line drains from its head, one message per
+        free receive, and a message stays in the line until its drain
+        delivers it — whatever lands meanwhile queues behind it."""
+        if self._draining < min(len(self._rnr), len(self._rq)):
+            msg = self._rnr[self._draining]
+            self._draining += 1
             self.context.counters.add("verbs.rnr_drains")
             self.context.env.process(self._complete_rnr(msg),
                                      name="qp:rnr-drain")
 
     def _complete_rnr(self, msg: WireMsg):
         yield self.context.env.timeout(self.context.params.nic.rnr_retry_ns)
-        self._deliver_to_rq(msg)
+        if self._rnr and self._rnr[0] is msg:
+            self._rnr.popleft()
+            self._draining -= 1
+            self._deliver_to_rq(msg)
+        else:  # the line was flushed while it drained
+            self.context.counters.add("verbs.dropped_arrivals")
 
     # -- send side ----------------------------------------------------------------
     def post_send_timed(self, wr: SendWR):
@@ -304,6 +318,7 @@ class QueuePair:
                 qp_num=self.qp_num))
         self._rq.clear()
         self._rnr.clear()
+        self._draining = 0
 
     def reset_and_reconnect(self) -> None:
         """Re-arm an errored connection (both ends back to READY).
@@ -339,7 +354,7 @@ class QueuePair:
         msg = WireMsg(
             src=self.context.rank, dst=self.remote_rank, nbytes=wr.length,
             kind="send", fetch=fetch, inline_data=inline_data,
-            on_delivered=lambda nic, m: peer._on_send_arrival(m),
+            on_delivered=lambda nic, m: peer._on_arrival(m),
             on_acked=done, on_error=fail,
             ack=True, meta={"imm": wr.imm})
         return msg
@@ -372,7 +387,7 @@ class QueuePair:
             kind=kind,
             fetch=fetch, inline_data=inline_data,
             place=lambda off, data: tmem.write(base + off, data),
-            on_delivered=(lambda nic, m: peer._on_imm_arrival(m))
+            on_delivered=(lambda nic, m: peer._on_arrival(m))
             if with_imm else None,
             on_acked=done, on_error=fail,
             ack=True, meta={"imm": wr.imm})
@@ -453,30 +468,17 @@ class QueuePair:
                        on_delivered=on_request, on_error=fail)
 
     # -- target-side arrivals ------------------------------------------------------
-    def _on_send_arrival(self, msg: WireMsg) -> None:
+    def _on_arrival(self, msg: WireMsg) -> None:
+        """A SEND, or a WRITE_WITH_IMM (data already placed; it consumes a
+        receive for the notification only)."""
         if self._rnr or not self._rq:
             self.context.counters.add("verbs.rnr_stalls")
             self._rnr.append(msg)
-            return
-        self._deliver_to_rq(msg)
-
-    def _on_imm_arrival(self, msg: WireMsg) -> None:
-        # WRITE_WITH_IMM: data already placed; consumes a receive for the
-        # notification only.
-        if self._rnr or not self._rq:
-            self.context.counters.add("verbs.rnr_stalls")
-            self._rnr.append(msg)
+            self._drain()
             return
         self._deliver_to_rq(msg)
 
     def _deliver_to_rq(self, msg: WireMsg) -> None:
-        if self.state is not QPState.READY:
-            # flushed while an RNR drain was in flight — drop on the floor
-            self.context.counters.add("verbs.dropped_arrivals")
-            return
-        if not self._rq:
-            self._rnr.append(msg)
-            return
         wr = self._rq.popleft()
         status = WCStatus.SUCCESS
         byte_len = msg.nbytes

@@ -231,6 +231,38 @@ def test_send_without_recv_parks_until_posted():
     assert cl.counters.get("verbs.rnr_stalls") == 1
 
 
+def test_rnr_drain_keeps_receives_in_order():
+    """RC completes receives in order: a SEND that lands while the head of
+    the RNR line drains queues behind it instead of taking the receive the
+    drain was started for."""
+    cl, setups, qps = make_pair()
+    (_, heap0, _, _, _), (_, heap1, _, _, rcq1) = setups
+    cl[0].memory.write(heap0, b"AAAABBBB")
+    qps[0].post_send(SendWR(opcode=Opcode.SEND, wr_id=1, local_addr=heap0,
+                            length=4))
+    retry = cl.params.nic.rnr_retry_ns
+
+    def receiver(env):
+        yield env.timeout(50_000)       # "AAAA" is RNR-parked by now
+        qps[1].post_recv(RecvWR(wr_id=10, addr=heap1, length=4))
+        qps[0].post_send(SendWR(opcode=Opcode.SEND, wr_id=2,
+                                local_addr=heap0 + 4, length=4))
+        yield env.timeout(2 * retry)    # "BBBB" lands inside the drain
+        qps[1].post_recv(RecvWR(wr_id=11, addr=heap1 + 16, length=4))
+        got = []
+        while len(got) < 2:
+            yield rcq1.wait_nonempty()
+            got.extend(rcq1.poll())
+        return got
+
+    wcs = cl.env.run(until=cl.env.process(receiver(cl.env)))
+    assert [w.wr_id for w in wcs] == [10, 11]
+    assert cl[1].memory.read(heap1, 4) == b"AAAA"
+    assert cl[1].memory.read(heap1 + 16, 4) == b"BBBB"
+    assert cl.counters.get("verbs.rnr_stalls") == 2
+    assert cl.counters.get("verbs.rnr_drains") == 2
+
+
 def test_write_with_imm_consumes_recv_and_carries_imm():
     cl, setups, qps = make_pair()
     (_, heap0, _, cq0, _), (_, heap1, mr1, _, rcq1) = setups
