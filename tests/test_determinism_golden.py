@@ -9,10 +9,12 @@ final clock, same experiment tables, on clean **and** lossy fabrics.
 The ``GOLDEN`` fingerprints below (``python tests/test_determinism_golden.py``
 prints fresh ones) are asserted verbatim.  Any change to event ordering,
 payload routing, RNG consumption, or timing arithmetic shows up as a hash
-mismatch.  They were re-baselined once on purpose, in a commit of their own,
-when blocking waits stopped ticking through idle polls and began to park on
-the endpoint doorbell — that moves when every waiter sees every arrival
-(CHANGES.md, PR 15).
+mismatch.  They were re-baselined on purpose, each time in a commit of its
+own: when blocking waits stopped ticking through idle polls and began to
+park on the endpoint doorbell — that moves when every waiter sees every
+arrival — and when the trace became a timeline of workloads run to
+quiescence, whose records of one instant may be logged in any order
+(CHANGES.md).
 """
 
 from __future__ import annotations
@@ -40,16 +42,33 @@ def _result_fingerprint(res) -> str:
                   tuple(sorted(res.checks.items()))))
 
 
-def _trace_fingerprint(cl) -> str:
-    """Hash the full event trace, counters, and the final simulated clock."""
-    recs = tuple((r.time, r.category, r.fields) for r in cl.tracer.records)
-    return _hash((cl.env.now, recs,
+def _trace_fingerprint(cl, logged_order: bool = False) -> str:
+    """Hash the event trace, counters, and the final simulated clock.
+
+    The trace is hashed as a timeline: records sorted by instant, category
+    and fields, so the records of one instant may be logged in any order
+    (a plain write's delivery is logged when it lands, dated when its
+    delivery stage ends).  ``logged_order`` hashes them as logged."""
+    recs = [(r.time, r.category, r.fields) for r in cl.tracer.records]
+    if not logged_order:
+        recs.sort(key=lambda rec: (rec[0], rec[1], repr(rec[2])))
+    return _hash((cl.env.now, tuple(recs),
                   tuple(sorted(cl.counters.snapshot().items()))))
 
 
 # --------------------------------------------------------------------------
 # workloads (trace-enabled, exercising photon + minimpi data paths)
 # --------------------------------------------------------------------------
+
+def _run(cl, sender, receiver) -> None:
+    """Run the two programs, then on to quiescence: acks and deliveries
+    still in flight land, so the hashed timeline is not cut at an instant
+    some record is already dated past."""
+    env = cl.env
+    env.run(until=env.all_of([env.process(sender(env)),
+                              env.process(receiver(env))]))
+    env.run()
+
 
 def _photon_clean_workload(chaos_hook=None):
     """Clean fabric: PWC puts with completions, then an eager send flood.
@@ -88,8 +107,7 @@ def _photon_clean_workload(chaos_hook=None):
             if m is None:
                 raise SimulationError("eager flood stalled")
 
-    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
-    cl.env.run(until=cl.env.all_of(procs))
+    _run(cl, sender, receiver)
     if bytes(cl[1].memory.read(dst.addr, size)) != pattern:
         raise SimulationError("clean payload corrupted")
     return cl
@@ -121,8 +139,7 @@ def _mpi_clean_workload():
             if not ok or req.failed:
                 raise SimulationError(f"mpi clean recv tag={tag} failed")
 
-    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
-    cl.env.run(until=cl.env.all_of(procs))
+    _run(cl, sender, receiver)
     if bytes(cl[1].memory.read(dst_b, big)) != bytes(range(256)) * (big // 256):
         raise SimulationError("mpi clean payload corrupted")
     return cl
@@ -156,8 +173,7 @@ def _photon_lossy_workload(chaos_hook=None):
             if c is None:
                 raise SimulationError("lossy receiver starved")
 
-    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
-    cl.env.run(until=cl.env.all_of(procs))
+    _run(cl, sender, receiver)
     if bytes(cl[1].memory.read(dst.addr, size)) != pattern:
         raise SimulationError("lossy payload corrupted")
     return cl
@@ -188,8 +204,7 @@ def _mpi_lossy_workload():
             if not ok or req.failed:
                 raise SimulationError(f"mpi lossy recv {i} failed")
 
-    procs = [cl.env.process(sender(cl.env)), cl.env.process(receiver(cl.env))]
-    cl.env.run(until=cl.env.all_of(procs))
+    _run(cl, sender, receiver)
     return cl
 
 
@@ -205,13 +220,13 @@ GOLDEN = {
     "r17_table":
         "3353f0aa9ddc20b73668bd9795e95bb519a6c00bbc4fee6de58f90f31291f7c3",
     "photon_clean_trace":
-        "9a45ab84faa38a7a2d1a19ef2ee489fa612b389f81b462c4ecaac7bd1d040cf2",
+        "5562dae95893a32a64be714fa4594de5c8f492666bb488178daa2121048d68f7",
     "mpi_clean_trace":
-        "70d177607098e8da6e22d19de0c9f655cd8db2a742f0c88343e952856829b32a",
+        "d9375531426d303343bdffcc69425e134a816213fa92f63d044b92dee6019780",
     "photon_lossy_trace":
         "1b74219f2ecf9ad211a052256792a729b964bcc8dce7440fe6a6af941a1871b3",
     "mpi_lossy_trace":
-        "e3a7b66d6442455ae090f7e792313f9a9276523b09df26c2370ddc5d96061db1",
+        "a900cc0878a87d2eb4738e0c18f76154948e1d90fe54b0e2074ecc926d3f56d9",
 }
 
 
@@ -264,11 +279,10 @@ def test_lossy_traces_match_golden():
 def test_run_twice_identical():
     """Same seed, same workload, back to back in one interpreter: the event
     trace must be bit-identical (no hidden global state, no id()/hash()
-    ordering, no free-list identity leaks)."""
-    assert _trace_fingerprint(_photon_clean_workload()) == \
-        _trace_fingerprint(_photon_clean_workload())
-    assert _trace_fingerprint(_photon_lossy_workload()) == \
-        _trace_fingerprint(_photon_lossy_workload())
+    ordering, no free-list identity leaks) — in logging order, too."""
+    for workload in (_photon_clean_workload, _photon_lossy_workload):
+        assert _trace_fingerprint(workload(), logged_order=True) == \
+            _trace_fingerprint(workload(), logged_order=True)
 
 
 if __name__ == "__main__":  # regenerate the fingerprints
