@@ -11,19 +11,25 @@ It lives in the test tree, in the ``tests/event_origins.py`` mould.
 
     python tests/call_counts.py kv_chaos               # one perf/ block
     python tests/call_counts.py pwc_sweep --top 15 --seed 7001 --scale 0.2
+    python tests/call_counts.py kv_write --src OLD/src --src NEW/src
 
-prints calls per op in total and by layer, then the ``top`` functions.
+prints calls per op in total and by layer, then the ``top`` functions;
+with ``--src`` (once per source tree) each tree is counted in a child
+interpreter and the layers are printed side by side.
 """
 
 from __future__ import annotations
 
 import cProfile
 import gc
+import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Tuple
+from typing import List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -112,6 +118,33 @@ def report(by_layer: Counter, by_function: Counter, ops: int,
     return "\n".join(lines)
 
 
+def in_tree(tool: str, src: str, argv: List[str]) -> dict:
+    """Run ``tool`` with ``argv`` plus ``--json`` in a child interpreter
+    whose ``repro`` is the one under ``src``; its JSON result."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, tool, *argv, "--json"],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def side_by_side(srcs: List[str], rows: List[str], per_op: List[dict],
+                 what: str) -> str:
+    """``what`` per op of each tree in a column, by row, with the change
+    from the first tree to the last."""
+    lines = [f"{what} per op, by tree:"]
+    lines += [f"  [{i}] {src}" for i, src in enumerate(srcs)]
+    lines.append(f"  {'':10}" + "".join(f"{f'[{i}]':>11}"
+                                         for i in range(len(srcs)))
+                 + f"{'change':>10}")
+    for row in rows:
+        vals = [counts.get(row, 0.0) for counts in per_op]
+        change = (f"{vals[-1] / vals[0] - 1:+9.2%}" if vals[0]
+                  else f"{'':9}")
+        lines.append(f"  {row:10}" + "".join(f"{v:11.2f}" for v in vals)
+                     + f" {change}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     import argparse
     parser = argparse.ArgumentParser(prog="tests/call_counts.py")
@@ -120,9 +153,28 @@ def main(argv=None) -> int:
                         help="block seed")
     parser.add_argument("--scale", type=float, default=0.2)
     parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--src", action="append", default=[], metavar="DIR",
+                        help="count the repro under DIR (a tree's src/); "
+                             "repeat to compare trees side by side")
+    parser.add_argument("--json", action="store_true",
+                        help="print calls per op by layer as JSON")
     args = parser.parse_args(argv)
-    print(report(*profile_block(args.workload, args.seed, args.scale),
-                 top=args.top))
+    if args.src:
+        common = [args.workload, "--seed", str(args.seed),
+                  "--scale", str(args.scale)]
+        per_op = [in_tree(__file__, src, common) for src in args.src]
+        rows = ["total", *LAYERS, "other"]
+        print(side_by_side(args.src, [r for r in rows if any(
+            counts.get(r) for counts in per_op)], per_op, "calls"))
+        return 0
+    by_layer, by_function, ops = profile_block(args.workload, args.seed,
+                                               args.scale)
+    if args.json:
+        per_op = {layer: n / ops for layer, n in by_layer.items()}
+        per_op["total"] = sum(by_layer.values()) / ops
+        print(json.dumps(per_op))
+        return 0
+    print(report(by_layer, by_function, ops, top=args.top))
     return 0
 
 

@@ -14,13 +14,16 @@ fast path, ``Event.succeed``'s append onto the current-instant deques,
 
     python tests/event_origins.py r1                  # one experiment
     python tests/event_origins.py pwc_sweep --top 15  # one perf/ block
+    python tests/event_origins.py kv_write --src OLD/src --src NEW/src
 
 prints events (per op, for a perf workload's timed region) by package and
-the top-N origins.
+the top-N origins; with ``--src`` (once per source tree) each tree is
+counted in a child interpreter and the packages are printed side by side.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from collections import Counter, deque
@@ -181,19 +184,23 @@ class OriginEnvironment(SteppedEnvironment):
         del self._origins[id(event)]
 
 
+def by_package(fired: Counter) -> Counter:
+    packages: Counter = Counter()
+    for origin, n in fired.items():
+        # "fabric/link.py:202 ..." -> fabric; "cluster.py:113 ..." -> cluster
+        packages["(driver)" if origin.startswith("(")
+                 else re.split(r"/|\.py", origin, maxsplit=1)[0]] += n
+    return packages
+
+
 def report(fired: Counter, ops: int = 0, top: int = 20) -> str:
     """Events by package and the ``top`` origins; per op when ``ops``."""
     total = sum(fired.values())
     per = (lambda n: f"{n / ops:9.3f}/op") if ops else (lambda n: f"{n:9d}")
     lines = [f"{total} events" + (f", {ops} ops, {total / ops:.3f} events/op"
                                   if ops else "")]
-    by_pkg: Counter = Counter()
-    for origin, n in fired.items():
-        # "fabric/link.py:202 ..." -> fabric; "cluster.py:113 ..." -> cluster
-        by_pkg["(driver)" if origin.startswith("(")
-               else re.split(r"/|\.py", origin, maxsplit=1)[0]] += n
     lines.append("by package:")
-    for pkg, n in by_pkg.most_common():
+    for pkg, n in by_package(fired).most_common():
         lines.append(f"  {per(n)}  {n / total:6.1%}  {pkg}")
     lines.append(f"top {top} origins:")
     for origin, n in fired.most_common(top):
@@ -213,15 +220,28 @@ def main(argv=None) -> int:
                         help="block seed of a perf workload")
     parser.add_argument("--scale", type=float, default=0.2)
     parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--src", action="append", default=[], metavar="DIR",
+                        help="count the repro under DIR (a tree's src/); "
+                             "repeat to compare trees side by side")
+    parser.add_argument("--json", action="store_true",
+                        help="print events (per op) by package as JSON")
     args = parser.parse_args(argv)
 
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    if args.src:
+        from tests.call_counts import in_tree, side_by_side
+        common = [args.what, "--seed", str(args.seed),
+                  "--scale", str(args.scale)]
+        per_op = [in_tree(__file__, src, common) for src in args.src]
+        rows = sorted({row for counts in per_op for row in counts},
+                      key=lambda row: (row != "total", -per_op[0].get(row, 0)))
+        print(side_by_side(args.src, rows, per_op, "events"))
+        return 0
     repro.cluster.Environment = OriginEnvironment
     from repro.bench.experiments import ALL
     if args.what in ALL:
         ALL[args.what].run(quick=True)
-        print(report(OriginEnvironment.fired, top=args.top))
-        return 0
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+        return _print(OriginEnvironment.fired, 0, args)
     from perf.trace import HostTrace
     from perf.workloads import WORKLOADS
     trace = HostTrace(enabled=False)
@@ -235,7 +255,16 @@ def main(argv=None) -> int:
     if result.errors:
         print("verification failed:", result.errors, file=sys.stderr)
         return 1
-    print(report(fired, ops=result.completed, top=args.top))
+    return _print(fired, result.completed, args)
+
+
+def _print(fired: Counter, ops: int, args) -> int:
+    if args.json:
+        per = {pkg: n / (ops or 1) for pkg, n in by_package(fired).items()}
+        per["total"] = sum(fired.values()) / (ops or 1)
+        print(json.dumps(per))
+    else:
+        print(report(fired, ops=ops, top=args.top))
     return 0
 
 
