@@ -9,14 +9,16 @@ links but bypass its send queue, as on real hardware).
 
 Ingress (:meth:`_ingress`, fed by a route's last link) places data chunks
 in memory at once (RDMA: no destination CPU); the last chunk of a message
-queues it for the delivery loop, which charges the per-message cost and
+enters the delivery stage (``delivery_ns``, a message at a time), which
 fires ``on_delivered`` (the verbs layer's CQEs).  A reliable-connection ack
 is the source's ``on_acked`` one return latency later.
 
-Event economy: a message handed to an *idle* engine / responder / delivery
-loop wakes it one fixed stage cost (``wqe_process_ns`` / ``delivery_ns``)
-later, message in hand, instead of at once to sleep that long; a busy loop
-dequeues the message and charges the stage itself (:meth:`Nic._hand_off`).
+Event economy: a message handed to an *idle* engine / responder wakes it
+``wqe_process_ns`` later, message in hand; a busy loop dequeues the message
+and charges the stage itself (:meth:`Nic._hand_off`).  A doorbell that
+would ring a parked engine is that hand-off, dated at the post
+(:meth:`Nic.transmit`).  The delivery stage is a schedule: one timer for a
+message with a hook, none for a plain write (:meth:`Nic._deliver`).
 Lossy-mode recovery is a record and one deadline timer per un-acked
 message (:class:`_Arq`), not a process: the transport ack withdraws the
 deadline, an expired one re-injects the copies from its own callback, and
@@ -26,6 +28,7 @@ a process exists only while copies are parked behind a full first hop.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -260,12 +263,18 @@ class Nic:
 
         self._engine_q: Store = Store(env)
         self._responder_q: Store = Store(env)
-        self._rx_q: Store = Store(env)
+        #: posts whose doorbell is in flight (each timer rings the oldest),
+        #: and the last hand-off dated at a post: (engine getter, doorbell)
+        self._bells: deque = deque()
+        self._fold = None
+        #: the delivery stage is busy until ``_rx_free``; ``_rx`` holds what
+        #: it has not dequeued yet: (dequeue, delivery timer, delivery)
+        self._rx_free = 0
+        self._rx: deque = deque()
         env.process(self._stage_loop(self._engine_q, True),
                     name=f"nic{rank}:engine")
         env.process(self._stage_loop(self._responder_q, False),
                     name=f"nic{rank}:responder")
-        env.process(self._delivery_loop(), name=f"nic{rank}:delivery")
 
     # ------------------------------------------------------------ crash power
     def power_off(self) -> None:
@@ -273,9 +282,14 @@ class Nic:
         retransmit or ``on_error`` — a host crash as its peers see it); what
         is on the wire still arrives, and is discarded at ingress."""
         self.down = True
+        self._unfold()
         self._engine_q.items.clear()
         self._responder_q.items.clear()
-        self._rx_q.items.clear()
+        # withdraw deliveries not dequeued (power_off first in its ns)
+        now, rx = self.env.now, self._rx
+        while rx and rx[-1][0] >= now:
+            self._rx_free, timer, done = rx.pop()
+            self.env.unschedule(timer, done)
         for arq in self._arqs:
             if arq.timer is not None:
                 self.env.unschedule(arq.timer, arq.due)
@@ -290,11 +304,39 @@ class Nic:
         self.tracer.log(self.env.now, "nic.power_on", rank=self.rank)
 
     # ------------------------------------------------------------------ egress
-    def transmit(self, msg: WireMsg) -> None:
-        """Queue a message on the requester send engine (post costs are
-        charged by the caller before calling this)."""
+    def transmit(self, msg: WireMsg, doorbell_ns: int = 0) -> None:
+        """Queue a message on the send engine ``doorbell_ns`` from now (the
+        caller charges the post).  A doorbell to a parked engine, none in
+        flight, is a hand-off dated now: the engine wakes a doorbell and a
+        WQE later, message in hand, unless :meth:`_unfold` takes it back."""
+        if not doorbell_ns:
+            self._unfold()  # this message reaches the engine first
+            self._ring(msg=msg)
+        elif self.down or self._bells or not self._engine_q.waiting:
+            self._bells.append(msg)
+            self.env.timeout(doorbell_ns).callbacks.append(self._ring)
+        else:
+            self.counters.add("nic.tx_msgs")
+            wake_ns = doorbell_ns + self.params.nic.wqe_process_ns
+            self._fold = (self._engine_q.put_nowait(msg, wake_ns),
+                          self.env.now + doorbell_ns)
+
+    def _ring(self, _ev=None, msg: Optional[WireMsg] = None) -> None:
+        """A doorbell rings: ``msg``'s, or the oldest in flight."""
         self.counters.add("nic.tx_msgs")
-        self._hand_off(self._engine_q, msg, self.params.nic.wqe_process_ns)
+        self._hand_off(self._engine_q, msg or self._bells.popleft(),
+                       self.params.nic.wqe_process_ns)
+
+    def _unfold(self) -> None:
+        """A ``power_off`` or a message reaching the engine first (even in
+        its nanosecond) turns a dated hand-off back into the doorbell."""
+        fold, self._fold = self._fold, None
+        if fold is not None and fold[1] >= self.env.now:
+            get, at = fold
+            self._bells.appendleft(get.value)  # posted before those in flight
+            self._engine_q.recall(get, at + self.params.nic.wqe_process_ns)
+            self.counters.add("nic.tx_msgs", -1)  # counted when it rings
+            self.env.timeout(at - self.env.now).callbacks.append(self._ring)
 
     def respond(self, msg: WireMsg) -> None:
         """Queue a message on the responder pipeline (READ data, atomic
@@ -304,9 +346,8 @@ class Nic:
 
     def _hand_off(self, stage_q: Store, msg: WireMsg, stage_ns: int) -> None:
         """An idle stage loop is woken ``stage_ns`` from now, message in
-        hand and stage cost pre-charged, with ``down`` checked here — the
-        instant the loop used to wake; a busy loop dequeues the message
-        later, then checks ``down`` and charges the stage itself."""
+        hand, ``down`` read here; a busy one dequeues it later, reads
+        ``down`` then and charges the stage itself."""
         if not (self.down and stage_q.waiting):
             stage_q.put_nowait(msg, stage_ns)
 
@@ -431,13 +472,10 @@ class Nic:
         if msg.rx_offsets is not None:
             if len(msg.rx_offsets) == msg.n_chunks:
                 msg.delivered = True
-                delay = (self.topology.path_latency_ns(self.rank, msg.src)
-                         + self.params.nic.ack_overhead_ns)
-                dt = self.env.timeout(delay)
-                dt.callbacks.append(partial(self._transport_ack_fire, msg))
-                self._rx_q.put_nowait(msg, self.params.nic.delivery_ns)
+                self._ack(msg, self._transport_ack_fire)
+                self._deliver(msg)
         elif chunk.is_last:
-            self._rx_q.put_nowait(msg, self.params.nic.delivery_ns)
+            self._deliver(msg)
 
     def _transport_ack_fire(self, msg: WireMsg, _ev) -> None:
         """Lossy mode: tell the sender's ARQ record the message landed.
@@ -448,29 +486,40 @@ class Nic:
         if msg.ack_event is not None:
             msg.ack_event.ack()
 
-    def _delivery_loop(self):
-        nic = self.params.nic
-        rx_q = self._rx_q
-        while True:
-            msg: WireMsg = rx_q.try_get()
-            if msg is None:
-                msg = yield rx_q.get()
-            elif self.down:
-                continue
-            else:
-                yield self.env.timeout(nic.delivery_ns)
-            msg.t_delivered = self.env.now
-            self.counters.add("nic.rx_msgs")
-            self.tracer.log(self.env.now, "nic.rx", src=msg.src,
-                            dst=self.rank, kind=msg.kind, nbytes=msg.nbytes)
-            if msg.on_delivered is not None:
-                msg.on_delivered(self, msg)
-            if msg.ack and msg.on_acked is not None:
-                # raw timer callback: cheaper than spawning an ack process
-                delay = (self.topology.path_latency_ns(self.rank, msg.src)
-                         + nic.ack_overhead_ns)
-                dt = self.env.timeout(delay)
-                dt.callbacks.append(partial(self._ack_fire, msg))
+    def _deliver(self, msg: WireMsg) -> None:
+        """The delivery stage as a schedule: dequeued on landing or when the
+        stage frees, delivered ``delivery_ns`` later.  A plain write dequeued
+        on landing costs no event (delivered now, dated then); the rest get
+        a timer, kept in ``_rx`` until their dequeue for ``power_off``."""
+        now, rx = self.env.now, self._rx
+        while rx and rx[0][0] < now:
+            rx.popleft()  # dequeued: no power_off can take these back
+        dequeue = max(now, self._rx_free)
+        done = self._rx_free = dequeue + self.params.nic.delivery_ns
+        if msg.on_delivered is None and dequeue == now:
+            return self._delivered(msg, done)
+        timer = self.env.timeout(done - now)
+        timer.callbacks.append(partial(self._delivered, msg, done))
+        if dequeue > now:
+            rx.append((dequeue, timer, done))
+
+    def _delivered(self, msg: WireMsg, at: int, _ev=None) -> None:
+        """Stamp and notify a delivery, and arm its ack: at ``at``, or ahead
+        of it for a plain write, which notifies nobody."""
+        msg.t_delivered = at
+        self.counters.add("nic.rx_msgs")
+        self.tracer.log(at, "nic.rx", src=msg.src, dst=self.rank,
+                        kind=msg.kind, nbytes=msg.nbytes)
+        if msg.on_delivered is not None:
+            msg.on_delivered(self, msg)
+        if msg.ack and msg.on_acked is not None:
+            self._ack(msg, self._ack_fire, at - self.env.now)
+
+    def _ack(self, msg: WireMsg, fire, after: int = 0) -> None:
+        """Arm ``fire(msg)`` one return latency (and ``after``) from now."""
+        after += self.topology.path_latency_ns(self.rank, msg.src)
+        timer = self.env.timeout(after + self.params.nic.ack_overhead_ns)
+        timer.callbacks.append(partial(fire, msg))
 
     def _ack_fire(self, msg: WireMsg, _ev) -> None:
         if self.down or not self.topology.reachable(self.rank, msg.src):

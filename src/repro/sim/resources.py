@@ -68,7 +68,7 @@ class Store:
         """Insert ``item``; returns an event that fires once accepted."""
         return StorePut(self, item)
 
-    def put_nowait(self, item: Any, delay: int = 0) -> None:
+    def put_nowait(self, item: Any, delay: int = 0) -> Optional[StoreGet]:
         """Append ``item`` without allocating a StorePut event.
 
         Only valid on unbounded stores (no backpressure to model); used on
@@ -76,6 +76,7 @@ class Store:
         A parked getter is handed the item ``delay`` ns from now: a
         consumer whose first act on waking is to sleep a fixed stage cost
         has the producer pre-charge it, and is spared the wake at ``now``.
+        Returns the getter handed the item (see :meth:`recall`), if any.
         """
         if self.capacity is not None:
             raise SimulationError("put_nowait on a bounded Store")
@@ -87,10 +88,17 @@ class Store:
                 self.env._schedule(get, delay)
             else:
                 get.succeed(item)
-            return
+            return get
         self.items.append(item)
         if self._get_queue:
             self._trigger()
+        return None
+
+    def recall(self, get: StoreGet, at: int) -> None:
+        """Withdraw a hand-off ``put_nowait`` dated ``at``; the getter parks."""
+        self.env.unschedule(get, at)
+        get._ok, get._value = None, Event._PENDING
+        self._get_queue.appendleft(get)
 
     @property
     def waiting(self) -> bool:

@@ -24,14 +24,13 @@ the QP to ERROR.
 Cost accounting: ``post_send``/``post_recv`` are zero-time bookkeeping —
 callers charge the host-CPU post overhead via :meth:`post_send_timed` (or
 charge ``NicParams.post_overhead_ns`` themselves).  The doorbell delay
-(post → NIC sees the WQE) is modelled inside ``post_send``.
+(post → NIC sees the WQE) is the NIC's (``Nic.transmit``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Deque, Dict, Optional, Tuple
 
 from ..fabric.nic import CTRL_BYTES, WireMsg
@@ -113,8 +112,7 @@ class QueuePair:
         self.peer: Optional["QueuePair"] = None
         self._sq_outstanding = 0
         self._rq: Deque[RecvWR] = deque()
-        #: messages that arrived before a receive was posted (RNR), in
-        #: arrival order; the first ``_draining`` of them are being drained
+        #: arrivals with no receive posted (RNR); the first _draining drain
         self._rnr: Deque[WireMsg] = deque()
         self._draining = 0
         #: in-flight send WRs by tracking token — the flush set when the QP
@@ -160,9 +158,8 @@ class QueuePair:
         self._drain()
 
     def _drain(self) -> None:
-        """RC order: the RNR line drains from its head, one message per
-        free receive, and a message stays in the line until its drain
-        delivers it — whatever lands meanwhile queues behind it."""
+        """RC order: the RNR line drains from its head, one message per free
+        receive; a message leaves it when delivered, so arrivals queue."""
         if self._draining < min(len(self._rnr), len(self._rq)):
             msg = self._rnr[self._draining]
             self._draining += 1
@@ -212,13 +209,7 @@ class QueuePair:
         msg = self._build(wr)
         self._sq_outstanding += 1
         self.context.counters.add("verbs.post_send")
-        # doorbell as a raw timer callback: same transmit instant as the
-        # old per-post process, without the Process/Initialize machinery
-        dt = self.context.env.timeout(nic_params.doorbell_ns)
-        dt.callbacks.append(partial(self._doorbell_fire, msg))
-
-    def _doorbell_fire(self, msg: WireMsg, _ev) -> None:
-        self.context.nic.transmit(msg)
+        self.context.nic.transmit(msg, nic_params.doorbell_ns)
 
     # -- WR -> WireMsg translation ---------------------------------------------
     def _build(self, wr: SendWR) -> WireMsg:

@@ -177,14 +177,38 @@ def test_counters_track_traffic():
     assert counters.get("nic.rx_msgs") == 1
 
 
+def test_a_post_to_a_parked_engine_and_a_plain_write_cost_no_stage_event():
+    """A doorbell that rings a parked engine is a hand-off dated at the
+    post, and a write with no ``on_delivered`` hook has no event at its
+    delivery instant: the post costs what a direct transmit costs, and the
+    plain write one event less than a hooked one."""
+    def run(doorbell_ns, hooked):
+        env, topo, mems, nics, counters = build()
+        msg = put_msg(mems, 0, 1, b"x" * 64, mems[1].alloc(64),
+                      on_delivered=(lambda nic, m: None) if hooked else None,
+                      on_acked=lambda: None, ack=True)
+        env.run(until=1_000)  # the loops start and park
+        before = env.events_processed
+        nics[0].transmit(msg, doorbell_ns)
+        env.run()
+        return env.events_processed - before, msg
+
+    direct, _ = run(0, True)
+    posted, msg = run(IB_FDR.nic.doorbell_ns, True)
+    plain, plain_msg = run(IB_FDR.nic.doorbell_ns, False)
+    assert posted == direct and plain == posted - 1
+    assert msg.t_injected == 1_000 + IB_FDR.nic.doorbell_ns + WQE
+    assert plain_msg.t_delivered == msg.t_delivered
+
+
 # ---------------------------------------------------------------------------
 # crash timing across the stage hand-off.  An idle engine / responder /
-# delivery loop is handed its message with the fixed stage cost
+# delivery stage is handed its message with the fixed stage cost
 # (wqe_process_ns / delivery_ns) pre-charged; a busy one dequeues it and
 # charges the stage itself.  ``down`` is looked at once per message: at the
-# hand-off for an idle loop, at the dequeue for a busy one.  Every outcome
-# below is what the woken-then-sleeping loops produced before the wake was
-# fused (this file passes unchanged on that tree).
+# hand-off for an idle stage, at the dequeue for a busy one.  Every outcome
+# below is what woken-then-sleeping loops produce (this file passes
+# unchanged on such a tree; tests/nic_oracle.py is one).
 # ---------------------------------------------------------------------------
 
 WQE = IB_FDR.nic.wqe_process_ns

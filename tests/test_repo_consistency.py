@@ -243,6 +243,28 @@ def test_links_have_one_path_per_job():
     assert env.peek() is None
 
 
+def test_nic_stages_are_arithmetic_where_nothing_happens():
+    """A post's doorbell is a hand-off dated at the post when it rings a
+    parked engine, and the delivery stage is a schedule: the per-post
+    doorbell callback, the delivery loop and its queue must not come back,
+    and a NIC runs two processes, its send engine and its responder."""
+    pattern = re.compile(r"_delivery_loop|_rx_q\b|_doorbell_fire")
+    bad = [path for path in _py_files("src")
+           if pattern.search(open(path).read())]
+    assert not bad, bad
+
+    from repro.fabric import IB_FDR, Memory, Nic, Star
+    from repro.sim import Counters
+    from repro.sim.core import Environment, Process
+    env = Environment()
+    topo = Star(env, 2, IB_FDR.link, Counters())
+    started = []
+    env.process = lambda gen, name=None: started.append(name) or \
+        Process(env, gen, name)
+    Nic(env, 0, IB_FDR, Memory(1 << 12, IB_FDR.host, rank=0), topo)
+    assert started == ["nic0:engine", "nic0:responder"]
+
+
 def test_drop_rate_changes_go_through_the_fabric():
     """Fabric parameters are frozen: a harness that heals or degrades the
     fabric mid-run calls ``Topology.set_drop_rate``, which books again what
