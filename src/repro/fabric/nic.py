@@ -17,8 +17,8 @@ Event economy: a message handed to an *idle* engine / responder wakes it
 ``wqe_process_ns`` later, message in hand; a busy loop dequeues the message
 and charges the stage itself (:meth:`Nic._hand_off`).  A doorbell that
 would ring a parked engine is that hand-off, dated at the post
-(:meth:`Nic.transmit`).  The delivery stage is a schedule: one timer for a
-message with a hook, none for a plain write (:meth:`Nic._deliver`).
+(:meth:`Nic.transmit`).  The delivery stage is a schedule: no event for a
+plain write that lands on an idle stage, one timer else (:meth:`_deliver`).
 Lossy-mode recovery is a record and one deadline timer per un-acked
 message (:class:`_Arq`), not a process: the transport ack withdraws the
 deadline, an expired one re-injects the copies from its own callback, and

@@ -95,7 +95,7 @@ class Store:
         return None
 
     def recall(self, get: StoreGet, at: int) -> None:
-        """Withdraw a hand-off ``put_nowait`` dated ``at``; the getter parks."""
+        """Undo a hand-off ``put_nowait`` dated ``at``: the getter parks."""
         self.env.unschedule(get, at)
         get._ok, get._value = None, Event._PENDING
         self._get_queue.appendleft(get)
