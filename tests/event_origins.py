@@ -185,12 +185,12 @@ class OriginEnvironment(SteppedEnvironment):
 
 
 def by_package(fired: Counter) -> Counter:
-    packages: Counter = Counter()
+    by_pkg: Counter = Counter()
     for origin, n in fired.items():
         # "fabric/link.py:202 ..." -> fabric; "cluster.py:113 ..." -> cluster
-        packages["(driver)" if origin.startswith("(")
-                 else re.split(r"/|\.py", origin, maxsplit=1)[0]] += n
-    return packages
+        by_pkg["(driver)" if origin.startswith("(")
+               else re.split(r"/|\.py", origin, maxsplit=1)[0]] += n
+    return by_pkg
 
 
 def report(fired: Counter, ops: int = 0, top: int = 20) -> str:
