@@ -1,8 +1,10 @@
 """R11 — collectives table: barrier and allreduce latency vs rank count.
 
 PWC-based dissemination barrier / recursive-doubling allreduce (photon)
-vs the minimpi implementations of the same algorithms.  Since the
-algorithms match, the difference isolates the per-message transport cost.
+vs minimpi running the same schedules — one copy,
+``repro.photon.collectives``, over each stack's wire.  Since the
+schedules are shared, the difference isolates the per-message transport
+cost.
 
 Expected shape: both scale ~logarithmically with ranks; photon is faster
 at every size because each step is a single ledger write instead of a

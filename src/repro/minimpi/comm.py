@@ -1,10 +1,13 @@
 """Communicator: the user-facing minimpi API and collectives.
 
 Address-based point-to-point (buffers live in simulated memory, as with
-the verbs layer underneath) plus numpy-typed collectives that stage
-through a per-rank scratch heap.  Collectives use a reserved tag space
-keyed by an epoch counter, so SPMD programs must call them in the same
-order on every rank.
+the verbs layer underneath) plus numpy-typed collectives.  ``barrier``,
+``allreduce`` and ``allgather`` are the schedules of
+:mod:`repro.photon.collectives`, run over this communicator's wire: it
+stages payloads through a per-rank scratch heap and matches them on a
+reserved tag space keyed by an epoch counter, so SPMD programs must call
+collectives in the same order on every rank.  ``alltoall`` is minimpi's
+own.
 """
 
 from __future__ import annotations
@@ -14,19 +17,15 @@ from typing import List, Optional
 import numpy as np
 
 from ..cluster import Cluster
+from ..photon.collectives import (MemberDeadError, allgather, allreduce,
+                                  barrier, dead_member)
 from ..sim.core import SimulationError
 from .protocol import Engine, MPIRequest
-from .status import ANY_SOURCE, ANY_TAG, DEFAULT_MPI_CONFIG, MPIConfig, Status
+from .status import ANY_SOURCE, ANY_TAG, DEFAULT_MPI_CONFIG, MPIConfig
 
 __all__ = ["Comm", "mpi_init"]
 
 _COLL_TAG_BASE = 1 << 40
-_REDUCE_OPS = {
-    "sum": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-    "prod": np.multiply,
-}
 
 
 class _Scratch:
@@ -116,203 +115,70 @@ class Comm:
         """JSON-serializable engine snapshot for this rank."""
         return self.engine.stats()
 
-    # ------------------------------------------------------------- staging
-    def _send_bytes(self, dst: int, data: bytes, tag: int):
-        """Stage + blocking-send a bytes payload (generator)."""
-        addr = self._scratch.take(max(len(data), 1))
-        self.memory.write(addr, data)
-        yield self.env.timeout(self.memory.memcpy_cost_ns(len(data)))
-        yield from self.send(addr, len(data), dst, tag)
-
-    def _isend_bytes(self, dst: int, data: bytes, tag: int):
-        addr = self._scratch.take(max(len(data), 1))
-        self.memory.write(addr, data)
-        yield self.env.timeout(self.memory.memcpy_cost_ns(len(data)))
-        req = yield from self.isend(addr, len(data), dst, tag)
-        return req
-
-    def _recv_bytes(self, src: int, max_bytes: int, tag: int):
-        """Blocking receive into scratch; returns the payload (generator)."""
-        addr = self._scratch.take(max(max_bytes, 1))
-        status = yield from self.recv(addr, max_bytes, src, tag)
-        # owned copy: the scratch ring wraps and reuses this region
-        return self.memory.read_bytes(addr, status.count)
+    # ------------------------------------------------------------- wire
+    def _coll_begin(self) -> int:
+        self._epoch += 1
+        return self.size
 
     def _coll_tag(self, step: int) -> int:
         return _COLL_TAG_BASE + self._epoch * 4096 + step
 
+    def _coll_isend(self, dst: int, data: bytes, step: int):
+        """Stage a payload in scratch and isend it (generator → request)."""
+        addr = self._scratch.take(max(len(data), 1))
+        self.memory.write(addr, data)
+        yield self.env.timeout(self.memory.memcpy_cost_ns(len(data)))
+        req = yield from self.engine.isend(addr, len(data), dst,
+                                           self._coll_tag(step))
+        return req
+
+    def _coll_send(self, dst: int, data: bytes, step: int):
+        """Stage + blocking-send a payload (generator)."""
+        req = yield from self._coll_isend(dst, data, step)
+        yield from self.engine.wait(req)
+
+    def _coll_recv(self, src: int, nbytes: int, step: int):
+        """Blocking receive into scratch; returns the payload (generator).
+
+        Raises :class:`MemberDeadError` once the failure detector declares
+        any member dead first; a receive the transport gave up on names
+        its source."""
+        length = max(nbytes, 1)
+        addr = self._scratch.take(length)
+        req = yield from self.engine.irecv(addr, length, src,
+                                           self._coll_tag(step))
+        health, n = self.engine.health, self.size
+        yield from self.engine._wait_until(
+            lambda: req.done or dead_member(health, n) is not None)
+        if req.failed or not req.done:
+            dead = dead_member(health, n)
+            raise MemberDeadError(self.rank, src if dead is None else dead)
+        self.engine.live_requests.pop(req.rid, None)
+        # owned copy: the scratch ring wraps and reuses this region
+        return self.memory.read_bytes(addr, req.status.count)
+
+    def _coll_swap(self, dst: int, data: bytes, src: int, nbytes: int,
+                   step: int):
+        sreq = yield from self._coll_isend(dst, data, step)
+        raw = yield from self._coll_recv(src, nbytes, step)
+        yield from self.engine.wait(sreq)
+        return raw
+
     # ------------------------------------------------------------- collectives
     def barrier(self):
         """Dissemination barrier (generator)."""
-        n = self.size
-        self._epoch += 1
-        if n == 1:
-            return
-        step = 0
-        dist = 1
-        while dist < n:
-            dst = (self.rank + dist) % n
-            src = (self.rank - dist) % n
-            tag = self._coll_tag(step)
-            sreq = yield from self._isend_bytes(dst, b"", tag)
-            data = yield from self._recv_bytes(src, 8, tag)
-            yield from self.engine.wait(sreq)
-            dist <<= 1
-            step += 1
+        yield from barrier(self)
         self.engine.counters.add("mpi.barriers")
-
-    def bcast(self, array: np.ndarray, root: int = 0):
-        """Binomial-tree broadcast; returns the array (generator)."""
-        n = self.size
-        self._epoch += 1
-        if n == 1:
-            return array.copy()
-        vrank = (self.rank - root) % n
-        data = array.tobytes() if vrank == 0 else None
-        mask = 1
-        # find the sender for this vrank
-        while mask < n:
-            if vrank & mask:
-                src = (self.rank - mask) % n
-                raw = yield from self._recv_bytes(src, array.nbytes,
-                                                  self._coll_tag(0))
-                data = raw
-                break
-            mask <<= 1
-        if vrank == 0:
-            mask = 1
-            while mask < n:
-                mask <<= 1
-            mask >>= 1
-        else:
-            mask >>= 1
-        while mask:
-            if vrank + mask < n and not (vrank & (mask - 1)):
-                dst = (self.rank + mask) % n
-                yield from self._send_bytes(dst, data, self._coll_tag(0))
-            mask >>= 1
-        out = np.frombuffer(data, dtype=array.dtype).reshape(array.shape)
-        return out.copy()
 
     def allreduce(self, array: np.ndarray, op: str = "sum"):
         """Recursive-doubling allreduce (generator → reduced array)."""
-        if op not in _REDUCE_OPS:
-            raise SimulationError(f"unknown reduce op {op!r}")
-        n = self.size
-        self._epoch += 1
-        if n == 1:
-            return array.copy()
-        data = np.array(array, copy=True)
-        fn = _REDUCE_OPS[op]
-        pof2 = 1
-        while pof2 * 2 <= n:
-            pof2 *= 2
-        rem = n - pof2
-        rank = self.rank
-        step = 0
-        if rank >= pof2:
-            yield from self._send_bytes(rank - pof2, data.tobytes(),
-                                        self._coll_tag(step))
-        elif rank < rem:
-            raw = yield from self._recv_bytes(rank + pof2, data.nbytes,
-                                              self._coll_tag(step))
-            data = fn(data, np.frombuffer(raw, dtype=data.dtype).reshape(
-                data.shape))
-            yield self.env.timeout(self.memory.memcpy_cost_ns(data.nbytes))
-        step += 1
-        if rank < pof2:
-            dist = 1
-            while dist < pof2:
-                partner = rank ^ dist
-                tag = self._coll_tag(step)
-                sreq = yield from self._isend_bytes(partner, data.tobytes(),
-                                                    tag)
-                raw = yield from self._recv_bytes(partner, data.nbytes, tag)
-                yield from self.engine.wait(sreq)
-                data = fn(data, np.frombuffer(raw, dtype=data.dtype).reshape(
-                    data.shape))
-                yield self.env.timeout(
-                    self.memory.memcpy_cost_ns(data.nbytes))
-                dist <<= 1
-                step += 1
-        else:
-            step += pof2.bit_length() - 1
-        if rank < rem:
-            yield from self._send_bytes(rank + pof2, data.tobytes(),
-                                        self._coll_tag(step))
-        elif rank >= pof2:
-            raw = yield from self._recv_bytes(rank - pof2, data.nbytes,
-                                              self._coll_tag(step))
-            data = np.frombuffer(raw, dtype=data.dtype).reshape(
-                data.shape).copy()
+        out = yield from allreduce(self, array, op)
         self.engine.counters.add("mpi.allreduces")
-        return data
-
-    def reduce(self, array: np.ndarray, op: str = "sum", root: int = 0):
-        """Allreduce-based reduce (generator; non-roots get None)."""
-        out = yield from self.allreduce(array, op)
-        return out if self.rank == root else None
+        return out
 
     def allgather(self, data: bytes):
         """Ring allgather of equal-size blobs (generator → list by rank)."""
-        n = self.size
-        self._epoch += 1
-        out: List[bytes] = [b""] * n
-        out[self.rank] = bytes(data)
-        if n == 1:
-            return out
-        right = (self.rank + 1) % n
-        left = (self.rank - 1) % n
-        for step in range(n - 1):
-            send_idx = (self.rank - step) % n
-            recv_idx = (self.rank - step - 1) % n
-            tag = self._coll_tag(step)
-            sreq = yield from self._isend_bytes(right, out[send_idx], tag)
-            out[recv_idx] = yield from self._recv_bytes(
-                left, max(len(data), 1), tag)
-            yield from self.engine.wait(sreq)
-        return out
-
-    def gather(self, data: bytes, root: int = 0):
-        """Linear gather of equal-size blobs to ``root`` (generator).
-
-        Returns the list by rank at the root, None elsewhere.
-        """
-        n = self.size
-        self._epoch += 1
-        tag = self._coll_tag(0)
-        if self.rank == root:
-            out: List[bytes] = [b""] * n
-            out[root] = bytes(data)
-            for _ in range(n - 1):
-                addr = self._scratch.take(max(len(data), 1) + 8)
-                status = yield from self.recv(addr, max(len(data), 1),
-                                              tag=tag)
-                out[status.source] = self.memory.read_bytes(addr,
-                                                            status.count)
-            return out
-        yield from self._send_bytes(root, data, tag)
-        return None
-
-    def scatter(self, blobs: Optional[List[bytes]], root: int = 0):
-        """Linear scatter from ``root`` (generator → this rank's blob)."""
-        n = self.size
-        self._epoch += 1
-        tag = self._coll_tag(0)
-        if self.rank == root:
-            if blobs is None or len(blobs) != n:
-                raise SimulationError("root must scatter one blob per rank")
-            reqs = []
-            for dst in range(n):
-                if dst == root:
-                    continue
-                req = yield from self._isend_bytes(dst, blobs[dst], tag)
-                reqs.append(req)
-            yield from self.engine.waitall(reqs)
-            return bytes(blobs[root])
-        addr = self._scratch.take(1 << 16)
-        status = yield from self.recv(addr, 1 << 16, src=root, tag=tag)
-        return self.memory.read_bytes(addr, status.count)
+        return (yield from allgather(self, data))
 
     def alltoall(self, blobs: List[bytes]):
         """Pairwise-exchange alltoallv (generator → list by source rank).
@@ -320,8 +186,7 @@ class Comm:
         Blob sizes may differ; an 8-byte count exchange precedes each
         payload exchange, as in alltoallv implementations.
         """
-        n = self.size
-        self._epoch += 1
+        n = self._coll_begin()
         if len(blobs) != n:
             raise SimulationError("alltoall needs one blob per rank")
         out: List[bytes] = [b""] * n
@@ -329,17 +194,11 @@ class Comm:
         for step in range(1, n):
             dst = (self.rank + step) % n
             src = (self.rank - step) % n
-            tag = self._coll_tag(2 * step)
             hdr = len(blobs[dst]).to_bytes(8, "little")
-            sreq = yield from self._isend_bytes(dst, hdr, tag)
-            raw = yield from self._recv_bytes(src, 8, tag)
-            incoming = int.from_bytes(raw, "little")
-            yield from self.engine.wait(sreq)
-            tag = self._coll_tag(2 * step + 1)
-            sreq = yield from self._isend_bytes(dst, blobs[dst], tag)
-            out[src] = yield from self._recv_bytes(src, max(incoming, 1),
-                                                   tag)
-            yield from self.engine.wait(sreq)
+            raw = yield from self._coll_swap(dst, hdr, src, 8, 2 * step)
+            out[src] = yield from self._coll_swap(
+                dst, blobs[dst], src, int.from_bytes(raw, "little"),
+                2 * step + 1)
         return out
 
 

@@ -9,7 +9,8 @@ Public surface:
 - request-based RMA: ``post_os_put`` / ``post_os_get`` / ``wait`` / ``test``
 - rendezvous messaging: ``send_rdma`` / ``wait_recv_info`` / ``recv_rdma`` /
   ``send_msg`` / ``recv_msg``
-- collectives: ``barrier`` / ``allreduce`` / ``allgather`` / ``exchange``
+- collectives: ``barrier`` / ``allreduce`` / ``allgather`` (the schedules
+  minimpi runs too: :mod:`repro.photon.collectives`)
 - backends: :mod:`repro.photon.backends`
 """
 

@@ -11,7 +11,7 @@ Typical use::
     def rank0(env):
         buf = ph[0].buffer(4096)            # registered buffer
         # peers learn each other's buffer keys out of band (or via
-        # ph.exchange); then:
+        # ph[0].allgather of the packed (addr, rkey)); then:
         yield from ph[0].put_pwc(1, buf.addr, 64, remote.addr, remote.rkey,
                                  local_cid=1, remote_cid=2)
         ...

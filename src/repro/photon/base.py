@@ -221,8 +221,9 @@ class PhotonBase:
         self._self_rendezvous: List[Tuple[int, bytes, int]] = []
         #: old values from completed atomics, keyed by local cid
         self._atomic_results: Dict[int, int] = {}
-        #: collective epoch counter (SPMD calls advance it identically)
-        self._coll_epoch = 0
+        #: the open collective's epoch, -1 before the first (SPMD calls
+        #: advance it identically)
+        self._coll_epoch = -1
         # ledger region bookkeeping (filled by _alloc_ledgers)
         self._ledger_mr = None
         self._ledger_base = 0

@@ -1,31 +1,42 @@
-"""Collective operations built on PWC primitives.
+"""Collective schedules, written once for both stacks, and Photon's wire.
 
-Photon exposes a small set of collectives used by runtimes at startup and
-for global synchronisation; all are implemented here purely from eager PWC
-sends + probes, demonstrating that the PWC interface is sufficient for
-control-plane collectives:
+The three schedules are module-level generators over a small *wire* that
+each endpoint supplies; Photon's is :class:`CollectivesMixin` below, and
+minimpi's ``Comm`` supplies its own and imports the schedules from here:
 
-- ``barrier``   — dissemination (⌈log2 n⌉ rounds of 0-byte messages)
-- ``allreduce`` — recursive doubling (fits eager) or ring reduce-scatter +
-  allgather (large), on numpy arrays
-- ``allgather`` — ring
-- ``exchange``  — allgather of opaque blobs (Photon's buffer-metadata
-  exchange used by runtimes to publish rkeys)
+- ``_coll_begin()`` opens the next epoch and returns the member count
+- ``_coll_send(dst, data, step)`` sends one step's payload
+- ``_coll_recv(src, nbytes, step)`` receives one (generator → bytes)
+- ``_coll_swap(dst, data, src, nbytes, step)`` does both in one step
 
-Collective messages are matched on a reserved completion-id space keyed by
-(epoch, step, chunk); SPMD programs must invoke collectives in the same
-order on every rank, as with the real library.
+Schedules:
+
+- ``barrier``   — dissemination (⌈log2 n⌉ rounds of 0-byte swaps)
+- ``allreduce`` — recursive doubling with a non-power-of-two fold, on
+  numpy arrays
+- ``allgather`` — ring, of equal-size blobs
+
+A wire's receive also ends when the failure detector attached to the
+endpoint declares any member dead: the collective then raises
+:class:`MemberDeadError` on every survivor instead of waiting for a
+message that cannot come.  SPMD programs must invoke collectives in the
+same order on every rank, as with the real libraries.
+
+Photon's wire is built purely from eager PWC sends + probes on a reserved
+completion-id space keyed by (epoch, step, chunk), demonstrating that the
+PWC interface is sufficient for control-plane collectives.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from ..sim.core import SimulationError
 
-__all__ = ["CollectivesMixin", "REDUCE_OPS"]
+__all__ = ["CollectivesMixin", "MemberDeadError", "REDUCE_OPS",
+           "allgather", "allreduce", "barrier", "dead_member"]
 
 _COLL_BASE = 1 << 62
 _EPOCH_SHIFT = 20
@@ -40,178 +51,157 @@ REDUCE_OPS: dict = {
 }
 
 
-class CollectivesMixin:
-    """Adds collectives to the Photon endpoint."""
+class MemberDeadError(SimulationError):
+    """A collective member was declared dead before this rank finished."""
 
-    # ------------------------------------------------------------------ plumbing
-    def _coll_cid(self, epoch: int, step: int, chunk: int) -> int:
+    def __init__(self, rank: int, dead: int):
+        super().__init__(
+            f"rank {rank}: collective member {dead} was declared dead")
+        self.rank = rank
+        self.dead = dead
+
+
+def dead_member(health, n: int) -> Optional[int]:
+    """The lowest of ranks ``0..n-1`` that ``health`` declares dead, or
+    None (always None with no failure detector attached)."""
+    if health is None:
+        return None
+    return next((r for r in range(n) if health.is_dead(r)), None)
+
+
+# ---------------------------------------------------------------- schedules
+def barrier(ep):
+    """Dissemination barrier (generator)."""
+    n = ep._coll_begin()
+    step, dist = 0, 1
+    while dist < n:
+        yield from ep._coll_swap((ep.rank + dist) % n, b"",
+                                 (ep.rank - dist) % n, 0, step)
+        dist <<= 1
+        step += 1
+
+
+def _combine(ep, fn, data: np.ndarray, raw: bytes):
+    """Reduce a received payload into ``data``, charging the pass over it
+    (generator → the new array)."""
+    data = fn(data, np.frombuffer(raw, dtype=data.dtype).reshape(data.shape))
+    yield ep.env.timeout(ep.memory.memcpy_cost_ns(data.nbytes))
+    return data
+
+
+def allreduce(ep, array: np.ndarray, op: str):
+    """Recursive-doubling allreduce (generator → the reduced array).
+
+    With ``pof2`` the largest power of two <= n, ranks >= pof2 first fold
+    their data into rank - pof2, the low group doubles, and the folded
+    ranks get the result back.
+    """
+    if op not in REDUCE_OPS:
+        raise SimulationError(f"unknown reduce op {op!r}")
+    n = ep._coll_begin()
+    if n == 1:
+        return array.copy()
+    fn = REDUCE_OPS[op]
+    data = np.array(array, copy=True)
+    rank = ep.rank
+    pof2 = 1 << (n.bit_length() - 1)
+    rem = n - pof2
+    if rank >= pof2:
+        yield from ep._coll_send(rank - pof2, data.tobytes(), 0)
+    elif rank < rem:
+        raw = yield from ep._coll_recv(rank + pof2, data.nbytes, 0)
+        data = yield from _combine(ep, fn, data, raw)
+    if rank < pof2:
+        for k in range(pof2.bit_length() - 1):
+            partner = rank ^ (1 << k)
+            raw = yield from ep._coll_swap(partner, data.tobytes(), partner,
+                                           data.nbytes, 1 + k)
+            data = yield from _combine(ep, fn, data, raw)
+    unfold = pof2.bit_length()
+    if rank < rem:
+        yield from ep._coll_send(rank + pof2, data.tobytes(), unfold)
+    elif rank >= pof2:
+        raw = yield from ep._coll_recv(rank - pof2, data.nbytes, unfold)
+        data = np.frombuffer(raw, dtype=data.dtype).reshape(data.shape).copy()
+    return data
+
+
+def allgather(ep, data: bytes):
+    """Ring allgather of equal-size blobs (generator → list by rank)."""
+    n = ep._coll_begin()
+    rank = ep.rank
+    out: List[bytes] = [b""] * n
+    out[rank] = bytes(data)
+    right, left = (rank + 1) % n, (rank - 1) % n
+    for step in range(n - 1):
+        out[(rank - step - 1) % n] = yield from ep._coll_swap(
+            right, out[(rank - step) % n], left, len(data), step)
+    return out
+
+
+# ---------------------------------------------------------------- Photon
+class CollectivesMixin:
+    """Adds collectives to the Photon endpoint: the schedules above over
+    eager PWC chunks."""
+
+    def _coll_begin(self) -> int:
+        self._coll_epoch += 1
+        return self.cluster.n
+
+    def _coll_cid(self, step: int, chunk: int) -> int:
         if chunk >= _MAX_CHUNKS:
             raise SimulationError("collective payload too large (chunk id)")
-        return _COLL_BASE | (epoch << _EPOCH_SHIFT) | (step << _STEP_SHIFT) | chunk
+        return (_COLL_BASE | (self._coll_epoch << _EPOCH_SHIFT)
+                | (step << _STEP_SHIFT) | chunk)
 
-    def _coll_send(self, dst: int, data: bytes, epoch: int, step: int):
+    def _coll_send(self, dst: int, data: bytes, step: int):
         """Send arbitrary-size collective payload as eager chunks (generator)."""
         limit = self.config.eager_limit
         nchunks = max(1, -(-len(data) // limit))
         for i in range(nchunks):
             chunk = data[i * limit:(i + 1) * limit]
             yield from self.send_pwc(dst, chunk,
-                                     remote_cid=self._coll_cid(epoch, step, i))
+                                     remote_cid=self._coll_cid(step, i))
 
-    def _coll_recv(self, src: int, nbytes: int, epoch: int, step: int):
-        """Receive a chunked collective payload (generator)."""
+    def _coll_recv(self, src: int, nbytes: int, step: int):
+        """Receive a chunked collective payload (generator → bytes)."""
         limit = self.config.eager_limit
         nchunks = max(1, -(-nbytes // limit))
+        health, n = self.health, self.cluster.n
         parts: List[bytes] = []
         for i in range(nchunks):
-            cid = self._coll_cid(epoch, step, i)
-            got = yield from self.wait_message(
-                lambda s, c, want=cid: s == src and c == want)
+            cid = self._coll_cid(step, i)
+
+            def match(s, c, want=cid):
+                return s == src and c == want
+
+            yield from self._wait_until(
+                lambda: self._find_message(match) is not None
+                or dead_member(health, n) is not None)
+            got = self._pop_message(match)
+            if got is None:
+                raise MemberDeadError(self.rank, dead_member(health, n))
             parts.append(got[2])
         return b"".join(parts)
 
-    # ------------------------------------------------------------------ barrier
+    def _coll_swap(self, dst: int, data: bytes, src: int, nbytes: int,
+                   step: int):
+        yield from self._coll_send(dst, data, step)
+        return (yield from self._coll_recv(src, nbytes, step))
+
     def barrier(self):
         """Dissemination barrier (generator)."""
-        n = self.cluster.n
-        epoch = self._coll_epoch
-        self._coll_epoch += 1
-        if n == 1:
-            return
-        step = 0
-        dist = 1
-        while dist < n:
-            dst = (self.rank + dist) % n
-            src = (self.rank - dist) % n
-            yield from self.send_pwc(dst, b"", remote_cid=self._coll_cid(
-                epoch, step, 0))
-            yield from self.wait_message(
-                lambda s, c, want=self._coll_cid(epoch, step, 0), w_src=src:
-                s == w_src and c == want)
-            dist <<= 1
-            step += 1
+        yield from barrier(self)
         self.counters.add("photon.barriers")
 
-    # ------------------------------------------------------------------ allreduce
     def allreduce(self, array: np.ndarray, op: str = "sum"):
         """Allreduce a numpy array; returns the reduced array (generator)."""
-        if op not in REDUCE_OPS:
-            raise SimulationError(f"unknown reduce op {op!r}")
-        n = self.cluster.n
-        epoch = self._coll_epoch
-        self._coll_epoch += 1
-        if n == 1:
-            return array.copy()
-        data = np.array(array, copy=True)
-        if data.nbytes <= self.config.eager_limit:
-            result = yield from self._allreduce_rd(data, op, epoch)
-        else:
-            result = yield from self._allreduce_ring(data, op, epoch)
+        out = yield from allreduce(self, array, op)
         self.counters.add("photon.allreduces")
-        return result
-
-    def _apply(self, op: str, acc: np.ndarray, raw: bytes) -> np.ndarray:
-        other = np.frombuffer(raw, dtype=acc.dtype).reshape(acc.shape)
-        return REDUCE_OPS[op](acc, other)
-
-    def _allreduce_rd(self, data: np.ndarray, op: str, epoch: int):
-        """Recursive doubling with non-power-of-two fold."""
-        n = self.cluster.n
-        rank = self.rank
-        pof2 = 1
-        while pof2 * 2 <= n:
-            pof2 *= 2
-        rem = n - pof2
-        step = 0
-        # fold: ranks >= pof2 send their data into the low group
-        if rank >= pof2:
-            partner = rank - pof2
-            yield from self._coll_send(partner, data.tobytes(), epoch, step)
-        elif rank < rem:
-            raw = yield from self._coll_recv(rank + pof2, data.nbytes,
-                                             epoch, step)
-            data = self._apply(op, data, raw)
-            yield self.env.timeout(self.memory.memcpy_cost_ns(data.nbytes))
-        step += 1
-        if rank < pof2:
-            dist = 1
-            while dist < pof2:
-                partner = rank ^ dist
-                yield from self._coll_send(partner, data.tobytes(), epoch, step)
-                raw = yield from self._coll_recv(partner, data.nbytes,
-                                                 epoch, step)
-                data = self._apply(op, data, raw)
-                yield self.env.timeout(self.memory.memcpy_cost_ns(data.nbytes))
-                dist <<= 1
-                step += 1
-        else:
-            step += pof2.bit_length() - 1
-        # unfold: low group returns results to the folded ranks
-        if rank < rem:
-            yield from self._coll_send(rank + pof2, data.tobytes(), epoch, step)
-        elif rank >= pof2:
-            raw = yield from self._coll_recv(rank - pof2, data.nbytes,
-                                             epoch, step)
-            data = np.frombuffer(raw, dtype=data.dtype).reshape(
-                data.shape).copy()
-        return data
-
-    def _allreduce_ring(self, data: np.ndarray, op: str, epoch: int):
-        """Ring reduce-scatter + ring allgather for large arrays."""
-        n = self.cluster.n
-        rank = self.rank
-        flat = data.reshape(-1)
-        bounds = np.linspace(0, flat.size, n + 1).astype(int)
-        segs = [flat[bounds[i]:bounds[i + 1]].copy() for i in range(n)]
-        right = (rank + 1) % n
-        left = (rank - 1) % n
-        # reduce-scatter
-        for step in range(n - 1):
-            send_idx = (rank - step) % n
-            recv_idx = (rank - step - 1) % n
-            yield from self._coll_send(right, segs[send_idx].tobytes(),
-                                       epoch, step)
-            raw = yield from self._coll_recv(left, segs[recv_idx].nbytes,
-                                             epoch, step)
-            if segs[recv_idx].size:
-                segs[recv_idx] = REDUCE_OPS[op](
-                    segs[recv_idx],
-                    np.frombuffer(raw, dtype=flat.dtype))
-            yield self.env.timeout(
-                self.memory.memcpy_cost_ns(segs[recv_idx].nbytes))
-        # allgather
-        for step in range(n - 1):
-            send_idx = (rank - step + 1) % n
-            recv_idx = (rank - step) % n
-            yield from self._coll_send(right, segs[send_idx].tobytes(),
-                                       epoch, n - 1 + step)
-            raw = yield from self._coll_recv(left, segs[recv_idx].nbytes,
-                                             epoch, n - 1 + step)
-            segs[recv_idx] = np.frombuffer(raw, dtype=flat.dtype).copy()
-        out = np.concatenate([s for s in segs]) if n > 1 else flat
-        return out.reshape(data.shape)
-
-    # ------------------------------------------------------------------ allgather
-    def allgather(self, data: bytes):
-        """Ring allgather of equal-size blobs; returns list by rank (generator)."""
-        n = self.cluster.n
-        rank = self.rank
-        epoch = self._coll_epoch
-        self._coll_epoch += 1
-        out: List[bytes] = [b""] * n
-        out[rank] = bytes(data)
-        right = (rank + 1) % n
-        left = (rank - 1) % n
-        for step in range(n - 1):
-            send_idx = (rank - step) % n
-            recv_idx = (rank - step - 1) % n
-            yield from self._coll_send(right, out[send_idx], epoch, step)
-            raw = yield from self._coll_recv(left, len(data), epoch, step)
-            out[recv_idx] = raw
-        self.counters.add("photon.allgathers")
         return out
 
-    def exchange(self, blob: bytes):
-        """Photon's metadata exchange: allgather of opaque blobs (generator)."""
-        result = yield from self.allgather(blob)
-        return result
+    def allgather(self, data: bytes):
+        """Ring allgather of equal-size blobs; returns list by rank (generator)."""
+        out = yield from allgather(self, data)
+        self.counters.add("photon.allgathers")
+        return out

@@ -1,71 +1,10 @@
-"""Tests for gather/scatter and wait_any additions."""
+"""Tests for Photon's wait_any."""
 
 import pytest
 
 from repro.cluster import build_cluster
-from repro.minimpi import mpi_init
 from repro.photon import photon_init
 from repro.sim import SimulationError
-
-
-def spmd_mpi(n, body):
-    cl = build_cluster(n)
-    comms = mpi_init(cl)
-    procs = [cl.env.process(body(comms[r], r)) for r in range(n)]
-    cl.env.run(until=cl.env.all_of(procs))
-    return [p.value for p in procs]
-
-
-@pytest.mark.parametrize("n,root", [(2, 0), (3, 1), (5, 4)])
-def test_gather(n, root):
-    def body(comm, rank):
-        out = yield from comm.gather(bytes([rank]) * 8, root=root)
-        return out
-
-    res = spmd_mpi(n, body)
-    for rank, out in enumerate(res):
-        if rank == root:
-            assert out == [bytes([r]) * 8 for r in range(n)]
-        else:
-            assert out is None
-
-
-@pytest.mark.parametrize("n,root", [(2, 0), (4, 2)])
-def test_scatter(n, root):
-    def body(comm, rank):
-        blobs = None
-        if rank == root:
-            blobs = [bytes([dst]) * (dst + 1) for dst in range(n)]
-        out = yield from comm.scatter(blobs, root=root)
-        return out
-
-    res = spmd_mpi(n, body)
-    for rank, out in enumerate(res):
-        assert out == bytes([rank]) * (rank + 1)
-
-
-def test_scatter_root_without_blobs_rejected():
-    def body(comm, rank):
-        out = yield from comm.scatter(None, root=0)
-        return out
-
-    cl = build_cluster(2)
-    comms = mpi_init(cl)
-    p = cl.env.process(body(comms[0], 0))
-    with pytest.raises(SimulationError):
-        cl.env.run(until=p)
-
-
-def test_gather_then_scatter_roundtrip():
-    def body(comm, rank):
-        gathered = yield from comm.gather(bytes([rank * 2]) * 4, root=0)
-        blobs = gathered if rank == 0 else None
-        back = yield from comm.scatter(blobs, root=0)
-        return back
-
-    res = spmd_mpi(3, body)
-    for rank, out in enumerate(res):
-        assert out == bytes([rank * 2]) * 4
 
 
 # ---------------------------------------------------------------- wait_any

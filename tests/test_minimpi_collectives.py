@@ -40,21 +40,6 @@ def test_barrier_synchronises():
         assert exit_[r] >= enter[3]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_bcast(n):
-    def body(comm, rank):
-        if rank == 2 % n:
-            arr = np.arange(32, dtype=np.float64)
-        else:
-            arr = np.zeros(32, dtype=np.float64)
-        out = yield from comm.bcast(arr, root=2 % n)
-        return out
-
-    cl, comms, res = spmd(n, body)
-    for out in res:
-        np.testing.assert_allclose(out, np.arange(32))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_allreduce_sum(n):
     def body(comm, rank):
@@ -76,17 +61,6 @@ def test_allreduce_min():
     cl, comms, res = spmd(4, body)
     for out in res:
         np.testing.assert_allclose(out, [0.0, -3.0])
-
-
-def test_reduce_root_only():
-    def body(comm, rank):
-        arr = np.array([1.0])
-        out = yield from comm.reduce(arr, "sum", root=1)
-        return out
-
-    cl, comms, res = spmd(3, body)
-    assert res[0] is None and res[2] is None
-    np.testing.assert_allclose(res[1], [3.0])
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])
@@ -124,15 +98,13 @@ def test_collective_sequence_no_crosstalk():
         yield from comm.barrier()
         a = yield from comm.allreduce(np.array([rank + 1.0]), "sum")
         g = yield from comm.allgather(bytes([rank]))
-        b = yield from comm.bcast(np.array([a[0] * 2]), root=0)
         yield from comm.barrier()
-        return float(a[0]), g, float(b[0])
+        return float(a[0]), g
 
     cl, comms, res = spmd(4, body)
-    for a, g, b in res:
+    for a, g in res:
         assert a == 10.0
         assert g == [b"\x00", b"\x01", b"\x02", b"\x03"]
-        assert b == 20.0
 
 
 # ---------------------------------------------------------------- RMA

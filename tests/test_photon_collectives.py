@@ -86,9 +86,10 @@ def test_allreduce_min_max(op, func):
         np.testing.assert_allclose(out, [col0, col1])
 
 
-def test_allreduce_large_uses_ring():
-    """Array above the eager limit goes through ring reduce-scatter."""
-    n = 4
+def test_allreduce_above_eager_limit():
+    """An array above the eager limit is chunked through recursive
+    doubling, folded ranks included."""
+    n = 5
     elems = 8192  # 64 KiB of float64 > 8 KiB eager limit
 
     def body(ph, rank):
@@ -138,7 +139,7 @@ def test_exchange_publishes_buffer_metadata():
     def body(ph, rank):
         buf = ph.buffer(4096)
         blob = struct.pack("<QQ", buf.addr, buf.rkey)
-        infos = yield from ph.exchange(blob)
+        infos = yield from ph.allgather(blob)
         return [struct.unpack("<QQ", b) for b in infos]
 
     cl, res = spmd(3, body)

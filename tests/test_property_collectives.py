@@ -1,67 +1,79 @@
-"""Property-based tests: photon collectives against numpy oracles, and
-kernel condition-failure propagation."""
+"""Property-based tests: the collective schedules on both stacks against
+numpy oracles, and kernel condition-failure propagation."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import build_cluster
-from repro.photon import photon_init
+from repro.minimpi import mpi_init
+from repro.photon import PhotonConfig, photon_init
 from repro.sim import AllOf, AnyOf, Environment
 
 
 # ------------------------------------------------------- collectives oracle
 
+#: Photon's eager limit: larger payloads travel in several eager chunks
+EAGER = PhotonConfig().eager_limit
+ORACLES = {"sum": np.sum, "min": np.min, "max": np.max, "prod": np.prod}
 
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_allreduce_matches_numpy_oracle(data):
-    n = data.draw(st.integers(min_value=2, max_value=5))
-    op = data.draw(st.sampled_from(["sum", "min", "max"]))
-    elems = data.draw(st.integers(min_value=1, max_value=32))
-    dtype = data.draw(st.sampled_from([np.int64, np.float64]))
-    values = [data.draw(st.lists(
-        st.integers(min_value=-10 ** 6, max_value=10 ** 6),
-        min_size=elems, max_size=elems)) for _ in range(n)]
 
-    cl = build_cluster(n)
-    ph = photon_init(cl)
-    results = []
+def _both_stacks(n, body, seed=1):
+    """Run ``body(endpoint)`` on every rank of an n-rank Photon cluster
+    and of an n-rank minimpi one; ``{stack: results by rank}``."""
+    out = {}
+    for stack, init in (("photon", photon_init), ("mpi", mpi_init)):
+        cl = build_cluster(n, seed=seed)
+        procs = [cl.env.process(body(ep)) for ep in init(cl)]
+        cl.env.run(until=cl.env.all_of(procs))
+        out[stack] = [p.value for p in procs]
+    return out
 
-    def body(rank):
-        arr = np.array(values[rank], dtype=dtype)
-        out = yield from ph[rank].allreduce(arr, op)
-        results.append(out)
 
-    procs = [cl.env.process(body(r)) for r in range(n)]
-    cl.env.run(until=cl.env.all_of(procs))
-    stack = np.array(values, dtype=dtype)
-    oracle = {"sum": stack.sum(axis=0),
-              "min": stack.min(axis=0),
-              "max": stack.max(axis=0)}[op]
-    for out in results:
-        np.testing.assert_array_equal(out, oracle)
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(min_value=1, max_value=7),
+       op=st.sampled_from(sorted(ORACLES)),
+       dtype=st.sampled_from([np.int64, np.float64]),
+       large=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(n=7, op="sum", dtype=np.float64, large=True, seed=1)
+@example(n=6, op="prod", dtype=np.int64, large=True, seed=2)
+@example(n=5, op="min", dtype=np.int64, large=True, seed=3)
+@example(n=3, op="max", dtype=np.float64, large=True, seed=4)
+def test_allreduce_matches_numpy_oracle(n, op, dtype, large, seed):
+    """``large``: an array above the eager limit, which Photon sends in
+    several chunks and minimpi by rendezvous."""
+    rng = np.random.default_rng(seed)
+    elems = int(rng.integers(1, 33)) + (EAGER // 8 if large else 0)
+    # integer values small enough that every op is exact in both dtypes
+    bound = 4 if op == "prod" else 10 ** 6
+    values = rng.integers(-bound, bound + 1, size=(n, elems)).astype(dtype)
+    oracle = ORACLES[op](values, axis=0)
+
+    def body(ep):
+        out = yield from ep.allreduce(values[ep.rank], op)
+        return out
+
+    res = _both_stacks(n, body)
+    for out in res["photon"] + res["mpi"]:
         assert out.dtype == dtype
+        np.testing.assert_array_equal(out, oracle)
+    assert [o.tobytes() for o in res["photon"]] == \
+        [o.tobytes() for o in res["mpi"]]
 
 
 @settings(max_examples=8, deadline=None)
-@given(n=st.integers(min_value=2, max_value=5),
-       blob_len=st.integers(min_value=0, max_value=64),
+@given(n=st.integers(min_value=1, max_value=7),
+       blob_len=st.one_of(st.integers(min_value=0, max_value=64),
+                          st.just(EAGER + 1)),
        seed=st.integers(min_value=0, max_value=20))
 def test_allgather_property(n, blob_len, seed):
-    cl = build_cluster(n, seed=seed)
-    ph = photon_init(cl)
-    results = []
+    def body(ep):
+        out = yield from ep.allgather(bytes([ep.rank % 256]) * blob_len)
+        return out
 
-    def body(rank):
-        out = yield from ph[rank].allgather(bytes([rank % 256]) * blob_len)
-        results.append(out)
-
-    procs = [cl.env.process(body(r)) for r in range(n)]
-    cl.env.run(until=cl.env.all_of(procs))
     expected = [bytes([r % 256]) * blob_len for r in range(n)]
-    for out in results:
-        assert out == expected
+    res = _both_stacks(n, body, seed=seed)
+    assert res["photon"] == res["mpi"] == [expected] * n
 
 
 # ------------------------------------------------------- kernel conditions

@@ -398,6 +398,26 @@ def test_option_inventory():
     assert sorted(found) == OPTIONS
 
 
+def test_each_collective_schedule_is_written_once():
+    """Photon and minimpi run one copy of each collective schedule —
+    the dissemination barrier, recursive doubling with its ``pof2`` fold,
+    the ring allgather — and of the reduce-op table, all in
+    ``photon.collectives``; Photon's ring allreduce, ``Photon.exchange``
+    and the minimpi collectives nothing called stay deleted."""
+    text = {path: open(path).read() for path in _py_files("src")}
+    home = os.path.join("src", "repro", "photon", "collectives.py")
+    for pattern in (r"\bpof2\b", r"dist <<= 1", r"\(rank - step - 1\) % n",
+                    r'"prod": np\.multiply',
+                    r"^def (barrier|allreduce|allgather)\("):
+        assert [p for p, src in text.items()
+                if re.search(pattern, src, re.M)] == [home], pattern
+    deleted = re.compile(r"_allreduce_ring|_REDUCE_OPS"
+                         r"|def (bcast|reduce|gather|scatter|exchange)\(")
+    bad = [path for path in _py_files("src/repro/photon", "src/repro/minimpi")
+           if deleted.search(open(path).read())]
+    assert not bad, bad
+
+
 def test_deleted_modes_stay_deleted():
     """Paths only their own tests selected were deleted: the coalescer's
     requeue mode, the AM's shed mode, the rcache's merge-off switch and
