@@ -230,8 +230,9 @@ class RaftConfig:
     #: election so replica 0 normally wins the first term uncontested
     election_stagger_ns: int = 300_000
     #: delay before a detection-driven election fires once the failure
-    #: detector declares the known leader dead (plus jitter); short —
-    #: detection already waited out the phi budget
+    #: detector declares the known leader dead (plus jitter), and before
+    #: each retry of such a round that split; short — detection already
+    #: waited out the phi budget
     fast_election_ns: int = 50_000
     #: read-lease window granted by a majority-acked heartbeat round,
     #: measured from the round's *send* time.  Must stay below the
@@ -313,6 +314,9 @@ class RaftNode:
         self._inflight: Dict[int, int] = {}
         self._votes: set = set()
         self._dead_peers: set = set()
+        #: the election timer was armed by the detector (``on_peer_dead``):
+        #: a round it starts that splits retries on the fast delay too
+        self._fast_retry = False
         #: (dst, raw) messages the caller must put on the wire
         self.outbox: List[Tuple[int, bytes]] = []
         self._applied_out: List[Tuple[int, bytes]] = []  # (index, command)
@@ -399,11 +403,13 @@ class RaftNode:
 
     def _become_follower(self, term: int, now: int, leader: int) -> None:
         self._step_down(term, leader)
+        self._fast_retry = False
         self._reset_election_timer(now)
 
     def _become_leader(self, now: int) -> None:
         self.role = LEADER
         self.leader = self.rank
+        self._fast_retry = False
         self.terms_led.append(self.term)
         nxt = self.last_index + 1
         self.next_index = {p: nxt for p in self.replicas if p != self.rank}
@@ -485,6 +491,7 @@ class RaftNode:
             due = now + self._election_delay(fast=True)
             if due < self.election_due:
                 self.election_due = due
+                self._fast_retry = True
 
     def on_peer_join(self, peer: int) -> None:
         self._dead_peers.discard(peer)
@@ -518,7 +525,8 @@ class RaftNode:
         self.leader = None
         self._votes = {self.rank}
         self.elections_started += 1
-        self._reset_election_timer(now)
+        # a split detection-driven round retries as fast as it started
+        self.election_due = now + self._election_delay(fast=self._fast_retry)
         if self._has_majority():
             self._become_leader(now)
             return

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import repro.sim.core as core
 from repro.sim.core import (NORMAL, URGENT, Environment, Event,
                             SimulationError, Timeout)
+from tests import stepping
 
 
 class HeapEnvironment(Environment):
@@ -46,7 +47,7 @@ class HeapEnvironment(Environment):
         self._push(event, delay, priority)
 
     def unschedule(self, event: Event, when: int) -> None:
-        heap = self._heap  # in place: run() holds this list
+        heap = self._heap
         heap[:] = [entry for entry in heap if entry[3] is not event]
         heapq.heapify(heap)
         event._scheduled = False
@@ -67,22 +68,4 @@ class HeapEnvironment(Environment):
         if event._ok is False and not callbacks:
             raise event._value
 
-    def run(self, until=None):
-        heap = self._heap
-        if isinstance(until, Event):
-            while not until._processed:
-                if not heap:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired")
-                self.step()
-            if until._ok:
-                return until._value
-            raise until._value
-        deadline = None if until is None else int(until)
-        if deadline is not None and deadline < self._now:
-            raise SimulationError("run(until=...) deadline is in the past")
-        while heap and (deadline is None or heap[0][0] <= deadline):
-            self.step()
-        if deadline is not None:
-            self._now = deadline
-        return None
+    run = stepping.run

@@ -15,7 +15,10 @@ happens on its own: every step is one explicit action,
   0, no vote, empty log), which is how ``KVNode.reseed`` rebuilds one.
 
 :func:`search` explores every sequence of actions breadth first, up to
-a depth and per-action budgets, and after every step checks the four
+a depth and per-action budgets, from the start or from the world a fixed
+step list leads to (a directed search: a scenario too deep to reach
+breadth first, such as Figure 8's, is set up by hand and its endings are
+searched), and after every step checks the four
 safety properties of Figure 3 of Ongaro & Ousterhout, "In Search of an
 Understandable Consensus Algorithm" (2014): Election Safety (one leader
 per term), Log Matching, Leader Completeness (an entry committed in term
@@ -278,13 +281,37 @@ class Result:
     seconds: float
 
 
-def search(bounds: Bounds = Bounds(), config: RaftConfig = CONFIG) -> Result:
-    """Breadth first to ``bounds.depth``; stops at the first violation,
-    so its step list is a shortest one."""
+def resolve(world: World, step: tuple) -> tuple:
+    """The move ``step`` names in ``world``: ``(action, rank)``, or
+    ``("deliver", src, dst, kind, term)`` with ``kind`` a ``KIND`` name
+    (the first such message in flight)."""
+    if step[0] != "deliver":
+        return step
+    _what, src, dst, kind, term = step
+    for msg in sorted(set(world.net)):
+        decoded = decode_msg(msg[2])
+        if msg[:2] == (src, dst) and (KIND[decoded.kind], decoded.term) == (
+                kind, term):
+            return ("deliver", msg)
+    raise ValueError(f"no {step[1:]} message in flight")
+
+
+def search(bounds: Bounds = Bounds(), config: RaftConfig = CONFIG,
+           prefix=()) -> Result:
+    """Breadth first to ``bounds.depth`` from the world that the fixed
+    steps ``prefix`` (see :func:`resolve`; they spend ``bounds``' budgets
+    too) lead to; stops at the first violation, so its step list is a
+    shortest one that starts with ``prefix``."""
     t0 = time.perf_counter()
-    root = World.start(bounds, config)
+    root, path = World.start(bounds, config), []
+    for step in prefix:
+        path.append(resolve(root, step))
+        root.apply(path[-1])
+        bad = root.violation()
+        if bad is not None:
+            return Result(bad, path, 1, 0, time.perf_counter() - t0)
     seen = {root.key()}
-    frontier: List[Tuple[World, List[tuple]]] = [(root, [])]
+    frontier: List[Tuple[World, List[tuple]]] = [(root, path)]
     for depth in range(1, bounds.depth + 1):
         nxt = []
         for world, path in frontier:

@@ -8,7 +8,9 @@ contract: urgent before normal at one instant, append order within a
 priority, a failed event nobody waited on raises.  (Timeouts fired here are
 not recycled onto the freelist.)  ``HeapEnvironment`` (``heap_oracle``)
 has its own ``peek`` / ``step``, so both functions defer to those methods
-when present.
+when present.  :func:`run` is ``Environment.run`` one ``env.step()`` at a
+time, for a kernel that overrides ``step``; :class:`SteppedEnvironment`
+is the calendar kernel run that way, logging each firing.
 
 :class:`AnyOf` is the condition no model code needs: it fires once any of
 its events has fired.
@@ -82,3 +84,52 @@ def peek(env: Environment) -> Optional[int]:
 def step(env: Environment) -> None:
     """Fire the single next event (advancing the clock to it)."""
     return env.step() if hasattr(env, "step") else calendar_step(env)
+
+
+def run(env: Environment, until=None):
+    """``Environment.run`` through ``env.peek()`` / ``env.step()``; a
+    kernel class that overrides those takes it as its ``run``."""
+    if isinstance(until, Event):
+        while not until._processed:
+            if env.peek() is None:
+                raise SimulationError(
+                    "event queue drained before the awaited event fired")
+            env.step()
+        if until._ok:
+            return until._value
+        raise until._value
+    deadline = None if until is None else int(until)
+    if deadline is not None and deadline < env._now:
+        raise SimulationError("run(until=...) deadline is in the past")
+    while True:
+        nxt = env.peek()
+        if nxt is None or (deadline is not None and nxt > deadline):
+            break
+        env.step()
+    if deadline is not None:
+        env._now = deadline
+    return None
+
+
+class SteppedEnvironment(Environment):
+    """The calendar kernel fired one :func:`calendar_step` at a time,
+    logging each firing as ``(instant, event type)``; a subclass hooks
+    ``_fired`` (``tests/measure.py``'s attributing kernel)."""
+
+    run = run
+
+    def __init__(self):
+        super().__init__()
+        self.log: list = []
+
+    def _fired(self, event: Event) -> None:
+        self.log.append((self._now, type(event).__name__))
+
+    def peek(self):
+        return calendar_peek(self)
+
+    def step(self) -> None:
+        if not (self._cur[0] or self._cur[1] or advance_bucket(self)):
+            raise SimulationError("step() on empty event queue")
+        self._fired(self._cur[0][0] if self._cur[0] else self._cur[1][0])
+        calendar_step(self)

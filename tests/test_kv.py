@@ -267,12 +267,13 @@ def test_deposed_leader_arms_a_finite_election_timer():
         < cfg.election_jitter_ns
 
 
-def test_split_vote_costs_a_whole_election_timeout():
+def test_a_split_detection_driven_vote_retries_on_the_fast_delay():
     """Two survivors whose detection-driven timers fire closer together
     than a message flight each vote for themselves; the crossed same-term
-    RequestVotes are refused and move no timer, so the next round waits
-    out the earlier candidate's full timeout — and elects (ROADMAP item
-    1e; PR 19's tree does the same)."""
+    RequestVotes are refused and move no timer.  Each candidate re-arms on
+    the fast delay, not a full election timeout (ROADMAP item 1e), and the
+    next round elects.  Once a leader is heard from, the loser's rounds
+    re-arm on the full timeout again."""
     ns = RngRegistry(7).namespace("kv.raft.test")
     cfg = RaftConfig()
     a, b = pair = [RaftNode(0, r, [0, 1, 2], cfg, ns.stream(f"r{r}"))
@@ -297,12 +298,23 @@ def test_split_vote_costs_a_whole_election_timeout():
     assert [(n.role, n.term, n.voted_for) for n in pair] == \
         [(CANDIDATE, 2, 1), (CANDIDATE, 2, 2)]
     assert (a.election_due, b.election_due) == due
-    assert min(due) >= t + cfg.election_timeout_ns
+    assert max(due) < t + 1_000 + cfg.fast_election_ns \
+        + cfg.election_jitter_ns < t + cfg.election_timeout_ns
     first = min(pair, key=lambda n: n.election_due)
-    first.tick(first.election_due)
-    cross(first.election_due + 1_500)
-    cross(first.election_due + 3_000)
+    now = first.election_due
+    first.tick(now)
+    cross(now + 1_500)
+    cross(now + 3_000)
     assert first.role == LEADER and first.term == 3
+    loser = b if first is a else a
+    first.tick(first.next_due())  # its first AppendEntries round
+    cross(now + 4_500)
+    assert loser.role == FOLLOWER
+    assert loser.election_due >= now + 4_500 + cfg.election_timeout_ns
+    now = loser.election_due
+    loser.tick(now)
+    assert loser.term == 4
+    assert loser.election_due >= now + cfg.election_timeout_ns
 
 
 def test_lease_granted_by_acked_rounds_and_expires():
@@ -1111,40 +1123,6 @@ def test_a_pass_ships_before_it_applies():
     assert out["applies"] == {0: 20, 1: 20, 2: 20}
     assert set(out["waiting"]) == {0}
     assert len(out["early"]) == 20 and not any(out["early"])
-
-
-def test_op_timeline_is_a_tool_not_a_model(monkeypatch):
-    """``tests/op_timeline.py`` wrapped around the KV classes moves no
-    instant, and lays a put out hop by hop in causal order: proposed,
-    shipped, appended and acked on both followers before either applies
-    anything, committed, applied, answered, filed, returned."""
-    from tests.op_timeline import Recorder, hops, install
-
-    def body(env, cl, nodes, out):
-        c = KVClient(nodes[1], client_id=5)
-        for i in range(3):
-            yield from c.put(b"k", b"v%d" % i)
-        out["now"] = env.now
-
-    _cl, _nodes, plain = _run_kv(body)
-    rec = Recorder()
-    install(rec, monkeypatch.setattr)
-    rec.want = 100
-    _cl, _nodes, traced = _run_kv(body)
-    assert traced["now"] == plain["now"]
-    assert [r[4] for r in rec.rpcs] == [1, 2, 3]
-    lines = hops(rec, rec.rpcs[2])
-    assert [t for t, _r, _text in lines] == sorted(t for t, _r, _x in lines)
-    seen = [next(i for i, (_t, _r, text) in enumerate(lines) if word in text)
-            for word in ("_rpc starts", "proposed as g0", "AppendEntries [",
-                         "appended", "ack shipped", "commits index",
-                         "applied 1 entries", "answer (status 0)", "filed",
-                         "_rpc returns status 0")]
-    assert seen == sorted(seen)
-    for f in {r for _t, r, text in lines if "ack shipped" in text}:
-        mine = [text for _t, r, text in lines if r == f]
-        assert mine.index(next(x for x in mine if "ack shipped" in x)) < \
-            mine.index(next(x for x in mine if "(earlier)" in x))
 
 
 def test_rpc_get_after_an_acknowledged_put_sees_it_or_a_later_one():

@@ -206,34 +206,25 @@ def test_election_bound_holds_on_the_seeds_that_never_churned(seed):
     _check_election_bound(seed)
 
 
-def test_acked_write_outlives_a_split_vote_after_the_clients_are_done():
+def test_a_split_detection_driven_vote_retries_fast():
     """``perf/run.py --workload kv_chaos --seed 7 --scale 0.3``, block
     7007 (87 ops a client): the last put is acknowledged 18 us before the
     leader crash, so nobody is left to wait for the next leader and the
     victim dies before any AppendEntries tells the survivors that entry
     is committed.  Their detection-driven election timers then land 1 us
-    apart — a split vote, each candidate votes for itself (ROADMAP item
-    1e) — and the benchmark's audit, a fixed 2 ms after the crash, finds
-    group 0 still leaderless and the write applied on neither survivor.
-    It is not lost: it sits in both survivors' logs, and ``drain()``,
-    which waits for the next round to elect one of them (one lost round,
-    not two) before it counts its heartbeats, ends with every
-    acknowledged write applied on every surviving replica.
+    apart and each votes for itself (ROADMAP item 1e).  The round that
+    split retries on the fast delay, not the full election timeout, so
+    by the benchmark's audit, a fixed 2 ms after the crash, group 0 has a
+    leader again and every acknowledged write is applied on every
+    surviving replica.
     """
-    from repro.kv.shard import decode_command
-
     sc = _chaos_block(7007, n_ops=87)
     env = sc.env
     assert all(op.status == ST_OK for op in sc.history)
     # the benchmark's audit instant
     env.run(until=max(env.now, sc.t_crash) + 40 * HB_PERIOD)
-    early = unapplied_acks(sc)
-    assert early and sc.leader(0) is None
-    for rank, group, uid in early:
-        rn = sc.nodes[rank].raft[group]
-        unapplied = rn.log[rn.last_applied - rn.base_index:]
-        assert uid in {decode_command(cmd).uid for _t, cmd in unapplied
-                       if cmd}, (rank, group, uid)
-    sc.run(sc.drain())
-    assert sc.watch.value - sc.t_crash <= 4_000_000
+    assert sc.leader(0) is not None
     assert unapplied_acks(sc) == []
+    # term 2 split; the new leader's second round, term 3, won it
+    leader = sc.nodes[sc.leader(0)].raft[0]
+    assert (leader.term, leader.elections_started) == (3, 2)

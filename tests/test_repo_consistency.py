@@ -431,9 +431,29 @@ def test_deleted_modes_stay_deleted():
     assert not bad, bad
 
 
+def test_one_measuring_harness():
+    """``tests/measure.py events | calls | timeline | reach`` replaced four
+    CLIs, which stay deleted and unnamed in the docs; among the test
+    tree's tools it alone reads profiler entries, runs a child interpreter
+    and builds a ``perf/`` block."""
+    gone = ("event_origins.py", "call_counts.py", "op_timeline.py",
+            "reach.py")
+    assert not set(gone) & set(os.listdir("tests"))
+    docs = ["README.md", "DESIGN.md", "CONTRIBUTING.md",
+            ".github/workflows/ci.yml"] + [
+        os.path.join("docs", f) for f in os.listdir("docs")]
+    named = re.compile(r"tests/(%s)" % "|".join(map(re.escape, gone)))
+    assert not [d for d in docs if named.search(open(d).read())]
+    tools = {path: open(path).read() for path in _py_files("tests")
+             if not os.path.basename(path).startswith("test_")}
+    for needle in ("getstats()", "subprocess", "WORKLOADS["):
+        assert [path for path, src in tools.items() if needle in src] == [
+            os.path.join("tests", "measure.py")], needle
+
+
 def test_test_only_surface_stays_deleted():
-    """Functions only tests called were deleted (``tests/reach.py``
-    lists what no entry point calls; ``--check`` holds the rest to
+    """Functions only tests called were deleted (``tests/measure.py
+    reach`` lists what no entry point calls; ``--check`` holds the rest to
     ``tests/reach_allow.txt``).  None of them comes back under its old
     name."""
     deleted = {

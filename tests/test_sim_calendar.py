@@ -209,60 +209,3 @@ def test_golden_suite_heap_mode(monkeypatch):
     golden.test_r17_table_matches_golden()
     golden.test_clean_traces_match_golden()
     golden.test_lossy_traces_match_golden()
-
-
-def test_origin_environment_fires_identically_on_r1(monkeypatch):
-    """The attributing kernel (``tests/event_origins.py``) is a tool, not
-    a model: on the r1 smoke it must fire the very same events at the very
-    same instants as the plain kernel, attribute every one of them, and
-    reproduce the golden table."""
-    from repro.bench.experiments import r1_latency
-    from tests import test_determinism_golden as golden
-    from tests.event_origins import OriginEnvironment, SteppedEnvironment
-
-    logs = {}
-    for kernel in (SteppedEnvironment, OriginEnvironment):
-        envs = []
-
-        def make(*args, kernel=kernel, envs=envs):
-            envs.append(kernel(*args))
-            return envs[-1]
-
-        monkeypatch.setattr("repro.cluster.Environment", make)
-        OriginEnvironment.fired.clear()
-        res = r1_latency.run(quick=True)
-        assert golden._result_fingerprint(res) == golden.GOLDEN["r1_table"]
-        logs[kernel] = [env.log for env in envs]
-    assert logs[SteppedEnvironment] == logs[OriginEnvironment]
-    fired = sum(OriginEnvironment.fired.values())
-    assert fired == sum(len(log) for log in logs[OriginEnvironment]) > 0
-    # every event was charged to a line of the model, none to the kernel
-    assert all(not origin.startswith("sim/")
-               for origin in OriginEnvironment.fired), OriginEnvironment.fired
-
-
-def test_origin_environment_charges_a_condition_to_who_asked(monkeypatch):
-    """A ``Condition`` is fired by the kernel, from a callback of the event
-    that completed it; the tool charges it to the ``all_of`` call that
-    built it — here a line of this test — not to the first driver frame
-    (the ``env.run`` line after it).  No ``any_of`` is left under
-    ``src/repro`` to test with: the NIC's retry monitor held the last."""
-    import sys
-
-    from tests.event_origins import OriginEnvironment
-
-    monkeypatch.setattr("repro.cluster.Environment", OriginEnvironment)
-    OriginEnvironment.fired.clear()
-    env = build_cluster(2).env
-
-    def program(rank):
-        yield env.timeout(10 * (rank + 1))
-
-    procs = [env.process(program(r)) for r in range(2)]
-    asked, done = sys._getframe().f_lineno, env.all_of(procs)
-    env.run(until=done)
-    site = ("(driver) test_sim_calendar.py:{} "
-            "test_origin_environment_charges_a_condition_to_who_asked")
-    assert OriginEnvironment.fired[site.format(asked)] == 1
-    assert site.format(asked + 1) not in OriginEnvironment.fired
-    assert not any(o.startswith("sim/") for o in OriginEnvironment.fired)
