@@ -32,7 +32,7 @@ from ...chaos import (ChaosController, CrashRank, FaultSchedule,
                       RestartRank, check_all)
 from ...cluster import build_cluster
 from ...photon import PhotonConfig, photon_init
-from ...runtime.health import HealthConfig, build_health
+from ...runtime.health import DETECT_BUDGET_NS, HealthConfig, build_health
 from ...runtime.transport import PhotonTransport
 from ...sim.core import SimulationError
 from ...verbs.enums import WCStatus
@@ -46,10 +46,6 @@ WAIT = 10 ** 12
 T_CRASH = 2_000_000      # 2 ms
 T_RESTART = 4_000_000    # 4 ms
 
-HB_PERIOD = 50_000
-PHI_DEAD = 6.0
-#: phi-accrual detection budget on a quiet fabric (mean == period)
-DETECT_BUDGET_NS = int(PHI_DEAD * HB_PERIOD * 2.302585)
 #: what the probe op would burn without a detector: full deadline+retry
 RETRY_BUDGET_NS = 6 * 400_000
 
@@ -73,9 +69,8 @@ def run_scenario(quick: bool = True) -> dict:
     # the no-duplicate-delivery invariant needs the deduped ledger path
     ph = photon_init(cl, PhotonConfig(
         use_imm=False, max_op_retries=5, op_timeout_ns=400_000,
-        backoff_base_ns=20_000, backoff_jitter_ns=80_000))
-    monitors = build_health(cl, HealthConfig(period_ns=HB_PERIOD,
-                                             phi_dead=PHI_DEAD))
+        backoff_jitter_ns=80_000))
+    monitors = build_health(cl)
     for r in range(N):
         ph[r].attach_health(monitors[r])
     # a breaker on rank 0 rides along purely for its transition log
@@ -147,8 +142,9 @@ def run_scenario(quick: bool = True) -> dict:
         out["side_ok"] = c is not None and c.ok
         # --- phase C: wait for the victim's new incarnation -----------
         while monitors[0].is_dead(VICTIM) or "vic_buf" not in out:
-            yield env.timeout(HB_PERIOD)
-        yield env.timeout(4 * HB_PERIOD)  # let the re-armed pairing settle
+            yield env.timeout(HealthConfig.period_ns)
+        # let the re-armed pairing settle
+        yield env.timeout(4 * HealthConfig.period_ns)
         vic = out["vic_buf"]
         yield from ph[0].put_pwc(VICTIM, bufs[0].addr, SIZE, vic.addr,
                                  vic.rkey, local_cid=REJOIN_CID,
@@ -168,7 +164,7 @@ def run_scenario(quick: bool = True) -> dict:
         if env.now < T_RESTART:
             yield env.timeout(T_RESTART - env.now)
         while not ph[VICTIM].alive:
-            yield env.timeout(HB_PERIOD)
+            yield env.timeout(HealthConfig.period_ns)
         # crash wiped memory; register a *fresh* window (new rkey — the
         # pre-crash scratch rkey died with the old registrations)
         out["vic_buf"] = ph[VICTIM].buffer(SIZE)
@@ -268,5 +264,6 @@ def run(quick: bool = True, scenario: dict = None) -> ExperimentResult:
         headers=["metric", "min/value", "max/note"],
         rows=rows,
         checks=checks,
-        notes=f"phi-accrual (period {HB_PERIOD // 1000}us, phi_dead "
-              f"{PHI_DEAD:g}); invariants: {invariant_msg}")
+        notes=f"phi-accrual (period {HealthConfig.period_ns // 1000}us, "
+              f"phi_dead {HealthConfig.phi_dead:g}); invariants: "
+              f"{invariant_msg}")

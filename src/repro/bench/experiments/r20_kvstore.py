@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from ...chaos import CrashRank
 from ...chaos.invariants import check_membership_monotonic, unapplied_acks
-from ...kv.scenario import (DETECT_BUDGET_NS, HB_PERIOD, PHI_DEAD, Scenario,
-                            keyspace, ops_per_sec, outcomes, pct_us,
-                            zipf_plan)
+from ...kv.scenario import (Scenario, keyspace, ops_per_sec, outcomes,
+                            pct_us, zipf_plan)
+from ...runtime.health import DETECT_BUDGET_NS, HealthConfig
 from ..result import ExperimentResult
 
 LOADER_ID = 1000
@@ -190,9 +190,10 @@ def run(quick: bool = True) -> ExperimentResult:
                  "put p50us", "put p99us"],
         rows=rows,
         checks=checks,
-        notes=f"phi-accrual period {HB_PERIOD // 1000}us, phi_dead "
-              f"{PHI_DEAD:g}; failover: leader r{fo['leader_before']}"
-              f" -> r{fo['new_leader']} in {fo_us:.0f}us; acked "
+        notes=f"phi-accrual period {HealthConfig.period_ns // 1000}us, "
+              f"phi_dead {HealthConfig.phi_dead:g}; failover: leader "
+              f"r{fo['leader_before']} -> r{fo['new_leader']} in "
+              f"{fo_us:.0f}us; acked "
               f"writes audited uid-by-uid on all survivors")
 
 

@@ -37,7 +37,8 @@ from ...chaos.invariants import (InvariantViolation, check_log_bounded,
                                  check_reads_return_written,
                                  check_replicas_identical, unapplied_acks)
 from ...kv import RaftConfig, move_group
-from ...kv.scenario import HB_PERIOD, Op, Scenario
+from ...kv.scenario import Op, Scenario
+from ...runtime.health import HealthConfig
 from ...kv.shard import ST_OK
 from ..result import ExperimentResult
 
@@ -104,14 +105,14 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
                         out["max_retained"] = max(
                             out["max_retained"],
                             rn.last_applied - rn.base_index)
-            yield env.timeout(HB_PERIOD)
+            yield env.timeout(HealthConfig.period_ns)
 
     def mover():
         # flip mid-stream, but only after the restart has happened so
         # the move also exercises a freshly rejoined replica
         while (sum(len(c.acked) for c in writers) < (6 * 2 * n_ops) // 10
                or env.now < out["t0"] + 4_200_000):
-            yield env.timeout(2 * HB_PERIOD)
+            yield env.timeout(2 * HealthConfig.period_ns)
         out["move"] = yield from move_group(nodes, 1, 0, via_rank=free[0])
 
     def post_move_probe():

@@ -33,7 +33,6 @@ from ...runtime import ActionRegistry, AmConfig, build_runtime
 from ..result import ExperimentResult
 
 PAYLOAD = 16  # bytes per invocation
-WINDOW = 32   # invoke credits per destination (pipelining depth)
 
 
 def _build(arm: str, lossy: bool, seed: int = 11):
@@ -48,14 +47,12 @@ def _build(arm: str, lossy: bool, seed: int = 11):
     cl = build_cluster(2, **kw)
     reg = ActionRegistry()
     reg.register("echo", lambda rt, src, p: p)
-    cfg = AmConfig(credits_per_dest=WINDOW)
     if arm == "am/mpi-isir":
         rts = build_runtime(cl, reg, "mpi", comms=mpi_init(cl),
-                            am=True, coalesce=False, am_config=cfg)
+                            am=True, coalesce=False)
     else:
         rts = build_runtime(cl, reg, "photon", photon=photon_init(cl),
-                            am=True, coalesce=(arm == "am/photon+coal"),
-                            am_config=cfg)
+                            am=True, coalesce=(arm == "am/photon+coal"))
     return cl, rts
 
 
@@ -136,8 +133,7 @@ def _mcts_demo(iters: int, n: int = 4) -> dict:
     cl = build_cluster(n, params="ib-fdr", seed=11)
     reg = ActionRegistry()
     shards = build_mcts(reg, n)
-    rts = build_runtime(cl, reg, "photon", photon=photon_init(cl),
-                        am=True, am_config=AmConfig(credits_per_dest=WINDOW))
+    rts = build_runtime(cl, reg, "photon", photon=photon_init(cl), am=True)
     progs, results = run_mcts(cl, rts, shards, iters_per_rank=iters)
     procs = [cl.env.process(p) for p in progs]
     cl.env.run(until=cl.env.all_of(procs))
@@ -199,7 +195,8 @@ def run(quick: bool = True) -> ExperimentResult:
     return ExperimentResult(
         exp_id="R23",
         title=f"active messages: {count} x {PAYLOAD}B invoke flood "
-              f"(window {WINDOW}) + unloaded probe + MCTS demo",
+              f"(window {AmConfig.credits_per_dest}) + unloaded probe + "
+              "MCTS demo",
         headers=["arm", "fabric", "Kinv/s", "probe p50 ns", "probe p99 ns",
                  "wire msgs"],
         rows=rows,

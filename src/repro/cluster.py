@@ -17,7 +17,7 @@ from .fabric.topology import Topology, make_topology
 from .obs.registry import MetricsRegistry
 from .sim.core import Environment
 from .sim.rng import RngRegistry
-from .sim.trace import DEFAULT_TRACE_CAP, Tracer
+from .sim.trace import Tracer
 from .util.units import MiB
 from .verbs.device import Context, Directory
 
@@ -72,7 +72,6 @@ def build_cluster(n: int,
                   seed: int = 0,
                   trace: bool = False,
                   spans: bool = False,
-                  trace_max_records: int = DEFAULT_TRACE_CAP,
                   **overrides) -> Cluster:
     """Assemble a cluster of ``n`` ranks.
 
@@ -86,8 +85,6 @@ def build_cluster(n: int,
     spans:
         Record per-op latency spans in the metrics registry (host-side
         only; cannot perturb simulated time).
-    trace_max_records:
-        Ring capacity of the tracer's record store.
     overrides:
         Nested parameter overrides, e.g. ``link__mtu=1024``.
     """
@@ -98,7 +95,7 @@ def build_cluster(n: int,
     env = Environment()
     # every component counts in its rank's scope (or the fabric's)
     metrics = MetricsRegistry(n, spans_enabled=spans)
-    tracer = Tracer(enabled=trace, max_records=trace_max_records)
+    tracer = Tracer(enabled=trace)
     rng = RngRegistry(seed)
     topo = make_topology(topology or params.topology, env, n,
                          params.link, metrics.fabric, rng=rng)

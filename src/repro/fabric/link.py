@@ -16,7 +16,7 @@ queue slot until then (a producer that finds the queue full parks FIFO,
 admitted by one timer at the start that frees its slot).  Chaos scales its
 serialisation by ``bw_scale`` or, dark, swallows it there; a dropped
 attempt holds the wire for one serialisation, followed in reliable mode by
-a retry ``retransmit_ns`` later; it propagates for ``latency_ns`` plus
+a retry ``RETRANSMIT_NS`` later; it propagates for ``latency_ns`` plus
 chaos's ``latency_add_ns`` and jitter.  Draws belong to service positions:
 a booking takes its link's next drop (and jitter) draws and a withdrawn one
 hands them back, so the k-th chunk served gets the k-th draw.  A hop books
@@ -51,6 +51,10 @@ from ..util.units import serialization_ns
 from .params import LinkParams
 
 __all__ = ["Chunk", "Link", "LinkChaos"]
+
+#: recovery penalty per dropped chunk in "reliable" mode (timeout +
+#: retransmit), ns
+RETRANSMIT_NS = 12_000
 
 
 class LinkChaos:
@@ -180,7 +184,7 @@ class Link:
             n = b[_DROPS] + 1 if b[_OUT] is not None else 1
             p = b[_BUSY] // n
             for k in range(n):
-                t = b[_START] + k * (p + self.params.retransmit_ns)
+                t = b[_START] + k * (p + RETRANSMIT_NS)
                 ahead += max(0, min(p, t + p - now))
         return self._busy_ns - ahead
 
@@ -263,7 +267,7 @@ class Link:
                         sent = False
                         break
                     busy += ser
-                    end += ser + params.retransmit_ns
+                    end += ser + RETRANSMIT_NS
         b = None
         if src is not None or srv or (tail is not None and tail[_END] >= now):
             b = [at, chunk, prev, busy, held, None, 0, src, up, srv, start,

@@ -31,6 +31,9 @@ from .params import HostParams
 
 __all__ = ["Memory", "MemoryError_", "OutOfMemory"]
 
+#: page size of the pinning cost model (bytes)
+PAGE_SIZE = 4096
+
 _U64 = struct.Struct("<Q")
 
 
@@ -180,9 +183,8 @@ class Memory:
 
     # -- pinning cost model -----------------------------------------------------
     def _page_range(self, addr: int, length: int) -> range:
-        page = self.host.page_size
-        first = addr // page
-        last = (addr + max(length, 1) - 1) // page
+        first = addr // PAGE_SIZE
+        last = (addr + max(length, 1) - 1) // PAGE_SIZE
         return range(first, last + 1)
 
     def pin_cost_ns(self, addr: int, length: int) -> int:

@@ -43,6 +43,10 @@ from .topology import Topology
 
 __all__ = ["Nic", "WireMsg"]
 
+#: lossy mode: grace period beyond the expected round trip before the send
+#: engine declares a message un-acked and retransmits (ns)
+ACK_TIMEOUT_NS = 25_000
+
 #: wire header for request/ack-only messages (no payload), bytes
 CTRL_BYTES = 28
 #: cap on chunks per message: large transfers are simulated in coarser
@@ -132,7 +136,7 @@ class _Arq:
         rtt = (serialization_ns(total_wire, params.link.bandwidth_gbps)
                + 2 * nic.topology.path_latency_ns(nic.rank, msg.dst)
                + params.nic.ack_overhead_ns + params.nic.delivery_ns)
-        self.timeout_ns = params.nic.ack_timeout_ns + rtt
+        self.timeout_ns = ACK_TIMEOUT_NS + rtt
         self.attempt, self.acked = 0, False
         nic._arqs.add(self)
         self._arm()

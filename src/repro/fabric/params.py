@@ -41,19 +41,16 @@ class LinkParams:
     #: next depends on ``loss_mode``:
     #:
     #: - ``"reliable"`` (default): the link-level transport recovers the
-    #:   chunk in place (go-back-N style) at ``retransmit_ns`` plus a fresh
-    #:   serialisation — data is never lost, only delayed.  No error ever
-    #:   reaches the verbs layer.
+    #:   chunk in place (go-back-N style) at ``link.RETRANSMIT_NS`` plus a
+    #:   fresh serialisation — data is never lost, only delayed.  No error
+    #:   ever reaches the verbs layer.
     #: - ``"lossy"``: the chunk is genuinely discarded.  Recovery (if any)
     #:   happens end-to-end in the NIC's ack-timeout/retry machinery
-    #:   (``NicParams.ack_timeout_ns`` / ``transport_retries``); exhaustion
+    #:   (``nic.ACK_TIMEOUT_NS`` / ``transport_retries``); exhaustion
     #:   surfaces as a ``WCStatus.RETRY_EXC_ERR`` work completion.
     #:
     #: 0 = clean in either mode.
     drop_rate: float = 0.0
-    #: recovery penalty per dropped chunk in "reliable" mode (timeout +
-    #: retransmit), ns
-    retransmit_ns: int = 12_000
     #: "reliable" (delay-only recovery at the link) or "lossy" (genuine
     #: drops, end-to-end recovery at the NIC)
     loss_mode: str = "reliable"
@@ -87,12 +84,6 @@ class NicParams:
     bulk_threshold: Optional[int] = None
     #: one-time startup cost when the bulk engine is used (ns)
     bulk_startup_ns: int = 0
-    #: penalty charged when a message arrives before a receive is posted
-    #: (receiver-not-ready retry, ns); well-behaved middleware never pays it
-    rnr_retry_ns: int = 5000
-    #: lossy mode: grace period beyond the expected round trip before the
-    #: send engine declares a message un-acked and retransmits (ns)
-    ack_timeout_ns: int = 25_000
     #: lossy mode: how many retransmissions of a message the NIC attempts
     #: before completing its work request with RETRY_EXC_ERR
     transport_retries: int = 3
@@ -108,10 +99,6 @@ class HostParams:
     reg_base_ns: int
     #: additional pin cost per page (ns)
     reg_per_page_ns: int
-    #: page size (bytes)
-    page_size: int = 4096
-    #: fixed cost to deregister (ns)
-    dereg_ns: int = 800
 
 
 @dataclass(frozen=True)

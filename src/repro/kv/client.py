@@ -27,7 +27,7 @@ Read paths (the RDMA-vs-RPC comparison axis):
   linearizable**: a deposed-but-alive leader keeps a live slot table
   (updated at follower apply lag), and a raw remote read cannot see
   that leadership moved.  Staleness is *bounded*, not eliminated: a
-  cached location older than ``loc_ttl_ns`` is revalidated in the
+  cached location older than ``LOC_TTL_NS`` is revalidated in the
   background (stale-while-revalidate — the triggering read keeps the
   arm's one-round latency) through the redirect-following RPC path,
   the server refuses loc requests once its lease lapses (so a deposed
@@ -50,11 +50,17 @@ from .shard import (CodecError, Command, OP_PUT, ST_MISS, ST_OK,
 from .store import (ACT_REQ, KVNode, PendingReply, REQ_LOC, REQ_READ,
                     REQ_SNAP, REQ_WRITE, RESP_FAIL, RESP_NO_LEASE,
                     RESP_NOT_LEADER, RESP_WRONG_EPOCH, SLOT_OVERSIZE,
-                    SLOT_PRESENT, _SLOT, pack_request, unpack_loc)
+                    SLOT_PRESENT, SLOT_SIZE, _SLOT, pack_request,
+                    unpack_loc)
 from ..runtime.transport import PeerDownError
 from ..verbs.enums import WCStatus
 
 __all__ = ["KVClient", "ClientStats"]
+
+#: one-sided location cache lifetime (ns) — bounds how long reads can keep
+#: targeting a deposed-but-alive leader before a background revalidation
+#: (refused by lease-less servers) drops the entry
+LOC_TTL_NS = 400_000
 
 
 class ClientStats:
@@ -80,8 +86,7 @@ class KVClient:
 
     def __init__(self, node: KVNode, client_id: int,
                  read_mode: str = "rpc", timeout_ns: int = 2_000_000,
-                 poll_ns: int = 2_000, max_attempts: int = 24,
-                 loc_ttl_ns: int = 400_000):
+                 poll_ns: int = 2_000, max_attempts: int = 24):
         if read_mode not in ("rpc", "onesided"):
             raise ValueError(f"unknown read_mode {read_mode!r}")
         self.node = node
@@ -92,10 +97,6 @@ class KVClient:
         self.timeout_ns = timeout_ns
         self.poll_ns = poll_ns
         self.max_attempts = max_attempts
-        #: one-sided location cache lifetime — bounds how long reads can
-        #: keep targeting a deposed-but-alive leader before a background
-        #: revalidation (refused by lease-less servers) drops the entry
-        self.loc_ttl_ns = loc_ttl_ns
         self.seq = 0
         self.stats = ClientStats()
         #: immutable epoch-stamped ring snapshot this client routes by;
@@ -114,7 +115,7 @@ class KVClient:
         #: every acknowledged mutation: (client, seq, op, key, value) —
         #: the failover checker asserts these survive leader crashes
         self.acked: List[Tuple[int, int, int, bytes, bytes]] = []
-        self._scratch = node.photon.buffer(node.config.slot_size)
+        self._scratch = node.photon.buffer(SLOT_SIZE)
 
     # -------------------------------------------------------------- writes
     def put(self, key: bytes, value: bytes):
@@ -161,7 +162,7 @@ class KVClient:
 
     def _get_onesided(self, key: bytes):
         loc = self._loc.get(key)
-        if loc is not None and self.env.now - loc[4] > self.loc_ttl_ns:
+        if loc is not None and self.env.now - loc[4] > LOC_TTL_NS:
             # stale-while-revalidate: serve this read from the cached
             # location (keeping the arm's one-wire-round latency) and
             # re-resolve in the background through the redirect-following

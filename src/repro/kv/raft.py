@@ -29,7 +29,7 @@ Faithfulness notes (what is and isn't modelled):
   snapshot at ``last_applied``, and trims the log past *every* laggard,
   keeping only ``compact_margin`` recent entries.  A follower whose
   ``next_index`` falls below ``base_index`` is caught up by streaming
-  the snapshot in ``snapshot_chunk``-byte pieces (``MSG_SNAP``), one
+  the snapshot in ``SNAPSHOT_CHUNK``-byte pieces (``MSG_SNAP``), one
   chunk outstanding per peer with the heartbeat period as the
   retransmit timer — the same self-clocking discipline as
   AppendEntries.  A slow, gray or partitioned follower therefore never
@@ -60,6 +60,8 @@ MSG_APPEND = 3
 MSG_APPEND_REPLY = 4
 MSG_SNAP = 5         # one InstallSnapshot chunk
 MSG_SNAP_REPLY = 6   # follower's receive-progress ack
+#: bytes of snapshot shipped per MSG_SNAP chunk
+SNAPSHOT_CHUNK = 4096
 
 #: type u8, group u16, term u64, src u16
 _HDR = struct.Struct("<BHQH")
@@ -248,14 +250,11 @@ class RaftConfig:
     #: and only a deeply-behind (or restarted) one needs a full install.
     #: Must stay below compact_threshold or trimming never fires.
     compact_margin: int = 64
-    #: bytes of snapshot shipped per MSG_SNAP chunk
-    snapshot_chunk: int = 4096
 
     def validate(self) -> None:
         for name in ("heartbeat_ns", "election_timeout_ns",
                      "election_jitter_ns", "fast_election_ns", "lease_ns",
-                     "max_entries_per_ae", "compact_threshold",
-                     "snapshot_chunk"):
+                     "max_entries_per_ae", "compact_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.election_stagger_ns < 0:
@@ -598,7 +597,7 @@ class RaftNode:
         xfer = self._snap_xfer[peer]
         blob: bytes = xfer["blob"]  # type: ignore[assignment]
         off = int(xfer["offset"])
-        chunk = blob[off:off + self.config.snapshot_chunk]
+        chunk = blob[off:off + SNAPSHOT_CHUNK]
         done = off + len(chunk) >= len(blob)
         msg = RaftMsg(MSG_SNAP, self.group, self.term, self.rank,
                       snap_index=int(xfer["index"]),

@@ -40,12 +40,8 @@ from .store import KVConfig, build_kv
 
 __all__ = ["Scenario", "Op", "keyspace", "zipf_plan", "value_tag",
            "latencies_ns", "pct_us", "ops_per_sec", "outcomes",
-           "HB_PERIOD", "PHI_DEAD", "DETECT_BUDGET_NS", "DRAIN_BEATS"]
+           "DRAIN_BEATS"]
 
-HB_PERIOD = 50_000
-PHI_DEAD = 6.0
-#: phi-accrual detection budget on a quiet fabric (mean == period)
-DETECT_BUDGET_NS = int(PHI_DEAD * HB_PERIOD * 2.302585)
 VALUE_SIZE = 64
 #: heartbeats :meth:`Scenario.drain` idles once every group is led
 DRAIN_BEATS = 40
@@ -131,8 +127,8 @@ def outcomes(history: Iterable[Op]) -> Counter:
 # ----------------------------------------------------------------- scenario
 class Scenario:
     """``n_ranks`` on ``ib-fdr``, ``n_groups`` Raft groups x rf
-    ``min(3, n_ranks)``, health monitors at :data:`HB_PERIOD` /
-    :data:`PHI_DEAD`.  ``fabric`` are ``build_cluster`` overrides
+    ``min(3, n_ranks)``, health monitors at :class:`HealthConfig`'s
+    defaults.  ``fabric`` are ``build_cluster`` overrides
     (``link__loss_mode="lossy"``, ...)."""
 
     def __init__(self, n_ranks: int, n_groups: int, seed: int,
@@ -142,8 +138,7 @@ class Scenario:
                                           spans=spans, **fabric)
         self.env = cl.env
         self.photon = photon_init(cl)
-        self.monitors = build_health(
-            cl, HealthConfig(period_ns=HB_PERIOD, phi_dead=PHI_DEAD))
+        self.monitors = build_health(cl)
         self.nodes = build_kv(
             cl, self.photon,
             KVConfig(n_groups=n_groups, rf=min(3, n_ranks),
@@ -183,7 +178,7 @@ class Scenario:
         often — the failover watcher.  Start that one a nanosecond
         *after* a crash: at the crash instant it can run first and
         report the victim."""
-        period = HB_PERIOD
+        period = HealthConfig.period_ns
         if since is not None:
             yield self.env.timeout(since - self.env.now)
             period //= 5
@@ -198,7 +193,7 @@ class Scenario:
         (generator).  A fixed wait alone is wrong whenever a group is
         leaderless at that instant (ROADMAP 1e)."""
         yield from self.wait_leaders()
-        yield self.env.timeout(DRAIN_BEATS * HB_PERIOD)
+        yield self.env.timeout(DRAIN_BEATS * HealthConfig.period_ns)
 
     # -------------------------------------------------------------------- ops
     def op(self, client: KVClient, key: bytes, is_get: bool,

@@ -48,7 +48,7 @@ __all__ = ["KVConfig", "KVNode", "PendingReply", "build_kv",
            "REQ_WRITE", "REQ_READ", "REQ_LOC", "REQ_SNAP",
            "RESP_OK", "RESP_MISS", "RESP_NOT_LEADER",
            "RESP_NO_LEASE", "RESP_WRONG_EPOCH", "RESP_FAIL",
-           "SLOT_HDR", "SLOT_PRESENT", "SLOT_OVERSIZE",
+           "SLOT_HDR", "SLOT_PRESENT", "SLOT_OVERSIZE", "SLOT_SIZE",
            "pack_request", "unpack_request", "pack_response",
            "unpack_response", "pack_loc", "unpack_loc"]
 
@@ -84,6 +84,18 @@ _SLOT = struct.Struct("<QII")
 SLOT_HDR = _SLOT.size
 SLOT_PRESENT = 1
 SLOT_OVERSIZE = 2
+#: bytes per one-sided read slot (header + value capacity)
+SLOT_SIZE = 160
+#: largest value the one-sided slot path can serve
+VALUE_LIMIT = SLOT_SIZE - SLOT_HDR
+#: slots per group table; keys beyond this stay RPC-only
+SLOTS_PER_GROUP = 1024
+#: host cost charged per applied state-machine command (ns)
+APPLY_COST_NS = 400
+#: host cost charged when a replica serializes its machine into a
+#: snapshot, and when it deserializes + swaps in an installed one (ns)
+SNAPSHOT_COST_NS = 20_000
+INSTALL_COST_NS = 40_000
 
 
 def pack_request(kind: int, client: int, seq: int, group: int, epoch: int,
@@ -133,34 +145,13 @@ class KVConfig:
     #: replicas per group
     rf: int = 3
     raft: RaftConfig = field(default_factory=RaftConfig)
-    #: bytes per one-sided read slot (header + value capacity)
-    slot_size: int = 160
-    #: slots per group table; keys beyond this stay RPC-only
-    slots_per_group: int = 1024
-    #: host cost charged per applied state-machine command (ns)
-    apply_cost_ns: int = 400
-    #: host cost charged when a replica serializes its machine into a
-    #: snapshot, and when it deserializes + swaps in an installed one
-    snapshot_cost_ns: int = 20_000
-    install_cost_ns: int = 40_000
 
     def validate(self) -> None:
         if self.n_groups < 1:
             raise ValueError("n_groups must be >= 1")
         if self.rf < 1:
             raise ValueError("rf must be >= 1")
-        if self.slot_size <= SLOT_HDR:
-            raise ValueError(f"slot_size must exceed the {SLOT_HDR}B header")
-        for name in ("slots_per_group", "apply_cost_ns", "snapshot_cost_ns",
-                     "install_cost_ns"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         self.raft.validate()
-
-    @property
-    def value_limit(self) -> int:
-        """Largest value the one-sided slot path can serve."""
-        return self.slot_size - SLOT_HDR
 
 
 def register_actions(registry: ActionRegistry) -> None:
@@ -223,8 +214,7 @@ class KVNode:
             self._seed_group(g)
             # boot-time tables are registered eagerly (a restart defers
             # registration until the replica has state to publish)
-            self.tables[g] = photon.buffer(
-                self.config.slots_per_group * self.config.slot_size)
+            self.tables[g] = photon.buffer(SLOTS_PER_GROUP * SLOT_SIZE)
         #: leader side: (group, log index) -> (reply rank, client, seq)
         self._pending: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
         self._pending_uid: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -457,9 +447,9 @@ class KVNode:
             self._respond(src, RESP_MISS, self.rank, client, seq)
             return
         table = self.tables[group]
-        addr = table.addr + slot * self.config.slot_size
+        addr = table.addr + slot * SLOT_SIZE
         self._respond(src, RESP_OK, self.rank, client, seq,
-                      pack_loc(self.rank, slot, self.config.slot_size,
+                      pack_loc(self.rank, slot, SLOT_SIZE,
                                addr, table.rkey))
         self.counters.add("kv.loc_lookups")
 
@@ -525,7 +515,7 @@ class KVNode:
     def _pass(self):
         """One runtime progress pass, then timers, flush, apply, flush
         (generator → did anything).  An ack or the next AppendEntries
-        ships before ``apply_cost_ns`` is charged — it promises the entry
+        ships before ``APPLY_COST_NS`` is charged — it promises the entry
         is logged, not applied — and only apply's own answers wait for it."""
         if not self.photon.alive:
             # fail-stop: a crashed rank neither serves nor ticks
@@ -602,7 +592,7 @@ class KVNode:
                     self._purge_slots(g)
                 elif cmd.op not in (OP_NOOP, OP_SEAL):
                     self._update_slot(g, cmd.key, sm)
-                yield self.env.timeout(self.config.apply_cost_ns)
+                yield self.env.timeout(APPLY_COST_NS)
                 if self.raft.get(g) is not rn:
                     return applied
                 applied += 1
@@ -617,7 +607,7 @@ class KVNode:
                 self.counters.add("kv.snapshots_taken")
                 self.counters.add("kv.raft.snapshot_bytes",
                                   len(rn.snapshot_blob))
-                yield self.env.timeout(self.config.snapshot_cost_ns)
+                yield self.env.timeout(SNAPSHOT_COST_NS)
         return applied
 
     def _install_snapshot(self, group: int, blob: bytes, t_start: int):
@@ -636,7 +626,7 @@ class KVNode:
         self._next_slot[group] = 0
         for key in sorted(sm.version):
             self._update_slot(group, key, sm)
-        yield self.env.timeout(self.config.install_cost_ns)
+        yield self.env.timeout(INSTALL_COST_NS)
         if span is not None:
             span.end(self.env.now, status="ok")
         self.counters.add("kv.snapshot_installs")
@@ -649,7 +639,7 @@ class KVNode:
         table = self.tables.get(group)
         if table is not None:
             for slot in range(self._next_slot[group]):
-                addr = table.addr + slot * self.config.slot_size
+                addr = table.addr + slot * SLOT_SIZE
                 self.photon.memory.write(addr, _SLOT.pack(0, 0, 0))
         self._slot_of[group] = {}
         self._next_slot[group] = 0
@@ -670,24 +660,23 @@ class KVNode:
         if table is None:
             # deferred registration (post-restart): first published
             # state materializes the table
-            table = self.photon.buffer(
-                self.config.slots_per_group * self.config.slot_size)
+            table = self.photon.buffer(SLOTS_PER_GROUP * SLOT_SIZE)
             self.tables[group] = table
         slots = self._slot_of[group]
         slot = slots.get(key)
         if slot is None:
-            if self._next_slot[group] >= self.config.slots_per_group:
+            if self._next_slot[group] >= SLOTS_PER_GROUP:
                 self.counters.add("kv.slot_overflow")
                 return  # table full: key stays RPC-only
             slot = self._next_slot[group]
             self._next_slot[group] = slot + 1
             slots[key] = slot
-        addr = table.addr + slot * self.config.slot_size
+        addr = table.addr + slot * SLOT_SIZE
         value = sm.get(key)
         version = sm.version.get(key, 0)
         if value is None:
             self.photon.memory.write(addr, _SLOT.pack(version, 0, 0))
-        elif len(value) > self.config.value_limit:
+        elif len(value) > VALUE_LIMIT:
             self.photon.memory.write(
                 addr, _SLOT.pack(version, 0, SLOT_PRESENT | SLOT_OVERSIZE))
             self.counters.add("kv.slot_oversize")

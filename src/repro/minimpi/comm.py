@@ -20,12 +20,14 @@ from ..cluster import Cluster
 from ..photon.collectives import (MemberDeadError, allgather, allreduce,
                                   barrier, dead_member)
 from ..sim.core import SimulationError
-from .protocol import Engine, MPIRequest
+from .protocol import EAGER_CREDITS, PREPOST, Engine, MPIRequest
 from .status import ANY_SOURCE, ANY_TAG, DEFAULT_MPI_CONFIG, MPIConfig
 
 __all__ = ["Comm", "mpi_init"]
 
 _COLL_TAG_BASE = 1 << 40
+#: collective scratch heap per rank (bytes)
+COLL_SCRATCH = 8 * 1024 * 1024
 
 
 class _Scratch:
@@ -40,7 +42,7 @@ class _Scratch:
         if nbytes > self.size // 2:
             raise SimulationError(
                 f"collective payload {nbytes}B exceeds scratch capacity "
-                f"{self.size // 2}B; raise MPIConfig.coll_scratch")
+                f"{self.size // 2}B; raise minimpi.comm.COLL_SCRATCH")
         if self.cursor + nbytes > self.size:
             self.cursor = 0
         addr = self.base + self.cursor
@@ -57,7 +59,7 @@ class Comm:
         self.size = engine.cluster.n
         self.env = engine.env
         self.memory = engine.memory
-        self._scratch = _Scratch(engine.memory, engine.config.coll_scratch)
+        self._scratch = _Scratch(engine.memory, COLL_SCRATCH)
         self._epoch = 0
 
     # ------------------------------------------------------------- p2p
@@ -198,13 +200,13 @@ def mpi_init(cluster: Cluster,
     for a in range(cluster.n):
         for b in range(a + 1, cluster.n):
             ea, eb = engines[a], engines[b]
-            depth = cfg.eager_credits + cfg.prepost + 64
+            depth = EAGER_CREDITS + PREPOST + 64
             qp_ab = ea.context.create_qp(ea.pd, ea.send_cq, ea.recv_cq,
                                          max_send_wr=depth,
-                                         max_recv_wr=cfg.prepost + 8)
+                                         max_recv_wr=PREPOST + 8)
             qp_ba = eb.context.create_qp(eb.pd, eb.send_cq, eb.recv_cq,
                                          max_send_wr=depth,
-                                         max_recv_wr=cfg.prepost + 8)
+                                         max_recv_wr=PREPOST + 8)
             qp_ab.connect(qp_ba)
             ea._wire_peer(b, qp_ab)
             eb._wire_peer(a, qp_ba)

@@ -42,6 +42,25 @@ from .status import ANY_SOURCE, ANY_TAG, MPIConfig, Status
 
 __all__ = ["Engine", "MPIRequest", "HDR"]
 
+#: per-peer send bounce slots (eager flow-control window)
+EAGER_CREDITS = 32
+#: per-peer preposted receive bounce buffers
+PREPOST = 64
+#: per-call software-stack overhead (ns): request allocation, protocol
+#: selection, matching-engine bookkeeping.  Charged at isend/irecv entry
+#: and per inbound protocol message.  Production MPI libraries measure
+#: 100-300 ns here on top of raw verbs; Photon's thin completion-oriented
+#: layer is the paper's alternative to exactly this cost.
+SW_OVERHEAD_NS = 120
+#: host cost of one progress pass (ns); a blocking call probes back to
+#: back, so also how long after an arrival the waiter sees it
+PROGRESS_POLL_NS = 60
+#: registration-cache entries for rendezvous buffers
+RCACHE_CAPACITY = 128
+#: extra attempts for a control message / rendezvous fetch the fabric
+#: failed before the owning request is completed with an error
+MAX_OP_RETRIES = 3
+
 # kind(q) tag(q) size(q) sreq(q) addr(q) rkey(q)
 HDR = struct.Struct("<qqqqqq")
 KIND_EAGER = 1
@@ -129,7 +148,7 @@ class Engine:
         # this rank's counter scope (cluster.counters sums the scopes)
         self.counters = cluster.scope(node.rank)
         self.pd = self.context.alloc_pd()
-        depth = cluster.n * (config.eager_credits + config.prepost) * 2 + 256
+        depth = cluster.n * (EAGER_CREDITS + PREPOST) * 2 + 256
         self.send_cq = self.context.create_cq(capacity=depth)
         self.recv_cq = self.context.create_cq(capacity=depth)
         #: rung by every CQ push and by whatever settles a request outside
@@ -140,7 +159,7 @@ class Engine:
         #: cannot tell the two apart, so it is the doorbell
         self.arrivals = self.doorbell
         self.rcache = RegistrationCache(
-            self.context, self.pd, capacity=config.rcache_capacity)
+            self.context, self.pd, capacity=RCACHE_CAPACITY)
         self.matcher = MatchEngine()
         self.peers: Dict[int, _PeerChannel] = {}
         self.live_requests: Dict[int, MPIRequest] = {}
@@ -185,20 +204,18 @@ class Engine:
     # ------------------------------------------------------------- bootstrap
     def _alloc_bounce(self) -> None:
         n_peers = self.cluster.n - 1
-        c = self.config
-        total = n_peers * self.slot_size * (c.eager_credits + c.prepost)
+        total = n_peers * self.slot_size * (EAGER_CREDITS + PREPOST)
         base = self.memory.alloc(max(total, 8), align=64)
         self._bounce_mr = self.context.reg_mr_sync(
             self.pd, base, max(total, 8), Access.ALL)
         self._bounce_cursor = base
 
     def _wire_peer(self, peer_rank: int, qp: QueuePair) -> None:
-        c = self.config
         ch = _PeerChannel(qp=qp)
-        for _ in range(c.eager_credits):
+        for _ in range(EAGER_CREDITS):
             ch.send_slots.append(self._bounce_cursor)
             self._bounce_cursor += self.slot_size
-        for _ in range(c.prepost):
+        for _ in range(PREPOST):
             wr_id = next(self._wr_seq)
             addr = self._bounce_cursor
             self._bounce_cursor += self.slot_size
@@ -232,7 +249,7 @@ class Engine:
             self.counters.add("mpi.dead_peer_fails")
             req.fail(self.env.now, error="peer_dead")
             return req
-        yield self.env.timeout(self.config.sw_overhead_ns)
+        yield self.env.timeout(SW_OVERHEAD_NS)
         if dst == self.rank:
             # owned snapshot: a self-send may sit in the unexpected queue
             # while the source buffer is reused
@@ -268,7 +285,7 @@ class Engine:
         """Stage ``raw`` into ``slot`` and SEND it (generator).
 
         A SEND the fabric gave up on is replayed (the QP is re-armed by
-        the progress engine first) up to ``max_op_retries`` extra times;
+        the progress engine first) up to ``MAX_OP_RETRIES`` extra times;
         after that the slot is returned and ``on_fail`` fires.
         """
         self.memory.write(slot, raw)
@@ -281,7 +298,7 @@ class Engine:
                 on_ack()
 
         def error():
-            if attempt < self.config.max_op_retries:
+            if attempt < MAX_OP_RETRIES:
                 self.counters.add("mpi.ctrl_resends")
                 self.env.process(
                     self._resend_ctrl(ch, slot, raw, on_ack, on_fail,
@@ -302,7 +319,7 @@ class Engine:
     def _resend_ctrl(self, ch: _PeerChannel, slot: int, raw: bytes,
                      on_ack: Optional[Callable], on_fail: Optional[Callable],
                      attempt: int):
-        yield self.env.timeout(self.config.sw_overhead_ns)
+        yield self.env.timeout(SW_OVERHEAD_NS)
         yield from self._send_ctrl(ch, slot, raw, on_ack, on_fail, attempt)
 
     def _send_eager(self, req: MPIRequest, addr: int, size: int, dst: int,
@@ -385,7 +402,7 @@ class Engine:
             self.counters.add("mpi.dead_peer_fails")
             req.fail(self.env.now, error="peer_dead")
             return req
-        yield self.env.timeout(self.config.sw_overhead_ns)
+        yield self.env.timeout(SW_OVERHEAD_NS)
         # check the unexpected queue first (standard MPI behaviour)
         msg = self.matcher.match_posted(src, tag)
         if msg is not None:
@@ -432,7 +449,7 @@ class Engine:
 
         def error():
             # RDMA reads are idempotent — repost the same fetch
-            if state["attempts"] < self.config.max_op_retries:
+            if state["attempts"] < MAX_OP_RETRIES:
                 state["attempts"] += 1
                 self.counters.add("mpi.fetch_retries")
                 self.env.process(post_once(), name="mpi:refetch")
@@ -486,7 +503,7 @@ class Engine:
         the doorbell when it ends (see the Photon engine's pass)."""
         env = self.env
         nic = self.cluster.params.nic
-        yield env.timeout(self.config.progress_poll_ns)
+        yield env.timeout(PROGRESS_POLL_NS)
         found = False
         for wc in self.send_cq.poll(max_entries=32):
             found = True
@@ -525,7 +542,7 @@ class Engine:
             self.doorbell.fire()
 
     def _on_recv(self, wc):
-        yield self.env.timeout(self.config.sw_overhead_ns)
+        yield self.env.timeout(SW_OVERHEAD_NS)
         ch = self._peer(wc.src_rank)
         slot = ch.recv_slots.pop(wc.wr_id)
         raw = self.memory.read(slot, wc.byte_len)

@@ -216,15 +216,13 @@ class MetricsRegistry:
     """One registry per cluster: rank scopes, a fabric scope, the
     read-only aggregate over them, and the bounded completed-span ring."""
 
-    def __init__(self, n_ranks: int, spans_enabled: bool = False,
-                 max_spans: int = DEFAULT_SPAN_CAP):
+    def __init__(self, n_ranks: int, spans_enabled: bool = False):
         if n_ranks < 1:
             raise ValueError("registry needs at least one rank")
-        if max_spans < 1:
-            raise ValueError("max_spans must be >= 1")
         self.n_ranks = n_ranks
         self.spans_enabled = spans_enabled
-        self.max_spans = max_spans
+        #: span ring capacity (a long measurement run may raise it)
+        self.max_spans = DEFAULT_SPAN_CAP
         #: the cluster-wide counters (``cluster.counters``)
         self.aggregate = AggregateCounters(self)
         self.ranks: List[ScopedCounters] = [

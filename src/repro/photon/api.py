@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..cluster import Cluster
 from ..verbs.enums import Access
 from .atomics import AtomicsMixin
-from .base import PhotonBase
+from .base import IMM_PREPOST, MAX_OUTSTANDING, PhotonBase
 from .collectives import CollectivesMixin
 from .config import DEFAULT_CONFIG, PhotonConfig
 from .messaging import MessagingMixin
@@ -113,12 +113,12 @@ def photon_init(cluster: Cluster,
             ep_a, ep_b = endpoints[a], endpoints[b]
             qp_ab = ep_a.context.create_qp(
                 ep_a.pd, ep_a.send_cq, ep_a.recv_cq,
-                max_send_wr=2 * cfg.max_outstanding + 64,
-                max_recv_wr=max(cfg.imm_prepost + 16, 64))
+                max_send_wr=2 * MAX_OUTSTANDING + 64,
+                max_recv_wr=max(IMM_PREPOST + 16, 64))
             qp_ba = ep_b.context.create_qp(
                 ep_b.pd, ep_b.send_cq, ep_b.recv_cq,
-                max_send_wr=2 * cfg.max_outstanding + 64,
-                max_recv_wr=max(cfg.imm_prepost + 16, 64))
+                max_send_wr=2 * MAX_OUTSTANDING + 64,
+                max_recv_wr=max(IMM_PREPOST + 16, 64))
             qp_ab.connect(qp_ba)
             ep_a._wire_peer(ep_b, qp_ab)
             ep_b._wire_peer(ep_a, qp_ba)

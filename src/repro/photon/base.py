@@ -53,6 +53,24 @@ __all__ = ["PhotonBase", "PeerState", "Completion", "TimeoutStatus",
            "ReliableOp", "RING_NAMES"]
 
 RING_NAMES = ("cmp", "eager", "info", "fin")
+#: entries per peer in the rendezvous info ring and in the FIN ring
+INFO_ENTRIES = 32
+FIN_ENTRIES = 32
+#: preposted zero-byte receives per peer when use_imm is on
+IMM_PREPOST = 64
+#: maximum outstanding PWC operations per peer before put backpressure
+MAX_OUTSTANDING = 256
+#: base of the exponential retry backoff (doubles per attempt, plus seeded
+#: jitter drawn from [0, backoff_jitter_ns or BACKOFF_BASE_NS)), ns
+BACKOFF_BASE_NS = 20_000
+#: ceiling for the exponential retry backoff (ns)
+BACKOFF_MAX_NS = 1_000_000
+#: slot-stable resends of a lost ledger-entry write before the hole is
+#: declared permanent.  Deliberately deeper than ``max_op_retries``: rings
+#: are consumed strictly in sequence order, so an unfilled slot stalls
+#: every later entry from that peer — ring liveness is worth retrying much
+#: harder than a single operation's latency budget
+ENTRY_RESEND_LIMIT = 12
 
 
 class TimeoutStatus(enum.Enum):
@@ -139,7 +157,7 @@ class PeerState:
     outstanding: int = 0
     #: immediate-mode receive window in use: receives posted on the RQ
     #: plus this peer's receive CQEs not yet reaped.  Kept at or below
-    #: ``imm_prepost``, so a slow poller RNR-stalls its senders instead
+    #: ``IMM_PREPOST``, so a slow poller RNR-stalls its senders instead
     #: of growing the receive CQ.
     preposted: int = 0
     #: producer-side reliable-operation id allocator (per peer)
@@ -169,7 +187,6 @@ class PhotonBase:
         self._poll_ns = config.progress_poll_ns
         self._cqe_poll_ns = cluster.params.nic.cqe_poll_ns
         self._use_imm = config.use_imm
-        self._imm_prepost = config.imm_prepost
         # memory.version as of the last ledger scan (see _progress_once)
         self._scanned_version = -1
         self.context = node.context
@@ -177,11 +194,11 @@ class PhotonBase:
         # this rank's counter scope (cluster.counters sums the scopes)
         self.counters = cluster.scope(node.rank)
         self.pd: ProtectionDomain = self.context.alloc_pd()
-        qp_total = cluster.n * (2 * config.max_outstanding + 64)
+        qp_total = cluster.n * (2 * MAX_OUTSTANDING + 64)
         self.send_cq: CompletionQueue = self.context.create_cq(
             capacity=max(4096, qp_total))
         self.recv_cq: CompletionQueue = self.context.create_cq(
-            capacity=max(4096, cluster.n * config.imm_prepost * 2))
+            capacity=max(4096, cluster.n * IMM_PREPOST * 2))
         #: rung by every arrival a progress pass could act on and by
         #: whatever settles a result outside one; blocking calls park here
         self.doorbell = Signal(self.env)
@@ -238,8 +255,8 @@ class PhotonBase:
         return {
             "cmp": RingSpec("cmp", c.completion_entries, COMPLETION_ENTRY_SIZE),
             "eager": RingSpec("eager", c.eager_slots, eager_entry),
-            "info": RingSpec("info", c.info_entries, INFO_ENTRY_SIZE),
-            "fin": RingSpec("fin", c.fin_entries, FIN_ENTRY_SIZE),
+            "info": RingSpec("info", INFO_ENTRIES, INFO_ENTRY_SIZE),
+            "fin": RingSpec("fin", FIN_ENTRIES, FIN_ENTRY_SIZE),
         }
 
     def _alloc_ledgers(self) -> None:
@@ -292,8 +309,7 @@ class PhotonBase:
                 base=self._layout[(other.rank, name, "cons")],
                 memory=self.memory,
                 producer_credit_addr=other._layout[(self.rank, name, "credit")],
-                producer_rkey=other._ledger_mr.rkey,
-                credit_fraction=self.config.credit_fraction)
+                producer_rkey=other._ledger_mr.rkey)
             peer.credit_staging[name] = self._layout[
                 (other.rank, name, "credit_stage")]
         peer.scan_rings = tuple(peer.local[n] for n in RING_NAMES)
@@ -305,9 +321,9 @@ class PhotonBase:
         self._top_up_recvs(peer)
 
     def _top_up_recvs(self, peer: PeerState) -> None:
-        """Post receives until the pairing's window is ``imm_prepost``."""
+        """Post receives until the pairing's window is ``IMM_PREPOST``."""
         if self._use_imm:
-            while peer.preposted < self._imm_prepost:
+            while peer.preposted < IMM_PREPOST:
                 peer.qp.post_recv(RecvWR())
                 peer.preposted += 1
 
@@ -331,13 +347,13 @@ class PhotonBase:
               on_error: Optional[Callable] = None):
         """Charge post overhead, track outstanding, post (generator).
 
-        Backpressure: blocks while the peer has ``max_outstanding`` WRs in
+        Backpressure: blocks while the peer has ``MAX_OUTSTANDING`` WRs in
         flight.  A peer declared dead meanwhile ends the wait through
         ``on_error`` with nothing posted.
         """
-        limit = self.config.max_outstanding
-        if peer.outstanding >= limit and not (yield from self._await_room(
-                peer, lambda: peer.outstanding < limit)):
+        if peer.outstanding >= MAX_OUTSTANDING and not (
+                yield from self._await_room(
+                    peer, lambda: peer.outstanding < MAX_OUTSTANDING)):
             if on_error is not None:
                 on_error()
             return
@@ -438,7 +454,7 @@ class PhotonBase:
         stall the ring for good.  The entry bytes are still staged (the
         slot cannot be reclaimed before the peer returns credit for it),
         so re-posting the same WR into the same slot is idempotent and
-        repairs the hole.  After ``entry_resend_limit`` resends the hole is
+        repairs the hole.  After ``ENTRY_RESEND_LIMIT`` resends the hole is
         declared permanent and the caller's ``on_error`` runs.
         """
 
@@ -450,7 +466,7 @@ class PhotonBase:
                 if on_error is not None:
                     on_error()
                 return
-            if attempt >= self.config.entry_resend_limit:
+            if attempt >= ENTRY_RESEND_LIMIT:
                 self.counters.add("photon.entry_drops")
                 if on_error is not None:
                     on_error()
@@ -466,8 +482,7 @@ class PhotonBase:
     def _resend_ring_entry(self, peer: PeerState, wr: SendWR,
                            on_ack: Optional[Callable],
                            on_error: Optional[Callable], attempt: int):
-        backoff = min(self.config.backoff_base_ns << (attempt - 1),
-                      self.config.backoff_max_ns)
+        backoff = min(BACKOFF_BASE_NS << (attempt - 1), BACKOFF_MAX_NS)
         yield self.env.timeout(backoff)
         yield from self._post(peer, wr, on_ack,
                               self._entry_error_cb(peer, wr, on_ack, on_error,
@@ -595,12 +610,11 @@ class PhotonBase:
             self._op_fail(op, WCStatus.RETRY_EXC_ERR)
             return
         self.counters.add("photon.op_retries")
-        base = self.config.backoff_base_ns << (op.attempts - 1)
-        backoff = min(base, self.config.backoff_max_ns)
+        backoff = min(BACKOFF_BASE_NS << (op.attempts - 1), BACKOFF_MAX_NS)
         # jitter decorrelates retries of ops that share a deadline cadence
         # (e.g. every op against one dead peer); None keeps the historical
-        # one-backoff_base_ns window byte-for-byte
-        jitter = self.config.backoff_jitter_ns or self.config.backoff_base_ns
+        # one-BACKOFF_BASE_NS window byte-for-byte
+        jitter = self.config.backoff_jitter_ns or BACKOFF_BASE_NS
         backoff += int(self._retry_rng.integers(0, jitter))
         op.state = "backoff"
         op.next_retry_at = self.env.now + backoff
@@ -629,7 +643,8 @@ class PhotonBase:
         self.rearm_peer(rank)
 
     def handle_peer_dead(self, rank: int) -> None:
-        """Fail pending ops against a confirmed-dead peer, flush its QP.
+        """Fail pending ops and requests against a confirmed-dead peer,
+        flush its QP.
 
         Without this a reliable (non-lossy) fabric leaks SQ slots: a WR
         posted toward a crashed peer is never acked and never errored, so
@@ -640,15 +655,23 @@ class PhotonBase:
         peer = self.peers.get(rank)
         if peer is None:
             return
-        for key in [k for k in self._reliable if k[0] == rank]:
-            op = self._reliable.get(key)
-            if op is not None:
-                self._op_fail(op, WCStatus.PEER_DEAD)
+        self._fail_pending(rank)
         if peer.qp.state is QPState.READY and peer.outstanding > 0:
             peer.qp.teardown()
         self.counters.add("photon.peer_dead_events")
         # senders blocked on this peer's credits re-check its health
         self.arrivals.fire()
+
+    def _fail_pending(self, rank: int) -> None:
+        """Fail the reliable ops (``PEER_DEAD``) and the requests still
+        pending against ``rank``; a failed request releases its pin."""
+        for key in [k for k in self._reliable if k[0] == rank]:
+            op = self._reliable.get(key)
+            if op is not None:
+                self._op_fail(op, WCStatus.PEER_DEAD)
+        failed = self.requests.fail_peer(rank, self.env.now)
+        if failed:
+            self.counters.add("photon.dead_peer_fails", failed)
 
     # ------------------------------------------------------------- crash
     def crash_local(self) -> None:
@@ -713,16 +736,13 @@ class PhotonBase:
     def rearm_peer(self, rank: int) -> None:
         """Survivor side of a peer restart: reset the pairing's state.
 
-        Any op still pending against the peer is failed with
-        ``PEER_DEAD`` (it was addressed to the previous incarnation).
+        Any op or request still pending against the peer is failed (it
+        was addressed to the previous incarnation).
         """
         peer = self.peers.get(rank)
         if peer is None:
             return
-        for key in [k for k in self._reliable if k[0] == rank]:
-            op = self._reliable.get(key)
-            if op is not None:
-                self._op_fail(op, WCStatus.PEER_DEAD)
+        self._fail_pending(rank)
         self._rearm_peer_state(peer)
         if peer.qp.state is not QPState.READY:
             peer.qp.reset_and_reconnect()

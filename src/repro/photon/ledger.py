@@ -34,6 +34,9 @@ _U64 = struct.Struct("<Q")
 
 __all__ = ["RingSpec", "RemoteRing", "LocalRing"]
 
+#: a consumer returns ledger credits after this fraction of the ring
+CREDIT_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class RingSpec:
@@ -122,8 +125,7 @@ class LocalRing:
     """
 
     def __init__(self, spec: RingSpec, base: int, memory: Memory,
-                 producer_credit_addr: int, producer_rkey: int,
-                 credit_fraction: float):
+                 producer_credit_addr: int, producer_rkey: int):
         self.spec = spec
         self.base = base
         self.memory = memory
@@ -132,7 +134,7 @@ class LocalRing:
         self.producer_rkey = producer_rkey
         self.consumed = 0
         self.credit_sent = 0
-        self._credit_every = max(1, int(spec.nslots * credit_fraction))
+        self._credit_every = max(1, int(spec.nslots * CREDIT_FRACTION))
         # fast-poll state: Memory.data is created once and never replaced
         # (crash wipes the mmap in place), so the view stays valid
         memory._check(base, spec.nbytes)

@@ -120,6 +120,15 @@ class RequestTable:
             self._settle(req)
         return req
 
+    def fail_peer(self, peer: int, now: int) -> int:
+        """Fail every pending request against ``peer``, which died or
+        restarted: no ack or FIN for them will come.  Returns how many."""
+        doomed = [req.rid for req in self._live.values()
+                  if req.peer == peer and req.state is RequestState.PENDING]
+        for rid in doomed:
+            self.fail(rid, now)
+        return len(doomed)
+
     def free(self, rid: int) -> None:
         req = self._live.pop(rid, None)
         if req is None:

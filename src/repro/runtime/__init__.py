@@ -8,7 +8,7 @@ active-message invocation layer (:mod:`repro.runtime.am`).
 
 from .actions import ActionRegistry
 from .am import (AM_ERR, AM_REP, AM_REQ, ActiveMessageEngine, AmConfig,
-                 CreditExhaustedError, RemoteActionError)
+                 RemoteActionError)
 from .coalesce import CoalescingTransport
 from .health import (ALIVE, DEAD, SUSPECT, HealthConfig, HealthMonitor,
                      MembershipView, PhiAccrualDetector, build_health)
@@ -21,7 +21,7 @@ from .transport import (MpiTransport, PARCEL_TAG, PeerDownError,
 __all__ = [
     "ActionRegistry",
     "AM_ERR", "AM_REP", "AM_REQ", "ActiveMessageEngine", "AmConfig",
-    "CreditExhaustedError", "RemoteActionError",
+    "RemoteActionError",
     "CoalescingTransport",
     "ALIVE", "DEAD", "SUSPECT", "HealthConfig", "HealthMonitor",
     "MembershipView", "PhiAccrualDetector", "build_health",

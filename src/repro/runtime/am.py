@@ -25,7 +25,7 @@ request, or a duplicate reply) are dropped and counted.
 Backpressure is credit-based per destination: each in-flight invocation
 to a rank consumes one credit, returned when its reply (or error)
 arrives.  When credits run out the sender **blocks**, pumping the runtime
-until a credit frees (bounded by ``credit_wait_ns`` if set).  With a
+until a credit frees.  With a
 failure detector attached (:meth:`ActiveMessageEngine.attach_health`) no
 wait outlives its destination: a rank declared dead fails its pending
 invocations with :class:`~repro.runtime.transport.PeerDownError`, gives
@@ -48,24 +48,19 @@ from typing import Dict, Optional
 from ..sim.core import SimulationError
 from .lco import Future
 from .parcel import Parcel
+from .scheduler import HANDLER_COST_NS
 from .transport import PeerDownError
 
-__all__ = ["ActiveMessageEngine", "AmConfig", "CreditExhaustedError",
-           "RemoteActionError", "AM_REQ", "AM_REP", "AM_ERR"]
+__all__ = ["ActiveMessageEngine", "AmConfig", "RemoteActionError",
+           "AM_REQ", "AM_REP", "AM_ERR"]
 
 #: parcel ``flags`` values (0 = plain parcel, never an active message)
 AM_REQ = 1
 AM_REP = 2
 AM_ERR = 3
 
-
-class CreditExhaustedError(SimulationError):
-    """Raised by ``invoke`` when a blocked credit wait outlasts
-    ``credit_wait_ns``."""
-
-    def __init__(self, rank: int, dst: int):
-        super().__init__(f"rank {rank}: no invoke credits for dst {dst}")
-        self.dst = dst
+#: per-source count of served cids remembered for retransmit suppression
+DEDUP_WINDOW = 512
 
 
 class RemoteActionError(SimulationError):
@@ -85,21 +80,13 @@ class AmConfig:
 
     ``credits_per_dest``: max in-flight invocations per destination; an
     invoke that finds none pumps the runtime until one frees.
-    ``credit_wait_ns``: bound on that wait (None = unbounded), after
-    which it raises :class:`CreditExhaustedError`.
-    ``dedup_window``: per-source count of served cids remembered for
-    retransmit suppression.
     """
 
     credits_per_dest: int = 32
-    credit_wait_ns: Optional[int] = None
-    dedup_window: int = 512
 
     def __post_init__(self):
         if self.credits_per_dest < 1:
             raise SimulationError("credits_per_dest must be >= 1")
-        if self.dedup_window < 1:
-            raise SimulationError("dedup_window must be >= 1")
 
 
 class _Pending:
@@ -158,17 +145,12 @@ class ActiveMessageEngine:
     # ------------------------------------------------------------- invoking
     def _take_credit(self, dst: int):
         """Acquire one invoke credit for ``dst`` (generator)."""
-        cfg = self.config
         credits = self._credits.get(dst)
         if credits is None:
-            credits = self._credits[dst] = cfg.credits_per_dest
+            credits = self._credits[dst] = self.config.credits_per_dest
         if credits <= 0:
             self.counters.add("am.credit_stalls")
-            ok = yield from self.rt.process_until(
-                lambda: self._credits[dst] > 0, cfg.credit_wait_ns)
-            if not ok:
-                self.counters.add("am.credit_timeouts")
-                raise CreditExhaustedError(self.rt.rank, dst)
+            yield from self.rt.process_until(lambda: self._credits[dst] > 0)
         if self.health is not None and self.health.is_dead(dst):
             raise PeerDownError(self.rt.rank, dst)
         self._credits[dst] -= 1
@@ -268,7 +250,7 @@ class ActiveMessageEngine:
             self.counters.add("am.duplicate_requests")
             yield from self._reply(parcel, cached[0], cached[1])
             return
-        yield rt.env.timeout(rt.handler_cost_ns)
+        yield rt.env.timeout(HANDLER_COST_NS)
         handler = rt.registry.handler(parcel.action)
         try:
             result = handler(rt, parcel.src, parcel.payload)
@@ -284,7 +266,7 @@ class ActiveMessageEngine:
         self.counters.add("rt.parcels_run")
         self.counters.add("am.requests_served")
         served[parcel.cid] = (flags, payload)
-        while len(served) > self.config.dedup_window:
+        while len(served) > DEDUP_WINDOW:
             served.popitem(last=False)
         yield from self._reply(parcel, flags, payload)
 

@@ -12,7 +12,7 @@ transport:
   contained parcels out one at a time — and when it finds nothing, its
   rank is idle and about to park: nothing more can join an open batch,
   so every open batch ships there.  A batch waits only while its rank is
-  busy, and then at most ``max_delay_ns`` (``flush_stale``, from every
+  busy, and then at most ``MAX_DELAY_NS`` (``flush_stale``, from every
   ``poll`` and from the scheduler between local dispatches).
 
 Failure handling is deliberate rather than accidental: when the inner
@@ -39,6 +39,8 @@ __all__ = ["CoalescingTransport"]
 _LEN = struct.Struct("<I")
 #: host cost to parse one frame header and hand the parcel out (ns)
 _PARSE_NS = 40
+#: the longest a batch waits while its rank is busy (ns)
+MAX_DELAY_NS = 5_000
 
 
 class _Batch:
@@ -56,14 +58,13 @@ class CoalescingTransport(Transport):
     kind = "coalescing"
 
     def __init__(self, inner: Transport, flush_bytes: int = 4096,
-                 flush_count: int = 16, max_delay_ns: int = 5_000):
+                 flush_count: int = 16):
         if flush_bytes < 64 or flush_count < 1:
             raise SimulationError("unreasonable coalescing thresholds")
         super().__init__(inner, inner.counters, inner.max_parcel)
         self.inner = inner
         self.flush_bytes = flush_bytes
         self.flush_count = flush_count
-        self.max_delay_ns = max_delay_ns
         self._open: Dict[int, _Batch] = {}
         self._ready: Deque[bytes] = deque()
         self.batches_sent = 0
@@ -130,7 +131,7 @@ class CoalescingTransport(Transport):
             yield from self._ship(d, "flush")
 
     def flush_stale(self, min_age_ns: Optional[int] = None):
-        """Ship batches open for ``min_age_ns`` (default ``max_delay_ns``)
+        """Ship batches open for ``min_age_ns`` (default ``MAX_DELAY_NS``)
         or longer (generator).
 
         Every :meth:`poll` and the runtime scheduler between local
@@ -139,7 +140,7 @@ class CoalescingTransport(Transport):
         loss is counted and swallowed — there is no specific send to fail.
         """
         if min_age_ns is None:
-            min_age_ns = self.max_delay_ns
+            min_age_ns = MAX_DELAY_NS
         now = self.env.now
         for d, age in [(d, now - b.opened_at)
                        for d, b in self._open.items()]:
@@ -147,7 +148,7 @@ class CoalescingTransport(Transport):
                 continue
             try:
                 yield from self._ship(
-                    d, "stale" if age >= self.max_delay_ns else "idle")
+                    d, "stale" if age >= MAX_DELAY_NS else "idle")
             except PeerDownError:
                 pass
 

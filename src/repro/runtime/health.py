@@ -11,7 +11,7 @@ Suspicion: assuming exponential inter-arrival with the observed mean,
 decimal orders of magnitude of confidence that the peer is gone.  Two
 thresholds map phi onto the membership states::
 
-    alive --phi >= phi_suspect--> suspect --phi >= phi_dead--> dead
+    alive --phi >= PHI_SUSPECT--> suspect --phi >= phi_dead--> dead
 
 DEAD is sticky: a dead peer only returns to ALIVE when a heartbeat with
 a *higher incarnation number* arrives (the peer restarted), which keeps
@@ -37,7 +37,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..fabric.nic import WireMsg
 
 __all__ = ["HealthConfig", "PhiAccrualDetector", "MembershipView",
-           "HealthMonitor", "build_health",
+           "HealthMonitor", "build_health", "DETECT_BUDGET_NS",
            "ALIVE", "SUSPECT", "DEAD"]
 
 ALIVE = "alive"
@@ -46,6 +46,13 @@ DEAD = "dead"
 
 _LN10 = math.log(10.0)
 
+#: phi at which a peer becomes SUSPECT (cleared by one heartbeat)
+PHI_SUSPECT = 2.0
+#: EWMA weight of the newest inter-arrival sample
+EWMA_ALPHA = 0.2
+#: ignore samples shorter than this (heartbeat bunching after a stall), ns
+MIN_INTERVAL_NS = 1_000
+
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -53,30 +60,27 @@ class HealthConfig:
 
     #: heartbeat period per peer (ns)
     period_ns: int = 50_000
-    #: phi at which a peer becomes SUSPECT (cleared by one heartbeat)
-    phi_suspect: float = 2.0
     #: phi at which a peer is declared DEAD (sticky; needs an incarnation
     #: bump to clear).  Detection latency ~= phi_dead * mean * ln(10).
     phi_dead: float = 6.0
-    #: EWMA weight of the newest inter-arrival sample
-    ewma_alpha: float = 0.2
-    #: ignore samples shorter than this (heartbeat bunching after a stall)
-    min_interval_ns: int = 1_000
 
     def validate(self) -> None:
         if self.period_ns <= 0:
             raise ValueError("period_ns must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.phi_dead <= self.phi_suspect:
-            raise ValueError("phi_dead must exceed phi_suspect")
+        if self.phi_dead <= PHI_SUSPECT:
+            raise ValueError("phi_dead must exceed PHI_SUSPECT")
+
+
+#: the default detector's detection latency on a quiet fabric (mean ==
+#: period), ns
+DETECT_BUDGET_NS = int(HealthConfig.phi_dead * HealthConfig.period_ns * _LN10)
 
 
 class PhiAccrualDetector:
     """Suspicion level for one observed peer (no RNG — fully determined
     by heartbeat arrival times)."""
 
-    __slots__ = ("mean_ns", "last_rx", "samples", "_alpha", "_min_interval")
+    __slots__ = ("mean_ns", "last_rx", "samples")
 
     def __init__(self, config: HealthConfig, now: int):
         # seed the mean at the nominal period so the very first gaps are
@@ -84,16 +88,14 @@ class PhiAccrualDetector:
         self.mean_ns = float(config.period_ns)
         self.last_rx = now
         self.samples = 0
-        self._alpha = config.ewma_alpha
-        self._min_interval = config.min_interval_ns
 
     def sample(self, now: int) -> None:
         interval = now - self.last_rx
         self.last_rx = now
-        if interval < self._min_interval:
+        if interval < MIN_INTERVAL_NS:
             return
         self.samples += 1
-        self.mean_ns += self._alpha * (interval - self.mean_ns)
+        self.mean_ns += EWMA_ALPHA * (interval - self.mean_ns)
 
     def phi(self, now: int) -> float:
         elapsed = now - self.last_rx
@@ -265,7 +267,7 @@ class HealthMonitor:
                     "health.outage", now, peer=peer)
                 for cb in self._on_dead:
                     cb(peer)
-            elif phi >= self.config.phi_suspect and status == ALIVE:
+            elif phi >= PHI_SUSPECT and status == ALIVE:
                 self.view.transition(peer, SUSPECT)
                 self.counters.add("health.suspects")
                 self.tracer.log(now, "health.suspect", observer=self.rank,

@@ -28,21 +28,20 @@ __all__ = ["Runtime"]
 #: (ns): the predicate may read state another rank's process flips — a
 #: driver's "done" flag — which no arrival on this rank announces
 RECHECK_NS = 10_000
+#: fixed dispatch overhead per parcel (scheduler + action lookup), ns
+HANDLER_COST_NS = 150
 
 
 class Runtime:
     """Per-rank parcel runtime."""
 
     def __init__(self, rank: int, env: Environment, transport,
-                 registry: ActionRegistry, counters=None,
-                 handler_cost_ns: int = 150):
+                 registry: ActionRegistry, counters=None):
         self.rank = rank
         self.env = env
         self.transport = transport
         self.registry = registry
         self.counters = counters or Counters()
-        #: fixed dispatch overhead per parcel (scheduler + action lookup)
-        self.handler_cost_ns = handler_cost_ns
         self._local: Deque[Parcel] = deque()
         self.parcels_sent = 0
         self.parcels_run = 0
@@ -94,7 +93,7 @@ class Runtime:
     # ------------------------------------------------------------------ run
     def _dispatch(self, parcel: Parcel):
         """Run one parcel's handler inline (generator)."""
-        yield self.env.timeout(self.handler_cost_ns)
+        yield self.env.timeout(HANDLER_COST_NS)
         handler = self.registry.handler(parcel.action)
         result = handler(self, parcel.src, parcel.payload)
         if inspect.isgenerator(result):

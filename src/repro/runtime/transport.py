@@ -33,6 +33,8 @@ __all__ = ["Transport", "WireTransport", "PhotonTransport", "MpiTransport",
 
 #: reserved tag/cid space for parcel traffic
 PARCEL_TAG = (1 << 50) + 7
+#: wildcard irecvs an :class:`MpiTransport` keeps posted
+RECV_WINDOW = 16
 
 
 def _parcel_match(_src: int, cid: int) -> bool:
@@ -459,20 +461,18 @@ class MpiTransport(WireTransport):
 
     kind = "mpi"
 
-    def __init__(self, comm: Comm, max_parcel: int = 1 << 20,
-                 window: int = 16):
+    def __init__(self, comm: Comm, max_parcel: int = 1 << 20):
         super().__init__(comm.engine, comm.engine.counters, max_parcel)
         self.comm = comm
-        self.window = window
         self._recv_bufs: List[int] = [
-            comm.memory.alloc(max_parcel) for _ in range(window)]
-        self._recv_reqs: List[Optional[MPIRequest]] = [None] * window
+            comm.memory.alloc(max_parcel) for _ in range(RECV_WINDOW)]
+        self._recv_reqs: List[Optional[MPIRequest]] = [None] * RECV_WINDOW
         self._init_ring(comm.memory.alloc)
         self._primed = False
 
     def _prime(self):
         """Post the initial wildcard receive window (generator)."""
-        for i in range(self.window):
+        for i in range(RECV_WINDOW):
             req = yield from self.comm.irecv(self._recv_bufs[i],
                                              self.max_parcel,
                                              src=ANY_SOURCE, tag=PARCEL_TAG)

@@ -53,12 +53,9 @@ class Tracer:
     evicts the oldest one and increments :attr:`dropped`.
     """
 
-    def __init__(self, enabled: bool = False,
-                 max_records: int = DEFAULT_TRACE_CAP):
-        if max_records < 1:
-            raise ValueError("tracer max_records must be >= 1")
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.max_records = max_records
+        self.max_records = DEFAULT_TRACE_CAP
         self.records: Deque[TraceRecord] = deque()
         #: records evicted from the full ring (oldest-first)
         self.dropped = 0

@@ -23,6 +23,9 @@ from .mr import MemoryRegion
 
 __all__ = ["Context", "ProtectionDomain", "Directory"]
 
+#: fixed cost to deregister a memory region (ns)
+DEREG_NS = 800
+
 
 class Directory:
     """Rank → Context registry (the simulator's 'subnet manager')."""
@@ -117,7 +120,7 @@ class Context:
         if not mr.valid:
             raise VerbsError(
                 f"rank {self.rank}: double deregistration of rkey {mr.rkey}")
-        yield self.env.timeout(self.memory.host.dereg_ns)
+        yield self.env.timeout(DEREG_NS)
         mr.invalidate()
         self._mrs_by_rkey.pop(mr.rkey, None)
         if mr.pd is not None:

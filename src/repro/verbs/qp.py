@@ -46,6 +46,10 @@ from .errors import (
 
 __all__ = ["SendWR", "RecvWR", "QueuePair"]
 
+#: penalty charged when a message arrives before a receive is posted
+#: (receiver-not-ready retry, ns); well-behaved middleware never pays it
+RNR_RETRY_NS = 5000
+
 _U64_MASK = (1 << 64) - 1
 
 _WC_OPCODES = {
@@ -164,7 +168,7 @@ class QueuePair:
                                      name="qp:rnr-drain")
 
     def _complete_rnr(self, msg: WireMsg):
-        yield self.context.env.timeout(self.context.params.nic.rnr_retry_ns)
+        yield self.context.env.timeout(RNR_RETRY_NS)
         if self._rnr and self._rnr[0] is msg:
             self._rnr.popleft()
             self._draining -= 1

@@ -24,6 +24,7 @@ together).
 from __future__ import annotations
 
 from repro.fabric.link import Chunk
+from repro.fabric import nic as nic_module
 from repro.fabric.nic import Nic
 from repro.sim.core import Event
 from repro.util.units import serialization_ns
@@ -62,7 +63,7 @@ class OracleNic(Nic):
         rtt = (serialization_ns(total_wire, link.bandwidth_gbps)
                + 2 * self.topology.path_latency_ns(self.rank, msg.dst)
                + nic.ack_overhead_ns + nic.delivery_ns)
-        timeout_ns = nic.ack_timeout_ns + rtt
+        timeout_ns = nic_module.ACK_TIMEOUT_NS + rtt
         for attempt in range(nic.transport_retries + 1):
             deadline = self.env.timeout(timeout_ns)
             yield AnyOf(self.env, [msg.ack_event, deadline])

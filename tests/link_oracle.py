@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 
+from repro.fabric import link as link_module
 from repro.fabric.link import Link
 from repro.sim.resources import Store
 from repro.sim.trace import Counters
@@ -187,7 +188,7 @@ class ServedLink(Link):
                 timeout(ser).callbacks.append(self._next)
             else:
                 counters.add("link.retrans_bytes", chunk.wire_bytes)
-                timeout(ser + self.params.retransmit_ns).callbacks.append(
+                timeout(ser + link_module.RETRANSMIT_NS).callbacks.append(
                     partial(self._attempt, chunk, ser, drop_rate))
             return
         self._chunks += 1

@@ -63,12 +63,11 @@ def test_pingpong_latency_stats():
     assert st.mean_us == pytest.approx(st.mean_ns / 1000)
 
 
-def test_mpi_pingpong_slower_with_more_sw_overhead():
-    from repro.minimpi import MPIConfig
-    fast = pingpong_mpi(64, reps=5,
-                        config=MPIConfig(sw_overhead_ns=0)).mean_ns
-    slow = pingpong_mpi(64, reps=5,
-                        config=MPIConfig(sw_overhead_ns=500)).mean_ns
+def test_mpi_pingpong_slower_with_more_sw_overhead(monkeypatch):
+    monkeypatch.setattr("repro.minimpi.protocol.SW_OVERHEAD_NS", 0)
+    fast = pingpong_mpi(64, reps=5).mean_ns
+    monkeypatch.setattr("repro.minimpi.protocol.SW_OVERHEAD_NS", 500)
+    slow = pingpong_mpi(64, reps=5).mean_ns
     assert slow > fast
 
 

@@ -19,6 +19,7 @@ from repro.chaos import (ChaosController, CrashRank, FaultSchedule,
                          check_no_duplicate_delivery)
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
+from repro.photon.base import IMM_PREPOST
 from repro.runtime.health import DEAD, ALIVE, MembershipView
 from repro.sim.rng import RngRegistry
 from tests.stepping import step
@@ -123,8 +124,7 @@ def test_schedule_orders_and_validates():
 def test_partition_blocks_traffic_and_heal_restores():
     cl = build_cluster(2, "ib-fdr", seed=9)
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=1,
-                                      op_timeout_ns=100_000,
-                                      backoff_base_ns=10_000))
+                                      op_timeout_ns=100_000))
     a, b = ph[0].buffer(4096), ph[1].buffer(4096)
     cl[0].memory.write(a.addr, b"\x42" * 4096)
     ctrl = ChaosController(cl, FaultSchedule(
@@ -197,7 +197,6 @@ def test_flapping_link_drops_then_recovers():
     cl = build_cluster(2, "ib-fdr", seed=17)
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=10,
                                       op_timeout_ns=150_000,
-                                      backoff_base_ns=20_000,
                                       backoff_jitter_ns=40_000))
     a, b = ph[0].buffer(4096), ph[1].buffer(4096)
     cl[0].memory.write(a.addr, b"\x7e" * 4096)
@@ -228,7 +227,7 @@ def test_flapping_link_drops_then_recovers():
 def test_retry_jitter_decorrelates_concurrent_retries():
     """No two retries of distinct ops land on the same tick with the
     widened jitter window, and the window widens beyond the historical
-    one-backoff_base_ns default."""
+    one-BACKOFF_BASE_NS default."""
     def retry_ticks(config):
         cl = build_cluster(2, "ib-fdr", seed=23)
         ph = photon_init(cl, config)
@@ -241,14 +240,13 @@ def test_retry_jitter_decorrelates_concurrent_retries():
             ticks.append(op.next_retry_at)
         return ticks
 
-    wide = retry_ticks(PhotonConfig(backoff_base_ns=20_000,
-                                    backoff_jitter_ns=80_000))
+    wide = retry_ticks(PhotonConfig(backoff_jitter_ns=80_000))
     assert len(set(wide)) == len(wide)
     assert max(wide) - min(wide) > 20_000       # wider than one base
     assert all(20_000 <= t < 100_000 for t in wide)
 
-    # historical default: draws stay inside one backoff_base_ns window
-    legacy = retry_ticks(PhotonConfig(backoff_base_ns=20_000))
+    # historical default: draws stay inside one BACKOFF_BASE_NS window
+    legacy = retry_ticks(PhotonConfig())
     assert all(20_000 <= t < 40_000 for t in legacy)
 
 
@@ -295,11 +293,11 @@ def test_rejoin_after_crash_mid_progress_pass_does_not_overflow_rq():
     top and raised QueueFullError."""
     cl = build_cluster(2, "ib-fdr", seed=3)
     ph = photon_init(cl)
-    window = ph[1].config.imm_prepost
+    window = IMM_PREPOST
     src, dst = ph[0].buffer(64), ph[1].buffer(64)
 
     def burst(env):
-        for i in range(24):  # > max_recv_wr - imm_prepost immediates
+        for i in range(24):  # > max_recv_wr - IMM_PREPOST immediates
             yield from ph[0].put_pwc(1, src.addr, 8, dst.addr, dst.rkey,
                                      remote_cid=i)
         yield env.timeout(50_000)  # all landed in rank 1's recv CQ
@@ -327,7 +325,7 @@ def test_rearm_peer_before_flush_cqes_drain_does_not_overflow_rq():
     RQ would post a second window on top once they drain."""
     cl = build_cluster(2, "ib-fdr", seed=3)
     ph = photon_init(cl)
-    peer, window = ph[0].peers[1], ph[0].config.imm_prepost
+    peer, window = ph[0].peers[1], IMM_PREPOST
     peer.qp.teardown()  # what on_peer_dead does with sends outstanding
     assert (peer.qp.rq_posted == 0
             and len(ph[0].recv_cq._entries) == window)

@@ -12,18 +12,18 @@ from repro.runtime import (
     PhotonTransport,
     Runtime,
 )
+from repro.runtime.coalesce import MAX_DELAY_NS
 from repro.sim import SimulationError
 
 TIMEOUT = 10 ** 12
 
 
-def make(flush_bytes=4096, flush_count=16, max_delay_ns=5_000):
+def make(flush_bytes=4096, flush_count=16):
     cl = build_cluster(2)
     ph = photon_init(cl)
     tps = [CoalescingTransport(PhotonTransport(ph[r]),
                                flush_bytes=flush_bytes,
-                               flush_count=flush_count,
-                               max_delay_ns=max_delay_ns)
+                               flush_count=flush_count)
            for r in range(2)]
     return cl, tps
 
@@ -46,7 +46,7 @@ def pump(cl, tps, n, sender_gen):
 
 
 def test_batch_flushes_at_count_threshold():
-    cl, tps = make(flush_count=4, max_delay_ns=10 ** 9)
+    cl, tps = make(flush_count=4)
 
     def sender(env):
         for i in range(8):
@@ -58,7 +58,7 @@ def test_batch_flushes_at_count_threshold():
 
 
 def test_batch_flushes_at_byte_threshold():
-    cl, tps = make(flush_bytes=256, flush_count=1000, max_delay_ns=10 ** 9)
+    cl, tps = make(flush_bytes=256, flush_count=1000)
 
     def sender(env):
         for i in range(10):
@@ -73,7 +73,7 @@ def test_batch_flushes_at_byte_threshold():
 def test_stale_batch_flushes_on_poll():
     """A partially filled batch ships after max_delay even if the sender
     goes quiet (latency bound)."""
-    cl, tps = make(flush_count=100, max_delay_ns=2_000)
+    cl, tps = make(flush_count=100)
 
     def sender(env):
         yield from tps[0].send(1, b"lonely parcel")
@@ -87,7 +87,7 @@ def test_stale_batch_flushes_on_poll():
 
 
 def test_explicit_flush():
-    cl, tps = make(flush_count=100, max_delay_ns=10 ** 9)
+    cl, tps = make(flush_count=100)
 
     def sender(env):
         yield from tps[0].send(1, b"a")
@@ -100,7 +100,7 @@ def test_explicit_flush():
 
 
 def test_oversized_parcel_ships_alone():
-    cl, tps = make(flush_bytes=512, flush_count=100, max_delay_ns=10 ** 9)
+    cl, tps = make(flush_bytes=512, flush_count=100)
 
     def sender(env):
         yield from tps[0].send(1, b"s" * 16)
@@ -225,12 +225,12 @@ def test_stale_flush_swallows_peer_down():
     ph = photon_init(cl)
     inner = PhotonTransport(ph[0])
     inner.breaker_threshold, inner.breaker_cooldown_ns = 1, 10 ** 9
-    tp = CoalescingTransport(inner, flush_count=100, max_delay_ns=1_000)
+    tp = CoalescingTransport(inner, flush_count=100)
 
     def prog(env):
         yield from tp.send(1, b"doomed")
         inner._record_failure(1)  # peer dies with the batch open
-        yield env.timeout(5_000)  # batch is now stale
+        yield env.timeout(MAX_DELAY_NS)  # batch is now stale
         raw = yield from tp.poll()  # must not raise
         assert raw is None
 
@@ -299,8 +299,7 @@ def _down_peer_pair(breaker_open):
     tripped on it.  ``ships`` logs every ``_ship`` call of rank 0's."""
     cl = build_cluster(2)
     ph = photon_init(cl)
-    tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100,
-                               max_delay_ns=10 ** 9)
+    tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100)
            for r in range(2)]
     wire = tps[0].inner
     if breaker_open:

@@ -11,8 +11,6 @@ the collective had completed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,12 +18,10 @@ from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.photon import photon_init
 from repro.photon.collectives import MemberDeadError
-from repro.runtime.health import build_health
+from repro.runtime.health import DETECT_BUDGET_NS, build_health
 
 N = 4
 DEAD = 3
-#: phi-accrual detection budget at default tuning (phi_dead * period * ln 10)
-DETECT_BUDGET_NS = int(6.0 * 50_000 * math.log(10.0))
 #: the heartbeat loops never let the queue drain: every run is bounded
 LIMIT_NS = 5_000_000
 

@@ -12,11 +12,14 @@ a crash and a partition do to messages in flight.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster import build_cluster
 from repro.fabric import IB_FDR, Memory, Nic, Star, WireMsg
+from repro.fabric import nic as nic_module
 from repro.fabric.link import LinkChaos
 from repro.obs.registry import MetricsRegistry
 from repro.sim.core import Environment
@@ -28,9 +31,25 @@ from tests.test_fabric_link import _at
 MTU = 256
 PARAMS = IB_FDR.with_overrides(
     link__mtu=MTU, link__bandwidth_gbps=8.0, link__drop_rate=0.5,
-    link__loss_mode="lossy", nic__ack_timeout_ns=900)
+    link__loss_mode="lossy")
 #: one full chunk on the wire (8 Gbit/s: a byte is a nanosecond)
 SER = serialization_ns(MTU + PARAMS.link.header_bytes, 8.0)
+#: the rig's ack grace: a few chunk times, so deadlines fall among sends
+ACK_TIMEOUT_NS = 900
+
+
+@contextmanager
+def short_ack_timeout():
+    """The NIC's ack grace is the rig's inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nic_module, "ACK_TIMEOUT_NS", ACK_TIMEOUT_NS)
+        yield
+
+
+@pytest.fixture
+def short_ack():
+    with short_ack_timeout():
+        yield
 
 
 class ScriptedStreams:
@@ -136,7 +155,8 @@ def _play(nic_cls, depth, retries, pattern, scripts):
 
     for src, script in enumerate(scripts):
         rig.env.process(sender(src, script), name=f"sender{src}")
-    rig.env.run()
+    with short_ack_timeout():
+        rig.env.run()
     return rig
 
 
@@ -177,9 +197,10 @@ def test_arq_record_matches_retry_monitor_process(depth, retries, pattern,
 def first_deadline():
     """(span start, quiet ack instant, first deadline) of the 3-chunk
     message the late-ack cases send at t = 0."""
-    quiet = Rig(Nic, depth=1)
-    msg = quiet.send(0, 3 * MTU)
-    quiet.env.run()
+    with short_ack_timeout():
+        quiet = Rig(Nic, depth=1)
+        msg = quiet.send(0, 3 * MTU)
+        quiet.env.run()
     (t0, t_ack, _retries, _status), = quiet.observed()["spans"]
     return t0, t_ack, msg.ack_event.due
 
@@ -193,6 +214,7 @@ def _late_ack(nic_cls, retries, ack_at, first_deadline):
     return rig
 
 
+@pytest.mark.usefixtures("short_ack")
 @pytest.mark.parametrize("nic_cls", [Nic, OracleNic])
 def test_ack_while_reinjection_is_parked(nic_cls, first_deadline):
     """The first hop takes one copy into service and one into its queue;
@@ -212,6 +234,7 @@ def test_ack_while_reinjection_is_parked(nic_cls, first_deadline):
         assert not rig.nics[0]._arqs and rig.env.now < due + 4 * SER + 2_000
 
 
+@pytest.mark.usefixtures("short_ack")
 @pytest.mark.parametrize("nic_cls", [Nic, OracleNic])
 def test_exhaustion_reports_once_and_ignores_a_later_ack(nic_cls,
                                                          first_deadline):
@@ -229,6 +252,7 @@ def test_exhaustion_reports_once_and_ignores_a_later_ack(nic_cls,
     assert rig.env.now > second         # the ack did land, and was ignored
 
 
+@pytest.mark.usefixtures("short_ack")
 @pytest.mark.parametrize("nic_cls", [Nic, OracleNic])
 def test_sender_down_at_its_deadline_is_silent(nic_cls):
     """A NIC powered off mid-stage still streams the message in hand (the
@@ -248,10 +272,11 @@ def test_sender_down_at_its_deadline_is_silent(nic_cls):
     assert not rig.nics[0]._arqs
 
 
+@pytest.mark.usefixtures("short_ack")
 def test_drained_run_ends_at_the_last_ack():
     """An acked message leaves no deadline behind to hold the clock of an
     ``env.run()`` with no ``until`` (the monitor process's did, for one
-    ``ack_timeout_ns`` + round trip)."""
+    ``ACK_TIMEOUT_NS`` + round trip)."""
     rig = Rig(Nic)
     rig.send(0, 3 * MTU)
     rig.send(1, 64)

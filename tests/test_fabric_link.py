@@ -10,10 +10,11 @@ the drop sequence deterministic.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.fabric import IB_FDR, Memory, Nic, WireMsg
-from repro.fabric.link import Chunk, Link, LinkChaos
+from repro.fabric.link import Chunk, Link, LinkChaos, RETRANSMIT_NS
 from repro.fabric.params import LinkParams
 from repro.fabric.topology import Topology
 from repro.sim.core import Environment
@@ -33,10 +34,9 @@ class ScriptedRng:
 
 
 def _mk_link(env, counters, rng, drop_rate=0.5, loss_mode="reliable",
-             retransmit_ns=12_000, latency_ns=500, bandwidth_gbps=8.0):
+             latency_ns=500, bandwidth_gbps=8.0):
     params = LinkParams(bandwidth_gbps=bandwidth_gbps, latency_ns=latency_ns,
-                        mtu=4096, drop_rate=drop_rate,
-                        retransmit_ns=retransmit_ns, loss_mode=loss_mode)
+                        mtu=4096, drop_rate=drop_rate, loss_mode=loss_mode)
     link = Link(env, params, "uut", counters=counters, rng=rng)
     delivered = []
     link.sink = lambda chunk: delivered.append((env.now, chunk))
@@ -76,10 +76,10 @@ def test_reliable_retransmit_accounting():
     assert link._drops == 2
     assert "link.lost_bytes" not in snap
     # delivery instants: c1 = ser + latency; c2 starts at ser (queued
-    # behind c1), pays two recovery rounds of (ser + retransmit_ns),
+    # behind c1), pays two recovery rounds of (ser + RETRANSMIT_NS),
     # then its final serialisation and the propagation latency
     assert delivered[0][0] == ser + 500
-    assert delivered[1][0] == ser + 2 * (ser + 12_000) + ser + 500
+    assert delivered[1][0] == ser + 2 * (ser + RETRANSMIT_NS) + ser + 500
 
 
 def test_reliable_clean_path_accounting():
@@ -273,19 +273,20 @@ def test_chaos_armed_mid_burst_on_clean_link():
 
 def _chaos_on_drop_rate_link(mode, link_cls=Link):
     env, counters, hop0, hop1, delivered = _two_hop(
-        rng=CyclicRng(), drop_rate=0.25, loss_mode=mode, retransmit_ns=4_000,
-        link_cls=link_cls)
-    _feed(env, hop0, hop1, [
-        (0, 8),
-        (2_500, lambda: hop0.arm_chaos(
-            LinkChaos(bw_scale=0.25, latency_add_ns=300))),
-        (2_500, 6),
-        (20_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
-        (20_000, 3),
-        (40_000, lambda: hop0.arm_chaos(None)),
-        (40_000, 6),
-    ])
-    return _observed(env, counters, hop0, delivered)
+        rng=CyclicRng(), drop_rate=0.25, loss_mode=mode, link_cls=link_cls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.fabric.link.RETRANSMIT_NS", 4_000)
+        _feed(env, hop0, hop1, [
+            (0, 8),
+            (2_500, lambda: hop0.arm_chaos(
+                LinkChaos(bw_scale=0.25, latency_add_ns=300))),
+            (2_500, 6),
+            (20_000, lambda: hop0.arm_chaos(LinkChaos(up=False))),
+            (20_000, 3),
+            (40_000, lambda: hop0.arm_chaos(None)),
+            (40_000, 6),
+        ])
+        return _observed(env, counters, hop0, delivered)
 
 
 def test_chaos_armed_on_drop_rate_link():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fabric import IB_FDR, Memory, MemoryError_, OutOfMemory
+from repro.fabric.memory import PAGE_SIZE
 
 HOST = IB_FDR.host
 
@@ -110,19 +111,19 @@ def test_u64_roundtrip():
 
 def test_pin_cost_counts_new_pages_only():
     mem = make()
-    addr = mem.alloc(3 * HOST.page_size, align=HOST.page_size)
-    cost1 = mem.pin_cost_ns(addr, 3 * HOST.page_size)
+    addr = mem.alloc(3 * PAGE_SIZE, align=PAGE_SIZE)
+    cost1 = mem.pin_cost_ns(addr, 3 * PAGE_SIZE)
     assert cost1 == HOST.reg_base_ns + 3 * HOST.reg_per_page_ns
-    mem.pin(addr, 3 * HOST.page_size)
+    mem.pin(addr, 3 * PAGE_SIZE)
     # Re-registering the same range: only the base cost remains.
-    cost2 = mem.pin_cost_ns(addr, 3 * HOST.page_size)
+    cost2 = mem.pin_cost_ns(addr, 3 * PAGE_SIZE)
     assert cost2 == HOST.reg_base_ns
     assert len(mem._pinned_pages) == 3
 
 
 def test_pin_partial_overlap():
     mem = make()
-    page = HOST.page_size
+    page = PAGE_SIZE
     addr = mem.alloc(4 * page, align=page)
     mem.pin(addr, page)  # pin first page
     cost = mem.pin_cost_ns(addr, 2 * page)  # spans pages 0..1; 1 is new
@@ -131,7 +132,7 @@ def test_pin_partial_overlap():
 
 def test_unpin_releases_pages():
     mem = make()
-    page = HOST.page_size
+    page = PAGE_SIZE
     addr = mem.alloc(2 * page, align=page)
     mem.pin(addr, 2 * page)
     assert len(mem._pinned_pages) == 2
@@ -141,7 +142,7 @@ def test_unpin_releases_pages():
 
 def test_pages_spanned_unaligned_range():
     mem = make()
-    page = HOST.page_size
+    page = PAGE_SIZE
     # 2 bytes straddling a page boundary span two pages
     assert len(mem._page_range(page - 1, 2)) == 2
     assert len(mem._page_range(0, 1)) == 1

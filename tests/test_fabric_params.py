@@ -76,5 +76,4 @@ def test_all_presets_have_sane_invariants():
         assert p.link.mtu >= 256
         assert p.nic.dma_gbps > 0
         assert p.host.memcpy_gbps > 0
-        assert p.host.page_size in (4096,)
         assert p.topology in ("star", "torus2d")

@@ -25,8 +25,7 @@ TIMEOUT = 10 ** 12
 
 def lossy_cluster(n=2, drop=0.05, seed=1):
     return build_cluster(n, params="ib-fdr", seed=seed,
-                         link__drop_rate=drop,
-                         link__retransmit_ns=12_000)
+                         link__drop_rate=drop)
 
 
 def test_pwc_survives_lossy_links():
@@ -476,7 +475,6 @@ def test_qp_reconnect_under_rapid_flaps():
                        nic__transport_retries=0)
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=12,
                                       op_timeout_ns=150_000,
-                                      backoff_base_ns=40_000,
                                       backoff_jitter_ns=60_000))
     size = 4096
     src = ph[0].buffer(size)
@@ -513,13 +511,12 @@ def test_qp_reconnect_under_rapid_flaps():
 # credit writes: one retry path
 # --------------------------------------------------------------------------
 
-def _credit_cluster(**nic):
+def _credit_cluster():
     """Lossy mode armed but never dropping, and a NIC that gives up on a
     message after its first attempt: a credit write lost to a fault comes
     back to Photon as a WR error."""
     return build_cluster(2, "ib-fdr", seed=5, link__loss_mode="lossy",
-                         link__drop_rate=1e-12, nic__transport_retries=0,
-                         **{f"nic__{k}": v for k, v in nic.items()})
+                         link__drop_rate=1e-12, nic__transport_retries=0)
 
 
 def test_a_lost_credit_write_is_resent_and_the_producer_unblocks():
@@ -558,7 +555,7 @@ def test_a_lost_credit_write_is_resent_and_the_producer_unblocks():
 
 
 @pytest.mark.parametrize("watched", [True, False])
-def test_no_credit_is_resent_to_a_peer_declared_dead(watched):
+def test_no_credit_is_resent_to_a_peer_declared_dead(watched, monkeypatch):
     """The producer crashes with its ring full; the consumer then drains
     it and writes credit to the dead NIC, which never acks.  By the time
     that write errors (a 5 ms ack timeout) the health monitor has declared
@@ -566,7 +563,8 @@ def test_no_credit_is_resent_to_a_peer_declared_dead(watched):
     resent like any lost one."""
     from repro.runtime.health import build_health
     cfg = PhotonConfig(eager_slots=4)
-    cl = _credit_cluster(ack_timeout_ns=5_000_000)
+    monkeypatch.setattr("repro.fabric.nic.ACK_TIMEOUT_NS", 5_000_000)
+    cl = _credit_cluster()
     ph = photon_init(cl, cfg)
     mons = build_health(cl)
     if watched:
@@ -650,11 +648,11 @@ def test_a_lost_atomic_surfaces_its_cid_as_an_error():
         ph[0].atomic_result(42)
 
 
-def test_an_eager_send_out_of_retries_fails_and_returns_its_slot():
-    from repro.minimpi import MPIConfig
-
+def test_an_eager_send_out_of_retries_fails_and_returns_its_slot(
+        monkeypatch):
+    monkeypatch.setattr("repro.minimpi.protocol.MAX_OP_RETRIES", 2)
     cl = real_loss_cluster(drop=1.0)
-    mm = mpi_init(cl, MPIConfig(max_op_retries=2))
+    mm = mpi_init(cl)
     ch = mm[0].engine.peers[1]
     slots = len(ch.send_slots)
     src = cl[0].memory.alloc(256)

@@ -9,21 +9,20 @@ a dead-peer status instead of burning their full retry budgets.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
+from repro.chaos import ChaosController, CrashRank, FaultSchedule, RestartRank
 from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
+from repro.minimpi.protocol import EAGER_CREDITS, PREPOST
 from repro.photon import PhotonConfig, photon_init
-from repro.runtime.health import (ALIVE, DEAD, SUSPECT, HealthConfig,
-                                  MembershipView, PhiAccrualDetector,
-                                  build_health)
+from repro.runtime.health import (ALIVE, DEAD, DETECT_BUDGET_NS, SUSPECT,
+                                  HealthConfig, MembershipView,
+                                  PhiAccrualDetector, build_health)
+from repro.runtime.transport import PhotonTransport
 from repro.verbs.enums import WCStatus
 
 WAIT = 10 ** 12
-#: phi-accrual detection budget at default tuning (phi_dead * period * ln 10)
-DETECT_BUDGET_NS = int(6.0 * 50_000 * math.log(10.0))
 
 
 # --------------------------------------------------------------------------
@@ -68,9 +67,7 @@ def test_health_config_validation():
     with pytest.raises(ValueError):
         HealthConfig(period_ns=0).validate()
     with pytest.raises(ValueError):
-        HealthConfig(ewma_alpha=0.0).validate()
-    with pytest.raises(ValueError):
-        HealthConfig(phi_suspect=6.0, phi_dead=2.0).validate()
+        HealthConfig(phi_dead=2.0).validate()
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +127,7 @@ def test_photon_pending_op_settles_peer_dead():
     not after the full deadline+retry budget."""
     cl = build_cluster(2, "ib-fdr", seed=3)
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=5,
-                                      op_timeout_ns=400_000,
-                                      backoff_base_ns=20_000))
+                                      op_timeout_ns=400_000))
     mons = build_health(cl)
     for r in range(2):
         ph[r].attach_health(mons[r])
@@ -162,6 +158,77 @@ def test_photon_pending_op_settles_peer_dead():
     assert out["settle2"] < 100_000
     assert cl.counters.get("photon.dead_peer_fails") >= 2
     assert cl.counters.get("photon.peer_dead_events") == 1
+
+
+#: rendezvous sends below start here, the detectors warmed up; the
+#: receiver crashes 20 us later, before it fetches
+T_SEND = 500_000
+RNDV = 16 * 1024
+
+
+def _rndv_pair(restart):
+    """Two ranks with health attached; rank 1 crashes 20 us after
+    ``T_SEND`` and, with ``restart``, comes back 400 us later: suspected
+    by then, not yet dead, so rank 0 sees a join and re-arms the pairing
+    instead of declaring a death."""
+    cl = build_cluster(2, "ib-fdr", seed=3)
+    ph = photon_init(cl)
+    mons = build_health(cl)
+    for r in range(2):
+        ph[r].attach_health(mons[r])
+    events = [CrashRank(T_SEND + 20_000, 1)]
+    if restart:
+        events.append(RestartRank(T_SEND + 420_000, 1))
+    ChaosController(cl, FaultSchedule(events), photon=ph,
+                    monitors=mons).arm()
+    return cl, ph, mons
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_rendezvous_send_fails_when_its_peer_dies(restart):
+    """A rendezvous send the receiver never fetched fails when rank 0
+    declares the receiver dead — or re-arms the pairing for its new
+    incarnation — and the source buffer is unpinned.  It used to stay
+    PENDING, pinned, until any wait timed out."""
+    cl, ph, mons = _rndv_pair(restart)
+    src = ph[0].buffer(RNDV)
+    out = {}
+
+    def prog(env):
+        yield env.timeout(T_SEND)
+        rid = yield from ph[0].send_rdma(1, src.addr, RNDV)
+        out["settled"] = bool((yield from ph[0].wait(rid, 20_000_000)))
+        out["failed"] = ph[0].request_info(rid).failed
+        out["held"] = ph[0].rcache.held_refs
+        out["t"] = env.now - T_SEND
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert out["settled"] and out["failed"] and out["held"] == 0
+    assert mons[0].is_dead(1) is not restart
+    assert cl.counters.get("photon.peer_rearms") == int(restart)
+    assert out["t"] < 20_000 + 2 * DETECT_BUDGET_NS
+
+
+def test_transport_reuses_the_slot_of_a_send_to_a_dead_peer(monkeypatch):
+    """With one staging slot, a rendezvous parcel to a peer that then dies
+    must not hold the slot for good: the next parcel's ``send`` waits for
+    the first to settle, and returns."""
+    monkeypatch.setattr(PhotonTransport, "scratch_slots", 1)
+    cl, ph, mons = _rndv_pair(restart=False)
+    tp = PhotonTransport(ph[0])
+    tp.attach_health(mons[0])
+    out = {}
+
+    def prog(env):
+        yield env.timeout(T_SEND)
+        for i in range(2):
+            yield from tp.send(1, bytes([i]) * RNDV)
+        out["t"] = env.now - T_SEND
+
+    cl.env.process(prog(cl.env))
+    cl.env.run(until=T_SEND + 20_000_000)
+    assert out["t"] < 20_000 + 2 * DETECT_BUDGET_NS
+    assert cl.counters.get("transport.parcel_failures") == 1
 
 
 def test_minimpi_requests_fail_with_peer_dead():
@@ -241,14 +308,13 @@ def test_photon_sender_stalled_on_a_full_ring_is_released_peer_dead():
 
 def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
     """Un-reaped messages exhaust the peer's preposted receives, the next
-    ``eager_credits`` sends sit un-acked on every bounce slot, and one
+    ``EAGER_CREDITS`` sends sit un-acked on every bounce slot, and one
     more blocks for a slot."""
     cl = build_cluster(2, "ib-fdr", seed=6)
     mm = mpi_init(cl)
     mons = build_health(cl)
     for r in range(2):
         mm[r].engine.attach_health(mons[r])
-    cfg = mm[0].engine.config
     src = cl[0].memory.alloc(64)
     out = {}
 
@@ -262,7 +328,7 @@ def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
     def sender(env):
         yield env.timeout(500_000)
         reqs = []
-        for i in range(cfg.prepost + cfg.eager_credits + 1):
+        for i in range(PREPOST + EAGER_CREDITS + 1):
             reqs.append((yield from mm[0].isend(src, 8, 1, tag=i)))
         return reqs, env.now
 

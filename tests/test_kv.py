@@ -32,10 +32,10 @@ from repro.kv.raft import (CANDIDATE, FOLLOWER, LEADER, MSG_APPEND,
                            MSG_VOTE_REPLY, MSG_VOTE_REQ, RaftMsg, decode_msg,
                            encode_msg)
 from repro.kv.shard import CodecError, OP_PUT, ST_MISS, ST_OK
-from repro.kv.store import (ACT_RESP, PendingReply, RESP_FAIL, RESP_NO_LEASE,
-                            RESP_NOT_LEADER, RESP_OK, pack_loc,
-                            pack_response, unpack_loc, unpack_request,
-                            unpack_response)
+from repro.kv.store import (ACT_RESP, APPLY_COST_NS, PendingReply, RESP_FAIL,
+                            RESP_NO_LEASE, RESP_NOT_LEADER, RESP_OK,
+                            pack_loc, pack_response, unpack_loc,
+                            unpack_request, unpack_response)
 from repro.kv.scenario import Op, Scenario, keyspace, pct_us, zipf_plan
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
@@ -470,12 +470,13 @@ def test_compaction_trims_the_applied_prefix():
                for n in bus.nodes.values())
 
 
-def test_snapshot_streams_to_a_partitioned_follower():
+def test_snapshot_streams_to_a_partitioned_follower(monkeypatch):
     """Trimming past a laggard is safe because the laggard is caught up
     by InstallSnapshot: cut a follower, overrun the threshold, heal —
     the follower must converge via a streamed snapshot, not AE repair."""
-    cfg = RaftConfig(compact_threshold=8, compact_margin=2,
-                     snapshot_chunk=7)  # force a multi-chunk transfer
+    # force a multi-chunk transfer
+    monkeypatch.setattr("repro.kv.raft.SNAPSHOT_CHUNK", 7)
+    cfg = RaftConfig(compact_threshold=8, compact_margin=2)
     bus = Bus(n=3, cfg=cfg)
     _arm_snapshots(bus, payload=b"s" * 40)
     leader = bus.elect()
@@ -774,11 +775,12 @@ def test_multi_group_store_spreads_keys():
     assert all(count > 0 for count in per_group.values())
 
 
-def test_onesided_loc_cache_revalidates_in_the_background():
+def test_onesided_loc_cache_revalidates_in_the_background(monkeypatch):
+    monkeypatch.setattr("repro.kv.client.LOC_TTL_NS", 1)
+
     def body(env, cl, nodes, out):
         writer = KVClient(nodes[0], client_id=1)
-        reader = KVClient(nodes[-1], client_id=2, read_mode="onesided",
-                          loc_ttl_ns=1)
+        reader = KVClient(nodes[-1], client_id=2, read_mode="onesided")
         yield from writer.put(b"ttl", b"v")
         out["r1"] = yield from reader.get(b"ttl")
         yield env.timeout(10)
@@ -878,7 +880,6 @@ def _stub_node(env, hub=None):
     return SimpleNamespace(
         env=env, hub={} if hub is None else hub,
         photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
-        config=SimpleNamespace(slot_size=160),
         shard_map=ShardMap(1, 2, rf=2))
 
 
@@ -1086,11 +1087,11 @@ def test_malformed_response_frames_are_dropped_and_wake_nobody():
 def test_a_pass_ships_before_it_applies():
     """Nothing waits for an apply it does not need: whenever a replica
     applies a command its Raft outbox is empty — the follower's ack and
-    the leader's next AppendEntries left before ``apply_cost_ns`` was
+    the leader's next AppendEntries left before ``APPLY_COST_NS`` was
     charged — while the client's answer, which carries the result, is
     shipped only after its own apply."""
     def body(env, cl, nodes, out):
-        cost = nodes[0].config.apply_cost_ns
+        cost = APPLY_COST_NS
         applies, applied_at, waiting, early = {}, {}, [], []
 
         def hook(node):

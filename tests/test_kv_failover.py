@@ -28,9 +28,10 @@ from repro.chaos.invariants import (check_membership_monotonic,
                                     check_reads_return_written,
                                     unapplied_acks)
 from repro.kv import RaftConfig, ST_OK
-from repro.kv.scenario import (DETECT_BUDGET_NS, HB_PERIOD, Scenario,
-                               keyspace, zipf_plan)
+from repro.kv.scenario import Scenario, keyspace, zipf_plan
 from repro.kv.store import ACT_RAFT
+from repro.runtime.health import DETECT_BUDGET_NS, HealthConfig
+from tests.linearizability import check_scenario
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,11 @@ def test_membership_monotonic_on_survivors(fo):
         check_membership_monotonic(monitor)
 
 
+def test_the_failover_history_linearizes(fo):
+    sc = fo["scenario"]
+    assert check_scenario(sc) == len(sc.history)
+
+
 # ---------------------------------------------------------------------------
 # crash landing *inside* the victim's apply / flush loop: on_crash() wipes
 # the group table the loop is iterating across a simulated yield
@@ -84,7 +90,7 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
 
     def crash(victim):
         # 1 ns later the victim is parked in the yield that follows the
-        # hooked call: apply_cost_ns, or the wire send of a Raft message
+        # hooked call: APPLY_COST_NS, or the wire send of a Raft message
         out["armed"] = False
         yield env.timeout(1)
         ctrl._crash(victim)
@@ -222,7 +228,7 @@ def test_a_split_detection_driven_vote_retries_fast():
     env = sc.env
     assert all(op.status == ST_OK for op in sc.history)
     # the benchmark's audit instant
-    env.run(until=max(env.now, sc.t_crash) + 40 * HB_PERIOD)
+    env.run(until=max(env.now, sc.t_crash) + 40 * HealthConfig.period_ns)
     assert sc.leader(0) is not None
     assert unapplied_acks(sc) == []
     # term 2 split; the new leader's second round, term 3, won it

@@ -28,6 +28,7 @@ from repro.chaos.invariants import (InvariantViolation, check_log_bounded,
 from repro.kv import RaftConfig, ST_OK
 from repro.kv.scenario import Scenario
 from repro.kv.shard import decode_command
+from tests.linearizability import check_scenario
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,13 @@ def test_every_acked_write_survives_on_every_final_owner_replica(
     assert r["acked"] == r["n_ops"] + 20  # writers + post-move probes
     assert r["owners_alive"] == 3  # audit covered all replicas
     assert r["unapplied"] == [], f"lost acked writes {r['unapplied'][:5]}"
+
+
+def test_the_chaos_history_linearizes(leader_crash):
+    """Crash, restart, partition and a live move; the post-move probes
+    read back what they wrote."""
+    sc = leader_crash["scenario"]
+    assert check_scenario(sc) == len(sc.history)
 
 
 @pytest.mark.parametrize("scen", ["leader_crash", "follower_crash"])

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.minimpi import MPIConfig, mpi_init
-from repro.minimpi.protocol import HDR, KIND_EAGER, KIND_FIN, KIND_RTS, MPIRequest
+from repro.minimpi.protocol import (HDR, KIND_EAGER, KIND_FIN, KIND_RTS,
+                                    SW_OVERHEAD_NS, MPIRequest)
 from repro.sim import SimulationError
 
 TIMEOUT = 10 ** 12
@@ -29,11 +30,11 @@ def test_request_ids_unique():
         a.complete(6)
 
 
-def test_send_slot_accounting():
+def test_send_slot_accounting(monkeypatch):
     """Slots are finite per peer and recycle after send completions."""
-    cfg = MPIConfig(eager_credits=2)
+    monkeypatch.setattr("repro.minimpi.protocol.EAGER_CREDITS", 2)
     cl = build_cluster(2)
-    comms = mpi_init(cl, cfg)
+    comms = mpi_init(cl)
     ch = comms[0].engine._peer(1)
     assert len(ch.send_slots) == 2
     src = cl[0].memory.alloc(1024)
@@ -57,10 +58,10 @@ def test_send_slot_accounting():
     assert cl.counters.get("mpi.eager_stalls") > 0  # backpressure hit
 
 
-def test_recv_bounces_reposted():
-    cfg = MPIConfig(prepost=4)
+def test_recv_bounces_reposted(monkeypatch):
+    monkeypatch.setattr("repro.minimpi.protocol.PREPOST", 4)
     cl = build_cluster(2)
-    comms = mpi_init(cl, cfg)
+    comms = mpi_init(cl)
     src = cl[0].memory.alloc(64)
     dst = cl[1].memory.alloc(64)
 
@@ -81,10 +82,9 @@ def test_recv_bounces_reposted():
 
 
 def test_sw_overhead_accounted_per_call():
-    """isend entry charges exactly sw_overhead_ns before protocol work."""
-    cfg = MPIConfig(sw_overhead_ns=777)
+    """isend entry charges exactly SW_OVERHEAD_NS before protocol work."""
     cl = build_cluster(2)
-    comms = mpi_init(cl, cfg)
+    comms = mpi_init(cl)
     src = cl[0].memory.alloc(64)
 
     def prog(env):
@@ -94,7 +94,7 @@ def test_sw_overhead_accounted_per_call():
 
     p = cl.env.process(prog(cl.env))
     cl.env.run(until=p)
-    assert p.value >= 777
+    assert p.value >= SW_OVERHEAD_NS
 
 
 def test_rendezvous_uses_rcache():

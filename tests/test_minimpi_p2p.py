@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.minimpi import ANY_SOURCE, ANY_TAG, MPIConfig, mpi_init
+from repro.minimpi import ANY_SOURCE, ANY_TAG, mpi_init
 from repro.sim import SimulationError
 
 
@@ -261,10 +261,11 @@ def test_iprobe_returns_none_when_empty():
     assert p.value is None
 
 
-def test_eager_flow_control_many_messages():
+def test_eager_flow_control_many_messages(monkeypatch):
     """Flood beyond the credit window; nothing is lost or reordered."""
-    cfg = MPIConfig(eager_credits=4, prepost=8)
-    cl, comms = setup(config=cfg)
+    monkeypatch.setattr("repro.minimpi.protocol.EAGER_CREDITS", 4)
+    monkeypatch.setattr("repro.minimpi.protocol.PREPOST", 8)
+    cl, comms = setup()
     s = heap(cl, 0)
     r = heap(cl, 1)
     n_msgs = 50

@@ -93,7 +93,8 @@ def test_spans_disabled_by_default_and_cheap():
 
 
 def test_span_ring_is_bounded():
-    reg = MetricsRegistry(1, spans_enabled=True, max_spans=4)
+    reg = MetricsRegistry(1, spans_enabled=True)
+    reg.max_spans = 4
     for i in range(10):
         reg.scope(0).span("op", i).end(i + 1)
     assert len(reg.spans) == 4

@@ -93,7 +93,7 @@ def test_progress_cost_scales_with_completions():
 def test_credit_word_reflects_consumption():
     """After the consumer drains past the credit fraction, the producer's
     local credit word advances."""
-    cfg = PhotonConfig(eager_slots=8, credit_fraction=0.5)
+    cfg = PhotonConfig(eager_slots=8)
     cl = build_cluster(2)
     ph = photon_init(cl, cfg)
 
@@ -171,12 +171,12 @@ def test_eager_entry_too_big_for_slot_rejected():
         cl.env.run(until=p)
 
 
-def test_rendezvous_info_ring_backpressure():
+def test_rendezvous_info_ring_backpressure(monkeypatch):
     """More concurrent advertisements than info slots: senders stall on
     credits but nothing is lost."""
-    cfg = PhotonConfig(info_entries=2)
+    monkeypatch.setattr("repro.photon.base.INFO_ENTRIES", 2)
     cl = build_cluster(2)
-    ph = photon_init(cl, cfg)
+    ph = photon_init(cl)
     size = 16 * 1024
     src = ph[0].buffer(size * 8)
     dst = ph[1].buffer(size)

@@ -61,8 +61,7 @@ def ring_fixture(nslots=4, entry=COMPLETION_ENTRY_SIZE):
     producer = RemoteRing(spec, remote_base, rkey=1, staging_base=staging,
                           credit_addr=credit, memory=mem)
     consumer = LocalRing(spec, remote_base, mem,
-                         producer_credit_addr=credit, producer_rkey=1,
-                         credit_fraction=0.5)
+                         producer_credit_addr=credit, producer_rkey=1)
     return mem, producer, consumer, credit
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
+from repro.photon.base import IMM_PREPOST
 from repro.sim import SimulationError
 
 TIMEOUT = 50_000_000  # 50 ms of simulated time: generous deadlock guard
@@ -319,7 +320,7 @@ def test_imm_mode_slow_poller_backpressures_senders():
             yield env.timeout(30_000)
             yield from ph[1]._progress_once()
             assert (peer.qp.rq_posted + len(ph[1].recv_cq._entries)
-                    == peer.preposted <= cfg.imm_prepost)
+                    == peer.preposted <= IMM_PREPOST)
 
     cl.env.process(sender(cl.env))
     cl.env.process(reap_sender(cl.env))

@@ -15,9 +15,11 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
+from repro.minimpi.protocol import SW_OVERHEAD_NS
 from repro.photon import PhotonConfig, photon_init
-from repro.photon.base import TimeoutStatus
+from repro.photon.base import BACKOFF_BASE_NS, TimeoutStatus
 from repro.runtime import ActionRegistry, build_runtime
+from repro.runtime.coalesce import MAX_DELAY_NS
 from repro.runtime.scheduler import RECHECK_NS
 from repro.sim.resources import poll_until
 from tests.stepping import peek
@@ -41,7 +43,7 @@ class Rig:
         if kind == "minimpi":
             comms = mpi_init(cl)
             engine = comms[0].engine
-            self.post_ns = engine.config.sw_overhead_ns  # the irecv
+            self.post_ns = SW_OVERHEAD_NS  # the irecv
             self.bell, self.probe = engine.doorbell, engine._progress_once
             src, dst = cl[1].memory.alloc(64), cl[0].memory.alloc(64)
             tags = iter(range(1 << 20))
@@ -272,8 +274,7 @@ def test_lost_attempt_is_replayed_at_its_deadline_while_the_waiter_is_parked():
     from repro.chaos import (ChaosController, FaultSchedule, HealEvent,
                              PartitionEvent)
     cl = build_cluster(2, "ib-fdr", seed=9)
-    ph = photon_init(cl, PhotonConfig(use_imm=False, op_timeout_ns=100_000,
-                                      backoff_base_ns=10_000))
+    ph = photon_init(cl, PhotonConfig(use_imm=False, op_timeout_ns=100_000))
     a, b = ph[0].buffer(64), ph[1].buffer(64)
     ChaosController(cl, FaultSchedule(
         [PartitionEvent(0, (0,), (1,)), HealEvent(50_000)])).arm()
@@ -287,8 +288,11 @@ def test_lost_attempt_is_replayed_at_its_deadline_while_the_waiter_is_parked():
     status, t_done = cl.env.run(until=cl.env.process(prog(cl.env)))
     assert status is WCStatus.SUCCESS
     assert cl.counters.get("photon.op_retries") == 1
-    # deadline + one backoff (10 us + < 10 us jitter) + the replay itself
-    assert 110_000 <= t_done < 130_000
+    # deadline + one backoff (BACKOFF_BASE_NS + less jitter than that) +
+    # the replay itself
+    deadline = 100_000
+    assert (deadline + BACKOFF_BASE_NS <= t_done
+            < deadline + 2 * BACKOFF_BASE_NS + 10_000)
     # parked throughout: a pass at the deadline, one at the retry time
     assert cl.counters.get("photon.progress_passes") < 12
 
@@ -296,7 +300,7 @@ def test_lost_attempt_is_replayed_at_its_deadline_while_the_waiter_is_parked():
 def test_coalesced_batch_leaves_on_time_from_a_rank_parked_in_future_wait():
     """On time = before the rank parks: the first pass of ``Future.wait``
     finds nothing and ships the open batch, one probe after the invoke —
-    not ``max_delay_ns`` later from a park with an alarm set for it."""
+    not ``MAX_DELAY_NS`` later from a park with an alarm set for it."""
     cl = build_cluster(2, "ib-fdr", seed=5)
     reg = ActionRegistry()
     reg.register("echo", lambda rt, src, payload: payload)
@@ -328,7 +332,7 @@ def test_coalesced_batch_leaves_on_time_from_a_rank_parked_in_future_wait():
     assert reply == b"ping"
     assert shipped[0] - t0 == PhotonConfig().progress_poll_ns
     # and the owner's reply likewise: both legs, no timer in either
-    assert len(shipped) == 1 and cl.env.now - t0 < tp.max_delay_ns
+    assert len(shipped) == 1 and cl.env.now - t0 < MAX_DELAY_NS
 
 
 # ------------------------------------------------- the server's bell: arrivals

@@ -7,7 +7,7 @@ parcel leaves at the earliest of
   next parcel without passing ``flush_bytes``),
 - its rank's first idle instant after the enqueue — a progress pass that
   found nothing on the wire, so the rank is about to park,
-- the first progress pass at or after ``opened_at + max_delay_ns``.
+- the first progress pass at or after ``opened_at + MAX_DELAY_NS``.
 
 Hypothesis generates a driver schedule for rank 0 of a 3-rank cluster —
 invokes and plain sends of varied size, spells of local work, time away
@@ -26,6 +26,7 @@ returns, and a batch opened by a parcel the previous one could not take
 opens then.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import build_cluster
@@ -34,7 +35,10 @@ from repro.runtime import ActionRegistry, AmConfig, build_runtime
 from repro.runtime.coalesce import _LEN
 
 FAR = 10 ** 10
-OPTS = dict(flush_count=4, flush_bytes=512, max_delay_ns=2_000)
+OPTS = dict(flush_count=4, flush_bytes=512)
+#: the coalescer's latency bound here, within reach of a few handlers
+MAX_DELAY_NS = 2_000
+RULES = dict(OPTS, max_delay_ns=MAX_DELAY_NS)
 
 
 def oracle_ship_instants(log, flush_count, flush_bytes, max_delay_ns):
@@ -167,12 +171,14 @@ def run_schedule(steps):
 
     procs = [env.process(driver())] + [env.process(server(rt))
                                        for rt in rts[1:]]
-    env.run(until=env.all_of(procs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.runtime.coalesce.MAX_DELAY_NS", MAX_DELAY_NS)
+        env.run(until=env.all_of(procs))
     return cl, spies
 
 
 DST = st.sampled_from([1, 2])
-WORK = st.integers(0, 120)  # x 20 ns: up to 2.4 us, past max_delay_ns
+WORK = st.integers(0, 120)  # x 20 ns: up to 2.4 us, past MAX_DELAY_NS
 STEP = st.one_of(
     st.tuples(st.just("invoke"), DST, st.sampled_from([1, 16, 90, 200, 600]),
               WORK),
@@ -188,7 +194,7 @@ STEP = st.one_of(
 def test_every_parcel_leaves_when_the_literal_rule_says(steps):
     _cl, spies = run_schedule(steps)
     for spy in spies:
-        assert spy.shipped == oracle_ship_instants(spy.log, **OPTS)
+        assert spy.shipped == oracle_ship_instants(spy.log, **RULES)
     # the schedule ended in a blocking wait or with nothing owed a reply:
     # every request and every reply left its rank
     invokes = sum(1 for s in steps if s[0] == "invoke")
@@ -206,7 +212,7 @@ def test_the_oracle_covers_every_reason_a_batch_leaves():
     steps += [("invoke", 2, 600, 0), ("wait",)]   # oversized: alone
     cl, spies = run_schedule(steps)
     for spy in spies:
-        assert spy.shipped == oracle_ship_instants(spy.log, **OPTS)
+        assert spy.shipped == oracle_ship_instants(spy.log, **RULES)
     why = {k: cl.scope(0).get(f"coalesce.ship.{k}")
            for k in ("full", "idle", "stale", "flush")}
     assert why == {"full": 3, "idle": 2, "stale": 1, "flush": 0}

@@ -61,7 +61,7 @@ def test_ring_produced_consumed_invariant(nslots, ops):
     staging = mem.alloc(spec.nbytes)
     credit = mem.alloc(8)
     prod = RemoteRing(spec, base, 1, staging, credit, mem)
-    cons = LocalRing(spec, base, mem, credit, 1, 0.5)
+    cons = LocalRing(spec, base, mem, credit, 1)
     seen = []
     for do_produce in ops:
         if do_produce:

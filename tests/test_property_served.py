@@ -15,9 +15,11 @@ nanosecond, on tallies, ``link.*`` counters and the draws each link took.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.fabric import IB_FDR, Memory, Nic, WireMsg
+from repro.fabric import link as link_module
 from repro.fabric.link import Chunk, Link, LinkChaos
 from repro.fabric.params import LinkParams
 from repro.sim.core import Environment
@@ -98,8 +100,7 @@ def _drive(link_cls, depth, drops, puts, sends, chaos, rates):
         mode, rate = drop or ("reliable", 0.0)
         params = LinkParams(bandwidth_gbps=8.0, latency_ns=(500, 503, 506,
                                                             150)[i],
-                            mtu=4096, drop_rate=rate,
-                            loss_mode=mode, retransmit_ns=700)
+                            mtu=4096, drop_rate=rate, loss_mode=mode)
         rng = CountingRng(i) if drop else None
         rngs.append(rng)
         links.append(link_cls(env, params, "down" if i == 3 else f"up{i}",
@@ -153,7 +154,10 @@ def _drive(link_cls, depth, drops, puts, sends, chaos, rates):
     fabric = _Wires(env, links)
     for at, rate in rates:
         _at(env, at, lambda rate=rate: fabric.set_drop_rate(rate))
-    env.run()
+    # a reliable retry inside the scripts' few microseconds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "RETRANSMIT_NS", 700)
+        env.run()
     snap = dict(counters.values)
     contended = any(len(loops) > 1 for loops in offers.values())
     return env.events_processed, contended, {
@@ -181,7 +185,7 @@ def _drive(link_cls, depth, drops, puts, sends, chaos, rates):
 @example(depth=1, drops=(None, None, None, ("lossy", 0.2)),
          puts=(([], []), ([], [(0, 60)])), sends=[], chaos=[(5, 2, "dark")],
          rates=[])
-# a reliable drop holds the wire for a retry retransmit_ns later
+# a reliable drop holds the wire for a retry RETRANSMIT_NS later
 @example(depth=1, drops=(None, None, None, ("reliable", 0.2)),
          puts=(([], []), ([], [(0, 60)])), sends=[], chaos=[], rates=[])
 # a jitter draw withdrawn with its booking rewinds the chaos stream

@@ -295,70 +295,112 @@ def test_kv_scenarios_are_built_in_one_place():
         assert importlib.util.find_spec(module) is None, module
 
 
-#: every option a caller can set: the fields of the config dataclasses and
+#: every option a caller can set — the fields of the config dataclasses and
 #: the defaulted keyword parameters of the builders and layer constructors
-#: (``Class.field`` / ``callable(param=)``).  Adding or removing one fails
-#: ``test_option_inventory`` until this pin moves with it, so a change's
-#: options removed and added read straight off its diff.
-OPTIONS = [
-    "AmConfig.credit_wait_ns", "AmConfig.credits_per_dest",
-    "AmConfig.dedup_window", "CoalescingTransport(flush_bytes=)",
-    "CoalescingTransport(flush_count=)", "CoalescingTransport(max_delay_ns=)",
-    "FabricParams.host", "FabricParams.link", "FabricParams.name",
-    "FabricParams.nic", "FabricParams.topology", "HealthConfig.ewma_alpha",
-    "HealthConfig.min_interval_ns", "HealthConfig.period_ns",
-    "HealthConfig.phi_dead", "HealthConfig.phi_suspect", "HostParams.dereg_ns",
-    "HostParams.memcpy_gbps", "HostParams.page_size", "HostParams.reg_base_ns",
-    "HostParams.reg_per_page_ns", "KVClient(loc_ttl_ns=)",
-    "KVClient(max_attempts=)", "KVClient(poll_ns=)", "KVClient(read_mode=)",
-    "KVClient(timeout_ns=)", "KVConfig.apply_cost_ns",
-    "KVConfig.install_cost_ns", "KVConfig.n_groups", "KVConfig.raft",
-    "KVConfig.rf", "KVConfig.slot_size", "KVConfig.slots_per_group",
-    "KVConfig.snapshot_cost_ns", "Link(counters=)", "Link(extra_latency_ns=)",
-    "Link(queue_depth=)", "Link(rng=)", "LinkParams.bandwidth_gbps",
-    "LinkParams.drop_rate", "LinkParams.header_bytes", "LinkParams.latency_ns",
-    "LinkParams.loss_mode", "LinkParams.mtu", "LinkParams.retransmit_ns",
-    "MPIConfig.coll_scratch", "MPIConfig.eager_credits",
-    "MPIConfig.eager_threshold", "MPIConfig.max_op_retries",
-    "MPIConfig.prepost", "MPIConfig.progress_poll_ns",
-    "MPIConfig.rcache_capacity", "MPIConfig.sw_overhead_ns",
-    "MetricsRegistry(max_spans=)", "MetricsRegistry(spans_enabled=)",
-    "MpiTransport(max_parcel=)", "MpiTransport(window=)",
-    "NicParams.ack_overhead_ns", "NicParams.ack_timeout_ns",
-    "NicParams.atomic_ns", "NicParams.bulk_startup_ns",
-    "NicParams.bulk_threshold", "NicParams.cqe_poll_ns",
-    "NicParams.delivery_ns", "NicParams.dma_gbps", "NicParams.doorbell_ns",
-    "NicParams.max_inline", "NicParams.post_overhead_ns",
-    "NicParams.rnr_retry_ns", "NicParams.transport_retries",
-    "NicParams.wqe_process_ns", "PhotonConfig.backoff_base_ns",
-    "PhotonConfig.backoff_jitter_ns", "PhotonConfig.backoff_max_ns",
-    "PhotonConfig.completion_entries", "PhotonConfig.credit_fraction",
-    "PhotonConfig.eager_limit", "PhotonConfig.eager_slots",
-    "PhotonConfig.entry_resend_limit", "PhotonConfig.fin_entries",
-    "PhotonConfig.imm_prepost", "PhotonConfig.info_entries",
-    "PhotonConfig.max_op_retries", "PhotonConfig.max_outstanding",
-    "PhotonConfig.op_timeout_ns", "PhotonConfig.progress_poll_ns",
-    "PhotonConfig.rcache_capacity", "PhotonConfig.rcache_enabled",
-    "PhotonConfig.use_imm", "PhotonConfig.use_inline",
-    "PhotonTransport(max_parcel=)", "RaftConfig.compact_margin",
-    "RaftConfig.compact_threshold", "RaftConfig.election_jitter_ns",
-    "RaftConfig.election_stagger_ns", "RaftConfig.election_timeout_ns",
-    "RaftConfig.fast_election_ns", "RaftConfig.heartbeat_ns",
-    "RaftConfig.lease_ns", "RaftConfig.max_entries_per_ae",
-    "RaftConfig.snapshot_chunk", "RegistrationCache(capacity=)",
-    "RegistrationCache(enabled=)", "Runtime(counters=)",
-    "Runtime(handler_cost_ns=)", "Scenario(raft=)", "Scenario(spans=)",
-    "Tracer(enabled=)", "Tracer(max_records=)", "build_cluster(mem_size=)",
-    "build_cluster(params=)", "build_cluster(seed=)", "build_cluster(spans=)",
-    "build_cluster(topology=)", "build_cluster(trace=)",
-    "build_cluster(trace_max_records=)", "build_health(config=)",
-    "build_health(start=)", "build_kv(config=)", "build_kv(monitors=)",
-    "build_kv(registry=)", "build_kv(start=)", "build_runtime(am=)",
-    "build_runtime(am_config=)", "build_runtime(coalesce=)",
-    "build_runtime(coalesce_opts=)", "build_runtime(comms=)",
-    "build_runtime(max_parcel=)", "build_runtime(photon=)",
-    "build_runtime(transport=)", "mpi_init(config=)", "photon_init(config=)"
-]
+#: (``Class.field`` / ``callable(param=)``) — with why it is not a module
+#: constant: two non-test callers or presets set different values
+#: ("values"), ``perf/`` passes it ("perf"), it wires the program together
+#: ("wiring"), or a named property / model-check test sweeps it ("swept").
+#: Adding or removing one fails ``test_option_inventory`` until this pin
+#: moves with it, so a change's options removed and added read straight off
+#: its diff, and a new option names its second caller here.
+OPTIONS = {
+    "AmConfig.credits_per_dest": "perf: am_fanout sets its flood window",
+    "CoalescingTransport(flush_bytes=)": "values: 4 KiB default, R15 64 KiB",
+    "CoalescingTransport(flush_count=)": "values: R15 sweeps 4..64, obs "
+                                         "report 4",
+    "FabricParams.host": "values: the five presets differ",
+    "FabricParams.link": "values: the five presets differ",
+    "FabricParams.name": "values: one per preset",
+    "FabricParams.nic": "values: the five presets differ",
+    "FabricParams.topology": "values: star presets, gemini torus2d",
+    "HealthConfig.period_ns": "perf: the kv workloads pass it",
+    "HealthConfig.phi_dead": "perf: the kv workloads pass it",
+    "HostParams.memcpy_gbps": "values: 60 / 70 / 80 across presets",
+    "HostParams.reg_base_ns": "values: 0 / 2000 / 2500 across presets",
+    "HostParams.reg_per_page_ns": "values: 0 / 180 / 220 across presets",
+    "KVClient(max_attempts=)": "perf: kv_chaos gives its clients 200",
+    "KVClient(poll_ns=)": "perf: a per-client period drawn from the seed",
+    "KVClient(read_mode=)": "values: R20's rpc and onesided arms",
+    "KVClient(timeout_ns=)": "perf: the kv workloads pass it",
+    "KVConfig.n_groups": "values: R20 / R21 run 1, 2 and 4 groups",
+    "KVConfig.raft": "values: R21 compacts early (via Scenario); perf",
+    "KVConfig.rf": "perf: the kv workloads pass it",
+    "Link(counters=)": "wiring: the fabric's counter scope",
+    "Link(extra_latency_ns=)": "values: star switch latency, torus 0",
+    "Link(queue_depth=)": "swept: test_property_served",
+    "Link(rng=)": "wiring: the link's drop stream",
+    "LinkParams.bandwidth_gbps": "values: the five presets differ",
+    "LinkParams.drop_rate": "values: R17 / R23 / obs report loss rates",
+    "LinkParams.header_bytes": "values: 18 / 30 / 58 / 78 across presets",
+    "LinkParams.latency_ns": "values: the five presets differ",
+    "LinkParams.loss_mode": "values: reliable default, lossy in R17 / R23",
+    "LinkParams.mtu": "values: 1024 / 1500 / 2048 / 4096 across presets",
+    "MPIConfig.eager_threshold": "values: R12 sweeps it",
+    "MetricsRegistry(spans_enabled=)": "wiring: build_cluster(spans=)",
+    "MpiTransport(max_parcel=)": "wiring: sizes the staging buffers",
+    "NicParams.ack_overhead_ns": "values: the presets differ",
+    "NicParams.atomic_ns": "values: the presets differ",
+    "NicParams.bulk_startup_ns": "values: gemini's BTE startup, else 0",
+    "NicParams.bulk_threshold": "values: gemini 4096, else None",
+    "NicParams.cqe_poll_ns": "values: 80 / 600 across presets",
+    "NicParams.delivery_ns": "values: the presets differ",
+    "NicParams.dma_gbps": "values: the presets differ",
+    "NicParams.doorbell_ns": "values: the presets differ",
+    "NicParams.max_inline": "values: 0 / 64 / 128 across presets",
+    "NicParams.post_overhead_ns": "values: the presets differ",
+    "NicParams.transport_retries": "values: 3 default, 0 in R17 / R23",
+    "NicParams.wqe_process_ns": "values: the presets differ",
+    "PhotonConfig.backoff_jitter_ns": "values: R19 widens it to 80 us",
+    "PhotonConfig.completion_entries": "values: R4 sweeps the ledger depth",
+    "PhotonConfig.eager_limit": "values: R12 sweeps it; backends use 4096",
+    "PhotonConfig.eager_slots": "values: R4 sweeps the ledger depth",
+    "PhotonConfig.max_op_retries": "values: 3 default, 5 in R17 / R19",
+    "PhotonConfig.op_timeout_ns": "values: R2 scales it, R19 shortens it",
+    "PhotonConfig.progress_poll_ns": "values: the sw backend polls at 400",
+    "PhotonConfig.rcache_capacity": "values: R6 sweeps it",
+    "PhotonConfig.rcache_enabled": "values: R6's cache-off arm",
+    "PhotonConfig.use_imm": "values: the backends and R19 turn it off",
+    "PhotonConfig.use_inline": "values: the sw backend turns it off",
+    "PhotonTransport(max_parcel=)": "wiring: sizes the staging buffers",
+    "RaftConfig.compact_margin": "perf: kv_chaos compacts early; R21",
+    "RaftConfig.compact_threshold": "perf: kv_chaos compacts early; R21",
+    "RaftConfig.election_jitter_ns": "swept: tests/raft_model.py",
+    "RaftConfig.election_stagger_ns": "swept: tests/raft_model.py",
+    "RaftConfig.election_timeout_ns": "swept: tests/raft_model.py",
+    "RaftConfig.fast_election_ns": "swept: tests/raft_model.py",
+    "RaftConfig.heartbeat_ns": "swept: tests/raft_model.py",
+    "RaftConfig.lease_ns": "swept: tests/raft_model.py",
+    "RaftConfig.max_entries_per_ae": "swept: tests/raft_model.py",
+    "RegistrationCache(capacity=)": "values: PhotonConfig.rcache_capacity",
+    "RegistrationCache(enabled=)": "values: PhotonConfig.rcache_enabled",
+    "Runtime(counters=)": "wiring: the rank's counter scope",
+    "Scenario(raft=)": "values: R21 compacts early",
+    "Scenario(spans=)": "wiring: build_cluster(spans=)",
+    "Tracer(enabled=)": "wiring: build_cluster(trace=)",
+    "build_cluster(mem_size=)": "wiring: memory size",
+    "build_cluster(params=)": "values: the five presets",
+    "build_cluster(seed=)": "wiring: seed",
+    "build_cluster(spans=)": "wiring: the span registry switch",
+    "build_cluster(topology=)": "values: R14 runs star and torus2d",
+    "build_cluster(trace=)": "wiring: the tracer switch",
+    "build_health(config=)": "perf: the kv workloads pass one",
+    "build_health(start=)": "wiring: the monitors' start",
+    "build_kv(config=)": "perf: the kv workloads pass one",
+    "build_kv(monitors=)": "wiring: monitors",
+    "build_kv(registry=)": "wiring: registries",
+    "build_kv(start=)": "wiring: the server loops' start",
+    "build_runtime(am=)": "values: plain parcels or active messages",
+    "build_runtime(am_config=)": "perf: am_fanout passes one",
+    "build_runtime(coalesce=)": "values: R23's coalesced and plain arms",
+    "build_runtime(coalesce_opts=)": "values: the obs report batches 4",
+    "build_runtime(comms=)": "wiring: the mpi transport's communicators",
+    "build_runtime(max_parcel=)": "wiring: sizes the staging buffers",
+    "build_runtime(photon=)": "wiring: the photon transport's endpoints",
+    "build_runtime(transport=)": "values: photon or mpi",
+    "mpi_init(config=)": "values: R12 passes an eager threshold",
+    "photon_init(config=)": "values: R4 / R6 / R12 / R17 / R19 pass one",
+}
 
 _CONFIGS = ("repro.photon.config:PhotonConfig",
             "repro.minimpi.status:MPIConfig",
@@ -396,7 +438,8 @@ def test_option_inventory():
         found += [f"{name}({param.name}=)"
                   for param in inspect.signature(fn).parameters.values()
                   if param.default is not param.empty]
-    assert sorted(found) == OPTIONS
+    assert sorted(found) == sorted(OPTIONS)
+    assert all(OPTIONS.values())
 
 
 def test_each_collective_schedule_is_written_once():
@@ -421,11 +464,13 @@ def test_each_collective_schedule_is_written_once():
 
 def test_deleted_modes_stay_deleted():
     """Paths only their own tests selected were deleted: the coalescer's
-    requeue mode, the AM's shed mode, the rcache's merge-off switch and
-    pinned-bytes cap, kernel interrupts and NIC loopback."""
+    requeue mode, the AM's shed mode and bounded credit wait, the rcache's
+    merge-off switch and pinned-bytes cap, kernel interrupts and NIC
+    loopback."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
-                         r"|_active_process")
+                         r"|_active_process|CreditExhaustedError"
+                         r"|credit_wait_ns|am\.credit_timeouts")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad

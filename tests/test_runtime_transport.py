@@ -9,6 +9,7 @@ from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.photon import photon_init
 from repro.runtime import ActionRegistry, build_runtime
+from repro.runtime.scheduler import HANDLER_COST_NS
 from repro.runtime.transport import (MpiTransport, PeerDownError,
                                      PhotonTransport)
 
@@ -116,7 +117,7 @@ def test_mpi_transport_window_replenishes():
     """
     cl = build_cluster(2)
     comms = mpi_init(cl)
-    tps = [MpiTransport(comms[r], max_parcel=4096, window=4)
+    tps = [MpiTransport(comms[r], max_parcel=4096)
            for r in range(2)]
     n = 30
     got = []
@@ -153,7 +154,7 @@ def test_runtime_handler_cost_charged():
 
     p = cl.env.process(prog(cl.env))
     cl.env.run(until=p)
-    assert times[0] >= rts[0].handler_cost_ns
+    assert times[0] >= HANDLER_COST_NS
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +220,15 @@ def test_rendezvous_parcel_retried_after_failure():
     assert cl.counters.get("transport.parcel_failures") == 0
 
 
-def test_rendezvous_retry_budget_exhaustion_counts_failure():
+def test_rendezvous_retry_budget_exhaustion_counts_failure(monkeypatch):
     """With the fabric dead for good, the retry budget runs out and the
     loss is visible on the transport.parcel_failures path."""
     from repro.photon import PhotonConfig
+    monkeypatch.setattr("repro.photon.base.ENTRY_RESEND_LIMIT", 0)
     cl = build_cluster(2, params="ib-fdr", seed=17, link__loss_mode="lossy",
                        link__drop_rate=1.0, nic__transport_retries=0)
     ph = photon_init(cl, PhotonConfig(max_op_retries=0,
-                                      op_timeout_ns=100_000,
-                                      entry_resend_limit=0))
+                                      op_timeout_ns=100_000))
     tps = [PhotonTransport(ph[r]) for r in range(2)]
     tps[0].max_send_retries, tps[0].breaker_threshold = 1, 100
 
@@ -318,14 +319,14 @@ def test_mpi_failed_sends_get_the_shared_retry_and_breaker():
                 if r.kind == "send"]
 
 
-def test_mpi_failed_send_is_reissued_from_its_staging_slot():
+def test_mpi_failed_send_is_reissued_from_its_staging_slot(monkeypatch):
     """A parcel whose isend the fabric gave up on is re-sent from its
     still-intact staging slot once the fabric heals — and later sends
     step around the slot instead of overwriting it."""
-    from repro.minimpi.status import MPIConfig
+    monkeypatch.setattr("repro.minimpi.protocol.MAX_OP_RETRIES", 0)
     cl = build_cluster(2, seed=5, link__loss_mode="lossy",
                        link__drop_rate=1.0, nic__transport_retries=0)
-    comms = mpi_init(cl, MPIConfig(max_op_retries=0))
+    comms = mpi_init(cl)
     tps = [MpiTransport(comms[r], max_parcel=1 << 16) for r in range(2)]
     got = []
 

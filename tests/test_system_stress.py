@@ -176,13 +176,12 @@ def test_everything_everywhere_all_at_once(drop, rcache):
     assert_no_pin_leaks(cl, ph)
 
 
-def test_outstanding_cap_enforced_under_flood():
-    """max_outstanding bounds in-flight ops per peer; the flood still
+def test_outstanding_cap_enforced_under_flood(monkeypatch):
+    """MAX_OUTSTANDING bounds in-flight ops per peer; the flood still
     completes and the bound is never exceeded."""
-    from repro.photon import PhotonConfig
-    cfg = PhotonConfig(max_outstanding=8)
+    monkeypatch.setattr("repro.photon.base.MAX_OUTSTANDING", 8)
     cl = build_cluster(2, params="ib-fdr")
-    ph = photon_init(cl, cfg)
+    ph = photon_init(cl)
     src = ph[0].buffer(4096)
     dst = ph[1].buffer(4096)
     peak = []
@@ -201,17 +200,17 @@ def test_outstanding_cap_enforced_under_flood():
 
     p = cl.env.process(sender(cl.env))
     cl.env.run(until=p)
-    assert max(peak) <= cfg.max_outstanding
+    assert max(peak) <= 8
     assert ph[0].peers[1].outstanding == 0
     assert_no_pin_leaks(cl, ph)
 
 
-def test_bidirectional_flood_no_deadlock():
+def test_bidirectional_flood_no_deadlock(monkeypatch):
     """Both ranks flood each other through shallow rings simultaneously;
     credit-based flow control must not deadlock."""
     from repro.photon import PhotonConfig
-    cfg = PhotonConfig(eager_slots=4, completion_entries=4,
-                       max_outstanding=16)
+    monkeypatch.setattr("repro.photon.base.MAX_OUTSTANDING", 16)
+    cfg = PhotonConfig(eager_slots=4, completion_entries=4)
     cl = build_cluster(2, params="ib-fdr")
     ph = photon_init(cl, cfg)
     n_msgs = 60

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import build_cluster
+from repro.verbs.qp import RNR_RETRY_NS
 from repro.verbs import (
     Access,
     BadWorkRequest,
@@ -227,7 +228,7 @@ def test_send_without_recv_parks_until_posted():
     assert wcs[0].wr_id == 9
     assert cl[1].memory.read(heap1, 4) == b"late"
     # RNR penalty applies
-    assert t >= 50_000 + cl.params.nic.rnr_retry_ns
+    assert t >= 50_000 + RNR_RETRY_NS
     assert cl.counters.get("verbs.rnr_stalls") == 1
 
 
@@ -240,7 +241,7 @@ def test_rnr_drain_keeps_receives_in_order():
     cl[0].memory.write(heap0, b"AAAABBBB")
     qps[0].post_send(SendWR(opcode=Opcode.SEND, wr_id=1, local_addr=heap0,
                             length=4))
-    retry = cl.params.nic.rnr_retry_ns
+    retry = RNR_RETRY_NS
 
     def receiver(env):
         yield env.timeout(50_000)       # "AAAA" is RNR-parked by now
