@@ -21,9 +21,7 @@ def main(scenario: str, out_path: str) -> None:
     else:
         sys.exit(f"unknown scenario {scenario!r} (failover | restart)")
     sc = run["scenario"]
-    snap = build_snapshot(
-        sc.cluster, photons=sc.photon,
-        transports=[n.runtime.transport for n in sc.nodes])
+    snap = build_snapshot(sc.cluster, photons=sc.photon)
     if scenario == "failover":
         dead = [r for r, e in snap["ranks"].items() if e.get("dead")]
         print("dead ranks in snapshot:", dead)

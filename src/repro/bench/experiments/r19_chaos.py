@@ -3,8 +3,8 @@
 A 3-rank cluster runs a ring of PWC puts while the chaos controller
 executes a fixed fault schedule: rank 2 fail-stops at 2 ms and restarts
 in place at 4 ms.  Every rank runs the heartbeat/phi-accrual health
-layer (:mod:`repro.runtime.health`); the photon endpoints and a circuit
-breaker consume its death/join callbacks.
+layer (:mod:`repro.runtime.health`); the photon endpoints consume its
+death/join callbacks.
 
 The scenario measures the full fault lifecycle from the observability
 spans:
@@ -22,8 +22,8 @@ spans:
 Safety properties are checked by :mod:`repro.chaos.invariants`: no
 duplicate delivery despite replay, registration balance across the
 crash/restart (the victim's pins die with it; rejoin's cache flush must
-restore the books), breaker state-machine legality, and membership
-monotonicity on every surviving monitor.
+restore the books), and membership monotonicity on every surviving
+monitor.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ...chaos import (ChaosController, CrashRank, FaultSchedule,
 from ...cluster import build_cluster
 from ...photon import PhotonConfig, photon_init
 from ...runtime.health import DETECT_BUDGET_NS, HealthConfig, build_health
-from ...runtime.transport import PhotonTransport
 from ...sim.core import SimulationError
 from ...verbs.enums import WCStatus
 from ..result import ExperimentResult
@@ -73,10 +72,6 @@ def run_scenario(quick: bool = True) -> dict:
     monitors = build_health(cl)
     for r in range(N):
         ph[r].attach_health(monitors[r])
-    # a breaker on rank 0 rides along purely for its transition log
-    tp = PhotonTransport(ph[0])
-    tp.attach_health(monitors[0])
-
     ctrl = ChaosController(
         cl, FaultSchedule([CrashRank(T_CRASH, VICTIM),
                            RestartRank(T_RESTART, VICTIM)]),
@@ -199,7 +194,7 @@ def run_scenario(quick: bool = True) -> dict:
 
     out.update({
         "cluster": cl, "photon": ph, "monitors": monitors,
-        "transport": tp, "controller": ctrl, "delivered": delivered,
+        "controller": ctrl, "delivered": delivered,
         "detect_ns": cl.metrics.span_durations("health.detect"),
         "outage_ns": cl.metrics.span_durations("health.outage"),
     })
@@ -215,7 +210,7 @@ def run(quick: bool = True, scenario: dict = None) -> ExperimentResult:
     invariants_ok = True
     invariant_msg = "all hold"
     try:
-        check_all(cl, delivered=r["delivered"], transports=[r["transport"]],
+        check_all(cl, delivered=r["delivered"],
                   monitors=[r["monitors"][i] for i in range(N)
                             if i != VICTIM])
     except AssertionError as exc:
@@ -234,7 +229,6 @@ def run(quick: bool = True, scenario: dict = None) -> ExperimentResult:
         ["post-detect fast-fail (us)", f"{r['fast_settle_ns'] / 1000.0:.1f}",
          "-"],
         ["deliveries (deduped)", str(len(r["delivered"])), "-"],
-        ["breaker transitions", str(len(r["transport"].breaker_log)), "-"],
     ]
     checks = {
         "both survivors detect the crash": len(detect) == 2,
@@ -254,7 +248,7 @@ def run(quick: bool = True, scenario: dict = None) -> ExperimentResult:
         "recovery bounded by the schedule gap":
             bool(outage)
             and max(outage) < (T_RESTART - T_CRASH) + 1_000_000,
-        "invariants: no-dup, reg balance, breaker, membership":
+        "invariants: no-dup, reg balance, membership":
             invariants_ok,
     }
     return ExperimentResult(

@@ -22,7 +22,7 @@ chaos-smoke entry point.
 
 from .controller import ChaosController
 from .invariants import (InvariantViolation, check_all,
-                         check_breaker_legality, check_membership_monotonic,
+                         check_membership_monotonic,
                          check_no_duplicate_delivery, check_reg_balance)
 from .schedule import (ChaosEvent, ClearLink, CrashRank, FaultSchedule,
                        FlapLink, GrayLink, HealEvent, PartitionEvent,
@@ -30,9 +30,8 @@ from .schedule import (ChaosEvent, ClearLink, CrashRank, FaultSchedule,
 
 __all__ = [
     "ChaosController",
-    "InvariantViolation", "check_all", "check_breaker_legality",
-    "check_membership_monotonic", "check_no_duplicate_delivery",
-    "check_reg_balance",
+    "InvariantViolation", "check_all", "check_membership_monotonic",
+    "check_no_duplicate_delivery", "check_reg_balance",
     "ChaosEvent", "ClearLink", "CrashRank", "FaultSchedule", "FlapLink",
     "GrayLink", "HealEvent", "PartitionEvent", "RestartRank",
 ]

@@ -2,15 +2,13 @@
 
 Chaos experiments are only trustworthy if the system's safety properties
 hold *through* the faults, not just at the end.  These checkers encode
-the four properties the fault model promises (see DESIGN.md):
+the properties the fault model promises (see DESIGN.md):
 
 - **No duplicate delivery** — the reliability layer replays operations,
   but target-side dedup must collapse replays to exactly-once effects.
 - **Registration balance** — crash/restart must not leak memory
   registrations: every ``reg_mr`` is matched by a ``dereg_mr`` or a
   still-live MR at a quiescent point.
-- **Breaker legality** — circuit breakers may only walk the legal state
-  machine (no closed→half-open, no half-open→half-open, ...).
 - **Membership monotonicity** — a membership view's version only moves
   forward, and a DEAD rank only returns via a higher incarnation.
 - **Bounded logs** — snapshot compaction must keep every Raft replica's
@@ -37,7 +35,7 @@ from ..photon.rcache import assert_reg_balance
 from ..runtime.health import ALIVE, DEAD
 
 __all__ = ["InvariantViolation", "check_no_duplicate_delivery",
-           "check_reg_balance", "check_breaker_legality",
+           "check_reg_balance",
            "check_membership_monotonic", "check_log_bounded",
            "unapplied_acks", "check_replicas_identical",
            "check_reads_return_written", "check_all"]
@@ -45,16 +43,6 @@ __all__ = ["InvariantViolation", "check_no_duplicate_delivery",
 
 class InvariantViolation(AssertionError):
     """A chaos-run safety property was violated."""
-
-
-#: the circuit breaker's legal state machine
-_LEGAL_BREAKER = {
-    ("closed", "open"),       # threshold trip / peer declared dead
-    ("open", "half-open"),    # cooldown elapsed, probe allowed
-    ("half-open", "open"),    # probe failed
-    ("half-open", "closed"),  # probe succeeded
-    ("open", "closed"),       # peer rejoined while open
-}
 
 
 def check_no_duplicate_delivery(delivered: Iterable) -> None:
@@ -75,25 +63,6 @@ def check_reg_balance(cluster) -> None:
                            [cluster[r].context for r in range(cluster.n)])
     except AssertionError as exc:
         raise InvariantViolation(str(exc)) from None
-
-
-def check_breaker_legality(
-        transitions: Sequence[Tuple[int, int, str, str]]) -> None:
-    """``transitions``: ``(t_ns, peer, old, new)`` tuples, e.g. a
-    transport's ``breaker_log``.  Validates each edge and that each
-    peer's chain is contiguous (new picks up where old left off)."""
-    last: Dict[int, str] = {}
-    for t, peer, old, new in transitions:
-        if (old, new) not in _LEGAL_BREAKER:
-            raise InvariantViolation(
-                f"illegal breaker transition {old!r} -> {new!r} "
-                f"for peer {peer} at t={t}")
-        prev = last.get(peer)
-        if prev is not None and prev != old:
-            raise InvariantViolation(
-                f"discontinuous breaker chain for peer {peer} at t={t}: "
-                f"was {prev!r}, transition claims {old!r}")
-        last[peer] = new
 
 
 def check_membership_monotonic(monitor) -> None:
@@ -198,15 +167,12 @@ def check_reads_return_written(scenario) -> None:
 
 
 def check_all(cluster, delivered: Iterable = (),
-              transports: Sequence = (),
               monitors: Sequence = (),
               kv_nodes: Sequence = (), scenario=None) -> None:
     """Run every applicable checker; raises on the first violation.
     ``scenario``: a finished, drained KV scenario."""
     check_no_duplicate_delivery(delivered)
     check_reg_balance(cluster)
-    for tp in transports:
-        check_breaker_legality(tp.breaker_log)
     for mon in monitors:
         check_membership_monotonic(mon)
     if kv_nodes:

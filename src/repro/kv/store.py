@@ -704,14 +704,15 @@ class KVNode:
         return sent
 
     def _ship(self, dst: int, action: str, payload: bytes):
-        if self.monitor is not None and self.monitor.is_dead(dst):
-            self.counters.add("kv.drops_to_dead")
-            return
-        try:
-            yield from self.runtime.send(dst, action, payload)
-        except PeerDownError:
-            # breaker open: Raft and clients both tolerate silent loss
-            self.counters.add("kv.breaker_drops")
+        # a message to a rank declared dead is dropped, here or by the
+        # transport's check: Raft and clients both tolerate silent loss
+        if self.monitor is None or not self.monitor.is_dead(dst):
+            try:
+                yield from self.runtime.send(dst, action, payload)
+                return
+            except PeerDownError:
+                pass
+        self.counters.add("kv.drops_to_dead")
 
     # ------------------------------------------------------------- queries
     def is_leader(self, group: int) -> bool:
@@ -727,7 +728,7 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
     ``photons`` come from :func:`repro.photon.photon_init`; ``monitors``
     (optional) from :func:`repro.runtime.health.build_health` — when
     given, the endpoints, transports and KV nodes all consume the
-    detector (fast-fail, breakers, detection-driven elections).
+    detector (fast-fail, detection-driven elections).
     Returns the node list; the shard map is shared via ``nodes[r]
     .shard_map``.  Nothing is spawned when ``start`` is False.
     """

@@ -558,6 +558,18 @@ class PhotonBase:
         op.deadline = self.env.now + self.config.op_timeout_ns
         yield from op.replay(op)
 
+    def _dead_at_post(self, req) -> bool:
+        """Fail a request-tracked post to a peer the detector has already
+        declared dead, as :meth:`_start_attempt` fails a PWC op: nothing
+        is pinned or posted.  (With nothing outstanding at the death, the
+        peer's QP was never torn down, and a WR on it would never
+        settle.)"""
+        if self.health is None or not self.health.is_dead(req.peer):
+            return False
+        self.requests.fail(req.rid, self.env.now)
+        self.counters.add("photon.dead_peer_fails")
+        return True
+
     def _release_op_mrs(self, op: ReliableOp) -> None:
         """Unpin the op's rcache registrations (called once, at settle)."""
         for mr in op.mrs:
@@ -1033,12 +1045,12 @@ class PhotonBase:
             "qp.reconnects": c.get("qp.reconnects"),
             "photon.op_retries": c.get("photon.op_retries"),
             "photon.op_failures": c.get("photon.op_failures"),
+            "photon.dead_peer_fails": c.get("photon.dead_peer_fails"),
             "photon.dup_drops": c.get("photon.dup_drops"),
             "photon.entry_resends": c.get("photon.entry_resends"),
             "photon.entry_rewrites": c.get("photon.entry_rewrites"),
             "photon.wr_errors": c.get("photon.wr_errors"),
             "photon.qp_reconnects": c.get("photon.qp_reconnects"),
-            "transport.peer_down": c.get("transport.peer_down"),
             "reliable_ops_inflight": len(self._reliable),
         }
 

@@ -75,6 +75,8 @@ class MessagingMixin:
             self.requests.complete(req.rid, self.env.now)
             self.arrivals.fire()
             return req.rid
+        if self._dead_at_post(req):
+            return req.rid
         peer = self._peer(dst)
         mr = yield from self.rcache.acquire(local_addr, size)
         rid = req.rid

@@ -31,6 +31,8 @@ class RdmaMixin:
                                       None, None)
             self.requests.complete(req.rid, self.env.now)
             return req.rid
+        if self._dead_at_post(req):
+            return req.rid
         peer = self._peer(dst)
         mr = None
         if size > 0:
@@ -66,6 +68,8 @@ class RdmaMixin:
             yield from self._self_get(local_addr, size, remote_addr,
                                       None, None)
             self.requests.complete(req.rid, self.env.now)
+            return req.rid
+        if self._dead_at_post(req):
             return req.rid
         peer = self._peer(dst)
         mr = yield from self.rcache.acquire(local_addr, size)

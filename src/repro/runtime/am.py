@@ -15,9 +15,10 @@ same cid.  Replies are routed straight from the transport poll loop
 (no scheduler dispatch charge): the poll that surfaces a reply settles
 the future in the same pass.
 
-Delivery semantics are at-least-once under the transport's retry
-machinery, de-duplicated to effectively-once execution at the callee: a
-bounded per-source window remembers recently served cids and re-sends
+Delivery semantics are at-least-once under the wire library's own
+retries (Photon and minimpi replay their ops; the parcel transport
+re-sends nothing), de-duplicated to effectively-once execution at the
+callee: a bounded per-source window remembers recently served cids and re-sends
 the cached reply for a retransmitted request instead of re-running the
 handler.  Stale replies (reply arrives after the window forgot the
 request, or a duplicate reply) are dropped and counted.

@@ -17,7 +17,8 @@ transport:
 
 Failure handling is deliberate rather than accidental: when the inner
 transport raises :class:`~repro.runtime.transport.PeerDownError` mid-
-ship, the batch is **shed** — every parcel it carried is counted in
+ship (its failure detector has declared the destination dead), the batch
+is **shed** — every parcel it carried is counted in
 ``parcels_dropped`` and the ``coalesce.parcels_dropped`` counter, and the
 error propagates to the sender (``flush_stale``, which has no sender,
 swallows it).
@@ -71,16 +72,9 @@ class CoalescingTransport(Transport):
         self.parcels_batched = 0
         self.parcels_dropped = 0
 
-    # the breaker belongs to the wire: this layer keeps none of its own
-    @property
-    def breaker_log(self):
-        return self.inner.breaker_log
-
+    # the failure detector gates the wire: this layer keeps no view of it
     def attach_health(self, monitor) -> None:
         self.inner.attach_health(monitor)
-
-    def peer_is_down(self, dst: int) -> bool:
-        return self.inner.peer_is_down(dst)
 
     # ------------------------------------------------------------- sending
     def send(self, dst: int, raw: bytes):
@@ -136,8 +130,9 @@ class CoalescingTransport(Transport):
 
         Every :meth:`poll` and the runtime scheduler between local
         dispatches call it, so the latency bound holds on a rank too busy
-        to go idle.  A tripped breaker never propagates out of here: the
-        loss is counted and swallowed — there is no specific send to fail.
+        to go idle.  A :class:`PeerDownError` never propagates out of
+        here: the loss is counted and swallowed — there is no specific
+        send to fail.
         """
         if min_age_ns is None:
             min_age_ns = MAX_DELAY_NS
@@ -189,8 +184,6 @@ class CoalescingTransport(Transport):
         inner = self.inner.stats()
         return {
             "kind": self.kind,
-            "peers": inner["peers"],
-            "breaker_transitions": inner["breaker_transitions"],
             "batches_sent": self.batches_sent,
             "parcels_batched": self.parcels_batched,
             "parcels_dropped": self.parcels_dropped,

@@ -19,9 +19,10 @@ every monitor's membership view monotonic.  SUSPECT is not sticky — one
 fresh heartbeat clears it (gray link, not a crash).
 
 Consumers register callbacks via :meth:`HealthMonitor.on_dead` /
-:meth:`on_join`; the photon reliability layer, the runtime circuit
-breaker and the minimpi error paths all attach here (see their
-``attach_health`` methods).
+:meth:`on_join`; the photon reliability layer, the AM engine and the
+minimpi error paths all attach here, and the parcel transports ask
+:meth:`HealthMonitor.is_dead` before each send (see their
+``attach_health`` methods).  This is the one source of "peer down".
 
 Nothing in this module runs unless :func:`build_health` is called, so
 un-chaosed runs are bit-identical with or without the module imported.

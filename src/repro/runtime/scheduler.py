@@ -58,7 +58,8 @@ class Runtime:
 
     def attach_health(self, monitor) -> None:
         """Hand a failure detector to everything on this rank that
-        consumes one: the transport's breaker and the AM engine."""
+        consumes one: the transport (a send to a dead rank fails fast)
+        and the AM engine."""
         self.transport.attach_health(monitor)
         if self.am is not None:
             self.am.attach_health(monitor)

@@ -12,7 +12,13 @@ happens on its own: every step is one explicit action,
 - ``propose r``: a client command at a leader;
 - ``crash r``: r stops, and messages to it are lost;
 - ``restart r``: a crashed r comes back as a *fresh* ``RaftNode`` (term
-  0, no vote, empty log), which is how ``KVNode.reseed`` rebuilds one.
+  0, no vote, empty log), which is how ``KVNode.reseed`` rebuilds one;
+- ``snapshot r``: r snapshots its state machine (``take_snapshot``) and
+  compacts its log to its applied index, so a leader whose log is
+  trimmed past a follower's next index ships it InstallSnapshot.  The
+  state machine is the applied prefix itself: a snapshot blob encodes
+  the entries it covers, so every property below reads a replica's whole
+  history, snapshot then log.
 
 :func:`search` explores every sequence of actions breadth first, up to
 a depth and per-action budgets, from the start or from the world a fixed
@@ -27,7 +33,7 @@ Safety (no two replicas commit or apply different entries at an index).
 
 States are deduplicated on a canonical form: per node its role, term,
 vote, log, commit / apply indices and leader bookkeeping, plus the
-network multiset and the budgets left.  Clock readings are not part of
+network multiset, snapshot transfers and the budgets left.  Clock readings are not part of
 it, so the search is a bug finder: a violation it reports is real and
 comes with a shortest step list that reaches it.  Timing is abstract:
 jitter is zero, and a timer fires whenever the search chooses.
@@ -39,7 +45,9 @@ jitter is zero, and a timer fires whenever the search chooses.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -83,13 +91,29 @@ def _clone(node: RaftNode) -> RaftNode:
     for name in ("log", "outbox", "_applied_out", "_installed_out",
                  "terms_led"):
         state[name] = list(state[name])
-    for name in ("next_index", "match_index", "_ack_round", "_inflight",
-                 "_snap_xfer"):
+    for name in ("next_index", "match_index", "_ack_round", "_inflight"):
         state[name] = dict(state[name])
     for name in ("_votes", "_dead_peers"):
         state[name] = set(state[name])
+    state["_snap_xfer"] = {p: dict(x) for p, x in node._snap_xfer.items()}
+    if node._snap_in is not None:
+        state["_snap_in"] = dict(node._snap_in,
+                                 buf=bytearray(node._snap_in["buf"]))
     twin.__dict__ = state
     return twin
+
+
+@functools.lru_cache(maxsize=None)
+def _covered(blob: bytes) -> Tuple[Tuple[int, bytes], ...]:
+    """The entries a snapshot blob of this model stands for."""
+    return ast.literal_eval(blob.decode()) if blob else ()
+
+
+def history(node: RaftNode) -> List[Tuple[int, bytes]]:
+    """Every entry ``node`` holds, index 1 first: the ones its snapshot
+    covers, then its log.  (The model compacts only to a snapshot's
+    index, so the two meet at ``base_index``.)"""
+    return list(_covered(node.snapshot_blob)) + node.log
 
 
 @dataclass(frozen=True)
@@ -103,6 +127,7 @@ class Bounds:
     drops: int = 0
     dups: int = 0
     timers: int = 3
+    snapshots: int = 0
 
 
 @dataclass
@@ -111,7 +136,8 @@ class World:
     nodes: List[Optional[RaftNode]]  # None: crashed
     clock: List[int]
     net: Tuple[Msg, ...]             # in flight, sorted
-    #: budgets left: proposals, crashes, restarts, drops, dups, timers
+    #: budgets left: proposals, crashes, restarts, drops, dups, timers,
+    #: snapshots
     left: Tuple[int, ...]
     # ghost state the properties read (not part of the canonical form)
     leaders: Dict[int, int] = field(default_factory=dict)
@@ -126,7 +152,8 @@ class World:
     def start(cls, bounds: Bounds, config: RaftConfig = CONFIG) -> "World":
         return cls(config, [fresh(r, config) for r in REPLICAS], [0] * N, (),
                    (bounds.proposals, bounds.crashes, bounds.restarts,
-                    bounds.drops, bounds.dups, bounds.timers))
+                    bounds.drops, bounds.dups, bounds.timers,
+                    bounds.snapshots))
 
     def copy(self) -> "World":
         return World(self.config,
@@ -144,14 +171,19 @@ class World:
              tuple(sorted(n.next_index.items())),
              tuple(sorted(n.match_index.items())),
              tuple(sorted(n._votes)),
-             tuple(sorted(p for p, t in n._inflight.items() if t)))
+             tuple(sorted(p for p, t in n._inflight.items() if t)),
+             n.base_index, n.snapshot_blob,
+             tuple(sorted((p, x["index"], x["offset"])
+                          for p, x in n._snap_xfer.items())),
+             None if n._snap_in is None else
+             (n._snap_in["index"], len(n._snap_in["buf"])))
             for n in self.nodes)
         return nodes, self.net, self.left
 
     # ------------------------------------------------------------ actions
     def moves(self) -> List[tuple]:
         """Every action enabled here (each distinct message once)."""
-        proposals, crashes, restarts, drops, dups, timers = self.left
+        proposals, crashes, restarts, drops, dups, timers, snaps = self.left
         out: List[tuple] = []
         for msg in sorted(set(self.net)):
             out.append(("deliver", msg))
@@ -170,6 +202,8 @@ class World:
                 out.append(("propose", r))
             if crashes:
                 out.append(("crash", r))
+            if snaps and node.last_applied > node.base_index:
+                out.append(("snapshot", r))
         return out
 
     def apply(self, move: tuple) -> None:
@@ -195,6 +229,13 @@ class World:
             self.proposed += 1
             self.nodes[arg].propose(b"c%d" % self.proposed, self.clock[arg])
             left[0] -= 1
+        elif what == "snapshot":
+            node = self.nodes[arg]
+            node.take_applied()  # the state machine is at last_applied
+            node.take_snapshot(
+                repr(history(node)[:node.last_applied]).encode())
+            node.compact(node.last_applied)
+            left[6] -= 1
         elif what == "crash":
             self.nodes[arg] = None
             net = [m for m in net if m[1] != arg]
@@ -221,24 +262,25 @@ class World:
                 if first != r:
                     return (f"Election Safety: r{first} and r{r} both led "
                             f"term {n.term}")
-        for (ra, a), (rb, b) in ((x, y) for x in live for y in live
-                                 if x[0] < y[0]):
-            for i in range(min(a.last_index, b.last_index), 0, -1):
-                if a.term_at(i) == b.term_at(i):
-                    if a.log[:i] != b.log[:i]:
+        logs = {r: history(n) for r, n in live}
+        for (ra, a), (rb, b) in ((x, y) for x in logs.items()
+                                 for y in logs.items() if x[0] < y[0]):
+            for i in range(min(len(a), len(b)), 0, -1):
+                if a[i - 1][0] == b[i - 1][0]:
+                    if a[:i] != b[:i]:
                         return (f"Log Matching: r{ra} and r{rb} agree on "
                                 f"index {i}'s term, not on the prefix")
                     break
         for r, n in live:
             for i in range(self.seen_commit[r] + 1, n.commit_index + 1):
-                entry = n.entry_at(i)
+                entry = logs[r][i - 1]
                 have = self.committed.setdefault(i, (entry, n.term))
                 if have[0] != entry:
                     return (f"State Machine Safety: index {i} committed as "
                             f"{have[0]} and as {entry} (r{r})")
             self.seen_commit[r] = max(self.seen_commit[r], n.commit_index)
             for i in range(self.seen_applied[r] + 1, n.last_applied + 1):
-                entry = n.entry_at(i)
+                entry = logs[r][i - 1]
                 have = self.applied.setdefault(i, entry)
                 if have != entry:
                     return (f"State Machine Safety: r{r} applied {entry} at "
@@ -248,8 +290,8 @@ class World:
             if n.role != LEADER:
                 continue
             for i, (entry, term) in sorted(self.committed.items()):
-                if n.term > term and (i > n.last_index
-                                      or n.entry_at(i) != entry):
+                if n.term > term and (i > len(logs[r])
+                                      or logs[r][i - 1] != entry):
                     return (f"Leader Completeness: r{r} leads term {n.term} "
                             f"without index {i} {entry}, committed in term "
                             f"{term}")

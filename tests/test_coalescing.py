@@ -188,10 +188,19 @@ def test_coalescing_improves_small_parcel_rate():
 
 
 # ---------------------------------------------------------------------------
-# breaker-trip accounting (regression: batches used to vanish silently)
+# shedding a batch to a dead peer (regression: batches used to vanish
+# silently)
 # ---------------------------------------------------------------------------
 
-def test_batch_shed_on_breaker_trip_is_accounted():
+def _dead_set(tp):
+    """Attach a failure detector to ``tp`` that declares dead whatever
+    rank the returned set holds."""
+    dead = set()
+    tp.attach_health(SimpleNamespace(is_dead=dead.__contains__))
+    return dead
+
+
+def test_batch_shed_on_peer_down_is_accounted():
     """Regression: _ship popped the batch before inner.send, so a
     PeerDownError made the whole batch vanish with no accounting.  It
     now counts every parcel and re-raises."""
@@ -199,11 +208,8 @@ def test_batch_shed_on_breaker_trip_is_accounted():
 
     cl = build_cluster(2)
     ph = photon_init(cl)
-    inner = PhotonTransport(ph[0])
-    inner.breaker_threshold, inner.breaker_cooldown_ns = 1, 10 ** 9
-    tp = CoalescingTransport(inner, flush_count=4)
-    inner._record_failure(1)  # breaker open for the next 1 s
-    assert inner.peer_is_down(1)
+    tp = CoalescingTransport(PhotonTransport(ph[0]), flush_count=4)
+    _dead_set(tp).add(1)
 
     def prog(env):
         yield from tp.send(1, b"a" * 16)
@@ -220,16 +226,15 @@ def test_batch_shed_on_breaker_trip_is_accounted():
 
 def test_stale_flush_swallows_peer_down():
     """flush_stale (poll- or scheduler-driven) must never propagate a
-    tripped breaker: the loss is counted and polling continues."""
+    PeerDownError: the loss is counted and polling continues."""
     cl = build_cluster(2)
     ph = photon_init(cl)
-    inner = PhotonTransport(ph[0])
-    inner.breaker_threshold, inner.breaker_cooldown_ns = 1, 10 ** 9
-    tp = CoalescingTransport(inner, flush_count=100)
+    tp = CoalescingTransport(PhotonTransport(ph[0]), flush_count=100)
+    dead = _dead_set(tp)
 
     def prog(env):
         yield from tp.send(1, b"doomed")
-        inner._record_failure(1)  # peer dies with the batch open
+        dead.add(1)  # peer declared dead with the batch open
         yield env.timeout(MAX_DELAY_NS)  # batch is now stale
         raw = yield from tp.poll()  # must not raise
         assert raw is None
@@ -246,8 +251,8 @@ def test_stale_flush_swallows_peer_down():
 @pytest.fixture
 def coalescers(monkeypatch):
     """``.built``: every coalescer built during the test; ``.parks``: each
-    park on one's doorbell as ``(rank, now, [peers not marked down it holds an
-    open batch for])`` — the constructor and ``Signal.wait`` wrapped from
+    park on one's doorbell as ``(rank, now, [peers it holds an open batch
+    for])`` — the constructor and ``Signal.wait`` wrapped from
     the test tree (the ``heap_oracle`` mould: no hook in ``src/``)."""
     from repro.sim.resources import Signal
 
@@ -261,8 +266,7 @@ def coalescers(monkeypatch):
     def spy_wait(bell, until=None):
         for tp in seen.built:
             if tp.doorbell is bell:
-                seen.parks.append((tp.rank, bell.env.now, [
-                    d for d in tp._open if not tp.peer_is_down(d)]))
+                seen.parks.append((tp.rank, bell.env.now, list(tp._open)))
         return wait(bell, until)
 
     monkeypatch.setattr(CoalescingTransport, "__init__", spy_init)
@@ -293,20 +297,14 @@ def test_no_rank_parks_on_an_open_batch(coalescers, scenario):
     assert [p for p in coalescers.parks if p[2]] == []
 
 
-def _down_peer_pair(breaker_open):
-    """Rank 0's coalescer towards rank 1, which is down: its failure
-    detector reports it dead, or (``breaker_open``) the wire's breaker has
-    tripped on it.  ``ships`` logs every ``_ship`` call of rank 0's."""
+def _down_peer_pair():
+    """Rank 0's coalescer towards rank 1, which its failure detector
+    reports dead.  ``ships`` logs every ``_ship`` call of rank 0's."""
     cl = build_cluster(2)
     ph = photon_init(cl)
     tps = [CoalescingTransport(PhotonTransport(ph[r]), flush_count=100)
            for r in range(2)]
-    wire = tps[0].inner
-    if breaker_open:
-        wire.breaker_threshold, wire.breaker_cooldown_ns = 1, 10 ** 9
-        wire._record_failure(1)
-    else:
-        wire.monitor = SimpleNamespace(is_dead=lambda rank: True)
+    _dead_set(tps[0]).add(1)
     ships = []
     ship = tps[0]._ship
 
@@ -329,12 +327,11 @@ def _idle_polls(tp, n):
     return costs
 
 
-@pytest.mark.parametrize("breaker_open", [False, True])
-def test_idle_flush_counts_every_shed_parcel_once(breaker_open):
+def test_idle_flush_counts_every_shed_parcel_once():
     """The peer stays down.  The first idle pass drops the batch and
     counts its parcels, once, without raising into the poll loop, and
     the passes after it find nothing to do."""
-    cl, tps, ships = _down_peer_pair(breaker_open)
+    cl, tps, ships = _down_peer_pair()
     tp = tps[0]
 
     def prog(env):

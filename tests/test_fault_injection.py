@@ -9,8 +9,8 @@ error states and Photon's reliability layer (deadline + backoff +
 idempotent replay + dedup).  The second half drives that whole fault
 domain: recovery under real loss, retry exhaustion surfacing as error
 completions, QP error/flush/reconnect round trips, exactly-once replay
-dedup, the runtime circuit breaker, and seeded determinism of the
-retry schedule.
+dedup, the parcel transport's fail-fast to a peer declared dead, and
+seeded determinism of the retry schedule.
 """
 
 import pytest
@@ -387,63 +387,56 @@ def test_qp_error_flush_reconnect_roundtrip():
     assert cl[1].memory.read(heap1, 17) == b"fault-domain-data"
 
 
-def test_circuit_breaker_trips_and_recovers():
-    """Total outage trips the per-peer breaker (fail-fast sends); after
-    the fabric heals, the half-open probe closes it and parcels flow."""
+def test_a_dead_peer_is_refused_until_it_rejoins():
+    """The health monitor is the one source of "peer down".  From the
+    moment it declares a crashed rank dead, every parcel to it fails
+    fast with nothing posted, for the whole outage: no cooldown of the
+    transport's own lets a probe through.  The first send after the rank
+    rejoins at a new incarnation goes out at once and arrives."""
+    from repro.chaos import (ChaosController, CrashRank, FaultSchedule,
+                             RestartRank)
+    from repro.runtime.health import build_health
     from repro.runtime.transport import PeerDownError, PhotonTransport
-    cl = build_cluster(2, seed=11, link__loss_mode="lossy",
-                       link__drop_rate=1.0, nic__transport_retries=0)
-    # fail fast: no op replays, short deadline, breaker after 2 failures
-    ph = photon_init(cl, PhotonConfig(max_op_retries=0,
-                                      op_timeout_ns=100_000))
+    cl = build_cluster(2, seed=11)
+    ph = photon_init(cl)
+    mons = build_health(cl)
     tps = [PhotonTransport(ph[r]) for r in range(2)]
-    tps[0].max_send_retries, tps[0].breaker_threshold = 0, 2
-    tps[0].breaker_cooldown_ns = 1_000_000
-    got = []
+    for r in range(2):
+        ph[r].attach_health(mons[r])
+        tps[r].attach_health(mons[r])
+    ChaosController(cl, FaultSchedule([CrashRank(500_000, 1),
+                                       RestartRank(6_000_000, 1)]),
+                    photon=ph, monitors=mons).arm()
+    out = {"refused": []}
 
     def prog(env):
-        for i in range(2):
-            yield from tps[0].send(1, bytes([i]) * 64)
-            for _ in range(200):
-                yield env.timeout(10_000)
-                yield from tps[0].poll()
-                if tps[0].peer_is_down(1) or (
-                        cl.counters.get("transport.parcel_failures") > i):
-                    break
-        assert tps[0].peer_is_down(1)
-        assert cl.counters.get("transport.peer_down") == 1
-        with pytest.raises(PeerDownError):
-            yield from tps[0].send(1, b"nope" + bytes(60))
-        assert cl.counters.get("transport.fast_fails") == 1
-        # outage ends; cooldown expires; one probe send is let through
-        cl.topology.set_drop_rate(0.0)
-        yield env.timeout(1_200_000)
-        assert not tps[0].peer_is_down(1)
-        yield from tps[0].send(1, b"probe!" + bytes(58))
-        for _ in range(300):
+        while not mons[0].is_dead(1):
             yield env.timeout(10_000)
-            yield from tps[0].poll()
+        posts = cl.scope(0).get("photon.posts")
+        while mons[0].is_dead(1):
+            with pytest.raises(PeerDownError):
+                yield from tps[0].send(1, b"refused")
+            out["refused"].append(env.now)
+            yield env.timeout(100_000)
+        out["posts"] = cl.scope(0).get("photon.posts") - posts
+        t_join = env.now
+        yield from tps[0].send(1, b"back")
+        for _ in range(100):
             raw = yield from tps[1].poll()
             if raw is not None:
-                got.append(bytes(raw[:6]))
-            if cl.counters.get("transport.peer_up") and b"probe!" in got:
-                break
+                out["got"] = (raw, env.now - t_join)
+                return
+            yield from tps[0].poll()
+            yield env.timeout(1_000)
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
-    assert b"probe!" in got
-    assert cl.counters.get("transport.peer_up") == 1
-    assert tps[0]._health[1].state == "closed"
-    # pinned from the pre-Transport-base PhotonTransport: the breaker that
-    # moved into the shared base is provably the same breaker
-    assert list(tps[0].breaker_log) == [
-        (222242, 1, "closed", "open"), (1422302, 1, "open", "half-open"),
-        (1468213, 1, "half-open", "closed")]
-    assert {k: v for k, v in cl.counters.snapshot().items()
-            if k.startswith("transport.")} == {
-        "transport.breaker_closed": 1, "transport.breaker_half_open": 1,
-        "transport.breaker_open": 1, "transport.fast_fails": 1,
-        "transport.parcel_failures": 2, "transport.peer_down": 1,
-        "transport.peer_up": 1, "transport.probe_successes": 1}
+    refused = out["refused"]
+    # refused from detection to rejoin, well past a 2 ms cooldown
+    assert refused[-1] - refused[0] > 4_000_000
+    assert cl.counters.get("transport.fast_fails") == len(refused)
+    assert out["posts"] == 0
+    raw, latency = out["got"]
+    assert raw == b"back" and latency < 20_000
 
 
 def test_same_seed_identical_retry_schedule():

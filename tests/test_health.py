@@ -209,6 +209,44 @@ def test_rendezvous_send_fails_when_its_peer_dies(restart):
     assert out["t"] < 20_000 + 2 * DETECT_BUDGET_NS
 
 
+def _post_to(ph, kind, dst, local, remote):
+    """One request-tracked post of ``kind`` from ``ph`` (generator)."""
+    if kind == "send_rdma":
+        return (yield from ph.send_rdma(dst, local.addr, RNDV))
+    post = ph.post_os_put if kind == "os_put" else ph.post_os_get
+    return (yield from post(dst, local.addr, RNDV, remote.addr, remote.rkey))
+
+
+@pytest.mark.parametrize("kind", ["send_rdma", "os_put", "os_get"])
+def test_request_post_to_a_peer_already_dead_fails_at_post_time(kind):
+    """Rank 1 dies with nothing outstanding from rank 0, so its QP is
+    never torn down.  A request-tracked post to it after the detector
+    declared it dead fails at once, as a PWC op does: nothing is posted
+    or left pinned.  It used to go onto that QP and stay PENDING."""
+    cl, ph, mons = _rndv_pair(restart=False)
+    local, remote = ph[0].buffer(RNDV), ph[1].buffer(RNDV)
+    out = {}
+
+    def prog(env):
+        while not mons[0].is_dead(1):
+            yield env.timeout(10_000)
+        posts = cl.counters.get("photon.posts")
+        fails = cl.counters.get("photon.dead_peer_fails")
+        t0 = env.now
+        rid = yield from _post_to(ph[0], kind, 1, local, remote)
+        out["settled"] = bool((yield from ph[0].wait(rid, 5_000_000)))
+        out["t"] = env.now - t0
+        out["failed"] = ph[0].request_info(rid).failed
+        out["held"] = ph[0].rcache.held_refs
+        out["posts"] = cl.counters.get("photon.posts") - posts
+        out["fails"] = cl.counters.get("photon.dead_peer_fails") - fails
+        ph[0].free_request(rid)
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert out["settled"] and out["failed"] and out["t"] == 0
+    assert (out["held"], out["posts"], out["fails"]) == (0, 0, 1)
+
+
 def test_transport_reuses_the_slot_of_a_send_to_a_dead_peer(monkeypatch):
     """With one staging slot, a rendezvous parcel to a peer that then dies
     must not hold the slot for good: the next parcel's ``send`` waits for

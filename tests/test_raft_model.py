@@ -1,13 +1,16 @@
 """The exhaustive Raft-core check (``tests/raft_model.py``) over tier-1
 bounds, and the violation it finds on today's tree: ROADMAP item 1a, a
-replica that restarts with no memory of its vote; and Figure 8 of the Raft
-paper, found by a directed search on a mutant that commits by count."""
+replica that restarts with no memory of its vote; Figure 8 of the Raft
+paper, found by a directed search on a mutant that commits by count; and
+InstallSnapshot, searched from a leader that has trimmed its log past a
+follower."""
 
 import dataclasses
 
 from repro.kv.raft import (LEADER, MSG_VOTE_REPLY, MSG_VOTE_REQ, RaftNode,
                            decode_msg)
-from tests.raft_model import CONFIG, Bounds, fresh, search
+from tests.raft_model import (CONFIG, Bounds, World, describe, fresh,
+                              search)
 
 
 def test_search_finds_the_amnesiac_vote():
@@ -98,3 +101,68 @@ def test_figure_8_on_the_mutant_that_commits_by_count(monkeypatch):
 def test_figure_8_endings_are_safe_on_the_real_node():
     res = search(FIGURE_8_BOUNDS, FIGURE_8_CONFIG, FIGURE_8)
     assert res.violation is None and res.states > 1000
+
+
+#: r0 wins term 1 with r1's vote, commits its no-op with r1's ack and
+#: snapshots at index 1, trimming its log past r2, which has heard
+#: nothing yet: r2's next AppendEntries after a retransmit timer is an
+#: InstallSnapshot
+SNAPSHOT = [
+    ("timer", A), ("deliver", A, B, "vote-req", 1),
+    ("deliver", B, A, "vote-reply", 1),
+    ("timer", A), ("deliver", A, B, "append", 1),
+    ("deliver", B, A, "append-reply", 1),
+    ("snapshot", A),
+]
+SNAPSHOT_BOUNDS = Bounds(depth=6, proposals=1, crashes=1, restarts=0,
+                         timers=4, snapshots=2)
+
+
+def _install_keeping_the_covered_entry(self, index, term, blob, t_start):
+    """``RaftNode._install_snapshot`` trimming one entry too few when the
+    snapshot is a prefix of the log: the entry at ``index`` stays in the
+    log, so every later index is off by one."""
+    if index <= self.last_index and self.base_index < index \
+            and self.term_at(index) == term:
+        del self.log[:index - self.base_index - 1]
+    else:
+        self.log.clear()
+    self.base_index = index
+    self.base_term = term
+    self.commit_index = max(self.commit_index, index)
+    self.last_applied = index
+    self._applied_out.clear()
+    self.snapshot_index = index
+    self.snapshot_term = term
+    self.snapshot_blob = blob
+
+
+def test_install_snapshot_endings_are_safe_on_the_real_node():
+    res = search(SNAPSHOT_BOUNDS, prefix=SNAPSHOT)
+    assert res.violation is None and res.states > 10_000
+
+
+def test_install_snapshot_mutant_is_caught(monkeypatch):
+    """The shortest ending: r2 appends the no-op, then installs the
+    snapshot that covers it, and r0's next proposal lands at an index r2
+    already holds under the same term."""
+    monkeypatch.setattr(RaftNode, "_install_snapshot",
+                        _install_keeping_the_covered_entry)
+    res = search(SNAPSHOT_BOUNDS, prefix=SNAPSHOT)
+    steps = "\n".join(f"{i:2d}. {describe(m)}"
+                      for i, m in enumerate(res.steps, 1))
+    print(f"{res.violation}\n{steps}")
+    assert res.violation == ("Log Matching: r0 and r2 agree on index 2's "
+                             "term, not on the prefix"), steps
+    assert res.seconds < 5
+    assert [describe(m) for m in res.steps[len(SNAPSHOT):]] == [
+        "deliver append r0->r2 (term 1, prev 0, 1 entries)",
+        "timer r0", "deliver snap r0->r2 (term 1)", "propose r0"]
+    # the same steps on the real node: r2 installs, nothing breaks
+    monkeypatch.undo()
+    world = World.start(SNAPSHOT_BOUNDS)
+    for move in res.steps:
+        world.apply(move)
+        assert world.violation() is None
+    assert world.nodes[C].snapshot_installs == 1
+    assert world.nodes[C].base_index == 1

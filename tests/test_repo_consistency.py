@@ -466,11 +466,15 @@ def test_deleted_modes_stay_deleted():
     """Paths only their own tests selected were deleted: the coalescer's
     requeue mode, the AM's shed mode and bounded credit wait, the rcache's
     merge-off switch and pinned-bytes cap, kernel interrupts and NIC
-    loopback."""
+    loopback.  So were the parcel transport's circuit breaker and resend
+    budget: the failure detector is the one source of "peer down" and
+    the wire library the one retry layer."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
                          r"|_active_process|CreditExhaustedError"
-                         r"|credit_wait_ns|am\.credit_timeouts")
+                         r"|credit_wait_ns|am\.credit_timeouts"
+                         r"|breaker|_PeerHealth|peer_is_down"
+                         r"|max_send_retries|parcel_resends")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad

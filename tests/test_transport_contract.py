@@ -1,6 +1,10 @@
 """DESIGN §3 seam 9 as one contract test: every parcel transport — both
 wires, with and without the coalescing layer — is the same
-:class:`~repro.runtime.transport.Transport` to the code above it."""
+:class:`~repro.runtime.transport.Transport` to the code above it.
+
+Failure has one source on every one of them: the wire library retries,
+the failure detector says who is down, and the transport adds neither a
+re-send nor a "down" of its own."""
 
 import inspect
 import json
@@ -9,7 +13,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
-from repro.photon import photon_init
+from repro.photon import PhotonConfig, photon_init
 from repro.runtime import (ActionRegistry, CoalescingTransport, MpiTransport,
                            PeerDownError, PhotonTransport, Runtime, Transport)
 from repro.runtime.transport import WireTransport
@@ -48,16 +52,14 @@ def pair(request):
 
 
 class _DeadPeer:
-    """A failure detector that has already confirmed rank 1 dead."""
+    """A failure detector whose view is ``dead``: rank 1 to start with.
+    It has no callbacks: a transport asks it at every send."""
 
-    def on_dead(self, cb):
-        pass
-
-    def on_join(self, cb):
-        pass
+    def __init__(self):
+        self.dead = {1}
 
     def is_dead(self, rank):
-        return rank == 1
+        return rank in self.dead
 
 
 def _run(cl, gen):
@@ -72,16 +74,15 @@ def test_members_and_defaults(pair):
     assert isinstance(tp, Transport)
     assert (tp.rank, tp.env, tp.memory) == (0, cl.env, cl.ranks[0].memory)
     assert tp.max_parcel == 4096
-    # one policy on every wire, as class constants (no constructor knobs);
-    # a coalescing layer has no policy of its own
+    # staging depth is a class constant on every wire (no constructor
+    # knob), and no layer keeps a failure policy: no monitor until one is
+    # attached
     wire = tp.inner if pair.kind.startswith("coalescing") else tp
     assert isinstance(wire, WireTransport)
     assert isinstance(tp, WireTransport) == (wire is tp)
-    assert (wire.max_send_retries, wire.breaker_threshold, wire.scratch_slots,
-            wire.breaker_cooldown_ns) == (2, 3, 8, 2_000_000)
-    for knob in ("max_send_retries", "breaker_threshold",
-                 "breaker_cooldown_ns", "scratch_slots"):
-        assert knob not in inspect.signature(type(wire)).parameters
+    assert wire.scratch_slots == 8
+    assert "scratch_slots" not in inspect.signature(type(wire)).parameters
+    assert wire.monitor is None
     # the counter scope is this rank's: writes mirror into the aggregate
     tp.counters.add("contract.probe")
     assert cl.counters.get("contract.probe") == 1
@@ -90,9 +91,6 @@ def test_members_and_defaults(pair):
     # deadline while nothing is buffered or in flight
     assert isinstance(tp.doorbell, Signal) and tp.doorbell is wire.doorbell
     assert tp.next_deadline() is None
-    # nobody down, nothing logged
-    assert tp.peer_is_down(1) is False
-    assert list(tp.breaker_log) == []
     # what a server loop parks on: the doorbell's receive side (the
     # doorbell itself on a wire that cannot tell the two apart), rung by a
     # parcel queued for this very rank — together with the doorbell
@@ -138,17 +136,97 @@ def test_confirmed_dead_peer_fails_fast(pair):
 
 def test_stats_share_one_json_shape(pair):
     cl, tps = pair()
-    wire = tps[0].inner if pair.kind.startswith("coalescing") else tps[0]
-    for _ in range(wire.breaker_threshold):  # the last one opens it
-        wire._record_failure(1)
     snap = json.loads(json.dumps(tps[0].stats()))
     assert snap["kind"] == pair.kind.split("(")[0]
-    assert snap["peers"] == {"1": {"state": "open", "failures": 3,
-                                   "open_until": 2_000_000}}
-    assert snap["breaker_transitions"] == [
-        {"t": 0, "peer": 1, "from": "closed", "to": "open"}]
-    assert tps[0].peer_is_down(1)
-    assert list(tps[0].breaker_log) == [(0, 1, "closed", "open")]
-    if wire is not tps[0]:  # the breaker is the wire's, seen through the wrapper
-        assert snap["inner"]["peers"] == snap["peers"]
-        assert tps[0].breaker_log is wire.breaker_log
+    if pair.kind.startswith("coalescing"):
+        assert snap["inner"]["kind"] == pair.kind[len("coalescing("):-1]
+
+
+def test_down_is_what_the_detector_says_now(pair):
+    """A rank the detector declares dead stays refused for as long as it
+    says so — no "down" of the transport's own expires meanwhile — and
+    the first send after the detector takes it back (a rejoin at a new
+    incarnation) goes out at once, with no cooldown to sit out."""
+    cl, tps = pair()
+    detector = _DeadPeer()
+    tps[0].attach_health(detector)
+
+    def prog(env):
+        for _ in range(2):
+            with pytest.raises(PeerDownError):
+                yield from _send_and_flush(tps[0], b"refused")
+            yield env.timeout(10_000_000)  # well past any cooldown
+        detector.dead.clear()  # rank 1 rejoined
+        t0 = env.now
+        yield from _send_and_flush(tps[0], b"rejoined")
+        assert env.now - t0 < 10_000
+        while True:
+            raw = yield from tps[1].poll()
+            if raw is not None:
+                return raw
+            yield from tps[0].poll()
+
+    assert _run(cl, prog(cl.env)) == b"rejoined"
+    assert cl.counters.get("transport.fast_fails") == 2
+
+
+def _fabric_that_drops_everything(kind, monkeypatch):
+    """Two ranks of ``kind`` wire over a fabric that drops every chunk,
+    with every retry of the wire library switched off: the first attempt
+    of each send fails, to a peer nobody has declared dead."""
+    monkeypatch.setattr("repro.photon.base.ENTRY_RESEND_LIMIT", 0)
+    monkeypatch.setattr("repro.minimpi.protocol.MAX_OP_RETRIES", 0)
+    cl = build_cluster(2, seed=5, link__loss_mode="lossy",
+                       link__drop_rate=1.0, nic__transport_retries=0)
+    if kind == "photon":
+        ph = photon_init(cl, PhotonConfig(max_op_retries=0,
+                                          op_timeout_ns=100_000))
+        return cl, [PhotonTransport(p) for p in ph]
+    return cl, [MpiTransport(c) for c in mpi_init(cl)]
+
+
+#: a wire library's count of the sends a transport handed it
+_LIBRARY_SENDS = ("photon.pwc_sends", "photon.rendezvous_sends",
+                  "mpi.isends")
+
+
+@pytest.mark.parametrize("size", [64, 64 * 1024],
+                         ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("kind", ["photon", "mpi"])
+def test_a_failed_parcel_is_counted_once_and_never_resent(
+        kind, size, monkeypatch):
+    """The wire library gave up on a parcel to a live peer.  It is
+    counted once — in ``transport.parcel_failures`` where the transport
+    staged it, in ``photon.op_failures`` where a Photon eager op carried
+    it — and the transport never puts it on the wire again, not while
+    the fabric stays dead and not once it heals."""
+    cl, tps = _fabric_that_drops_everything(kind, monkeypatch)
+    counted = ("photon.op_failures" if (kind, size) == ("photon", 64)
+               else "transport.parcel_failures")
+    got = []
+
+    def prog(env):
+        yield from tps[0].send(1, b"x" * size)
+        for _ in range(500):
+            yield env.timeout(10_000)
+            yield from tps[0].poll()
+            if cl.counters.get(counted):
+                break
+        for heal in (False, True):
+            if heal:
+                cl.topology.set_drop_rate(0.0)
+            for _ in range(50):
+                yield env.timeout(10_000)
+                yield from tps[0].poll()
+                raw = yield from tps[1].poll()
+                if raw is not None:
+                    got.append(raw)
+
+    _run(cl, prog(cl.env))
+    assert cl.counters.get(counted) == 1
+    assert cl.counters.get("transport.parcel_failures") == int(
+        counted == "transport.parcel_failures")
+    # handed to the wire library once, and never delivered
+    assert sum(cl.scope(0).get(name) for name in _LIBRARY_SENDS) == 1
+    assert got == []
+    assert tps[0]._slots_live == 0  # its staging slot is free again
