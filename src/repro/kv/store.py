@@ -35,7 +35,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..runtime import build_runtime
 from ..runtime.actions import ActionRegistry
 from ..runtime.scheduler import Runtime
-from ..runtime.transport import PeerDownError
 from ..sim.core import SimulationError
 from ..sim.resources import Signal, poll_until
 from .raft import LEADER, RaftConfig, RaftNode, decode_msg
@@ -704,15 +703,13 @@ class KVNode:
         return sent
 
     def _ship(self, dst: int, action: str, payload: bytes):
-        # a message to a rank declared dead is dropped, here or by the
-        # transport's check: Raft and clients both tolerate silent loss
-        if self.monitor is None or not self.monitor.is_dead(dst):
-            try:
-                yield from self.runtime.send(dst, action, payload)
-                return
-            except PeerDownError:
-                pass
-        self.counters.add("kv.drops_to_dead")
+        # the transport asks the same monitor (build_kv attaches one to
+        # both), so a send that passes here is never refused there
+        if self.monitor is not None and self.monitor.is_dead(dst):
+            # Raft and clients both tolerate silent loss
+            self.counters.add("kv.drops_to_dead")
+            return
+        yield from self.runtime.send(dst, action, payload)
 
     # ------------------------------------------------------------- queries
     def is_leader(self, group: int) -> bool:

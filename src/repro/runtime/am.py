@@ -18,10 +18,10 @@ the future in the same pass.
 Delivery semantics are at-least-once under the wire library's own
 retries (Photon and minimpi replay their ops; the parcel transport
 re-sends nothing), de-duplicated to effectively-once execution at the
-callee: a bounded per-source window remembers recently served cids and re-sends
-the cached reply for a retransmitted request instead of re-running the
-handler.  Stale replies (reply arrives after the window forgot the
-request, or a duplicate reply) are dropped and counted.
+callee: a bounded per-source window remembers recently served cids and
+re-sends the cached reply for a retransmitted request instead of
+re-running the handler.  Stale replies (reply arrives after the window
+forgot the request, or a duplicate reply) are dropped and counted.
 
 Backpressure is credit-based per destination: each in-flight invocation
 to a rank consumes one credit, returned when its reply (or error)

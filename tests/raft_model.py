@@ -32,11 +32,12 @@ T is in the log of every leader of a later term) and State Machine
 Safety (no two replicas commit or apply different entries at an index).
 
 States are deduplicated on a canonical form: per node its role, term,
-vote, log, commit / apply indices and leader bookkeeping, plus the
-network multiset, snapshot transfers and the budgets left.  Clock readings are not part of
-it, so the search is a bug finder: a violation it reports is real and
-comes with a shortest step list that reaches it.  Timing is abstract:
-jitter is zero, and a timer fires whenever the search chooses.
+vote, log, snapshot, commit / apply indices and leader bookkeeping
+(snapshot transfers included), plus the network multiset and the budgets
+left.  Clock readings are not part of it, so the search is a bug finder:
+a violation it reports is real and comes with a shortest step list that
+reaches it.  Timing is abstract: jitter is zero, and a timer fires
+whenever the search chooses.
 
     python tests/raft_model.py                  # the defaults of Bounds
     python tests/raft_model.py --depth 14 --restarts 0 --crashes 0

@@ -145,7 +145,10 @@ def test_install_snapshot_endings_are_safe_on_the_real_node():
 def test_install_snapshot_mutant_is_caught(monkeypatch):
     """The shortest ending: r2 appends the no-op, then installs the
     snapshot that covers it, and r0's next proposal lands at an index r2
-    already holds under the same term."""
+    already holds under the same term.  (A mutant that keeps a
+    *conflicting* suffix is not caught here: with three replicas such a
+    suffix is of an older term, its holder cannot win an election, and
+    the next AppendEntries repairs it.)"""
     monkeypatch.setattr(RaftNode, "_install_snapshot",
                         _install_keeping_the_covered_entry)
     res = search(SNAPSHOT_BOUNDS, prefix=SNAPSHOT)
