@@ -35,7 +35,8 @@ from ...chaos import CrashRank, HealEvent, PartitionEvent, RestartRank
 from ...chaos.invariants import (InvariantViolation, check_log_bounded,
                                  check_membership_monotonic,
                                  check_reads_return_written,
-                                 check_replicas_identical, unapplied_acks)
+                                 check_replicas_identical, retained_applied,
+                                 unapplied_acks)
 from ...kv import RaftConfig, move_group
 from ...kv.scenario import Op, Scenario
 from ...runtime.health import HealthConfig
@@ -101,10 +102,8 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
         while not out.get("writers_done"):
             for node in nodes:
                 for rn in node.raft.values():
-                    if rn.snapshot_fn is not None:
-                        out["max_retained"] = max(
-                            out["max_retained"],
-                            rn.last_applied - rn.base_index)
+                    out["max_retained"] = max(out["max_retained"],
+                                              retained_applied(node, rn))
             yield env.timeout(HealthConfig.period_ns)
 
     def mover():

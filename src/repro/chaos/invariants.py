@@ -14,7 +14,8 @@ the properties the fault model promises (see DESIGN.md):
 - **Bounded logs** — snapshot compaction must keep every Raft replica's
   retained log within ``compact_threshold + compact_margin`` applied
   entries, even with laggards or partitioned peers (that is the whole
-  point of trimming past them and streaming snapshots instead).
+  point of trimming past them and streaming snapshots instead), and a
+  replica's snapshot worker must complete each capture in its turn.
 
 Three more audit a *finished* KV scenario (anything shaped like
 :class:`repro.kv.scenario.Scenario`; duck-typed, this package imports no
@@ -37,6 +38,7 @@ from ..runtime.health import ALIVE, DEAD
 __all__ = ["InvariantViolation", "check_no_duplicate_delivery",
            "check_reg_balance",
            "check_membership_monotonic", "check_log_bounded",
+           "retained_applied",
            "unapplied_acks", "check_replicas_identical",
            "check_reads_return_written", "check_all"]
 
@@ -92,30 +94,56 @@ def check_membership_monotonic(monitor) -> None:
             f"{prev_version}")
 
 
-def check_log_bounded(kv_nodes: Iterable, slack: int = 0) -> None:
-    """Every snapshot-armed Raft replica's *applied* suffix is bounded.
+def retained_applied(node, rn) -> int:
+    """Applied entries ``rn`` (``node``'s replica) retains: counted from
+    the base its pending capture trims to (the capture index less
+    ``compact_margin``) while a capture is in ``node.snapshot_jobs``, from
+    ``base_index`` otherwise."""
+    base = rn.base_index
+    for job in node.snapshot_jobs:
+        if job.group == rn.group:
+            base = max(base, job.index - rn.config.compact_margin)
+    return rn.last_applied - base
 
-    ``kv_nodes``: anything with a ``raft`` mapping of group id to
-    :class:`~repro.kv.raft.RaftNode` (duck-typed so this module needs no
-    kv import).  A replica may briefly hold ``compact_threshold`` applied
-    entries before its snapshot fires plus the ``compact_margin`` it
-    deliberately retains behind the snapshot point, hence the bound
-    ``threshold + margin`` (+ caller ``slack`` for mid-tick grace).
-    Replicas with no ``snapshot_fn`` armed are skipped — without a
-    serializer compaction is disabled by design.
+
+def check_log_bounded(kv_nodes: Iterable, slack: int = 0) -> None:
+    """Every Raft replica's *applied* suffix is bounded, and no snapshot
+    capture is overdue.
+
+    ``kv_nodes``: anything with an ``env``, a ``raft`` mapping of group
+    id to :class:`~repro.kv.raft.RaftNode` and a FIFO ``snapshot_jobs``
+    (duck-typed so this module needs no kv import).  A replica may
+    briefly hold ``compact_threshold`` applied entries before it
+    captures a snapshot plus the ``compact_margin`` it deliberately
+    retains behind the snapshot point, hence the bound ``threshold +
+    margin`` (+ caller ``slack`` for mid-tick grace) on
+    :func:`retained_applied`.  A capture queued behind ``ahead`` jobs is
+    overdue once it has waited longer than ``ahead + 1`` times its
+    ``cost_ns``: the worker charges each job that long and no longer.
+    And a snapshot, taken or installed, has trimmed the log to at most
+    ``compact_margin`` entries below its index.
     """
     for node in kv_nodes:
+        who = f"replica rank {getattr(node, 'rank', '?')}"
+        now = node.env.now
+        for job in node.snapshot_jobs:
+            waited = now - job.t_queued
+            if waited > (job.ahead + 1) * job.cost_ns:
+                raise InvariantViolation(
+                    f"group {job.group} {who}: capture at {job.index} "
+                    f"pending {waited} ns behind {job.ahead} jobs")
         for group, rn in node.raft.items():
-            if rn.snapshot_fn is None:
-                continue
-            retained = rn.last_applied - rn.base_index
+            if rn.base_index < rn.snapshot_index - rn.config.compact_margin:
+                raise InvariantViolation(
+                    f"group {group} {who}: snapshot at {rn.snapshot_index} "
+                    f"left the log based at {rn.base_index}")
+            retained = retained_applied(node, rn)
             bound = (rn.config.compact_threshold
                      + rn.config.compact_margin + slack)
             if retained > bound:
                 raise InvariantViolation(
-                    f"group {group} replica rank {getattr(node, 'rank', '?')}"
-                    f" retains {retained} applied entries "
-                    f"(base_index {rn.base_index}, last_applied "
+                    f"group {group} {who} retains {retained} applied "
+                    f"entries (base_index {rn.base_index}, last_applied "
                     f"{rn.last_applied}) > bound {bound}")
 
 

@@ -23,11 +23,13 @@ Faithfulness notes (what is and isn't modelled):
   state, but the caller may reseed a *fresh* node into the same group
   (``repro.chaos`` restart events do exactly that) — the newcomer
   rejoins through the InstallSnapshot flow below;
-- compaction is **snapshot-based**: once the applied prefix exceeds
-  ``compact_threshold`` the node serializes its state machine (through
-  the caller-installed :attr:`RaftNode.snapshot_fn`), records the
-  snapshot at ``last_applied``, and trims the log past *every* laggard,
-  keeping only ``compact_margin`` recent entries.  A follower whose
+- compaction is **snapshot-based** and the caller owns it: once the
+  applied prefix exceeds ``compact_threshold`` (:meth:`RaftNode.snapshot_due`)
+  the caller captures its state machine at ``last_applied``, serializes
+  it off the consensus path, and hands the blob back with the captured
+  index (:meth:`RaftNode.take_snapshot`); only then is the log trimmed
+  past *every* laggard, keeping ``compact_margin`` entries below the
+  snapshot point.  A follower whose
   ``next_index`` falls below ``base_index`` is caught up by streaming
   the snapshot in ``SNAPSHOT_CHUNK``-byte pieces (``MSG_SNAP``), one
   chunk outstanding per peer with the heartbeat period as the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.core import SimulationError
 from .shard import CodecError
@@ -323,10 +325,6 @@ class RaftNode:
         self._slot = self.replicas.index(rank)
         self.election_due = now + self._election_delay(bootstrap=True)
         # --- snapshot state -------------------------------------------
-        #: caller-installed serializer for the applied state machine;
-        #: None disarms snapshotting entirely (pure-logic tests).  The
-        #: store sets this to its KVStateMachine's serialize.
-        self.snapshot_fn: Optional[Callable[[], bytes]] = None
         self.snapshot_index = 0
         self.snapshot_term = 0
         self.snapshot_blob = b""
@@ -497,12 +495,8 @@ class RaftNode:
 
     # ------------------------------------------------------------- tick
     def tick(self, now: int) -> None:
-        """Advance timers: elections for followers, AE rounds for leaders,
-        and — for every role — snapshot the applied prefix once it grows
-        past ``compact_threshold`` (followers compact their own logs too;
-        a replica must never depend on its leader to bound its memory)."""
-        if (self.snapshot_fn is not None and self.snapshot_due()):
-            self.take_snapshot(self.snapshot_fn())
+        """Advance timers: elections for followers, AE rounds for
+        leaders."""
         if self.role == LEADER:
             if now >= self._hb_due:
                 self._send_append_round(now)
@@ -847,31 +841,39 @@ class RaftNode:
     def snapshot_due(self) -> bool:
         """True once the applied prefix has outgrown ``compact_threshold``
         and every applied entry has been drained by the caller (the
-        state machine is exactly at ``last_applied``, so serializing it
-        now yields a consistent snapshot)."""
+        state machine is exactly at ``last_applied``, so capturing it
+        now yields a consistent snapshot at that index).  Followers
+        compact their own logs too: a replica must never depend on its
+        leader to bound its memory."""
         return (self.last_applied - self.base_index
                 >= self.config.compact_threshold
                 and not self._applied_out)
 
-    def take_snapshot(self, blob: bytes) -> int:
-        """Record ``blob`` as the state at ``last_applied`` and trim the
-        log past every laggard, retaining only ``compact_margin`` recent
-        entries.  Returns the number of entries discarded.
+    def take_snapshot(self, blob: bytes, index: int) -> bool:
+        """Adopt ``blob``, the state machine captured at ``index``, and
+        trim the log past every laggard, retaining only
+        ``compact_margin`` entries below it.  ``index`` may lie below
+        ``last_applied``: the caller serializes a capture while the node
+        keeps applying.  Returns False, with nothing changed, when an
+        installed snapshot at or past ``index`` superseded the capture.
 
         This is the hole-closing move: trimming no longer waits for any
         follower's ``match_index`` — a slow, gray or partitioned peer
         (or one the detector missed) cannot pin the log.  Whoever falls
         below the new ``base_index`` is caught up with this snapshot.
         """
-        if self._applied_out:
+        if index > self.last_applied:
             raise SimulationError(
-                f"g{self.group} r{self.rank}: snapshot requested with "
-                f"{len(self._applied_out)} undrained applied entries")
-        self.snapshot_index = self.last_applied
-        self.snapshot_term = self.term_at(self.last_applied)
+                f"g{self.group} r{self.rank}: snapshot at {index} is past "
+                f"last_applied {self.last_applied}")
+        if index <= self.snapshot_index:
+            return False
+        self.snapshot_index = index
+        self.snapshot_term = self.term_at(index)
         self.snapshot_blob = bytes(blob)
         self.snapshots_taken += 1
-        return self.compact(self.last_applied - self.config.compact_margin)
+        self.compact(index - self.config.compact_margin)
+        return True
 
     def take_installed(self) -> List[Tuple[int, int, bytes, int]]:
         """Snapshots installed since the last call, oldest first, as

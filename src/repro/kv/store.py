@@ -42,7 +42,7 @@ from .shard import (CodecError, KVStateMachine, OP_MERGE, OP_NOOP, OP_PURGE,
                     OP_PUT, OP_SEAL, ShardMap, ST_OK, decode_command,
                     snapshot_keys)
 
-__all__ = ["KVConfig", "KVNode", "PendingReply", "build_kv",
+__all__ = ["KVConfig", "KVNode", "PendingReply", "SnapshotJob", "build_kv",
            "ACT_RAFT", "ACT_REQ", "ACT_RESP",
            "REQ_WRITE", "REQ_READ", "REQ_LOC", "REQ_SNAP",
            "RESP_OK", "RESP_MISS", "RESP_NOT_LEADER",
@@ -91,8 +91,9 @@ VALUE_LIMIT = SLOT_SIZE - SLOT_HDR
 SLOTS_PER_GROUP = 1024
 #: host cost charged per applied state-machine command (ns)
 APPLY_COST_NS = 400
-#: host cost charged when a replica serializes its machine into a
-#: snapshot, and when it deserializes + swaps in an installed one (ns)
+#: host cost of serializing a captured machine into a snapshot, paid by
+#: the replica's snapshot worker beside the serve loop, and of
+#: deserializing + swapping in an installed one, paid on the loop (ns)
 SNAPSHOT_COST_NS = 20_000
 INSTALL_COST_NS = 40_000
 
@@ -186,8 +187,26 @@ class PendingReply:
         self.bell = Signal(env)
 
 
+class SnapshotJob:
+    """One captured snapshot in a replica's snapshot worker: the group's
+    machine as serialized at log ``index``, queued at ``t_queued`` behind
+    ``ahead`` other jobs, and the ``cost_ns`` the worker charges for it."""
+
+    __slots__ = ("group", "index", "blob", "t_queued", "ahead", "cost_ns")
+
+    def __init__(self, group: int, index: int, blob: bytes, t_queued: int,
+                 ahead: int):
+        self.group = group
+        self.index = index
+        self.blob = blob
+        self.t_queued = t_queued
+        self.ahead = ahead
+        self.cost_ns = SNAPSHOT_COST_NS
+
+
 class KVNode:
-    """One rank's slice of the store (server loop + client hub)."""
+    """One rank's slice of the store (server loop, snapshot worker and
+    client hub)."""
 
     def __init__(self, cluster, rank: int, runtime: Runtime, photon,
                  shard_map: ShardMap, config: Optional[KVConfig] = None):
@@ -207,8 +226,10 @@ class KVNode:
         self.tables: Dict[int, object] = {}       # group -> PhotonBuffer
         self._slot_of: Dict[int, Dict[bytes, int]] = {}
         self._next_slot: Dict[int, int] = {}
-        #: per-group snapshots_taken high-water (obs mirror + cost charge)
-        self._snap_seen: Dict[int, int] = {}
+        #: this incarnation's snapshot worker queue, head first (the head
+        #: is the job being serialized); a crash swaps in a fresh one
+        self.snapshot_jobs: Deque[SnapshotJob] = deque()
+        self._snap_bell = Signal(self.env)
         for g in shard_map.groups_on(rank):
             self._seed_group(g)
             # boot-time tables are registered eagerly (a restart defers
@@ -230,7 +251,7 @@ class KVNode:
         self._proc = None
 
     def _seed_group(self, g: int) -> None:
-        """Create the group's RaftNode + machine and arm snapshotting.
+        """Create the group's RaftNode + machine.
 
         RNG streams are cached by name in the registry, so a reseed
         after a restart *continues* the same deterministic jitter stream
@@ -241,12 +262,10 @@ class KVNode:
         rn = RaftNode(g, self.rank, replicas, self.config.raft,
                       rng_space.stream(f"g{g}.r{self.rank}"),
                       now=self.env.now)
-        rn.snapshot_fn = lambda g=g: self.machines[g].serialize()
         self.raft[g] = rn
         self.machines[g] = KVStateMachine(g)
         self._slot_of[g] = {}
         self._next_slot[g] = 0
-        self._snap_seen[g] = 0
 
     # ------------------------------------------------------------- restart
     def on_crash(self) -> None:
@@ -258,7 +277,9 @@ class KVNode:
         self.tables.clear()
         self._slot_of.clear()
         self._next_slot.clear()
-        self._snap_seen.clear()
+        # the worker dies with the process: it sees its queue replaced
+        # and completes nothing, not even the job it was serializing
+        self.snapshot_jobs = deque()
         self._pending.clear()
         self._pending_uid.clear()
         self._tx.clear()
@@ -279,6 +300,8 @@ class KVNode:
         """
         for g in self.shard_map.groups_on(self.rank):
             self._seed_group(g)
+        if self.running:
+            self._spawn_snapshot_worker()
         self.counters.add("kv.reseeds")
         self.runtime.transport.arrivals.fire()  # new timers: re-plan the park
 
@@ -305,12 +328,17 @@ class KVNode:
             rn.on_peer_join(peer)
 
     def start(self) -> None:
-        """Spawn the server loop (idempotent)."""
+        """Spawn the server loop and the snapshot worker (idempotent)."""
         if self.running:
             return
         self.running = True
         self._proc = self.env.process(self._serve(),
                                       name=f"kv{self.rank}:serve")
+        self._spawn_snapshot_worker()
+
+    def _spawn_snapshot_worker(self) -> None:
+        self.env.process(self._snapshot_worker(self.snapshot_jobs),
+                         name=f"kv{self.rank}:snapshot")
 
     # ------------------------------------------------------------- handlers
     def handle_raft(self, src: int, payload: bytes) -> None:
@@ -526,9 +554,10 @@ class KVNode:
         # set-ups per tick
         apply_due, flush_due = False, bool(self._tx)
         for rn in self.raft.values():
+            if rn.snapshot_due():
+                self._capture(rn)
             rn.tick(now)
-            if rn._applied_out or rn._installed_out or (
-                    rn.snapshots_taken != self._snap_seen.get(rn.group, 0)):
+            if rn._applied_out or rn._installed_out:
                 apply_due = True
             if rn.outbox:
                 flush_due = True
@@ -561,10 +590,9 @@ class KVNode:
     def _apply_committed(self) -> int:
         """Apply newly committed entries; answer pending clients.
 
-        Also the snapshot pump: installed snapshots handed up by the
+        Also the install pump: installed snapshots handed up by the
         Raft layer are swapped in here (machine replaced wholesale, slot
-        table rebuilt into a *fresh* registered buffer), and freshly
-        taken snapshots are charged + mirrored into obs.
+        table rebuilt into a *fresh* registered buffer).
         """
         applied = 0
         # on_crash() clears self.raft while this loop sleeps in a yield:
@@ -601,13 +629,41 @@ class KVNode:
                 if who is not None and rn.role == LEADER:
                     dst, client, seq = who
                     self._respond(dst, status, self.rank, client, seq, value)
-            if rn.snapshots_taken > self._snap_seen.get(g, 0):
-                self._snap_seen[g] = rn.snapshots_taken
-                self.counters.add("kv.snapshots_taken")
-                self.counters.add("kv.raft.snapshot_bytes",
-                                  len(rn.snapshot_blob))
-                yield self.env.timeout(SNAPSHOT_COST_NS)
         return applied
+
+    # --------------------------------------------------------- snapshots
+    def _capture(self, rn: RaftNode) -> None:
+        """Queue a snapshot of ``rn``'s group for the worker: the machine
+        as it stands at ``last_applied``, captured copy-on-write, so the
+        serve loop pays no simulated time for it.  At most one capture of
+        a group is in flight."""
+        jobs = self.snapshot_jobs
+        if any(job.group == rn.group for job in jobs):
+            return
+        jobs.append(SnapshotJob(rn.group, rn.last_applied,
+                                self.machines[rn.group].serialize(),
+                                self.env.now, len(jobs)))
+        self._snap_bell.fire()
+
+    def _snapshot_worker(self, jobs: Deque[SnapshotJob]):
+        """The background snapshot thread, FIFO: charge each queued
+        capture its serialization cost, then complete it through
+        ``RaftNode.take_snapshot``, which trims the log and makes the
+        blob the one streamed to laggards.  A completion changes nothing
+        when an installed snapshot has overtaken its capture; the thread
+        ends, completing nothing more, once a crash replaced ``jobs``."""
+        while jobs is self.snapshot_jobs:
+            if not jobs:
+                yield self._snap_bell.wait()
+                continue
+            job = jobs[0]
+            yield self.env.timeout(job.cost_ns)
+            if jobs is not self.snapshot_jobs:
+                return
+            jobs.popleft()
+            if self.raft[job.group].take_snapshot(job.blob, job.index):
+                self.counters.add("kv.snapshots_taken")
+                self.counters.add("kv.raft.snapshot_bytes", len(job.blob))
 
     def _install_snapshot(self, group: int, blob: bytes, t_start: int):
         """Swap in an installed snapshot: machine, then slot table.

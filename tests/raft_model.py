@@ -13,12 +13,17 @@ happens on its own: every step is one explicit action,
 - ``crash r``: r stops, and messages to it are lost;
 - ``restart r``: a crashed r comes back as a *fresh* ``RaftNode`` (term
   0, no vote, empty log), which is how ``KVNode.reseed`` rebuilds one;
-- ``snapshot r``: r snapshots its state machine (``take_snapshot``) and
-  compacts its log to its applied index, so a leader whose log is
-  trimmed past a follower's next index ships it InstallSnapshot.  The
-  state machine is the applied prefix itself: a snapshot blob encodes
-  the entries it covers, so every property below reads a replica's whole
-  history, snapshot then log.
+- ``capture r``: r captures its state machine at its applied index, as
+  ``KVNode`` queues a capture to its snapshot worker; one capture per
+  replica is pending at a time, and a crash loses it;
+- ``complete r``: the worker finishes r's pending capture
+  (``take_snapshot`` at the captured index), which compacts r's log to
+  that index unless an installed snapshot has overtaken it, so a leader
+  whose log is trimmed past a follower's next index ships it
+  InstallSnapshot.  Anything can happen between a capture and its
+  completion.  The state machine is the applied prefix itself: a
+  snapshot blob encodes the entries it covers, so every property below
+  reads a replica's whole history, snapshot then log.
 
 :func:`search` explores every sequence of actions breadth first, up to
 a depth and per-action budgets, from the start or from the world a fixed
@@ -29,12 +34,15 @@ safety properties of Figure 3 of Ongaro & Ousterhout, "In Search of an
 Understandable Consensus Algorithm" (2014): Election Safety (one leader
 per term), Log Matching, Leader Completeness (an entry committed in term
 T is in the log of every leader of a later term) and State Machine
-Safety (no two replicas commit or apply different entries at an index).
+Safety (no two replicas commit or apply different entries at an index),
+plus Snapshot Integrity, which the history reading rests on: a replica's
+snapshot covers exactly the entries below its log, and its base never
+moves backwards.
 
 States are deduplicated on a canonical form: per node its role, term,
-vote, log, snapshot, commit / apply indices and leader bookkeeping
-(snapshot transfers included), plus the network multiset and the budgets
-left.  Clock readings are not part of it, so the search is a bug finder:
+vote, log, snapshot, commit / apply indices, leader bookkeeping
+(snapshot transfers included) and pending capture, plus the network
+multiset and the budgets left.  Clock readings are not part of it, so the search is a bug finder:
 a violation it reports is real and comes with a shortest step list that
 reaches it.  Timing is abstract: jitter is zero, and a timer fires
 whenever the search chooses.
@@ -65,9 +73,10 @@ N = 3
 REPLICAS = list(range(N))
 #: abstract timing: every timer is a unit or two and jitter is always
 #: zero, so which timer fires next is the search's choice, not the clock's
+#: (no margin: a completed snapshot compacts the log to its own index)
 CONFIG = RaftConfig(heartbeat_ns=1, election_timeout_ns=2,
                     election_jitter_ns=1, election_stagger_ns=0,
-                    fast_election_ns=1, lease_ns=1)
+                    fast_election_ns=1, lease_ns=1, compact_margin=0)
 KIND = {1: "vote-req", 2: "vote-reply", 3: "append", 4: "append-reply",
         5: "snap", 6: "snap-reply"}
 
@@ -128,6 +137,7 @@ class Bounds:
     drops: int = 0
     dups: int = 0
     timers: int = 3
+    #: captures
     snapshots: int = 0
 
 
@@ -140,6 +150,8 @@ class World:
     #: budgets left: proposals, crashes, restarts, drops, dups, timers,
     #: snapshots
     left: Tuple[int, ...]
+    #: per replica, its pending capture ``(index, blob)`` or None
+    captures: Tuple[Optional[Tuple[int, bytes]], ...] = (None,) * N
     # ghost state the properties read (not part of the canonical form)
     leaders: Dict[int, int] = field(default_factory=dict)
     committed: Dict[int, Tuple[Tuple[int, bytes], int]] = \
@@ -147,6 +159,7 @@ class World:
     applied: Dict[int, Tuple[int, bytes]] = field(default_factory=dict)
     seen_commit: List[int] = field(default_factory=lambda: [0] * N)
     seen_applied: List[int] = field(default_factory=lambda: [0] * N)
+    seen_base: List[int] = field(default_factory=lambda: [0] * N)
     proposed: int = 0
 
     @classmethod
@@ -159,10 +172,11 @@ class World:
     def copy(self) -> "World":
         return World(self.config,
                      [None if n is None else _clone(n) for n in self.nodes],
-                     list(self.clock), self.net, self.left,
+                     list(self.clock), self.net, self.left, self.captures,
                      dict(self.leaders), dict(self.committed),
                      dict(self.applied), list(self.seen_commit),
-                     list(self.seen_applied), self.proposed)
+                     list(self.seen_applied), list(self.seen_base),
+                     self.proposed)
 
     def key(self):
         nodes = tuple(
@@ -179,7 +193,7 @@ class World:
              None if n._snap_in is None else
              (n._snap_in["index"], len(n._snap_in["buf"])))
             for n in self.nodes)
-        return nodes, self.net, self.left
+        return nodes, self.net, self.left, self.captures
 
     # ------------------------------------------------------------ actions
     def moves(self) -> List[tuple]:
@@ -203,14 +217,17 @@ class World:
                 out.append(("propose", r))
             if crashes:
                 out.append(("crash", r))
-            if snaps and node.last_applied > node.base_index:
-                out.append(("snapshot", r))
+            if self.captures[r] is not None:
+                out.append(("complete", r))
+            elif snaps and node.last_applied > node.base_index:
+                out.append(("capture", r))
         return out
 
     def apply(self, move: tuple) -> None:
         what, arg = move
         left = list(self.left)
         net = list(self.net)
+        captures = list(self.captures)
         if what == "dup":
             net.append(arg)
             left[4] -= 1
@@ -230,20 +247,25 @@ class World:
             self.proposed += 1
             self.nodes[arg].propose(b"c%d" % self.proposed, self.clock[arg])
             left[0] -= 1
-        elif what == "snapshot":
+        elif what == "capture":
             node = self.nodes[arg]
             node.take_applied()  # the state machine is at last_applied
-            node.take_snapshot(
-                repr(history(node)[:node.last_applied]).encode())
-            node.compact(node.last_applied)
+            captures[arg] = (node.last_applied, repr(
+                history(node)[:node.last_applied]).encode())
             left[6] -= 1
+        elif what == "complete":
+            index, blob = captures[arg]
+            self.nodes[arg].take_snapshot(blob, index)
+            captures[arg] = None
         elif what == "crash":
             self.nodes[arg] = None
+            captures[arg] = None
             net = [m for m in net if m[1] != arg]
             left[1] -= 1
         else:  # restart
             self.nodes[arg] = fresh(arg, self.config, self.clock[arg])
             self.seen_commit[arg] = self.seen_applied[arg] = 0
+            self.seen_base[arg] = 0
             left[2] -= 1
         for r, node in enumerate(self.nodes):
             if node is not None and node.outbox:
@@ -252,11 +274,19 @@ class World:
                 node.outbox.clear()
         self.net = tuple(sorted(net))
         self.left = tuple(left)
+        self.captures = tuple(captures)
 
     # --------------------------------------------------------- properties
     def violation(self) -> Optional[str]:
         """The first Figure 3 property this state breaks, or None."""
         live = [(r, n) for r, n in enumerate(self.nodes) if n is not None]
+        for r, n in live:
+            covered = len(_covered(n.snapshot_blob))
+            if covered != n.base_index or n.base_index < self.seen_base[r]:
+                return (f"Snapshot Integrity: r{r}'s snapshot covers "
+                        f"{covered} entries, its log starts after "
+                        f"{n.base_index} (was {self.seen_base[r]})")
+            self.seen_base[r] = n.base_index
         for r, n in live:
             if n.role == LEADER:
                 first = self.leaders.setdefault(n.term, r)

@@ -430,23 +430,25 @@ def test_append_truncates_conflicting_suffix():
     assert reply.success and reply.match_index == 3
 
 
-def _arm_snapshots(bus, payload: bytes = b"machine-state") -> None:
-    """Give every Bus node a trivial serializer so compaction can fire
-    (no snapshot_fn → compaction disarmed, the pure-logic default)."""
+def _snapshot_when_due(bus, payload: bytes = b"machine-state") -> None:
+    """Play the store's part in compaction: a node whose drained applied
+    prefix has outgrown the threshold adopts ``payload`` as its machine
+    at ``last_applied`` (a bare RaftNode never snapshots by itself)."""
     for n in bus.nodes.values():
-        n.snapshot_fn = lambda: payload
+        if n.snapshot_due():
+            n.take_snapshot(payload, n.last_applied)
 
 
-def _drain_all(bus) -> None:
+def _drain_all(bus, payload: bytes = b"machine-state") -> None:
     for n in bus.nodes.values():
         n.take_applied()
         n.take_installed()
+    _snapshot_when_due(bus, payload)
 
 
 def test_compaction_trims_the_applied_prefix():
     cfg = RaftConfig(compact_threshold=8, compact_margin=2)
     bus = Bus(n=3, cfg=cfg)
-    _arm_snapshots(bus)
     leader = bus.elect()
     for i in range(30):
         leader.propose(f"c{i:03d}".encode(), bus.now)
@@ -455,6 +457,7 @@ def test_compaction_trims_the_applied_prefix():
     bus.run_until(lambda: (_drain_all(bus) or all(
         n.last_applied == leader.last_index for n in bus.nodes.values())))
     bus.step()
+    _drain_all(bus)
     assert leader.base_index > 0
     assert leader.snapshots_taken >= 1
     assert leader.compactions >= 1
@@ -478,19 +481,18 @@ def test_snapshot_streams_to_a_partitioned_follower(monkeypatch):
     monkeypatch.setattr("repro.kv.raft.SNAPSHOT_CHUNK", 7)
     cfg = RaftConfig(compact_threshold=8, compact_margin=2)
     bus = Bus(n=3, cfg=cfg)
-    _arm_snapshots(bus, payload=b"s" * 40)
     leader = bus.elect()
     lag = bus.nodes[(leader.rank + 1) % 3]
     bus.cut.add(lag.rank)
     for i in range(30):
         leader.propose(f"c{i:03d}".encode(), bus.now)
         bus.step(dt=10_000)
-        _drain_all(bus)
+        _drain_all(bus, b"s" * 40)
     # the leader trimmed past the cut follower's position
     assert leader.base_index > lag.last_index
     assert leader.snapshot_index > 0
     bus.cut.discard(lag.rank)
-    bus.run_until(lambda: (_drain_all(bus) or
+    bus.run_until(lambda: (_drain_all(bus, b"s" * 40) or
                            lag.last_applied == leader.last_index))
     assert lag.snapshot_installs >= 1
     assert leader.snapshot_chunks_sent >= 2     # 40B / 7B chunks
@@ -507,7 +509,6 @@ def test_snapshot_install_reports_blob_to_caller():
     to the snapshot point without replaying the trimmed prefix."""
     cfg = RaftConfig(compact_threshold=4, compact_margin=1)
     bus = Bus(n=3, cfg=cfg)
-    _arm_snapshots(bus, payload=b"full-machine")
     leader = bus.elect()
     lag = bus.nodes[(leader.rank + 1) % 3]
     bus.cut.add(lag.rank)
@@ -516,6 +517,7 @@ def test_snapshot_install_reports_blob_to_caller():
         bus.step(dt=10_000)
         for n in bus.nodes.values():
             n.take_applied()
+        _snapshot_when_due(bus, b"full-machine")
     bus.cut.discard(lag.rank)
     bus.run_until(lambda: bool(lag._installed_out))
     installed = lag.take_installed()

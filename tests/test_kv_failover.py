@@ -214,17 +214,15 @@ def test_election_bound_holds_on_the_seeds_that_never_churned(seed):
 
 def test_a_split_detection_driven_vote_retries_fast():
     """``perf/run.py --workload kv_chaos --seed 7 --scale 0.3``, block
-    7007 (87 ops a client): the last put is acknowledged 18 us before the
-    leader crash, so nobody is left to wait for the next leader and the
-    victim dies before any AppendEntries tells the survivors that entry
-    is committed.  Their detection-driven election timers then land 1 us
-    apart and each votes for itself (ROADMAP item 1e).  The round that
-    split retries on the fast delay, not the full election timeout, so
-    by the benchmark's audit, a fixed 2 ms after the crash, group 0 has a
-    leader again and every acknowledged write is applied on every
-    surviving replica.
+    7005 (87 ops a client): the clients are done 442 us before the
+    leader crash.  The survivors' detection-driven election timers then
+    land 15 us apart and each votes for itself in term 2 (ROADMAP item
+    1e).  The round that split retries on the fast delay, not the full
+    election timeout, so by the benchmark's audit, a fixed 2 ms after
+    the crash, group 0 has a leader again and every acknowledged write
+    is applied on every surviving replica.
     """
-    sc = _chaos_block(7007, n_ops=87)
+    sc = _chaos_block(7005, n_ops=87)
     env = sc.env
     assert all(op.status == ST_OK for op in sc.history)
     # the benchmark's audit instant

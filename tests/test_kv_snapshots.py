@@ -7,9 +7,9 @@ rejoin through InstallSnapshot, and one live shard move flipped under
 the writers' feet.  The tests then assert the contract piecewise so a
 failure names the broken property, not just "the experiment failed".
 
-A guard checks the pay-for-what-you-build rule: snapshot machinery
-armed (it always is on a built store) but never *due* takes no
-snapshots, streams no chunks and bumps no snapshot counters.  Last, two
+A guard checks the pay-for-what-you-build rule: a snapshot worker
+running (it always is on a built store) but never *due* captures
+nothing, streams no chunks and bumps no snapshot counters.  Last, two
 restart schedules that trip defects, pinned not fixed.
 """
 
@@ -26,7 +26,9 @@ from repro.chaos.invariants import (InvariantViolation, check_log_bounded,
                                     check_membership_monotonic,
                                     check_replicas_identical, unapplied_acks)
 from repro.kv import RaftConfig, ST_OK
+from repro.kv.raft import RaftNode
 from repro.kv.scenario import Scenario
+from repro.kv.store import SNAPSHOT_COST_NS, SnapshotJob
 from repro.kv.shard import decode_command
 from tests.linearizability import check_scenario
 
@@ -106,34 +108,69 @@ def test_membership_monotonic_on_every_monitor(scen, request):
         check_membership_monotonic(mon)
 
 
-def test_log_bound_checker_rejects_an_overrun():
+def _stub_node(last_applied, jobs=(), now=0):
     class _Cfg:
         compact_threshold = 8
         compact_margin = 2
 
     class _RN:
+        group = 0
         config = _Cfg()
-        snapshot_fn = staticmethod(lambda: b"")
         base_index = 0
-        last_applied = 11
+        snapshot_index = 0
+
+    class _Env:
+        pass
 
     class _Node:
         rank = 0
         raft = {0: _RN()}
+        snapshot_jobs = list(jobs)
+        env = _Env()
 
+    _RN.last_applied = last_applied
+    _Node.env.now = now
+    return _Node()
+
+
+def test_log_bound_checker_rejects_an_overrun():
     with pytest.raises(InvariantViolation):
-        check_log_bounded([_Node()])
-    _RN.last_applied = 10  # exactly at the bound: fine
-    check_log_bounded([_Node()])
-    _RN.snapshot_fn = None  # disarmed replicas are exempt by design
-    _RN.last_applied = 999
-    check_log_bounded([_Node()])
+        check_log_bounded([_stub_node(11)])
+    check_log_bounded([_stub_node(10)])  # exactly at the bound: fine
+
+
+def test_log_bound_checker_counts_a_pending_capture_from_its_index():
+    """A queued capture at 9 will trim to 9 - margin = 7, so 17 applied
+    entries retain 10: at the bound.  One more is over it."""
+    job = SnapshotJob(0, 9, b"", t_queued=0, ahead=0)
+    check_log_bounded([_stub_node(17, [job])])
+    with pytest.raises(InvariantViolation):
+        check_log_bounded([_stub_node(18, [job])])
+
+
+def test_log_bound_checker_rejects_an_untrimmed_snapshot():
+    """A snapshot at 9 trims to 9 - margin = 7, whatever is pending."""
+    node = _stub_node(9, [SnapshotJob(0, 9, b"", t_queued=0, ahead=0)])
+    node.raft[0].snapshot_index = 9
+    with pytest.raises(InvariantViolation, match="based at 0"):
+        check_log_bounded([node])
+    node.raft[0].base_index = 7
+    check_log_bounded([node])
+
+
+def test_log_bound_checker_rejects_an_overdue_capture():
+    """A capture queued behind one job has two costs to complete in."""
+    job = SnapshotJob(0, 9, b"", t_queued=100, ahead=1)
+    check_log_bounded([_stub_node(9, [job], now=100 + 2 * job.cost_ns)])
+    with pytest.raises(InvariantViolation, match="pending"):
+        check_log_bounded([_stub_node(9, [job],
+                                      now=101 + 2 * job.cost_ns)])
 
 
 def test_armed_but_idle_snapshots_cost_nothing():
-    """A built store always has snapshot_fn armed; with fewer applied
-    entries than compact_threshold nothing may fire: no snapshots, no
-    chunks, no installs, no obs counters."""
+    """A built store always runs a snapshot worker; with fewer applied
+    entries than compact_threshold nothing may fire: no captures, no
+    snapshots, no chunks, no installs, no obs counters."""
     sc = Scenario(3, 1, seed=71)
 
     def body():
@@ -146,8 +183,8 @@ def test_armed_but_idle_snapshots_cost_nothing():
     sc.run(body())
     for n in sc.nodes:
         rn = n.raft[0]
-        assert rn.snapshot_fn is not None  # armed ...
-        assert rn.snapshots_taken == 0     # ... but never fired
+        assert not n.snapshot_jobs        # never captured ...
+        assert rn.snapshots_taken == 0     # ... nor completed
         assert rn.snapshot_chunks_sent == 0
         assert rn.snapshot_installs == 0
         assert rn.base_index == 0
@@ -268,3 +305,102 @@ def test_restart_before_anybody_detected_the_death_keeps_the_leader_serving():
     leader = sc.nodes[roles["leader"]]
     assert leader._proc.is_alive
     assert leader.photon.counters.get("photon.wr_errors") >= 1
+
+
+# ---------------------------------------------------------------------------
+# the snapshot worker: serialization runs beside the serve loop
+# ---------------------------------------------------------------------------
+
+def _put_latencies(threshold, n_puts=300, seed=31):
+    """One closed-loop client on a free rank putting to a 3-replica group
+    compacting every ``threshold`` applied entries; returns the put rows,
+    in order, and the instants the leader captured its machine."""
+    sc = Scenario(4, 1, seed, spans=False,
+                  raft=RaftConfig(compact_threshold=threshold,
+                                  compact_margin=4))
+    captures = []
+
+    def body():
+        yield from sc.wait_leaders()
+        machine = sc.nodes[sc.leader(0)].machines[0]
+        serialize = machine.serialize
+        machine.serialize = lambda: (captures.append(sc.env.now),
+                                     serialize())[1]
+        client = sc.client(sc.free[0], 1)
+        yield from sc.closed_loop(
+            client, ((f"w:{i % 20}".encode(), False) for i in range(n_puts)))
+
+    sc.run(body())
+    assert all(op.status == ST_OK for op in sc.history)
+    return sc.history, captures
+
+
+def test_a_put_to_a_leader_mid_snapshot_is_not_delayed():
+    """A put sent while the leader's snapshot worker serializes completes
+    no later than the same put (same position in the same closed loop)
+    against a store that never snapshots: the serialization costs the
+    serve loop nothing.  (Inline, the serve loop stalled such a put by
+    the whole ``SNAPSHOT_COST_NS``.)"""
+    quiet, captures = _put_latencies(threshold=1024)
+    assert captures == []
+    busy, captures = _put_latencies(threshold=16)
+    mid = [(op.t_return - op.t_invoke, q.t_return - q.t_invoke)
+           for op, q in zip(busy, quiet)
+           if any(t <= op.t_invoke < t + SNAPSHOT_COST_NS for t in captures)]
+    assert len(captures) >= 10 and len(mid) >= len(captures)
+    assert all(took <= alone for took, alone in mid), mid
+
+
+#: a snapshot job long enough to crash and restart its replica inside
+LONG_JOB_NS = 3_000_000
+
+
+def test_a_job_of_a_crashed_incarnation_never_touches_the_reborn_replica(
+        monkeypatch):
+    """A follower crashes a nanosecond after it queued a capture and is
+    reseeded long before that job's cost has run out: the job dies with
+    its incarnation, so no completion ever reaches the reborn replica,
+    which snapshots only what it captured itself."""
+    monkeypatch.setattr("repro.kv.store.SNAPSHOT_COST_NS", LONG_JOB_NS)
+    completed = []
+    take_snapshot = RaftNode.take_snapshot
+
+    def spy(rn, blob, index):
+        completed.append(blob)
+        return take_snapshot(rn, blob, index)
+
+    monkeypatch.setattr(RaftNode, "take_snapshot", spy)
+    sc = Scenario(4, 1, seed=32, spans=False,
+                  raft=RaftConfig(compact_threshold=16, compact_margin=4))
+    out = {}
+
+    def watch(victim):
+        node = sc.nodes[victim]
+        while not node.snapshot_jobs:
+            yield sc.env.timeout(1_000)
+        out["job"], out["old"] = node.snapshot_jobs[0], node.raft[0]
+        now = sc.env.now
+        sc.arm([CrashRank(now + 1, victim),
+                RestartRank(now + 500_000, victim)])
+        yield sc.env.timeout(2 * LONG_JOB_NS)
+
+    def body():
+        yield from sc.wait_leaders()
+        victim = next(r for r in sc.shard_map.replicas(0)
+                      if r != sc.leader(0))
+        client = sc.client(sc.free[0], 1)
+        writes = sc.env.process(sc.closed_loop(
+            client, ((f"w:{i % 20}".encode(), False) for i in range(400)),
+            think_ns=5_000))
+        yield sc.env.process(watch(victim))
+        yield writes
+        out["victim"] = victim
+
+    sc.run(body())
+    job, old = out["job"], out["old"]
+    reborn = sc.nodes[out["victim"]].raft[0]
+    assert reborn is not old and sc.nodes[out["victim"]].photon.alive
+    assert all(blob is not job.blob for blob in completed)
+    assert old.snapshots_taken == 0
+    # the reborn replica caught up and compacts on its own captures
+    assert reborn.last_applied > job.index and reborn.base_index > 0

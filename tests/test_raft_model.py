@@ -1,16 +1,18 @@
 """The exhaustive Raft-core check (``tests/raft_model.py``) over tier-1
 bounds, and the violation it finds on today's tree: ROADMAP item 1a, a
 replica that restarts with no memory of its vote; Figure 8 of the Raft
-paper, found by a directed search on a mutant that commits by count; and
+paper, found by a directed search on a mutant that commits by count;
 InstallSnapshot, searched from a leader that has trimmed its log past a
-follower."""
+follower; and a pending capture that an installed snapshot overtakes."""
 
 import dataclasses
+
+import pytest
 
 from repro.kv.raft import (LEADER, MSG_VOTE_REPLY, MSG_VOTE_REQ, RaftNode,
                            decode_msg)
 from tests.raft_model import (CONFIG, Bounds, World, describe, fresh,
-                              search)
+                              resolve, search)
 
 
 def test_search_finds_the_amnesiac_vote():
@@ -112,7 +114,7 @@ SNAPSHOT = [
     ("deliver", B, A, "vote-reply", 1),
     ("timer", A), ("deliver", A, B, "append", 1),
     ("deliver", B, A, "append-reply", 1),
-    ("snapshot", A),
+    ("capture", A), ("complete", A),
 ]
 SNAPSHOT_BOUNDS = Bounds(depth=6, proposals=1, crashes=1, restarts=0,
                          timers=4, snapshots=2)
@@ -169,3 +171,72 @@ def test_install_snapshot_mutant_is_caught(monkeypatch):
         assert world.violation() is None
     assert world.nodes[C].snapshot_installs == 1
     assert world.nodes[C].base_index == 1
+
+
+#: r2 applies r0's no-op and captures its machine at index 1; r0 commits
+#: a proposal with r1, captures and completes a snapshot at index 2 and
+#: streams it to r2, which installs it while its own capture is pending
+SUPERSEDED = [
+    ("timer", A), ("deliver", A, B, "vote-req", 1),
+    ("deliver", B, A, "vote-reply", 1),
+    ("timer", A), ("deliver", A, B, "append", 1),
+    ("deliver", A, C, "append", 1), ("deliver", B, A, "append-reply", 1),
+    ("timer", A), ("deliver", A, C, "append", 1), ("capture", C),
+    ("deliver", A, B, "append", 1), ("deliver", B, A, "append-reply", 1),
+    ("propose", A), ("timer", A), ("deliver", A, B, "append", 1),
+    ("deliver", B, A, "append-reply", 1),
+    ("capture", A), ("complete", A), ("timer", A),
+    ("deliver", A, C, "snap", 1),
+]
+#: the endings may crash and restart a replica, and capture again
+SUPERSEDED_BOUNDS = Bounds(depth=4, proposals=1, crashes=1, restarts=1,
+                           timers=7, snapshots=3)
+
+
+_take_snapshot = RaftNode.take_snapshot
+
+
+def _adopt_the_stale_blob(self, blob, index):
+    """``RaftNode.take_snapshot``, except that a capture an installed
+    snapshot has overtaken replaces the installed blob."""
+    if index > self.snapshot_index:
+        return _take_snapshot(self, blob, index)
+    self.snapshot_index = index
+    self.snapshot_blob = bytes(blob)
+    return True
+
+
+def _rebase_on_the_capture(self, blob, index):
+    """The same, also moving ``base_index`` back to the capture."""
+    if index > self.snapshot_index:
+        return _take_snapshot(self, blob, index)
+    self.snapshot_index = self.base_index = index
+    self.snapshot_blob = bytes(blob)
+    return True
+
+
+def test_a_superseded_capture_completes_as_a_no_op():
+    world = World.start(SUPERSEDED_BOUNDS)
+    res = search(SUPERSEDED_BOUNDS, prefix=SUPERSEDED)
+    assert res.violation is None and res.states > 1000
+    for step in SUPERSEDED:
+        world.apply(resolve(world, step))
+    assert world.captures[C] == (1, b"[(1, b'')]")
+    assert world.nodes[C].snapshot_index == world.nodes[C].base_index == 2
+    world.apply(("complete", C))
+    assert world.violation() is None
+    assert world.nodes[C].snapshot_index == 2
+    assert world.nodes[C].snapshots_taken == 0
+
+
+@pytest.mark.parametrize("mutant", [_adopt_the_stale_blob,
+                                    _rebase_on_the_capture])
+def test_adopting_a_superseded_capture_is_caught(monkeypatch, mutant):
+    monkeypatch.setattr(RaftNode, "take_snapshot", mutant)
+    res = search(SUPERSEDED_BOUNDS, prefix=SUPERSEDED)
+    steps = "\n".join(f"{i:2d}. {describe(m)}"
+                      for i, m in enumerate(res.steps, 1))
+    print(f"{res.violation}\n{steps}")
+    assert res.violation is not None and res.violation.startswith(
+        "Snapshot Integrity: r2"), steps
+    assert describe(res.steps[-1]) == "complete r2"

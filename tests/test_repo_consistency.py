@@ -468,13 +468,17 @@ def test_deleted_modes_stay_deleted():
     merge-off switch and pinned-bytes cap, kernel interrupts and NIC
     loopback.  So were the parcel transport's circuit breaker and resend
     budget: the failure detector is the one source of "peer down" and
-    the wire library the one retry layer."""
+    the wire library the one retry layer.  So was the synchronous
+    snapshot: a replica serializes on its snapshot worker, never on the
+    serve loop, and a RaftNode has no serializer hook."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
                          r"|_active_process|CreditExhaustedError"
                          r"|credit_wait_ns|am\.credit_timeouts"
                          r"|breaker|_PeerHealth|peer_is_down"
-                         r"|max_send_retries|parcel_resends")
+                         r"|max_send_retries|parcel_resends"
+                         r"|snapshot_fn|_snap_seen"
+                         r"|timeout\(SNAPSHOT_COST_NS\)")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
