@@ -24,17 +24,18 @@ plain FIFO deques (one per priority), future events hash into
 per-timestamp buckets ordered by a small heap of distinct timestamps.
 Insert and pop are O(1) amortized; the timestamp heap only pays O(log t)
 per *distinct* future instant, which also covers far-future timers (phi
-deadlines, leases) without a separate overflow structure.  The textbook
-binary heap of ``(time, priority, seq, event)`` tuples it replaced lives
-on in the test tree (``tests/heap_oracle.py``) as the executable
-reference the property suite compares firing orders against.
+deadlines, leases) without a separate overflow structure.  Every event
+enters the queue through one method, :meth:`Environment._schedule`, so a
+test-tree kernel changes the queue by overriding that method alone.  The
+textbook binary heap of ``(time, priority, seq, event)`` tuples it
+replaced lives on in the test tree (``tests/heap_oracle.py``) as the
+executable reference the property suite compares firing orders against.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -115,11 +116,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # delay 0: a plain FIFO append (inlined from _schedule — succeed is
-        # one of the hottest kernel entry points; an undecided event cannot
-        # have been scheduled yet)
-        self._scheduled = True
-        self.env._cur[priority].append(self)
+        self.env._schedule(self, 0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -296,11 +293,9 @@ class Environment:
         assert proc.value == 100
     """
 
-    #: cap on recycled Timeout objects kept per environment
-    _FREELIST_MAX = 8192
-
     def __init__(self):
-        self._now = 0
+        #: current simulated time in nanoseconds; only the kernel writes it
+        self.now = 0
         #: events due at the current instant, one FIFO deque per priority
         #: (URGENT, NORMAL) — (priority, scheduling) order at one timestamp
         #: is exactly "drain urgent first, each in append order"
@@ -312,45 +307,12 @@ class Environment:
         self._ts_heap: List[int] = []
         #: events fired on this environment (the events/s numerator)
         self.events_processed = 0
-        # Timeouts dominate event traffic (every modelled cost is one), so
-        # processed instances are recycled instead of reallocated.  An
-        # instance is only eligible once nothing outside step() can still
-        # reach it — see the refcount guard there.
-        self._timeout_freelist: List[Timeout] = []
-
-    # -- clock --------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        freelist = self._timeout_freelist
-        if freelist:
-            delay = int(delay)
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay}")
-            t = freelist.pop()
-            t.delay = delay
-            t._ok = True
-            t._value = value
-            # inlined _schedule (recycled timeouts are the single most
-            # common scheduling operation)
-            t._scheduled = True
-            if delay == 0:
-                self._cur[NORMAL].append(t)
-            else:
-                ts = self._now + delay
-                bucket = self._buckets.get(ts)
-                if bucket is None:
-                    self._buckets[ts] = bucket = ([], [])
-                    heapq.heappush(self._ts_heap, ts)
-                bucket[NORMAL].append(t)
-            return t
         return Timeout(self, int(delay), value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -361,6 +323,8 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: int, priority: int = NORMAL) -> None:
+        """Queue ``event`` to fire ``delay`` ns from now: the one way into
+        the queue."""
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
@@ -368,7 +332,7 @@ class Environment:
             # due at the current instant: plain FIFO append, no heap op
             self._cur[priority].append(event)
         else:
-            t = self._now + delay
+            t = self.now + delay
             bucket = self._buckets.get(t)
             if bucket is None:
                 self._buckets[t] = bucket = ([], [])
@@ -385,12 +349,12 @@ class Environment:
         fired and ignored.  A bucket emptied here leaves its timestamp on
         the heap; the pop side skips timestamps that have no bucket.
         """
-        lanes = self._buckets[when] if when > self._now else self._cur
+        lanes = self._buckets[when] if when > self.now else self._cur
         try:
             lanes[NORMAL].remove(event)
         except ValueError:
             lanes[URGENT].remove(event)
-        if when > self._now and not lanes[0] and not lanes[1]:
+        if when > self.now and not lanes[0] and not lanes[1]:
             del self._buckets[when]
         event._scheduled = False
 
@@ -401,13 +365,10 @@ class Environment:
         ns, or an :class:`Event` — in the latter case ``run`` returns the
         event's value (raising its exception if it failed).
 
-        The hot loop is localized: deques, buckets, the timestamp heap and
-        the Timeout freelist are all bound to locals, and the event-firing
-        tail is inlined — at millions of events per run the attribute
-        lookups and an extra frame are a measurable share of wall time.
-        The firing tail must stay inline anyway: the freelist's
-        ``getrefcount(event) == 2`` guard counts on exactly one frame (this
-        one) holding the ``event`` local.  (One event at a time:
+        The hot loop is localized: deques, buckets and the timestamp heap
+        are bound to locals, and the event-firing tail is inlined — at
+        millions of events per run the attribute lookups and an extra frame
+        are a measurable share of wall time.  (One event at a time:
         ``tests/stepping.py``.)
         """
         global _PROCESSED_TOTAL
@@ -417,15 +378,12 @@ class Environment:
             stop = until
         elif until is not None:
             deadline = int(until)
-            if deadline < self._now:
+            if deadline < self.now:
                 raise SimulationError("run(until=...) deadline is in the past")
         cur_urgent, cur_normal = self._cur
         buckets = self._buckets
         ts_heap = self._ts_heap
-        freelist = self._timeout_freelist
-        freelist_max = self._FREELIST_MAX
         heappop = heapq.heappop
-        pending_sentinel = Event._PENDING
         processed = 0
         try:
             while True:
@@ -443,16 +401,11 @@ class Environment:
                     if bucket is None:
                         continue  # emptied by unschedule()
                     urgent, normal = bucket
-                    self._now = t
+                    self.now = t
                     if urgent:
                         cur_urgent.extend(urgent)
-                        # drop the bucket's refs: they would otherwise
-                        # linger in these locals and defeat the freelist's
-                        # refcount guard for every event of the bucket
-                        urgent.clear()
                     if normal:
                         cur_normal.extend(normal)
-                        normal.clear()
                     continue
                 else:
                     if stop is not None:
@@ -469,19 +422,6 @@ class Environment:
                     # a failed event (or crashed process) nobody waited on:
                     # surface the error instead of swallowing it
                     raise event._value
-                # recycle plain Timeouts nobody can reach any more: the only
-                # live references are the ``event`` local and getrefcount's
-                # own argument, a count of exactly 2.  Waiters detached above
-                # (the callback list was swapped out), so reuse is
-                # invisible.  Exact type check: subclasses may carry state.
-                if (type(event) is Timeout and getrefcount(event) == 2
-                        and len(freelist) < freelist_max):
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = pending_sentinel
-                    event._scheduled = False
-                    event._processed = False
-                    freelist.append(event)
         finally:
             self.events_processed += processed
             _PROCESSED_TOTAL += processed
@@ -490,5 +430,5 @@ class Environment:
                 return stop._value
             raise stop._value
         if deadline is not None:
-            self._now = deadline
+            self.now = deadline
         return None

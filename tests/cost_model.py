@@ -1,0 +1,156 @@
+"""Closed-form cost oracle for the fabric model (test tree only).
+
+The reproduction rests on one claim (DESIGN §2): the simulator charges
+exactly the LogGP-style costs of ``fabric/params.py``.  This module states
+those costs as arithmetic over a :class:`~repro.fabric.params.FabricParams`
+and nothing else, term by term, so a test can hold a simulated number to
+it at the nanosecond.
+
+Photon PWC put ping-pong (``bench.microbench.pingpong_photon(mode="pwc")``,
+default ``PhotonConfig``: immediate-mode completion, inline sends), two
+ranks, uncontended.  One half round trip is the time from a waiter seeing
+the completion of the previous put to the peer's waiter seeing this one:
+
+    post          NicParams.post_overhead_ns      host builds and posts the WR
+    doorbell      NicParams.doorbell_ns           the NIC sees the WQE
+    wqe           NicParams.wqe_process_ns        the send engine takes it
+    bulk_startup  NicParams.bulk_startup_ns       only above bulk_threshold
+    dma_fetch     size / dma_gbps per chunk       only above max_inline
+    wire          per hop: (chunk + header_bytes) / bandwidth_gbps, then
+                  latency_ns (+ the star switch's 150 ns on the downlink)
+    delivery      NicParams.delivery_ns           placement + the recv CQE
+    poll          PhotonConfig.progress_poll_ns   the probe that sees it
+    cqe           NicParams.cqe_poll_ns           reaping the recv CQE
+
+A message above the MTU is chunks in a pipeline: each chunk's fetch ends
+one chunk-fetch after the last, and each hop serialises a chunk once it
+has arrived and the hop is free (store-and-forward, ``fabric/link.py``).
+``dma_fetch`` and ``wire`` together are that max-plus recurrence; every
+other term is paid once per message.  Sizes below ``max_inline`` travel
+in the WQE; a 0-byte write is one ``CTRL_BYTES`` control chunk.
+"""
+
+from __future__ import annotations
+
+import inspect
+from typing import Dict, List, Tuple
+
+from repro.fabric.nic import CTRL_BYTES
+from repro.fabric.params import FabricParams, preset
+from repro.fabric.topology import Star
+from repro.photon.config import PhotonConfig
+from repro.util.units import serialization_ns
+
+PRESET_NAMES = ("ib-fdr", "ib-edr", "gemini", "roce", "eth-10g")
+#: a star's switch forwarding delay (a ``Star`` default, not a parameter)
+SWITCH_LATENCY_NS = inspect.signature(Star).parameters[
+    "switch_latency_ns"].default
+
+
+def hop_latencies(params: FabricParams) -> List[int]:
+    """Propagation of each hop between two ranks: a star's uplink and
+    downlink (the switch folds into the downlink), or a 1×2 torus's one
+    hop and the ejection link."""
+    lat = params.link.latency_ns
+    if params.topology == "star":
+        return [lat, lat + SWITCH_LATENCY_NS]
+    return [lat, lat]
+
+
+def chunks(params: FabricParams, size: int) -> List[Tuple[int, int]]:
+    """``(payload, wire bytes)`` of each chunk the NIC cuts ``size`` into
+    (at most a handful here, far below ``nic.MAX_CHUNKS``)."""
+    link = params.link
+    if size == 0:
+        return [(0, CTRL_BYTES)]
+    out = []
+    for off in range(0, size, link.mtu):
+        payload = min(link.mtu, size - off)
+        out.append((payload, payload + link.header_bytes))
+    return out
+
+
+def wire_ns(params: FabricParams, size: int, inline: bool,
+            dma: bool = True) -> Tuple[int, int]:
+    """``(dma_fetch, wire)``: the last chunk's landing, split into the
+    fetch alone (the last fetch's end; 0 inline) and the rest.  ``dma``
+    False drops the fetch from the recurrence (an ablation)."""
+    lats = hop_latencies(params)
+    free = [0] * len(lats)
+    fetched = landed = 0
+    for payload, wire in chunks(params, size):
+        if dma and not inline:
+            fetched += serialization_ns(payload, params.nic.dma_gbps)
+        at = fetched
+        ser = serialization_ns(wire, params.link.bandwidth_gbps)
+        for hop, lat in enumerate(lats):
+            free[hop] = max(free[hop], at) + ser
+            at = free[hop] + lat
+        landed = at
+    return fetched, landed - fetched
+
+
+def _inline(params: FabricParams, size: int) -> bool:
+    return PhotonConfig.use_inline and size <= params.nic.max_inline
+
+
+def pwc_put_half_rtt_terms(params: FabricParams, size: int
+                           ) -> Dict[str, int]:
+    """The named terms of one PWC put ping-pong half round trip."""
+    nic = params.nic
+    bulk = nic.bulk_threshold is not None and size > nic.bulk_threshold
+    dma_fetch, wire = wire_ns(params, size, _inline(params, size))
+    return {
+        "post": nic.post_overhead_ns,
+        "doorbell": nic.doorbell_ns,
+        "wqe": nic.wqe_process_ns,
+        "bulk_startup": nic.bulk_startup_ns if bulk else 0,
+        "dma_fetch": dma_fetch,
+        "wire": wire,
+        "delivery": nic.delivery_ns,
+        "poll": PhotonConfig.progress_poll_ns,
+        "cqe": nic.cqe_poll_ns,
+    }
+
+
+def pwc_put_half_rtt_ns(params: FabricParams, size: int) -> int:
+    return sum(pwc_put_half_rtt_terms(params, size).values())
+
+
+def ablations(params: FabricParams, size: int) -> Dict[str, int]:
+    """The prediction with one cost left out, by the name of that cost:
+    each term dropped, the fetch dropped from the pipeline, and the wire
+    header bytes dropped from every chunk."""
+    terms = pwc_put_half_rtt_terms(params, size)
+    total = sum(terms.values())
+    out = {f"no {name}": total - value
+           for name, value in terms.items() if value}
+    out["no dma_fetch (pipelined)"] = (
+        total - terms["dma_fetch"] - terms["wire"]
+        + sum(wire_ns(params, size, _inline(params, size), dma=False)))
+    bare = params.with_overrides(link__header_bytes=0)
+    out["no header_bytes"] = pwc_put_half_rtt_ns(bare, size)
+    return out
+
+
+def explain(measured: Dict[Tuple[str, int], int]) -> List[str]:
+    """The ablations that reproduce every measured point
+    (``{(preset, size): ns}``) the full model misses; empty when the
+    model misses none, or when no single known cost accounts for it."""
+    missed = {key: ns for key, ns in measured.items()
+              if ns != pwc_put_half_rtt_ns(preset(key[0]), key[1])}
+    if not missed:
+        return []
+    names = None
+    for (name, size), ns in missed.items():
+        hits = {label for label, value
+                in ablations(preset(name), size).items() if value == ns}
+        names = hits if names is None else names & hits
+    return sorted(names)
+
+
+def describe(params: FabricParams, size: int) -> str:
+    """One line: the terms and their sum, for a failure message."""
+    terms = pwc_put_half_rtt_terms(params, size)
+    parts = " + ".join(f"{k} {v}" for k, v in terms.items() if v)
+    return f"{params.name} {size} B: {parts} = {sum(terms.values())} ns"

@@ -29,7 +29,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -122,19 +122,10 @@ def _site(frame) -> str:
     return driver or kernel
 
 
-class _TaggedDeque(deque):
-    """A current-instant deque that attributes what is appended to it."""
-
-    __slots__ = ("tag",)
-
-    def append(self, event: core.Event) -> None:
-        self.tag(event)
-        deque.append(self, event)
-
-
 class OriginEnvironment(stepping.SteppedEnvironment):
-    """Tags each event with its origin when it is scheduled (around the
-    kernel's inlined paths) and counts it under that origin when fired."""
+    """Tags each event with its origin when it is scheduled (the kernel's
+    one entry point, ``_schedule``) and counts it under that origin when
+    fired."""
 
     #: origin -> events fired, over every instance (of every cluster)
     fired: Counter = Counter()
@@ -143,9 +134,6 @@ class OriginEnvironment(stepping.SteppedEnvironment):
         super().__init__()
         self._origins: dict = {}  # id(scheduled event) -> origin
         self._asked: dict = {}    # condition -> its all_of call site
-        self._cur = (_TaggedDeque(), _TaggedDeque())
-        for lane in self._cur:
-            lane.tag = self._tag
 
     def _tag(self, event: core.Event) -> None:
         """Charge ``event`` to ``pkg/file.py:line function``."""
@@ -165,9 +153,6 @@ class OriginEnvironment(stepping.SteppedEnvironment):
         super()._fired(event)
         OriginEnvironment.fired[self._origins.pop(id(event))] += 1
 
-    def timeout(self, delay: int, value=None) -> core.Timeout:
-        return core.Timeout(self, int(delay), value)  # no freelist
-
     def all_of(self, events):
         # asked first: __init__ schedules it if its events have fired
         cond = core.AllOf.__new__(core.AllOf)
@@ -176,8 +161,7 @@ class OriginEnvironment(stepping.SteppedEnvironment):
         return cond
 
     def _schedule(self, event, delay: int, priority: int = core.NORMAL):
-        if delay:  # delay 0 lands on a tagged deque
-            self._tag(event)
+        self._tag(event)
         super()._schedule(event, delay, priority)
 
     def unschedule(self, event: core.Event, when: int) -> None:

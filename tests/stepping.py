@@ -5,12 +5,12 @@ look between two firings use :func:`peek` (the next event's instant, or
 None once nothing is scheduled) and :func:`step` (fire exactly one).  They
 read the same calendar structures ``run`` does and keep its firing
 contract: urgent before normal at one instant, append order within a
-priority, a failed event nobody waited on raises.  (Timeouts fired here are
-not recycled onto the freelist.)  ``HeapEnvironment`` (``heap_oracle``)
-has its own ``peek`` / ``step``, so both functions defer to those methods
-when present.  :func:`run` is ``Environment.run`` one ``env.step()`` at a
-time, for a kernel that overrides ``step``; :class:`SteppedEnvironment`
-is the calendar kernel run that way, logging each firing.
+priority, a failed event nobody waited on raises.  ``HeapEnvironment``
+(``heap_oracle``) has its own ``peek`` / ``step``, so both functions defer
+to those methods when present.  :func:`run` is ``Environment.run`` one
+``env.step()`` at a time, for a kernel that overrides ``step``;
+:class:`SteppedEnvironment` is the calendar kernel run that way, logging
+each firing.
 
 :class:`AnyOf` is the condition no model code needs: it fires once any of
 its events has fired.
@@ -43,7 +43,7 @@ def advance_bucket(env: Environment) -> bool:
         bucket = env._buckets.pop(t, None)
         if bucket is None:
             continue  # emptied by unschedule()
-        env._now = t
+        env.now = t
         env._cur[0].extend(bucket[0])
         env._cur[1].extend(bucket[1])
         return True
@@ -53,7 +53,7 @@ def advance_bucket(env: Environment) -> bool:
 def calendar_peek(env: Environment) -> Optional[int]:
     """The calendar queue's next instant (see :func:`peek`)."""
     if env._cur[0] or env._cur[1]:
-        return env._now
+        return env.now
     ts_heap = env._ts_heap
     while ts_heap and ts_heap[0] not in env._buckets:
         heapq.heappop(ts_heap)  # emptied by unschedule()
@@ -99,7 +99,7 @@ def run(env: Environment, until=None):
             return until._value
         raise until._value
     deadline = None if until is None else int(until)
-    if deadline is not None and deadline < env._now:
+    if deadline is not None and deadline < env.now:
         raise SimulationError("run(until=...) deadline is in the past")
     while True:
         nxt = env.peek()
@@ -107,7 +107,7 @@ def run(env: Environment, until=None):
             break
         env.step()
     if deadline is not None:
-        env._now = deadline
+        env.now = deadline
     return None
 
 
@@ -123,7 +123,7 @@ class SteppedEnvironment(Environment):
         self.log: list = []
 
     def _fired(self, event: Event) -> None:
-        self.log.append((self._now, type(event).__name__))
+        self.log.append((self.now, type(event).__name__))
 
     def peek(self):
         return calendar_peek(self)

@@ -470,7 +470,8 @@ def test_deleted_modes_stay_deleted():
     budget: the failure detector is the one source of "peer down" and
     the wire library the one retry layer.  So was the synchronous
     snapshot: a replica serializes on its snapshot worker, never on the
-    serve loop, and a RaftNode has no serializer hook."""
+    serve loop, and a RaftNode has no serializer hook.  So was the
+    kernel's Timeout freelist: every Timeout is a fresh allocation."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
                          r"|_active_process|CreditExhaustedError"
@@ -478,10 +479,68 @@ def test_deleted_modes_stay_deleted():
                          r"|breaker|_PeerHealth|peer_is_down"
                          r"|max_send_retries|parcel_resends"
                          r"|snapshot_fn|_snap_seen"
-                         r"|timeout\(SNAPSHOT_COST_NS\)")
+                         r"|timeout\(SNAPSHOT_COST_NS\)"
+                         r"|getrefcount|_timeout_freelist|_FREELIST_MAX")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
+
+
+def test_only_the_kernel_moves_the_clock():
+    """``Environment.now`` is a plain attribute (no read-only property), so
+    nothing under ``src/`` outside ``sim/core.py`` may assign an attribute
+    named ``now``."""
+    core = os.path.join("src", "repro", "sim", "core.py")
+    bad = []
+    for path in _py_files("src"):
+        if path == core:
+            continue
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "setattr"
+                  and len(node.args) > 1
+                  and getattr(node.args[1], "value", None) == "now"):
+                bad.append((path, node.lineno))
+                continue
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "now":
+                        bad.append((path, node.lineno))
+    assert not bad, bad
+
+
+def test_events_enter_the_queue_in_one_place():
+    """``Environment._schedule`` is the kernel's one scheduling entry
+    point: it alone appends to the current-instant deques (``_cur``), and
+    no module outside ``sim/core.py`` names them, so a test-tree kernel
+    (``tests/heap_oracle``, ``tests/measure.py``) hooks that one method."""
+    core = os.path.join("src", "repro", "sim", "core.py")
+    appenders, outside = set(), []
+    for path in _py_files("src"):
+        tree = ast.parse(open(path).read())
+        named = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr == "_cur"]
+        if path != core:
+            outside += [(path, n.lineno) for n in named]
+            continue
+        appenders |= {fn.name for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("append", "appendleft",
+                                             "extend", "insert")
+                      and any(isinstance(n, ast.Attribute)
+                              and n.attr == "_cur"
+                              for n in ast.walk(node.func.value))}
+    assert not outside, outside
+    assert appenders == {"_schedule"}, appenders
 
 
 def test_one_measuring_harness():

@@ -52,8 +52,8 @@ def _drive(env: Environment, seed: int, log: list):
         ev.succeed(value)
         log.append((env.now, f"fired.{value}"))
 
-    # processes with tie-heavy timeout chains (exercises the Timeout
-    # freelist: each yield recycles the previous instance)
+    # processes with tie-heavy timeout chains (each yield schedules the
+    # next timeout from inside the previous one's firing)
     for i in range(6):
         env.process(ticker(f"t{i}", rng.randint(5, 40)), name=f"t{i}")
 
@@ -158,9 +158,10 @@ def test_same_instant_priority_and_fifo_order():
         assert order == ["u0", "u1", "u2", "u3", "n0", "n1", "n2", "n3"], kernel
 
 
-def test_recycled_timeouts_identical():
-    # a long chain of sequential timeouts recycles Timeout instances via
-    # the freelist; the firing schedule must not depend on recycling
+def test_long_timeout_chain_identical():
+    # a long chain of sequential timeouts, each yielded after the previous
+    # one fired: 5 000 same-process schedules on both kernels, tie-heavy
+    # delays included, must fire on identical instants
     logs = []
     for kernel in KERNELS:
         env = kernel()
