@@ -1,4 +1,4 @@
-"""Benchmark harness: microbench primitives and experiments R1-R11."""
+"""Benchmark harness: microbench primitives and experiments R1-R23."""
 
 from .microbench import (
     LatencyStats,

@@ -201,9 +201,9 @@ def run(quick: bool = True) -> ExperimentResult:
                  "wire msgs"],
         rows=rows,
         checks=checks,
-        notes=["throughput from the windowed flood, latency from an "
+        notes=("throughput from the windowed flood, latency from an "
                "unloaded window-1 probe: a coalesced batch ships when "
                "its rank goes idle, so an unloaded invoke pays the batch "
                "framing, not the flush delay; the per-parcel PWC arm is "
                "the latency floor (paper's small-message claim at the "
-               "RPC layer)"])
+               "RPC layer)"))

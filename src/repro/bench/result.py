@@ -1,17 +1,20 @@
 """Experiment result container: table + shape checks.
 
-Every reconstructed experiment returns one of these; the benchmark suite
-asserts the checks and the CLI renders the tables into EXPERIMENTS.md.
+Every reconstructed experiment returns one of these; the CLI prints its
+checks and splices its markdown into EXPERIMENTS.md between markers.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from ..util.fmt import format_table
 
-__all__ = ["ExperimentResult"]
+__all__ = ["ExperimentResult", "splice_markdown"]
+
+_MARKER = re.compile(r"^<!-- (/?)repro\.bench (\w+) -->(?:\n|\Z)", re.M)
 
 
 @dataclass
@@ -62,3 +65,33 @@ class ExperimentResult:
             lines.append(f"- {'✅' if ok else '❌'} {name}")
         lines.append("")
         return "\n".join(lines)
+
+
+def splice_markdown(text: str, blocks: Dict[str, str]) -> str:
+    """``text`` with each ``{exp_id: block}`` between its markers.
+
+    A block replaces what sat between its markers; one ``text`` has no
+    markers for is appended with them.  Every byte outside the markers
+    is kept.  Raises ValueError on a duplicated or unterminated marker.
+    """
+    spans, opened = {}, None
+    for m in _MARKER.finditer(text):
+        closing, exp_id = m.groups()
+        if not closing and opened is None and exp_id not in spans:
+            opened = (exp_id, m.end())
+        elif closing and opened is not None and opened[0] == exp_id:
+            spans[exp_id], opened = (opened[1], m.start()), None
+        else:
+            raise ValueError(f"{m.group(0).strip()} is misplaced or repeated")
+    if opened is not None:
+        raise ValueError(f"block {opened[0]} has no end marker")
+    for exp_id, (start, end) in reversed(spans.items()):
+        if exp_id in blocks:  # back to front: earlier offsets still hold
+            text = text[:start] + blocks[exp_id] + text[end:]
+    for exp_id, block in blocks.items():
+        if exp_id not in spans:
+            if text:
+                text += "\n" if text.endswith("\n") else "\n\n"
+            text += (f"<!-- repro.bench {exp_id} -->\n{block}"
+                     f"<!-- /repro.bench {exp_id} -->\n")
+    return text

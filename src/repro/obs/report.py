@@ -17,7 +17,7 @@ into one JSON-serializable document:
 traffic, then coalesced active-message echoes over the parcel runtime)
 with spans and tracing enabled, prints a summary, and can write
 the snapshot (``--json``) and the bounded JSONL trace (``--trace``) —
-the same artifacts CI uploads from the smoke run.
+the artifacts CI's ``bench`` leg uploads.
 """
 
 from __future__ import annotations

@@ -28,23 +28,47 @@ has arrived and the hop is free (store-and-forward, ``fabric/link.py``).
 ``dma_fetch`` and ``wire`` together are that max-plus recurrence; every
 other term is paid once per message.  Sizes below ``max_inline`` travel
 in the WQE; a 0-byte write is one ``CTRL_BYTES`` control chunk.
+
+Photon eager send ping-pong (``pingpong_photon(mode="send")``, R1's
+``pwc-send`` column) writes a ledger entry instead: the payload between
+a 32 B ``EagerHeader`` and an 8 B sequence trailer, by a plain RDMA write
+into the peer's eager ring, which the peer finds by probing the ring:
+
+    slot_copy     memcpy of header + payload + trailer into the staged slot
+    post … wire   as the put, over the entry's bytes (header bytes
+                  included; inline when the whole entry fits)
+    (no delivery) a plain write is visible in memory as each chunk lands
+    poll          PhotonConfig.progress_poll_ns   the probe that sees it
+    copy_out      memcpy of the payload out of the slot
+    cqe           NicParams.cqe_poll_ns           charged per ring entry
+
+Every chunk's landing rings the waiter's doorbell, so the probe that sees
+a multi-chunk entry may be the one an earlier chunk woke, if the rest
+lands before that probe checks (``probe_start``); ``wire`` ends where
+that probe starts.  The ring returns credit every ``eager_slots / 2``
+entries; the message that carries a credit return is slower and is not
+modelled here (the test's runs stay below it).
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Dict, List, Tuple
 
 from repro.fabric.nic import CTRL_BYTES
 from repro.fabric.params import FabricParams, preset
 from repro.fabric.topology import Star
 from repro.photon.config import PhotonConfig
+from repro.photon.wire import EAGER_HEADER_SIZE
 from repro.util.units import serialization_ns
 
 PRESET_NAMES = ("ib-fdr", "ib-edr", "gemini", "roce", "eth-10g")
 #: a star's switch forwarding delay (a ``Star`` default, not a parameter)
 SWITCH_LATENCY_NS = inspect.signature(Star).parameters[
     "switch_latency_ns"].default
+#: bytes an eager ledger entry adds to its payload: header and seq trailer
+LEDGER_BYTES = EAGER_HEADER_SIZE + 8
 
 
 def hop_latencies(params: FabricParams) -> List[int]:
@@ -70,14 +94,15 @@ def chunks(params: FabricParams, size: int) -> List[Tuple[int, int]]:
     return out
 
 
-def wire_ns(params: FabricParams, size: int, inline: bool,
-            dma: bool = True) -> Tuple[int, int]:
-    """``(dma_fetch, wire)``: the last chunk's landing, split into the
-    fetch alone (the last fetch's end; 0 inline) and the rest.  ``dma``
-    False drops the fetch from the recurrence (an ablation)."""
+def landings(params: FabricParams, size: int, inline: bool,
+             dma: bool = True) -> Tuple[int, List[int]]:
+    """``(dma_fetch, landings)``: the last chunk's fetch end (0 inline) and
+    each chunk's landing.  ``dma`` False drops the fetch from the
+    recurrence (an ablation)."""
     lats = hop_latencies(params)
     free = [0] * len(lats)
-    fetched = landed = 0
+    fetched = 0
+    out = []
     for payload, wire in chunks(params, size):
         if dma and not inline:
             fetched += serialization_ns(payload, params.nic.dma_gbps)
@@ -86,71 +111,118 @@ def wire_ns(params: FabricParams, size: int, inline: bool,
         for hop, lat in enumerate(lats):
             free[hop] = max(free[hop], at) + ser
             at = free[hop] + lat
-        landed = at
-    return fetched, landed - fetched
+        out.append(at)
+    return fetched, out
+
+
+def probe_start(lands: List[int], poll: int) -> int:
+    """When the probe that sees the last of ``lands`` starts.  Each landing
+    rings a parked waiter, whose probe checks ``poll`` later: the probe the
+    next-to-last chunk woke sees a last chunk that lands by then.  (A
+    full chunk serialises for longer than a poll on every preset, so that
+    probe did start at its chunk's landing.)"""
+    if len(lands) > 1 and lands[-1] <= lands[-2] + poll:
+        return lands[-2]
+    return lands[-1]
 
 
 def _inline(params: FabricParams, size: int) -> bool:
     return PhotonConfig.use_inline and size <= params.nic.max_inline
 
 
-def pwc_put_half_rtt_terms(params: FabricParams, size: int
-                           ) -> Dict[str, int]:
+def _memcpy_ns(params: FabricParams, nbytes: int) -> int:
+    return (max(1, math.ceil(nbytes * 8.0 / params.host.memcpy_gbps))
+            if nbytes > 0 else 0)
+
+
+def pwc_put_half_rtt_terms(params: FabricParams, size: int,
+                           dma: bool = True) -> Dict[str, int]:
     """The named terms of one PWC put ping-pong half round trip."""
     nic = params.nic
     bulk = nic.bulk_threshold is not None and size > nic.bulk_threshold
-    dma_fetch, wire = wire_ns(params, size, _inline(params, size))
+    dma_fetch, lands = landings(params, size, _inline(params, size), dma)
     return {
         "post": nic.post_overhead_ns,
         "doorbell": nic.doorbell_ns,
         "wqe": nic.wqe_process_ns,
         "bulk_startup": nic.bulk_startup_ns if bulk else 0,
         "dma_fetch": dma_fetch,
-        "wire": wire,
+        "wire": lands[-1] - dma_fetch,
         "delivery": nic.delivery_ns,
         "poll": PhotonConfig.progress_poll_ns,
         "cqe": nic.cqe_poll_ns,
     }
 
 
-def pwc_put_half_rtt_ns(params: FabricParams, size: int) -> int:
-    return sum(pwc_put_half_rtt_terms(params, size).values())
+def pwc_send_half_rtt_terms(params: FabricParams, size: int,
+                            dma: bool = True) -> Dict[str, int]:
+    """The named terms of one eager ``send_pwc`` ping-pong half round
+    trip."""
+    nic = params.nic
+    entry = LEDGER_BYTES + size
+    bulk = nic.bulk_threshold is not None and entry > nic.bulk_threshold
+    dma_fetch, lands = landings(params, entry, _inline(params, entry), dma)
+    poll = PhotonConfig.progress_poll_ns
+    return {
+        "slot_copy": _memcpy_ns(params, entry),
+        "post": nic.post_overhead_ns,
+        "doorbell": nic.doorbell_ns,
+        "wqe": nic.wqe_process_ns,
+        "bulk_startup": nic.bulk_startup_ns if bulk else 0,
+        "dma_fetch": dma_fetch,
+        "wire": probe_start(lands, poll) - dma_fetch,
+        "poll": poll,
+        "copy_out": _memcpy_ns(params, size),
+        "cqe": nic.cqe_poll_ns,
+    }
 
 
-def ablations(params: FabricParams, size: int) -> Dict[str, int]:
+#: the closed form of each ``pingpong_photon`` mode it covers
+HALF_RTT_TERMS = {"pwc": pwc_put_half_rtt_terms,
+                  "send": pwc_send_half_rtt_terms}
+
+
+def half_rtt_ns(params: FabricParams, size: int, mode: str = "pwc") -> int:
+    return sum(HALF_RTT_TERMS[mode](params, size).values())
+
+
+def ablations(params: FabricParams, size: int,
+              mode: str = "pwc") -> Dict[str, int]:
     """The prediction with one cost left out, by the name of that cost:
     each term dropped, the fetch dropped from the pipeline, and the wire
     header bytes dropped from every chunk."""
-    terms = pwc_put_half_rtt_terms(params, size)
+    terms_of = HALF_RTT_TERMS[mode]
+    terms = terms_of(params, size)
     total = sum(terms.values())
     out = {f"no {name}": total - value
            for name, value in terms.items() if value}
-    out["no dma_fetch (pipelined)"] = (
-        total - terms["dma_fetch"] - terms["wire"]
-        + sum(wire_ns(params, size, _inline(params, size), dma=False)))
+    out["no dma_fetch (pipelined)"] = sum(
+        terms_of(params, size, dma=False).values())
     bare = params.with_overrides(link__header_bytes=0)
-    out["no header_bytes"] = pwc_put_half_rtt_ns(bare, size)
+    out["no header_bytes"] = half_rtt_ns(bare, size, mode)
     return out
 
 
-def explain(measured: Dict[Tuple[str, int], int]) -> List[str]:
+def explain(measured: Dict[Tuple[str, int], int],
+            mode: str = "pwc") -> List[str]:
     """The ablations that reproduce every measured point
     (``{(preset, size): ns}``) the full model misses; empty when the
     model misses none, or when no single known cost accounts for it."""
     missed = {key: ns for key, ns in measured.items()
-              if ns != pwc_put_half_rtt_ns(preset(key[0]), key[1])}
+              if ns != half_rtt_ns(preset(key[0]), key[1], mode)}
     if not missed:
         return []
     names = None
     for (name, size), ns in missed.items():
         hits = {label for label, value
-                in ablations(preset(name), size).items() if value == ns}
+                in ablations(preset(name), size, mode).items()
+                if value == ns}
         names = hits if names is None else names & hits
     return sorted(names)
 
 
-def describe(params: FabricParams, size: int) -> str:
+def describe(params: FabricParams, size: int, mode: str = "pwc") -> str:
     """One line: the terms and their sum, for a failure message."""
-    terms = pwc_put_half_rtt_terms(params, size)
+    terms = HALF_RTT_TERMS[mode](params, size)
     parts = " + ".join(f"{k} {v}" for k, v in terms.items() if v)
     return f"{params.name} {size} B: {parts} = {sum(terms.values())} ns"

@@ -1,5 +1,7 @@
-"""Tests for the bench harness: result container, microbench sanity,
-backend registry, and experiment determinism."""
+"""Tests for the bench harness: result container, the EXPERIMENTS.md
+splice, microbench sanity, backend registry, and experiment determinism."""
+
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.bench import (
     pingpong_mpi,
     pingpong_photon,
 )
+from repro.bench.result import splice_markdown
 from repro.cluster import build_cluster
 from repro.photon import photon_init
 from repro.photon.backends import BACKENDS, backend
@@ -46,6 +49,68 @@ def test_result_markdown_shape():
     assert md.startswith("### RX")
     assert "| a | b |" in md
     assert "❌ works" in md
+
+
+# ---------------------------------------------------------------- splice
+
+
+def _block(exp_id):
+    return ExperimentResult(exp_id=exp_id, title="t", headers=["a"],
+                            rows=[[1]], checks={"ok": True}).to_markdown()
+
+
+def test_splice_replaces_only_between_markers():
+    text = ("# head\n\nprose é\n<!-- repro.bench R1 -->\nstale\n"
+            "<!-- /repro.bench R1 -->\nreading\n\n<!-- repro.bench R2 -->"
+            "\nold two\n<!-- /repro.bench R2 -->\ntail, no newline")
+    new = splice_markdown(text, {"R1": _block("R1")})
+    assert new == text.replace("stale\n", _block("R1"))
+    assert splice_markdown(new, {"R1": _block("R1")}) == new
+    assert splice_markdown(new, {}) == new
+
+
+def test_splice_appends_missing_blocks():
+    text = "# head\n<!-- repro.bench R1 -->\nx\n<!-- /repro.bench R1 -->\n"
+    new = splice_markdown(text, {"R2": _block("R2"), "R1": _block("R1")})
+    assert new == ("# head\n<!-- repro.bench R1 -->\n" + _block("R1")
+                   + "<!-- /repro.bench R1 -->\n\n<!-- repro.bench R2 -->\n"
+                   + _block("R2") + "<!-- /repro.bench R2 -->\n")
+    assert splice_markdown("", {"R3": "b\n"}) == (
+        "<!-- repro.bench R3 -->\nb\n<!-- /repro.bench R3 -->\n")
+
+
+@pytest.mark.parametrize("text", [
+    "<!-- repro.bench R1 -->\na\n",
+    "<!-- repro.bench R1 -->\na\n<!-- repro.bench R2 -->\n"
+    "<!-- /repro.bench R2 -->\n",
+    "<!-- repro.bench R1 -->\n<!-- /repro.bench R1 -->\n"
+    "<!-- repro.bench R1 -->\n<!-- /repro.bench R1 -->\n",
+    "a\n<!-- /repro.bench R1 -->\n",
+    "<!-- repro.bench R1 -->\n<!-- /repro.bench R2 -->\n",
+])
+def test_splice_rejects_broken_markers(text):
+    with pytest.raises(ValueError):
+        splice_markdown(text, {"R1": "x\n"})
+
+
+def test_cli_markdown_fresh_path_gets_every_block(tmp_path, capsys):
+    from repro.bench.__main__ import main
+    path = tmp_path / "tables.md"
+    assert main(["r14", "r5", "--markdown", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert re.findall(r"(?m)^<!-- repro\.bench (\w+) -->\n### \1 — ",
+                      text) == ["R14", "R5"]
+    assert main(["r5", "--markdown", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_cli_markdown_rejects_broken_markers_before_running(tmp_path):
+    from repro.bench.__main__ import main
+    path = tmp_path / "tables.md"
+    path.write_text("<!-- repro.bench R5 -->\n")
+    with pytest.raises(SystemExit):
+        main(["r5", "--markdown", str(path)])
+    assert path.read_text() == "<!-- repro.bench R5 -->\n"
 
 
 # ---------------------------------------------------------------- microbench

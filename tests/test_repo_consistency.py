@@ -1,14 +1,13 @@
-"""Repository self-consistency: experiments ↔ benchmarks ↔ docs.
+"""Repository self-consistency: experiments ↔ EXPERIMENTS.md ↔ docs.
 
-Keeps the deliverables honest: every registered experiment is collected
-by the benchmark module, is indexed in DESIGN.md, and has a measured table in
-EXPERIMENTS.md — and no build artifact is ever committed.
+Keeps the deliverables honest: every registered experiment is indexed in
+DESIGN.md and has its generated table in EXPERIMENTS.md, the committed
+tables are what the code writes, and no build artifact is ever committed.
 """
 
 import ast
 import dataclasses
 import importlib
-import importlib.util
 import inspect
 import os
 import re
@@ -17,21 +16,7 @@ import subprocess
 import pytest
 
 from repro.bench.experiments import ALL
-
-
-def test_every_experiment_is_collected_by_the_benchmark_module():
-    """``benchmarks/bench_experiments.py`` is the only benchmark module and
-    is parametrised over exactly the registry, ids = the experiment keys
-    (so ``-k r20`` selects one)."""
-    modules = [f for f in os.listdir("benchmarks") if f.endswith(".py")]
-    assert modules == ["bench_experiments.py"]
-    spec = importlib.util.spec_from_file_location(
-        "bench_experiments", "benchmarks/bench_experiments.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (mark,) = [m for m in module.test_experiment.pytestmark
-               if m.name == "parametrize"]
-    assert mark.args[0] == "key" and list(mark.args[1]) == list(ALL)
+from repro.bench.result import _MARKER, splice_markdown
 
 
 def test_design_indexes_every_experiment():
@@ -41,11 +26,62 @@ def test_design_indexes_every_experiment():
             f"DESIGN.md experiment index misses {key.upper()}"
 
 
-def test_experiments_md_has_every_table():
-    text = open("EXPERIMENTS.md").read()
-    for key in ALL:
-        assert f"### {key.upper()} —" in text, \
-            f"EXPERIMENTS.md misses a measured table for {key.upper()}"
+def _marked_blocks(text):
+    """``[(exp_id, block)]`` of the marked blocks, in file order."""
+    marks = list(_MARKER.finditer(text))
+    return [(a.group(2), text[a.end():b.start()])
+            for a, b in zip(marks[::2], marks[1::2])]
+
+
+def test_experiments_md_has_one_block_per_experiment():
+    """One marked block per registered experiment, in registry order, each
+    headed by its own id."""
+    text = open("EXPERIMENTS.md", encoding="utf-8").read()
+    splice_markdown(text, {})  # markers well formed
+    blocks = _marked_blocks(text)
+    assert [exp_id for exp_id, _ in blocks] == [k.upper() for k in ALL]
+    for exp_id, block in blocks:
+        assert block.startswith(f"### {exp_id} — "), exp_id
+
+
+def test_experiments_md_summary_counts_the_checks():
+    """The summary's check and experiment counts are those of the blocks,
+    and no block holds a failed check."""
+    text = open("EXPERIMENTS.md", encoding="utf-8").read()
+    inside = "".join(block for _, block in _marked_blocks(text))
+    (checks, exps), = re.findall(
+        r"All (\d+) shape checks pass across (\d+) experiments", text)
+    assert int(checks) == len(re.findall(r"(?m)^- ✅ ", inside))
+    assert int(exps) == len(ALL)
+    assert "❌" not in text
+
+
+#: the experiments whose full run takes well under a second
+CHEAP_FULL = ("r5", "r6", "r9", "r12", "r14", "r15", "r16")
+
+
+def test_cheap_tables_are_what_the_code_writes():
+    """The full runs of the cheap experiments, spliced into the committed
+    EXPERIMENTS.md, change nothing (CI's ``bench`` leg does all 21)."""
+    text = open("EXPERIMENTS.md", encoding="utf-8").read()
+    blocks = {}
+    for key in CHEAP_FULL:
+        result = ALL[key].run(quick=False)
+        blocks[result.exp_id] = result.to_markdown()
+    assert splice_markdown(text, blocks) == text
+
+
+def test_experiment_notes_are_strings():
+    """``notes=`` is rendered as one italic line: a list or tuple display
+    there prints its brackets into EXPERIMENTS.md."""
+    bad = []
+    for path in _py_files("src/repro/bench/experiments"):
+        for node in ast.walk(ast.parse(open(path).read(), path)):
+            if (isinstance(node, ast.keyword) and node.arg == "notes"
+                    and isinstance(node.value, (ast.List, ast.Tuple,
+                                                ast.ListComp))):
+                bad.append(f"{path}:{node.value.lineno}")
+    assert not bad, bad
 
 
 def test_experiment_ids_match_registry_keys():
