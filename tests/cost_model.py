@@ -48,6 +48,19 @@ lands before that probe checks (``probe_start``); ``wire`` ends where
 that probe starts.  The ring returns credit every ``eager_slots / 2``
 entries; the message that carries a credit return is slower and is not
 modelled here (the test's runs stay below it).
+
+Photon request-tracked put (``pingpong_photon(mode="put")``, R1's
+``os_put(origin)`` column) is not a half round trip: each sample is one
+``post_os_put`` + ``wait`` as its origin sees it, with no echo.  It is
+the PWC put's path up to the target's delivery, then the reliable
+connection's ack back to the origin and the origin's reap of its send
+CQE:
+
+    post … delivery  as the PWC put (the pin is a registration-cache hit)
+    ack_latency   the path's propagation back to the origin (sum of hops)
+    ack_overhead  NicParams.ack_overhead_ns       the ack's NIC cost
+    poll          PhotonConfig.progress_poll_ns   the probe that sees it
+    cqe           NicParams.cqe_poll_ns           reaping the send CQE
 """
 
 from __future__ import annotations
@@ -177,9 +190,23 @@ def pwc_send_half_rtt_terms(params: FabricParams, size: int,
     }
 
 
-#: the closed form of each ``pingpong_photon`` mode it covers
+def os_put_terms(params: FabricParams, size: int,
+                 dma: bool = True) -> Dict[str, int]:
+    """The named terms of one request-tracked put as its origin observes
+    it (post to the reaped send completion)."""
+    terms = pwc_put_half_rtt_terms(params, size, dma)
+    poll, cqe = terms.pop("poll"), terms.pop("cqe")
+    terms["ack_latency"] = sum(hop_latencies(params))
+    terms["ack_overhead"] = params.nic.ack_overhead_ns
+    terms["poll"], terms["cqe"] = poll, cqe
+    return terms
+
+
+#: the closed form of each ``pingpong_photon`` mode it covers (for
+#: "put", the whole origin-observed completion, not half a round trip)
 HALF_RTT_TERMS = {"pwc": pwc_put_half_rtt_terms,
-                  "send": pwc_send_half_rtt_terms}
+                  "send": pwc_send_half_rtt_terms,
+                  "put": os_put_terms}
 
 
 def half_rtt_ns(params: FabricParams, size: int, mode: str = "pwc") -> int:

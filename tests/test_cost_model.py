@@ -1,7 +1,8 @@
 """The fabric model charges what ``tests/cost_model.py`` says it does.
 
-Photon PWC put and eager send ping-pong half round trips at R1's sizes,
-on every preset, equal the closed form to the nanosecond.  A point that
+Photon PWC put and eager send ping-pong half round trips, and the
+origin-observed completion of a request-tracked put, at R1's sizes on
+every preset, equal the closed form to the nanosecond.  A point that
 differs fails with the cost whose omission would explain it (a dropped
 overhead or copy, the DMA fetch, the wire header bytes), or with none:
 then the difference is a term the oracle does not know yet.
@@ -46,3 +47,8 @@ def test_pwc_put_half_round_trip_is_the_closed_form(name):
 @pytest.mark.parametrize("name", cost_model.PRESET_NAMES)
 def test_eager_send_half_round_trip_is_the_closed_form(name):
     _hold_to_closed_form(name, "send")
+
+
+@pytest.mark.parametrize("name", cost_model.PRESET_NAMES)
+def test_os_put_origin_completion_is_the_closed_form(name):
+    _hold_to_closed_form(name, "put")
