@@ -15,17 +15,17 @@ Public surface:
 """
 
 from .api import Photon, PhotonBuffer, photon_init
-from .base import Completion, ReliableOp, TimeoutStatus
+from .base import Completion, ReliableOp
 from .config import DEFAULT_CONFIG, PhotonConfig
 from .messaging import ANY, RecvInfo
 from .rcache import RegistrationCache
-from .request import PhotonRequest, RequestKind, RequestState, RequestTable
+from .request import PhotonRequest, RequestState, RequestTable
 
 __all__ = [
     "Photon", "PhotonBuffer", "photon_init",
-    "Completion", "ReliableOp", "TimeoutStatus",
+    "Completion", "ReliableOp",
     "DEFAULT_CONFIG", "PhotonConfig",
     "ANY", "RecvInfo",
     "RegistrationCache",
-    "PhotonRequest", "RequestKind", "RequestState", "RequestTable",
+    "PhotonRequest", "RequestState", "RequestTable",
 ]

@@ -22,7 +22,6 @@ Photon still receives puts into its exposed buffers.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
@@ -49,8 +48,8 @@ from .wire import (
     InfoEntry,
 )
 
-__all__ = ["PhotonBase", "PeerState", "Completion", "TimeoutStatus",
-           "ReliableOp", "RING_NAMES"]
+__all__ = ["PhotonBase", "PeerState", "Completion", "ReliableOp",
+           "RING_NAMES"]
 
 RING_NAMES = ("cmp", "eager", "info", "fin")
 #: entries per peer in the rendezvous info ring and in the FIN ring
@@ -61,7 +60,7 @@ IMM_PREPOST = 64
 #: maximum outstanding PWC operations per peer before put backpressure
 MAX_OUTSTANDING = 256
 #: base of the exponential retry backoff (doubles per attempt, plus seeded
-#: jitter drawn from [0, backoff_jitter_ns or BACKOFF_BASE_NS)), ns
+#: jitter drawn from [0, PhotonConfig.backoff_jitter_ns)), ns
 BACKOFF_BASE_NS = 20_000
 #: ceiling for the exponential retry backoff (ns)
 BACKOFF_MAX_NS = 1_000_000
@@ -71,21 +70,6 @@ BACKOFF_MAX_NS = 1_000_000
 #: every later entry from that peer — ring liveness is worth retrying much
 #: harder than a single operation's latency budget
 ENTRY_RESEND_LIMIT = 12
-
-
-class TimeoutStatus(enum.Enum):
-    """Typed result of a blocking wait.
-
-    Truthy exactly when the wait succeeded, so ``if ok:`` call sites keep
-    working, but callers can also distinguish ``TimeoutStatus.TIMED_OUT``
-    from a legitimate falsy payload.
-    """
-
-    OK = "ok"
-    TIMED_OUT = "timed_out"
-
-    def __bool__(self) -> bool:
-        return self is TimeoutStatus.OK
 
 
 #: photon_probe_completion result
@@ -118,8 +102,10 @@ class ReliableOp:
     peer_rank: int
     op_id: int
     kind: str  # "put" | "send" | "get" | "notify"
-    #: generator factory posting one (re)attempt of the op's work requests
-    replay: Optional[Callable[["ReliableOp"], object]] = None
+    #: generator factory posting one (re)attempt of the op's work requests:
+    #: ``replay(op, on_ack, on_error)`` with the attempt's WR callbacks
+    replay: Optional[Callable[["ReliableOp", Callable, Callable],
+                              object]] = None
     local_cid: Optional[int] = None
     #: fired once when the op completes successfully (get-notify spawn etc.)
     on_done: Optional[Callable[[], None]] = None
@@ -216,7 +202,7 @@ class PhotonBase:
         self.peers: Dict[int, PeerState] = {}
         # engine queues
         self._op_seq = 0
-        self._ops: Dict[int, Tuple[str, Optional[Callable],
+        self._ops: Dict[int, Tuple[Optional[Callable],
                                    Optional[Callable]]] = {}
         # reliability layer: live retryable ops by (peer, op id), seeded
         # jitter stream
@@ -328,12 +314,6 @@ class PhotonBase:
                 peer.preposted += 1
 
     # ------------------------------------------------------------- posting
-    def _next_op(self, kind: str, callback: Optional[Callable],
-                 on_error: Optional[Callable] = None) -> int:
-        self._op_seq += 1
-        self._ops[self._op_seq] = (kind, callback, on_error)
-        return self._op_seq
-
     def _peer(self, rank: int) -> PeerState:
         peer = self.peers.get(rank)
         if peer is None:
@@ -357,7 +337,9 @@ class PhotonBase:
             if on_error is not None:
                 on_error()
             return
-        wr.wr_id = self._next_op("ack", on_ack, on_error)
+        self._op_seq += 1
+        wr.wr_id = self._op_seq
+        self._ops[wr.wr_id] = (on_ack, on_error)
         wr.signaled = True
         peer.outstanding += 1
         yield from peer.qp.post_send_timed(wr)
@@ -519,10 +501,16 @@ class PhotonBase:
 
     # ------------------------------------------------------------- reliability
     def _new_reliable_op(self, peer: PeerState, kind: str,
-                         local_cid: Optional[int]) -> ReliableOp:
+                         local_cid: Optional[int], replay: Callable,
+                         span: Optional[object] = None,
+                         mr=None) -> ReliableOp:
+        """Register a retryable op that ``replay`` posts, holding ``span``
+        and the rcache pin ``mr`` until it settles; the caller starts it
+        with :meth:`_start_attempt`."""
         peer.tx_op_seq += 1
         op = ReliableOp(peer_rank=peer.rank, op_id=peer.tx_op_seq, kind=kind,
-                        local_cid=local_cid)
+                        replay=replay, local_cid=local_cid,
+                        mrs=[] if mr is None else [mr], span=span)
         self._reliable[op.key] = op
         return op
 
@@ -556,7 +544,8 @@ class PhotonBase:
             return
         op.attempts += 1
         op.deadline = self.env.now + self.config.op_timeout_ns
-        yield from op.replay(op)
+        on_ack, on_error = self._op_cbs(op, op.attempts)
+        yield from op.replay(op, on_ack, on_error)
 
     def _dead_at_post(self, req) -> bool:
         """Fail a request-tracked post to a peer the detector has already
@@ -624,10 +613,9 @@ class PhotonBase:
         self.counters.add("photon.op_retries")
         backoff = min(BACKOFF_BASE_NS << (op.attempts - 1), BACKOFF_MAX_NS)
         # jitter decorrelates retries of ops that share a deadline cadence
-        # (e.g. every op against one dead peer); None keeps the historical
-        # one-BACKOFF_BASE_NS window byte-for-byte
-        jitter = self.config.backoff_jitter_ns or BACKOFF_BASE_NS
-        backoff += int(self._retry_rng.integers(0, jitter))
+        # (e.g. every op against one dead peer)
+        backoff += int(self._retry_rng.integers(
+            0, self.config.backoff_jitter_ns))
         op.state = "backoff"
         op.next_retry_at = self.env.now + backoff
 
@@ -845,7 +833,7 @@ class PhotonBase:
                 peer.outstanding -= 1
             if entry is None:
                 continue
-            kind, callback, on_error = entry
+            callback, on_error = entry
             if wc.ok:
                 if callback is not None:
                     callback()
@@ -1056,14 +1044,11 @@ class PhotonBase:
 
     def _wait_until(self, predicate: Callable[[], bool],
                     timeout_ns: Optional[int] = None):
-        """Poll progress until ``predicate()`` holds (generator).
-
-        Returns :class:`TimeoutStatus` — ``OK`` (truthy) on success,
-        ``TIMED_OUT`` (falsy) if the optional timeout expired.  Probes
-        that could not find anything are skipped, not run: see
+        """Poll progress until ``predicate()`` holds (generator → bool,
+        False if the optional timeout expired).  Probes that could not
+        find anything are skipped, not run: see
         :func:`repro.sim.resources.poll_until`.
         """
-        ok = yield from poll_until(
+        return (yield from poll_until(
             self.doorbell, self._progress_once, predicate, timeout_ns,
-            self.next_deadline)
-        return TimeoutStatus.OK if ok else TimeoutStatus.TIMED_OUT
+            self.next_deadline))

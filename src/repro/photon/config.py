@@ -9,8 +9,6 @@ sweep these.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
-
 __all__ = ["PhotonConfig", "DEFAULT_CONFIG"]
 
 
@@ -41,12 +39,11 @@ class PhotonConfig:
     #: per-operation deadline: a PWC op neither acked nor failed by the
     #: fabric within this window is considered lost and replayed (ns)
     op_timeout_ns: int = 5_000_000
-    #: width of the seeded retry-jitter window (ns); None keeps the
-    #: historical default of one ``base.BACKOFF_BASE_NS``.  When many ops
-    #: against one peer share a deadline cadence (peer death), widen this
-    #: so concurrent retries decorrelate instead of forming a synchronized
-    #: retry storm
-    backoff_jitter_ns: Optional[int] = None
+    #: width of the seeded retry-jitter window (ns); the default is one
+    #: ``base.BACKOFF_BASE_NS``.  When many ops against one peer share a
+    #: deadline cadence (peer death), widen this so concurrent retries
+    #: decorrelate instead of forming a synchronized retry storm
+    backoff_jitter_ns: int = 20_000
     #: use the registration cache for user buffers
     rcache_enabled: bool = True
     #: max cached registrations before LRU eviction
@@ -67,8 +64,8 @@ class PhotonConfig:
             raise ValueError("max_op_retries must be >= 0")
         if self.op_timeout_ns <= 0:
             raise ValueError("op_timeout_ns must be positive")
-        if self.backoff_jitter_ns is not None and self.backoff_jitter_ns <= 0:
-            raise ValueError("backoff_jitter_ns must be positive when set")
+        if self.backoff_jitter_ns <= 0:
+            raise ValueError("backoff_jitter_ns must be positive")
         if self.rcache_capacity < 1:
             raise ValueError("rcache_capacity must be >= 1")
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.core import SimulationError
-from .request import RequestKind
 from .wire import FinEntry, InfoEntry
 
 __all__ = ["MessagingMixin", "ANY", "RecvInfo"]
@@ -63,8 +62,7 @@ class MessagingMixin:
             raise SimulationError("send_rdma needs a positive size")
         if tag < 0:
             raise SimulationError("tags must be non-negative")
-        req = self.requests.create(RequestKind.SEND_RDMA, dst, size, tag,
-                                   self.env.now)
+        req = self.requests.create(dst)
         req.span = self.counters.span("photon.rndv_send", self.env.now,
                                       peer=dst, nbytes=size)
         if dst == self.rank:

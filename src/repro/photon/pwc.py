@@ -50,8 +50,8 @@ class PwcMixin:
         if size < 0:
             raise SimulationError("negative put size")
         if dst == self.rank:
-            yield from self._self_put(local_addr, size, remote_addr,
-                                      local_cid, remote_cid)
+            yield from self._self_copy(local_addr, remote_addr, size,
+                                       local_cid, remote_cid)
             return None
         peer = self._peer(dst)
         mr = None
@@ -63,14 +63,8 @@ class PwcMixin:
                 yield from self.rcache.release(mr)
             raise SimulationError(
                 f"immediate-mode remote cid {remote_cid} must fit 32 bits")
-        op = self._new_reliable_op(peer, "put", local_cid)
-        op.span = self.counters.span("photon.pwc_put", self.env.now,
-                                     peer=dst, nbytes=size)
-        if mr is not None:
-            op.mrs.append(mr)
 
-        def replay(op):
-            on_ack, on_error = self._op_cbs(op, op.attempts)
+        def replay(op, on_ack, on_error):
             if use_imm:
                 op.acks_pending = 1
                 wr = SendWR(opcode=Opcode.RDMA_WRITE_WITH_IMM,
@@ -98,7 +92,10 @@ class PwcMixin:
                         op=op.op_id).pack(),
                     on_ack=on_ack, on_error=on_error, op=op)
 
-        op.replay = replay
+        op = self._new_reliable_op(
+            peer, "put", local_cid, replay,
+            self.counters.span("photon.pwc_put", self.env.now, peer=dst,
+                               nbytes=size), mr)
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_puts")
         return op
@@ -118,38 +115,34 @@ class PwcMixin:
         if size <= 0:
             raise SimulationError("get size must be positive")
         if dst == self.rank:
-            yield from self._self_get(local_addr, size, remote_addr,
-                                      local_cid, remote_cid)
+            yield from self._self_copy(remote_addr, local_addr, size,
+                                       local_cid, remote_cid)
             return None
         peer = self._peer(dst)
         mr = yield from self.rcache.acquire(local_addr, size)
-        op = self._new_reliable_op(peer, "get", local_cid)
-        op.span = self.counters.span("photon.pwc_get", self.env.now,
-                                     peer=dst, nbytes=size)
-        op.mrs.append(mr)
-        if remote_cid is not None:
-            notify = remote_cid
-            op.on_done = lambda: self.env.process(
-                self._notify_after_get(dst, notify), name="photon:gwc-notify")
 
-        def replay(op):
-            on_ack, on_error = self._op_cbs(op, op.attempts)
+        def replay(op, on_ack, on_error):
             op.acks_pending = 1
             wr = SendWR(opcode=Opcode.RDMA_READ, local_addr=local_addr,
                         length=size, remote_addr=remote_addr, rkey=rkey)
             yield from self._post(peer, wr, on_ack, on_error)
 
-        op.replay = replay
+        op = self._new_reliable_op(
+            peer, "get", local_cid, replay,
+            self.counters.span("photon.pwc_get", self.env.now, peer=dst,
+                               nbytes=size), mr)
+        if remote_cid is not None:
+            op.on_done = lambda: self.env.process(
+                self._notify_after_get(dst, remote_cid),
+                name="photon:gwc-notify")
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_gets")
         return op
 
     def _notify_after_get(self, dst: int, remote_cid: int):
         peer = self._peer(dst)
-        op = self._new_reliable_op(peer, "notify", None)
 
-        def replay(op):
-            on_ack, on_error = self._op_cbs(op, op.attempts)
+        def replay(op, on_ack, on_error):
             op.acks_pending = 1
             yield from self._post_ring_entry(
                 peer, "cmp",
@@ -157,7 +150,7 @@ class PwcMixin:
                                             src=self.rank, op=op.op_id).pack(),
                 on_ack=on_ack, on_error=on_error, op=op)
 
-        op.replay = replay
+        op = self._new_reliable_op(peer, "notify", None, replay)
         yield from self._start_attempt(op)
         return op
 
@@ -186,12 +179,8 @@ class PwcMixin:
             return None
         peer = self._peer(dst)
         payload = bytes(data)
-        op = self._new_reliable_op(peer, "send", local_cid)
-        op.span = self.counters.span("photon.pwc_send", self.env.now,
-                                     peer=dst, nbytes=len(payload))
 
-        def replay(op):
-            on_ack, on_error = self._op_cbs(op, op.attempts)
+        def replay(op, on_ack, on_error):
             op.acks_pending = 1
 
             def build(seq):
@@ -203,15 +192,18 @@ class PwcMixin:
                                              on_ack=on_ack, on_error=on_error,
                                              op=op)
 
-        op.replay = replay
+        op = self._new_reliable_op(
+            peer, "send", local_cid, replay,
+            self.counters.span("photon.pwc_send", self.env.now, peer=dst,
+                               nbytes=len(payload)))
         yield from self._start_attempt(op)
         self.counters.add("photon.pwc_sends")
         return op
 
     def wait_op(self, op, timeout_ns: Optional[int] = None):
         """Block (polling) until the op handle a PWC call returned settles
-        (generator → :class:`~repro.photon.base.TimeoutStatus`); the
-        outcome is ``op.status``."""
+        (generator → bool, False on timeout); the outcome is
+        ``op.status``."""
         return (yield from self._wait_until(
             lambda: op.status is not None, timeout_ns))
 
@@ -283,22 +275,14 @@ class PwcMixin:
         return self._pop_message(match) if ok else None
 
     # ------------------------------------------------------------------ self ops
-    def _self_put(self, local_addr, size, remote_addr, local_cid, remote_cid):
+    def _self_copy(self, src, dst, size, local_cid, remote_cid):
+        """A put or get addressed to this rank: one host copy from ``src``
+        to ``dst``, then both completions at once (generator)."""
         # owned snapshot: the source may be overwritten during the copy delay
-        data = self.memory.read_bytes(local_addr, size) if size else b""
+        data = self.memory.read_bytes(src, size) if size else b""
         yield self.env.timeout(self.memory.memcpy_cost_ns(size))
         if size:
-            self.memory.write(remote_addr, data)
-        if local_cid is not None:
-            self.local_cids.append((local_cid, WCStatus.SUCCESS))
-        if remote_cid is not None:
-            self.remote_cids.append((remote_cid, self.rank))
-        self.arrivals.fire()
-
-    def _self_get(self, local_addr, size, remote_addr, local_cid, remote_cid):
-        data = self.memory.read_bytes(remote_addr, size)
-        yield self.env.timeout(self.memory.memcpy_cost_ns(size))
-        self.memory.write(local_addr, data)
+            self.memory.write(dst, data)
         if local_cid is not None:
             self.local_cids.append((local_cid, WCStatus.SUCCESS))
         if remote_cid is not None:

@@ -13,7 +13,7 @@ from typing import Optional
 from ..sim.core import SimulationError
 from ..verbs.enums import Opcode
 from ..verbs.qp import SendWR
-from .request import PhotonRequest, RequestKind
+from .request import PhotonRequest
 
 __all__ = ["RdmaMixin"]
 
@@ -24,71 +24,57 @@ class RdmaMixin:
     def post_os_put(self, dst: int, local_addr: int, size: int,
                     remote_addr: int, rkey: int):
         """Post a one-sided put; returns the request id (generator)."""
-        req = self.requests.create(RequestKind.OS_PUT, dst, size, 0,
-                                   self.env.now)
-        if dst == self.rank:
-            yield from self._self_put(local_addr, size, remote_addr,
-                                      None, None)
-            self.requests.complete(req.rid, self.env.now)
-            return req.rid
-        if self._dead_at_post(req):
-            return req.rid
-        peer = self._peer(dst)
-        mr = None
-        if size > 0:
-            mr = yield from self.rcache.acquire(local_addr, size)
-        rid = req.rid
-
-        def on_ack():
-            if mr is not None:
-                self.rcache.release_async(mr)
-            self.requests.complete(rid, self.env.now)
-
-        def on_error():
-            if mr is not None:
-                self.rcache.release_async(mr)
-            self.counters.add("photon.request_failures")
-            self.requests.fail(rid, self.env.now)
-
-        wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=local_addr,
-                    length=size, remote_addr=remote_addr, rkey=rkey,
-                    inline=self._inline_ok(size))
-        yield from self._post(peer, wr, on_ack, on_error)
-        self.counters.add("photon.os_puts")
-        return req.rid
+        return self._post_os(Opcode.RDMA_WRITE, dst, local_addr, size,
+                             remote_addr, rkey)
 
     def post_os_get(self, dst: int, local_addr: int, size: int,
                     remote_addr: int, rkey: int):
         """Post a one-sided get; returns the request id (generator)."""
-        if size <= 0:
+        return self._post_os(Opcode.RDMA_READ, dst, local_addr, size,
+                             remote_addr, rkey)
+
+    def _post_os(self, opcode: Opcode, dst: int, local_addr: int, size: int,
+                 remote_addr: int, rkey: int):
+        """Post one request-tracked RDMA write or read (generator → rid).
+
+        The local buffer stays pinned until the request settles: the ack
+        completes it, a work-request error fails it.
+        """
+        put = opcode is Opcode.RDMA_WRITE
+        if not put and size <= 0:
             raise SimulationError("get size must be positive")
-        req = self.requests.create(RequestKind.OS_GET, dst, size, 0,
-                                   self.env.now)
-        if dst == self.rank:
-            yield from self._self_get(local_addr, size, remote_addr,
-                                      None, None)
-            self.requests.complete(req.rid, self.env.now)
-            return req.rid
-        if self._dead_at_post(req):
-            return req.rid
-        peer = self._peer(dst)
-        mr = yield from self.rcache.acquire(local_addr, size)
+        req = self.requests.create(dst)
         rid = req.rid
+        if dst == self.rank:
+            src, to = ((local_addr, remote_addr) if put
+                       else (remote_addr, local_addr))
+            yield from self._self_copy(src, to, size, None, None)
+            self.requests.complete(rid, self.env.now)
+            return rid
+        if self._dead_at_post(req):
+            return rid
+        peer = self._peer(dst)
+        mr = None
+        if size > 0:
+            mr = yield from self.rcache.acquire(local_addr, size)
 
         def on_ack():
-            self.rcache.release_async(mr)
+            if mr is not None:
+                self.rcache.release_async(mr)
             self.requests.complete(rid, self.env.now)
 
         def on_error():
-            self.rcache.release_async(mr)
+            if mr is not None:
+                self.rcache.release_async(mr)
             self.counters.add("photon.request_failures")
             self.requests.fail(rid, self.env.now)
 
-        wr = SendWR(opcode=Opcode.RDMA_READ, local_addr=local_addr,
-                    length=size, remote_addr=remote_addr, rkey=rkey)
+        wr = SendWR(opcode=opcode, local_addr=local_addr, length=size,
+                    remote_addr=remote_addr, rkey=rkey,
+                    inline=put and self._inline_ok(size))
         yield from self._post(peer, wr, on_ack, on_error)
-        self.counters.add("photon.os_gets")
-        return req.rid
+        self.counters.add("photon.os_puts" if put else "photon.os_gets")
+        return rid
 
     # ------------------------------------------------------------------ waits
     def test(self, rid: int) -> bool:
@@ -102,22 +88,19 @@ class RdmaMixin:
     def wait(self, rid: int, timeout_ns: Optional[int] = None):
         """Poll progress until the request settles (generator).
 
-        Returns a truthy :class:`~repro.photon.base.TimeoutStatus` once
-        the request is terminal (completed or failed — a request whose
-        fabric retries were exhausted settles as failed instead of
-        hanging the wait), falsy on timeout.  The request stays live
-        until :meth:`free_request`.
+        Returns True once the request is terminal (completed or failed —
+        a request whose fabric retries were exhausted settles as failed
+        instead of hanging the wait), False on timeout.  The request
+        stays live until :meth:`free_request`.
         """
-        ok = yield from self._wait_until(
-            lambda: self.requests.get(rid).settled, timeout_ns)
-        return ok
+        return (yield from self._wait_until(
+            lambda: self.requests.get(rid).settled, timeout_ns))
 
     def wait_all(self, rids, timeout_ns: Optional[int] = None):
-        """Wait for a set of requests to settle (generator)."""
-        ok = yield from self._wait_until(
+        """Wait for a set of requests to settle (generator → bool)."""
+        return (yield from self._wait_until(
             lambda: all(self.requests.get(r).settled for r in rids),
-            timeout_ns)
-        return ok
+            timeout_ns))
 
     def wait_any(self, rids, timeout_ns: Optional[int] = None):
         """Wait for at least one of a set of requests (generator).

@@ -13,14 +13,7 @@ from typing import Dict
 
 from ..sim.core import SimulationError
 
-__all__ = ["RequestKind", "RequestState", "PhotonRequest", "RequestTable"]
-
-
-class RequestKind(enum.Enum):
-    OS_PUT = "os_put"
-    OS_GET = "os_get"
-    SEND_RDMA = "send_rdma"
-    RECV_RDMA = "recv_rdma"
+__all__ = ["RequestState", "PhotonRequest", "RequestTable"]
 
 
 class RequestState(enum.Enum):
@@ -34,19 +27,12 @@ class RequestState(enum.Enum):
 class PhotonRequest:
     """One in-flight operation."""
 
-    __slots__ = ("rid", "kind", "peer", "size", "tag", "state", "t_posted",
-                 "t_completed", "on_settle", "span")
+    __slots__ = ("rid", "peer", "state", "on_settle", "span")
 
-    def __init__(self, rid: int, kind: RequestKind, peer: int, size: int,
-                 tag: int, t_posted: int):
+    def __init__(self, rid: int, peer: int):
         self.rid = rid
-        self.kind = kind
         self.peer = peer
-        self.size = size
-        self.tag = tag
         self.state = RequestState.PENDING
-        self.t_posted = t_posted
-        self.t_completed = -1
         #: fired exactly once when the request turns terminal (completed
         #: or failed) — resource cleanup hook (rcache release)
         self.on_settle = None
@@ -72,10 +58,9 @@ class RequestTable:
         self._live: Dict[int, PhotonRequest] = {}
         self.total_created = 0
 
-    def create(self, kind: RequestKind, peer: int, size: int, tag: int,
-               now: int) -> PhotonRequest:
+    def create(self, peer: int) -> PhotonRequest:
         rid = next(self._seq)
-        req = PhotonRequest(rid, kind, peer, size, tag, now)
+        req = PhotonRequest(rid, peer)
         self._live[rid] = req
         self.total_created += 1
         return req
@@ -100,7 +85,6 @@ class RequestTable:
         if req.state is not RequestState.PENDING:
             raise SimulationError(f"request {rid} completed twice")
         req.state = RequestState.COMPLETED
-        req.t_completed = now
         if req.span is not None:
             req.span.end(now)
         self._settle(req)
@@ -114,7 +98,6 @@ class RequestTable:
             return None
         if req.state is RequestState.PENDING:
             req.state = RequestState.FAILED
-            req.t_completed = now
             if req.span is not None:
                 req.span.end(now, status="failed")
             self._settle(req)

@@ -19,7 +19,7 @@ from repro.chaos import (ChaosController, CrashRank, FaultSchedule,
                          check_no_duplicate_delivery)
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
-from repro.photon.base import IMM_PREPOST
+from repro.photon.base import BACKOFF_BASE_NS, IMM_PREPOST
 from repro.runtime.health import DEAD, ALIVE, MembershipView
 from repro.sim.rng import RngRegistry
 from tests.stepping import step
@@ -234,7 +234,7 @@ def test_retry_jitter_decorrelates_concurrent_retries():
         peer = ph[0].peers[1]
         ticks = []
         for i in range(8):
-            op = ph[0]._new_reliable_op(peer, "put", i + 1)
+            op = ph[0]._new_reliable_op(peer, "put", i + 1, None)
             op.attempts = 1
             ph[0]._op_attempt_failed(op)
             ticks.append(op.next_retry_at)
@@ -246,6 +246,7 @@ def test_retry_jitter_decorrelates_concurrent_retries():
     assert all(20_000 <= t < 100_000 for t in wide)
 
     # historical default: draws stay inside one BACKOFF_BASE_NS window
+    assert PhotonConfig().backoff_jitter_ns == BACKOFF_BASE_NS
     legacy = retry_ticks(PhotonConfig())
     assert all(20_000 <= t < 40_000 for t in legacy)
 

@@ -44,14 +44,14 @@ def test_wait_any_timeout():
         rid = yield from ph[0].post_os_put(1, src.addr, 8, dst.addr,
                                            dst.rkey)
         # a request that never completes: fabricate one
-        ghost = ph[0].requests.create(
-            ph[0].requests.get(rid).kind, 1, 8, 0, env.now)
+        ghost = ph[0].requests.create(1)
         got = yield from ph[0].wait_any([ghost.rid], timeout_ns=100_000)
-        return got
+        ok = yield from ph[0].wait(ghost.rid, timeout_ns=100_000)
+        return got, ok
 
     p = cl.env.process(prog(cl.env))
     cl.env.run(until=p)
-    assert p.value is None
+    assert p.value == (None, False)
 
 
 def test_wait_any_empty_rejected():

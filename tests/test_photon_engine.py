@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
-from repro.photon.request import RequestKind, RequestState, RequestTable
+from repro.photon.request import RequestState, RequestTable
 from repro.sim import SimulationError
 
 TIMEOUT = 10 ** 12
@@ -19,11 +19,12 @@ TIMEOUT = 10 ** 12
 
 def test_request_table_lifecycle():
     t = RequestTable(rank=0)
-    req = t.create(RequestKind.OS_PUT, peer=1, size=64, tag=0, now=100)
-    assert req.state is RequestState.PENDING
+    req = t.create(peer=1)
+    assert req.state is RequestState.PENDING and req.peer == 1
     assert t.pending == 1
     done = t.complete(req.rid, now=500)
-    assert done.state is RequestState.COMPLETED and done.t_completed == 500
+    assert done is req and done.state is RequestState.COMPLETED
+    assert done.settled and not done.failed
     assert t.pending == 0
     t.free(req.rid)
     with pytest.raises(SimulationError):
@@ -32,7 +33,7 @@ def test_request_table_lifecycle():
 
 def test_request_double_complete_rejected():
     t = RequestTable(rank=0)
-    req = t.create(RequestKind.OS_GET, 1, 8, 0, 0)
+    req = t.create(1)
     t.complete(req.rid, 10)
     with pytest.raises(SimulationError):
         t.complete(req.rid, 20)
@@ -40,7 +41,7 @@ def test_request_double_complete_rejected():
 
 def test_request_ids_unique_and_dense():
     t = RequestTable(rank=0)
-    rids = [t.create(RequestKind.OS_PUT, 1, 8, 0, 0).rid for _ in range(5)]
+    rids = [t.create(1).rid for _ in range(5)]
     assert len(set(rids)) == 5
     assert t.total_created == 5
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import ANY, photon_init
-from repro.photon.request import RequestKind, RequestState
+from repro.photon.request import RequestState
 from repro.sim import SimulationError
 
 TIMEOUT = 100_000_000
@@ -36,12 +36,13 @@ def test_os_put_wait():
         ok = yield from ph[0].wait(rid, timeout_ns=TIMEOUT)
         info = ph[0].request_info(rid)
         ph[0].free_request(rid)
-        return ok, info.kind
+        return ok, info
 
     p = cl.env.process(prog(cl.env))
     run_all(cl, [p])
-    ok, kind = p.value
-    assert ok and kind is RequestKind.OS_PUT
+    ok, info = p.value
+    assert ok is True and info.peer == 1
+    assert info.state is RequestState.FREED
     assert cl[1].memory.read(dst.addr, 1024) == b"q" * 1024
 
 
@@ -112,7 +113,7 @@ def test_rendezvous_send_recv_roundtrip():
     p0 = cl.env.process(sender(cl.env))
     p1 = cl.env.process(receiver(cl.env))
     run_all(cl, [p0, p1])
-    assert bool(p0.value[0])  # TimeoutStatus.OK is truthy
+    assert p0.value[0] is True
     assert p1.value[0] == size
     assert cl[1].memory.read(dst.addr, size) == bytes(range(256)) * 1024
     # sender's FIN arrives after receiver finished the get

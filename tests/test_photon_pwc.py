@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
 from repro.photon.base import IMM_PREPOST
+from repro.photon.request import RequestState
 from repro.sim import SimulationError
 
 TIMEOUT = 50_000_000  # 50 ms of simulated time: generous deadlock guard
@@ -268,6 +269,44 @@ def test_self_put_and_send():
     assert c1.cid == 1 and c2.cid == 2
     assert m == (0, 3, b"loop msg")
     assert cl[0].memory.read(b.addr, 16) == b"self-transfer..."
+
+
+def test_self_get_and_request_tracked_rma():
+    """A get_pwc, post_os_put and post_os_get addressed to the own rank
+    each copy in their direction, surface their cids and settle their
+    request as completed."""
+    cl, ph = setup()
+    ep = ph[0]
+    mem = cl[0].memory
+    bufs = [ep.buffer(64) for _ in range(4)]
+    for i, buf in enumerate(bufs):
+        mem.write(buf.addr, bytes([0x41 + i]) * 16)
+
+    def prog(env):
+        op = yield from ep.get_pwc(0, bufs[0].addr, 16, bufs[1].addr,
+                                   bufs[1].rkey, local_cid=4, remote_cid=5)
+        local = ep._pop_completion("local")
+        remote = ep._pop_completion("remote")
+        put = yield from ep.post_os_put(0, bufs[2].addr, 8, bufs[3].addr,
+                                        bufs[3].rkey)
+        get = yield from ep.post_os_get(0, bufs[2].addr + 8, 8,
+                                        bufs[1].addr, bufs[1].rkey)
+        return op, local, remote, put, get
+
+    p = cl.env.process(prog(cl.env))
+    run_all(cl, [p])
+    op, local, remote, put, get = p.value
+    assert op is None
+    assert (local.cid, local.ok, remote.cid, remote.src) == (4, True, 5, 0)
+    assert mem.read(bufs[0].addr, 16) == b"B" * 16      # got from bufs[1]
+    assert mem.read(bufs[1].addr, 16) == b"B" * 16      # source untouched
+    assert mem.read(bufs[3].addr, 16) == b"C" * 8 + b"D" * 8
+    assert mem.read(bufs[2].addr, 16) == b"C" * 8 + b"B" * 8
+    for rid in (put, get):
+        assert ep.test(rid) and not ep.request_info(rid).failed
+        assert ep.request_info(rid).state is RequestState.COMPLETED
+        ep.free_request(rid)
+    assert ep.stats()["pending_requests"] == 0
 
 
 def test_imm_mode_delivers_remote_completions():

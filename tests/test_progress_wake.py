@@ -17,7 +17,7 @@ from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.minimpi.protocol import SW_OVERHEAD_NS
 from repro.photon import PhotonConfig, photon_init
-from repro.photon.base import BACKOFF_BASE_NS, TimeoutStatus
+from repro.photon.base import BACKOFF_BASE_NS
 from repro.runtime import ActionRegistry, build_runtime
 from repro.runtime.coalesce import MAX_DELAY_NS
 from repro.runtime.scheduler import RECHECK_NS
@@ -66,8 +66,7 @@ class Rig:
                 def wait(timeout_ns=None):
                     comp = yield from ph[0].wait_completion("remote",
                                                             timeout_ns)
-                    return (TimeoutStatus.OK if comp is not None
-                            else TimeoutStatus.TIMED_OUT)
+                    return comp is not None
 
                 def send():
                     yield from ph[1].put_pwc(0, src.addr, 8, dst.addr,
@@ -262,7 +261,7 @@ def test_idle_timeout_returns_exactly_on_time(kind):
 
     ((ok, elapsed),) = rig.run(prog())
     assert elapsed == rig.post_ns + timeout_ns
-    assert ok is (TimeoutStatus.TIMED_OUT if kind == "photon" else False)
+    assert ok is False
 
 
 # ------------------------------------------------------ deadlines while parked
