@@ -141,7 +141,6 @@ class Comm:
         if req.failed or not req.done:
             dead = dead_member(health, n)
             raise MemberDeadError(self.rank, src if dead is None else dead)
-        self.engine.live_requests.pop(req.rid, None)
         # owned copy: the scratch ring wraps and reuses this region
         return self.memory.read_bytes(addr, req.status.count)
 

@@ -71,18 +71,23 @@ KIND_FIN = 3
 class MPIRequest:
     """Handle for a non-blocking operation."""
 
-    __slots__ = ("rid", "kind", "peer", "done", "status", "t_posted",
-                 "t_completed", "error", "on_settle", "span")
+    __slots__ = ("rid", "kind", "peer", "done", "status", "t_completed",
+                 "error", "on_settle", "span", "_live")
     _ids = itertools.count(1)
 
-    def __init__(self, kind: str, now: int):
+    def __init__(self, kind: str,
+                 live: Optional[Dict[int, "MPIRequest"]] = None):
         self.rid = next(MPIRequest._ids)
+        #: the engine's table of unsettled requests: this one is in it
+        #: until it settles
+        self._live = live
+        if live is not None:
+            live[self.rid] = self
         self.kind = kind
         #: destination (sends) or expected source (receives); -1 wildcard
         self.peer = -1
         self.done = False
         self.status = Status()
-        self.t_posted = now
         self.t_completed = -1
         #: None, or the error the transport gave up with ("retry_exceeded")
         self.error: Optional[str] = None
@@ -97,6 +102,8 @@ class MPIRequest:
         return self.error is not None
 
     def _settle(self) -> None:
+        if self._live is not None:
+            self._live.pop(self.rid, None)
         hook, self.on_settle = self.on_settle, None
         if hook is not None:
             hook()
@@ -162,6 +169,7 @@ class Engine:
             self.context, self.pd, capacity=RCACHE_CAPACITY)
         self.matcher = MatchEngine()
         self.peers: Dict[int, _PeerChannel] = {}
+        #: unsettled requests by rid; a request leaves when it settles
         self.live_requests: Dict[int, MPIRequest] = {}
         self._ops: Dict[int, Callable] = {}
         #: error handlers by wr_id (retry closures, request failure)
@@ -187,7 +195,7 @@ class Engine:
         now = self.env.now
         failed = 0
         for req in list(self.live_requests.values()):
-            if req.done or req.peer != rank:
+            if req.peer != rank:
                 continue
             req.fail(now, error="peer_dead")
             failed += 1
@@ -235,13 +243,12 @@ class Engine:
         """Non-blocking send from simulated memory (generator → request)."""
         if size < 0 or tag < 0:
             raise SimulationError("isend needs size >= 0 and tag >= 0")
-        req = MPIRequest("send", self.env.now)
+        req = MPIRequest("send", self.live_requests)
         req.peer = dst
         name = ("mpi.eager_send" if size <= self.config.eager_threshold
                 else "mpi.rndv_send")
         req.span = self.counters.span(name, self.env.now, peer=dst,
                                       nbytes=size)
-        self.live_requests[req.rid] = req
         self.counters.add("mpi.isends")
         if (self.health is not None and dst != self.rank
                 and self.health.is_dead(dst)):
@@ -338,7 +345,9 @@ class Engine:
         rid = req.rid
 
         def on_ack():
-            self.live_requests[rid].complete(self.env.now)
+            # a dead-peer failure may have settled (and removed) it first
+            if rid in self.live_requests:
+                self.live_requests[rid].complete(self.env.now)
 
         def on_fail():
             self.counters.add("mpi.send_failures")
@@ -391,11 +400,10 @@ class Engine:
     # ------------------------------------------------------------- recv side
     def irecv(self, addr: int, length: int, src: int, tag: int):
         """Non-blocking receive into simulated memory (generator → request)."""
-        req = MPIRequest("recv", self.env.now)
+        req = MPIRequest("recv", self.live_requests)
         req.peer = src
         req.span = self.counters.span("mpi.recv", self.env.now,
                                       peer=src, nbytes=length)
-        self.live_requests[req.rid] = req
         self.counters.add("mpi.irecvs")
         if (self.health is not None and src >= 0 and src != self.rank
                 and self.health.is_dead(src)):
@@ -578,7 +586,7 @@ class Engine:
                 yield from self._fetch_rendezvous(posted, msg)
         elif kind == KIND_FIN:
             sender_req = self.live_requests.get(sreq)
-            if sender_req is not None and not sender_req.done:
+            if sender_req is not None:
                 sender_req.complete(self.env.now)
         else:
             raise SimulationError(f"bad wire kind {kind}")
@@ -598,8 +606,6 @@ class Engine:
         return {
             "rank": self.rank,
             "live_requests": len(self.live_requests),
-            "pending_requests": sum(1 for r in self.live_requests.values()
-                                    if not r.done),
             "posted_recvs": len(self.matcher.posted),
             "unexpected_queued": len(self.matcher.unexpected),
             "unexpected_peak": self.matcher.max_unexpected,
@@ -618,19 +624,12 @@ class Engine:
 
     def wait(self, req: MPIRequest, timeout_ns: Optional[int] = None):
         """Block until the request completes (generator → bool)."""
-        ok = yield from self._wait_until(lambda: req.done, timeout_ns)
-        if ok:
-            self.live_requests.pop(req.rid, None)
-        return ok
+        return (yield from self._wait_until(lambda: req.done, timeout_ns))
 
     def waitall(self, reqs: List[MPIRequest],
                 timeout_ns: Optional[int] = None):
-        ok = yield from self._wait_until(
-            lambda: all(r.done for r in reqs), timeout_ns)
-        if ok:
-            for r in reqs:
-                self.live_requests.pop(r.rid, None)
-        return ok
+        return (yield from self._wait_until(
+            lambda: all(r.done for r in reqs), timeout_ns))
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Progress once; returns a Status if a matching message is queued

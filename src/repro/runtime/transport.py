@@ -334,9 +334,6 @@ class MpiTransport(WireTransport):
     def _outcome(self, req: MPIRequest) -> Optional[bool]:
         if not req.done:
             return None
-        # popped from the engine's live-request table like the recv path
-        # does, else done isends accumulate there for the life of the run
-        self.comm.engine.live_requests.pop(req.rid, None)
         return not req.failed
 
     def poll(self):
@@ -352,7 +349,6 @@ class MpiTransport(WireTransport):
                                              req.status.count)
                 yield self.env.timeout(
                     self.memory.memcpy_cost_ns(req.status.count))
-                self.comm.engine.live_requests.pop(req.rid, None)
                 new_req = yield from self.comm.irecv(
                     self._recv_bufs[i], self.max_parcel,
                     src=ANY_SOURCE, tag=PARCEL_TAG)

@@ -20,8 +20,8 @@ def test_header_roundtrip():
 
 
 def test_request_ids_unique():
-    a = MPIRequest("send", 0)
-    b = MPIRequest("recv", 0)
+    a = MPIRequest("send")
+    b = MPIRequest("recv")
     assert a.rid != b.rid
     assert not a.done
     a.complete(5)
@@ -148,3 +148,35 @@ def test_eager_threshold_routes_protocols():
     cl.env.run(until=cl.env.all_of([p0, p1]))
     assert cl.counters.get("mpi.eager_sends") == 1
     assert cl.counters.get("mpi.rndv_sends") == 1
+
+
+def test_a_settled_request_leaves_the_live_table_by_itself():
+    """Fire-and-forget isends that nobody waits on (eager and rendezvous)
+    leave ``live_requests`` when they settle; only the unmatched receive
+    is still there, and ``stats()`` counts just it."""
+    cl = build_cluster(2)
+    comms = mpi_init(cl)
+    small, big = 64, 64 * 1024
+    src = cl[0].memory.alloc(big)
+    dst = cl[1].memory.alloc(big)
+    sends = []
+
+    def tx(env):
+        pending = yield from comms[0].irecv(src, 8, 1, tag=1234)
+        for tag, size in enumerate((small, small, small, big)):
+            sends.append((yield from comms[0].isend(src, size, 1, tag)))
+        while not all(r.done for r in sends):
+            yield from comms[0].iprobe()
+        return pending
+
+    def rx(env):
+        for tag, size in enumerate((small, small, small, big)):
+            yield from comms[1].recv(dst, size, 0, tag=tag)
+
+    p0 = cl.env.process(tx(cl.env))
+    p1 = cl.env.process(rx(cl.env))
+    cl.env.run(until=cl.env.all_of([p0, p1]))
+    engine = comms[0].engine
+    assert not any(r.failed for r in sends)
+    assert engine.live_requests == {p0.value.rid: p0.value}
+    assert engine.stats()["live_requests"] == 1

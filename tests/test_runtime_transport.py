@@ -203,9 +203,9 @@ def test_rendezvous_retry_budget_exhaustion_counts_failure(monkeypatch):
 
 
 def test_mpi_send_reap_pops_live_requests():
-    """Regression: the opportunistic send-side reap dropped done isends
-    from the transport's in-flight list without popping them from the
-    engine's live-request table (a leak the recv path never had)."""
+    """Regression: done isends the transport reaps opportunistically must
+    not linger in the engine's live-request table (a settled request now
+    leaves it by itself)."""
     cl, tps = mpi_pair()
     n = 60
     done = {}
