@@ -26,6 +26,33 @@ def test_design_indexes_every_experiment():
             f"DESIGN.md experiment index misses {key.upper()}"
 
 
+def _exercised_modules(cell):
+    """The dotted names in one "Modules exercised" cell: parentheticals
+    dropped, ``kv.{raft,shard}`` expanded."""
+    names = []
+    cell = re.sub(r"\s*\([^)]*\)", "", cell)
+    for item in re.split(r",\s*(?![^{]*\})", cell):
+        head, _, rest = item.strip().partition("{")
+        names += ([head + part for part in rest.rstrip("}").split(",")]
+                  if rest else [head])
+    return names
+
+
+def test_design_index_names_only_modules_that_exist():
+    """Every entry of DESIGN §4's "Modules exercised" column is a module
+    or package under ``src/repro``."""
+    rows = [line for line in open("DESIGN.md").read().splitlines()
+            if re.match(r"\| R\d+ \|", line)]
+    assert len(rows) == len(ALL)
+    missing = []
+    for row in rows:
+        for name in _exercised_modules(row.strip("|").split("|")[-1]):
+            path = os.path.join("src", "repro", *name.split("."))
+            if not (os.path.isfile(path + ".py") or os.path.isdir(path)):
+                missing.append((row.split("|")[1].strip(), name))
+    assert not missing, missing
+
+
 def _marked_blocks(text):
     """``[(exp_id, block)]`` of the marked blocks, in file order."""
     marks = list(_MARKER.finditer(text))
@@ -507,7 +534,9 @@ def test_deleted_modes_stay_deleted():
     the wire library the one retry layer.  So was the synchronous
     snapshot: a replica serializes on its snapshot worker, never on the
     serve loop, and a RaftNode has no serializer hook.  So was the
-    kernel's Timeout freelist: every Timeout is a fresh allocation."""
+    kernel's Timeout freelist: every Timeout is a fresh allocation.  So
+    were Photon's typed wait result (every wait returns a bool) and the
+    request fields nothing read: its kind enum and post time."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
                          r"|_active_process|CreditExhaustedError"
@@ -516,7 +545,8 @@ def test_deleted_modes_stay_deleted():
                          r"|max_send_retries|parcel_resends"
                          r"|snapshot_fn|_snap_seen"
                          r"|timeout\(SNAPSHOT_COST_NS\)"
-                         r"|getrefcount|_timeout_freelist|_FREELIST_MAX")
+                         r"|getrefcount|_timeout_freelist|_FREELIST_MAX"
+                         r"|TimeoutStatus|RequestKind|t_posted")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
