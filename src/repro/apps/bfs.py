@@ -165,7 +165,7 @@ def run_bfs_photon(cluster: Cluster, endpoints: List[Photon],
                 break
         results[rank] = BfsResult(rank=rank, depths=depths,
                                   elapsed_ns=env.now - t0, levels=level,
-                                  parcels=rt.parcels_sent)
+                                  parcels=rt.counters.get("rt.parcels_sent"))
 
     return [program(r) for r in range(n)], results
 

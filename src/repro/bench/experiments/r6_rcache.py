@@ -74,8 +74,9 @@ def _measure(n_buffers: int, enabled: bool):
 
     p = cl.env.process(prog(cl.env))
     cl.env.run(until=p)
-    out["hits"] = ph[0].rcache.hits
-    out["misses"] = ph[0].rcache.misses
+    c = cl.scope(0)  # rank 0 runs only Photon: its cache's counts
+    out["hits"] = c.get("photon.rcache.hits")
+    out["misses"] = c.get("photon.rcache.misses")
     return out
 
 
@@ -86,6 +87,7 @@ def _occupancy_probe(occupancy: int) -> float:
     cl = build_cluster(2, params="ib-fdr")
     ph = photon_init(cl, cfg)
     rcache = ph[0].rcache
+    count = cl.scope(0).get
     bufs = _alloc_gapped(cl[0], occupancy, 4096)
     out = {}
 
@@ -93,12 +95,14 @@ def _occupancy_probe(occupancy: int) -> float:
         for a in bufs:  # cold pass: fill to `occupancy` entries
             mr = yield from rcache.acquire(a, 4096)
             yield from rcache.release(mr)
-        probes0, hits0 = rcache.lookup_probes, rcache.hits
+        probes0 = count("photon.rcache.lookup_probes")
+        hits0 = count("photon.rcache.hits")
         for a in bufs:  # warm pass: every acquire is a hit
             mr = yield from rcache.acquire(a, 4096)
             yield from rcache.release(mr)
-        out["probes_per_hit"] = ((rcache.lookup_probes - probes0)
-                                 / (rcache.hits - hits0))
+        out["probes_per_hit"] = (
+            (count("photon.rcache.lookup_probes") - probes0)
+            / (count("photon.rcache.hits") - hits0))
         out["occupancy"] = rcache.size
 
     p = cl.env.process(prog(cl.env))
@@ -132,8 +136,9 @@ def _eviction_under_load(n_ops: int, capacity: int):
         out["intact"] = all(
             cl[1].memory.read(dst.addr + i * size, size)
             == bytes([i % 251]) * size for i in range(n_ops))
-        out["deferred"] = ph[0].rcache.deferred_evictions
-        out["peak_mb"] = ph[0].rcache.pinned_bytes_peak / 2 ** 20
+        c = cl.scope(0)
+        out["deferred"] = c.get("photon.rcache.deferred_evictions")
+        out["peak_mb"] = c.get("photon.rcache.pinned_bytes_peak") / 2 ** 20
         yield env.timeout(10 ** 9)  # drain spawned releases/deregs
         for ep in ph:
             yield from ep.rcache.flush()

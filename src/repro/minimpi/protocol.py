@@ -600,7 +600,7 @@ class Engine:
         ch.qp.post_recv(RecvWR(wr_id=new_id, addr=slot,
                                length=self.slot_size))
 
-    # ------------------------------------------------------------- telemetry
+    # ------------------------------------------------------------- stats
     def stats(self) -> Dict[str, object]:
         """JSON-serializable engine snapshot (mirrors Endpoint.stats())."""
         return {

@@ -1,14 +1,13 @@
 """Merged observability snapshot + report CLI.
 
-:func:`build_snapshot` folds every telemetry surface the stack exposes
+:func:`build_snapshot` folds every observability surface the stack exposes
 into one JSON-serializable document:
 
-- per rank: the metrics-registry scope (counters/gauges/histograms),
-  ``Endpoint.stats()`` (queues, rings, rcache occupancy),
-  ``Endpoint.telemetry()`` (fault-domain counters, now genuinely
-  per-rank), minimpi ``Engine.stats()`` and runtime transport stats when
-  provided, plus exact per-op latency percentiles computed from span
-  records with :mod:`repro.util.stats`;
+- per rank: the metrics-registry scope (counters/gauges/histograms —
+  the one source of every count), ``Endpoint.stats()`` (queues, rings,
+  in-flight ops, rcache occupancy), minimpi ``Engine.stats()`` and
+  runtime transport stats when provided, plus exact per-op latency
+  percentiles computed from span records with :mod:`repro.util.stats`;
 - cluster-wide: the aggregate counters (summed from the scopes),
   span-ring occupancy, per-link fabric stats.
 
@@ -97,7 +96,6 @@ def build_snapshot(cluster, photons=None, comms=None,
         if photons is not None:
             ep = photons[r] if r < len(photons) else None
             dead |= _rank_section(entry, "photon", ep, "stats")
-            dead |= _rank_section(entry, "telemetry", ep, "telemetry")
             if ep is not None and not getattr(ep, "alive", True):
                 dead = True
         if comms is not None:

@@ -80,11 +80,12 @@ class Photon(PwcMixin, RdmaMixin, MessagingMixin, CollectivesMixin,
         :meth:`unregister_buffer`; returns a PhotonBuffer.
         """
         mr = yield from self.rcache.acquire(addr, size)
+        self.rcache.hold(mr)
         return PhotonBuffer(addr=addr, size=size, rkey=mr.rkey)
 
     def unregister_buffer(self, buf: PhotonBuffer):
-        """Drop the reference taken by :meth:`register_buffer` /
-        :meth:`buffer` and retire the registration (generator).
+        """Drop the reference taken by :meth:`register_buffer` (a
+        :meth:`buffer` holds none) and retire the registration (generator).
 
         The entry is evicted from the cache and deregistered immediately
         once no operation holds a reference to it; if in-flight operations

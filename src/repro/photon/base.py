@@ -993,7 +993,8 @@ class PhotonBase:
                 yield from self._send_credit(peer, name)
 
     def stats(self) -> Dict[str, object]:
-        """Endpoint telemetry snapshot (photon_get_dev_stats analogue).
+        """Endpoint state snapshot (photon_get_dev_stats analogue; the
+        counts are the counters in this rank's metrics scope).
 
         Every key and value is JSON-serializable — ``json.dumps(stats())``
         must always succeed (ledger credits are nested string-keyed dicts,
@@ -1002,6 +1003,7 @@ class PhotonBase:
         return {
             "rank": self.rank,
             "pending_requests": self.requests.pending,
+            "reliable_ops_inflight": len(self._reliable),
             "requests_created": self.requests.total_created,
             "queued_local_cids": len(self.local_cids),
             "queued_remote_cids": len(self.remote_cids),
@@ -1014,32 +1016,6 @@ class PhotonBase:
                 str(peer.rank): {name: ring.available()
                                  for name, ring in peer.remote.items()}
                 for peer in self.peers.values()},
-        }
-
-    def telemetry(self) -> Dict[str, object]:
-        """Fault-domain telemetry: retry/recovery counters + in-flight ops.
-
-        Counters are read from this rank's scope, so every value is
-        genuinely per-rank (cluster-wide totals live in
-        ``cluster.counters`` / ``cluster.metrics.aggregate``).
-        ``reliable_ops_inflight`` is rank-local state, not a counter.
-        """
-        c = self.counters
-        return {
-            "nic.ack_timeouts": c.get("nic.ack_timeouts"),
-            "nic.retransmits": c.get("nic.retransmits"),
-            "nic.retry_exhausted": c.get("nic.retry_exhausted"),
-            "qp.flushes": c.get("qp.flushes"),
-            "qp.reconnects": c.get("qp.reconnects"),
-            "photon.op_retries": c.get("photon.op_retries"),
-            "photon.op_failures": c.get("photon.op_failures"),
-            "photon.dead_peer_fails": c.get("photon.dead_peer_fails"),
-            "photon.dup_drops": c.get("photon.dup_drops"),
-            "photon.entry_resends": c.get("photon.entry_resends"),
-            "photon.entry_rewrites": c.get("photon.entry_rewrites"),
-            "photon.wr_errors": c.get("photon.wr_errors"),
-            "photon.qp_reconnects": c.get("photon.qp_reconnects"),
-            "reliable_ops_inflight": len(self._reliable),
         }
 
     def _wait_until(self, predicate: Callable[[], bool],

@@ -14,7 +14,7 @@ Lifecycle contract (see docs/API.md):
   once the operation's work requests have settled.
 - LRU eviction never deregisters an in-use region: victims with a nonzero
   refcount move to a pending-evict set and are deregistered when the last
-  reference drops (``deferred_evictions``).
+  reference drops (``photon.rcache.deferred_evictions``).
 - With the cache *disabled* every acquire registers and every release
   deregisters — the uncached baseline, now leak-free because releases are
   threaded through every call site.
@@ -29,10 +29,12 @@ with peers and must stay valid — and :meth:`insert` does not merge, so
 overlapping entries are legal and the lookup tolerates them.
 
 Capacity is an entry-count cap (``capacity``), enforced on every
-miss/insert with LRU victim selection.  ``pinned_bytes`` (and its peak,
-which R6 reports) accounts the registered bytes; pending-evict entries
-still hold real pinned memory, so they keep counting until their deferred
-deregistration actually runs.
+miss/insert with LRU victim selection.  ``pinned_bytes`` accounts the
+registered bytes; pending-evict entries still hold real pinned memory,
+so they keep counting until their deferred deregistration actually
+runs.  Every count (the peak R6 reports included) is a
+``photon.rcache.*`` counter in the rank's metrics scope; the cache keeps
+state only (:meth:`occupancy`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from bisect import bisect_right, insort
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.core import SimulationError
 from ..verbs.device import Context, ProtectionDomain
 from ..verbs.enums import Access
 from ..verbs.mr import MemoryRegion
@@ -52,7 +53,7 @@ __all__ = ["RegistrationCache", "CacheEntry", "assert_reg_balance"]
 class CacheEntry:
     """One cached registration with its pin state."""
 
-    __slots__ = ("mr", "refcount", "pinned")
+    __slots__ = ("mr", "refcount", "pinned", "held")
 
     def __init__(self, mr: MemoryRegion, pinned: bool = False):
         self.mr = mr
@@ -60,6 +61,8 @@ class CacheEntry:
         self.refcount = 0
         #: never auto-evicted (bootstrap buffers exposed to peers)
         self.pinned = pinned
+        #: references registered buffers own (dropped by unregister)
+        self.held = 0
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -92,42 +95,28 @@ class RegistrationCache:
         self._loaned: Dict[int, MemoryRegion] = {}
         #: largest live entry length (bounds the lookup's leftward scan)
         self._max_len = 0
-        # telemetry (mirrored into context counters as photon.rcache.*)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.deferred_evictions = 0
-        self.invalid_prunes = 0
-        self.merges = 0
-        self.lookup_probes = 0
         self.pinned_bytes = 0
-        self.pinned_bytes_peak = 0
+        #: high-water guard: ``set_max`` runs only when the peak rises
+        self._pinned_peak = 0
 
-    # ------------------------------------------------------------------ telemetry
+    # ------------------------------------------------------------------ counts
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters.add(f"photon.rcache.{name}", amount)
 
     def _note_pinned(self, delta: int) -> None:
         self.pinned_bytes += delta
-        if self.pinned_bytes > self.pinned_bytes_peak:
-            self.pinned_bytes_peak = self.pinned_bytes
-            # high-water mark: set_max (not add) mirrors into the scope and
-            # the cluster aggregate without direct values[] assignment
+        if self.pinned_bytes > self._pinned_peak:
+            self._pinned_peak = self.pinned_bytes
             self.counters.set_max("photon.rcache.pinned_bytes_peak",
-                                  self.pinned_bytes_peak)
+                                  self._pinned_peak)
 
     # ------------------------------------------------------------------ index
     def _defer(self, entry: CacheEntry) -> None:
-        """Park an evicted-but-referenced entry on the pending list.
-
-        The MR stays registered until the last release, so its bytes go
-        back into ``pinned_bytes`` (undoing :meth:`_drop_entry`'s
-        subtraction) until :meth:`_pending_pop` hands it to dereg.
-        """
+        """Park an evicted-but-referenced entry on the pending list: its
+        MR stays registered, and its bytes pinned, until the last release."""
         self._pending[entry.mr.rkey] = entry
         self._by_rkey[entry.mr.rkey] = entry
         self._note_pinned(entry.mr.length)
-        self.deferred_evictions += 1
         self._count("deferred_evictions")
 
     def _pending_pop(self, rkey: int) -> Optional[CacheEntry]:
@@ -145,13 +134,9 @@ class RegistrationCache:
             # exact-key collision: an entry invalidated behind our back,
             # or a concurrent miss of the same range while our reg was
             # charging pin cost — retire the old entry safely
-            self._drop_entry(old, prune=not old.mr.valid)
-            if old.mr.valid:
-                if old.refcount > 0:
-                    self._defer(old)
-                else:
-                    self.env.process(self._dereg_many([old.mr]),
-                                     name="rcache:dereg")
+            due = self._retire(old, prune=not old.mr.valid)
+            if due is not None:
+                self.env.process(self._dereg_many([due]), name="rcache:dereg")
         self._entries[key] = entry
         insort(self._index, key)
         self._by_rkey[entry.mr.rkey] = entry
@@ -172,9 +157,23 @@ class RegistrationCache:
             del self._by_rkey[entry.mr.rkey]
         self._note_pinned(-entry.mr.length)
         if prune:
-            self.invalid_prunes += 1
             self._count("invalid_prunes")
         return True
+
+    def _retire(self, entry: CacheEntry,
+                prune: bool = False) -> Optional[MemoryRegion]:
+        """The one way a live entry leaves the cache: drop it from the
+        index and LRU, then park it on the pending list while an
+        operation still references it.  Returns the MR now due for
+        deregistration, if any, which the caller deregisters inline or
+        spawns.  A ``prune`` (its MR was deregistered behind the cache's
+        back) is only dropped."""
+        if not self._drop_entry(entry, prune):
+            return None
+        if entry.refcount > 0 and not prune:
+            self._defer(entry)
+            return None
+        return entry.mr if entry.mr.valid else None
 
     def _find_covering(self, addr: int, length: int) -> Optional[CacheEntry]:
         """O(log n) covering lookup (bisect + bounded candidate probes).
@@ -206,7 +205,6 @@ class RegistrationCache:
             if key[0] + self._max_len <= addr:
                 break  # nothing further left can reach addr
             i -= 1
-        self.lookup_probes += probes
         self._count("lookup_probes", probes)
         return hit
 
@@ -223,12 +221,10 @@ class RegistrationCache:
         if self.enabled:
             entry = self._find_covering(addr, length)
             if entry is not None:
-                self.hits += 1
                 self._count("hits")
                 entry.refcount += 1
                 self._entries.move_to_end(entry.key)
                 return entry.mr
-        self.misses += 1
         self._count("misses")
         reg_addr, reg_len = addr, length
         absorbed: List[CacheEntry] = []
@@ -241,11 +237,13 @@ class RegistrationCache:
         entry = CacheEntry(mr)  # absorbed entries are never pinned
         entry.refcount = 1
         for old in absorbed:
-            self.merges += 1
             self._count("merges")
-            yield from self._retire(old)
+            due = self._retire(old)
+            if due is not None:
+                yield from self.context.dereg_mr(due)
         self._index_add(entry)
-        yield from self._enforce_cap()
+        for due in self._evict_over_cap():
+            yield from self.context.dereg_mr(due)
         return mr
 
     def _merge_span(self, addr: int, length: int):
@@ -290,33 +288,20 @@ class RegistrationCache:
             i += 1
         return lo, hi - lo, absorbed
 
-    def _retire(self, entry: CacheEntry):
-        """Remove a live entry; dereg now or defer until refcount zero
-        (generator)."""
-        if not self._drop_entry(entry):
-            return
-        if entry.refcount > 0:
-            self._defer(entry)
-            return
-        if entry.refcount < 0:  # pragma: no cover - defensive
-            raise SimulationError("rcache entry refcount went negative")
-        if entry.mr.valid:
-            yield from self.context.dereg_mr(entry.mr)
-
-    def _lru_victim(self) -> Optional[CacheEntry]:
-        """The least recently used entry that is not pinned, if any."""
-        return next((e for e in self._entries.values() if not e.pinned),
-                    None)
-
-    def _enforce_cap(self):
-        """Evict LRU entries until the entry cap holds (generator)."""
+    def _evict_over_cap(self):
+        """Retire LRU entries until the entry cap holds, yielding each MR
+        due for deregistration as it goes (a plain iterator: the caller
+        deregisters one before the next victim is chosen, or spawns it).
+        Stops early when everything left is pinned."""
         while len(self._entries) > self.capacity:
-            victim = self._lru_victim()
+            victim = next((e for e in self._entries.values() if not e.pinned),
+                          None)
             if victim is None:
-                return  # everything left is pinned; the cap can't be met
-            self.evictions += 1
+                return
             self._count("evictions")
-            yield from self._retire(victim)
+            due = self._retire(victim)
+            if due is not None:
+                yield due
 
     # ------------------------------------------------------------------ insert
     def insert(self, mr: MemoryRegion, pinned: bool = False) -> MemoryRegion:
@@ -326,29 +311,23 @@ class RegistrationCache:
         deregistered by a spawned process so the dereg cost and counters
         land normally).  ``pinned`` entries are never auto-evicted, which
         is what :meth:`Photon.buffer` wants: an exposed buffer's
-        rkey must stay valid for peers.  Returns ``mr``.
+        rkey must stay valid for peers.  The entry holds no reference.
+        Returns ``mr``.
         """
         if not self.enabled:
             self._loaned[mr.rkey] = mr
             return mr
-        entry = CacheEntry(mr, pinned=pinned)
-        self._index_add(entry)
-        while len(self._entries) > self.capacity:
-            victim = self._lru_victim()
-            if victim is None:
-                break
-            self.evictions += 1
-            self._count("evictions")
-            if not self._drop_entry(victim):
-                continue
-            if victim.refcount > 0:
-                self._defer(victim)
-            elif victim.mr.valid:
-                # timed dereg as a spawned process keeps the reg/dereg
-                # counters balanced even on the bootstrap insert path
-                self.env.process(self._dereg_many([victim.mr]),
-                                 name="rcache:dereg")
+        self._index_add(CacheEntry(mr, pinned=pinned))
+        for due in self._evict_over_cap():
+            self.env.process(self._dereg_many([due]), name="rcache:dereg")
         return mr
+
+    def hold(self, mr: MemoryRegion) -> None:
+        """Mark one reference on ``mr`` (taken by :meth:`acquire`) as a
+        registered buffer's own: :meth:`unregister` drops it."""
+        entry = self._by_rkey.get(mr.rkey)
+        if entry is not None:
+            entry.held += 1
 
     # ------------------------------------------------------------------ release
     def _release_bookkeeping(self, mr: MemoryRegion) -> List[MemoryRegion]:
@@ -358,10 +337,7 @@ class RegistrationCache:
             return [loan] if loan.valid else []
         entry = self._by_rkey.get(mr.rkey)
         if entry is None:
-            # not ours (or already flushed): uncached baseline semantics
-            if not self.enabled and mr.valid:
-                return [mr]
-            return []
+            return []  # already flushed
         if entry.refcount > 0:
             entry.refcount -= 1
         if entry.refcount == 0 and entry.mr.rkey in self._pending:
@@ -396,10 +372,11 @@ class RegistrationCache:
     def unregister(self, rkey: int):
         """Evict/deregister the registration with ``rkey`` (generator).
 
-        Backs :meth:`Photon.unregister_buffer`: drops the buffer's own
-        reference (if any), unpins it, and deregisters — immediately when
-        no operation holds it, deferred until the last release otherwise.
-        Returns True if a registration was found.
+        Backs :meth:`Photon.unregister_buffer`: drops the reference the
+        buffer holds (a :meth:`hold`; a :meth:`Photon.buffer` entry holds
+        none), unpins it, and deregisters — immediately when no operation
+        holds it, deferred until the last release otherwise.  Returns
+        True if a registration was found.
         """
         loan = self._loaned.pop(rkey, None)
         if loan is not None:
@@ -407,25 +384,21 @@ class RegistrationCache:
                 yield from self.context.dereg_mr(loan)
             return True
         entry = self._by_rkey.get(rkey)
-        if entry is not None:
-            entry.pinned = False
-            if entry.refcount > 0:
-                entry.refcount -= 1
-            if rkey in self._pending:
-                if entry.refcount == 0:
-                    self._pending_pop(rkey)
-                    if entry.mr.valid:
-                        yield from self.context.dereg_mr(entry.mr)
-                return True
-            yield from self._retire(entry)
-            return True
-        # not tracked (e.g. registered before the cache existed): fall
-        # back to the context's rkey directory so unregister still works
-        mr = self.context._mrs_by_rkey.get(rkey)
-        if mr is not None and mr.valid:
-            yield from self.context.dereg_mr(mr)
-            return True
-        return False
+        if entry is None:
+            return False
+        entry.pinned = False
+        if entry.held:
+            entry.held -= 1
+            entry.refcount -= 1
+        if rkey not in self._pending:
+            due = self._retire(entry)
+        elif entry.refcount == 0:
+            due = self._pending_pop(rkey).mr
+        else:
+            due = None
+        if due is not None and due.valid:
+            yield from self.context.dereg_mr(due)
+        return True
 
     # ------------------------------------------------------------------ admin
     def flush(self):
@@ -474,28 +447,16 @@ class RegistrationCache:
         disabled-mode loans)."""
         return len(self._entries) + len(self._pending) + len(self._loaned)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def occupancy(self) -> Dict[str, object]:
-        """JSON-serializable cache-occupancy/effectiveness snapshot (the
-        ``rcache`` section of ``Endpoint.stats()`` and obs reports)."""
+        """JSON-serializable cache state (the ``rcache`` section of
+        ``Endpoint.stats()`` and obs reports); the counts are the
+        ``photon.rcache.*`` counters in the rank's metrics scope."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "deferred_evictions": self.deferred_evictions,
-            "invalid_prunes": self.invalid_prunes,
-            "merges": self.merges,
-            "hit_rate": self.hit_rate,
             "size": self.size,
             "pending_evictions": self.pending_evictions,
             "held_refs": self.held_refs,
             "live_regs": self.live_regs,
             "pinned_bytes": self.pinned_bytes,
-            "pinned_bytes_peak": self.pinned_bytes_peak,
         }
 
 

@@ -185,7 +185,6 @@ class ActiveMessageEngine:
         self.counters.set_gauge("am.pending", len(self._pending))
         parcel = Parcel(action=aid, src=rt.rank, payload=bytes(payload),
                         cid=cid, flags=AM_REQ)
-        rt.parcels_sent += 1
         self.counters.add("rt.parcels_sent")
         if dst == rt.rank:
             rt._enqueue_local(parcel)
@@ -263,7 +262,6 @@ class ActiveMessageEngine:
             self.counters.add("am.handler_errors")
             flags = AM_ERR
             payload = str(exc).encode()
-        rt.parcels_run += 1
         self.counters.add("rt.parcels_run")
         self.counters.add("am.requests_served")
         served[parcel.cid] = (flags, payload)

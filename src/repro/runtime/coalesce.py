@@ -18,10 +18,9 @@ transport:
 Failure handling is deliberate rather than accidental: when the inner
 transport raises :class:`~repro.runtime.transport.PeerDownError` mid-
 ship (its failure detector has declared the destination dead), the batch
-is **shed** — every parcel it carried is counted in
-``parcels_dropped`` and the ``coalesce.parcels_dropped`` counter, and the
-error propagates to the sender (``flush_stale``, which has no sender,
-swallows it).
+is **shed** — every parcel it carried is counted in the
+``coalesce.parcels_dropped`` counter, and the error propagates to the
+sender (``flush_stale``, which has no sender, swallows it).
 
 The batch wire format is a chain of ``(u32 length, bytes)`` records.
 """
@@ -68,9 +67,6 @@ class CoalescingTransport(Transport):
         self.flush_count = flush_count
         self._open: Dict[int, _Batch] = {}
         self._ready: Deque[bytes] = deque()
-        self.batches_sent = 0
-        self.parcels_batched = 0
-        self.parcels_dropped = 0
 
     # the failure detector gates the wire: this layer keeps no view of it
     def attach_health(self, monitor) -> None:
@@ -92,7 +88,6 @@ class CoalescingTransport(Transport):
         batch.chunks.append(_LEN.pack(len(raw)))
         batch.chunks.append(raw)
         batch.nbytes += framed_len
-        self.parcels_batched += 1
         if (len(batch.chunks) // 2 >= self.flush_count
                 or batch.nbytes >= self.flush_bytes):
             yield from self._ship(dst, "full")
@@ -109,11 +104,9 @@ class CoalescingTransport(Transport):
         except PeerDownError:
             # shed: account for every parcel the batch carried, then let
             # the sender see the same error the inner transport raised
-            n = len(batch.chunks) // 2
-            self.parcels_dropped += n
-            self.counters.add("coalesce.parcels_dropped", n)
+            self.counters.add("coalesce.parcels_dropped",
+                              len(batch.chunks) // 2)
             raise
-        self.batches_sent += 1
         self.counters.add("coalesce.batches_sent")
         self.counters.add("coalesce.ship." + why)
         self.counters.observe("coalesce.open_ns", open_ns)
@@ -180,14 +173,11 @@ class CoalescingTransport(Transport):
         return self._ready.popleft() if self._ready else None
 
     def stats(self) -> Dict[str, object]:
-        """JSON-serializable snapshot layered over the inner transport's."""
-        inner = self.inner.stats()
+        """JSON-serializable state layered over the inner transport's
+        (the counts are ``coalesce.*`` counters in the rank's scope)."""
         return {
             "kind": self.kind,
-            "batches_sent": self.batches_sent,
-            "parcels_batched": self.parcels_batched,
-            "parcels_dropped": self.parcels_dropped,
             "open_batches": len(self._open),
             "ready_parcels": len(self._ready),
-            "inner": inner,
+            "inner": self.inner.stats(),
         }

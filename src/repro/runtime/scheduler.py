@@ -43,8 +43,6 @@ class Runtime:
         self.registry = registry
         self.counters = counters or Counters()
         self._local: Deque[Parcel] = deque()
-        self.parcels_sent = 0
-        self.parcels_run = 0
         #: active-message engine (attach via :meth:`enable_am`); None
         #: keeps the plain-parcel fast path byte-identical
         self.am = None
@@ -69,7 +67,6 @@ class Runtime:
         """Send a parcel (generator).  Local sends skip the wire."""
         parcel = Parcel(action=self.registry.id_of(action), src=self.rank,
                         payload=bytes(payload))
-        self.parcels_sent += 1
         self.counters.add("rt.parcels_sent")
         if dst == self.rank:
             self._enqueue_local(parcel)
@@ -99,7 +96,6 @@ class Runtime:
         result = handler(self, parcel.src, parcel.payload)
         if inspect.isgenerator(result):
             yield from result
-        self.parcels_run += 1
         self.counters.add("rt.parcels_run")
 
     def _run_parcel(self, parcel: Parcel):
@@ -145,8 +141,10 @@ class Runtime:
                                       predicate, timeout_ns, self._next_due))
 
     def process_n(self, count: int, timeout_ns: Optional[int] = None):
-        """Pump until ``count`` parcels have run on this rank (generator)."""
-        target = self.parcels_run + count
+        """Pump until ``count`` more parcels have run on this rank
+        (``rt.parcels_run`` in its counter scope; generator)."""
+        ran = self.counters.get
+        target = ran("rt.parcels_run") + count
         ok = yield from self.process_until(
-            lambda: self.parcels_run >= target, timeout_ns)
+            lambda: ran("rt.parcels_run") >= target, timeout_ns)
         return ok

@@ -28,6 +28,11 @@ def make(flush_bytes=4096, flush_count=16):
     return cl, tps
 
 
+def sent(cl, rank=0):
+    """Batches ``rank``'s coalescer shipped (its scope's counter)."""
+    return cl.scope(rank).get("coalesce.batches_sent")
+
+
 def pump(cl, tps, n, sender_gen):
     got = []
 
@@ -54,7 +59,7 @@ def test_batch_flushes_at_count_threshold():
 
     got = pump(cl, tps, 8, sender)
     assert [g[0] for g in got] == list(range(8))
-    assert tps[0].batches_sent == 2  # 8 parcels / 4 per batch
+    assert sent(cl) == 2  # 8 parcels / 4 per batch
 
 
 def test_batch_flushes_at_byte_threshold():
@@ -67,7 +72,7 @@ def test_batch_flushes_at_byte_threshold():
 
     got = pump(cl, tps, 10, sender)
     assert len(got) == 10
-    assert tps[0].batches_sent >= 4  # ~2 x 104B per 256B batch
+    assert sent(cl) >= 4  # ~2 x 104B per 256B batch
 
 
 def test_stale_batch_flushes_on_poll():
@@ -96,7 +101,7 @@ def test_explicit_flush():
 
     got = pump(cl, tps, 2, sender)
     assert got == [b"a", b"bb"]
-    assert tps[0].batches_sent == 1
+    assert sent(cl) == 1
 
 
 def test_oversized_parcel_ships_alone():
@@ -143,7 +148,7 @@ def test_runtime_over_coalescing_transport():
     cl.env.run(until=cl.env.all_of([p0, p1]))
     assert seen == list(range(24))
     # fewer wire messages than parcels
-    assert rts[0].transport.batches_sent < 24
+    assert sent(cl) < 24
 
 
 def test_coalescing_improves_small_parcel_rate():
@@ -219,8 +224,7 @@ def test_batch_shed_on_peer_down_is_accounted():
             yield from tp.send(1, b"d" * 16)  # 4th parcel trips _ship
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
-    assert tp.parcels_dropped == 4
-    assert cl.counters.get("coalesce.parcels_dropped") == 4
+    assert cl.scope(0).get("coalesce.parcels_dropped") == 4
     assert not tp._open  # nothing silently retained either
 
 
@@ -240,8 +244,7 @@ def test_stale_flush_swallows_peer_down():
         assert raw is None
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
-    assert tp.parcels_dropped == 1
-    assert cl.counters.get("coalesce.parcels_dropped") == 1
+    assert cl.scope(0).get("coalesce.parcels_dropped") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,8 @@ def test_no_rank_parks_on_an_open_batch(coalescers, scenario):
         # a busy rank still batches: the flood's batches fill by count,
         # as many of them and as many wire messages as before the idle
         # flush existed
-        assert [tp.batches_sent for tp in coalescers.built] == [19, 19]
+        assert [tp.counters.get("coalesce.batches_sent")
+                for tp in coalescers.built] == [19, 19]
         assert out["wire"] == 40
     assert len(coalescers.parks) > 10
     assert [p for p in coalescers.parks if p[2]] == []
@@ -342,6 +346,6 @@ def test_idle_flush_counts_every_shed_parcel_once():
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
     assert len(ships) == 1
-    assert tp.parcels_dropped == 2 and not tp._open
-    assert cl.counters.get("coalesce.parcels_dropped") == 2
+    assert not tp._open
+    assert cl.scope(0).get("coalesce.parcels_dropped") == 2
     assert cl.counters.get("coalesce.batches_sent") == 0

@@ -218,9 +218,10 @@ def test_put_pwc_recovers_from_real_loss():
     assert cl.counters.get("link.drops") > 0
     assert cl.counters.get("photon.op_retries") > 0
     assert cl.counters.get("photon.op_failures") == 0
-    tele = ph[0].telemetry()
-    assert tele["photon.op_retries"] == cl.counters.get("photon.op_retries")
-    assert tele["reliable_ops_inflight"] == 0
+    # the sender's scope holds every retry; no reliable op is left
+    assert (cl.scope(0).get("photon.op_retries")
+            == cl.counters.get("photon.op_retries"))
+    assert ph[0].stats()["reliable_ops_inflight"] == 0
 
 
 def test_retry_exhaustion_surfaces_error_not_hang():
@@ -476,7 +477,7 @@ def test_qp_reconnect_under_rapid_flaps():
         [FlapLink(20_000, "up0", period_ns=120_000, duty=0.5,
                   duration_ns=1_200_000)]))
     ctrl.arm()
-    hits_before = ph[0].rcache.hits
+    hits_before = cl.scope(0).get("photon.rcache.hits")
 
     def prog(env):
         for i in range(6):
@@ -495,7 +496,7 @@ def test_qp_reconnect_under_rapid_flaps():
     assert cl.counters.get("photon.qp_reconnects") >= 1
     assert cl.counters.get("qp.reconnects") >= 1
     # the cached src registration served every put after the first
-    assert ph[0].rcache.hits - hits_before >= 5
+    assert cl.scope(0).get("photon.rcache.hits") - hits_before >= 5
     cl.env.run(until=2_000_000)
     assert cl.topology.link("up0").chaos is None
 

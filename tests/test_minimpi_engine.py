@@ -115,10 +115,11 @@ def test_rendezvous_uses_rcache():
     p0 = cl.env.process(tx(cl.env))
     p1 = cl.env.process(rx(cl.env))
     cl.env.run(until=cl.env.all_of([p0, p1]))
-    # sender registered once, hit twice; receiver likewise
-    assert comms[0].engine.rcache.misses == 1
-    assert comms[0].engine.rcache.hits == 2
-    assert comms[1].engine.rcache.hits == 2
+    # sender registered once, hit twice; receiver likewise (each rank's
+    # cache counts into its own scope)
+    assert cl.scope(0).get("photon.rcache.misses") == 1
+    assert cl.scope(0).get("photon.rcache.hits") == 2
+    assert cl.scope(1).get("photon.rcache.hits") == 2
 
 
 def test_unknown_peer_rejected():

@@ -140,7 +140,8 @@ def test_stats_snapshot():
     s = ph[0].stats()
     assert s["rank"] == 0
     assert "1" in s["outstanding_by_peer"]
-    assert 0.0 <= s["rcache"]["hit_rate"] <= 1.0
+    assert s["rcache"]["held_refs"] >= 0
+    assert s["reliable_ops_inflight"] >= 0
     assert all(v >= 0
                for rings in s["ledger_credits"].values()
                for v in rings.values())

@@ -28,6 +28,12 @@ def alloc_gapped(node, n, size=4096):
     return addrs
 
 
+def count(cl, name):
+    """A ``photon.rcache.*`` counter in rank 0's scope, where the cache
+    under test counts."""
+    return cl.scope(0).get(f"photon.rcache.{name}")
+
+
 def run(cl, gen):
     p = cl.env.process(gen)
     return cl.env.run(until=p)
@@ -50,7 +56,7 @@ def test_miss_then_hit():
     assert mr1 is mr2
     assert t_miss > 0
     assert t_hit == 0
-    assert cache.hits == 1 and cache.misses == 1
+    assert count(cl, "hits") == 1 and count(cl, "misses") == 1
 
 
 def test_subrange_hits_covering_registration():
@@ -64,7 +70,7 @@ def test_subrange_hits_covering_registration():
 
     mr = run(cl, prog(cl.env))
     assert mr.covers(addr + 1000, 512)
-    assert cache.hits == 1
+    assert count(cl, "hits") == 1
 
 
 def test_lru_eviction_deregisters():
@@ -78,7 +84,7 @@ def test_lru_eviction_deregisters():
 
     run(cl, prog(cl.env))
     assert cache.size == 2
-    assert cache.evictions == 1
+    assert count(cl, "evictions") == 1
     assert cl.counters.get("verbs.dereg_mr") == 1
 
 
@@ -93,8 +99,8 @@ def test_lru_order_respects_recency():
 
     run(cl, prog(cl.env))
     # a stayed cached: 2 hits (refresh + final); b/c one miss each
-    assert cache.hits == 2
-    assert cache.misses == 3
+    assert count(cl, "hits") == 2
+    assert count(cl, "misses") == 3
 
 
 def test_merge_adjacent_registrations():
@@ -116,9 +122,9 @@ def test_merge_adjacent_registrations():
 
     mr2, mr3 = run(cl, prog(cl.env))
     assert cache.size == 1
-    assert cache.merges == 1
+    assert count(cl, "merges") == 1
     assert mr2 is mr3 and mr2.covers(a, 8192)
-    assert cache.hits == 1 and cache.misses == 2
+    assert count(cl, "hits") == 1 and count(cl, "misses") == 2
 
 
 def test_eviction_defers_while_referenced():
@@ -132,7 +138,7 @@ def test_eviction_defers_while_referenced():
         yield from cache.acquire(b, 4096)         # evicts a -> deferred
         assert mr_a.valid, "evicted a referenced MR"
         assert cache.pending_evictions == 1
-        assert cache.deferred_evictions == 1
+        assert count(cl, "deferred_evictions") == 1
         assert cl.counters.get("verbs.dereg_mr") == 0
         yield from cache.release(mr_a)            # last ref: dereg now
         return mr_a
@@ -159,8 +165,8 @@ def test_prune_invalid_entries():
 
     mr2 = run(cl, prog(cl.env))
     assert mr2.valid
-    assert cache.invalid_prunes == 1
-    assert cache.hits == 0 and cache.misses == 2
+    assert count(cl, "invalid_prunes") == 1
+    assert count(cl, "hits") == 0 and count(cl, "misses") == 2
     assert cache.size == 1
 
 
@@ -180,7 +186,7 @@ def test_disabled_cache_registers_every_time():
     assert mr1 is not mr2
     assert not mr1.valid  # released = deregistered
     assert cost2 > 0
-    assert cache.hits == 0 and cache.misses == 2
+    assert count(cl, "hits") == 0 and count(cl, "misses") == 2
 
 
 def test_release_with_cache_enabled_keeps_registration():
@@ -222,9 +228,10 @@ def test_insert_enforces_caps():
     cache.insert(mrs[1])
     cache.insert(mrs[2])
     assert cache.size == 2
-    assert cache.evictions == 1
+    assert count(cl, "evictions") == 1
     assert mrs[0].valid, "pinned entry must never be evicted"
-    # the spawned dereg for the victim needs the clock to run
+    # the victim's dereg is a spawned, timed process: nothing ran yet
+    assert mrs[1].valid and cl.counters.get("verbs.dereg_mr") == 0
     cl.env.run(until=10_000_000)
     assert not mrs[1].valid
     assert_reg_balance(cl.counters, [cl[i].context for i in range(cl.n)])
@@ -297,7 +304,7 @@ def test_merge_never_absorbs_pinned_entry():
     assert mr is not mr_pinned
     assert mr_pinned.valid, "merge absorbed a pinned entry"
     assert node.context._mrs_by_rkey.get(mr_pinned.rkey) is mr_pinned
-    assert cache.merges == 0
+    assert count(cl, "merges") == 0
     assert cache.size == 2
 
     # the pinned range is still a hit after the adjacent registration
@@ -328,7 +335,7 @@ def test_lookup_tolerates_overlapping_entries():
 
     mr = run(cl, prog(cl.env))
     assert mr is big, "covering entry missed behind an overlapping one"
-    assert cache.hits == 1 and cache.misses == 0
+    assert count(cl, "hits") == 1 and count(cl, "misses") == 0
 
 
 def test_pending_eviction_counts_pinned_bytes():
@@ -350,8 +357,7 @@ def test_pending_eviction_counts_pinned_bytes():
 
     run(cl, prog(cl.env))
     assert cache.pinned_bytes == 4096  # b still cached warm
-    assert cache.pinned_bytes_peak == 8192
-    assert cl.scope(0).get("photon.rcache.pinned_bytes_peak") == 8192
+    assert count(cl, "pinned_bytes_peak") == 8192
 
 
 def test_pinned_buffer_rkey_survives_adjacent_registration():
@@ -387,7 +393,10 @@ def test_pinned_buffer_rkey_survives_adjacent_registration():
     assert cl[1].memory.read(dst.addr, len(payload)) == payload
 
 
-def test_hit_rate_property():
+def test_hit_share_reads_the_scope_counters():
+    """The cache keeps no copy of its counts: the hit share is read from
+    the rank's ``photon.rcache.*`` counters, and ``occupancy()`` is
+    state only."""
     cl, node, cache = setup()
     addr = node.memory.alloc(4096)
 
@@ -396,7 +405,11 @@ def test_hit_rate_property():
             yield from cache.acquire(addr, 4096)
 
     run(cl, prog(cl.env))
-    assert cache.hit_rate == pytest.approx(0.75)
+    hits, misses = count(cl, "hits"), count(cl, "misses")
+    assert hits / (hits + misses) == pytest.approx(0.75)
+    assert cache.occupancy() == {"size": 1, "pending_evictions": 0,
+                                 "held_refs": 4, "live_regs": 1,
+                                 "pinned_bytes": 4096}
 
 
 def test_invalid_capacity_rejected():
@@ -404,3 +417,57 @@ def test_invalid_capacity_rejected():
     pd = cl[0].context.alloc_pd()
     with pytest.raises(ValueError):
         RegistrationCache(cl[0].context, pd, capacity=0)
+
+
+def test_unregister_leaves_an_inflight_put_its_reference():
+    """Regression: a ``buffer()`` entry holds no reference of its own, so
+    unregistering it under an in-flight request-tracked put must not take
+    the put's reference.  The MR stays valid until the put settles and is
+    deregistered after the put's release."""
+    cl = build_cluster(2)
+    ph = photon_init(cl, PhotonConfig())
+    src = ph[0].buffer(4096)
+    dst = ph[1].buffer(4096)
+    mr = ph[0].context._mrs_by_rkey[src.rkey]
+    payload = b"in-flight" * 16
+    cl[0].memory.write(src.addr, payload)
+    deregs = cl.counters.get("verbs.dereg_mr")
+
+    def prog(env):
+        rid = yield from ph[0].post_os_put(1, src.addr, len(payload),
+                                           dst.addr, dst.rkey)
+        yield from ph[0].unregister_buffer(src)
+        assert not ph[0].test(rid)
+        assert mr.valid, "unregister took the in-flight put's reference"
+        assert ph[0].rcache.pending_evictions == 1
+        ok = yield from ph[0].wait(rid)
+        assert ok and not ph[0].request_info(rid).failed
+        yield env.timeout(1_000_000)  # the released MR's spawned dereg
+
+    run(cl, prog(cl.env))
+    assert not mr.valid
+    assert cl.counters.get("verbs.dereg_mr") == deregs + 1
+    assert ph[0].rcache.live_regs == ph[0].rcache.held_refs == 0
+    assert cl[1].memory.read(dst.addr, len(payload)) == payload
+    assert_reg_balance(cl.counters, [cl[i].context for i in range(cl.n)])
+
+
+def test_unregistering_a_subrange_of_a_buffer_drops_its_own_reference():
+    """``register_buffer`` over part of a ``buffer()`` hits the pinned
+    entry and holds one reference there; unregistering it drops exactly
+    that reference and retires the registration, leaking none."""
+    cl = build_cluster(2)
+    ph = photon_init(cl, PhotonConfig())
+    buf = ph[0].buffer(8192)
+
+    def prog(env):
+        sub = yield from ph[0].register_buffer(buf.addr + 1024, 2048)
+        assert sub.rkey == buf.rkey
+        assert ph[0].rcache.held_refs == 1
+        yield from ph[0].unregister_buffer(sub)
+
+    run(cl, prog(cl.env))
+    cache = ph[0].rcache
+    assert cache.held_refs == 0 and cache.pending_evictions == 0
+    assert buf.rkey not in ph[0].context._mrs_by_rkey
+    assert_reg_balance(cl.counters, [cl[i].context for i in range(cl.n)])
