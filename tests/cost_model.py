@@ -61,6 +61,28 @@ CQE:
     ack_overhead  NicParams.ack_overhead_ns       the ack's NIC cost
     poll          PhotonConfig.progress_poll_ns   the probe that sees it
     cqe           NicParams.cqe_poll_ns           reaping the send CQE
+
+minimpi send/recv ping-pong (``bench.microbench.pingpong_mpi``, R1's
+``mpi send/recv`` column) at R1's sizes is the eager protocol (every
+size is at or below ``MPIConfig.eager_threshold``): the payload is
+copied behind a 48 B header into a send bounce slot and SENT, lands in a
+preposted receive bounce slot, and the receiver's progress pass matches
+it against the posted receive and copies it out:
+
+    sw_send       minimpi SW_OVERHEAD_NS          isend's software stack
+    copy_in       memcpy of header + payload into the bounce slot
+    post … wire   as the put, over header + payload (never inline: the
+                  SEND is DMA-fetched from the bounce slot)
+    delivery      NicParams.delivery_ns           placement + the recv CQE
+    poll          minimpi PROGRESS_POLL_NS        the pass that sees it
+    cqe           NicParams.cqe_poll_ns           reaping the recv CQE
+    sw_recv       minimpi SW_OVERHEAD_NS          the inbound message's
+    copy_out      memcpy of the payload out of the bounce slot
+
+The receive is posted long before the message lands (its ``irecv``
+overhead is off the critical path), and the sender's wait for its own
+send CQE overlaps the receiver's work.  ``sw_send`` and ``sw_recv`` are
+one constant, so dropping either one is the same prediction.
 """
 
 from __future__ import annotations
@@ -72,6 +94,7 @@ from typing import Dict, List, Tuple
 from repro.fabric.nic import CTRL_BYTES
 from repro.fabric.params import FabricParams, preset
 from repro.fabric.topology import Star
+from repro.minimpi import protocol as mpi_protocol
 from repro.photon.config import PhotonConfig
 from repro.photon.wire import EAGER_HEADER_SIZE
 from repro.util.units import serialization_ns
@@ -202,11 +225,39 @@ def os_put_terms(params: FabricParams, size: int,
     return terms
 
 
-#: the closed form of each ``pingpong_photon`` mode it covers (for
-#: "put", the whole origin-observed completion, not half a round trip)
+def mpi_eager_half_rtt_terms(params: FabricParams, size: int,
+                             dma: bool = True) -> Dict[str, int]:
+    """The named terms of one minimpi eager send/recv ping-pong half
+    round trip."""
+    nic = params.nic
+    sw = mpi_protocol.SW_OVERHEAD_NS
+    wire_bytes = mpi_protocol.HDR.size + size
+    bulk = nic.bulk_threshold is not None and wire_bytes > nic.bulk_threshold
+    dma_fetch, lands = landings(params, wire_bytes, False, dma)
+    return {
+        "sw_send": sw,
+        "copy_in": _memcpy_ns(params, wire_bytes),
+        "post": nic.post_overhead_ns,
+        "doorbell": nic.doorbell_ns,
+        "wqe": nic.wqe_process_ns,
+        "bulk_startup": nic.bulk_startup_ns if bulk else 0,
+        "dma_fetch": dma_fetch,
+        "wire": lands[-1] - dma_fetch,
+        "delivery": nic.delivery_ns,
+        "poll": mpi_protocol.PROGRESS_POLL_NS,
+        "cqe": nic.cqe_poll_ns,
+        "sw_recv": sw,
+        "copy_out": _memcpy_ns(params, size),
+    }
+
+
+#: the closed form of each ping-pong it covers: ``pingpong_photon``'s
+#: modes ("put" is the whole origin-observed completion, not half a
+#: round trip) and ``pingpong_mpi`` ("mpi")
 HALF_RTT_TERMS = {"pwc": pwc_put_half_rtt_terms,
                   "send": pwc_send_half_rtt_terms,
-                  "put": os_put_terms}
+                  "put": os_put_terms,
+                  "mpi": mpi_eager_half_rtt_terms}
 
 
 def half_rtt_ns(params: FabricParams, size: int, mode: str = "pwc") -> int:
