@@ -53,6 +53,54 @@ def test_design_index_names_only_modules_that_exist():
     assert not missing, missing
 
 
+def _repro_classes():
+    """``{name: [class, ...]}`` over every class defined under
+    ``src/repro``."""
+    import pkgutil
+
+    import repro
+
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == info.name:
+                classes.setdefault(name, []).append(cls)
+    return classes
+
+
+def _has_attr(cls, attr):
+    """A class, slot, dataclass field or ``self.attr =`` of ``cls`` or a
+    base under ``src/repro``."""
+    if hasattr(cls, attr):
+        return True
+    for base in cls.__mro__:
+        if not base.__module__.startswith("repro"):
+            continue
+        if attr in getattr(base, "__slots__", ()):
+            return True
+        if re.search(rf"\bself\.{attr}\s*[:=]", inspect.getsource(base)):
+            return True
+    return False
+
+
+def test_api_md_names_only_attributes_that_exist():
+    """Every backticked ``Class.attr`` in docs/API.md names a class under
+    ``src/repro`` and an attribute it has (a method, property, field or
+    instance attribute), so a deleted accessor cannot stay documented."""
+    text = open(os.path.join("docs", "API.md")).read()
+    classes = _repro_classes()
+    bad = []
+    for name, attr in re.findall(r"`([A-Z]\w*)\.([A-Za-z_]\w*)", text):
+        if attr in ("md", "py", "json"):
+            continue  # a file name, not a class
+        if not any(_has_attr(cls, attr) for cls in classes.get(name, ())):
+            bad.append(f"{name}.{attr}")
+    assert not bad, bad
+
+
 def _marked_blocks(text):
     """``[(exp_id, block)]`` of the marked blocks, in file order."""
     marks = list(_MARKER.finditer(text))
@@ -536,7 +584,10 @@ def test_deleted_modes_stay_deleted():
     serve loop, and a RaftNode has no serializer hook.  So was the
     kernel's Timeout freelist: every Timeout is a fresh allocation.  So
     were Photon's typed wait result (every wait returns a bool) and the
-    request fields nothing read: its kind enum and post time."""
+    request fields nothing read: its kind enum and post time.  So were
+    the attribute copies of counts the rank's metrics scope keeps (the
+    registration cache's, the runtime's, the coalescer's) and
+    ``Photon.telemetry()``: every count is a counter, kept once."""
     pattern = re.compile(r"requeue_on_peer_down|on_exhausted|rcache_merge"
                          r"|max_pinned_bytes|\bInterrupt\b|_loopback"
                          r"|_active_process|CreditExhaustedError"
@@ -546,7 +597,12 @@ def test_deleted_modes_stay_deleted():
                          r"|snapshot_fn|_snap_seen"
                          r"|timeout\(SNAPSHOT_COST_NS\)"
                          r"|getrefcount|_timeout_freelist|_FREELIST_MAX"
-                         r"|TimeoutStatus|RequestKind|t_posted")
+                         r"|TimeoutStatus|RequestKind|t_posted"
+                         r"|def telemetry|hit_rate|parcels_batched"
+                         r"|\.(hits|misses|evictions|deferred_evictions"
+                         r"|invalid_prunes|merges|lookup_probes"
+                         r"|parcels_sent|parcels_run|batches_sent"
+                         r"|parcels_dropped) *(\+=|= *0\b)")
     bad = [path for path in _py_files("src")
            if pattern.search(open(path).read())]
     assert not bad, bad
