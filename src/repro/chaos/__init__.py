@@ -15,8 +15,8 @@ monotonic membership) lives in :mod:`repro.runtime.health`; chaos
 *injects* faults, health *observes* them, and the two only meet through
 the fabric.
 
-Run ``python -m repro.chaos`` for the canned crash/restart scenario
-(R19) plus invariant checking and JSONL trace export — the CI
+``python -m repro.obs.report chaos`` runs the canned crash/restart
+scenario (R19) with invariant checking and JSONL trace export — the CI
 chaos-smoke entry point.
 """
 

@@ -74,7 +74,6 @@ class ChaosController:
         self.monitors = monitors
         self.kv = kv
         self.env = cluster.env
-        self.tracer = cluster.tracer
         #: fabric-scoped: fault injection is infrastructure, not rank work
         self.counters = cluster.metrics.fabric
         #: (t_applied_ns, event) log — the ground truth for experiments
@@ -111,13 +110,13 @@ class ChaosController:
         elif isinstance(ev, PartitionEvent):
             self.cluster.topology.partition(ev.group_a, ev.group_b)
             self.counters.add("chaos.partitions")
-            self.tracer.log(self.env.now, "chaos.partition",
-                            group_a=tuple(ev.group_a),
-                            group_b=tuple(ev.group_b))
+            self.counters.log(self.env.now, "chaos.partition",
+                              group_a=tuple(ev.group_a),
+                              group_b=tuple(ev.group_b))
         elif isinstance(ev, HealEvent):
             self.cluster.topology.heal(ev.group_a, ev.group_b)
             self.counters.add("chaos.heals")
-            self.tracer.log(self.env.now, "chaos.heal")
+            self.counters.log(self.env.now, "chaos.heal")
         elif isinstance(ev, GrayLink):
             self._gray(ev)
         elif isinstance(ev, FlapLink):
@@ -125,7 +124,7 @@ class ChaosController:
         elif isinstance(ev, ClearLink):
             self.cluster.topology.link(ev.link).arm_chaos(None)
             self.counters.add("chaos.clears")
-            self.tracer.log(self.env.now, "chaos.clear", link=ev.link)
+            self.counters.log(self.env.now, "chaos.clear", link=ev.link)
         else:  # pragma: no cover - schedule validation prevents this
             raise SimulationError(f"unknown chaos event {ev!r}")
 
@@ -142,7 +141,7 @@ class ChaosController:
         if self.kv is not None:
             self.kv[rank].on_crash()
         self.counters.add("chaos.crashes")
-        self.tracer.log(self.env.now, "chaos.crash", rank=rank)
+        self.counters.log(self.env.now, "chaos.crash", rank=rank)
 
     def _restart(self, rank: int):
         if rank not in self._crashed:
@@ -157,7 +156,7 @@ class ChaosController:
             self.kv[rank].reseed()
         self._crashed.discard(rank)
         self.counters.add("chaos.restarts")
-        self.tracer.log(self.env.now, "chaos.restart", rank=rank)
+        self.counters.log(self.env.now, "chaos.restart", rank=rank)
 
     # ---------------------------------------------------------------- links
     def _gray(self, ev: GrayLink) -> None:
@@ -168,9 +167,9 @@ class ChaosController:
                                  bw_scale=ev.bw_scale,
                                  jitter_ns=ev.jitter_ns, rng=rng))
         self.counters.add("chaos.grays")
-        self.tracer.log(self.env.now, "chaos.gray", link=ev.link,
-                        latency_add_ns=ev.latency_add_ns,
-                        bw_scale=ev.bw_scale, jitter_ns=ev.jitter_ns)
+        self.counters.log(self.env.now, "chaos.gray", link=ev.link,
+                          latency_add_ns=ev.latency_add_ns,
+                          bw_scale=ev.bw_scale, jitter_ns=ev.jitter_ns)
         if ev.duration_ns:
             self.env.process(self._clear_after(ev.link, ev.duration_ns),
                              name=f"chaos:clear-{ev.link}")
@@ -179,15 +178,15 @@ class ChaosController:
         yield self.env.timeout(duration_ns)
         self.cluster.topology.link(link_name).arm_chaos(None)
         self.counters.add("chaos.clears")
-        self.tracer.log(self.env.now, "chaos.clear", link=link_name)
+        self.counters.log(self.env.now, "chaos.clear", link=link_name)
 
     def _flap(self, ev: FlapLink):
         link = self.cluster.topology.link(ev.link)
         rng = self._streams.stream(f"flap.{ev.link}")
         link.arm_chaos(LinkChaos(up=False))
         self.counters.add("chaos.flaps")
-        self.tracer.log(self.env.now, "chaos.flap", link=ev.link,
-                        period_ns=ev.period_ns, duty=ev.duty)
+        self.counters.log(self.env.now, "chaos.flap", link=ev.link,
+                          period_ns=ev.period_ns, duty=ev.duty)
         deadline = (self.env.now + ev.duration_ns
                     if ev.duration_ns else None)
         up_ns = max(1, int(ev.period_ns * ev.duty))
@@ -207,4 +206,4 @@ class ChaosController:
             link.arm_chaos(LinkChaos(up=False))
             self.counters.add("chaos.flap_downs")
         link.arm_chaos(None)
-        self.tracer.log(self.env.now, "chaos.clear", link=ev.link)
+        self.counters.log(self.env.now, "chaos.clear", link=ev.link)

@@ -17,7 +17,6 @@ from .fabric.topology import Topology, make_topology
 from .obs.registry import MetricsRegistry
 from .sim.core import Environment
 from .sim.rng import RngRegistry
-from .sim.trace import Tracer
 from .util.units import MiB
 from .verbs.device import Context, Directory
 
@@ -39,16 +38,16 @@ class Cluster:
 
     def __init__(self, env: Environment, params: FabricParams,
                  topology: Topology, ranks: List[RankNode],
-                 directory: Directory, tracer: Tracer, rng: RngRegistry,
+                 directory: Directory, rng: RngRegistry,
                  metrics: MetricsRegistry):
         self.env = env
         self.params = params
         self.topology = topology
         self.ranks = ranks
         self.directory = directory
-        self.tracer = tracer
         self.rng = rng
-        #: per-rank metrics registry (scoped counters, histograms, spans)
+        #: per-rank metrics registry (scoped counters, histograms, spans,
+        #: trace records)
         self.metrics = metrics
         #: cluster-wide counters: a read-only view summing the scopes
         self.counters = metrics.aggregate
@@ -82,6 +81,9 @@ def build_cluster(n: int,
         ``"eth-10g"``) or a :class:`FabricParams` instance.
     topology:
         Override the preset's topology ("star" or "torus2d").
+    trace:
+        Record NIC, chaos and health events in the metrics registry's
+        trace ring (host-side only, like spans).
     spans:
         Record per-op latency spans in the metrics registry (host-side
         only; cannot perturb simulated time).
@@ -94,8 +96,7 @@ def build_cluster(n: int,
         params = params.with_overrides(**overrides)
     env = Environment()
     # every component counts in its rank's scope (or the fabric's)
-    metrics = MetricsRegistry(n, spans_enabled=spans)
-    tracer = Tracer(enabled=trace)
+    metrics = MetricsRegistry(n, spans_enabled=spans, trace_enabled=trace)
     rng = RngRegistry(seed)
     topo = make_topology(topology or params.topology, env, n,
                          params.link, metrics.fabric, rng=rng)
@@ -104,7 +105,7 @@ def build_cluster(n: int,
     for r in range(n):
         scope = metrics.scope(r)
         memory = Memory(mem_size, params.host, rank=r)
-        nic = Nic(env, r, params, memory, topo, scope, tracer)
+        nic = Nic(env, r, params, memory, topo, scope)
         context = Context(env, r, nic, memory, params, directory, scope)
         ranks.append(RankNode(rank=r, memory=memory, nic=nic, context=context))
-    return Cluster(env, params, topo, ranks, directory, tracer, rng, metrics)
+    return Cluster(env, params, topo, ranks, directory, rng, metrics)

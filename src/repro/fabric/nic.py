@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..sim.core import Environment
 from ..sim.resources import Store
-from ..sim.trace import Counters, Tracer
+from ..sim.trace import Counters
 from ..util.units import serialization_ns
 from .link import Chunk
 from .memory import Memory
@@ -172,8 +172,8 @@ class _Arq:
         if self.attempt == nic.params.nic.transport_retries:
             nic.counters.add("nic.retry_exhausted")
             self._finish("exhausted")
-            nic.tracer.log(nic.env.now, "nic.retry_exhausted", src=nic.rank,
-                           dst=msg.dst, kind=msg.kind, nbytes=msg.nbytes)
+            nic.counters.log(nic.env.now, "nic.retry_exhausted", src=nic.rank,
+                             dst=msg.dst, kind=msg.kind, nbytes=msg.nbytes)
             if msg.on_error is not None:
                 msg.on_error()
             return
@@ -243,15 +243,13 @@ class Nic:
 
     def __init__(self, env: Environment, rank: int, params: FabricParams,
                  memory: Memory, topology: Topology,
-                 counters: Optional[Counters] = None,
-                 tracer: Optional[Tracer] = None):
+                 counters: Optional[Counters] = None):
         self.env = env
         self.rank = rank
         self.params = params
         self.memory = memory
         self.topology = topology
         self.counters = counters or Counters()
-        self.tracer = tracer or Tracer()
         #: fault injection was armed at build time: lossy-mode bookkeeping
         #: (offsets, ARQ records) stays on if the drop rate later falls to 0
         self._fault_armed = params.link.drop_rate > 0.0
@@ -297,12 +295,12 @@ class Nic:
                 arq.timer = None
         self._arqs.clear()
         self.counters.add("nic.power_off")
-        self.tracer.log(self.env.now, "nic.power_off", rank=self.rank)
+        self.counters.log(self.env.now, "nic.power_off", rank=self.rank)
 
     def power_on(self) -> None:
         self.down = False
         self.counters.add("nic.power_on")
-        self.tracer.log(self.env.now, "nic.power_on", rank=self.rank)
+        self.counters.log(self.env.now, "nic.power_on", rank=self.rank)
 
     # ------------------------------------------------------------------ egress
     def transmit(self, msg: WireMsg, doorbell_ns: int = 0) -> None:
@@ -448,8 +446,8 @@ class Nic:
             # end-to-end recovery runs beside the engine so one un-acked
             # message never serialises the whole send pipeline
             msg.ack_event = _Arq(self, msg, chunks)
-        self.tracer.log(self.env.now, "nic.tx", src=self.rank, dst=msg.dst,
-                        kind=msg.kind, nbytes=msg.nbytes)
+        self.counters.log(self.env.now, "nic.tx", src=self.rank, dst=msg.dst,
+                          kind=msg.kind, nbytes=msg.nbytes)
 
     # ------------------------------------------------------------------ ingress
     def _ingress(self, chunk: Chunk) -> None:
@@ -509,8 +507,8 @@ class Nic:
         of it for a plain write, which notifies nobody."""
         msg.t_delivered = at
         self.counters.add("nic.rx_msgs")
-        self.tracer.log(at, "nic.rx", src=msg.src, dst=self.rank,
-                        kind=msg.kind, nbytes=msg.nbytes)
+        self.counters.log(at, "nic.rx", src=msg.src, dst=self.rank,
+                          kind=msg.kind, nbytes=msg.nbytes)
         if msg.on_delivered is not None:
             msg.on_delivered(self, msg)
         if msg.ack and msg.on_acked is not None:

@@ -21,6 +21,11 @@ This is the observability core the rest of the stack hangs off
   perturb golden traces.  Completed spans live in a bounded ring
   (:attr:`MetricsRegistry.max_spans`, oldest dropped first) and feed both
   the per-op latency histograms and the JSONL trace export.
+- **Trace records** are ``(time, category, fields)`` events (NIC tx/rx,
+  chaos faults, health verdicts) a scope appends with :meth:`log` when
+  the cluster was built with ``trace=True``.  They share one bounded
+  ring per registry (:attr:`MetricsRegistry.max_records`, oldest dropped
+  first), so long trace-enabled runs cannot grow without bound.
 
 Everything here is disabled-cheap: with ``spans_enabled`` off (the
 default) ``scope.span(...)`` is one attribute load and a ``return None``,
@@ -30,18 +35,25 @@ and ``observe``/``set_gauge`` are a dict update at most.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sim.trace import Counters
 
 __all__ = ["MetricsRegistry", "ScopedCounters", "AggregateCounters",
-           "Histogram", "Span", "FABRIC_SCOPE", "DEFAULT_SPAN_CAP"]
+           "Histogram", "Span", "TraceRecord", "FABRIC_SCOPE",
+           "DEFAULT_SPAN_CAP", "DEFAULT_TRACE_CAP"]
 
 #: scope label for non-rank-attributable hardware (links, switch ports)
 FABRIC_SCOPE = "fabric"
 
 #: default completed-span ring capacity (bounded memory for long runs)
 DEFAULT_SPAN_CAP = 65_536
+
+#: default trace-record ring capacity — far above what any in-repo
+#: workload records (the golden-trace suite peaks in the low tens of
+#: thousands)
+DEFAULT_TRACE_CAP = 1_000_000
 
 #: histogram bucket upper bounds: powers of two, 64 ns .. ~1.1 s, plus +inf
 _BUCKET_BOUNDS = tuple(1 << k for k in range(6, 31))
@@ -80,6 +92,22 @@ class Histogram:
             buckets["+inf"] = self.counts[-1]
         return {"count": self.count, "sum": self.sum,
                 "min": self.min, "max": self.max, "buckets": buckets}
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One logged event: the simulated instant, a dotted category and
+    the fields in the order they were logged."""
+
+    time: int
+    category: str
+    fields: Tuple[Tuple[str, Any], ...]
+
+    def as_dict(self) -> Dict[str, Any]:
+        d = dict(self.fields)
+        d["time"] = self.time
+        d["category"] = self.category
+        return d
 
 
 class Span:
@@ -172,6 +200,18 @@ class ScopedCounters(Counters):
         self.observe(f"{span.name}.latency_ns", span.duration_ns)
         self.registry._record_span(span)
 
+    # ------------------------------------------------------------- trace
+    def log(self, time: int, category: str, **fields: Any) -> None:
+        """Append a trace record to the registry's ring (a no-op unless
+        trace recording is on)."""
+        reg = self.registry
+        if not reg.trace_enabled:
+            return
+        if len(reg.records) >= reg.max_records:
+            reg.records.popleft()
+            reg.records_dropped += 1
+        reg.records.append(TraceRecord(time, category, tuple(fields.items())))
+
     # ------------------------------------------------------------- snapshots
     def metrics_snapshot(self) -> Dict[str, object]:
         """JSON-serializable view of this scope's metrics."""
@@ -214,13 +254,16 @@ class AggregateCounters:
 
 class MetricsRegistry:
     """One registry per cluster: rank scopes, a fabric scope, the
-    read-only aggregate over them, and the bounded completed-span ring."""
+    read-only aggregate over them, and the bounded rings of completed
+    spans and trace records."""
 
-    def __init__(self, n_ranks: int, spans_enabled: bool = False):
+    def __init__(self, n_ranks: int, spans_enabled: bool = False,
+                 trace_enabled: bool = False):
         if n_ranks < 1:
             raise ValueError("registry needs at least one rank")
         self.n_ranks = n_ranks
         self.spans_enabled = spans_enabled
+        self.trace_enabled = trace_enabled
         #: span ring capacity (a long measurement run may raise it)
         self.max_spans = DEFAULT_SPAN_CAP
         #: the cluster-wide counters (``cluster.counters``)
@@ -231,6 +274,11 @@ class MetricsRegistry:
         self.spans: Deque[Span] = deque()
         #: completed spans evicted from the full ring (oldest-first)
         self.spans_dropped = 0
+        #: trace-record ring capacity
+        self.max_records = DEFAULT_TRACE_CAP
+        self.records: Deque[TraceRecord] = deque()
+        #: trace records evicted from the full ring (oldest-first)
+        self.records_dropped = 0
         #: names with high-water-mark (max) semantics: the aggregate is the
         #: max over scopes, not the sum
         self._max_names: set = set()

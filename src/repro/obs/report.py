@@ -11,12 +11,12 @@ into one JSON-serializable document:
 - cluster-wide: the aggregate counters (summed from the scopes),
   span-ring occupancy, per-link fabric stats.
 
-``python -m repro.obs.report`` runs a small R17-style lossy workload
-(PWC puts, eager sends, a rendezvous message, minimpi eager+rendezvous
-traffic, then coalesced active-message echoes over the parcel runtime)
-with spans and tracing enabled, prints a summary, and can write
-the snapshot (``--json``) and the bounded JSONL trace (``--trace``) —
-the artifacts CI's ``bench`` leg uploads.
+``python -m repro.obs.report [demo|chaos|failover|restart]`` is the one
+artifact program: it runs one of :data:`SCENARIOS` (``demo``, the
+default, is :func:`run_demo`), prints a summary, can write the snapshot
+(``--json``) and the JSONL export of the registry's trace records and
+spans (``--trace``) — the artifacts CI's bench, chaos and kv legs upload
+— and exits 1 when the scenario's check fails.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..util.stats import percentile
 from .export import export_jsonl
 from .registry import MetricsRegistry
 
-__all__ = ["build_snapshot", "run_demo", "main"]
+__all__ = ["build_snapshot", "run_demo", "SCENARIOS", "main"]
 
 _WAIT = 10 ** 12
 
@@ -125,9 +125,9 @@ def build_snapshot(cluster, photons=None, comms=None,
             "enabled": registry.spans_enabled,
         },
         "trace": {
-            "records": len(cluster.tracer.records),
-            "dropped": cluster.tracer.dropped,
-            "enabled": cluster.tracer.enabled,
+            "records": len(registry.records),
+            "dropped": registry.records_dropped,
+            "enabled": registry.trace_enabled,
         },
     }
 
@@ -247,32 +247,74 @@ def run_demo(n_msgs: int = 12, loss: float = 1e-3, seed: int = 7):
     return cl, ph, mm, snapshot
 
 
+def _demo():
+    cl, _ph, _mm, snapshot = run_demo()
+    # the demo's point: the merged snapshot is JSON-clean
+    json.dumps(snapshot)
+    return cl, snapshot, []
+
+
+def _chaos():
+    """R19's crash/restart scenario: its shape checks and invariants."""
+    from ..bench.experiments import r19_chaos
+    raw = r19_chaos.run_scenario()
+    result = r19_chaos.run(scenario=raw)
+    print(result.render())
+    cl = raw["cluster"]
+    return cl, build_snapshot(cl, photons=raw["photon"]), \
+        result.failed_checks()
+
+
+def _failover():
+    """R20's leader crash: the snapshot must mark the crashed rank dead."""
+    from ..bench.experiments.r20_kvstore import run_failover
+    sc = run_failover()["scenario"]
+    snapshot = build_snapshot(sc.cluster, photons=sc.photon)
+    dead = [r for r, e in snapshot["ranks"].items() if e.get("dead")]
+    print(f"dead ranks in snapshot: {dead}")
+    return sc.cluster, snapshot, \
+        [] if dead else ["the crashed leader is marked dead"]
+
+
+def _restart():
+    """R21's restart: the victim's rejoin must surface as an install."""
+    from ..bench.experiments.r21_snapshots import run_chaos_move
+    sc = run_chaos_move()["scenario"]
+    snapshot = build_snapshot(sc.cluster, photons=sc.photon)
+    installs = sum(e["metrics"]["counters"].get("kv.snapshot_installs", 0)
+                   for e in snapshot["ranks"].values())
+    print(f"snapshot installs in obs snapshot: {installs}")
+    return sc.cluster, snapshot, \
+        [] if installs else ["the restart rejoin surfaces as an install"]
+
+
+#: scenario name -> () -> (cluster, snapshot, failed checks)
+SCENARIOS = {"demo": _demo, "chaos": _chaos, "failover": _failover,
+             "restart": _restart}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.obs.report",
-        description="run a lossy observability demo workload and emit the "
-                    "merged stats snapshot / JSONL trace")
-    parser.add_argument("--msgs", type=int, default=12,
-                        help="messages per stream (default 12)")
-    parser.add_argument("--loss", type=float, default=1e-3,
-                        help="chunk loss probability (default 1e-3)")
-    parser.add_argument("--seed", type=int, default=7)
+        prog="python -m repro.obs.report",
+        description="run one scenario with observability on, check it, and "
+                    "emit the merged stats snapshot / JSONL trace; exits 1 "
+                    "when the scenario's check fails")
+    parser.add_argument("scenario", nargs="?", default="demo",
+                        choices=SCENARIOS, help="default: demo")
     parser.add_argument("--json", metavar="PATH",
                         help="write the merged snapshot as JSON")
     parser.add_argument("--trace", metavar="PATH",
                         help="write the JSONL trace+span export")
     args = parser.parse_args(argv)
 
-    cl, _ph, _mm, snapshot = run_demo(n_msgs=args.msgs, loss=args.loss,
-                                      seed=args.seed)
+    cl, snapshot, failed = SCENARIOS[args.scenario]()
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
     if args.trace:
-        lines = export_jsonl(args.trace, tracer=cl.tracer,
-                             registry=cl.metrics)
+        lines = export_jsonl(args.trace, cl.metrics)
         print(f"wrote {args.trace} ({lines} lines)")
     agg = snapshot["aggregate"]["counters"]
     print(f"sim time {snapshot['sim_now_ns']} ns, "
@@ -291,9 +333,10 @@ def main(argv=None) -> int:
         if hist:
             print(f"  rank {r} coalesce.open_ns: n={hist['count']} "
                   f"min={hist['min']} max={hist['max']}")
-    # the whole point: the merged snapshot is JSON-clean
-    json.dumps(snapshot)
-    print("snapshot is JSON-serializable")
+    if failed:
+        print(f"FAILED checks: {failed}", file=sys.stderr)
+        return 1
+    print(f"{args.scenario}: all checks hold")
     return 0
 
 

@@ -143,7 +143,6 @@ class HealthMonitor:
         self.env = cluster.env
         self.node = cluster[rank]
         self.counters = cluster.scope(rank)
-        self.tracer = cluster.tracer
         self.view = MembershipView(cluster.n)
         self.incarnation = 1
         #: True between a chaos halt() and the matching resume()
@@ -232,8 +231,8 @@ class HealthMonitor:
             det.samples = 0
             if self.view.transition(src, ALIVE, incarnation=incarnation):
                 self.counters.add("health.joins")
-                self.tracer.log(now, "health.join", observer=self.rank,
-                                rank=src, incarnation=incarnation)
+                self.counters.log(now, "health.join", observer=self.rank,
+                                  rank=src, incarnation=incarnation)
                 span = self._outage_spans.pop(src, None)
                 if span is not None:
                     span.end(now, status="recovered")
@@ -257,8 +256,8 @@ class HealthMonitor:
             if phi >= self.config.phi_dead:
                 self.view.transition(peer, DEAD)
                 self.counters.add("health.deaths")
-                self.tracer.log(now, "health.dead", observer=self.rank,
-                                rank=peer, phi=round(phi, 2))
+                self.counters.log(now, "health.dead", observer=self.rank,
+                                  rank=peer, phi=round(phi, 2))
                 # detection latency: last heartbeat seen -> declaration
                 span = self.counters.span("health.detect", det.last_rx,
                                           peer=peer)
@@ -271,8 +270,8 @@ class HealthMonitor:
             elif phi >= PHI_SUSPECT and status == ALIVE:
                 self.view.transition(peer, SUSPECT)
                 self.counters.add("health.suspects")
-                self.tracer.log(now, "health.suspect", observer=self.rank,
-                                rank=peer, phi=round(phi, 2))
+                self.counters.log(now, "health.suspect", observer=self.rank,
+                                  rank=peer, phi=round(phi, 2))
 
 
 def build_health(cluster, config: Optional[HealthConfig] = None,

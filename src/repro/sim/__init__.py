@@ -11,7 +11,7 @@ from .core import (
 )
 from .resources import Signal, Store, poll_until
 from .rng import RngRegistry
-from .trace import Counters, Tracer, TraceRecord
+from .trace import Counters
 
 __all__ = [
     "AllOf",
@@ -26,6 +26,4 @@ __all__ = [
     "poll_until",
     "RngRegistry",
     "Counters",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -89,7 +89,7 @@ class OracleNic(Nic):
         if span is not None:
             span.end(self.env.now, status="exhausted",
                      retries=nic.transport_retries)
-        self.tracer.log(self.env.now, "nic.retry_exhausted", src=self.rank,
-                        dst=msg.dst, kind=msg.kind, nbytes=msg.nbytes)
+        self.counters.log(self.env.now, "nic.retry_exhausted", src=self.rank,
+                          dst=msg.dst, kind=msg.kind, nbytes=msg.nbytes)
         if msg.on_error is not None:
             msg.on_error()

@@ -52,7 +52,9 @@ IMPORTS.disable()
 
 SRC = Path(repro.__file__).resolve().parent.parent  # the tree measured
 _REPRO = str(SRC / "repro") + "/"
-OTHERS = ("examples", "perf", "chaos", "obs", "kv_obs")
+#: the non-experiment entry points: the examples, the perf/ blocks and
+#: the scenarios of ``python -m repro.obs.report``
+OTHERS = ("examples", "perf", "demo", "chaos", "failover", "restart")
 ALLOW = ROOT / "tests" / "reach_allow.txt"
 
 
@@ -495,17 +497,10 @@ def _run_other(name: str, scratch: str) -> None:
             harness_block(cls, 7001, 0.2)
         for bench in BENCHES.values():
             bench()
-    elif name == "chaos":
-        from repro.chaos.__main__ import main
-        main(["--out", os.path.join(scratch, "chaos.jsonl")])
-    elif name == "obs":
-        from repro.obs.report import main
-        main([])
     else:
-        script = runpy.run_path(
-            str(ROOT / ".github" / "scripts" / "kv_obs_snapshot.py"))
-        for scenario in ("failover", "restart"):
-            script["main"](scenario, os.path.join(scratch, "kv_obs.json"))
+        from repro.obs.report import main
+        main([name, "--json", os.path.join(scratch, f"{name}.json"),
+              "--trace", os.path.join(scratch, f"{name}.jsonl")])
 
 
 def unreached(entries: list, full: bool = False,

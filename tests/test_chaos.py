@@ -282,7 +282,7 @@ def test_crash_restart_scenario_and_invariants():
     assert cl.counters.get("photon.peer_dead_events") == 2
     assert cl.counters.get("photon.dead_peer_fails") == 2
     # chaos events went through the trace (JSONL export source)
-    cats = [rec.category for rec in cl.tracer.records]
+    cats = [rec.category for rec in cl.metrics.records]
     assert "chaos.crash" in cats and "chaos.restart" in cats
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
-from repro.sim import Counters, Tracer
-from repro.sim.trace import TraceRecord
+from repro.obs import MetricsRegistry
+from repro.sim import Counters
 
 
 # ---------------------------------------------------------------- cluster
@@ -44,34 +44,36 @@ def test_cluster_seed_controls_rng():
     assert a == b != c
 
 
-# ---------------------------------------------------------------- tracer
+# ------------------------------------------------- trace records (registry)
 
 
 def test_tracer_disabled_is_noop():
-    t = Tracer(enabled=False)
-    t.log(10, "nic.tx", size=4)
-    assert list(t.records) == []
+    reg = MetricsRegistry(2)
+    reg.scope(0).log(10, "nic.tx", size=4)
+    Counters().log(10, "nic.tx", size=4)  # the null scope's log
+    assert list(reg.records) == []
 
 
 def test_tracer_records_and_selects():
-    t = Tracer(enabled=True)
-    t.log(10, "nic.tx", size=4)
-    t.log(20, "nic.rx", size=8)
-    t.log(30, "qp.post")
-    assert len(t.records) == 3
-    assert [r.category for r in t.records] == ["nic.tx", "nic.rx", "qp.post"]
-    assert t.records[1].as_dict() == {"time": 20, "category": "nic.rx",
-                                      "size": 8}
+    reg = MetricsRegistry(2, trace_enabled=True)
+    reg.scope(0).log(10, "nic.tx", size=4)
+    reg.scope(1).log(20, "nic.rx", size=8)
+    reg.fabric.log(30, "chaos.heal")
+    assert len(reg.records) == 3
+    assert [r.category for r in reg.records] == \
+        ["nic.tx", "nic.rx", "chaos.heal"]
+    assert reg.records[1].as_dict() == {"time": 20, "category": "nic.rx",
+                                        "size": 8}
 
 
 def test_tracer_ring_cap_drops_oldest():
-    t = Tracer(enabled=True)
-    t.max_records = 3
+    reg = MetricsRegistry(2, trace_enabled=True)
+    reg.max_records = 3
     for i in range(5):
-        t.log(i, "nic.tx", seq=i)
-    assert len(t.records) == 3
-    assert t.dropped == 2
-    assert [r.time for r in t.records] == [2, 3, 4]
+        reg.scope(i % 2).log(i, "nic.tx", seq=i)
+    assert len(reg.records) == 3
+    assert reg.records_dropped == 2
+    assert [r.time for r in reg.records] == [2, 3, 4]
 
 
 def test_cluster_trace_captures_nic_events():
@@ -84,7 +86,7 @@ def test_cluster_trace_captures_nic_events():
 
     p = cl.env.process(prog(cl.env))
     cl.env.run()
-    categories = {r.category for r in cl.tracer.records}
+    categories = {r.category for r in cl.metrics.records}
     assert {"nic.tx", "nic.rx"} <= categories
 
 

@@ -49,7 +49,7 @@ def _trace_fingerprint(cl, logged_order: bool = False) -> str:
     and fields, so the records of one instant may be logged in any order
     (a plain write's delivery is logged when it lands, dated when its
     delivery stage ends).  ``logged_order`` hashes them as logged."""
-    recs = [(r.time, r.category, r.fields) for r in cl.tracer.records]
+    recs = [(r.time, r.category, r.fields) for r in cl.metrics.records]
     if not logged_order:
         recs.sort(key=lambda rec: (rec[0], rec[1], repr(rec[2])))
     return _hash((cl.env.now, tuple(recs),

@@ -57,6 +57,7 @@ def test_plain_counters_obs_hooks_are_noops():
     assert c.span("op", 0) is None
     c.set_max("peak", 9)
     assert c.get("peak") == 9
+    assert c.log(5, "nic.tx", nbytes=8) is None
 
 
 def test_histogram_power_of_two_buckets():
@@ -119,10 +120,10 @@ def test_scope_snapshot_json_roundtrip():
 
 def test_export_jsonl_trace_and_spans(tmp_path):
     cl = build_cluster(2, trace=True, spans=True)
-    cl.tracer.log(5, "nic.tx", nbytes=8)
+    cl.scope(0).log(5, "nic.tx", nbytes=8)
     cl.metrics.scope(0).span("op", 0, peer=1, nbytes=8).end(100)
     path = tmp_path / "trace.jsonl"
-    lines = export_jsonl(str(path), tracer=cl.tracer, registry=cl.metrics)
+    lines = export_jsonl(str(path), cl.metrics)
     rows = [json.loads(ln) for ln in path.read_text().splitlines()]
     assert lines == 2
     assert [r["type"] for r in rows] == ["trace", "span", "meta"]
@@ -245,7 +246,7 @@ def test_lossy_runtime_section_says_why_batches_left(lossy_run, capsys):
             entry["metrics"]["counters"]["coalesce.batches_sent"]
         assert hist["max"] < 1_000  # nobody sat on a batch
     from repro.obs.report import main
-    assert main(["--msgs", "4"]) == 0
+    assert main([]) == 0
     out = capsys.readouterr().out
     assert "coalesce.batches_sent: " in out and " idle=" in out
     assert "rank 1 coalesce.open_ns: n=" in out

@@ -449,6 +449,7 @@ OPTIONS = {
     "LinkParams.mtu": "values: 1024 / 1500 / 2048 / 4096 across presets",
     "MPIConfig.eager_threshold": "values: R12 sweeps it",
     "MetricsRegistry(spans_enabled=)": "wiring: build_cluster(spans=)",
+    "MetricsRegistry(trace_enabled=)": "wiring: build_cluster(trace=)",
     "MpiTransport(max_parcel=)": "wiring: sizes the staging buffers",
     "NicParams.ack_overhead_ns": "values: the presets differ",
     "NicParams.atomic_ns": "values: the presets differ",
@@ -488,13 +489,12 @@ OPTIONS = {
     "Runtime(counters=)": "wiring: the rank's counter scope",
     "Scenario(raft=)": "values: R21 compacts early",
     "Scenario(spans=)": "wiring: build_cluster(spans=)",
-    "Tracer(enabled=)": "wiring: build_cluster(trace=)",
     "build_cluster(mem_size=)": "wiring: memory size",
     "build_cluster(params=)": "values: the five presets",
     "build_cluster(seed=)": "wiring: seed",
     "build_cluster(spans=)": "wiring: the span registry switch",
     "build_cluster(topology=)": "values: R14 runs star and torus2d",
-    "build_cluster(trace=)": "wiring: the tracer switch",
+    "build_cluster(trace=)": "wiring: the trace-record switch",
     "build_health(config=)": "perf: the kv workloads pass one",
     "build_health(start=)": "wiring: the monitors' start",
     "build_kv(config=)": "perf: the kv workloads pass one",
@@ -528,7 +528,7 @@ _BUILDERS = ("repro.cluster:build_cluster", "repro.photon.api:photon_init",
              "repro.runtime.transport:PhotonTransport",
              "repro.runtime.transport:MpiTransport",
              "repro.runtime.scheduler:Runtime", "repro.fabric.link:Link",
-             "repro.photon.rcache:RegistrationCache", "repro.sim.trace:Tracer",
+             "repro.photon.rcache:RegistrationCache",
              "repro.obs.registry:MetricsRegistry",
              "repro.sim.core:Environment")
 
