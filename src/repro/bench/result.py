@@ -29,10 +29,6 @@ class ExperimentResult:
     checks: Dict[str, bool] = field(default_factory=dict)
     notes: str = ""
 
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
-
     def failed_checks(self) -> List[str]:
         return [name for name, ok in self.checks.items() if not ok]
 

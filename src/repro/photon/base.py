@@ -70,6 +70,8 @@ BACKOFF_MAX_NS = 1_000_000
 #: every later entry from that peer — ring liveness is worth retrying much
 #: harder than a single operation's latency budget
 ENTRY_RESEND_LIMIT = 12
+#: the rings whose entries carry the op's dedup id (``ReliableOp.op_id``)
+_DEDUP_RINGS = ("cmp", "eager")
 
 
 #: photon_probe_completion result
@@ -100,15 +102,22 @@ class ReliableOp:
     """
 
     peer_rank: int
-    op_id: int
-    kind: str  # "put" | "send" | "get" | "notify"
+    #: endpoint-local key in ``PhotonBase._reliable``
+    handle: int
+    kind: str  # "put" | "send" | "get" | "notify" | "info" | "fin"
     #: generator factory posting one (re)attempt of the op's work requests:
     #: ``replay(op, on_ack, on_error)`` with the attempt's WR callbacks
     replay: Optional[Callable[["ReliableOp", Callable, Callable],
                               object]] = None
     local_cid: Optional[int] = None
+    #: the per-peer id the target dedups replays by, 0 until the first
+    #: entry that carries one (a completion entry or an eager header) is
+    #: built: an op that never builds one leaves no gap in the sequence
+    op_id: int = 0
     #: fired once when the op completes successfully (get-notify spawn etc.)
     on_done: Optional[Callable[[], None]] = None
+    #: fired once when the op fails terminally
+    on_fail: Optional[Callable[[], None]] = None
     #: rcache registrations pinned for this op; released when it settles
     mrs: List = field(default_factory=list)
     #: posts so far (1 = first attempt)
@@ -124,10 +133,6 @@ class ReliableOp:
     entry: Optional[Tuple[int, int, SendWR]] = None
     #: open op-latency span (None when span recording is disabled)
     span: Optional[object] = None
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        return (self.peer_rank, self.op_id)
 
 
 @dataclass
@@ -146,7 +151,7 @@ class PeerState:
     #: ``IMM_PREPOST``, so a slow poller RNR-stalls its senders instead
     #: of growing the receive CQ.
     preposted: int = 0
-    #: producer-side reliable-operation id allocator (per peer)
+    #: producer-side dedup id allocator (per peer)
     tx_op_seq: int = 0
     #: consumer-side dedup: ids <= rx_hwm or in rx_seen were delivered
     rx_hwm: int = 0
@@ -204,9 +209,10 @@ class PhotonBase:
         self._op_seq = 0
         self._ops: Dict[int, Tuple[Optional[Callable],
                                    Optional[Callable]]] = {}
-        # reliability layer: live retryable ops by (peer, op id), seeded
-        # jitter stream
-        self._reliable: Dict[Tuple[int, int], ReliableOp] = {}
+        # reliability layer: live retryable ops by handle, seeded jitter
+        # stream
+        self._reliable: Dict[int, ReliableOp] = {}
+        self._op_handles = 0
         self._in_deadline_scan = False
         self._retry_rng = cluster.rng.stream(f"photon.retry.{self.rank}")
         #: False between a chaos crash and the matching rejoin
@@ -346,22 +352,15 @@ class PhotonBase:
         self.counters.add("photon.posts")
 
     def _post_ring_entry(self, peer: PeerState, ring_name: str,
-                         entry, on_ack: Optional[Callable] = None,
-                         on_error: Optional[Callable] = None,
-                         extent: Optional[int] = None,
-                         op: Optional[ReliableOp] = None):
-        """Claim a slot in the peer's ring and RDMA-write an entry into it.
+                         build: Callable[[int, int], bytes], op: ReliableOp,
+                         on_ack: Callable, on_error: Callable):
+        """Claim a slot in the peer's ring and RDMA-write the entry
+        ``build(seq, op_id)`` into it, stamped with the *claimed* sequence
+        number and the op's dedup id (generator).  When the peer is
+        declared dead while the ring is full nothing is claimed and
+        ``on_error`` runs.
 
-        ``entry`` is either raw bytes or a builder ``f(seq) -> bytes`` —
-        the builder form stamps the *claimed* sequence number, which is the
-        only safe option when the claim can be preceded by a backpressure
-        wait.  ``extent``: bytes of the slot actually written (defaults to
-        the entry length) — eager entries only write header+payload+
-        trailer, not the full slot.  Returns the claimed sequence number,
-        or None when the peer was declared dead while the ring was full:
-        nothing was claimed and ``on_error`` ran (generator).
-
-        ``op``: the reliable op the entry belongs to.  Its replays are
+        Every entry belongs to the reliable op ``op``, and its replays are
         slot-stable, like ``_entry_error_cb``'s resends and for the same
         reason: a partition on a reliable fabric loses the write with no
         error CQE, only ``op.deadline`` notices, and a replay into a fresh
@@ -372,30 +371,28 @@ class PhotonBase:
         restarts the ring's sequence space, makes it claim afresh.
         """
         ring = peer.remote[ring_name]
-        if (op is not None and op.entry is not None
-                and op.entry[0] == ring.generation):
+        if op.entry is not None and op.entry[0] == ring.generation:
             _generation, seq, wr = op.entry
             if seq <= ring.credit:
-                if on_ack is not None:
-                    on_ack()
+                on_ack()
             else:
                 self.counters.add("photon.entry_rewrites")
                 yield from self._post(
                     peer, wr, on_ack,
                     self._entry_error_cb(peer, wr, on_ack, on_error))
-            return seq
+            return
         if ring.available() <= 0:
             self.counters.add(f"photon.{ring_name}_stalls")
             if not (yield from self._await_room(
                     peer, lambda: ring.available() > 0)):
                 self.counters.add("photon.dead_peer_entry_drops")
-                if on_error is not None:
-                    on_error()
-                return None
+                on_error()
+                return
         seq, stage_addr, remote_addr = ring.claim()
-        if callable(entry):
-            entry = entry(seq)
-        nbytes = extent if extent is not None else len(entry)
+        if ring_name in _DEDUP_RINGS and not op.op_id:
+            peer.tx_op_seq += 1
+            op.op_id = peer.tx_op_seq
+        entry = build(seq, op.op_id)
         if len(entry) > ring.spec.entry_size:
             raise SimulationError(
                 f"entry of {len(entry)}B exceeds {ring.spec.name} slot")
@@ -403,15 +400,13 @@ class PhotonBase:
         self.memory.write(stage_addr, entry)
         yield self.env.timeout(self.memory.memcpy_cost_ns(len(entry)))
         nic = self.cluster.params.nic
-        use_inline = (self.config.use_inline and nbytes <= nic.max_inline)
+        use_inline = (self.config.use_inline and len(entry) <= nic.max_inline)
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage_addr,
-                    length=nbytes, remote_addr=remote_addr, rkey=ring.rkey,
-                    inline=use_inline)
-        if op is not None:
-            op.entry = (ring.generation, seq, wr)
+                    length=len(entry), remote_addr=remote_addr,
+                    rkey=ring.rkey, inline=use_inline)
+        op.entry = (ring.generation, seq, wr)
         yield from self._post(peer, wr, on_ack,
                               self._entry_error_cb(peer, wr, on_ack, on_error))
-        return seq
 
     def _await_room(self, peer: PeerState, room: Callable[[], bool]):
         """Block until ``room()`` toward ``peer`` (generator → bool).
@@ -426,9 +421,8 @@ class PhotonBase:
             lambda: room() or (health is not None and health.is_dead(rank)))
         return room()
 
-    def _entry_error_cb(self, peer: PeerState, wr: SendWR,
-                        on_ack: Optional[Callable],
-                        on_error: Optional[Callable], attempt: int = 0):
+    def _entry_error_cb(self, peer: PeerState, wr: SendWR, on_ack: Callable,
+                        on_error: Callable, attempt: int = 0):
         """Slot-stable delivery retry for a lost ring-entry write.
 
         The consumer drains each ring strictly in sequence order, so a
@@ -437,7 +431,7 @@ class PhotonBase:
         slot cannot be reclaimed before the peer returns credit for it),
         so re-posting the same WR into the same slot is idempotent and
         repairs the hole.  After ``ENTRY_RESEND_LIMIT`` resends the hole is
-        declared permanent and the caller's ``on_error`` runs.
+        declared permanent and the op's ``on_error`` runs.
         """
 
         def cb():
@@ -445,13 +439,11 @@ class PhotonBase:
                 # the slot belongs to the dead incarnation's seq space;
                 # re-arm (not resend) is the recovery path
                 self.counters.add("photon.dead_peer_entry_drops")
-                if on_error is not None:
-                    on_error()
+                on_error()
                 return
             if attempt >= ENTRY_RESEND_LIMIT:
                 self.counters.add("photon.entry_drops")
-                if on_error is not None:
-                    on_error()
+                on_error()
                 return
             self.counters.add("photon.entry_resends")
             self.env.process(
@@ -462,8 +454,8 @@ class PhotonBase:
         return cb
 
     def _resend_ring_entry(self, peer: PeerState, wr: SendWR,
-                           on_ack: Optional[Callable],
-                           on_error: Optional[Callable], attempt: int):
+                           on_ack: Callable, on_error: Callable,
+                           attempt: int):
         backoff = min(BACKOFF_BASE_NS << (attempt - 1), BACKOFF_MAX_NS)
         yield self.env.timeout(backoff)
         yield from self._post(peer, wr, on_ack,
@@ -507,11 +499,28 @@ class PhotonBase:
         """Register a retryable op that ``replay`` posts, holding ``span``
         and the rcache pin ``mr`` until it settles; the caller starts it
         with :meth:`_start_attempt`."""
-        peer.tx_op_seq += 1
-        op = ReliableOp(peer_rank=peer.rank, op_id=peer.tx_op_seq, kind=kind,
-                        replay=replay, local_cid=local_cid,
+        self._op_handles += 1
+        op = ReliableOp(peer_rank=peer.rank, handle=self._op_handles,
+                        kind=kind, replay=replay, local_cid=local_cid,
                         mrs=[] if mr is None else [mr], span=span)
-        self._reliable[op.key] = op
+        self._reliable[op.handle] = op
+        return op
+
+    def _entry_op(self, peer: PeerState, kind: str, ring_name: str,
+                  build: Callable[[int, int], bytes],
+                  on_fail: Optional[Callable[[], None]] = None):
+        """Post a reliable op whose one work request writes the entry
+        ``build(seq, op_id)`` into the peer's ``ring_name`` ring
+        (generator → the op handle)."""
+
+        def replay(op, on_ack, on_error):
+            op.acks_pending = 1
+            yield from self._post_ring_entry(peer, ring_name, build, op,
+                                             on_ack, on_error)
+
+        op = self._new_reliable_op(peer, kind, None, replay)
+        op.on_fail = on_fail
+        yield from self._start_attempt(op)
         return op
 
     def _op_cbs(self, op: ReliableOp, attempt: int):
@@ -569,7 +578,7 @@ class PhotonBase:
         if op.state in ("done", "failed"):
             return
         op.state = "done"
-        self._reliable.pop(op.key, None)
+        self._reliable.pop(op.handle, None)
         self._release_op_mrs(op)
         if op.span is not None:
             op.span.end(self.env.now, retries=op.attempts - 1)
@@ -586,7 +595,7 @@ class PhotonBase:
         if op.state in ("done", "failed"):
             return
         op.state = "failed"
-        self._reliable.pop(op.key, None)
+        self._reliable.pop(op.handle, None)
         self._release_op_mrs(op)
         if op.span is not None:
             label = ("failed" if status is WCStatus.RETRY_EXC_ERR
@@ -601,6 +610,8 @@ class PhotonBase:
         if op.local_cid is not None:
             self.local_cids.append((op.local_cid, status))
             self.counters.add("photon.local_cids")
+        if op.on_fail is not None:
+            op.on_fail()
         self.arrivals.fire()
 
     def _op_attempt_failed(self, op: ReliableOp) -> None:
@@ -665,10 +676,9 @@ class PhotonBase:
     def _fail_pending(self, rank: int) -> None:
         """Fail the reliable ops (``PEER_DEAD``) and the requests still
         pending against ``rank``; a failed request releases its pin."""
-        for key in [k for k in self._reliable if k[0] == rank]:
-            op = self._reliable.get(key)
-            if op is not None:
-                self._op_fail(op, WCStatus.PEER_DEAD)
+        for op in [op for op in self._reliable.values()
+                   if op.peer_rank == rank]:
+            self._op_fail(op, WCStatus.PEER_DEAD)
         failed = self.requests.fail_peer(rank, self.env.now)
         if failed:
             self.counters.add("photon.dead_peer_fails", failed)
@@ -790,7 +800,11 @@ class PhotonBase:
         self.counters.add("photon.qp_reconnects")
 
     def _rx_dup(self, peer: PeerState, op_id: int) -> bool:
-        """True if this (peer, op) ledger entry was already delivered."""
+        """True if this (peer, op) ledger entry was already delivered.
+
+        ``rx_seen`` holds only the ids delivered above the high-water mark,
+        and stays empty once the gaps below them fill: every id a producer
+        draws goes into an entry (see ``ReliableOp.op_id``)."""
         if op_id == 0:
             return False
         if op_id <= peer.rx_hwm or op_id in peer.rx_seen:
@@ -895,8 +909,8 @@ class PhotonBase:
             try:
                 now = env.now
                 health = self.health
-                for key in list(self._reliable):
-                    op = self._reliable.get(key)
+                for handle in list(self._reliable):
+                    op = self._reliable.get(handle)
                     if op is None:
                         continue
                     if health is not None and health.is_dead(op.peer_rank):

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.core import SimulationError
+from ..verbs.enums import WCStatus
 from .wire import FinEntry, InfoEntry
 
 __all__ = ["MessagingMixin", "ANY", "RecvInfo"]
@@ -82,18 +83,18 @@ class MessagingMixin:
         # (or the request failed/was abandoned)
         req.on_settle = lambda: self.rcache.release_async(mr)
 
-        def on_error():
+        def on_fail():
             # the advertisement never reached the peer: no receiver will
             # ever fetch + FIN, so settle the request as failed
             self.counters.add("photon.request_failures")
             self.requests.fail(rid, self.env.now)
 
-        yield from self._post_ring_entry(
-            peer, "info",
-            lambda seq: InfoEntry(seq=seq, req=rid, tag=tag,
-                                  addr=local_addr, size=size, rkey=mr.rkey,
-                                  src=self.rank).pack(),
-            on_error=on_error)
+        yield from self._entry_op(
+            peer, "info", "info",
+            lambda seq, _op_id: InfoEntry(seq=seq, req=rid, tag=tag,
+                                          addr=local_addr, size=size,
+                                          rkey=mr.rkey, src=self.rank).pack(),
+            on_fail)
         self.counters.add("photon.rendezvous_sends")
         return req.rid
 
@@ -126,39 +127,33 @@ class MessagingMixin:
     def recv_rdma(self, info: RecvInfo, local_addr: int):
         """Fetch an advertised buffer and FIN the sender (generator).
 
-        Returns the number of bytes received.  RDMA reads are idempotent,
-        so a fetch the fabric gave up on is simply reposted (up to
-        ``max_op_retries`` extra attempts) before raising.
+        Returns the number of bytes received.  The fetch is a
+        :meth:`get_pwc`, whose idempotent read the reliability layer
+        replays; one that still failed raises.
         """
         span = self.counters.span("photon.rndv_recv", self.env.now,
                                   peer=info.src, nbytes=info.size)
-        for _attempt in range(self.config.max_op_retries + 1):
-            rid = yield from self.post_os_get(info.src, local_addr, info.size,
-                                              info.addr, info.rkey)
-            yield from self.wait(rid)
-            failed = self.requests.get(rid).failed
-            self.free_request(rid)
-            if not failed:
-                break
-            self.counters.add("photon.rendezvous_refetches")
-        else:
+        op = yield from self.get_pwc(info.src, local_addr, info.size,
+                                     info.addr, info.rkey)
+        yield from self.wait_op(op)
+        if op.status is not WCStatus.SUCCESS:
             if span is not None:
                 span.end(self.env.now, status="failed")
             raise SimulationError(
                 f"rank {self.rank}: rendezvous fetch from {info.src} failed "
-                f"after {self.config.max_op_retries + 1} attempts")
+                f"({op.status.value}) after {op.attempts} attempts")
         yield from self._post_fin(info)
         if span is not None:
-            span.end(self.env.now, retries=_attempt)
+            span.end(self.env.now, retries=op.attempts - 1)
         self.counters.add("photon.rendezvous_recvs")
         return info.size
 
     def _post_fin(self, info: RecvInfo):
         """FIN the sender of a fetched advertisement, completing its
         request (generator)."""
-        yield from self._post_ring_entry(
-            self._peer(info.src), "fin",
-            lambda seq: FinEntry(seq=seq, req=info.req).pack())
+        yield from self._entry_op(
+            self._peer(info.src), "fin", "fin",
+            lambda seq, _op_id: FinEntry(seq=seq, req=info.req).pack())
 
     # ------------------------------------------------------------------ unified
     def send_msg(self, dst: int, data: bytes, tag: int = 0,

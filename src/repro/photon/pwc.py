@@ -87,10 +87,10 @@ class PwcMixin:
             if remote_cid is not None:
                 yield from self._post_ring_entry(
                     peer, "cmp",
-                    lambda seq: CompletionEntry(
+                    lambda seq, op_id: CompletionEntry(
                         seq=seq, cid=remote_cid, src=self.rank,
-                        op=op.op_id).pack(),
-                    on_ack=on_ack, on_error=on_error, op=op)
+                        op=op_id).pack(),
+                    op, on_ack, on_error)
 
         op = self._new_reliable_op(
             peer, "put", local_cid, replay,
@@ -140,19 +140,11 @@ class PwcMixin:
         return op
 
     def _notify_after_get(self, dst: int, remote_cid: int):
-        peer = self._peer(dst)
-
-        def replay(op, on_ack, on_error):
-            op.acks_pending = 1
-            yield from self._post_ring_entry(
-                peer, "cmp",
-                lambda seq: CompletionEntry(seq=seq, cid=remote_cid,
-                                            src=self.rank, op=op.op_id).pack(),
-                on_ack=on_ack, on_error=on_error, op=op)
-
-        op = self._new_reliable_op(peer, "notify", None, replay)
-        yield from self._start_attempt(op)
-        return op
+        return (yield from self._entry_op(
+            self._peer(dst), "notify", "cmp",
+            lambda seq, op_id: CompletionEntry(seq=seq, cid=remote_cid,
+                                               src=self.rank,
+                                               op=op_id).pack()))
 
     # ------------------------------------------------------------------ send
     def send_pwc(self, dst: int, data: bytes, remote_cid: int,
@@ -180,17 +172,15 @@ class PwcMixin:
         peer = self._peer(dst)
         payload = bytes(data)
 
+        def build(seq, op_id):
+            header = EagerHeader(seq=seq, cid=remote_cid, src=self.rank,
+                                 size=len(payload), op=op_id)
+            return header.pack() + payload + seq.to_bytes(8, "little")
+
         def replay(op, on_ack, on_error):
             op.acks_pending = 1
-
-            def build(seq):
-                header = EagerHeader(seq=seq, cid=remote_cid, src=self.rank,
-                                     size=len(payload), op=op.op_id)
-                return header.pack() + payload + seq.to_bytes(8, "little")
-
-            yield from self._post_ring_entry(peer, "eager", build,
-                                             on_ack=on_ack, on_error=on_error,
-                                             op=op)
+            yield from self._post_ring_entry(peer, "eager", build, op,
+                                             on_ack, on_error)
 
         op = self._new_reliable_op(
             peer, "send", local_cid, replay,

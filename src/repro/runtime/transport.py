@@ -28,6 +28,7 @@ from ..minimpi.protocol import MPIRequest
 from ..minimpi.status import ANY_SOURCE
 from ..photon.api import Photon
 from ..sim.core import SimulationError
+from ..verbs.enums import WCStatus
 
 __all__ = ["Transport", "WireTransport", "PhotonTransport", "MpiTransport",
            "PeerDownError", "PARCEL_TAG"]
@@ -183,10 +184,9 @@ class PhotonTransport(WireTransport):
 
     Photon settles an eager parcel's op itself (``photon.op_failures`` /
     ``photon.dead_peer_fails``); a rendezvous advertisement whose request
-    fails frees its staging slot.  A failed rendezvous *fetch* is
-    reposted on the receive side: ``post_os_get`` has no retry of its
-    own, so this is the one retry of that read, on Photon's budget
-    (``max_op_retries``, as ``recv_rdma``).
+    fails frees its staging slot.  A rendezvous *fetch* is a ``get_pwc``,
+    replayed by Photon like every PWC op; one that still failed counts
+    in ``transport.parcel_failures``.
     """
 
     kind = "photon"
@@ -199,7 +199,7 @@ class PhotonTransport(WireTransport):
         self._init_ring(lambda size: photon.buffer(size).addr)
         self._free_landings = [photon.buffer(max_parcel).addr
                                for _ in range(self.scratch_slots)]
-        #: in-flight fetches: (request id, landing addr, RecvInfo, attempts)
+        #: in-flight fetches: (op handle, landing addr, RecvInfo)
         self._fetches: deque = deque()
 
     # ----------------------------------------------------------------- send
@@ -252,21 +252,14 @@ class PhotonTransport(WireTransport):
             info = self.ph._match_info(src=-1, tag=PARCEL_TAG)
             if info is None:
                 break
-            yield from self._fetch(info, self._free_landings.pop(), 0)
+            yield from self._fetch(info, self._free_landings.pop())
         # hand out the oldest settled fetch
-        if self._fetches and self.ph.test(self._fetches[0][0]):
-            rid, addr, info, attempts = self._fetches.popleft()
+        if self._fetches and self._fetches[0][0].status is not None:
+            op, addr, info = self._fetches.popleft()
             self.ph.attend_sends(bool(self._fetches))
-            failed = self.ph.request_info(rid).failed
-            self.ph.free_request(rid)
-            if failed:
-                self.counters.add("transport.fetch_failures")
-                if attempts < self.ph.config.max_op_retries:
-                    # the read is idempotent — repost into the same landing
-                    yield from self._fetch(info, addr, attempts + 1)
-                else:
-                    self._free_landings.append(addr)
-                    self.counters.add("transport.parcel_failures")
+            if op.status is not WCStatus.SUCCESS:
+                self._free_landings.append(addr)
+                self.counters.add("transport.parcel_failures")
                 return None
             # owned copy: the landing slot is recycled on the next line
             raw = self.memory.read_bytes(addr, info.size)
@@ -276,14 +269,14 @@ class PhotonTransport(WireTransport):
             return raw
         return None
 
-    def _fetch(self, info, addr: int, attempts: int):
+    def _fetch(self, info, addr: int):
         """Post the read of one advertised parcel into ``addr``
         (generator).  It completes on the *send* CQ: have that ring
         ``arrivals`` while a fetch is in flight, or a scheduler parked
         there sits on the landed parcel until the next arrival."""
-        rid = yield from self.ph.post_os_get(info.src, addr, info.size,
-                                             info.addr, info.rkey)
-        self._fetches.append((rid, addr, info, attempts))
+        op = yield from self.ph.get_pwc(info.src, addr, info.size,
+                                        info.addr, info.rkey)
+        self._fetches.append((op, addr, info))
         self.ph.attend_sends(True)
 
     def stats(self) -> Dict[str, object]:

@@ -333,6 +333,119 @@ def test_deadline_replay_across_a_partition_leaves_no_ring_hole():
     assert cl.counters.get("photon.op_failures") == 0
 
 
+def test_the_targets_dedup_set_drains_after_a_mixed_stream():
+    """Only completion entries and eager headers carry an op's dedup id,
+    so a producer draws the id when the first such entry is built: an imm
+    put, a put without a remote cid and a get leave no gap the target's
+    high-water mark never passes, and ``rx_seen`` (the ids delivered above
+    the mark) ends empty instead of keeping every later id for good."""
+    cl = build_cluster(2, params="ib-fdr", seed=3)
+    ph = photon_init(cl)  # use_imm on: a put's remote cid rides the imm
+    src, dst = ph[0].buffer(256), ph[1].buffer(256)
+    n = 6
+
+    def sender(env):
+        for i in range(n):
+            for post in (
+                    ph[0].put_pwc(1, src.addr, 64, dst.addr, dst.rkey,
+                                  remote_cid=i),
+                    ph[0].put_pwc(1, src.addr, 64, dst.addr, dst.rkey),
+                    ph[0].get_pwc(1, src.addr, 64, dst.addr, dst.rkey),
+                    ph[0].send_pwc(1, b"m%d" % i, remote_cid=i)):
+                op = yield from post
+                assert (yield from ph[0].wait_op(op, TIMEOUT))
+
+    def receiver(env):
+        for _ in range(n):
+            assert (yield from ph[1].wait_message(timeout_ns=TIMEOUT))
+
+    env = cl.env
+    env.run(until=env.all_of([env.process(sender(env)),
+                              env.process(receiver(env))]))
+    peer = ph[1].peers[0]
+    assert peer.rx_seen == set()
+    assert peer.rx_hwm == n  # one id per send, none skipped
+
+
+def _rendezvous_into_a_partition(lose_fin: bool):
+    """Four 16 KiB ``send_rdma``s across a 300 us partition of the
+    reliable fabric, which drops writes with no error CQE: either the
+    advertisements (info entries) or the receiver's FINs are posted into
+    it.  Returns the cluster, the fetched tags and the send requests'
+    outcomes."""
+    cfg = PhotonConfig(op_timeout_ns=100_000, max_op_retries=8)
+    cl = build_cluster(2, params="ib-fdr", seed=3)
+    ph = photon_init(cl, cfg)
+    env = cl.env
+    size, n, window = 16 * 1024, 4, 300_000
+    src, land = ph[0].buffer(n * size), ph[1].buffer(n * size)
+    payload = bytes(i % 251 for i in range(n * size))
+    cl[0].memory.write(src.addr, payload)
+    fetched, failed = [], []
+
+    def partition():
+        cl.topology.partition((0,), (1,))
+        yield env.timeout(window)
+        cl.topology.heal()
+
+    post_fin = ph[1]._post_fin
+
+    def fin_into_the_partition(info):
+        if info.tag == 0:
+            env.process(partition())
+        yield from post_fin(info)
+
+    if lose_fin:
+        ph[1]._post_fin = fin_into_the_partition
+    else:
+        env.process(partition())
+
+    def sender(env):
+        rids = []
+        for i in range(n):
+            rids.append((yield from ph[0].send_rdma(
+                1, src.addr + i * size, size, tag=i)))
+        if (yield from ph[0].wait_all(rids, 10_000_000)):
+            failed.extend(ph[0].request_info(r).failed for r in rids)
+
+    def receiver(env):
+        for i in range(n):
+            info = yield from ph[1].wait_recv_info(src=0, tag=i,
+                                                   timeout_ns=10_000_000)
+            if info is None:
+                return
+            yield from ph[1].recv_rdma(info, land.addr + i * size)
+            fetched.append(i)
+
+    env.run(until=env.all_of([env.process(sender(env)),
+                              env.process(receiver(env))]))
+    assert bytes(cl[1].memory.read(land.addr, len(fetched) * size)) == \
+        payload[:len(fetched) * size]
+    return cl, fetched, failed
+
+
+def test_advertisements_lost_in_a_partition_are_replayed_into_their_slots():
+    """ROADMAP 1d: an info entry is a reliable op, so an advertisement the
+    partition lost is noticed by its deadline and rewritten into the slot
+    it claimed once the fabric heals; every send is fetched and FINed."""
+    cl, fetched, failed = _rendezvous_into_a_partition(lose_fin=False)
+    assert fetched == [0, 1, 2, 3]
+    assert failed == [False] * 4
+    assert cl.counters.get("photon.entry_rewrites") >= 4
+    assert cl.env.now < 1_000_000
+
+
+def test_a_fin_lost_in_a_partition_is_replayed_and_completes_the_send():
+    """The FIN is a reliable op too: one posted into a partition is
+    rewritten into its slot after the heal, so the sender's request
+    completes instead of waiting on a ring hole for good."""
+    cl, fetched, failed = _rendezvous_into_a_partition(lose_fin=True)
+    assert fetched == [0, 1, 2, 3]
+    assert failed == [False] * 4
+    assert cl.counters.get("photon.entry_rewrites") >= 1
+    assert cl.env.now < 1_000_000
+
+
 def test_qp_error_flush_reconnect_roundtrip():
     """WR retry exhaustion errors the QP; posts flush; reset_and_reconnect
     re-arms the pair and traffic flows again once the fabric heals."""

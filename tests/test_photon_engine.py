@@ -164,8 +164,9 @@ def test_eager_entry_too_big_for_slot_rejected():
     peer = ph[0].peers[1]
 
     def prog(env):
-        yield from ph[0]._post_ring_entry(
-            peer, "cmp", b"x" * 1000)  # cmp slots are 24B
+        yield from ph[0]._entry_op(
+            peer, "notify", "cmp",
+            lambda seq, op_id: b"x" * 1000)  # cmp slots are 32B
 
     p = cl.env.process(prog(cl.env))
     with pytest.raises(SimulationError, match="exceeds"):

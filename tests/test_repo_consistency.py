@@ -608,6 +608,27 @@ def test_deleted_modes_stay_deleted():
     assert not bad, bad
 
 
+def test_one_recorder_and_one_artifact_cli():
+    """Trace records live in the metrics registry (``scope.log``) and
+    ``python -m repro.obs.report`` is the one artifact program; a
+    rendezvous read is a ``get_pwc``, replayed by Photon alone.  The
+    tracer, the chaos CLI, the CI snapshot script and the refetch
+    counters stay deleted and unnamed in src/, tests/ and .github/."""
+    gone = re.compile(r"\bTracer\b|cluster\.tracer|chaos[/.]__main__"
+                      r"|kv_obs_snapshot|rendezvous_refetches"
+                      r"|fetch_failures")
+    me = os.path.join("tests", "test_repo_consistency.py")
+    files = [os.path.join(dirpath, fname)
+             for root in ("src", "tests", ".github")
+             for dirpath, _dirs, names in os.walk(root)
+             for fname in names if fname.endswith((".py", ".yml"))]
+    bad = [path for path in files
+           if path != me and gone.search(open(path).read())]
+    assert not bad, bad
+    assert not os.path.exists(os.path.join("src", "repro", "chaos",
+                                           "__main__.py"))
+
+
 def test_only_the_kernel_moves_the_clock():
     """``Environment.now`` is a plain attribute (no read-only property), so
     nothing under ``src/`` outside ``sim/core.py`` may assign an attribute
@@ -692,6 +713,7 @@ def test_test_only_surface_stays_deleted():
     name."""
     deleted = {
         "bench/microbench.py": "median_us|p99_us|min_us",
+        "bench/result.py": "all_checks_pass",
         "cluster.py": "spawn|run_spmd",
         "fabric/memory.py": "bytes_allocated|pages_spanned|pinned_pages",
         "fabric/topology.py": "hops",
