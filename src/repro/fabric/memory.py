@@ -15,7 +15,9 @@ recycled, scratch buffers are reused) take an owned snapshot with
 Registration ("pinning") mirrors the cost structure of ``ibv_reg_mr``: a
 fixed syscall cost plus a per-page cost.  The Memory object only *computes*
 costs; callers (verbs layer, registration cache) charge them on the event
-loop so the accounting lives where the time is spent.
+loop so the accounting lives where the time is spent.  Pin counts are a
+step function over page indices (sorted bounds, a count per segment), so
+pinning a region costs the segments it touches, not its pages.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 import math
 import mmap
 import struct
-from collections import Counter
-from typing import Counter as CounterT
+from bisect import bisect_left, bisect_right
 
 from ..sim.core import SimulationError
 from .params import HostParams
@@ -67,16 +68,22 @@ class Memory:
         #: called (no arguments) on every such bump — how a poller that
         #: sleeps between looks learns a watched write landed
         self.on_watched_write: list = []
-        self._watch_ranges: set = set()
-        self._watch_list: list = []
+        #: the watched ranges (disjoint): their starts sorted, each
+        #: start's end, and how many
+        self._watch_starts: list = []
+        self._watch_ends: dict = {}
+        self._watch_n = 0
         # envelope over all watched ranges: one compare rejects most writes
         self._watch_lo = self.size
         self._watch_hi = 0
-        #: page -> number of registrations pinning it.  Refcounted so
-        #: overlapping MRs (the registration cache merges and splits
-        #: regions) account correctly: a page stays pinned until the last
-        #: registration covering it is dropped.
-        self._pinned_pages: CounterT[int] = Counter()
+        #: registrations pinning each page, refcounted so overlapping MRs
+        #: (the registration cache merges and splits regions) account
+        #: correctly: a page stays pinned until the last registration
+        #: covering it is dropped.  A step function: pages from
+        #: ``_pin_bounds[i]`` up to the next bound have ``_pin_counts[i]``
+        #: pins, and neighbouring segments differ.
+        self._pin_bounds = [0]
+        self._pin_counts = [0]
 
     # -- allocation ----------------------------------------------------------
     def alloc(self, size: int, align: int = 8) -> int:
@@ -98,7 +105,8 @@ class Memory:
         the same binary re-ran the same allocation sequence)."""
         if self._brk:
             self._mm[:self._brk] = b"\x00" * self._brk
-        self._pinned_pages.clear()
+        self._pin_bounds = [0]
+        self._pin_counts = [0]
         self.watch_version += 1
 
     # -- access ---------------------------------------------------------------
@@ -116,28 +124,47 @@ class Memory:
         Any later mutation intersecting a watched range bumps
         :attr:`watch_version`; pollers snapshot the counter to skip
         re-reading structures nothing has written to.  Re-registering an
-        identical range (ring re-arm after a crash) is a no-op.
+        identical range (ring re-arm after a crash) is a no-op; an empty
+        range, or one overlapping another watched range, is refused.
         """
         self._check(addr, length)
-        r = (addr, addr + length)
-        if r in self._watch_ranges:
-            return
-        self._watch_ranges.add(r)
-        self._watch_list.append(r)
-        if r[0] < self._watch_lo:
-            self._watch_lo = r[0]
-        if r[1] > self._watch_hi:
-            self._watch_hi = r[1]
+        end = addr + length
+        starts, ends = self._watch_starts, self._watch_ends
+        i = bisect_left(starts, end)
+        if i and ends[starts[i - 1]] > addr:
+            if starts[i - 1] == addr and ends[addr] == end:
+                return
+            raise MemoryError_(
+                f"rank {self.rank}: watched range [{addr}, {end}) overlaps "
+                "another")
+        if not length:
+            raise MemoryError_(f"rank {self.rank}: empty watched range")
+        starts.insert(i, addr)
+        ends[addr] = end
+        self._watch_n += 1
+        if addr < self._watch_lo:
+            self._watch_lo = addr
+        if end > self._watch_hi:
+            self._watch_hi = end
         self.watch_version += 1
 
     def _touch(self, addr: int, end: int) -> None:
         if addr < self._watch_hi and end > self._watch_lo:
-            for lo, hi in self._watch_list:
-                if addr < hi and end > lo:
-                    self.watch_version += 1
-                    for ring in self.on_watched_write:
-                        ring()
-                    return
+            # the ranges are disjoint: only the last one starting before
+            # ``end`` can reach back past ``addr``.  Bisected inline, as
+            # every ledger write (landing or staged) comes through here
+            starts = self._watch_starts
+            lo, hi = 0, self._watch_n
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if starts[mid] < end:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo and self._watch_ends[starts[lo - 1]] > addr:
+                self.watch_version += 1
+                for ring in self.on_watched_write:
+                    ring()
 
     def read(self, addr: int, length: int) -> memoryview:
         """Zero-copy view of [addr, addr+length).
@@ -182,31 +209,57 @@ class Memory:
             self._touch(addr, addr + 8)
 
     # -- pinning cost model -----------------------------------------------------
-    def _page_range(self, addr: int, length: int) -> range:
-        first = addr // PAGE_SIZE
-        last = (addr + max(length, 1) - 1) // PAGE_SIZE
-        return range(first, last + 1)
+    def _pages(self, addr: int, length: int):
+        """The pages [first, end) that [addr, addr+length) spans (at least
+        one, as a zero-length registration still pins its page)."""
+        self._check(addr, length)
+        return addr // PAGE_SIZE, (addr + max(length, 1) - 1) // PAGE_SIZE + 1
 
     def pin_cost_ns(self, addr: int, length: int) -> int:
         """Cost to register [addr, addr+length): base + per *new* page."""
-        self._check(addr, length)
-        new_pages = sum(1 for p in self._page_range(addr, length)
-                        if p not in self._pinned_pages)
+        first, end = self._pages(addr, length)
+        bounds, counts = self._pin_bounds, self._pin_counts
+        n = len(bounds)
+        i = bisect_right(bounds, first) - 1
+        new_pages = 0
+        lo = first
+        while lo < end:  # segment i holds pages [lo, hi) of the range
+            hi = bounds[i + 1] if i + 1 < n and bounds[i + 1] < end else end
+            if not counts[i]:
+                new_pages += hi - lo
+            lo = hi
+            i += 1
         return self.host.reg_base_ns + self.host.reg_per_page_ns * new_pages
 
     def pin(self, addr: int, length: int) -> None:
         """Mark the pages of [addr, addr+length) pinned (cost charged by caller)."""
-        self._check(addr, length)
-        self._pinned_pages.update(self._page_range(addr, length))
+        self._step(*self._pages(addr, length), 1)
 
     def unpin(self, addr: int, length: int) -> None:
-        self._check(addr, length)
-        for p in self._page_range(addr, length):
-            n = self._pinned_pages.get(p, 0)
-            if n <= 1:
-                self._pinned_pages.pop(p, None)
-            else:
-                self._pinned_pages[p] = n - 1
+        """Drop one pin from each page of [addr, addr+length) that has one."""
+        self._step(*self._pages(addr, length), -1)
+
+    def _split(self, page: int) -> int:
+        """Index of the segment starting at ``page``, made if need be."""
+        bounds = self._pin_bounds
+        i = bisect_right(bounds, page) - 1
+        if bounds[i] != page:
+            i += 1
+            bounds.insert(i, page)
+            self._pin_counts.insert(i, self._pin_counts[i - 1])
+        return i
+
+    def _step(self, first: int, end: int, delta: int) -> None:
+        """Add ``delta`` to the pin count of pages [first, end), never
+        below zero, and merge the neighbours that came out equal."""
+        i, j = self._split(first), self._split(end)
+        bounds, counts = self._pin_bounds, self._pin_counts
+        for k in range(i, j):
+            count = counts[k] + delta
+            counts[k] = count if count > 0 else 0
+        for k in range(j, i - 1 if i else 0, -1):  # from the top down
+            if counts[k] == counts[k - 1]:
+                del bounds[k], counts[k]
 
     def memcpy_cost_ns(self, length: int) -> int:
         """Host-to-host copy cost for ``length`` bytes."""

@@ -57,6 +57,9 @@ INFO_ENTRIES = 32
 FIN_ENTRIES = 32
 #: preposted zero-byte receives per peer when use_imm is on
 IMM_PREPOST = 64
+#: the one receive every immediate-mode window posts: zero bytes, so it
+#: lands nothing and no two of its receives differ
+_IMM_RECV = RecvWR()
 #: maximum outstanding PWC operations per peer before put backpressure
 MAX_OUTSTANDING = 256
 #: base of the exponential retry backoff (doubles per attempt, plus seeded
@@ -313,11 +316,12 @@ class PhotonBase:
         self._top_up_recvs(peer)
 
     def _top_up_recvs(self, peer: PeerState) -> None:
-        """Post receives until the pairing's window is ``IMM_PREPOST``."""
-        if self._use_imm:
-            while peer.preposted < IMM_PREPOST:
-                peer.qp.post_recv(RecvWR())
-                peer.preposted += 1
+        """Post receives until the pairing's window is ``IMM_PREPOST``:
+        the whole deficit as one run of the shared empty template."""
+        deficit = IMM_PREPOST - peer.preposted
+        if self._use_imm and deficit > 0:
+            peer.qp.post_recv(_IMM_RECV, deficit)
+            peer.preposted = IMM_PREPOST
 
     # ------------------------------------------------------------- posting
     def _peer(self, rank: int) -> PeerState:

@@ -117,11 +117,12 @@ class LocalRing:
 
     :meth:`ready` is the single hottest call in a Photon run — every
     progress pass polls it for all four rings of every peer, and almost
-    every poll misses.  The head-slot address is therefore maintained
-    incrementally (slot addresses precomputed once; no modulo per poll)
-    and the sequence word is read straight off the rank memoryview,
-    skipping the :class:`~repro.fabric.memory.Memory` bounds check —
-    every address in ``_addrs`` was validated by construction.
+    every poll misses.  The head-slot address is therefore kept as an
+    int that :meth:`advance` steps by one entry, wrapping at the ring's
+    end (no modulo per poll), and the sequence word is read straight off
+    the rank memoryview, skipping the
+    :class:`~repro.fabric.memory.Memory` bounds check — the whole ring
+    was validated at construction, and the head never leaves it.
     """
 
     def __init__(self, spec: RingSpec, base: int, memory: Memory,
@@ -135,30 +136,29 @@ class LocalRing:
         self.consumed = 0
         self.credit_sent = 0
         self._credit_every = max(1, int(spec.nslots * CREDIT_FRACTION))
+        # writes landing in the ring bump memory.watch_version, letting
+        # the progress loop skip whole scan passes (see PhotonBase); the
+        # watch also bounds-checks the ring the fast poll reads unchecked
+        memory.watch(base, spec.nbytes)
+        self._head = base
+        self._end = base + spec.nbytes
         # fast-poll state: Memory.data is created once and never replaced
         # (crash wipes the mmap in place), so the view stays valid
-        memory._check(base, spec.nbytes)
-        # writes landing in the ring bump memory.watch_version, letting
-        # the progress loop skip whole scan passes (see PhotonBase)
-        memory.watch(base, spec.nbytes)
-        self._addrs = tuple(base + spec.slot_offset(i)
-                            for i in range(spec.nslots))
-        self._head_idx = 0
         self._data = memory.data
         self._unpack = _U64.unpack_from
 
     def head_addr(self) -> int:
-        return self._addrs[self._head_idx]
+        return self._head
 
     def ready(self) -> bool:
         """Is the entry at the read index complete?"""
-        return (self._unpack(self._data, self._addrs[self._head_idx])[0]
+        return (self._unpack(self._data, self._head)[0]
                 == self.consumed + 1)
 
     def advance(self) -> None:
         self.consumed += 1
-        i = self._head_idx + 1
-        self._head_idx = 0 if i == len(self._addrs) else i
+        head = self._head + self.spec.entry_size
+        self._head = self.base if head == self._end else head
 
     def credit_due(self) -> bool:
         return self.consumed - self.credit_sent >= self._credit_every
@@ -172,4 +172,4 @@ class LocalRing:
         """Re-arm after a crash on either side (see ``RemoteRing.reset``)."""
         self.consumed = 0
         self.credit_sent = 0
-        self._head_idx = 0
+        self._head = self.base

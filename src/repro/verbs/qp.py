@@ -6,7 +6,10 @@ local delivery and the runtime's local queue stay above the NIC).  It supports t
 opcodes Photon and minimpi need:
 
 - ``SEND`` / posted receives with tag-free FIFO matching (RC semantics:
-  the n-th send on a QP consumes the n-th posted receive),
+  the n-th send on a QP consumes the n-th posted receive); the receive
+  queue holds runs ``[template, count]``, so a window of identical
+  receives posted at once (``post_recv(wr, count)``, like a WR list to
+  ``ibv_post_recv``) is one entry however deep it is,
 - ``RDMA_WRITE`` and ``RDMA_WRITE_WITH_IMM`` (the latter consumes a receive
   and raises a completion with 32-bit immediate data at the target),
 - ``RDMA_READ``,
@@ -115,7 +118,10 @@ class QueuePair:
         self.state = QPState.RESET
         self.peer: Optional["QueuePair"] = None
         self._sq_outstanding = 0
-        self._rq: Deque[RecvWR] = deque()
+        #: posted receives in FIFO order as runs ``[template, count]``
+        self._rq: Deque[list] = deque()
+        #: receives posted and not yet consumed (the runs' counts summed)
+        self.rq_posted = 0
         #: arrivals with no receive posted (RNR); the first _draining drain
         self._rnr: Deque[WireMsg] = deque()
         self._draining = 0
@@ -140,27 +146,40 @@ class QueuePair:
             raise NotConnected("QP has no peer")
         return self.peer.context.rank
 
-    @property
-    def rq_posted(self) -> int:
-        return len(self._rq)
-
     # -- receive side ----------------------------------------------------------
-    def post_recv(self, wr: RecvWR) -> None:
+    def post_recv(self, wr: RecvWR, count: int = 1) -> None:
+        """Post ``count`` receives of ``wr`` behind those already posted.
+
+        All or nothing: a ``count`` the RQ cannot hold raises with nothing
+        posted.  Receives of the same ``wr`` object posted back to back
+        share one run; each still consumes one arrival, and each flushes
+        as its own CQE carrying ``wr.wr_id``.
+        """
         if self.state is not QPState.READY:
             raise NotConnected("post_recv on unconnected QP")
-        if len(self._rq) >= self.max_recv_wr:
+        if count < 1:
+            raise BadWorkRequest(f"post_recv count {count} < 1")
+        if self.rq_posted + count > self.max_recv_wr:
             raise QueueFullError(
                 f"rank {self.context.rank} qp{self.qp_num}: RQ full "
                 f"({self.max_recv_wr})")
         if wr.length:
             self.pd.find_local(wr.addr, wr.length, Access.LOCAL_WRITE)
-        self._rq.append(wr)
-        self._drain()
+        rq = self._rq
+        if rq and rq[-1][0] is wr:
+            rq[-1][1] += count
+        else:
+            rq.append([wr, count])
+        self.rq_posted += count
+        self._drain(count)
 
-    def _drain(self) -> None:
+    def _drain(self, starts: int = 1) -> None:
         """RC order: the RNR line drains from its head, one message per free
-        receive; a message leaves it when delivered, so arrivals queue."""
-        if self._draining < min(len(self._rnr), len(self._rq)):
+        receive; a message leaves it when delivered, so arrivals queue.
+        Starts up to ``starts`` drains, one per receive just posted."""
+        while starts and self._draining < min(len(self._rnr),
+                                              self.rq_posted):
+            starts -= 1
             msg = self._rnr[self._draining]
             self._draining += 1
             self.context.counters.add("verbs.rnr_drains")
@@ -301,13 +320,15 @@ class QueuePair:
                 status=WCStatus.WR_FLUSH_ERR, src_rank=self.remote_rank,
                 qp_num=self.qp_num))
         self._pending.clear()
-        for rwr in self._rq:
-            self.context.counters.add("qp.flushes")
-            self.recv_cq.push(WorkCompletion(
-                wr_id=rwr.wr_id, opcode=WCOpcode.RECV,
-                status=WCStatus.WR_FLUSH_ERR, src_rank=self.remote_rank,
-                qp_num=self.qp_num))
+        for rwr, count in self._rq:
+            for _ in range(count):
+                self.context.counters.add("qp.flushes")
+                self.recv_cq.push(WorkCompletion(
+                    wr_id=rwr.wr_id, opcode=WCOpcode.RECV,
+                    status=WCStatus.WR_FLUSH_ERR, src_rank=self.remote_rank,
+                    qp_num=self.qp_num))
         self._rq.clear()
+        self.rq_posted = 0
         self._rnr.clear()
         self._draining = 0
 
@@ -462,7 +483,7 @@ class QueuePair:
     def _on_arrival(self, msg: WireMsg) -> None:
         """A SEND, or a WRITE_WITH_IMM (data already placed; it consumes a
         receive for the notification only)."""
-        if self._rnr or not self._rq:
+        if self._rnr or not self.rq_posted:
             self.context.counters.add("verbs.rnr_stalls")
             self._rnr.append(msg)
             self._drain()
@@ -470,7 +491,12 @@ class QueuePair:
         self._deliver_to_rq(msg)
 
     def _deliver_to_rq(self, msg: WireMsg) -> None:
-        wr = self._rq.popleft()
+        run = self._rq[0]
+        wr = run[0]
+        run[1] -= 1
+        if not run[1]:
+            self._rq.popleft()
+        self.rq_posted -= 1
         status = WCStatus.SUCCESS
         byte_len = msg.nbytes
         if msg.kind == "send":

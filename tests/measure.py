@@ -5,8 +5,10 @@ only: production code has no hook for it).
     python tests/measure.py events r1                 # an experiment
     python tests/measure.py events pwc_sweep --top 15 # a perf/ block
     python tests/measure.py calls kv_chaos --seed 7001 --scale 0.2
+    python tests/measure.py calls am_fanout --setup   # the block's set-up
     python tests/measure.py timeline kv_write --ops 4
     python tests/measure.py reach [--full] [--check] [ids|examples|perf|...]
+    python tests/measure.py scale --ranks 8 32 128    # bootstrap cost
     python tests/measure.py calls kv_write --src OLD/src --src NEW/src
 
 Each measures the ``repro`` on ``PYTHONPATH`` (else this checkout's
@@ -25,10 +27,12 @@ import io
 import json
 import os
 import re
+import resource
 import runpy
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -58,13 +62,23 @@ OTHERS = ("examples", "perf", "demo", "chaos", "failover", "restart")
 ALLOW = ROOT / "tests" / "reach_allow.txt"
 
 
-def run_block(workload: str, seed: int, scale: float, start, stop=None):
+def run_block(workload: str, seed: int, scale: float, start, stop=None,
+              setup: bool = False):
     """Build one ``perf/`` block, run its timed region with ``start(block)``
-    and ``stop()`` directly around ``block.run``, verify; its result."""
+    and ``stop()`` directly around ``block.run`` (with ``setup``,
+    ``start(None)`` and ``stop()`` around the block's constructor, the
+    part ``setup_s`` times), verify; its result."""
     from perf.trace import HostTrace
     from perf.workloads import WORKLOADS
     trace = HostTrace(enabled=False)
+    if setup:
+        gc.collect()  # earlier garbage is not the constructor's to free
+        start(None)
     block = WORKLOADS[workload](seed, scale, spans=False, trace=trace)
+    if setup:  # the hooks are spent on the constructor
+        if stop is not None:
+            stop()
+        start, stop = (lambda block: None), None
     gc.collect()  # as perf/harness.py: no earlier garbage freed mid-block
     with trace.span("timed_region") as region:
         start(block)
@@ -218,12 +232,15 @@ def _layer(func):
     return match.group(1) if match and match.group(1) in LAYERS else None
 
 
-def calls(workload: str, seed: int = 7001, scale: float = 0.2):
+def calls(workload: str, seed: int = 7001, scale: float = 0.2,
+          setup: bool = False):
     """(calls by layer, by ``file:line(name)``, ops) of one block's timed
-    region; a builtin or library function counts in each caller's layer."""
+    region, or with ``setup`` of its constructor (ops 1: per block); a
+    builtin or library function counts in each caller's layer."""
     profile = cProfile.Profile()
     result = run_block(workload, seed, scale,
-                       lambda block: profile.enable(), profile.disable)
+                       lambda block: profile.enable(), profile.disable,
+                       setup)
     by_layer: Counter = Counter()
     by_function: Counter = Counter()
     for func, nc, callers in profiled(profile):
@@ -235,21 +252,22 @@ def calls(workload: str, seed: int = 7001, scale: float = 0.2):
         for caller, n in callers:
             by_layer[_layer(caller) or "other"] += n
         by_layer["other"] += nc - sum(n for _caller, n in callers)
-    return by_layer, by_function, result.completed
+    return by_layer, by_function, 1 if setup else result.completed
 
 
-def calls_report(by_layer: Counter, by_function: Counter, ops: int, top=20):
+def calls_report(by_layer: Counter, by_function: Counter, ops: int, top=20,
+                 unit: str = "op"):
     total = sum(by_layer.values())
-    yield f"{total} calls, {ops} ops, {total / ops:.1f} calls_per_op"
+    yield f"{total} calls, {ops} {unit}s, {total / ops:.1f} calls_per_{unit}"
     yield "by layer:"
     for layer in (*LAYERS, "other"):
         if by_layer[layer]:
-            yield (f"  {by_layer[layer] / ops:10.1f}/op  "
+            yield (f"  {by_layer[layer] / ops:10.1f}/{unit}  "
                    f"{by_layer[layer] / total:6.1%}  {layer}")
     yield f"top {top} functions:"  # ties by name, not memory layout
     ranked = sorted(by_function.items(), key=lambda fn: (-fn[1], fn[0]))
     for func, n in ranked[:top]:
-        yield f"  {n / ops:10.1f}/op  {func}"
+        yield f"  {n / ops:10.1f}/{unit}  {func}"
 
 
 # ---------------------------------------------------------------- timeline
@@ -555,6 +573,90 @@ def check(missed: dict, every: dict, allow: Path) -> list:
                for n in sorted(set(allowed) - names)])
 
 
+# ------------------------------------------------------------------- scale
+#: GC-tracked objects ``photon_init`` may leave per directed peer pairing
+#: (``scale --check``; tier-1 holds 32 ranks to it): bootstrap state is
+#: O(1) objects per peer, not one per posted receive, ring slot or page
+MAX_OBJECTS_PER_PAIRING = 32
+#: the fewest ranks ``--check`` holds to it: below, a rank's own state
+#: (CQs, PD, ledger MR) spread over its few pairings outweighs theirs
+CHECK_MIN_RANKS = 32
+#: each rank's heap in ``scale``: room for 256 ranks' ledgers
+SCALE_MEM_MIB = 160
+
+
+def bootstrap(n: int, profile: cProfile.Profile = None) -> dict:
+    """``build_cluster(n)`` + ``photon_init``: host seconds (``profile``,
+    if given, on across both) and the GC-tracked objects init left
+    behind per directed peer pairing."""
+    from repro.photon import photon_init
+    from repro.util import MiB
+    on = profile or contextlib.nullcontext()
+    gc.collect()
+    t0 = time.perf_counter()
+    with on:
+        cl = repro.cluster.build_cluster(n, mem_size=SCALE_MEM_MIB * MiB)
+    built = time.perf_counter() - t0
+    gc.collect()  # counted outside the clock
+    before = len(gc.get_objects())
+    t0 = time.perf_counter()
+    with on:
+        endpoints = photon_init(cl)
+    inited = time.perf_counter() - t0
+    gc.collect()
+    objects = len(gc.get_objects()) - before
+    del endpoints  # alive until counted
+    return {"setup_s": built + inited,
+            "objects/pairing": objects / (n * (n - 1))}
+
+
+def scale_one(n: int) -> dict:
+    """One rank count, in this process: a timed bootstrap (its peak RSS),
+    then a profiled one for calls per pairing."""
+    row = bootstrap(n)
+    row["peak_rss_mib"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                           / 1024.0)
+    gc.collect()
+    profile = cProfile.Profile()
+    bootstrap(n, profile)
+    row["calls/pairing"] = sum(nc for _f, nc, _c in profiled(profile)) / (
+        n * (n - 1))
+    return row
+
+
+def scale(ranks: list) -> dict:
+    """``scale_one`` per rank count, each in a child interpreter of its own
+    (so its peak RSS is its own), one after another (so none is timed
+    against another); ``{"N ranks: metric": value}``."""
+    if len(ranks) == 1:
+        return {f"{ranks[0]} ranks: {k}": v
+                for k, v in scale_one(ranks[0]).items()}
+    out = {}
+    for n in ranks:
+        run = subprocess.run(
+            [sys.executable, __file__, "scale", "--ranks", str(n), "--json"],
+            text=True, capture_output=True)
+        if run.returncode:
+            sys.exit(f"scale --ranks {n}: {run.stderr}")
+        out.update(json.loads(run.stdout))
+    return out
+
+
+def scale_report(rows: dict, ranks: list):
+    names = ("setup_s", "calls/pairing", "objects/pairing", "peak_rss_mib")
+    yield f"{'ranks':>6}" + "".join(f"{name:>17}" for name in names)
+    for n in ranks:
+        yield f"{n:6d}" + "".join(f"{rows[f'{n} ranks: {name}']:17.3f}"
+                                  for name in names)
+
+
+def scale_problems(rows: dict, ranks: list) -> list:
+    keys = [f"{n} ranks: objects/pairing" for n in ranks
+            if n >= CHECK_MIN_RANKS]
+    return [f"{key} = {rows[key]:.2f} > {MAX_OBJECTS_PER_PAIRING}"
+            for key in keys if rows[key] > MAX_OBJECTS_PER_PAIRING]
+
+
 #: every flag, defined once; ``--src`` and ``--json`` go on every command
 FLAGS = {
     "--seed": dict(type=int, default=7001, help="block seed"),
@@ -562,16 +664,22 @@ FLAGS = {
     "--top": dict(type=int, default=20),
     "--ops": dict(type=int, default=4, help="RPCs to lay out"),
     "--full": dict(action="store_true", help="experiments --full too"),
-    "--check": dict(action="store_true", help="hold to the allowlist"),
+    "--check": dict(action="store_true", help="reach: hold to the "
+                    "allowlist; scale: hold objects per pairing to "
+                    f"{MAX_OBJECTS_PER_PAIRING}"),
     "--allow": dict(default=str(ALLOW), metavar="FILE"),
     "--src": dict(action="append", default=[], metavar="DIR"),
+    "--setup": dict(action="store_true",
+                    help="profile the block's constructor (per block)"),
+    "--ranks": dict(type=int, nargs="+", default=[8, 32, 128]),
     "--json": dict(action="store_true"),
 }
 COMMANDS = {  # command: (positional, nargs, flags)
     "events": ("what", None, ("--seed", "--scale", "--top")),
-    "calls": ("workload", None, ("--seed", "--scale", "--top")),
+    "calls": ("workload", None, ("--seed", "--scale", "--top", "--setup")),
     "timeline": ("workload", None, ("--ops", "--seed", "--scale")),
     "reach": ("entries", "*", ("--full", "--check", "--allow")),
+    "scale": (None, None, ("--ranks", "--check")),
 }
 
 
@@ -580,12 +688,15 @@ def compare(args, argv: list) -> int:
     tree, side by side (a timeline's rows are the first tree's hops)."""
     child = [a for i, a in enumerate(argv) if a != "--src"
              and not a.startswith("--src=") and argv[i - 1:i] != ["--src"]]
-    runs = [subprocess.Popen(  # all at once: nothing here is timed
-        [sys.executable, __file__, *child, "--json"], text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
-        for src in args.src]
-    outs = [run.communicate() for run in runs]
+    runs, outs = [], []
+    for src in args.src:  # all at once, unless host time is measured
+        runs.append(subprocess.Popen(
+            [sys.executable, __file__, *child, "--json"], text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src))))
+        if args.command == "scale":
+            outs.append(runs[-1].communicate())
+    outs = outs or [run.communicate() for run in runs]
     for src, (out, err) in zip(args.src, outs):
         if not out:
             sys.exit(f"{src}: {err}")
@@ -602,8 +713,11 @@ def compare(args, argv: list) -> int:
                                         row))
         rows = [(row, [r.get(row) for r in res]) for row in order]
     title, cell = {"timeline": ("us since each op began", "{:11.3f}"),
-                   "reach": ("unreached functions (lines)", "{:11d}")}.get(
-        args.command, (f"{args.command} per op", "{:11.2f}"))
+                   "reach": ("unreached functions (lines)", "{:11d}"),
+                   "scale": ("bootstrap cost", "{:11.3f}")}.get(
+        args.command, (f"{args.command} per "
+                       f"{'block' if getattr(args, 'setup', False) else 'op'}",
+                       "{:11.2f}"))
     width = max([10] + [len(label) for label, _vals in rows])
     lines = [f"{title}, by tree:",
              *(f"  [{i}] {src}" for i, src in enumerate(args.src)),
@@ -644,7 +758,8 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
     for name, (positional, nargs, flags) in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument(positional, nargs=nargs)
+        if positional:
+            p.add_argument(positional, nargs=nargs)
         for flag in (*flags, "--src", "--json"):
             p.add_argument(flag, **FLAGS[flag])
     args = top.parse_args(argv)
@@ -654,6 +769,14 @@ def main(argv=None) -> int:
         return compare(args, argv)
     if args.command == "reach":
         return reach(args)
+    if args.command == "scale":
+        rows = scale(args.ranks)
+        problems = scale_problems(rows, args.ranks) if args.check else []
+        print(json.dumps(rows) if args.json else "\n".join(
+            [*scale_report(rows, args.ranks), *problems]
+            + ([f"check {'FAIL' if problems else 'PASS'}"]
+               if args.check else [])))
+        return 1 if problems else 0
     if args.command == "events":
         fired, ops = events(args.what, args.seed, args.scale)
         per = {pkg: n / (ops or 1) for pkg, n in by_package(fired).items()}
@@ -661,11 +784,12 @@ def main(argv=None) -> int:
         text = events_report(fired, ops, args.top)
     elif args.command == "calls":
         by_layer, by_function, ops = calls(args.workload, args.seed,
-                                           args.scale)
+                                           args.scale, args.setup)
         per = {"total": sum(by_layer.values()) / ops}
         per.update((layer, by_layer[layer] / ops)  # a fixed key order
                    for layer in (*LAYERS, "other") if layer in by_layer)
-        text = calls_report(by_layer, by_function, ops, args.top)
+        text = calls_report(by_layer, by_function, ops, args.top,
+                            "block" if args.setup else "op")
     else:
         ops = timeline(args.workload, args.ops, args.seed, args.scale)
         per = [[f"op {n}  r{r}  {x}", t / 1e3]  # us since the op began

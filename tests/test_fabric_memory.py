@@ -1,6 +1,9 @@
 """Unit tests for repro.fabric.memory."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric import IB_FDR, Memory, MemoryError_, OutOfMemory
 from repro.fabric.memory import PAGE_SIZE
@@ -118,7 +121,9 @@ def test_pin_cost_counts_new_pages_only():
     # Re-registering the same range: only the base cost remains.
     cost2 = mem.pin_cost_ns(addr, 3 * PAGE_SIZE)
     assert cost2 == HOST.reg_base_ns
-    assert len(mem._pinned_pages) == 3
+    # exactly three pages: the next one over is still new
+    assert (mem.pin_cost_ns(addr, 4 * PAGE_SIZE)
+            == HOST.reg_base_ns + HOST.reg_per_page_ns)
 
 
 def test_pin_partial_overlap():
@@ -135,19 +140,26 @@ def test_unpin_releases_pages():
     page = PAGE_SIZE
     addr = mem.alloc(2 * page, align=page)
     mem.pin(addr, 2 * page)
-    assert len(mem._pinned_pages) == 2
+    assert mem.pin_cost_ns(addr, 2 * page) == HOST.reg_base_ns
     mem.unpin(addr, page)
-    assert len(mem._pinned_pages) == 1
+    # the first page is released, the second still pinned
+    assert mem.pin_cost_ns(addr, page) == HOST.reg_base_ns + HOST.reg_per_page_ns
+    assert mem.pin_cost_ns(addr + page, page) == HOST.reg_base_ns
 
 
 def test_pages_spanned_unaligned_range():
     mem = make()
     page = PAGE_SIZE
+
+    def pages(addr, length):  # pages a registration would pin anew
+        return ((mem.pin_cost_ns(addr, length) - HOST.reg_base_ns)
+                // HOST.reg_per_page_ns)
+
     # 2 bytes straddling a page boundary span two pages
-    assert len(mem._page_range(page - 1, 2)) == 2
-    assert len(mem._page_range(0, 1)) == 1
-    assert len(mem._page_range(0, page)) == 1
-    assert len(mem._page_range(0, page + 1)) == 2
+    assert pages(page - 1, 2) == 2
+    assert pages(0, 1) == 1
+    assert pages(0, page) == 1
+    assert pages(0, page + 1) == 2
 
 
 def test_memcpy_cost_scales():
@@ -156,3 +168,89 @@ def test_memcpy_cost_scales():
     small = mem.memcpy_cost_ns(1024)
     large = mem.memcpy_cost_ns(1024 * 1024)
     assert large > small > 0
+
+
+# -- pin counts against a page-by-page oracle ----------------------------------
+class PageOracle:
+    """The pin refcount kept page by page, as ``Memory`` once kept it."""
+
+    def __init__(self):
+        self.pins = Counter()
+
+    @staticmethod
+    def pages(addr, length):
+        return range(addr // PAGE_SIZE,
+                     (addr + max(length, 1) - 1) // PAGE_SIZE + 1)
+
+    def new_pages(self, addr, length):
+        return sum(1 for p in self.pages(addr, length) if not self.pins[p])
+
+    def pin(self, addr, length):
+        self.pins.update(self.pages(addr, length))
+
+    def unpin(self, addr, length):
+        for p in self.pages(addr, length):
+            self.pins[p] = max(0, self.pins[p] - 1)
+
+
+_SPAN = 24 * PAGE_SIZE
+_RANGES = st.tuples(st.integers(0, _SPAN - 1), st.integers(0, 6 * PAGE_SIZE))
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["pin", "unpin", "cost", "reset"]), _RANGES), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS)
+def test_interval_pin_counts_match_the_page_oracle(steps):
+    """Random pin / unpin / price / reset sequences: every price equals the
+    oracle's, and afterwards so does every page's (a one-page price)."""
+    mem, oracle = make(_SPAN + 8 * PAGE_SIZE), PageOracle()
+    for op, (addr, length) in steps:
+        if op == "pin":
+            mem.pin(addr, length)
+            oracle.pin(addr, length)
+        elif op == "unpin":
+            mem.unpin(addr, length)
+            oracle.unpin(addr, length)
+        elif op == "reset":
+            mem.reset()
+            oracle.pins.clear()
+        assert mem.pin_cost_ns(addr, length) == (
+            HOST.reg_base_ns + HOST.reg_per_page_ns * oracle.new_pages(addr, length))
+    for page in range((_SPAN + 6 * PAGE_SIZE) // PAGE_SIZE + 1):
+        assert (mem.pin_cost_ns(page * PAGE_SIZE, 1) == HOST.reg_base_ns) == (
+            oracle.pins[page] > 0), page
+    # the step function stays canonical: no two neighbours share a count
+    counts = mem._pin_counts
+    assert all(a != b for a, b in zip(counts, counts[1:]))
+
+
+# -- watched ranges -----------------------------------------------------------
+def test_watched_write_hits_bump_once_and_misses_do_not():
+    mem = make()
+    rung = []
+    mem.on_watched_write.append(lambda: rung.append(mem.watch_version))
+    mem.watch(100, 50)
+    mem.watch(300, 8)
+    mem.watch(200, 40)  # registered out of address order
+    mem.watch(100, 50)  # re-registering the same range changes nothing
+    version = mem.watch_version
+    for addr, n in ((150, 50), (240, 60), (0, 100), (308, 8)):
+        mem.write(addr, b"x" * n)  # each falls between or beside the ranges
+    assert mem.watch_version == version and rung == []
+    for addr, n in ((149, 1), (90, 300), (239, 2), (299, 2)):
+        mem.write(addr, b"x" * n)  # one hit, whatever it spans
+    mem.write_u64(304, 1)
+    assert rung == list(range(version + 1, version + 6))
+    assert mem.watch_version == version + 5
+
+
+def test_overlapping_watch_is_refused():
+    mem = make()
+    mem.watch(100, 50)
+    for addr, n in ((90, 11), (149, 10), (120, 5), (50, 200)):
+        with pytest.raises(MemoryError_):
+            mem.watch(addr, n)
+    with pytest.raises(MemoryError_):
+        mem.watch(400, 0)  # an empty range would shadow its neighbour
+    mem.watch(150, 10)  # adjacent is fine

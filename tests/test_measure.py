@@ -10,8 +10,11 @@ from pathlib import Path
 
 from repro.cluster import build_cluster
 from repro.kv.client import KVClient
-from tests.measure import (ROOT, OriginEnvironment, Recorder, calls,
-                           functions, hops, install, main, unreached)
+import json
+
+from tests.measure import (ROOT, MAX_OBJECTS_PER_PAIRING, OriginEnvironment,
+                           Recorder, calls, functions, hops, install, main,
+                           scale_problems, unreached)
 from tests.stepping import SteppedEnvironment
 from tests.test_kv import _run_kv
 
@@ -45,6 +48,35 @@ def test_calls_and_events_do_not_depend_on_the_hash_seed():
     for what in ("calls", "events"):
         assert out[what, "0"][0] == out[what, "1"][0]
         assert out[what, "0"][0].startswith("{")
+
+
+def test_setup_calls_are_the_constructors_not_the_timed_regions():
+    """``calls --setup`` profiles what ``setup_s`` times: the constructor,
+    per block, and the same count twice in every ``repro`` layer (the
+    first constructor in a process also pays library warm-up, "other")."""
+    by_layer, _by_function, ops = calls("am_fanout", 7001, 0.05, setup=True)
+    assert ops == 1
+    again = calls("am_fanout", 7001, 0.05, setup=True)[0]
+    del by_layer["other"], again["other"]
+    assert again == by_layer
+    timed = calls("am_fanout", 7001, 0.05)[0]
+    assert by_layer["photon"] and by_layer != timed
+    # no simulated time passes in set-up: the kernel only queues the
+    # processes the constructor starts, it runs none of them
+    assert by_layer["sim"] < timed["sim"]
+
+
+def test_scale_prints_the_bootstrap_cost_and_holds_objects(capsys):
+    assert main(["scale", "--ranks", "8", "--check", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert set(row) == {f"8 ranks: {name}" for name in (
+        "setup_s", "objects/pairing", "peak_rss_mib", "calls/pairing")}
+    assert row["8 ranks: calls/pairing"] > 0
+    # the gate reads the object count at 32 ranks and up only
+    over = MAX_OBJECTS_PER_PAIRING + 1
+    assert scale_problems({"8 ranks: objects/pairing": over}, [8]) == []
+    assert scale_problems({"32 ranks: objects/pairing": over}, [32]) == [
+        f"32 ranks: objects/pairing = {over:.2f} > {MAX_OBJECTS_PER_PAIRING}"]
 
 
 def test_timeline_of_one_tree_against_itself_moves_no_hop(capsys):

@@ -5,12 +5,16 @@ protocols degrades into error at the rank counts the full experiments
 use, and that collective latency scales sub-linearly.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import photon_init
-from repro.util import MiB
+from repro.util import KiB, MiB
+from tests.measure import MAX_OBJECTS_PER_PAIRING, bootstrap
 
 TIMEOUT = 10 ** 12
 
@@ -45,6 +49,27 @@ def test_sixteen_rank_allreduce_correct():
     cl.env.run(until=cl.env.all_of(procs))
     for out in results:
         np.testing.assert_allclose(out, [sum(range(16)), 16.0])
+
+
+def test_bootstrap_state_is_constant_per_peer_pairing():
+    """``photon_init`` on 32 ranks leaves O(1) Python objects per directed
+    peer pairing: a receive window is one run however deep it is, a ring
+    keeps its head as one int, and pins are counted per interval.  The
+    objects are counted as the GC sees them, and the bytes by the Python
+    allocator (a tuple of ints is no GC object, but it has a size)."""
+    n = 32
+    assert bootstrap(n)["objects/pairing"] <= MAX_OBJECTS_PER_PAIRING
+    cl = build_cluster(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ph = photon_init(cl)
+        gc.collect()
+        per_pairing = tracemalloc.get_traced_memory()[0] / (n * (n - 1))
+    finally:
+        tracemalloc.stop()
+    assert len(ph) == n
+    assert per_pairing <= 12 * KiB
 
 
 def test_barrier_scales_sublinearly():

@@ -88,10 +88,13 @@ def test_mr_registration_pins_pages():
     cl = build_cluster(2)
     ctx = cl[0].context
     pd = ctx.alloc_pd()
-    addr = cl[0].memory.alloc(8192, align=4096)
-    before = len(cl[0].memory._pinned_pages)
+    mem = cl[0].memory
+    addr = mem.alloc(8192, align=4096)
+    host = cl.params.host
+    assert mem.pin_cost_ns(addr, 8192) == host.reg_base_ns + 2 * host.reg_per_page_ns
     ctx.reg_mr_sync(pd, addr, 8192)
-    assert len(cl[0].memory._pinned_pages) == before + 2
+    # both pages are pinned now: registering them again costs the base only
+    assert mem.pin_cost_ns(addr, 8192) == host.reg_base_ns
 
 
 def test_mr_write_needs_local_write():

@@ -264,6 +264,107 @@ def test_rnr_drain_keeps_receives_in_order():
     assert cl.counters.get("verbs.rnr_drains") == 2
 
 
+# -- run-length receive queue: ``post_recv(wr, count)`` ----------------------
+def _imm_write(qps, setups, imm, off=0):
+    (_, heap0, _, _, _), (_, heap1, mr1, _, _) = setups
+    qps[0].post_send(SendWR(
+        opcode=Opcode.RDMA_WRITE_WITH_IMM, local_addr=heap0 + off, length=8,
+        remote_addr=heap1 + 64 + off, rkey=mr1.rkey, imm=imm))
+
+
+def test_receive_runs_keep_fifo_order_beside_distinct_wrs():
+    """A template posted as a run (Photon's window) and distinct receives
+    (minimpi's bounce slots) interleave: arrivals take them in post order."""
+    cl, setups, qps = make_pair()
+    (_, heap0, _, _, _), (_, heap1, _, _, rcq1) = setups
+    cl[0].memory.write(heap0 + 32, b"AAAABBBB")
+    template = RecvWR(wr_id=7)
+    qps[1].post_recv(template, 2)
+    qps[1].post_recv(template)  # extends the run
+    qps[1].post_recv(RecvWR(wr_id=100, addr=heap1, length=4))
+    qps[1].post_recv(template, 2)
+    qps[1].post_recv(RecvWR(wr_id=101, addr=heap1 + 16, length=4))
+    assert qps[1].rq_posted == 7
+    for n in range(3):
+        _imm_write(qps, setups, imm=n)
+    qps[0].post_send(SendWR(opcode=Opcode.SEND, local_addr=heap0 + 32,
+                            length=4))
+    for n in range(3, 5):
+        _imm_write(qps, setups, imm=n)
+    qps[0].post_send(SendWR(opcode=Opcode.SEND, local_addr=heap0 + 36,
+                            length=4))
+    wcs = drain(rcq1, cl.env, n=7)
+    assert [w.wr_id for w in wcs] == [7, 7, 7, 100, 7, 7, 101]
+    assert [w.imm for w in wcs if w.opcode is WCOpcode.RECV_RDMA_WITH_IMM] \
+        == [0, 1, 2, 3, 4]
+    assert all(w.ok for w in wcs)
+    assert cl[1].memory.read(heap1, 4) == b"AAAA"
+    assert cl[1].memory.read(heap1 + 16, 4) == b"BBBB"
+    assert qps[1].rq_posted == 0
+
+
+def test_flush_pushes_one_cqe_per_posted_receive_in_order():
+    cl, setups, qps = make_pair()
+    (_, _, _, _, _), (_, heap1, _, _, rcq1) = setups
+    qps[1].post_recv(RecvWR(wr_id=7), 3)
+    qps[1].post_recv(RecvWR(wr_id=100, addr=heap1, length=4))
+    qps[1].post_recv(RecvWR(wr_id=8), 2)
+    qps[1].teardown()
+    wcs = rcq1.poll(max_entries=64)
+    assert [w.wr_id for w in wcs] == [7, 7, 7, 100, 8, 8]
+    assert {w.status for w in wcs} == {WCStatus.WR_FLUSH_ERR}
+    assert cl.counters.get("qp.flushes") == 6
+    assert qps[1].rq_posted == 0
+
+
+def test_rnr_drain_crosses_a_run_boundary():
+    """Three arrivals parked RNR; one post of a two-receive run and one of
+    a distinct receive starts three drains, completed in arrival order."""
+    cl, setups, qps = make_pair()
+    (_, _, _, _, _), (_, heap1, _, _, rcq1) = setups
+    for n in range(3):
+        _imm_write(qps, setups, imm=n, off=8 * n)
+
+    def receiver(env):
+        yield env.timeout(50_000)  # all three are RNR-parked by now
+        qps[1].post_recv(RecvWR(wr_id=20), 2)
+        qps[1].post_recv(RecvWR(wr_id=21))
+        got = []
+        while len(got) < 3:
+            yield rcq1.wait_nonempty()
+            got.extend(rcq1.poll())
+        return got, env.now
+
+    wcs, t = cl.env.run(until=cl.env.process(receiver(cl.env)))
+    assert [(w.wr_id, w.imm) for w in wcs] == [(20, 0), (20, 1), (21, 2)]
+    assert t == 50_000 + RNR_RETRY_NS  # the three drains run side by side
+    assert cl.counters.get("verbs.rnr_stalls") == 3
+    assert cl.counters.get("verbs.rnr_drains") == 3
+    assert qps[1].rq_posted == 0
+
+
+def test_post_recv_count_past_max_recv_wr_posts_nothing():
+    cl = build_cluster(2)
+    qps = []
+    for r in (0, 1):
+        ctx = cl[r].context
+        pd = ctx.alloc_pd()
+        cq = ctx.create_cq()
+        qps.append(ctx.create_qp(pd, cq, cq, max_recv_wr=8))
+    qps[0].connect(qps[1])
+    template = RecvWR(wr_id=3)
+    qps[1].post_recv(template, 6)
+    with pytest.raises(QueueFullError):
+        qps[1].post_recv(template, 3)
+    assert qps[1].rq_posted == 6
+    with pytest.raises(BadWorkRequest):
+        qps[1].post_recv(template, 0)
+    qps[1].post_recv(template, 2)  # exactly full
+    assert qps[1].rq_posted == 8
+    qps[1].teardown()
+    assert len(qps[1].recv_cq.poll(max_entries=64)) == 8
+
+
 def test_write_with_imm_consumes_recv_and_carries_imm():
     cl, setups, qps = make_pair()
     (_, heap0, _, cq0, _), (_, heap1, mr1, _, rcq1) = setups
@@ -428,10 +529,13 @@ def test_reg_mr_generator_charges_time():
         mr = yield from node.context.reg_mr(pd, heap, 1 << 20)
         return env.now, mr
 
+    # priced before the registration pins them: every page is new
+    cost = node.memory.pin_cost_ns(heap, 1 << 20)
     p = cl.env.process(prog(cl.env))
     t, mr = cl.env.run(until=p)
-    pages = len(node.memory._page_range(heap, 1 << 20))
-    assert t == cl.params.host.reg_base_ns + pages * cl.params.host.reg_per_page_ns
+    pages = (cost - cl.params.host.reg_base_ns) // cl.params.host.reg_per_page_ns
+    assert pages == -(-(heap % 4096 + (1 << 20)) // 4096)  # pages spanned
+    assert t == cost
     assert mr.valid
 
 
