@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import mmap
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from ..sim.core import SimulationError
 from .params import HostParams
@@ -68,11 +68,8 @@ class Memory:
         #: called (no arguments) on every such bump — how a poller that
         #: sleeps between looks learns a watched write landed
         self.on_watched_write: list = []
-        #: the watched ranges (disjoint): their starts sorted, each
-        #: start's end, and how many
-        self._watch_starts: list = []
-        self._watch_ends: dict = {}
-        self._watch_n = 0
+        self._watch_ranges: set = set()
+        self._watch_list: list = []
         # envelope over all watched ranges: one compare rejects most writes
         self._watch_lo = self.size
         self._watch_hi = 0
@@ -124,47 +121,28 @@ class Memory:
         Any later mutation intersecting a watched range bumps
         :attr:`watch_version`; pollers snapshot the counter to skip
         re-reading structures nothing has written to.  Re-registering an
-        identical range (ring re-arm after a crash) is a no-op; an empty
-        range, or one overlapping another watched range, is refused.
+        identical range (ring re-arm after a crash) is a no-op.
         """
         self._check(addr, length)
-        end = addr + length
-        starts, ends = self._watch_starts, self._watch_ends
-        i = bisect_left(starts, end)
-        if i and ends[starts[i - 1]] > addr:
-            if starts[i - 1] == addr and ends[addr] == end:
-                return
-            raise MemoryError_(
-                f"rank {self.rank}: watched range [{addr}, {end}) overlaps "
-                "another")
-        if not length:
-            raise MemoryError_(f"rank {self.rank}: empty watched range")
-        starts.insert(i, addr)
-        ends[addr] = end
-        self._watch_n += 1
-        if addr < self._watch_lo:
-            self._watch_lo = addr
-        if end > self._watch_hi:
-            self._watch_hi = end
+        r = (addr, addr + length)
+        if r in self._watch_ranges:
+            return
+        self._watch_ranges.add(r)
+        self._watch_list.append(r)
+        if r[0] < self._watch_lo:
+            self._watch_lo = r[0]
+        if r[1] > self._watch_hi:
+            self._watch_hi = r[1]
         self.watch_version += 1
 
     def _touch(self, addr: int, end: int) -> None:
         if addr < self._watch_hi and end > self._watch_lo:
-            # the ranges are disjoint: only the last one starting before
-            # ``end`` can reach back past ``addr``.  Bisected inline, as
-            # every ledger write (landing or staged) comes through here
-            starts = self._watch_starts
-            lo, hi = 0, self._watch_n
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if starts[mid] < end:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo and self._watch_ends[starts[lo - 1]] > addr:
-                self.watch_version += 1
-                for ring in self.on_watched_write:
-                    ring()
+            for lo, hi in self._watch_list:
+                if addr < hi and end > lo:
+                    self.watch_version += 1
+                    for ring in self.on_watched_write:
+                        ring()
+                    return
 
     def read(self, addr: int, length: int) -> memoryview:
         """Zero-copy view of [addr, addr+length).

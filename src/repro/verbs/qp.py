@@ -93,9 +93,12 @@ class SendWR:
     swap: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecvWR:
-    """A receive-queue work request (landing buffer for SEND / IMM)."""
+    """A receive-queue work request (landing buffer for SEND / IMM).
+
+    Immutable: one posted ``wr`` stands for every receive of its run, and
+    Photon posts a single shared template on every queue pair."""
 
     wr_id: int = 0
     addr: int = 0

@@ -243,14 +243,3 @@ def test_watched_write_hits_bump_once_and_misses_do_not():
     mem.write_u64(304, 1)
     assert rung == list(range(version + 1, version + 6))
     assert mem.watch_version == version + 5
-
-
-def test_overlapping_watch_is_refused():
-    mem = make()
-    mem.watch(100, 50)
-    for addr, n in ((90, 11), (149, 10), (120, 5), (50, 200)):
-        with pytest.raises(MemoryError_):
-            mem.watch(addr, n)
-    with pytest.raises(MemoryError_):
-        mem.watch(400, 0)  # an empty range would shadow its neighbour
-    mem.watch(150, 10)  # adjacent is fine

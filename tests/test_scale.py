@@ -14,9 +14,13 @@ import pytest
 from repro.cluster import build_cluster
 from repro.photon import photon_init
 from repro.util import KiB, MiB
-from tests.measure import MAX_OBJECTS_PER_PAIRING, bootstrap
+from tests.measure import bootstrap
 
 TIMEOUT = 10 ** 12
+#: GC-tracked objects ``photon_init`` may leave per directed peer pairing:
+#: bootstrap state is O(1) objects per peer, not one per posted receive,
+#: ring slot or page
+MAX_OBJECTS_PER_PAIRING = 32
 
 
 def test_sixteen_rank_bootstrap_and_barrier():

@@ -298,6 +298,8 @@ def test_receive_runs_keep_fifo_order_beside_distinct_wrs():
     assert [w.imm for w in wcs if w.opcode is WCOpcode.RECV_RDMA_WITH_IMM] \
         == [0, 1, 2, 3, 4]
     assert all(w.ok for w in wcs)
+    with pytest.raises(AttributeError):  # a run's WR cannot be re-aimed
+        template.addr = heap1
     assert cl[1].memory.read(heap1, 4) == b"AAAA"
     assert cl[1].memory.read(heap1 + 16, 4) == b"BBBB"
     assert qps[1].rq_posted == 0
