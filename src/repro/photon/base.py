@@ -2,8 +2,9 @@
 
 One :class:`PhotonBase` instance exists per rank.  Bootstrap (performed by
 :func:`repro.photon.api.photon_init`) wires the full mesh: a reliable
-queue pair per peer, the four ledger rings per direction, staging mirrors
-and credit words — all in one registered region per rank, with bases/rkeys
+queue pair and a ledger channel (:class:`~repro.photon.ledger.
+PeerChannel`: four rings per direction, staging mirrors, credit words)
+per peer — all in one registered region per rank, with bases/rkeys
 exchanged out of band exactly like the real system's PMI exchange.
 
 The progress engine is *polling*: it only runs inside API calls (probe/
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, RankNode
 from ..sim.core import Environment, SimulationError
@@ -34,27 +35,15 @@ from ..verbs.device import ProtectionDomain
 from ..verbs.enums import Access, Opcode, QPState, WCOpcode, WCStatus
 from ..verbs.qp import QueuePair, RecvWR, SendWR
 from .config import PhotonConfig
-from .ledger import LocalRing, RemoteRing, RingSpec
+from .ledger import (CMP, COVERED, EAGER, FIN, INFO, REWRITE, RING_NAMES,
+                     Geometry, PeerChannel)
 from .rcache import RegistrationCache
 from .request import RequestTable
-from .wire import (
-    COMPLETION_ENTRY_SIZE,
-    CompletionEntry,
-    EAGER_HEADER_SIZE,
-    EagerHeader,
-    FIN_ENTRY_SIZE,
-    FinEntry,
-    INFO_ENTRY_SIZE,
-    InfoEntry,
-)
+from .wire import (CompletionEntry, EAGER_HEADER_SIZE, EagerHeader, FinEntry,
+                   InfoEntry)
 
-__all__ = ["PhotonBase", "PeerState", "Completion", "ReliableOp",
-           "RING_NAMES"]
+__all__ = ["PhotonBase", "PeerState", "Completion", "ReliableOp"]
 
-RING_NAMES = ("cmp", "eager", "info", "fin")
-#: entries per peer in the rendezvous info ring and in the FIN ring
-INFO_ENTRIES = 32
-FIN_ENTRIES = 32
 #: preposted zero-byte receives per peer when use_imm is on
 IMM_PREPOST = 64
 #: the one receive every immediate-mode window posts: zero bytes, so it
@@ -73,8 +62,6 @@ BACKOFF_MAX_NS = 1_000_000
 #: every later entry from that peer — ring liveness is worth retrying much
 #: harder than a single operation's latency budget
 ENTRY_RESEND_LIMIT = 12
-#: the rings whose entries carry the op's dedup id (``ReliableOp.op_id``)
-_DEDUP_RINGS = ("cmp", "eager")
 
 
 #: photon_probe_completion result
@@ -131,7 +118,7 @@ class ReliableOp:
     status: Optional[WCStatus] = None
     deadline: int = 0
     next_retry_at: int = 0
-    #: the ring slot this op's ledger entry claimed, as (ring generation,
+    #: the ring slot this op's ledger entry claimed, as (channel epoch,
     #: seq, WR): a replay rewrites that slot (see ``_post_ring_entry``)
     entry: Optional[Tuple[int, int, SendWR]] = None
     #: open op-latency span (None when span recording is disabled)
@@ -144,25 +131,14 @@ class PeerState:
 
     rank: int
     qp: QueuePair
-    remote: Dict[str, RemoteRing] = field(default_factory=dict)
-    local: Dict[str, LocalRing] = field(default_factory=dict)
-    #: local staging for the 8-byte credit words we send to this peer
-    credit_staging: Dict[str, int] = field(default_factory=dict)
+    #: both directions of the pairing's ledger rings
+    channel: PeerChannel
     outstanding: int = 0
     #: immediate-mode receive window in use: receives posted on the RQ
     #: plus this peer's receive CQEs not yet reaped.  Kept at or below
     #: ``IMM_PREPOST``, so a slow poller RNR-stalls its senders instead
     #: of growing the receive CQ.
     preposted: int = 0
-    #: producer-side dedup id allocator (per peer)
-    tx_op_seq: int = 0
-    #: consumer-side dedup: ids <= rx_hwm or in rx_seen were delivered
-    rx_hwm: int = 0
-    rx_seen: Set[int] = field(default_factory=set)
-    #: ``local`` rings in scan order, cached so the progress loop's
-    #: nothing-ready bail skips the dict walks (rings are reset in place
-    #: on re-arm, so the tuple never goes stale)
-    scan_rings: tuple = ()
 
 
 class PhotonBase:
@@ -236,82 +212,38 @@ class PhotonBase:
         #: the open collective's epoch, -1 before the first (SPMD calls
         #: advance it identically)
         self._coll_epoch = -1
-        # ledger region bookkeeping (filled by _alloc_ledgers)
+        # the ledger region: one block per peer (filled by _alloc_ledgers)
         self._ledger_mr = None
         self._ledger_base = 0
         self._ledger_size = 0
-        self._layout: Dict[Tuple[int, str, str], int] = {}
-        self._specs = self._ring_specs()
+        self._geometry = Geometry.of(config)
 
-    # ------------------------------------------------------------- geometry
-    def _ring_specs(self) -> Dict[str, RingSpec]:
-        c = self.config
-        eager_entry = EAGER_HEADER_SIZE + c.eager_limit + 8  # + seq trailer
-        return {
-            "cmp": RingSpec("cmp", c.completion_entries, COMPLETION_ENTRY_SIZE),
-            "eager": RingSpec("eager", c.eager_slots, eager_entry),
-            "info": RingSpec("info", INFO_ENTRIES, INFO_ENTRY_SIZE),
-            "fin": RingSpec("fin", FIN_ENTRIES, FIN_ENTRY_SIZE),
-        }
-
+    # ------------------------------------------------------------- bootstrap
     def _alloc_ledgers(self) -> None:
-        """Allocate + register consumer rings, staging mirrors, credit words."""
-        mem = self.memory
-        per_peer = sum(s.nbytes for s in self._specs.values())
-        total_ranks = [r for r in range(self.cluster.n) if r != self.rank]
-        # consumer rings + credit staging; producer staging + credit words
-        region_size = len(total_ranks) * (2 * per_peer
-                                          + 2 * 8 * len(RING_NAMES))
-        if not total_ranks:
+        """Allocate + register the ledger region: per peer its consumer
+        rings, staging mirrors, credit words and credit staging."""
+        if self.cluster.n == 1:
             return  # single rank: no ledgers needed
-        base = mem.alloc(region_size, align=64)
-        cursor = base
-        for peer in total_ranks:
-            for name in RING_NAMES:
-                self._layout[(peer, name, "cons")] = cursor
-                cursor += self._specs[name].nbytes
-            for name in RING_NAMES:
-                self._layout[(peer, name, "stage")] = cursor
-                cursor += self._specs[name].nbytes
-            for name in RING_NAMES:
-                self._layout[(peer, name, "credit")] = cursor  # written by peer
-                cursor += 8
-            for name in RING_NAMES:
-                self._layout[(peer, name, "credit_stage")] = cursor
-                cursor += 8
-        self._ledger_base = base
-        self._ledger_size = cursor - base
+        self._ledger_size = (self.cluster.n - 1) * self._geometry.stride
+        self._ledger_base = self.memory.alloc(self._ledger_size, align=64)
         self._ledger_mr = self.context.reg_mr_sync(
-            self.pd, base, cursor - base, Access.ALL)
+            self.pd, self._ledger_base, self._ledger_size, Access.ALL)
 
     def _wire_peer(self, other: "PhotonBase", qp: QueuePair) -> None:
         """Create the peer state for ``other`` (both endpoints bootstrapped)."""
-        peer = PeerState(rank=other.rank, qp=qp)
-        for name in RING_NAMES:
-            spec = self._specs[name]
-            # producer view: we write other's consumer ring for us
-            peer.remote[name] = RemoteRing(
-                spec,
-                remote_base=other._layout[(self.rank, name, "cons")],
-                rkey=other._ledger_mr.rkey,
-                staging_base=self._layout[(other.rank, name, "stage")],
-                credit_addr=self._layout[(other.rank, name, "credit")],
-                memory=self.memory)
-            # consumer view: our ring written by other; credits go back to
-            # other's credit word for us
-            peer.local[name] = LocalRing(
-                spec,
-                base=self._layout[(other.rank, name, "cons")],
-                memory=self.memory,
-                producer_credit_addr=other._layout[(self.rank, name, "credit")],
-                producer_rkey=other._ledger_mr.rkey)
-            peer.credit_staging[name] = self._layout[
-                (other.rank, name, "credit_stage")]
-        peer.scan_rings = tuple(peer.local[n] for n in RING_NAMES)
-        # the four credit words are contiguous; a sender stalled on a full
-        # ring sleeps until the peer's credit write rings the doorbell
-        self.memory.watch(self._layout[(other.rank, RING_NAMES[0], "credit")],
-                          8 * len(RING_NAMES))
+        g = self._geometry
+        channel = PeerChannel(
+            g, self.memory.data,
+            g.block(self._ledger_base, self.rank, other.rank),
+            g.block(other._ledger_base, other.rank, self.rank),
+            other._ledger_mr.rkey)
+        # writes landing in a ring bump memory.watch_version, letting the
+        # progress loop skip whole scan passes, and a sender stalled on a
+        # full ring sleeps until the peer's credit write rings the
+        # doorbell; the watch also bounds-checks what the channel reads
+        for addr, nbytes in channel.watched():
+            self.memory.watch(addr, nbytes)
+        peer = PeerState(rank=other.rank, qp=qp, channel=channel)
         self.peers[other.rank] = peer
         self._top_up_recvs(peer)
 
@@ -355,14 +287,14 @@ class PhotonBase:
         yield from peer.qp.post_send_timed(wr)
         self.counters.add("photon.posts")
 
-    def _post_ring_entry(self, peer: PeerState, ring_name: str,
+    def _post_ring_entry(self, peer: PeerState, ring: int,
                          build: Callable[[int, int], bytes], op: ReliableOp,
                          on_ack: Callable, on_error: Callable):
-        """Claim a slot in the peer's ring and RDMA-write the entry
-        ``build(seq, op_id)`` into it, stamped with the *claimed* sequence
-        number and the op's dedup id (generator).  When the peer is
-        declared dead while the ring is full nothing is claimed and
-        ``on_error`` runs.
+        """Claim a slot in the peer's ``ring`` (a ledger kind) and
+        RDMA-write the entry ``build(seq, op_id)`` into it, stamped with
+        the *claimed* sequence number and the op's dedup id (generator).
+        When the peer is declared dead while the ring is full nothing is
+        claimed and ``on_error`` runs.
 
         Every entry belongs to the reliable op ``op``, and its replays are
         slot-stable, like ``_entry_error_cb``'s resends and for the same
@@ -374,32 +306,28 @@ class PhotonBase:
         an ack — and never waits for ring room.  Only a re-arm, which
         restarts the ring's sequence space, makes it claim afresh.
         """
-        ring = peer.remote[ring_name]
-        if op.entry is not None and op.entry[0] == ring.generation:
-            _generation, seq, wr = op.entry
-            if seq <= ring.credit:
+        channel = peer.channel
+        if op.entry is not None:
+            epoch, seq, wr = op.entry
+            verdict = channel.replay(ring, epoch, seq)
+            if verdict is COVERED:
                 on_ack()
-            else:
+                return
+            if verdict is REWRITE:
                 self.counters.add("photon.entry_rewrites")
                 yield from self._post(
                     peer, wr, on_ack,
                     self._entry_error_cb(peer, wr, on_ack, on_error))
-            return
-        if ring.available() <= 0:
-            self.counters.add(f"photon.{ring_name}_stalls")
+                return
+        if channel.available(ring) <= 0:
+            self.counters.add(f"photon.{RING_NAMES[ring]}_stalls")
             if not (yield from self._await_room(
-                    peer, lambda: ring.available() > 0)):
+                    peer, lambda: channel.available(ring) > 0)):
                 self.counters.add("photon.dead_peer_entry_drops")
                 on_error()
                 return
-        seq, stage_addr, remote_addr = ring.claim()
-        if ring_name in _DEDUP_RINGS and not op.op_id:
-            peer.tx_op_seq += 1
-            op.op_id = peer.tx_op_seq
-        entry = build(seq, op.op_id)
-        if len(entry) > ring.spec.entry_size:
-            raise SimulationError(
-                f"entry of {len(entry)}B exceeds {ring.spec.name} slot")
+        op.op_id, seq, entry, stage_addr, remote_addr = channel.claim(
+            ring, op.op_id, build)
         # compose into staging (host copy cost)
         self.memory.write(stage_addr, entry)
         yield self.env.timeout(self.memory.memcpy_cost_ns(len(entry)))
@@ -407,8 +335,8 @@ class PhotonBase:
         use_inline = (self.config.use_inline and len(entry) <= nic.max_inline)
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage_addr,
                     length=len(entry), remote_addr=remote_addr,
-                    rkey=ring.rkey, inline=use_inline)
-        op.entry = (ring.generation, seq, wr)
+                    rkey=channel.rkey, inline=use_inline)
+        op.entry = (channel.epoch, seq, wr)
         yield from self._post(peer, wr, on_ack,
                               self._entry_error_cb(peer, wr, on_ack, on_error))
 
@@ -466,31 +394,29 @@ class PhotonBase:
                               self._entry_error_cb(peer, wr, on_ack, on_error,
                                                    attempt))
 
-    def _send_credit(self, peer: PeerState, ring_name: str):
+    def _send_credit(self, peer: PeerState, ring: int):
         """Return ledger credit to the producer (tiny RDMA write)."""
-        peer.local[ring_name].mark_credit_sent()
-        yield from self._post_credit(peer, ring_name)
+        peer.channel.mark_credit_sent(ring)
+        yield from self._post_credit(peer, ring)
         self.counters.add("photon.credit_writes")
 
-    def _post_credit(self, peer: PeerState, ring_name: str):
+    def _post_credit(self, peer: PeerState, ring: int):
         """Write the ring's credit word to the producer.  The word is an
         absolute value, so a lost write is resent as it stands now — which
         keeps the producer unblocked — unless the peer is dead (its re-arm
         resets credit state from scratch)."""
-        local = peer.local[ring_name]
-        stage = peer.credit_staging[ring_name]
-        self.memory.write_u64(stage, local.credit_sent)
+        value, stage, remote = peer.channel.credit_word(ring)
+        self.memory.write_u64(stage, value)
         nic = self.cluster.params.nic
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage, length=8,
-                    remote_addr=local.producer_credit_addr,
-                    rkey=local.producer_rkey,
+                    remote_addr=remote, rkey=peer.channel.rkey,
                     inline=self.config.use_inline and 8 <= nic.max_inline)
 
         def on_error():
             if self.health is not None and self.health.is_dead(peer.rank):
                 return
             self.counters.add("photon.credit_resends")
-            self.env.process(self._post_credit(peer, ring_name),
+            self.env.process(self._post_credit(peer, ring),
                              name="photon:credit-resend")
 
         yield from self._post(peer, wr, None, on_error)
@@ -510,16 +436,16 @@ class PhotonBase:
         self._reliable[op.handle] = op
         return op
 
-    def _entry_op(self, peer: PeerState, kind: str, ring_name: str,
+    def _entry_op(self, peer: PeerState, kind: str, ring: int,
                   build: Callable[[int, int], bytes],
                   on_fail: Optional[Callable[[], None]] = None):
         """Post a reliable op whose one work request writes the entry
-        ``build(seq, op_id)`` into the peer's ``ring_name`` ring
-        (generator → the op handle)."""
+        ``build(seq, op_id)`` into the peer's ``ring`` (generator → the
+        op handle)."""
 
         def replay(op, on_ack, on_error):
             op.acks_pending = 1
-            yield from self._post_ring_entry(peer, ring_name, build, op,
+            yield from self._post_ring_entry(peer, ring, build, op,
                                              on_ack, on_error)
 
         op = self._new_reliable_op(peer, kind, None, replay)
@@ -765,26 +691,13 @@ class PhotonBase:
         self.arrivals.fire()
 
     def _rearm_peer_state(self, peer: PeerState) -> None:
-        """Reset both ring views of one pairing to their bootstrap state."""
+        """Start a new ledger epoch for one pairing."""
         other = self._mesh.get(peer.rank)
         fresh_rkey = (other._ledger_mr.rkey
                       if other is not None and other._ledger_mr is not None
                       else None)
-        for name in RING_NAMES:
-            spec = self._specs[name]
-            peer.remote[name].reset()
-            peer.local[name].reset()
-            if fresh_rkey is not None:
-                peer.remote[name].rkey = fresh_rkey
-                peer.local[name].producer_rkey = fresh_rkey
-            # zero our consumer ring and both credit words for this peer:
-            # stale sequence numbers must not alias the fresh seq space
-            self.memory.write(self._layout[(peer.rank, name, "cons")],
-                              b"\x00" * spec.nbytes)
-            self.memory.write_u64(
-                self._layout[(peer.rank, name, "credit")], 0)
-            self.memory.write_u64(
-                self._layout[(peer.rank, name, "credit_stage")], 0)
+        for addr, nbytes in peer.channel.reset(fresh_rkey):
+            self.memory.write(addr, bytes(nbytes))
         peer.outstanding = 0
         # deliberately NOT touching peer.preposted: if the pairing's QP
         # was never torn down the RQ still holds our posted receives —
@@ -792,9 +705,6 @@ class PhotonBase:
         # *was* torn down, the flush CQEs decrement the counter through
         # the normal poll path (possibly after this call), and the poll
         # loop tops the RQ back up once they drain.
-        peer.tx_op_seq = 0
-        peer.rx_hwm = 0
-        peer.rx_seen.clear()
 
     def _reconnect_peer(self, peer: PeerState) -> None:
         """Re-arm an errored QP (reliability layer owns reconnection)."""
@@ -802,23 +712,6 @@ class PhotonBase:
             return
         peer.qp.reset_and_reconnect()
         self.counters.add("photon.qp_reconnects")
-
-    def _rx_dup(self, peer: PeerState, op_id: int) -> bool:
-        """True if this (peer, op) ledger entry was already delivered.
-
-        ``rx_seen`` holds only the ids delivered above the high-water mark,
-        and stays empty once the gaps below them fill: every id a producer
-        draws goes into an entry (see ``ReliableOp.op_id``)."""
-        if op_id == 0:
-            return False
-        if op_id <= peer.rx_hwm or op_id in peer.rx_seen:
-            self.counters.add("photon.dup_drops")
-            return True
-        peer.rx_seen.add(op_id)
-        while peer.rx_hwm + 1 in peer.rx_seen:
-            peer.rx_hwm += 1
-            peer.rx_seen.discard(peer.rx_hwm)
-        return False
 
     # ------------------------------------------------------------- progress
     def _progress_once(self):
@@ -901,11 +794,9 @@ class PhotonBase:
         if mem_version != self._scanned_version:
             self._scanned_version = mem_version
             for peer in self.peers.values():
-                for ring in peer.scan_rings:
-                    if ring.ready() or ring.credit_due():
-                        arrived = True
-                        yield from self._scan_peer(peer)
-                        break
+                if peer.channel.pending():
+                    arrived = True
+                    yield from self._scan_peer(peer)
         # 4) retry-deadline scan (skipped when re-entered from a replay's
         # own backpressure wait)
         if self._reliable and not self._in_deadline_scan:
@@ -957,58 +848,47 @@ class PhotonBase:
         return due
 
     def _scan_peer(self, peer: PeerState):
+        """Drain the peer's rings in order, then return the credit they
+        owe.  A ring advances before its cost yield and the entry is
+        handed out after it (see :meth:`_progress_once`)."""
         env = self.env
-        nic = self.cluster.params.nic
+        cqe_ns = self._cqe_poll_ns
         mem = self.memory
         buf = mem.data
-        # completion ring
-        ring = peer.local["cmp"]
-        while ring.ready():
-            entry = CompletionEntry.unpack_from(buf, ring.head_addr())
-            ring.advance()
-            yield env.timeout(nic.cqe_poll_ns)
-            if self._rx_dup(peer, entry.op):
+        channel = peer.channel
+        take = channel.take
+        while (head := take(CMP)) is not None:
+            entry = CompletionEntry.unpack_from(buf, head)
+            yield env.timeout(cqe_ns)
+            if not channel.fresh(entry.op):
+                self.counters.add("photon.dup_drops")
                 continue  # replayed entry; already delivered
             self.remote_cids.append((entry.cid, entry.src))
             self.counters.add("photon.remote_cids")
-        # eager ring (header seq + trailer seq must both match)
-        ring = peer.local["eager"]
-        while ring.ready():
-            head = ring.head_addr()
+        while (head := take(EAGER)) is not None:  # trailer landed too
             header = EagerHeader.unpack_from(buf, head)
-            trailer = mem.read_u64(head + EAGER_HEADER_SIZE + header.size)
-            if trailer != header.seq:
-                break  # payload still landing
             # owned copy: the slot is recycled once credit returns, but the
             # message sits in self.messages until the app drains it
             payload = mem.read_bytes(head + EAGER_HEADER_SIZE, header.size)
-            ring.advance()
-            yield env.timeout(mem.memcpy_cost_ns(header.size)
-                              + nic.cqe_poll_ns)
-            if self._rx_dup(peer, header.op):
+            yield env.timeout(mem.memcpy_cost_ns(header.size) + cqe_ns)
+            if not channel.fresh(header.op):
+                self.counters.add("photon.dup_drops")
                 continue  # replayed message; already delivered
             self.messages.append((header.src, header.cid, payload))
             self.counters.add("photon.eager_msgs")
-        # info ring
-        ring = peer.local["info"]
-        while ring.ready():
-            info = InfoEntry.unpack_from(buf, ring.head_addr())
-            ring.advance()
-            yield env.timeout(nic.cqe_poll_ns)
+        while (head := take(INFO)) is not None:
+            info = InfoEntry.unpack_from(buf, head)
+            yield env.timeout(cqe_ns)
             self.infos.append(info)
             self.counters.add("photon.info_entries")
-        # fin ring
-        ring = peer.local["fin"]
-        while ring.ready():
-            fin = FinEntry.unpack_from(buf, ring.head_addr())
-            ring.advance()
-            yield env.timeout(nic.cqe_poll_ns)
+        while (head := take(FIN)) is not None:
+            fin = FinEntry.unpack_from(buf, head)
+            yield env.timeout(cqe_ns)
             self.requests.complete(fin.req, env.now)
             self.counters.add("photon.fins")
-        # credit returns
-        for name in RING_NAMES:
-            if peer.local[name].credit_due():
-                yield from self._send_credit(peer, name)
+        for ring in (CMP, EAGER, INFO, FIN):
+            if channel.credit_due(ring):
+                yield from self._send_credit(peer, ring)
 
     def stats(self) -> Dict[str, object]:
         """Endpoint state snapshot (photon_get_dev_stats analogue; the
@@ -1031,8 +911,8 @@ class PhotonBase:
                 str(r): p.outstanding for r, p in self.peers.items()},
             "rcache": self.rcache.occupancy(),
             "ledger_credits": {
-                str(peer.rank): {name: ring.available()
-                                 for name, ring in peer.remote.items()}
+                str(peer.rank): {name: peer.channel.available(ring)
+                                 for ring, name in enumerate(RING_NAMES)}
                 for peer in self.peers.values()},
         }
 

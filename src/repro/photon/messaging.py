@@ -27,6 +27,7 @@ from typing import Optional
 
 from ..sim.core import SimulationError
 from ..verbs.enums import WCStatus
+from .ledger import FIN, INFO
 from .wire import FinEntry, InfoEntry
 
 __all__ = ["MessagingMixin", "ANY", "RecvInfo"]
@@ -90,7 +91,7 @@ class MessagingMixin:
             self.requests.fail(rid, self.env.now)
 
         yield from self._entry_op(
-            peer, "info", "info",
+            peer, "info", INFO,
             lambda seq, _op_id: InfoEntry(seq=seq, req=rid, tag=tag,
                                           addr=local_addr, size=size,
                                           rkey=mr.rkey, src=self.rank).pack(),
@@ -152,7 +153,7 @@ class MessagingMixin:
         """FIN the sender of a fetched advertisement, completing its
         request (generator)."""
         yield from self._entry_op(
-            self._peer(info.src), "fin", "fin",
+            self._peer(info.src), "fin", FIN,
             lambda seq, _op_id: FinEntry(seq=seq, req=info.req).pack())
 
     # ------------------------------------------------------------------ unified

@@ -20,6 +20,7 @@ from ..sim.core import SimulationError
 from ..verbs.enums import Opcode, WCStatus
 from ..verbs.qp import SendWR
 from .base import Completion
+from .ledger import CMP, EAGER
 from .wire import CompletionEntry, EagerHeader
 
 __all__ = ["PwcMixin"]
@@ -86,7 +87,7 @@ class PwcMixin:
                 yield from self._post(peer, wr, on_ack, on_error)
             if remote_cid is not None:
                 yield from self._post_ring_entry(
-                    peer, "cmp",
+                    peer, CMP,
                     lambda seq, op_id: CompletionEntry(
                         seq=seq, cid=remote_cid, src=self.rank,
                         op=op_id).pack(),
@@ -141,7 +142,7 @@ class PwcMixin:
 
     def _notify_after_get(self, dst: int, remote_cid: int):
         return (yield from self._entry_op(
-            self._peer(dst), "notify", "cmp",
+            self._peer(dst), "notify", CMP,
             lambda seq, op_id: CompletionEntry(seq=seq, cid=remote_cid,
                                                src=self.rank,
                                                op=op_id).pack()))
@@ -175,11 +176,11 @@ class PwcMixin:
         def build(seq, op_id):
             header = EagerHeader(seq=seq, cid=remote_cid, src=self.rank,
                                  size=len(payload), op=op_id)
-            return header.pack() + payload + seq.to_bytes(8, "little")
+            return header.pack() + payload  # the ledger adds the trailer
 
         def replay(op, on_ack, on_error):
             op.acks_pending = 1
-            yield from self._post_ring_entry(peer, "eager", build, op,
+            yield from self._post_ring_entry(peer, EAGER, build, op,
                                              on_ack, on_error)
 
         op = self._new_reliable_op(

@@ -18,8 +18,8 @@ import struct
 from dataclasses import dataclass
 __all__ = [
     "CompletionEntry", "EagerHeader", "InfoEntry", "FinEntry",
-    "COMPLETION_ENTRY_SIZE", "EAGER_HEADER_SIZE", "INFO_ENTRY_SIZE",
-    "FIN_ENTRY_SIZE", "CREDIT_WORD_SIZE",
+    "COMPLETION_ENTRY_SIZE", "EAGER_HEADER_SIZE", "EAGER_SIZE_OFFSET",
+    "INFO_ENTRY_SIZE", "FIN_ENTRY_SIZE", "CREDIT_WORD_SIZE",
 ]
 
 # seq(8) cid(8) src(4) pad(4) op(8)
@@ -31,6 +31,9 @@ COMPLETION_ENTRY_SIZE = _COMPLETION.size  # 32
 # seq(8) cid(8) src(4) size(4) op(8)
 _EAGER_HDR = struct.Struct("<QQiiQ")
 EAGER_HEADER_SIZE = _EAGER_HDR.size  # 32
+#: where the payload size sits in an eager header (the ledger finds the
+#: sequence trailer after the payload by it)
+EAGER_SIZE_OFFSET = struct.calcsize("<QQi")  # 20
 
 # seq(8) req(8) tag(8) addr(8) size(8) rkey(8) src(4) pad(4)
 _INFO = struct.Struct("<QQQQQQi4x")

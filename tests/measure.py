@@ -578,28 +578,51 @@ def check(missed: dict, every: dict, allow: Path) -> list:
 SCALE_MEM_MIB = 160
 
 
+@contextlib.contextmanager
+def gc_meter(out: dict):
+    """While open, add the garbage collector's passes over generation 2
+    to ``out["gen2_gcs"]`` and the seconds of every pass to
+    ``out["gc_s"]`` (``gc.callbacks``)."""
+    started = [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+            return
+        out["gc_s"] += time.perf_counter() - started[0]
+        out["gen2_gcs"] += info["generation"] == 2
+
+    gc.callbacks.append(on_gc)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
 def bootstrap(n: int, profile: cProfile.Profile = None) -> dict:
     """``build_cluster(n)`` + ``photon_init``: host seconds (``profile``,
-    if given, on across both) and the GC-tracked objects init left
-    behind per directed peer pairing."""
+    if given, on across both), the collector's generation-2 passes and
+    seconds within them, and the GC-tracked objects init left behind per
+    directed peer pairing."""
     from repro.photon import photon_init
     from repro.util import MiB
     on = profile or contextlib.nullcontext()
+    meter = {"gc_s": 0.0, "gen2_gcs": 0}
     gc.collect()
     t0 = time.perf_counter()
-    with on:
+    with on, gc_meter(meter):
         cl = repro.cluster.build_cluster(n, mem_size=SCALE_MEM_MIB * MiB)
     built = time.perf_counter() - t0
     gc.collect()  # counted outside the clock
     before = len(gc.get_objects())
     t0 = time.perf_counter()
-    with on:
+    with on, gc_meter(meter):
         endpoints = photon_init(cl)
     inited = time.perf_counter() - t0
     gc.collect()
     objects = len(gc.get_objects()) - before
     del endpoints  # alive until counted
-    return {"setup_s": built + inited,
+    return {"setup_s": built + inited, **meter,
             "objects/pairing": objects / (n * (n - 1))}
 
 
@@ -636,7 +659,8 @@ def scale(ranks: list) -> dict:
 
 
 def scale_report(rows: dict, ranks: list):
-    names = ("setup_s", "calls/pairing", "objects/pairing", "peak_rss_mib")
+    names = ("setup_s", "gc_s", "gen2_gcs", "calls/pairing",
+             "objects/pairing", "peak_rss_mib")
     yield f"{'ranks':>6}" + "".join(f"{name:>17}" for name in names)
     for n in ranks:
         yield f"{n:6d}" + "".join(f"{rows[f'{n} ranks: {name}']:17.3f}"

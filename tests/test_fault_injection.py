@@ -362,9 +362,9 @@ def test_the_targets_dedup_set_drains_after_a_mixed_stream():
     env = cl.env
     env.run(until=env.all_of([env.process(sender(env)),
                               env.process(receiver(env))]))
-    peer = ph[1].peers[0]
-    assert peer.rx_seen == set()
-    assert peer.rx_hwm == n  # one id per send, none skipped
+    channel = ph[1].peers[0].channel
+    assert channel.rx_seen == set()
+    assert channel.rx_hwm == n  # one id per send, none skipped
 
 
 def _rendezvous_into_a_partition(lose_fin: bool):

@@ -69,8 +69,10 @@ def test_scale_prints_the_bootstrap_cost(capsys):
     assert main(["scale", "--ranks", "8", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert set(row) == {f"8 ranks: {name}" for name in (
-        "setup_s", "objects/pairing", "peak_rss_mib", "calls/pairing")}
+        "setup_s", "gc_s", "gen2_gcs", "objects/pairing", "peak_rss_mib",
+        "calls/pairing")}
     assert row["8 ranks: calls/pairing"] > 0
+    assert 0 <= row["8 ranks: gc_s"] < row["8 ranks: setup_s"]
 
 
 def test_timeline_of_one_tree_against_itself_moves_no_hop(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.photon import PhotonConfig, photon_init
+from repro.photon.ledger import CMP, EAGER
 from repro.photon.request import RequestState, RequestTable
 from repro.sim import SimulationError
 
@@ -112,9 +113,9 @@ def test_credit_word_reflects_consumption():
     p0 = cl.env.process(sender(cl.env))
     p1 = cl.env.process(receiver(cl.env))
     cl.env.run(until=cl.env.all_of([p0, p1]))
-    ring = ph[0].peers[1].remote["eager"]
-    assert ring.credit >= 4  # at least one credit return of >= half ring
-    assert ring.available() >= 6
+    channel = ph[0].peers[1].channel
+    assert channel.credit(EAGER) >= 4  # one credit return of >= half ring
+    assert channel.available(EAGER) >= 6
 
 
 def test_ledger_mode_and_imm_mode_agree_on_results():
@@ -165,7 +166,7 @@ def test_eager_entry_too_big_for_slot_rejected():
 
     def prog(env):
         yield from ph[0]._entry_op(
-            peer, "notify", "cmp",
+            peer, "notify", CMP,
             lambda seq, op_id: b"x" * 1000)  # cmp slots are 32B
 
     p = cl.env.process(prog(cl.env))
@@ -176,7 +177,7 @@ def test_eager_entry_too_big_for_slot_rejected():
 def test_rendezvous_info_ring_backpressure(monkeypatch):
     """More concurrent advertisements than info slots: senders stall on
     credits but nothing is lost."""
-    monkeypatch.setattr("repro.photon.base.INFO_ENTRIES", 2)
+    monkeypatch.setattr("repro.photon.ledger.INFO_ENTRIES", 2)
     cl = build_cluster(2)
     ph = photon_init(cl)
     size = 16 * 1024

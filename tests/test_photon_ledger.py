@@ -1,9 +1,10 @@
 """Unit tests for ledger rings and wire formats."""
 
+import struct
+
 import pytest
 
-from repro.fabric import IB_FDR, Memory
-from repro.photon.ledger import LocalRing, RemoteRing, RingSpec
+from repro.photon.ledger import CMP, EAGER, FIN, INFO, Geometry, PeerChannel
 from repro.photon.wire import (
     COMPLETION_ENTRY_SIZE,
     CompletionEntry,
@@ -53,100 +54,151 @@ def test_fin_entry_roundtrip():
 
 
 def ring_fixture(nslots=4, entry=COMPLETION_ENTRY_SIZE):
-    mem = Memory(1 << 16, IB_FDR.host)
-    spec = RingSpec("t", nslots, entry)
-    remote_base = mem.alloc(spec.nbytes)
-    staging = mem.alloc(spec.nbytes)
-    credit = mem.alloc(8)
-    producer = RemoteRing(spec, remote_base, rkey=1, staging_base=staging,
-                          credit_addr=credit, memory=mem)
-    consumer = LocalRing(spec, remote_base, mem,
-                         producer_credit_addr=credit, producer_rkey=1)
-    return mem, producer, consumer, credit
+    """A loopback channel over a ``bytearray``: its producer side writes
+    its own consumer rings (``local == remote``), so a slot it claims is
+    the slot its consumer side reads, and the credit word its consumer
+    side sends is the one its producer side reads."""
+    geometry = Geometry((nslots,) * 4, (entry, EAGER_HEADER_SIZE + 24,
+                                        INFO_ENTRY_SIZE, FIN_ENTRY_SIZE))
+    buf = bytearray(geometry.stride)
+    channel = PeerChannel(geometry, buf, 0, 0, rkey=1)
+    return buf, channel, geometry.credit[CMP]
 
 
-def test_ring_spec_geometry():
-    spec = RingSpec("x", 8, 24)
-    assert spec.nbytes == 192
-    assert spec.slot_offset(0) == 0
-    assert spec.slot_offset(9) == 24  # wraps
+def claim(channel, cid=0):
+    """Claim a completion slot: (seq, staged entry, remote address)."""
+    _op, seq, entry, _stage, remote = channel.claim(
+        CMP, 0, lambda seq, op: CompletionEntry(seq=seq, cid=cid, src=0,
+                                                op=op).pack())
+    return seq, entry, remote
+
+
+def place(buf, addr, entry):
+    buf[addr:addr + len(entry)] = entry  # simulate RDMA placement
+
+
+def land(buf, channel, cid=0):
+    """Claim a completion slot and place its entry."""
+    _seq, entry, remote = claim(channel, cid)
+    place(buf, remote, entry)
+
+
+def test_ring_geometry():
+    g = Geometry((8, 2, 2, 2), (24, 48, 56, 16))
+    assert g.nbytes[CMP] == 192
+    assert g.stride == 2 * (192 + 96 + 112 + 32) + 64
+    assert g.block(1000, owner=2, peer=1) == 1000 + g.stride
+    assert g.block(1000, owner=2, peer=3) == 1000 + 2 * g.stride
+    buf = bytearray(g.stride)
+    channel = PeerChannel(g, buf, 0, 0, rkey=1)
+    remotes = []
+    for i in range(10):
+        struct.pack_into("<Q", buf, g.credit[CMP], i)
+        remotes.append(channel.claim(CMP, 0, lambda seq, op: b"")[4])
+    assert remotes[0] == g.cons[CMP]
+    assert remotes[9] == g.cons[CMP] + 24  # wraps
 
 
 def test_producer_claims_sequential_slots():
-    mem, prod, cons, _ = ring_fixture()
+    buf, ch, _ = ring_fixture()
     seqs = []
     for _ in range(4):
-        seq, stage, remote = prod.claim()
+        seq, _entry, _remote = claim(ch)
         seqs.append(seq)
     assert seqs == [1, 2, 3, 4]
-    assert prod.available() == 0
+    assert ch.available(CMP) == 0
 
 
 def test_producer_full_raises_without_credit():
-    mem, prod, cons, _ = ring_fixture()
+    buf, ch, _ = ring_fixture()
     for _ in range(4):
-        prod.claim()
+        claim(ch)
     with pytest.raises(SimulationError):
-        prod.claim()
+        claim(ch)
 
 
 def test_credit_replenishes_producer():
-    mem, prod, cons, credit = ring_fixture()
+    buf, ch, credit = ring_fixture()
     for _ in range(4):
-        prod.claim()
-    assert prod.available() == 0
-    mem.write_u64(credit, 2)  # consumer drained two
-    assert prod.available() == 2
+        claim(ch)
+    assert ch.available(CMP) == 0
+    struct.pack_into("<Q", buf, credit, 2)  # consumer drained two
+    assert ch.available(CMP) == 2
 
 
 def test_consumer_sees_entry_after_sequenced_write():
-    mem, prod, cons, _ = ring_fixture()
-    assert not cons.ready()
-    seq, stage, remote = prod.claim()
-    entry = CompletionEntry(seq=seq, cid=99, src=0).pack()
-    mem.write(remote, entry)  # simulate RDMA placement
-    assert cons.ready()
-    got = CompletionEntry.unpack_from(mem.data, cons.head_addr())
+    buf, ch, _ = ring_fixture()
+    assert ch.take(CMP) is None
+    seq, entry, remote = claim(ch, cid=99)
+    place(buf, remote, entry)
+    head = ch.take(CMP)
+    assert head == remote
+    got = CompletionEntry.unpack_from(buf, head)
     assert got.cid == 99
-    cons.advance()
-    assert not cons.ready()
+    assert ch.take(CMP) is None
 
 
 def test_stale_wrapped_entry_not_ready():
     """After wrap, the slot contains seq from a full ring ago — not ready."""
-    mem, prod, cons, credit = ring_fixture()
+    buf, ch, credit = ring_fixture()
     for i in range(4):
-        seq, _, remote = prod.claim()
-        mem.write(remote, CompletionEntry(seq=seq, cid=i, src=0).pack())
+        land(buf, ch, cid=i)
     for _ in range(4):
-        assert cons.ready()
-        cons.advance()
+        assert ch.take(CMP) is not None
     # consumer at index 4 (slot 0): slot still holds seq=1, expecting 5
-    assert not cons.ready()
+    assert ch.take(CMP) is None
 
 
 def test_credit_due_after_fraction():
-    mem, prod, cons, _ = ring_fixture(nslots=4)
-    assert not cons.credit_due()
-    cons.consumed = 2  # half of 4 drained
-    assert cons.credit_due()
-    assert cons.mark_credit_sent() == 2
-    assert not cons.credit_due()
+    buf, ch, _ = ring_fixture(nslots=4)
+    assert not ch.credit_due(CMP)
+    for _ in range(2):  # half of 4 drained
+        land(buf, ch)
+        ch.take(CMP)
+    assert ch.credit_due(CMP)
+    ch.mark_credit_sent(CMP)
+    assert ch.credit_word(CMP)[0] == 2
+    assert not ch.credit_due(CMP)
 
 
 def test_out_of_order_entry_not_consumed_early():
     """Entry k+1 landing before k must wait (ordering safety check)."""
-    mem, prod, cons, _ = ring_fixture()
-    s1, _, r1 = prod.claim()
-    s2, _, r2 = prod.claim()
-    mem.write(r2, CompletionEntry(seq=s2, cid=2, src=0).pack())
-    assert not cons.ready()  # head (seq 1) not written yet
-    mem.write(r1, CompletionEntry(seq=s1, cid=1, src=0).pack())
-    assert cons.ready()
+    buf, ch, _ = ring_fixture()
+    _s1, e1, r1 = claim(ch, cid=1)
+    _s2, e2, r2 = claim(ch, cid=2)
+    place(buf, r2, e2)
+    assert ch.take(CMP) is None  # head (seq 1) not written yet
+    place(buf, r1, e1)
+    assert ch.take(CMP) == r1
 
 
 def test_credit_ahead_of_produced_detected():
-    mem, prod, cons, credit = ring_fixture()
-    mem.write_u64(credit, 5)  # impossible: more consumed than produced
+    buf, ch, credit = ring_fixture()
+    struct.pack_into("<Q", buf, credit, 5)  # more consumed than produced
     with pytest.raises(SimulationError):
-        prod.available()
+        ch.available(CMP)
+
+
+def test_torn_eager_entry_waits_for_its_trailer():
+    """An eager entry whose header landed but whose trailer has not is
+    not ready; the ledger stamps the trailer itself."""
+    buf, ch, _ = ring_fixture()
+    _op, seq, entry, _stage, remote = ch.claim(
+        EAGER, 0, lambda seq, op: EagerHeader(seq=seq, cid=1, src=0, size=3,
+                                              op=op).pack() + b"abc")
+    assert entry[-8:] == struct.pack("<Q", seq)
+    place(buf, remote, entry[:-8])
+    assert ch.take(EAGER) is None
+    place(buf, remote, entry)
+    assert ch.take(EAGER) == remote
+
+
+def test_dedup_ids_are_drawn_for_completion_and_eager_entries_only():
+    buf, ch, _ = ring_fixture()
+    ids = [ch.claim(k, 0, lambda seq, op: b"")[0]
+           for k in (INFO, CMP, FIN, EAGER)]
+    assert ids == [0, 1, 0, 2]
+    assert ch.claim(CMP, 7, lambda seq, op: b"")[0] == 7  # the op keeps one
+    assert [ch.fresh(op) for op in (2, 1, 2, 0, 0)] == [
+        True, True, False, True, True]
+    assert (ch.rx_hwm, ch.rx_seen) == (2, set())

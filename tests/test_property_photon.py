@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import build_cluster
 from repro.fabric import IB_FDR, Memory
 from repro.photon import photon_init
-from repro.photon.ledger import LocalRing, RemoteRing, RingSpec
+from repro.photon.ledger import CMP, Geometry, PeerChannel
 from repro.photon.wire import (
     COMPLETION_ENTRY_SIZE,
     CompletionEntry,
@@ -56,26 +56,25 @@ def test_ring_produced_consumed_invariant(nslots, ops):
     """Random interleavings of produce/consume never violate
     0 <= produced - consumed <= nslots, and sequences stay dense."""
     mem = Memory(1 << 18, IB_FDR.host)
-    spec = RingSpec("p", nslots, COMPLETION_ENTRY_SIZE)
-    base = mem.alloc(spec.nbytes)
-    staging = mem.alloc(spec.nbytes)
-    credit = mem.alloc(8)
-    prod = RemoteRing(spec, base, 1, staging, credit, mem)
-    cons = LocalRing(spec, base, mem, credit, 1)
+    geometry = Geometry((nslots,) * 4, (COMPLETION_ENTRY_SIZE,) * 4)
+    block = mem.alloc(geometry.stride)
+    # a loopback channel: its producer side writes its own consumer rings
+    ch = PeerChannel(geometry, mem.data, block, block, 1)
+    credit = block + geometry.credit[CMP]
     seen = []
     for do_produce in ops:
         if do_produce:
-            if prod.available() > 0:
-                seq, _, remote = prod.claim()
+            if ch.available(CMP) > 0:
+                _op, seq, _entry, _stage, remote = ch.claim(
+                    CMP, 0, lambda seq, op: b"")
                 mem.write(remote, CompletionEntry(seq, seq, 0).pack())
         else:
-            if cons.ready():
-                seen.append(CompletionEntry.unpack_from(
-                    mem.data, cons.head_addr()).seq)
-                cons.advance()
+            head = ch.take(CMP)
+            if head is not None:
+                seen.append(CompletionEntry.unpack_from(mem.data, head).seq)
                 # credit returned instantly in this model
-                mem.write_u64(credit, cons.consumed)
-        gap = prod.produced - cons.consumed
+                mem.write_u64(credit, ch.consumed[CMP])
+        gap = ch.produced[CMP] - ch.consumed[CMP]
         assert 0 <= gap <= nslots
     assert seen == list(range(1, len(seen) + 1))
 

@@ -755,3 +755,35 @@ def test_test_only_surface_stays_deleted():
     assert not re.search(r"^def stream\(", rng, re.M)  # the module-level one
     kv = open("src/repro/kv/shard.py").read()
     assert not re.search(r"\b(OP_CAS|OP_DELETE|ST_CAS_FAIL)\b", kv)
+
+
+def test_ledger_state_is_written_in_one_module():
+    """Photon's ledger protocol state is one ``PeerChannel`` per peer in
+    ``photon/ledger.py``: the ring classes stay deleted, and no other
+    photon module assigns a channel's counters or packs or reads the
+    eager entry's sequence trailer."""
+    gone = re.compile(r"^class (RingSpec|RemoteRing|LocalRing)\b", re.M)
+    assert not [p for p in _py_files("src/repro")
+                if gone.search(open(p).read())]
+    home = os.path.join("src", "repro", "photon", "ledger.py")
+    state = {"produced", "consumed", "credit_sent", "rx_hwm", "tx_op_seq"}
+    trailer = re.compile(r"EAGER_HEADER_SIZE\s*\+\s*[\w.]*size\b"
+                         r"|to_bytes\(8\b")
+    bad = []
+    for path in _py_files("src/repro/photon"):
+        if path == home:
+            continue
+        text = open(path).read()
+        if trailer.search(text):
+            bad.append((path, "eager trailer"))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            bad += [(path, node.lineno) for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Attribute) and sub.attr in state]
+    assert not bad, bad

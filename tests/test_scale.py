@@ -20,7 +20,7 @@ TIMEOUT = 10 ** 12
 #: GC-tracked objects ``photon_init`` may leave per directed peer pairing:
 #: bootstrap state is O(1) objects per peer, not one per posted receive,
 #: ring slot or page
-MAX_OBJECTS_PER_PAIRING = 32
+MAX_OBJECTS_PER_PAIRING = 16
 
 
 def test_sixteen_rank_bootstrap_and_barrier():
