@@ -253,7 +253,7 @@ class World:
                 if write[3][0] == "credit":  # the error CQE resends it
                     self._send_credit(who, write[3][1])
             else:
-                self._land(who, write, tuple(rest), acked=what == "land")
+                self._land(who, write, tuple(rest), quiet=what == "quiet")
         self.left = tuple(left)
 
     def _set(self, r: int, i: int, **change) -> None:
@@ -297,10 +297,12 @@ class World:
         self.net[r] += ((addr, struct.pack("<Q", value), 0,
                          ("credit", ring)),)
 
-    def _land(self, d: int, write: Write, rest: tuple, acked: bool) -> None:
+    def _land(self, d: int, write: Write, rest: tuple, quiet: bool) -> None:
+        """Place the write's next chunk (``quiet``: all that is left, and
+        its ack is lost); the last one acks the attempt that posted it."""
         addr, data, placed, what = write
         lo = placed * CHUNK
-        hi = min(len(data), lo + CHUNK) if acked else len(data)
+        hi = len(data) if quiet else min(len(data), lo + CHUNK)
         buf = self.bufs[1 - d]
         if what[0] == "entry":
             self._check_overwrite(1 - d, addr, data)
@@ -314,7 +316,7 @@ class World:
         self.placed[1 - d][addr] = struct.unpack_from("<Q", data)[0]
         _what, i, attempt = what
         op = self.ops[d][i]
-        if acked and op[4] == "pending" and op[3] == attempt:
+        if not quiet and op[4] == "pending" and op[3] == attempt:
             self._set(d, i, state="acked")
 
     def _check_overwrite(self, consumer: int, addr: int, data: bytes):
