@@ -13,11 +13,13 @@ the channel:
   and otherwise waiting for it;
 - ``room r i``: an attempt of r's op i that waits for room claims its
   slot now (``_await_room`` returned);
-- ``land d`` / ``quiet d`` / ``drop d`` / ``dup d``: the oldest write in
-  flight from d (one queue pair, so in order) places its next chunk;
-  places its last chunk but its ack is lost; is lost; or is delivered
-  twice.  A lost entry write is silent (only a deadline notices); a lost
-  credit write is resent with the word as it stands (``_post_credit``);
+- ``land d`` / ``quiet d`` / ``drop d`` / ``error d`` / ``dup d``: the
+  oldest write in flight from d (one queue pair, so in order) places its
+  next chunk; places the rest but its ack is lost; is lost silently (a
+  partition: only a deadline notices); fails with an error CQE, so an
+  entry's WR is posted again as it stands (``_entry_error_cb``) and a
+  credit word is resent as it stands now (``_post_credit``); or is
+  delivered twice;
 - ``deadline r i``: r's pending op i times out and replays
   (``_post_ring_entry``: covered by credit, the same slot again, or a
   fresh claim after a reset);
@@ -46,7 +48,7 @@ States are deduplicated on their full contents, so the search is a bug
 finder that reports a shortest step list.
 
     python tests/ledger_model.py                   # the defaults of Bounds
-    python tests/ledger_model.py --depth 10 --directions 2
+    python tests/ledger_model.py --depth 8 --posts 3 --directions 2
 """
 
 from __future__ import annotations
@@ -106,14 +108,15 @@ def build(r: int, i: int, k: int):
 class Bounds:
     """Search depth, and how often each action may be taken on one path."""
 
-    depth: int = 6
+    depth: int = 7
     #: slots per ring (2-4)
     slots: int = 2
     #: rings ops may post into, a prefix of cmp, eager, info, fin
     rings: int = 3
     #: 1: endpoint 0 produces and 1 consumes; 2: both ways
     directions: int = 1
-    posts: int = 3
+    posts: int = 2
+    #: lost writes: silent, with an error CQE, or with the ack lost
     drops: int = 1
     dups: int = 1
     deadlines: int = 1
@@ -210,7 +213,7 @@ class World:
             if self.net[d]:
                 out.append(("land", d, None))
                 if drops:
-                    out.append(("drop", d, None))
+                    out += [("drop", d, None), ("error", d, None)]
                     if self.net[d][0][3][0] == "entry":
                         out.append(("quiet", d, None))
                 if dups:
@@ -247,11 +250,13 @@ class World:
                 left[2] -= 1
                 self.net[who] = (write, write[:2] + (0, write[3]),
                                  *rest)
-            elif what == "drop":
+            elif what in ("drop", "error"):
                 left[1] -= 1
                 self.net[who] = tuple(rest)
-                if write[3][0] == "credit":  # the error CQE resends it
+                if what == "error" and write[3][0] == "credit":
                     self._send_credit(who, write[3][1])
+                elif what == "error":  # the same WR, for the same attempt
+                    self.net[who] += (write[:2] + (0, write[3]),)
             else:
                 self._land(who, write, tuple(rest), quiet=what == "quiet")
         self.left = tuple(left)

@@ -49,7 +49,8 @@ def test_a_stale_attempt_claims_a_second_slot():
     prefix = [("post", 0, INFO), ("post", 0, INFO), ("post", 0, INFO),
               ("deadline", 0, 2), ("land", 0, None), ("land", 0, None),
               ("consume", 1, None), ("land", 1, None)]
-    res = search(Bounds(depth=6, drops=0, dups=0, rearms=0), prefix)
+    res = search(Bounds(depth=6, posts=3, drops=0, dups=0, rearms=0),
+                 prefix)
     assert res.violation == "r0's info op 2 consumed twice (seq 4)"
     assert [m[0] for m in res.steps[len(prefix):]] == [
         "room", "room", "land", "land", "consume"]
