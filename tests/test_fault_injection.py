@@ -776,3 +776,62 @@ def test_an_eager_send_out_of_retries_fails_and_returns_its_slot(
     assert cl.scope(0).get("mpi.ctrl_failures") == 1
     assert cl.scope(0).get("mpi.send_failures") == 1
     assert len(ch.send_slots) == slots
+
+
+def test_a_lost_entry_resends_its_budget_per_attempt_then_the_op_fails(
+        monkeypatch):
+    """On a dead wire every write of an eager entry errors: each attempt
+    resends it ``ENTRY_RESEND_LIMIT`` times into its slot and then drops
+    it, and the op replays until ``max_op_retries`` is spent."""
+    from repro.verbs.enums import WCStatus
+
+    monkeypatch.setattr("repro.photon.base.ENTRY_RESEND_LIMIT", 2)
+    cl, ph = _dead_wire(max_op_retries=2)
+    out = {}
+
+    def prog(env):
+        yield from ph[0].send_pwc(1, b"x" * 32, remote_cid=1, local_cid=9)
+        out["c"] = yield from ph[0].wait_completion("local",
+                                                    timeout_ns=TIMEOUT)
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert (out["c"].cid, out["c"].status) == (9, WCStatus.RETRY_EXC_ERR)
+    scope, attempts = cl.scope(0), 3
+    assert scope.get("photon.entry_resends") == 2 * attempts
+    assert scope.get("photon.entry_drops") == attempts
+    assert scope.get("photon.entry_rewrites") == attempts - 1
+    assert scope.get("photon.op_retries") == attempts - 1
+    assert scope.get("photon.op_failures") == 1
+
+
+def test_a_rendezvous_read_out_of_retries_fails_its_receive():
+    """A rendezvous read that always fails (a dead wire, NIC ARQ off) is
+    refetched ``MAX_OP_RETRIES`` times; then the receive fails and its
+    pinned buffer is released."""
+    from repro.minimpi.matching import PostedRecv, UnexpectedMsg
+    from repro.minimpi.protocol import MAX_OP_RETRIES, MPIRequest
+    from repro.photon.rcache import assert_reg_balance
+
+    cl = real_loss_cluster(drop=1.0)
+    mm = mpi_init(cl)
+    engine, size = mm[1].engine, 1 << 14
+    src, dst = cl[0].memory.alloc(size), cl[1].memory.alloc(size)
+    out = {}
+
+    def prog(env):
+        # the RTS the sender would have sent, as the receiver matched it
+        req = MPIRequest("recv", engine.live_requests)
+        msg = UnexpectedMsg(src=0, tag=3, payload=None, remote_addr=src,
+                            remote_key=0, size=size, sreq=1)
+        yield from engine._fetch_rendezvous(
+            PostedRecv(request=req, src=0, tag=3, addr=dst, length=size),
+            msg)
+        out["ok"] = yield from engine.wait(req, timeout_ns=TIMEOUT)
+        out["failed"] = req.failed
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert out["ok"] and out["failed"]
+    assert cl.scope(1).get("mpi.fetch_retries") == MAX_OP_RETRIES
+    assert cl.scope(1).get("mpi.recv_failures") == 1
+    assert not engine.live_requests
+    assert_reg_balance(cl.counters, [cl[r].context for r in range(cl.n)])
