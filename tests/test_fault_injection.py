@@ -782,7 +782,8 @@ def test_a_lost_entry_resends_its_budget_per_attempt_then_the_op_fails(
         monkeypatch):
     """On a dead wire every write of an eager entry errors: each attempt
     resends it ``ENTRY_RESEND_LIMIT`` times into its slot and then drops
-    it, and the op replays until ``max_op_retries`` is spent."""
+    it, and the op replays until ``max_op_retries`` is spent — each drop
+    reaching the op at once, not at the op's deadline."""
     from repro.verbs.enums import WCStatus
 
     monkeypatch.setattr("repro.photon.base.ENTRY_RESEND_LIMIT", 2)
@@ -796,6 +797,7 @@ def test_a_lost_entry_resends_its_budget_per_attempt_then_the_op_fails(
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
     assert (out["c"].cid, out["c"].status) == (9, WCStatus.RETRY_EXC_ERR)
+    assert cl.env.now < ph[0].config.op_timeout_ns
     scope, attempts = cl.scope(0), 3
     assert scope.get("photon.entry_resends") == 2 * attempts
     assert scope.get("photon.entry_drops") == attempts
