@@ -29,6 +29,7 @@ import itertools
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, RankNode
@@ -36,7 +37,7 @@ from ..photon.rcache import RegistrationCache
 from ..sim.core import Environment, SimulationError
 from ..sim.resources import Signal, poll_until
 from ..verbs.enums import Access, Opcode, QPState
-from ..verbs.qp import QueuePair, RecvWR, SendWR
+from ..verbs.qp import QueuePair, RecvWR, Repost, SendWR
 from .matching import MatchEngine, PostedRecv, UnexpectedMsg
 from .status import ANY_SOURCE, ANY_TAG, MPIConfig, Status
 
@@ -171,9 +172,8 @@ class Engine:
         self.peers: Dict[int, _PeerChannel] = {}
         #: unsettled requests by rid; a request leaves when it settles
         self.live_requests: Dict[int, MPIRequest] = {}
-        self._ops: Dict[int, Callable] = {}
-        #: error handlers by wr_id (retry closures, request failure)
-        self._op_errors: Dict[int, Callable] = {}
+        #: wr_id -> (done, error) of every send WR in flight
+        self._ops: Dict[int, Tuple[Callable, Callable]] = {}
         self._wr_seq = itertools.count(1)
         self.slot_size = HDR.size + config.eager_threshold
         self._bounce_mr = None
@@ -224,13 +224,15 @@ class Engine:
             ch.send_slots.append(self._bounce_cursor)
             self._bounce_cursor += self.slot_size
         for _ in range(PREPOST):
-            wr_id = next(self._wr_seq)
-            addr = self._bounce_cursor
+            self._post_bounce(ch, self._bounce_cursor)
             self._bounce_cursor += self.slot_size
-            ch.recv_slots[wr_id] = addr
-            qp.post_recv(RecvWR(wr_id=wr_id, addr=addr,
-                                length=self.slot_size))
         self.peers[peer_rank] = ch
+
+    def _post_bounce(self, ch: _PeerChannel, slot: int) -> None:
+        """Post a receive into the bounce ``slot`` on the channel."""
+        wr_id = next(self._wr_seq)
+        ch.recv_slots[wr_id] = slot
+        ch.qp.post_recv(RecvWR(wr_id=wr_id, addr=slot, length=self.slot_size))
 
     def _peer(self, rank: int) -> _PeerChannel:
         ch = self.peers.get(rank)
@@ -285,49 +287,50 @@ class Engine:
                 return None
         return ch.send_slots.popleft()
 
+    def _post(self, ch: _PeerChannel, wr: SendWR, done: Callable,
+              error: Callable):
+        """Post a send WR on the channel: ``done`` or ``error`` runs when
+        its completion is reaped (generator)."""
+        wr.wr_id = next(self._wr_seq)
+        self._ops[wr.wr_id] = (done, error)
+        yield from ch.qp.post_send_timed(wr)
+
     def _send_ctrl(self, ch: _PeerChannel, slot: int, raw: bytes,
-                   on_ack: Optional[Callable],
-                   on_fail: Optional[Callable] = None,
-                   attempt: int = 0) -> "generator":
+                   on_ack: Optional[Callable], give_up: Callable):
         """Stage ``raw`` into ``slot`` and SEND it (generator).
 
-        A SEND the fabric gave up on is replayed (the QP is re-armed by
-        the progress engine first) up to ``MAX_OP_RETRIES`` extra times;
-        after that the slot is returned and ``on_fail`` fires.
+        A SEND the fabric gave up on is staged and sent again after
+        ``SW_OVERHEAD_NS`` (the progress engine re-arms the QP first), up
+        to ``MAX_OP_RETRIES`` times; after that the slot is returned and
+        ``give_up`` fires.
         """
-        self.memory.write(slot, raw)
-        yield self.env.timeout(self.memory.memcpy_cost_ns(len(raw)))
-        wr_id = next(self._wr_seq)
 
         def done():
             ch.send_slots.append(slot)
             if on_ack is not None:
                 on_ack()
 
-        def error():
-            if attempt < MAX_OP_RETRIES:
-                self.counters.add("mpi.ctrl_resends")
-                self.env.process(
-                    self._resend_ctrl(ch, slot, raw, on_ack, on_fail,
-                                      attempt + 1),
-                    name="mpi:ctrl-resend")
-            else:
-                ch.send_slots.append(slot)
-                self.counters.add("mpi.ctrl_failures")
-                if on_fail is not None:
-                    on_fail()
+        def failed():
+            ch.send_slots.append(slot)
+            self.counters.add("mpi.ctrl_failures")
+            give_up()
 
-        self._ops[wr_id] = done
-        self._op_errors[wr_id] = error
-        wr = SendWR(opcode=Opcode.SEND, wr_id=wr_id, local_addr=slot,
-                    length=len(raw))
-        yield from ch.qp.post_send_timed(wr)
+        wr = SendWR(opcode=Opcode.SEND, local_addr=slot, length=len(raw))
 
-    def _resend_ctrl(self, ch: _PeerChannel, slot: int, raw: bytes,
-                     on_ack: Optional[Callable], on_fail: Optional[Callable],
-                     attempt: int):
-        yield self.env.timeout(SW_OVERHEAD_NS)
-        yield from self._send_ctrl(ch, slot, raw, on_ack, on_fail, attempt)
+        def post(on_error):
+            self.memory.write(slot, raw)
+            yield self.env.timeout(self.memory.memcpy_cost_ns(len(raw)))
+            yield from self._post(ch, wr, done, on_error)
+
+        yield from post(Repost(
+            ch.qp, post, "mpi.ctrl_resends", budget=MAX_OP_RETRIES,
+            delay=lambda k: SW_OVERHEAD_NS, give_up=failed))
+
+    def _send_failed(self, req: MPIRequest) -> None:
+        """An eager send or RTS failed past its resends: fail its request
+        (a no-op if a dead-peer failure settled it first)."""
+        self.counters.add("mpi.send_failures")
+        req.fail(self.env.now)
 
     def _send_eager(self, req: MPIRequest, addr: int, size: int, dst: int,
                     tag: int):
@@ -341,21 +344,15 @@ class Engine:
         # once, into the owned bytes the resend closures hold on to
         raw = b"".join((HDR.pack(KIND_EAGER, tag, size, req.rid, 0, 0),
                         payload))
-        # eager completes locally once the bounce copy is on the wire
-        rid = req.rid
 
         def on_ack():
-            # a dead-peer failure may have settled (and removed) it first
-            if rid in self.live_requests:
-                self.live_requests[rid].complete(self.env.now)
+            # eager completes locally once the bounce copy is on the wire,
+            # unless a dead-peer failure settled it first
+            if not req.done:
+                req.complete(self.env.now)
 
-        def on_fail():
-            self.counters.add("mpi.send_failures")
-            failed = self.live_requests.get(rid)
-            if failed is not None:
-                failed.fail(self.env.now)
-
-        yield from self._send_ctrl(ch, slot, raw, on_ack, on_fail)
+        yield from self._send_ctrl(ch, slot, raw, on_ack,
+                                   partial(self._send_failed, req))
         self.counters.add("mpi.eager_sends")
 
     def _send_rts(self, req: MPIRequest, addr: int, size: int, dst: int,
@@ -369,16 +366,9 @@ class Engine:
             req.fail(self.env.now, error="peer_dead")
             return
         raw = HDR.pack(KIND_RTS, tag, size, req.rid, addr, mr.rkey)
-        rid = req.rid
-
-        def on_fail():
-            # the advertisement never arrived: no FIN will ever come back
-            self.counters.add("mpi.send_failures")
-            failed = self.live_requests.get(rid)
-            if failed is not None:
-                failed.fail(self.env.now)
-
-        yield from self._send_ctrl(ch, slot, raw, None, on_fail)
+        # a failed advertisement never arrived: no FIN will ever come back
+        yield from self._send_ctrl(ch, slot, raw, None,
+                                   partial(self._send_failed, req))
         self.counters.add("mpi.rndv_sends")
         # request completes when the FIN arrives
 
@@ -389,13 +379,10 @@ class Engine:
             self.counters.add("mpi.fin_failures")
             return
         raw = HDR.pack(KIND_FIN, 0, 0, sreq, 0, 0)
-
-        def on_fail():
-            # the sender's request will settle via its own deadline/teardown;
-            # all we can do here is record the loss
-            self.counters.add("mpi.fin_failures")
-
-        yield from self._send_ctrl(ch, slot, raw, None, on_fail)
+        # a lost FIN is only counted; the sender's request keeps no
+        # deadline, so only a dead-peer teardown settles it
+        yield from self._send_ctrl(
+            ch, slot, raw, None, partial(self.counters.add, "mpi.fin_failures"))
 
     # ------------------------------------------------------------- recv side
     def irecv(self, addr: int, length: int, src: int, tag: int):
@@ -447,7 +434,6 @@ class Engine:
         mr = yield from self.rcache.acquire(posted.addr, msg.size)
         req = posted.request
         src, tag, size, sreq = msg.src, msg.tag, msg.size, msg.sreq
-        state = {"attempts": 0}
 
         def done():
             self.rcache.release_async(mr)
@@ -455,29 +441,22 @@ class Engine:
             req.complete(self.env.now)
             self.env.process(self._send_fin(src, sreq), name="mpi:fin")
 
-        def error():
-            # RDMA reads are idempotent — repost the same fetch
-            if state["attempts"] < MAX_OP_RETRIES:
-                state["attempts"] += 1
-                self.counters.add("mpi.fetch_retries")
-                self.env.process(post_once(), name="mpi:refetch")
-            else:
-                self.rcache.release_async(mr)
-                self.counters.add("mpi.recv_failures")
-                req.status = Status(source=src, tag=tag, count=0)
-                req.fail(self.env.now)
+        def give_up():
+            self.rcache.release_async(mr)
+            self.counters.add("mpi.recv_failures")
+            req.status = Status(source=src, tag=tag, count=0)
+            req.fail(self.env.now)
 
-        def post_once():
-            wr_id = next(self._wr_seq)
-            self._ops[wr_id] = done
-            self._op_errors[wr_id] = error
-            ch = self._peer(src)
-            wr = SendWR(opcode=Opcode.RDMA_READ, wr_id=wr_id,
-                        local_addr=posted.addr, length=size,
-                        remote_addr=msg.remote_addr, rkey=msg.remote_key)
-            yield from ch.qp.post_send_timed(wr)
+        ch = self._peer(src)
+        wr = SendWR(opcode=Opcode.RDMA_READ, local_addr=posted.addr,
+                    length=size, remote_addr=msg.remote_addr,
+                    rkey=msg.remote_key)
 
-        yield from post_once()
+        post = partial(self._post, ch, wr, done)
+        # RDMA reads are idempotent: a failed one is posted again as is
+        yield from post(Repost(
+            ch.qp, post, "mpi.fetch_retries", budget=MAX_OP_RETRIES,
+            give_up=give_up))
         self.counters.add("mpi.rndv_fetches")
 
     def _deliver_local(self, src: int, tag: int, payload: bytes):
@@ -516,16 +495,13 @@ class Engine:
         for wc in self.send_cq.poll(max_entries=32):
             found = True
             yield env.timeout(nic.cqe_poll_ns)
-            cb = self._ops.pop(wc.wr_id, None)
-            ecb = self._op_errors.pop(wc.wr_id, None)
+            done, error = self._ops.pop(wc.wr_id)
             if not wc.ok:
                 self.counters.add("mpi.wr_errors")
                 self._reconnect(wc.src_rank)
-                if ecb is not None:
-                    ecb()
+                error()
                 continue
-            if cb is not None:
-                cb()
+            done()
         for wc in self.recv_cq.poll(max_entries=32):
             found = True
             yield env.timeout(nic.cqe_poll_ns)
@@ -533,16 +509,11 @@ class Engine:
                 # flushed bounce receive: reclaim the slot and repost once
                 # the QP is re-armed
                 self.counters.add("mpi.recv_flushes")
-                ch = self.peers.get(wc.src_rank)
-                slot = (ch.recv_slots.pop(wc.wr_id, None)
-                        if ch is not None else None)
+                ch = self.peers[wc.src_rank]
+                slot = ch.recv_slots.pop(wc.wr_id)
                 self._reconnect(wc.src_rank)
-                if (ch is not None and slot is not None
-                        and ch.qp.state is QPState.READY):
-                    new_id = next(self._wr_seq)
-                    ch.recv_slots[new_id] = slot
-                    ch.qp.post_recv(RecvWR(wr_id=new_id, addr=slot,
-                                           length=self.slot_size))
+                if ch.qp.state is QPState.READY:
+                    self._post_bounce(ch, slot)
                 continue
             yield from self._on_recv(wc)
         self.counters.add("mpi.progress_passes")
@@ -595,10 +566,7 @@ class Engine:
         # concurrent send failure flips the QP to ERROR) — re-arm it
         # first, as the flushed-receive path does
         self._reconnect(wc.src_rank)
-        new_id = next(self._wr_seq)
-        ch.recv_slots[new_id] = slot
-        ch.qp.post_recv(RecvWR(wr_id=new_id, addr=slot,
-                               length=self.slot_size))
+        self._post_bounce(ch, slot)
 
     # ------------------------------------------------------------- stats
     def stats(self) -> Dict[str, object]:

@@ -9,7 +9,6 @@ flush) instead of per operation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List
 
 from ..sim.core import SimulationError
@@ -35,7 +34,6 @@ class Win:
         #: (addr, rkey) of every rank's window, filled by win_allocate
         self.remote: Dict[int, tuple] = {comm.rank: (addr, self.rkey)}
         self._pending = 0
-        self._wr_seq = itertools.count(1)
 
     # ------------------------------------------------------------- epochs
     def flush(self):
@@ -70,11 +68,7 @@ class Win:
             self.engine.counters.add("mpi.rma_failures")
             done()
 
-        wr.wr_id = next(self.engine._wr_seq)
-        self.engine._ops[wr.wr_id] = done
-        self.engine._op_errors[wr.wr_id] = error
-        ch = self.engine._peer(rank)
-        yield from ch.qp.post_send_timed(wr)
+        yield from self.engine._post(self.engine._peer(rank), wr, done, error)
 
     def put(self, local_addr: int, size: int, rank: int, offset: int = 0):
         """One-sided put into ``rank``'s window (generator)."""

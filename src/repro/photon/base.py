@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, RankNode
@@ -33,7 +34,7 @@ from ..sim.resources import Signal, poll_until
 from ..verbs.cq import CompletionQueue
 from ..verbs.device import ProtectionDomain
 from ..verbs.enums import Access, Opcode, QPState, WCOpcode, WCStatus
-from ..verbs.qp import QueuePair, RecvWR, SendWR
+from ..verbs.qp import QueuePair, RecvWR, Repost, SendWR
 from .config import PhotonConfig
 from .ledger import (CMP, COVERED, EAGER, FIN, INFO, REWRITE, RING_NAMES,
                      Geometry, PeerChannel)
@@ -157,6 +158,9 @@ class PhotonBase:
         self._poll_ns = config.progress_poll_ns
         self._cqe_poll_ns = cluster.params.nic.cqe_poll_ns
         self._use_imm = config.use_imm
+        # the longest write posted inline (-1: none)
+        self._inline_max = (cluster.params.nic.max_inline
+                            if config.use_inline else -1)
         # memory.version as of the last ledger scan (see _progress_once)
         self._scanned_version = -1
         self.context = node.context
@@ -186,8 +190,7 @@ class PhotonBase:
         self.peers: Dict[int, PeerState] = {}
         # engine queues
         self._op_seq = 0
-        self._ops: Dict[int, Tuple[Optional[Callable],
-                                   Optional[Callable]]] = {}
+        self._ops: Dict[int, Tuple[Optional[Callable], Callable]] = {}
         # reliability layer: live retryable ops by handle, seeded jitter
         # stream
         self._reliable: Dict[int, ReliableOp] = {}
@@ -265,8 +268,7 @@ class PhotonBase:
         return peer
 
     def _post(self, peer: PeerState, wr: SendWR,
-              on_ack: Optional[Callable] = None,
-              on_error: Optional[Callable] = None):
+              on_ack: Optional[Callable], on_error: Callable):
         """Charge post overhead, track outstanding, post (generator).
 
         Backpressure: blocks while the peer has ``MAX_OUTSTANDING`` WRs in
@@ -276,8 +278,7 @@ class PhotonBase:
         if peer.outstanding >= MAX_OUTSTANDING and not (
                 yield from self._await_room(
                     peer, lambda: peer.outstanding < MAX_OUTSTANDING)):
-            if on_error is not None:
-                on_error()
+            on_error()
             return
         self._op_seq += 1
         wr.wr_id = self._op_seq
@@ -294,10 +295,11 @@ class PhotonBase:
         RDMA-write the entry ``build(seq, op_id)`` into it, stamped with
         the *claimed* sequence number and the op's dedup id (generator).
         When the peer is declared dead while the ring is full nothing is
-        claimed and ``on_error`` runs.
+        claimed and ``on_error`` runs; nor is it by an attempt whose op
+        moved on while it waited (a later attempt, or the op settled).
 
         Every entry belongs to the reliable op ``op``, and its replays are
-        slot-stable, like ``_entry_error_cb``'s resends and for the same
+        slot-stable, like ``_post_entry``'s resends and for the same
         reason: a partition on a reliable fabric loses the write with no
         error CQE, only ``op.deadline`` notices, and a replay into a fresh
         slot would leave the lost one a hole.  A replay re-posts the first
@@ -315,30 +317,27 @@ class PhotonBase:
                 return
             if verdict is REWRITE:
                 self.counters.add("photon.entry_rewrites")
-                yield from self._post(
-                    peer, wr, on_ack,
-                    self._entry_error_cb(peer, wr, on_ack, on_error))
+                yield from self._post_entry(peer, wr, on_ack, on_error)
                 return
         if channel.available(ring) <= 0:
             self.counters.add(f"photon.{RING_NAMES[ring]}_stalls")
+            attempt = op.attempts
             if not (yield from self._await_room(
                     peer, lambda: channel.available(ring) > 0)):
-                self.counters.add("photon.dead_peer_entry_drops")
-                on_error()
+                self._drop_entry("photon.dead_peer_entry_drops", on_error)
                 return
+            if op.attempts != attempt or op.state in ("done", "failed"):
+                return  # the op moved on while this attempt waited
         op.op_id, seq, entry, stage_addr, remote_addr = channel.claim(
             ring, op.op_id, build)
         # compose into staging (host copy cost)
         self.memory.write(stage_addr, entry)
         yield self.env.timeout(self.memory.memcpy_cost_ns(len(entry)))
-        nic = self.cluster.params.nic
-        use_inline = (self.config.use_inline and len(entry) <= nic.max_inline)
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage_addr,
                     length=len(entry), remote_addr=remote_addr,
-                    rkey=channel.rkey, inline=use_inline)
+                    rkey=channel.rkey, inline=len(entry) <= self._inline_max)
         op.entry = (channel.epoch, seq, wr)
-        yield from self._post(peer, wr, on_ack,
-                              self._entry_error_cb(peer, wr, on_ack, on_error))
+        yield from self._post_entry(peer, wr, on_ack, on_error)
 
     def _await_room(self, peer: PeerState, room: Callable[[], bool]):
         """Block until ``room()`` toward ``peer`` (generator → bool).
@@ -348,78 +347,55 @@ class PhotonBase:
         gives up through its error path (pending ops against the peer
         were already failed with ``PEER_DEAD``).
         """
-        health, rank = self.health, peer.rank
         yield from self._wait_until(
-            lambda: room() or (health is not None and health.is_dead(rank)))
+            lambda: room() or self._dead(peer.rank))
         return room()
 
-    def _entry_error_cb(self, peer: PeerState, wr: SendWR, on_ack: Callable,
-                        on_error: Callable, attempt: int = 0):
-        """Slot-stable delivery retry for a lost ring-entry write.
+    def _dead(self, rank: int) -> bool:
+        """Has the attached failure detector declared ``rank`` dead?"""
+        return self.health is not None and self.health.is_dead(rank)
 
-        The consumer drains each ring strictly in sequence order, so a
-        lost entry write would leave a hole no later entry can fill and
-        stall the ring for good.  The entry bytes are still staged (the
-        slot cannot be reclaimed before the peer returns credit for it),
-        so re-posting the same WR into the same slot is idempotent and
-        repairs the hole.  After ``ENTRY_RESEND_LIMIT`` resends the hole is
-        declared permanent and the op's ``on_error`` runs.
-        """
+    def _post_entry(self, peer: PeerState, wr: SendWR, on_ack: Callable,
+                    on_error: Callable):
+        """Post a ring entry's write (generator).  The consumer drains each
+        ring strictly in sequence order, so a lost write would leave a hole
+        no later entry can fill; its bytes stay staged until the peer's
+        credit frees the slot, so re-posting the same WR into the same
+        slot is idempotent and repairs it.  After ``ENTRY_RESEND_LIMIT``
+        resends, or at once against a dead peer (its re-arm recovers), the
+        op's ``on_error`` runs."""
+        post = partial(self._post, peer, wr, on_ack)
+        yield from post(Repost(
+            peer.qp, post, "photon.entry_resends", budget=ENTRY_RESEND_LIMIT,
+            delay=lambda k: min(BACKOFF_BASE_NS << (k - 1), BACKOFF_MAX_NS),
+            dead=lambda: self._dead(peer.rank),
+            on_dead=partial(self._drop_entry, "photon.dead_peer_entry_drops",
+                            on_error),
+            give_up=partial(self._drop_entry, "photon.entry_drops", on_error)))
 
-        def cb():
-            if self.health is not None and self.health.is_dead(peer.rank):
-                # the slot belongs to the dead incarnation's seq space;
-                # re-arm (not resend) is the recovery path
-                self.counters.add("photon.dead_peer_entry_drops")
-                on_error()
-                return
-            if attempt >= ENTRY_RESEND_LIMIT:
-                self.counters.add("photon.entry_drops")
-                on_error()
-                return
-            self.counters.add("photon.entry_resends")
-            self.env.process(
-                self._resend_ring_entry(peer, wr, on_ack, on_error,
-                                        attempt + 1),
-                name="photon:entry-resend")
-
-        return cb
-
-    def _resend_ring_entry(self, peer: PeerState, wr: SendWR,
-                           on_ack: Callable, on_error: Callable,
-                           attempt: int):
-        backoff = min(BACKOFF_BASE_NS << (attempt - 1), BACKOFF_MAX_NS)
-        yield self.env.timeout(backoff)
-        yield from self._post(peer, wr, on_ack,
-                              self._entry_error_cb(peer, wr, on_ack, on_error,
-                                                   attempt))
+    def _drop_entry(self, counter: str, on_error: Callable) -> None:
+        self.counters.add(counter)
+        on_error()
 
     def _send_credit(self, peer: PeerState, ring: int):
-        """Return ledger credit to the producer (tiny RDMA write)."""
+        """Return ledger credit to the producer (tiny RDMA write).  The
+        word is an absolute value, so a lost write is resent as it stands
+        now, with no budget — which keeps the producer unblocked — unless
+        the peer is dead (its re-arm resets credit state from scratch)."""
         peer.channel.mark_credit_sent(ring)
-        yield from self._post_credit(peer, ring)
+
+        def post(on_error):
+            value, stage, remote = peer.channel.credit_word(ring)
+            self.memory.write_u64(stage, value)
+            wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage, length=8,
+                        remote_addr=remote, rkey=peer.channel.rkey,
+                        inline=8 <= self._inline_max)
+            return self._post(peer, wr, None, on_error)
+
+        yield from post(Repost(
+            peer.qp, post, "photon.credit_resends",
+            dead=lambda: self._dead(peer.rank)))
         self.counters.add("photon.credit_writes")
-
-    def _post_credit(self, peer: PeerState, ring: int):
-        """Write the ring's credit word to the producer.  The word is an
-        absolute value, so a lost write is resent as it stands now — which
-        keeps the producer unblocked — unless the peer is dead (its re-arm
-        resets credit state from scratch)."""
-        value, stage, remote = peer.channel.credit_word(ring)
-        self.memory.write_u64(stage, value)
-        nic = self.cluster.params.nic
-        wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage, length=8,
-                    remote_addr=remote, rkey=peer.channel.rkey,
-                    inline=self.config.use_inline and 8 <= nic.max_inline)
-
-        def on_error():
-            if self.health is not None and self.health.is_dead(peer.rank):
-                return
-            self.counters.add("photon.credit_resends")
-            self.env.process(self._post_credit(peer, ring),
-                             name="photon:credit-resend")
-
-        yield from self._post(peer, wr, None, on_error)
 
     # ------------------------------------------------------------- reliability
     def _new_reliable_op(self, peer: PeerState, kind: str,
@@ -478,7 +454,7 @@ class PhotonBase:
         # fail fast against a confirmed-dead peer instead of burning the
         # full deadline + retry budget (covers fresh posts and replays:
         # this is the single entry point for every attempt)
-        if self.health is not None and self.health.is_dead(op.peer_rank):
+        if self._dead(op.peer_rank):
             self._op_fail(op, WCStatus.PEER_DEAD)
             return
         op.attempts += 1
@@ -492,7 +468,7 @@ class PhotonBase:
         is pinned or posted.  (With nothing outstanding at the death, the
         peer's QP was never torn down, and a WR on it would never
         settle.)"""
-        if self.health is None or not self.health.is_dead(req.peer):
+        if not self._dead(req.peer):
             return False
         self.requests.fail(req.rid, self.env.now)
         self.counters.add("photon.dead_peer_fails")
@@ -752,8 +728,7 @@ class PhotonBase:
                 self.counters.add("photon.wr_errors")
                 if peer is not None:
                     self._reconnect_peer(peer)
-                if on_error is not None:
-                    on_error()
+                on_error()
         # 2) immediate-mode remote completions (+ flushed receives)
         if self._use_imm:
             wcs = self.recv_cq.poll(max_entries=32)

@@ -71,7 +71,7 @@ class PwcMixin:
                 wr = SendWR(opcode=Opcode.RDMA_WRITE_WITH_IMM,
                             local_addr=local_addr, length=size,
                             remote_addr=remote_addr, rkey=rkey,
-                            imm=remote_cid, inline=self._inline_ok(size))
+                            imm=remote_cid, inline=size <= self._inline_max)
                 yield from self._post(peer, wr, on_ack, on_error)
                 return
             op.acks_pending = ((1 if size > 0 else 0)
@@ -83,7 +83,7 @@ class PwcMixin:
             if size > 0:
                 wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=local_addr,
                             length=size, remote_addr=remote_addr, rkey=rkey,
-                            inline=self._inline_ok(size))
+                            inline=size <= self._inline_max)
                 yield from self._post(peer, wr, on_ack, on_error)
             if remote_cid is not None:
                 yield from self._post_ring_entry(
@@ -279,8 +279,3 @@ class PwcMixin:
         if remote_cid is not None:
             self.remote_cids.append((remote_cid, self.rank))
         self.arrivals.fire()
-
-    # ------------------------------------------------------------------ helpers
-    def _inline_ok(self, size: int) -> bool:
-        return (self.config.use_inline
-                and size <= self.cluster.params.nic.max_inline)

@@ -71,7 +71,7 @@ class RdmaMixin:
 
         wr = SendWR(opcode=opcode, local_addr=local_addr, length=size,
                     remote_addr=remote_addr, rkey=rkey,
-                    inline=put and self._inline_ok(size))
+                    inline=put and size <= self._inline_max)
         yield from self._post(peer, wr, on_ack, on_error)
         self.counters.add("photon.os_puts" if put else "photon.os_gets")
         return rid

@@ -18,7 +18,7 @@ from .errors import (
     VerbsError,
 )
 from .mr import MemoryRegion
-from .qp import QueuePair, RecvWR, SendWR
+from .qp import QueuePair, RecvWR, Repost, SendWR
 
 __all__ = [
     "CompletionQueue", "WorkCompletion",
@@ -27,5 +27,5 @@ __all__ = [
     "BadWorkRequest", "NotConnected", "ProtectionError", "QueueFullError",
     "VerbsError",
     "MemoryRegion",
-    "QueuePair", "RecvWR", "SendWR",
+    "QueuePair", "RecvWR", "Repost", "SendWR",
 ]

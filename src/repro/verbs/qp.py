@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..fabric.nic import CTRL_BYTES, WireMsg
 from .cq import CompletionQueue, WorkCompletion
@@ -47,7 +47,7 @@ from .errors import (
     QueueFullError,
 )
 
-__all__ = ["SendWR", "RecvWR", "QueuePair"]
+__all__ = ["SendWR", "RecvWR", "QueuePair", "Repost"]
 
 #: penalty charged when a message arrives before a receive is posted
 #: (receiver-not-ready retry, ns); well-behaved middleware never pays it
@@ -514,3 +514,41 @@ class QueuePair:
         self.recv_cq.push(WorkCompletion(
             wr_id=wr.wr_id, opcode=opcode, status=status, byte_len=byte_len,
             imm=msg.meta.get("imm"), src_rank=msg.src, qp_num=self.qp_num))
+
+
+class Repost:
+    """The error callback of a work request that ``post(on_error)`` (a
+    generator) can post again as it stands on ``qp``.  On an error
+    completion it runs ``on_dead`` if ``dead()``, else ``give_up`` once
+    ``budget`` resends are spent (None: never), else counts one
+    ``resends`` and posts again from a new process, ``delay(k)`` ns (none
+    when 0) before resend k.  An object rather than closures that call
+    each other, so a finished chain is freed at once, not by the cycle
+    collector."""
+
+    __slots__ = ("context", "post", "resends", "budget", "delay", "dead",
+                 "on_dead", "give_up", "k")
+
+    def __init__(self, qp: QueuePair, post: Callable, resends: str, *,
+                 budget=None, delay=None, dead=None, on_dead=None,
+                 give_up=None):
+        self.context, self.post, self.resends = qp.context, post, resends
+        self.budget, self.delay, self.dead = budget, delay, dead
+        self.on_dead, self.give_up, self.k = on_dead, give_up, 0
+
+    def __call__(self) -> None:
+        if self.dead is not None and self.dead():
+            if self.on_dead is not None:
+                self.on_dead()
+        elif self.budget is not None and self.k >= self.budget:
+            self.give_up()
+        else:
+            self.k += 1
+            self.context.counters.add(self.resends)
+            self.context.env.process(self._again(), name=self.resends)
+
+    def _again(self):
+        ns = self.delay(self.k) if self.delay is not None else 0
+        if ns:
+            yield self.context.env.timeout(ns)
+        yield from self.post(self)

@@ -12,17 +12,21 @@ the channel:
   ring k of its peer (``_entry_op``), claiming a slot if there is room
   and otherwise waiting for it;
 - ``room r i``: an attempt of r's op i that waits for room claims its
-  slot now (``_await_room`` returned);
+  slot now (``_await_room`` returned), unless its op moved on meanwhile
+  (a later attempt started, or the op settled): then it claims nothing;
 - ``land d`` / ``quiet d`` / ``drop d`` / ``error d`` / ``dup d``: the
   oldest write in flight from d (one queue pair, so in order) places its
   next chunk; places the rest but its ack is lost; is lost silently (a
-  partition: only a deadline notices); fails with an error CQE, so an
-  entry's WR is posted again as it stands (``_entry_error_cb``) and a
-  credit word is resent as it stands now (``_post_credit``); or is
-  delivered twice;
+  partition: only a deadline notices); fails with an error CQE; or is
+  delivered twice.  An error reposts through ``verbs.qp.Repost``:
+  an entry's WR goes again as it stands (``_post_entry``) until its
+  chain has spent ``Bounds.resends``, and then the attempt fails through
+  the op's ``on_error`` into backoff; a credit word is resent as it
+  stands now, with no budget (``_send_credit``);
 - ``deadline r i``: r's pending op i times out and replays
   (``_post_ring_entry``: covered by credit, the same slot again, or a
-  fresh claim after a reset);
+  fresh claim after a reset); ``retry r i``: r's op i in backoff replays
+  the same way;
 - ``consume r``: one ``_scan_peer`` pass at r: every ready entry in ring
   order, the dedup check for completion entries and eager messages, then
   the credit returns;
@@ -41,6 +45,10 @@ After every step the world is checked for the channel's properties:
   count of ops in flight is no bound: one lost entry and two later ones
   delivered leave two ids there with one op in flight);
 - at quiescence no ring has a hole: every claimed slot was consumed;
+- no op is stranded: a pending op's current attempt has a write in
+  flight or waits for room, unless its write was lost silently (an error
+  CQE reaches the op; only a silent loss waits for a deadline);
+- an entry write is resent at most ``Bounds.resends`` times;
 - the channel's own checks (credit ahead of produced, a full ring, an
   oversized entry) never fire.
 
@@ -49,6 +57,7 @@ finder that reports a shortest step list.
 
     python tests/ledger_model.py                   # the defaults of Bounds
     python tests/ledger_model.py --depth 8 --posts 3 --directions 2
+    python tests/ledger_model.py --resends 1 --drops 2
 """
 
 from __future__ import annotations
@@ -118,17 +127,21 @@ class Bounds:
     posts: int = 2
     #: lost writes: silent, with an error CQE, or with the ack lost
     drops: int = 1
+    #: resends of an entry write that errors before its chain gives up
+    #: (``ENTRY_RESEND_LIMIT``)
+    resends: int = 0
     dups: int = 1
     deadlines: int = 1
     rearms: int = 1
 
 
 #: an op: (ring, op_id, claim, attempts, state) with claim (epoch, seq,
-#: remote address, entry bytes) or None and state pending / acked / failed
+#: remote address, entry bytes) or None and state pending, lost (pending,
+#: its attempt's write lost silently), backoff, acked or failed
 Op = Tuple[int, int, Optional[tuple], int, str]
 _OP_FIELDS = ("ring", "op_id", "claim", "attempts", "state")
 #: a write in flight: (address, bytes, chunks placed, what) with what
-#: ("entry", op index, attempt) or ("credit", ring)
+#: ("entry", op index, attempt, resends) or ("credit", ring)
 Write = Tuple[int, bytes, int, tuple]
 
 
@@ -205,10 +218,11 @@ class World:
             for i, attempt in self.waiting[r]:
                 if self.chans[r].available(self.ops[r][i][0]) > 0:
                     out.append(("room", r, (i, attempt)))
-            if deadlines:
-                out += [("deadline", r, i)
-                        for i, op in enumerate(self.ops[r])
-                        if op[4] == "pending"]
+            for i, op in enumerate(self.ops[r]):
+                if op[4] == "backoff":
+                    out.append(("retry", r, i))
+                elif deadlines and op[4] in ("pending", "lost"):
+                    out.append(("deadline", r, i))
         for d in (0, 1):
             if self.net[d]:
                 out.append(("land", d, None))
@@ -235,9 +249,11 @@ class World:
         elif what == "room":
             self.waiting[who] = tuple(w for w in self.waiting[who]
                                       if w != arg)
-            self._claim(who, *arg)
+            self._room(who, *arg)
         elif what == "deadline":
             left[3] -= 1
+            self._attempt(who, arg)
+        elif what == "retry":
             self._attempt(who, arg)
         elif what == "consume":
             self._consume(who)
@@ -255,8 +271,10 @@ class World:
                 self.net[who] = tuple(rest)
                 if what == "error" and write[3][0] == "credit":
                     self._send_credit(who, write[3][1])
-                elif what == "error":  # the same WR, for the same attempt
-                    self.net[who] += (write[:2] + (0, write[3]),)
+                elif what == "error":
+                    self._resend(who, write)
+                elif write[3][0] == "entry":
+                    self._lost(who, *write[3][1:3])
             else:
                 self._land(who, write, tuple(rest), quiet=what == "quiet")
         self.left = tuple(left)
@@ -273,7 +291,7 @@ class World:
         ch = self.chans[r]
         ring, _op_id, claim, attempts, _state = self.ops[r][i]
         attempts += 1
-        self._set(r, i, attempts=attempts)
+        self._set(r, i, attempts=attempts, state="pending")
         if claim is not None:
             epoch, seq, addr, entry = claim
             verdict = ch.replay(ring, epoch, seq)
@@ -281,12 +299,20 @@ class World:
                 self._set(r, i, state="acked")
                 return
             if verdict is REWRITE:  # the same WR into the same slot
-                self.net[r] += ((addr, entry, 0, ("entry", i, attempts)),)
+                self.net[r] += ((addr, entry, 0,
+                                 ("entry", i, attempts, 0)),)
                 return
         if ch.available(ring) <= 0:
             self.waiting[r] += ((i, attempts),)
             return
         self._claim(r, i, attempts)
+
+    def _room(self, r: int, i: int, attempt: int) -> None:
+        """An attempt that waited for room claims its slot, unless its op
+        moved on meanwhile (``_post_ring_entry`` after ``_await_room``)."""
+        _ring, _op_id, _claim, attempts, state = self.ops[r][i]
+        if attempts == attempt and state not in ("acked", "failed"):
+            self._claim(r, i, attempt)
 
     def _claim(self, r: int, i: int, attempt: int) -> None:
         ch = self.chans[r]
@@ -295,7 +321,20 @@ class World:
                                                    build(r, i, ring))
         self._set(r, i, op_id=op_id, claim=(ch.epoch, seq, addr, entry))
         self.built[(r, ring, seq)] = entry
-        self.net[r] += ((addr, entry, 0, ("entry", i, attempt)),)
+        self.net[r] += ((addr, entry, 0, ("entry", i, attempt, 0)),)
+
+    def _resend(self, d: int, write: Write) -> None:
+        """An error CQE on an entry write: the same WR again for the same
+        attempt while its chain has resends left; then the attempt fails
+        through the op's ``on_error`` (a stale attempt's is ignored)."""
+        addr, data, _placed, (_what, i, attempt, resends) = write
+        if resends < self.bounds.resends:
+            self.net[d] += ((addr, data, 0,
+                             ("entry", i, attempt, resends + 1)),)
+            return
+        op = self.ops[d][i]
+        if op[4] in ("pending", "lost") and op[3] == attempt:
+            self._set(d, i, state="backoff")
 
     def _send_credit(self, r: int, ring: int) -> None:
         value, _stage, addr = self.chans[r].credit_word(ring)
@@ -319,10 +358,16 @@ class World:
         if what[0] == "credit":
             return
         self.placed[1 - d][addr] = struct.unpack_from("<Q", data)[0]
-        _what, i, attempt = what
+        _what, i, attempt, _resends = what
         op = self.ops[d][i]
-        if not quiet and op[4] == "pending" and op[3] == attempt:
+        if quiet:
+            self._lost(d, i, attempt)
+        elif op[4] in ("pending", "lost") and op[3] == attempt:
             self._set(d, i, state="acked")
+
+    def _lost(self, d: int, i: int, attempt: int) -> None:
+        if self.ops[d][i][3:] == (attempt, "pending"):
+            self._set(d, i, state="lost")
 
     def _check_overwrite(self, consumer: int, addr: int, data: bytes):
         seq = struct.unpack_from("<Q", data)[0]
@@ -384,8 +429,9 @@ class World:
                 buf[addr:addr + nbytes] = bytes(nbytes)
         self.net = [(), ()]
         self.waiting = [(), ()]
-        self.ops = [tuple(op[:4] + ("failed",) if op[4] == "pending"
-                          else op for op in ops) for ops in self.ops]
+        self.ops = [tuple(op if op[4] in ("acked", "failed")
+                          else op[:4] + ("failed",) for op in ops)
+                    for ops in self.ops]
         self.epoch += 1
         self.placed = [{}, {}]
         self.built = {}
@@ -408,9 +454,20 @@ class World:
         for ch in self.chans[:self.bounds.directions]:
             for k in range(self.bounds.rings):
                 ch.available(k)  # raises on credit ahead of produced
+        for d, writes in enumerate(self.net):
+            for _addr, _data, _placed, what in writes:
+                if what[0] == "entry" and what[3] > self.bounds.resends:
+                    return (f"r{d}'s op {what[1]} entry write had "
+                            f"{what[3]} resends, past its budget of "
+                            f"{self.bounds.resends}")
+        for r, ops in enumerate(self.ops):
+            for i, (_ring, _id, _claim, attempt, state) in enumerate(ops):
+                if state == "pending" and not self._alive(r, i, attempt):
+                    return (f"r{r}'s op {i} is stranded: attempt {attempt} "
+                            "ended and nothing but a deadline retries it")
         quiet = (not any(self.net) and not any(self.waiting)
-                 and not any(op[4] == "pending" for ops in self.ops
-                             for op in ops)
+                 and all(op[4] in ("acked", "failed")
+                         for ops in self.ops for op in ops)
                  and not any(ch.pending() for ch in self.chans))
         if not quiet:
             return None
@@ -426,6 +483,12 @@ class World:
                             f"{RING_NAMES[k]} entries, r{1 - r} consumed "
                             f"{theirs.consumed[k]}")
         return None
+
+    def _alive(self, r: int, i: int, attempt: int) -> bool:
+        """Is attempt ``attempt`` of r's op i in flight or waiting?"""
+        return ((i, attempt) in self.waiting[r]
+                or any(what[0] == "entry" and what[1:3] == (i, attempt)
+                       for *_write, what in self.net[r]))
 
 
 class Violation(Exception):
@@ -449,8 +512,8 @@ def describe(move: tuple) -> str:
         return f"post r{who} {RING_NAMES[arg]}"
     if what == "room":
         return f"room r{who} op {arg[0]} (attempt {arg[1]})"
-    if what == "deadline":
-        return f"deadline r{who} op {arg}"
+    if what in ("deadline", "retry"):
+        return f"{what} r{who} op {arg}"
     if what == "rearm":
         return "rearm"
     if what == "consume":

@@ -787,3 +787,26 @@ def test_ledger_state_is_written_in_one_module():
                     for sub in ast.walk(target)
                     if isinstance(sub, ast.Attribute) and sub.attr in state]
     assert not bad, bad
+
+
+def test_a_failed_work_request_is_reposted_one_way():
+    """Photon's entry and credit resends and minimpi's control resend and
+    rendezvous refetch all build their error callback with
+    ``verbs.qp.Repost``: the hand-written chains stay deleted,
+    minimpi keeps one ``wr_id -> (done, error)`` table, and each library
+    calls ``post_send_timed`` from exactly one function."""
+    gone = re.compile(r"_entry_error_cb|_resend_ring_entry|_resend_ctrl"
+                      r"|_op_errors")
+    assert not [p for p in _py_files("src/repro")
+                if gone.search(open(p).read())]
+    for package in ("photon", "minimpi"):
+        callers = set()
+        for path in _py_files(os.path.join("src", "repro", package)):
+            tree = ast.parse(open(path).read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                callers |= {(path, fn.name) for sub in ast.walk(fn)
+                            if isinstance(sub, ast.Attribute)
+                            and sub.attr == "post_send_timed"}
+        assert len(callers) == 1, (package, sorted(callers))
