@@ -27,7 +27,7 @@ from __future__ import annotations
 from ...chaos import CrashRank
 from ...chaos.invariants import check_membership_monotonic, unapplied_acks
 from ...kv.scenario import (Scenario, keyspace, ops_per_sec, outcomes,
-                            pct_us, zipf_plan)
+                            pct_us, stalls_across, zipf_plan)
 from ...runtime.health import DETECT_BUDGET_NS, HealthConfig
 from ..result import ExperimentResult
 
@@ -92,11 +92,11 @@ def run_failover(quick: bool = True, seed: int = 303) -> dict:
         victim = out["leader_before"] = sc.leader(0)
         # schedule the crash squarely inside the burst: writes run a
         # few microseconds each, so half the ops land before the axe
-        t_crash = env.now + 1_200_000
+        t_crash = out["t_crash"] = env.now + 1_200_000
         sc.arm([CrashRank(t_crash, victim)])
         watch = env.process(sc.wait_leaders(since=t_crash + 1),
                             name="kv.fo.watch")
-        client = sc.client(n_ranks - 1, 7)
+        client = out["client"] = sc.client(n_ranks - 1, 7)
         yield from sc.closed_loop(
             client, ((b"fo:%04d" % (i % 40), False) for i in range(n_ops)))
         out["failover_ns"] = (yield watch) - t_crash
@@ -105,7 +105,12 @@ def run_failover(quick: bool = True, seed: int = 303) -> dict:
 
     sc.run(burst(), name="kv.fo.burst")
     lost = unapplied_acks(sc)
+    client = out["client"]
     out.update({
+        # the put in flight at the crash: crash -> its OK
+        "stall_ns": stalls_across(sc.history, out["t_crash"])[7],
+        "aborts": sc.cluster.scope(client.node.rank).get(
+            "kv.dead_target_aborts"),
         "acked": len(sc.clients[0].acked),
         "lost": lost,
         "lost_on_new_leader": [u for u in lost if u[0] == out["new_leader"]],
@@ -155,7 +160,7 @@ def run(quick: bool = True) -> ExperimentResult:
                  f"lost={len(fo['lost_on_new_leader'])}",
                  f"crash->leader {fo_us:.0f}us",
                  f"detect {max(detect) / 1000.0:.0f}us" if detect else "-",
-                 "-", "-", "-"])
+                 "-", f"stall {fo['stall_ns'] / 1000.0:.0f}us", "-"])
 
     membership_ok = True
     try:
@@ -176,6 +181,10 @@ def run(quick: bool = True) -> ExperimentResult:
             fo["new_leader"] not in (None, fo["leader_before"]),
         "failover: election within 2x phi budget + election time":
             fo["failover_ns"] < 2 * DETECT_BUDGET_NS + 500_000,
+        # one attempt ended by the verdict on its target, none timed out
+        "failover: the client's attempt to the dead leader ends at the "
+        "detector's verdict":
+            (fo["aborts"], fo["client"].stats.timeouts) == (1, 0),
         "failover: zero acknowledged-write loss on the new leader":
             fo["lost_on_new_leader"] == [],
         "failover: every acked write on every survivor": fo["lost"] == [],

@@ -8,7 +8,8 @@ senders per rank are a supported pattern everywhere in this repo).
 
 Write path: the client hashes the key to a group, sends the command to
 its best guess for the group's leader, and follows ``NotLeader``
-redirects / times out onto the next replica.  Retries reuse the same
+redirects / moves on to the next replica when an attempt times out or
+this rank's failure detector declares its target dead.  Retries reuse the same
 ``(client_id, seq)`` uid, so the session layer in the state machine
 makes them exactly-once even when the original attempt committed before
 the leader died.  Every OK write response is recorded in
@@ -80,7 +81,9 @@ class ClientStats:
 
 class KVClient:
     """One logical client session (unique id, monotonically growing seq).
-    ``timeout_ns`` bounds one attempt of an RPC, ``max_attempts`` the RPC;
+    ``timeout_ns`` bounds one attempt of an RPC unless this rank's
+    detector declares the attempt's target dead first, ``max_attempts``
+    the RPC;
     ``poll_ns`` is the unit of the redirect / lease back-off (``8 *
     poll_ns``, doubling) — nothing polls: an answer wakes its waiter."""
 
@@ -267,7 +270,7 @@ class KVClient:
     def _rpc(self, kind: int, body: bytes, seq: int, key: bytes = None,
              group: int = None):
         """Send to the believed leader, follow redirects, retry on
-        timeout.  Returns ``(status, value)`` with RESP_FAIL on give-up.
+        timeout or on the target's death verdict.  Returns ``(status, value)`` with RESP_FAIL on give-up.
 
         Routing: ``key`` requests hash through this client's frozen ring
         view and re-route after a WRONG_EPOCH refetch; ``group`` pins an
@@ -300,10 +303,10 @@ class KVClient:
                     sent = False
                 answer = None
                 if sent:
+                    reply.target = dst
                     answer = yield from self._await(reply)
                 if answer is None:
                     # dead/laggy replica: rotate through the replica set
-                    self.stats.timeouts += sent
                     fallback += 1
                     dst = replicas[fallback % len(replicas)]
                     self._leader.pop(g, None)
@@ -363,11 +366,21 @@ class KVClient:
 
     def _await(self, reply: PendingReply):
         """Take the answer if it is there, else park on this RPC's own
-        bell until the attempt deadline (generator → answer or None).
-        ``handle_response`` rings it the instant it files the answer;
-        ``on_crash`` may wipe that before we run, hence the loop."""
+        bell until the attempt deadline, or until this rank's detector
+        declares ``reply.target`` dead (generator → answer or None).
+        ``handle_response`` rings the bell the instant it files the
+        answer, ``KVNode._on_peer_dead`` at the verdict; ``on_crash`` may
+        wipe an answer before we run, hence the loop.  An answer already
+        filed wins over the verdict."""
         deadline = self.env.now + self.timeout_ns
-        while reply.answer is None and self.env.now < deadline:
+        monitor = self.node.monitor
+        while reply.answer is None:
+            if self.env.now >= deadline:
+                self.stats.timeouts += 1
+                break
+            if monitor is not None and monitor.is_dead(reply.target):
+                self.node.counters.add("kv.dead_target_aborts")
+                break
             yield reply.bell.wait(deadline)
         answer, reply.answer = reply.answer, None
         return answer

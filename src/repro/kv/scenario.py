@@ -15,7 +15,7 @@ Every op issued through the harness leaves one :class:`Op` row in
 ``kv.op.get`` / ``kv.op.put`` span on the client's rank.  Latency
 percentiles, throughput and outcome counts are functions over those rows
 (:func:`latencies_ns`, :func:`pct_us`, :func:`ops_per_sec`,
-:func:`outcomes`); the audits of a *finished* scenario — acknowledged
+:func:`outcomes`, :func:`stalls_across`); the audits of a *finished* scenario — acknowledged
 uids, replica byte-identity, "a get returned a value somebody wrote" —
 live in :mod:`repro.chaos.invariants`.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import repeat
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .store import KVConfig, build_kv
 
 __all__ = ["Scenario", "Op", "keyspace", "zipf_plan", "value_tag",
            "latencies_ns", "pct_us", "ops_per_sec", "outcomes",
-           "DRAIN_BEATS"]
+           "stalls_across", "DRAIN_BEATS"]
 
 VALUE_SIZE = 64
 #: heartbeats :meth:`Scenario.drain` idles once every group is led
@@ -116,6 +116,17 @@ def ops_per_sec(history: Iterable[Op]) -> float:
         return 0.0
     span_ns = max(op.t_return for op in rows) - min(op.t_invoke for op in rows)
     return len(latencies_ns(rows)) / (span_ns / 1e9) if span_ns > 0 else 0.0
+
+
+def stalls_across(history: Iterable[Op], t: int) -> Dict[int, int]:
+    """client -> the longest any of its ops ran after instant ``t`` (a
+    crash): from ``t``, or from its invoke if later, to its return."""
+    out: Dict[int, int] = {}
+    for op in history:
+        if op.t_return > t:
+            ns = op.t_return - max(op.t_invoke, t)
+            out[op.client] = max(out.get(op.client, 0), ns)
+    return out
 
 
 def outcomes(history: Iterable[Op]) -> Counter:

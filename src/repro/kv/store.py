@@ -178,12 +178,14 @@ def register_actions(registry: ActionRegistry) -> None:
 class PendingReply:
     """One client RPC in progress, as its node sees it: the answer
     ``(status, hint, value)`` from its filing until the client takes it,
-    and the bell that wakes the one process waiting for it."""
+    the rank its current attempt went to, and the bell that wakes the one
+    process waiting for it."""
 
-    __slots__ = ("answer", "bell")
+    __slots__ = ("answer", "target", "bell")
 
     def __init__(self, env):
         self.answer: Optional[Tuple[int, int, bytes]] = None
+        self.target: Optional[int] = None
         self.bell = Signal(env)
 
 
@@ -308,7 +310,8 @@ class KVNode:
     # ---------------------------------------------------------------- wiring
     def attach_health(self, monitor) -> None:
         """Consume the rank's failure detector: leader-death verdicts
-        short-circuit election timeouts, joins clear the dead set."""
+        short-circuit election timeouts and end the client attempts
+        addressed to the dead rank, joins clear the dead set."""
         self.monitor = monitor
         monitor.on_dead(self._on_peer_dead)
         monitor.on_join(self._on_peer_join)
@@ -322,6 +325,10 @@ class KVNode:
         self.counters.add("kv.peer_dead_events")
         # election_due may have moved forward under the parked server loop
         self.runtime.transport.arrivals.fire()
+        # an attempt to the dead rank ends now, not at its timeout
+        for reply in self.hub.values():
+            if reply.target == peer:
+                reply.bell.fire()
 
     def _on_peer_join(self, peer: int) -> None:
         for rn in self.raft.values():

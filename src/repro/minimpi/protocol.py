@@ -13,7 +13,7 @@ implements the standard MPI transport design over RC queue pairs:
   (registration cache) and SENDs an RTS carrying (addr, rkey, size); the
   receiver matches it, registers its landing buffer, RDMA-READs the
   payload directly, and SENDs back a FIN that completes the sender's
-  request.  One and a half round trips of control traffic that Photon's
+  request (or fails it, when the read failed past its retries).  One and a half round trips of control traffic that Photon's
   pre-exposed-buffer put does not pay.
 
 Progress is polling and runs inside blocking calls, exactly like the
@@ -67,6 +67,9 @@ HDR = struct.Struct("<qqqqqq")
 KIND_EAGER = 1
 KIND_RTS = 2
 KIND_FIN = 3
+#: a FIN's tag (spare in a FIN) when the receiver's read of the advertised
+#: buffer failed: the sender fails its request instead of completing it
+FIN_FAILED = 1
 
 
 class MPIRequest:
@@ -327,8 +330,9 @@ class Engine:
             delay=lambda k: SW_OVERHEAD_NS, give_up=failed))
 
     def _send_failed(self, req: MPIRequest) -> None:
-        """An eager send or RTS failed past its resends: fail its request
-        (a no-op if a dead-peer failure settled it first)."""
+        """An eager send or RTS failed past its resends, or the receiver's
+        read of a rendezvous payload did: fail its request (a no-op if a
+        dead-peer failure settled it first)."""
         self.counters.add("mpi.send_failures")
         req.fail(self.env.now)
 
@@ -372,13 +376,13 @@ class Engine:
         self.counters.add("mpi.rndv_sends")
         # request completes when the FIN arrives
 
-    def _send_fin(self, dst: int, sreq: int):
+    def _send_fin(self, dst: int, sreq: int, failed: bool = False):
         ch = self._peer(dst)
         slot = yield from self._acquire_slot(ch)
         if slot is None:
             self.counters.add("mpi.fin_failures")
             return
-        raw = HDR.pack(KIND_FIN, 0, 0, sreq, 0, 0)
+        raw = HDR.pack(KIND_FIN, FIN_FAILED if failed else 0, 0, sreq, 0, 0)
         # a lost FIN is only counted; the sender's request keeps no
         # deadline, so only a dead-peer teardown settles it
         yield from self._send_ctrl(
@@ -446,6 +450,9 @@ class Engine:
             self.counters.add("mpi.recv_failures")
             req.status = Status(source=src, tag=tag, count=0)
             req.fail(self.env.now)
+            # the sender's request has no deadline: tell it, so its pin goes
+            self.env.process(self._send_fin(src, sreq, failed=True),
+                             name="mpi:fin")
 
         ch = self._peer(src)
         wr = SendWR(opcode=Opcode.RDMA_READ, local_addr=posted.addr,
@@ -557,7 +564,9 @@ class Engine:
                 yield from self._fetch_rendezvous(posted, msg)
         elif kind == KIND_FIN:
             sender_req = self.live_requests.get(sreq)
-            if sender_req is not None:
+            if sender_req is not None and tag == FIN_FAILED:
+                self._send_failed(sender_req)
+            elif sender_req is not None:
                 sender_req.complete(self.env.now)
         else:
             raise SimulationError(f"bad wire kind {kind}")

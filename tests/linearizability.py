@@ -26,7 +26,9 @@ The command line checks the failover block over fresh seeds::
     PYTHONPATH=src python tests/linearizability.py --seeds 20
 
 runs :func:`failover_block` at seeds 1000, 1001, ... and exits 1 on the
-first history that does not linearize (about 1 s a seed).
+first history that does not linearize, or the first RPC attempt that
+waits on after its own rank declared its target dead (about 1 s a seed;
+each seed's line gives its longest client stall across the crash).
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.chaos import CrashRank
-from repro.kv.scenario import Scenario, keyspace
+from repro.kv.client import KVClient
+from repro.kv.scenario import Scenario, keyspace, stalls_across
 from repro.kv.shard import ST_MISS, ST_OK
 
 #: the return instant of a put whose reply never arrived
@@ -172,13 +176,73 @@ def check_scenario(sc: Scenario) -> int:
                                       if c.read_mode == "onesided"])
 
 
+class Attempt(NamedTuple):
+    """One RPC attempt's wait: the client's rank and id, the rank it was
+    addressed to, when the wait began and ended, and whether an answer
+    ended it."""
+    rank: int
+    client: int
+    target: int
+    start: int
+    end: int
+    answered: bool
+
+
+class VerdictWatch:
+    """Every attempt of the clients :meth:`watch` is given, and every
+    death verdict any monitor of the scenario reaches: an attempt to a
+    rank must end by its own rank's verdict on it."""
+
+    def __init__(self, sc: Scenario):
+        self.env = sc.env
+        self.attempts: List[Attempt] = []
+        #: (observer, dead rank) -> the instant the observer declared it
+        self.verdicts: Dict[Tuple[int, int], int] = {}
+        for monitor in sc.monitors:
+            monitor.on_dead(partial(self._dead, monitor.rank))
+
+    def _dead(self, observer: int, peer: int) -> None:
+        self.verdicts.setdefault((observer, peer), self.env.now)
+
+    def watch(self, client: KVClient) -> KVClient:
+        """Record each of ``client``'s attempt waits from now on."""
+        wait, env = client._await, self.env
+
+        def watched(reply):
+            start = env.now
+            answer = yield from wait(reply)
+            self.attempts.append(Attempt(
+                client.node.rank, client.client_id, reply.target, start,
+                env.now, answer is not None))
+            return answer
+
+        client._await = watched
+        return client
+
+    def spanning(self) -> List[Tuple[Attempt, int]]:
+        """Each attempt waiting at its own rank's verdict on its target,
+        with that verdict's instant."""
+        out = []
+        for a in self.attempts:
+            t = self.verdicts.get((a.rank, a.target))
+            if t is not None and a.start <= t <= a.end:
+                out.append((a, t))
+        return out
+
+    def outlived(self) -> List[Attempt]:
+        """Attempts that went on waiting after their verdict."""
+        return [a for a, t in self.spanning() if a.end > t]
+
+
 def failover_block(seed: int, n_ops: int = 240) -> Scenario:
     """R20's failover block with reads: the 5-rank, one-group cluster
     loses its leader 400 us into a burst, while two closed-loop sessions
     put and get (half each, RPC arm) the same 40 keys, and keep going
-    through the failover."""
+    through the failover.  ``sc.t_crash`` is the crash instant and
+    ``sc.verdicts`` the sessions' :class:`VerdictWatch`."""
     sc = Scenario(5, 1, seed)
     env, keys = sc.env, keyspace(40)
+    sc.verdicts = VerdictWatch(sc)
 
     def session(client, c):
         coin = sc.cluster.rng.stream(f"lin.mix.{c}")
@@ -189,9 +253,11 @@ def failover_block(seed: int, n_ops: int = 240) -> Scenario:
 
     def burst():
         yield from sc.wait_leaders()
-        sc.arm([CrashRank(env.now + 400_000, sc.leader(0))])
-        procs = [env.process(session(sc.client(rank, c + 1), c))
-                 for c, rank in enumerate(sc.free[:2])]
+        sc.t_crash = env.now + 400_000
+        sc.arm([CrashRank(sc.t_crash, sc.leader(0))])
+        procs = [env.process(session(
+            sc.verdicts.watch(sc.client(rank, c + 1)), c))
+            for c, rank in enumerate(sc.free[:2])]
         yield env.all_of(procs)
         yield from sc.drain()
 
@@ -212,7 +278,15 @@ def main(argv=None) -> int:
         except Violation as exc:
             print(f"seed {seed}: {exc}")
             return 1
-        print(f"seed {seed}: {len(sc.history)} ops, {n} calls linearize")
+        for a in sc.verdicts.outlived():
+            print(f"seed {seed}: client {a.client}'s attempt to r{a.target}"
+                  f" waited {a.end - sc.verdicts.verdicts[a.rank, a.target]}"
+                  f" ns past r{a.rank}'s verdict on it")
+            return 1
+        stall = max(stalls_across(sc.history, sc.t_crash).values(),
+                    default=0)
+        print(f"seed {seed}: {len(sc.history)} ops, {n} calls linearize, "
+              f"longest stall across the crash {stall / 1e3:.0f} us")
     print(f"{args.seeds} seeds clean in {time.perf_counter() - t0:.1f} s")
     return 0
 

@@ -806,6 +806,49 @@ def test_a_lost_entry_resends_its_budget_per_attempt_then_the_op_fails(
     assert scope.get("photon.op_failures") == 1
 
 
+def test_a_failed_rendezvous_read_fails_its_sender(monkeypatch):
+    """The receiver reads a 16 KiB rendezvous payload with an rkey the
+    sender's NIC refuses: after ``MAX_OP_RETRIES`` refetches its receive
+    fails, and the FIN it still sends says so, so the sender's request —
+    which keeps no deadline — fails too and releases its pinned buffer."""
+    from repro.minimpi.protocol import MAX_OP_RETRIES
+    from repro.photon.rcache import assert_reg_balance
+
+    cl = build_cluster(2, "ib-fdr", seed=7)
+    mm = mpi_init(cl)
+    engine, size = mm[1].engine, 1 << 14
+    fetch = engine._fetch_rendezvous
+
+    def refused(posted, msg):
+        msg.remote_key ^= 0x5A5A
+        return (yield from fetch(posted, msg))
+
+    monkeypatch.setattr(engine, "_fetch_rendezvous", refused)
+    src, dst = cl[0].memory.alloc(size), cl[1].memory.alloc(size)
+    out = {}
+
+    def sender(env):
+        req = yield from mm[0].isend(src, size, 1, tag=3)
+        out["sent"] = yield from mm[0].engine.wait(req, timeout_ns=50_000_000)
+        out["send_failed"] = req.failed
+
+    def receiver(env):
+        req = yield from mm[1].irecv(dst, size, 0, tag=3)
+        out["recv"] = yield from engine.wait(req, timeout_ns=50_000_000)
+        out["recv_failed"] = req.failed
+
+    cl.env.run(until=cl.env.all_of([cl.env.process(sender(cl.env)),
+                                    cl.env.process(receiver(cl.env))]))
+    assert out["recv"] and out["recv_failed"]
+    assert out["sent"] and out["send_failed"]
+    assert cl.scope(1).get("mpi.fetch_retries") == MAX_OP_RETRIES
+    assert cl.scope(1).get("mpi.recv_failures") == 1
+    assert cl.scope(0).get("mpi.send_failures") == 1
+    assert not mm[0].engine.live_requests and not engine.live_requests
+    cl.env.run(until=cl.env.now + 1_000_000)  # the async deregistrations
+    assert_reg_balance(cl.counters, [cl[r].context for r in range(cl.n)])
+
+
 def test_a_rendezvous_read_out_of_retries_fails_its_receive():
     """A rendezvous read that always fails (a dead wire, NIC ARQ off) is
     refetched ``MAX_OP_RETRIES`` times; then the receive fails and its

@@ -880,7 +880,7 @@ def test_one_attempt_client_times_out_as_a_failed_op():
 def _stub_node(env, hub=None):
     """As much of a ``KVNode`` as a ``KVClient`` touches."""
     return SimpleNamespace(
-        env=env, hub={} if hub is None else hub,
+        env=env, hub={} if hub is None else hub, monitor=None,
         photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
         shard_map=ShardMap(1, 2, rf=2))
 

@@ -28,10 +28,10 @@ from repro.chaos.invariants import (check_membership_monotonic,
                                     check_reads_return_written,
                                     unapplied_acks)
 from repro.kv import RaftConfig, ST_OK
-from repro.kv.scenario import Scenario, keyspace, zipf_plan
+from repro.kv.scenario import Scenario, keyspace, stalls_across, zipf_plan
 from repro.kv.store import ACT_RAFT
 from repro.runtime.health import DETECT_BUDGET_NS, HealthConfig
-from tests.linearizability import check_scenario
+from tests.linearizability import VerdictWatch, check_scenario
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,8 @@ def _chaos_block(seed, n_ops=290):
     each (the benchmark's 290 x ``--scale``) drawn from one stream the
     way the benchmark draws them, a 500 us partition of a group-1
     follower, then a crash of the rank leading group 0.  Runs the clients
-    to completion and returns the scenario, stopped there."""
+    to completion and returns the scenario, stopped there, with
+    ``sc.verdicts`` watching the clients' attempts."""
     rng = np.random.default_rng(seed)
     sc = Scenario(6, 2, seed, spans=False,
                   raft=RaftConfig(compact_threshold=16, compact_margin=4),
@@ -163,6 +164,9 @@ def _chaos_block(seed, n_ops=290):
         sc.client(free[c % len(free)], c + 1, max_attempts=200,
                   poll_ns=2_000 + int(rng.integers(-400, 401)))
     clients, loader = list(sc.clients), sc.client(free[0], 1000)
+    sc.verdicts = VerdictWatch(sc)
+    for c in clients:
+        sc.verdicts.watch(c)
 
     def setup():
         yield from sc.wait_leaders()
@@ -199,6 +203,31 @@ def _check_election_bound(seed):
     sc.run(sc.drain())
     assert all(op.status == ST_OK for op in sc.history)
     assert sc.watch.value - sc.t_crash <= 2_000_000
+    assert unapplied_acks(sc) == []
+    check_reads_return_written(sc)
+
+
+def test_a_client_attempt_to_the_crashed_leader_ends_at_the_verdict():
+    """``kv_chaos`` block 7001: each of the 4 clients has an attempt
+    parked on the group-0 leader when it crashes.  The attempt ends in the
+    nanosecond its own rank's monitor declares the leader dead (counted
+    once as ``kv.dead_target_aborts``, not as a timeout) and rotates to
+    the next replica, so no client waits across the crash as long as its
+    2 ms attempt timeout — before, each waited it out, 2 003-2 011 us."""
+    sc = _chaos_block(7001)
+    cut = sc.verdicts.spanning()
+    assert len({a.client for a, _t in cut}) == len(cut) == 4
+    for a, t in cut:
+        assert (a.end, a.answered) == (t, False)
+    assert sc.verdicts.outlived() == []
+    stalls = stalls_across(sc.history, sc.t_crash)
+    assert len(stalls) == 4
+    assert all(ns < c.timeout_ns for c in sc.clients[:4]
+               for ns in [stalls[c.client_id]])
+    assert [c.stats.timeouts for c in sc.clients] == [0] * 5
+    assert sc.cluster.counters.get("kv.dead_target_aborts") == 4
+    sc.run(sc.drain())
+    assert all(op.status == ST_OK for op in sc.history)
     assert unapplied_acks(sc) == []
     check_reads_return_written(sc)
 
