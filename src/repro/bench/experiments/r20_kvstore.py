@@ -107,8 +107,9 @@ def run_failover(quick: bool = True, seed: int = 303) -> dict:
     lost = unapplied_acks(sc)
     client = out["client"]
     out.update({
-        # the put in flight at the crash: crash -> its OK
-        "stall_ns": stalls_across(sc.history, out["t_crash"])[7],
+        # crash -> the OK of the put it stalled
+        "stall_ns": stalls_across(sc.history,
+                                  out["t_crash"])[client.client_id],
         "aborts": sc.cluster.scope(client.node.rank).get(
             "kv.dead_target_aborts"),
         "acked": len(sc.clients[0].acked),

@@ -9,10 +9,10 @@ senders per rank are a supported pattern everywhere in this repo).
 Write path: the client hashes the key to a group, sends the command to
 its best guess for the group's leader, and follows ``NotLeader``
 redirects / moves on to the next replica when an attempt times out or
-this rank's failure detector declares its target dead.  Retries reuse the same
-``(client_id, seq)`` uid, so the session layer in the state machine
-makes them exactly-once even when the original attempt committed before
-the leader died.  Every OK write response is recorded in
+this rank's failure detector declares its target dead.  Retries reuse
+the same ``(client_id, seq)`` uid, so the session layer in the state
+machine makes them exactly-once even when the original attempt
+committed before the leader died.  Every OK write response is recorded in
 ``self.acked`` — the failover invariant checker replays that list
 against the surviving replicas.
 
@@ -270,7 +270,8 @@ class KVClient:
     def _rpc(self, kind: int, body: bytes, seq: int, key: bytes = None,
              group: int = None):
         """Send to the believed leader, follow redirects, retry on
-        timeout or on the target's death verdict.  Returns ``(status, value)`` with RESP_FAIL on give-up.
+        timeout or on the target's death verdict.  Returns ``(status,
+        value)`` with RESP_FAIL on give-up.
 
         Routing: ``key`` requests hash through this client's frozen ring
         view and re-route after a WRONG_EPOCH refetch; ``group`` pins an

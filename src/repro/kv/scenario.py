@@ -15,9 +15,9 @@ Every op issued through the harness leaves one :class:`Op` row in
 ``kv.op.get`` / ``kv.op.put`` span on the client's rank.  Latency
 percentiles, throughput and outcome counts are functions over those rows
 (:func:`latencies_ns`, :func:`pct_us`, :func:`ops_per_sec`,
-:func:`outcomes`, :func:`stalls_across`); the audits of a *finished* scenario — acknowledged
-uids, replica byte-identity, "a get returned a value somebody wrote" —
-live in :mod:`repro.chaos.invariants`.
+:func:`outcomes`, :func:`stalls_across`); the audits of a *finished*
+scenario — acknowledged uids, replica byte-identity, "a get returned a
+value somebody wrote" — live in :mod:`repro.chaos.invariants`.
 """
 
 from __future__ import annotations

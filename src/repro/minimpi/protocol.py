@@ -13,7 +13,8 @@ implements the standard MPI transport design over RC queue pairs:
   (registration cache) and SENDs an RTS carrying (addr, rkey, size); the
   receiver matches it, registers its landing buffer, RDMA-READs the
   payload directly, and SENDs back a FIN that completes the sender's
-  request (or fails it, when the read failed past its retries).  One and a half round trips of control traffic that Photon's
+  request (or fails it, when the read failed past its retries).  One
+  and a half round trips of control traffic that Photon's
   pre-exposed-buffer put does not pay.
 
 Progress is polling and runs inside blocking calls, exactly like the

@@ -213,7 +213,7 @@ def test_a_client_attempt_to_the_crashed_leader_ends_at_the_verdict():
     nanosecond its own rank's monitor declares the leader dead (counted
     once as ``kv.dead_target_aborts``, not as a timeout) and rotates to
     the next replica, so no client waits across the crash as long as its
-    2 ms attempt timeout — before, each waited it out, 2 003-2 011 us."""
+    2 ms attempt timeout — before, each waited it out (2 000-2 007 us)."""
     sc = _chaos_block(7001)
     cut = sc.verdicts.spanning()
     assert len({a.client for a, _t in cut}) == len(cut) == 4
@@ -222,8 +222,7 @@ def test_a_client_attempt_to_the_crashed_leader_ends_at_the_verdict():
     assert sc.verdicts.outlived() == []
     stalls = stalls_across(sc.history, sc.t_crash)
     assert len(stalls) == 4
-    assert all(ns < c.timeout_ns for c in sc.clients[:4]
-               for ns in [stalls[c.client_id]])
+    assert max(stalls.values()) < sc.clients[0].timeout_ns
     assert [c.stats.timeouts for c in sc.clients] == [0] * 5
     assert sc.cluster.counters.get("kv.dead_target_aborts") == 4
     sc.run(sc.drain())
