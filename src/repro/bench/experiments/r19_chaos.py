@@ -70,8 +70,6 @@ def run_scenario(quick: bool = True) -> dict:
         use_imm=False, max_op_retries=5, op_timeout_ns=400_000,
         backoff_jitter_ns=80_000))
     monitors = build_health(cl)
-    for r in range(N):
-        ph[r].attach_health(monitors[r])
     ctrl = ChaosController(
         cl, FaultSchedule([CrashRank(T_CRASH, VICTIM),
                            RestartRank(T_RESTART, VICTIM)]),

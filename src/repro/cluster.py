@@ -7,8 +7,8 @@ offers helpers for running one program per rank SPMD-style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Union
 
 from .fabric.memory import Memory
 from .fabric.nic import Nic
@@ -25,12 +25,18 @@ __all__ = ["RankNode", "Cluster", "build_cluster"]
 
 @dataclass
 class RankNode:
-    """Everything one simulated rank owns."""
+    """Everything one simulated rank owns, its failure detector included:
+    ``health`` is None until :func:`repro.runtime.health.build_health`
+    installs one, which calls ``on_peer_dead`` / ``on_peer_join``
+    (``cb(peer)``) in the order the rank's layers subscribed."""
 
     rank: int
     memory: Memory
     nic: Nic
     context: Context
+    health: Optional[object] = None
+    on_peer_dead: List[Callable[[int], None]] = field(default_factory=list)
+    on_peer_join: List[Callable[[int], None]] = field(default_factory=list)
 
 
 class Cluster:

@@ -295,6 +295,17 @@ class KVClient:
             # attempt budget at wire speed
             backoff = self.poll_ns * 8
             for _attempt in range(self.max_attempts):
+                # a replica this rank's detector declares dead is skipped
+                # as its refused send would be, without spending the
+                # attempt; with every replica dead the send refuses it
+                health = self.node.rank_node.health
+                if health is not None:
+                    for _ in replicas:
+                        if not health.is_dead(dst):
+                            break
+                        fallback += 1
+                        dst = replicas[fallback % len(replicas)]
+                        self._leader.pop(g, None)
                 payload = pack_request(kind, self.client_id, seq, g,
                                        self._view.epoch, body)
                 sent = True
@@ -374,12 +385,12 @@ class KVClient:
         wipe an answer before we run, hence the loop.  An answer already
         filed wins over the verdict."""
         deadline = self.env.now + self.timeout_ns
-        monitor = self.node.monitor
+        health = self.node.rank_node.health
         while reply.answer is None:
             if self.env.now >= deadline:
                 self.stats.timeouts += 1
                 break
-            if monitor is not None and monitor.is_dead(reply.target):
+            if health is not None and health.is_dead(reply.target):
                 self.node.counters.add("kv.dead_target_aborts")
                 break
             yield reply.bell.wait(deadline)

@@ -153,8 +153,7 @@ class Scenario:
         self.nodes = build_kv(
             cl, self.photon,
             KVConfig(n_groups=n_groups, rf=min(3, n_ranks),
-                     raft=raft or RaftConfig()),
-            monitors=self.monitors)
+                     raft=raft or RaftConfig()))
         self.shard_map = self.nodes[0].shard_map
         #: ranks hosting no replica, else all: a co-located client's ops
         #: skip the wire and would pollute latencies with 0-hop samples

@@ -221,8 +221,11 @@ class KVNode:
         self.shard_map = shard_map
         self.env = cluster.env
         self.counters = cluster.scope(rank)
-        #: failure-detector handle (attach via attach_health)
-        self.monitor = None
+        #: the rank: its failure detector's verdicts drive fast elections
+        #: and end client attempts to the dead (``rank_node.health``)
+        self.rank_node = cluster[rank]
+        self.rank_node.on_peer_dead.append(self._on_peer_dead)
+        self.rank_node.on_peer_join.append(self._on_peer_join)
         self.raft: Dict[int, RaftNode] = {}
         self.machines: Dict[int, KVStateMachine] = {}
         self.tables: Dict[int, object] = {}       # group -> PhotonBuffer
@@ -307,16 +310,11 @@ class KVNode:
         self.counters.add("kv.reseeds")
         self.runtime.transport.arrivals.fire()  # new timers: re-plan the park
 
-    # ---------------------------------------------------------------- wiring
-    def attach_health(self, monitor) -> None:
-        """Consume the rank's failure detector: leader-death verdicts
-        short-circuit election timeouts and end the client attempts
-        addressed to the dead rank, joins clear the dead set."""
-        self.monitor = monitor
-        monitor.on_dead(self._on_peer_dead)
-        monitor.on_join(self._on_peer_join)
-
+    # ---------------------------------------------------------------- health
     def _on_peer_dead(self, peer: int) -> None:
+        """The rank's detector declared ``peer`` dead: a leader's death
+        short-circuits election timeouts, and the client attempts
+        addressed to it end now."""
         if peer == self.rank or not self.photon.alive:
             return
         now = self.env.now
@@ -331,6 +329,7 @@ class KVNode:
                 reply.bell.fire()
 
     def _on_peer_join(self, peer: int) -> None:
+        """``peer`` rejoined: it leaves the groups' dead sets."""
         for rn in self.raft.values():
             rn.on_peer_join(peer)
 
@@ -766,9 +765,10 @@ class KVNode:
         return sent
 
     def _ship(self, dst: int, action: str, payload: bytes):
-        # the transport asks the same monitor (build_kv attaches one to
-        # both), so a send that passes here is never refused there
-        if self.monitor is not None and self.monitor.is_dead(dst):
+        # the transport asks the same detector, the rank's, so a send
+        # that passes here is never refused there
+        health = self.rank_node.health
+        if health is not None and health.is_dead(dst):
             # Raft and clients both tolerate silent loss
             self.counters.add("kv.drops_to_dead")
             return
@@ -785,15 +785,18 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
              start: bool = True):
     """Assemble one :class:`KVNode` per rank over a fresh parcel runtime.
 
-    ``photons`` come from :func:`repro.photon.photon_init`; ``monitors``
-    (optional) from :func:`repro.runtime.health.build_health` — when
-    given, the endpoints, transports and KV nodes all consume the
-    detector (fast-fail, detection-driven elections).
+    ``photons`` come from :func:`repro.photon.photon_init`.  The nodes
+    hear their ranks' detectors (detection-driven elections), however
+    built; ``monitors``, if given, must be exactly those detectors.
     Returns the node list; the shard map is shared via ``nodes[r]
     .shard_map``.  Nothing is spawned when ``start`` is False.
     """
     cfg = config or KVConfig()
     cfg.validate()
+    if monitors is not None and \
+            list(monitors) != [node.health for node in cluster.ranks]:
+        raise SimulationError(
+            "monitors must be the ranks' own detectors (build_health)")
     if cfg.rf > cluster.n:
         raise SimulationError(
             f"replication factor {cfg.rf} needs at least {cfg.rf} ranks "
@@ -805,10 +808,6 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
     for r, runtime in enumerate(build_runtime(cluster, reg, photon=photons)):
         node = KVNode(cluster, r, runtime, photons[r], shard_map, cfg)
         runtime.kv = node
-        if monitors is not None:
-            photons[r].attach_health(monitors[r])
-            runtime.attach_health(monitors[r])
-            node.attach_health(monitors[r])
         nodes.append(node)
     if start:
         for node in nodes:

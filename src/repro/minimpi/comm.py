@@ -135,7 +135,7 @@ class Comm:
         addr = self._scratch.take(length)
         req = yield from self.engine.irecv(addr, length, src,
                                            self._coll_tag(step))
-        health, n = self.engine.health, self.size
+        health, n = self.engine.node.health, self.size
         yield from self.engine._wait_until(
             lambda: req.done or dead_member(health, n) is not None)
         if req.failed or not req.done:

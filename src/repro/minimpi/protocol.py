@@ -181,21 +181,15 @@ class Engine:
         self._wr_seq = itertools.count(1)
         self.slot_size = HDR.size + config.eager_threshold
         self._bounce_mr = None
-        #: failure-detector handle (None unless attach_health was called)
-        self.health = None
         # deferred self-messages (no wire)
         self._self_queue: Deque[Tuple[int, bytes]] = deque()
+        node.on_peer_dead.append(self._fail_dead_peer)
 
     # ------------------------------------------------------------- health
-    def attach_health(self, monitor) -> None:
-        """Consume a failure detector: pending requests against a peer
-        declared dead settle immediately with ``error="peer_dead"``
-        instead of burning their full resend budget, and new requests
-        toward a dead peer fail fast at post time."""
-        self.health = monitor
-        monitor.on_dead(self._fail_dead_peer)
-
     def _fail_dead_peer(self, rank: int) -> None:
+        """The rank's detector declared ``rank`` dead: pending requests
+        against it settle now with ``error="peer_dead"`` instead of
+        burning their full resend budget (new ones fail at post time)."""
         now = self.env.now
         failed = 0
         for req in list(self.live_requests.values()):
@@ -256,8 +250,8 @@ class Engine:
         req.span = self.counters.span(name, self.env.now, peer=dst,
                                       nbytes=size)
         self.counters.add("mpi.isends")
-        if (self.health is not None and dst != self.rank
-                and self.health.is_dead(dst)):
+        health = self.node.health
+        if health is not None and dst != self.rank and health.is_dead(dst):
             # fail fast: don't burn the resend budget on a confirmed corpse
             self.counters.add("mpi.dead_peer_fails")
             req.fail(self.env.now, error="peer_dead")
@@ -283,7 +277,7 @@ class Engine:
         the peer was declared dead first: its slots are not coming back)."""
         if not ch.send_slots:
             self.counters.add("mpi.eager_stalls")
-            health, rank = self.health, ch.qp.remote_rank
+            health, rank = self.node.health, ch.qp.remote_rank
             yield from self._wait_until(
                 lambda: ch.send_slots
                 or (health is not None and health.is_dead(rank)))
@@ -397,8 +391,9 @@ class Engine:
         req.span = self.counters.span("mpi.recv", self.env.now,
                                       peer=src, nbytes=length)
         self.counters.add("mpi.irecvs")
-        if (self.health is not None and src >= 0 and src != self.rank
-                and self.health.is_dead(src)):
+        health = self.node.health
+        if (health is not None and src >= 0 and src != self.rank
+                and health.is_dead(src)):
             self.counters.add("mpi.dead_peer_fails")
             req.fail(self.env.now, error="peer_dead")
             return req

@@ -199,8 +199,8 @@ class PhotonBase:
         self._retry_rng = cluster.rng.stream(f"photon.retry.{self.rank}")
         #: False between a chaos crash and the matching rejoin
         self.alive = True
-        #: failure-detector handle (None unless a health layer is attached)
-        self.health = None
+        node.on_peer_dead.append(self._on_peer_dead)
+        node.on_peer_join.append(self._on_peer_join)
         #: rank -> endpoint, for bootstrap re-exchange at rejoin (models
         #: the PMI re-exchange of rkeys; filled by photon_init)
         self._mesh: Dict[int, "PhotonBase"] = {}
@@ -352,8 +352,9 @@ class PhotonBase:
         return room()
 
     def _dead(self, rank: int) -> bool:
-        """Has the attached failure detector declared ``rank`` dead?"""
-        return self.health is not None and self.health.is_dead(rank)
+        """Has this rank's failure detector declared ``rank`` dead?"""
+        health = self.node.health
+        return health is not None and health.is_dead(rank)
 
     def _post_entry(self, peer: PeerState, wr: SendWR, on_ack: Callable,
                     on_error: Callable):
@@ -537,18 +538,10 @@ class PhotonBase:
         op.next_retry_at = self.env.now + backoff
 
     # ------------------------------------------------------------- health
-    def attach_health(self, monitor) -> None:
-        """Consume a :class:`~repro.runtime.health.HealthMonitor`.
-
-        Pending reliable ops against a peer the detector declares dead are
-        failed with ``WCStatus.PEER_DEAD`` (and their flushed-out SQ slots
-        reclaimed); when the peer rejoins with a new incarnation the
-        pairing is re-armed from scratch.
-        """
-        self.health = monitor
-        monitor.on_dead(self._on_peer_dead)
-        monitor.on_join(self._on_peer_join)
-
+    # the rank's detector verdicts (subscribed in __init__): pending
+    # reliable ops against a dead peer fail with ``WCStatus.PEER_DEAD``
+    # (their flushed-out SQ slots reclaimed); a peer that rejoins with a
+    # new incarnation has its pairing re-armed from scratch
     def _on_peer_dead(self, rank: int) -> None:
         if rank == self.rank or not self.alive:
             return
@@ -778,7 +771,7 @@ class PhotonBase:
             self._in_deadline_scan = True
             try:
                 now = env.now
-                health = self.health
+                health = self.node.health
                 for handle in list(self._reliable):
                     op = self._reliable.get(handle)
                     if op is None:

@@ -16,8 +16,8 @@ Schedules:
   numpy arrays
 - ``allgather`` — ring, of equal-size blobs
 
-A wire's receive also ends when the failure detector attached to the
-endpoint declares any member dead: the collective then raises
+A wire's receive also ends when the rank's failure detector
+(``RankNode.health``) declares any member dead: the collective then raises
 :class:`MemberDeadError` on every survivor instead of waiting for a
 message that cannot come.  SPMD programs must invoke collectives in the
 same order on every rank, as with the real libraries.
@@ -63,7 +63,7 @@ class MemberDeadError(SimulationError):
 
 def dead_member(health, n: int) -> Optional[int]:
     """The lowest of ranks ``0..n-1`` that ``health`` declares dead, or
-    None (always None with no failure detector attached)."""
+    None (always None on a rank with no failure detector)."""
     if health is None:
         return None
     return next((r for r in range(n) if health.is_dead(r)), None)
@@ -167,7 +167,7 @@ class CollectivesMixin:
         """Receive a chunked collective payload (generator → bytes)."""
         limit = self.config.eager_limit
         nchunks = max(1, -(-nbytes // limit))
-        health, n = self.health, self.cluster.n
+        health, n = self.node.health, self.cluster.n
         parts: List[bytes] = []
         for i in range(nchunks):
             cid = self._coll_cid(step, i)

@@ -26,11 +26,11 @@ forgot the request, or a duplicate reply) are dropped and counted.
 Backpressure is credit-based per destination: each in-flight invocation
 to a rank consumes one credit, returned when its reply (or error)
 arrives.  When credits run out the sender **blocks**, pumping the runtime
-until a credit frees.  With a
-failure detector attached (:meth:`ActiveMessageEngine.attach_health`) no
-wait outlives its destination: a rank declared dead fails its pending
-invocations with :class:`~repro.runtime.transport.PeerDownError`, gives
-their credits back, and an invoke to it leaves through the same error.
+until a credit frees.  On a rank with a failure detector
+(``RankNode.health``, built before or after the engine) no wait outlives
+its destination: a rank declared dead fails its pending invocations with
+:class:`~repro.runtime.transport.PeerDownError`, gives their credits back,
+and an invoke to it leaves through the same error.
 
 Handler contract for invoked actions: ``handler(rt, src, payload)``
 returning the reply payload (``bytes``; ``None`` means ``b""``).
@@ -117,20 +117,16 @@ class ActiveMessageEngine:
         self._credits: Dict[int, int] = {}
         #: src -> OrderedDict(cid -> cached (flags, reply payload))
         self._served: Dict[int, OrderedDict] = {}
-        #: failure-detector handle (None unless attach_health was called)
-        self.health = None
-
-    def attach_health(self, monitor) -> None:
-        """Consume a failure detector: when a destination is declared dead
-        its pending invocations fail with :class:`PeerDownError` and give
-        their credits back, and an invoke to it — one parked waiting for a
-        credit included — raises the same error."""
-        self.health = monitor
-        monitor.on_dead(self._on_peer_dead)
+        #: the rank, whose failure detector fails invocations to the dead
+        self.node = rt.transport.node
+        self.node.on_peer_dead.append(self._on_peer_dead)
 
     def _on_peer_dead(self, dst: int) -> None:
-        """Fail ``dst``'s pending invocations; a credit wait or
-        ``Future.wait`` parked on this rank sees it at its next re-check
+        """The rank's detector declared ``dst`` dead: fail its pending
+        invocations with :class:`PeerDownError` and give their credits
+        back (an invoke to it, one parked for a credit included, raises
+        the same error).  A credit wait or ``Future.wait`` parked on this
+        rank sees it at its next re-check
         (``runtime.scheduler.RECHECK_NS``)."""
         rt = self.rt
         now = rt.env.now
@@ -152,7 +148,8 @@ class ActiveMessageEngine:
         if credits <= 0:
             self.counters.add("am.credit_stalls")
             yield from self.rt.process_until(lambda: self._credits[dst] > 0)
-        if self.health is not None and self.health.is_dead(dst):
+        health = self.node.health
+        if health is not None and health.is_dead(dst):
             raise PeerDownError(self.rt.rank, dst)
         self._credits[dst] -= 1
         self.counters.set_gauge(f"am.credits.{dst}", self._credits[dst])

@@ -17,7 +17,7 @@ transport:
 
 Failure handling is deliberate rather than accidental: when the inner
 transport raises :class:`~repro.runtime.transport.PeerDownError` mid-
-ship (its failure detector has declared the destination dead), the batch
+ship (the rank's failure detector has declared the destination dead), the batch
 is **shed** — every parcel it carried is counted in the
 ``coalesce.parcels_dropped`` counter, and the error propagates to the
 sender (``flush_stale``, which has no sender, swallows it).
@@ -67,10 +67,6 @@ class CoalescingTransport(Transport):
         self.flush_count = flush_count
         self._open: Dict[int, _Batch] = {}
         self._ready: Deque[bytes] = deque()
-
-    # the failure detector gates the wire: this layer keeps no view of it
-    def attach_health(self, monitor) -> None:
-        self.inner.attach_health(monitor)
 
     # ------------------------------------------------------------- sending
     def send(self, dst: int, raw: bytes):

@@ -18,11 +18,12 @@ a *higher incarnation number* arrives (the peer restarted), which keeps
 every monitor's membership view monotonic.  SUSPECT is not sticky — one
 fresh heartbeat clears it (gray link, not a crash).
 
-Consumers register callbacks via :meth:`HealthMonitor.on_dead` /
-:meth:`on_join`; the photon reliability layer, the AM engine and the
-minimpi error paths all attach here, and the parcel transports ask
-:meth:`HealthMonitor.is_dead` before each send (see their
-``attach_health`` methods).  This is the one source of "peer down".
+:func:`build_health` installs each monitor as its rank's
+``RankNode.health``.  A verdict calls the rank's ``on_peer_dead`` /
+``on_peer_join`` lists, which every layer on the rank (Photon, minimpi,
+AM, KV) joins when it is built, before or after the monitor; transports
+ask ``node.health.is_dead`` at each send.  This is the one source of
+"peer down".
 
 Nothing in this module runs unless :func:`build_health` is called, so
 un-chaosed runs are bit-identical with or without the module imported.
@@ -33,9 +34,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..fabric.nic import WireMsg
+from ..sim.core import SimulationError
 
 __all__ = ["HealthConfig", "PhiAccrualDetector", "MembershipView",
            "HealthMonitor", "build_health", "DETECT_BUDGET_NS",
@@ -149,20 +151,13 @@ class HealthMonitor:
         self.halted = False
         self._detectors: Dict[int, PhiAccrualDetector] = {}
         self._mesh: Dict[int, "HealthMonitor"] = {}
-        self._on_dead: List[Callable[[int], None]] = []
-        self._on_join: List[Callable[[int], None]] = []
         self._outage_spans: Dict[int, object] = {}
         self._started = False
 
     # ------------------------------------------------------------- wiring
-    def on_dead(self, cb: Callable[[int], None]) -> None:
-        self._on_dead.append(cb)
-
-    def on_join(self, cb: Callable[[int], None]) -> None:
-        self._on_join.append(cb)
-
     def is_dead(self, rank: int) -> bool:
-        return self.view.status.get(rank) == DEAD
+        """Is ``rank`` (one of the cluster's) declared dead now?"""
+        return self.view.status[rank] == DEAD
 
     def start(self) -> None:
         if self._started:
@@ -236,7 +231,7 @@ class HealthMonitor:
                 span = self._outage_spans.pop(src, None)
                 if span is not None:
                     span.end(now, status="recovered")
-                for cb in self._on_join:
+                for cb in self.node.on_peer_join:
                     cb(src)
             return
         if self.view.status[src] == DEAD:
@@ -265,7 +260,7 @@ class HealthMonitor:
                     span.end(now)
                 self._outage_spans[peer] = self.counters.span(
                     "health.outage", now, peer=peer)
-                for cb in self._on_dead:
+                for cb in self.node.on_peer_dead:
                     cb(peer)
             elif phi >= PHI_SUSPECT and status == ALIVE:
                 self.view.transition(peer, SUSPECT)
@@ -276,11 +271,15 @@ class HealthMonitor:
 
 def build_health(cluster, config: Optional[HealthConfig] = None,
                  start: bool = True) -> List[HealthMonitor]:
-    """One started :class:`HealthMonitor` per rank, mesh-wired."""
+    """One started :class:`HealthMonitor` per rank, mesh-wired and
+    installed as its rank's ``health`` (a rank has one detector)."""
+    if any(node.health is not None for node in cluster.ranks):
+        raise SimulationError("the ranks already have failure detectors")
     monitors = [HealthMonitor(cluster, r, config) for r in range(cluster.n)]
     mesh = {m.rank: m for m in monitors}
     for m in monitors:
         m._mesh = mesh
+        m.node.health = m
         if start:
             m.start()
     return monitors

@@ -54,14 +54,6 @@ class Runtime:
             self.am = ActiveMessageEngine(self, config)
         return self.am
 
-    def attach_health(self, monitor) -> None:
-        """Hand a failure detector to everything on this rank that
-        consumes one: the transport (a send to a dead rank fails fast)
-        and the AM engine."""
-        self.transport.attach_health(monitor)
-        if self.am is not None:
-            self.am.attach_health(monitor)
-
     # ------------------------------------------------------------------ send
     def send(self, dst: int, action: str, payload: bytes = b""):
         """Send a parcel (generator).  Local sends skip the wire."""

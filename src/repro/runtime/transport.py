@@ -14,8 +14,8 @@ the same parcel traffic carried by
 Both are a :class:`WireTransport` under one contract (:class:`Transport`),
 so the scheduler and the applications are transport-blind.  Neither keeps
 a failure policy of its own: the wire library (Photon or minimpi) is the
-one retry layer, and the failure detector (:mod:`repro.runtime.health`)
-the one source of "peer down".
+one retry layer, and the failure detector of the wrapped library's rank
+(:mod:`repro.runtime.health`) the one source of "peer down".
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ class Transport:
     nothing), the methods below and four every transport defines:
 
     - ``send(dst, raw)`` ships one encoded parcel (generator); it raises
-      :class:`PeerDownError`, without touching the wire, when the attached
-      failure detector has declared the destination dead;
+      :class:`PeerDownError`, without touching the wire, when the rank's
+      failure detector (``node.health``) has declared the destination
+      dead — "down" is whatever it says now, so a rejoined peer is sent
+      to at once (``node`` is the wrapped library's rank);
     - ``poll()`` is one progress pass: settle finished sends, then return
       an encoded parcel or None (generator);
-    - ``attach_health(monitor)`` consumes a failure detector; "down" is
-      whatever it says now (a rejoined peer is sent to at once);
     - ``stats()``: a JSON-serializable snapshot (obs report section) with
       ``kind``.
 
@@ -79,6 +79,7 @@ class Transport:
     """
 
     def __init__(self, lib, counters, max_parcel: int):
+        self.node = lib.node
         self.rank = lib.rank
         self.env = lib.env
         self.memory = lib.memory
@@ -115,21 +116,14 @@ class WireTransport(Transport):
     #: send-side staging slots
     scratch_slots = 8
 
-    def __init__(self, lib, counters, max_parcel: int):
-        super().__init__(lib, counters, max_parcel)
-        #: failure-detector handle (None unless attach_health was called)
-        self.monitor = None
-
-    def attach_health(self, monitor) -> None:
-        self.monitor = monitor
-
     def _admit(self, dst: int, raw: bytes) -> None:
-        """Gate one ``send``: size limit, then the failure detector."""
+        """Gate one ``send``: size limit, then the rank's detector."""
         if len(raw) > self.max_parcel:
             raise SimulationError(
                 f"parcel of {len(raw)}B exceeds transport max "
                 f"{self.max_parcel}B")
-        if self.monitor is not None and self.monitor.is_dead(dst):
+        health = self.node.health
+        if health is not None and health.is_dead(dst):
             self.counters.add("transport.fast_fails")
             raise PeerDownError(self.rank, dst)
 

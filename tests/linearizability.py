@@ -190,7 +190,7 @@ class Attempt(NamedTuple):
 
 class VerdictWatch:
     """Every attempt of the clients :meth:`watch` is given, and every
-    death verdict any monitor of the scenario reaches: an attempt to a
+    death verdict any rank of the scenario reaches: an attempt to a
     rank must end by its own rank's verdict on it."""
 
     def __init__(self, sc: Scenario):
@@ -198,8 +198,8 @@ class VerdictWatch:
         self.attempts: List[Attempt] = []
         #: (observer, dead rank) -> the instant the observer declared it
         self.verdicts: Dict[Tuple[int, int], int] = {}
-        for monitor in sc.monitors:
-            monitor.on_dead(partial(self._dead, monitor.rank))
+        for node in sc.cluster.ranks:
+            node.on_peer_dead.append(partial(self._dead, node.rank))
 
     def _dead(self, observer: int, peer: int) -> None:
         self.verdicts.setdefault((observer, peer), self.env.now)

@@ -230,9 +230,6 @@ def test_no_invoke_outlives_a_dead_destination():
                         coalesce=False,
                         am_config=AmConfig(credits_per_dest=2))
     mons = build_health(cl)
-    for r in range(2):
-        ph[r].attach_health(mons[r])
-        rts[r].attach_health(mons[r])
     ChaosController(cl, FaultSchedule([CrashRank(5_000, 1),
                                        RestartRank(3_000_000, 1)]),
                     photon=ph, monitors=mons).arm()

@@ -198,10 +198,10 @@ def test_coalescing_improves_small_parcel_rate():
 # ---------------------------------------------------------------------------
 
 def _dead_set(tp):
-    """Attach a failure detector to ``tp`` that declares dead whatever
+    """Give ``tp``'s rank a failure detector that declares dead whatever
     rank the returned set holds."""
     dead = set()
-    tp.attach_health(SimpleNamespace(is_dead=dead.__contains__))
+    tp.node.health = SimpleNamespace(is_dead=dead.__contains__)
     return dead
 
 

@@ -1,6 +1,6 @@
 """A collective ends when a member dies.
 
-Four ranks with failure detectors attached; rank 3 halts with its NIC
+Four ranks with failure detectors; rank 3 halts with its NIC
 powered off.  Whether the detectors declared it dead before the survivors
 entered the collective or while they wait in it, every survivor's
 barrier / allreduce / allgather raises ``MemberDeadError`` naming rank 3
@@ -35,14 +35,7 @@ CALLS = {
 def _cluster(stack):
     cl = build_cluster(N, "ib-fdr", seed=9)
     mons = build_health(cl)
-    if stack == "photon":
-        eps = photon_init(cl)
-        for ep, mon in zip(eps, mons):
-            ep.attach_health(mon)
-    else:
-        eps = mpi_init(cl)
-        for ep, mon in zip(eps, mons):
-            ep.engine.attach_health(mon)
+    eps = photon_init(cl) if stack == "photon" else mpi_init(cl)
     return cl, mons, eps
 
 

@@ -20,6 +20,7 @@ from repro.runtime.health import (ALIVE, DEAD, DETECT_BUDGET_NS, SUSPECT,
                                   HealthConfig, MembershipView,
                                   PhiAccrualDetector, build_health)
 from repro.runtime.transport import PhotonTransport
+from repro.sim.core import SimulationError
 from repro.verbs.enums import WCStatus
 
 WAIT = 10 ** 12
@@ -129,8 +130,6 @@ def test_photon_pending_op_settles_peer_dead():
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=5,
                                       op_timeout_ns=400_000))
     mons = build_health(cl)
-    for r in range(2):
-        ph[r].attach_health(mons[r])
     a, b = ph[0].buffer(4096), ph[1].buffer(4096)
     out = {}
 
@@ -167,15 +166,13 @@ RNDV = 16 * 1024
 
 
 def _rndv_pair(restart):
-    """Two ranks with health attached; rank 1 crashes 20 us after
+    """Two ranks with failure detectors; rank 1 crashes 20 us after
     ``T_SEND`` and, with ``restart``, comes back 400 us later: suspected
     by then, not yet dead, so rank 0 sees a join and re-arms the pairing
     instead of declaring a death."""
     cl = build_cluster(2, "ib-fdr", seed=3)
     ph = photon_init(cl)
     mons = build_health(cl)
-    for r in range(2):
-        ph[r].attach_health(mons[r])
     events = [CrashRank(T_SEND + 20_000, 1)]
     if restart:
         events.append(RestartRank(T_SEND + 420_000, 1))
@@ -254,7 +251,6 @@ def test_transport_reuses_the_slot_of_a_send_to_a_dead_peer(monkeypatch):
     monkeypatch.setattr(PhotonTransport, "scratch_slots", 1)
     cl, ph, mons = _rndv_pair(restart=False)
     tp = PhotonTransport(ph[0])
-    tp.attach_health(mons[0])
     out = {}
 
     def prog(env):
@@ -273,8 +269,6 @@ def test_minimpi_requests_fail_with_peer_dead():
     cl = build_cluster(2, "ib-fdr", seed=4)
     mm = mpi_init(cl)
     mons = build_health(cl)
-    for r in range(2):
-        mm[r].engine.attach_health(mons[r])
     src = cl[0].memory.alloc(64)
     cl[0].memory.write(src, b"\xaa" * 64)
     out = {}
@@ -316,8 +310,6 @@ def test_photon_sender_stalled_on_a_full_ring_is_released_peer_dead():
     cl = build_cluster(2, "ib-fdr", seed=6)
     ph = photon_init(cl)
     mons = build_health(cl)
-    for r in range(2):
-        ph[r].attach_health(mons[r])
     out = {}
 
     def crash(env):
@@ -351,8 +343,6 @@ def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
     cl = build_cluster(2, "ib-fdr", seed=6)
     mm = mpi_init(cl)
     mons = build_health(cl)
-    for r in range(2):
-        mm[r].engine.attach_health(mons[r])
     src = cl[0].memory.alloc(64)
     out = {}
 
@@ -375,3 +365,72 @@ def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
     assert out["stalls"] >= 1
     assert t_back - out["t_crash"] < 2 * DETECT_BUDGET_NS
     assert reqs[-1].done and reqs[-1].error == "peer_dead"
+
+
+# --------------------------------------------------------------------------
+# the detector is the rank's: build order does not matter
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("health_last", [True, False],
+                         ids=["detector-built-last", "detector-built-first"])
+def test_every_layer_hears_the_verdict_whatever_the_build_order(
+        health_last):
+    """Photon, an AM runtime and the rank's detector, in either build
+    order: in the nanosecond rank 0 declares rank 1 dead, a pending PWC
+    op settles ``PEER_DEAD``, a pending invoke's future fails with
+    ``PeerDownError``, and the next transport send is refused."""
+    from repro.runtime import (ActionRegistry, PeerDownError,
+                               build_runtime)
+    cl = build_cluster(2, "ib-fdr", seed=3)
+    if not health_last:
+        mons = build_health(cl)
+    ph = photon_init(cl, PhotonConfig(max_op_retries=5,
+                                      op_timeout_ns=400_000))
+    reg = ActionRegistry()
+    reg.register("echo", lambda rt, src, payload: payload)
+    rts = build_runtime(cl, reg, "photon", photon=ph, am=True,
+                        coalesce=False)
+    if health_last:
+        mons = build_health(cl)
+    a, b = ph[0].buffer(4096), ph[1].buffer(4096)
+    seen = {}
+    verdict = cl.env.event()
+
+    def at_verdict(peer):
+        # subscribed after every layer: they have all run by now
+        seen["t"] = cl.env.now
+        seen["op"] = seen["pending_op"].status
+        seen["fut"] = seen["pending_fut"].ready
+        verdict.succeed()
+
+    cl[0].on_peer_dead.append(at_verdict)
+
+    def prog(env):
+        yield env.timeout(500_000)  # detectors warmed up
+        mons[1].halt()
+        ph[1].crash_local()
+        cl[1].nic.power_off()
+        seen["pending_op"] = yield from ph[0].put_pwc(
+            1, a.addr, 4096, b.addr, b.rkey, local_cid=1, remote_cid=1)
+        seen["pending_fut"] = yield from rts[0].invoke(1, "echo", b"x")
+        yield verdict
+        with pytest.raises(PeerDownError):
+            yield from rts[0].transport.send(1, b"refused")
+        seen["refused"] = env.now
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert mons[0].is_dead(1)
+    assert seen["op"] is WCStatus.PEER_DEAD
+    assert seen["fut"]
+    with pytest.raises(PeerDownError):
+        seen["pending_fut"].get()
+    assert seen["refused"] == seen["t"]
+    assert seen["t"] - 500_000 < 2 * DETECT_BUDGET_NS
+
+
+def test_a_rank_has_one_detector():
+    cl = build_cluster(2)
+    mons = build_health(cl, start=False)
+    assert [node.health for node in cl.ranks] == mons
+    with pytest.raises(SimulationError, match="already have"):
+        build_health(cl, start=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +40,9 @@ from repro.kv.store import (ACT_RESP, APPLY_COST_NS, PendingReply, RESP_FAIL,
 from repro.kv.scenario import Op, Scenario, keyspace, pct_us, zipf_plan
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
+from repro.runtime import build_runtime
+from repro.runtime.health import build_health
+from repro.sim.core import SimulationError
 from repro.sim.rng import RngRegistry
 from tests.stepping import peek
 
@@ -880,7 +884,8 @@ def test_one_attempt_client_times_out_as_a_failed_op():
 def _stub_node(env, hub=None):
     """As much of a ``KVNode`` as a ``KVClient`` touches."""
     return SimpleNamespace(
-        env=env, hub={} if hub is None else hub, monitor=None,
+        env=env, hub={} if hub is None else hub,
+        rank_node=SimpleNamespace(health=None),
         photon=SimpleNamespace(buffer=lambda size: SimpleNamespace(addr=0)),
         shard_map=ShardMap(1, 2, rf=2))
 
@@ -1186,6 +1191,50 @@ def test_colocated_onesided_reads_cost_the_serve_loop_nothing():
         return cl.env.run(until=cl.env.process(client(cl.env)))
 
     assert run(serving=True) == run(serving=False)
+
+
+# --------------------------------------------------------------------------
+# the rank's failure detector: who hears a verdict, and in which order
+# --------------------------------------------------------------------------
+
+def test_a_kv_rank_hears_its_detector_photon_then_am_then_kv(monkeypatch):
+    """Each layer of a ``build_kv`` rank subscribes to its rank's detector
+    when it is built, so a verdict reaches them in build order — Photon,
+    the AM engine, the KV node — even from a detector built after all of
+    them.  ``build_kv(monitors=)`` takes only the ranks' own detectors."""
+    monkeypatch.setattr("repro.kv.store.build_runtime",
+                        partial(build_runtime, am=True, coalesce=False))
+    cl = build_cluster(3, "ib-fdr", seed=5)
+    ph = photon_init(cl)
+    cfg = KVConfig(n_groups=1, rf=3)
+    nodes = build_kv(cl, ph, cfg, start=False)
+    mons = build_health(cl)
+    heard = []
+
+    def spy(cb):
+        def record(peer):
+            heard.append(type(cb.__self__).__name__)
+            cb(peer)
+        return record
+
+    cl[0].on_peer_dead[:] = [spy(cb) for cb in cl[0].on_peer_dead]
+    assert [type(cb.__self__).__name__ for cb in cl[0].on_peer_join] == \
+        ["Photon", "KVNode"]
+
+    def prog(env):
+        yield env.timeout(500_000)  # detectors warmed up
+        mons[2].halt()
+        ph[2].crash_local()
+        cl[2].nic.power_off()
+        nodes[2].on_crash()
+        while not mons[0].is_dead(2):
+            yield env.timeout(1_000)
+
+    cl.env.run(until=cl.env.process(prog(cl.env)))
+    assert heard == ["Photon", "ActiveMessageEngine", "KVNode"]
+    with pytest.raises(SimulationError, match="own detectors"):
+        build_kv(cl, ph, cfg, monitors=mons[::-1], start=False)
+    assert len(build_kv(cl, ph, cfg, monitors=mons, start=False)) == 3
 
 
 # --------------------------------------------------------------------------

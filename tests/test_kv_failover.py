@@ -31,6 +31,7 @@ from repro.kv import RaftConfig, ST_OK
 from repro.kv.scenario import Scenario, keyspace, stalls_across, zipf_plan
 from repro.kv.store import ACT_RAFT
 from repro.runtime.health import DETECT_BUDGET_NS, HealthConfig
+from repro.runtime.transport import PeerDownError
 from tests.linearizability import VerdictWatch, check_scenario
 
 
@@ -74,6 +75,25 @@ def test_membership_monotonic_on_survivors(fo):
 def test_the_failover_history_linearizes(fo):
     sc = fo["scenario"]
     assert check_scenario(sc) == len(sc.history)
+
+
+def test_a_client_spends_no_attempt_on_a_replica_its_rank_holds_dead(
+        monkeypatch):
+    """R20's quick failover: once the client's rank declares the old
+    leader dead, each attempt starts past it (as a refused send would
+    rotate) instead of sending into a ``PeerDownError`` that burns one of
+    ``max_attempts`` — before, one attempt was spent that way."""
+    raised = []
+    init = PeerDownError.__init__
+
+    def spy(self, rank, peer):
+        raised.append((rank, peer))
+        init(self, rank, peer)
+
+    monkeypatch.setattr(PeerDownError, "__init__", spy)
+    out = run_failover(quick=True)
+    assert out["acked"] == out["n_ops"]
+    assert raised == []
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,19 @@ def test_blocking_waits_have_one_pacing_mechanism():
     assert "timeout(" not in serve and "backoff" not in serve
 
 
+def test_the_failure_detector_is_found_on_the_rank():
+    """Every layer finds its rank's detector on ``RankNode`` and subscribes
+    there when it is built; the per-layer attach methods and the
+    monitor's own subscriber lists must not come back."""
+    pattern = re.compile(r"attach_health|monitor\.on_(dead|join)\b")
+    paths = [p for p in _py_files("src", "tests")
+             if os.path.basename(p) != "test_repo_consistency.py"]
+    paths += [os.path.join("docs", f) for f in os.listdir("docs")]
+    paths.append("DESIGN.md")
+    bad = [path for path in paths if pattern.search(open(path).read())]
+    assert not bad, bad
+
+
 def test_a_batch_waits_only_while_its_rank_is_busy():
     """The coalescer ships what is open when its rank goes idle, so a
     parked rank owes no batch: ``next_deadline`` is the wire's and nothing
@@ -498,7 +511,8 @@ OPTIONS = {
     "build_health(config=)": "perf: the kv workloads pass one",
     "build_health(start=)": "wiring: the monitors' start",
     "build_kv(config=)": "perf: the kv workloads pass one",
-    "build_kv(monitors=)": "wiring: monitors",
+    "build_kv(monitors=)": "perf: the kv workloads pass it; kept for "
+                           "perf/ and checked against the ranks' own",
     "build_kv(registry=)": "wiring: registries",
     "build_kv(start=)": "wiring: the server loops' start",
     "build_runtime(am=)": "values: plain parcels or active messages",

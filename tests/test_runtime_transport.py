@@ -158,22 +158,6 @@ def test_runtime_handler_cost_charged():
 # reliability regressions (the parcel-path bugfix sweep)
 # ---------------------------------------------------------------------------
 
-class _StubHealth:
-    """Minimal health monitor: a mutable dead-set, no heartbeats."""
-
-    def __init__(self):
-        self.dead = set()
-
-    def on_dead(self, cb):
-        pass
-
-    def on_join(self, cb):
-        pass
-
-    def is_dead(self, rank):
-        return rank in self.dead
-
-
 def test_rendezvous_retry_budget_exhaustion_counts_failure(monkeypatch):
     """With the fabric dead for good, Photon's retry budget runs out and
     the loss is visible on the transport.parcel_failures path, once: the
@@ -241,25 +225,28 @@ def test_mpi_failed_sends_are_counted_and_never_refuse_the_next():
     """Regression: MpiTransport.send reaped ``done`` isends without
     looking at ``failed`` — a failed parcel was silently forgotten.
 
-    The engine's detector fails every isend to rank 1 at post time; the
-    transport itself has no monitor.  Each failure is counted once, and
-    failures never make the transport refuse a send: "down" is the
-    detector's word, and this transport has none attached.
+    A wire that drops every chunk (NIC ARQ off) fails every isend to rank
+    1 once minimpi's resends are spent; the ranks have no detector.  Each
+    failure is counted once, and failures never make the transport refuse
+    a send: "down" is the detector's word, and this rank has none.
     """
-    cl, tps = mpi_pair()
-    health = _StubHealth()
-    health.dead.add(1)
-    tps[0].comm.engine.attach_health(health)
+    cl = build_cluster(2, link__loss_mode="lossy", link__drop_rate=1.0,
+                       nic__transport_retries=0)
+    tps = [MpiTransport(c, max_parcel=1 << 16) for c in mpi_init(cl)]
 
     def prog(env):
         for i in range(4):
+            # each send goes out after the one before it has failed
             yield from tps[0].send(1, b"lost" * 8)
-            for _ in range(4):
+            for _ in range(1000):
+                if cl.counters.get("transport.parcel_failures") > i:
+                    break
                 yield from tps[0].poll()
+                yield env.timeout(10_000)
 
     cl.env.run(until=cl.env.process(prog(cl.env)))
     assert cl.counters.get("transport.parcel_failures") == 4
-    assert cl.counters.get("mpi.dead_peer_fails") == 4
+    assert cl.counters.get("mpi.send_failures") == 4
     assert cl.counters.get("transport.fast_fails") == 0
     # every staging slot is free again and no settled isend lingers
     assert tps[0]._slots_live == 0

@@ -75,14 +75,14 @@ def test_members_and_defaults(pair):
     assert (tp.rank, tp.env, tp.memory) == (0, cl.env, cl.ranks[0].memory)
     assert tp.max_parcel == 4096
     # staging depth is a class constant on every wire (no constructor
-    # knob), and no layer keeps a failure policy: no monitor until one is
-    # attached
+    # knob), and no layer keeps a failure policy: the detector is the
+    # rank's, and there is none until build_health installs one
     wire = tp.inner if pair.kind.startswith("coalescing") else tp
     assert isinstance(wire, WireTransport)
     assert isinstance(tp, WireTransport) == (wire is tp)
     assert wire.scratch_slots == 8
     assert "scratch_slots" not in inspect.signature(type(wire)).parameters
-    assert wire.monitor is None
+    assert tp.node is wire.node is cl[0] and cl[0].health is None
     # the counter scope is this rank's: writes mirror into the aggregate
     tp.counters.add("contract.probe")
     assert cl.counters.get("contract.probe") == 1
@@ -126,7 +126,7 @@ def test_oversize_parcel_rejected(pair):
 
 def test_confirmed_dead_peer_fails_fast(pair):
     cl, tps = pair()
-    tps[0].attach_health(_DeadPeer())
+    cl[0].health = _DeadPeer()
     with pytest.raises(PeerDownError) as exc:
         _run(cl, _send_and_flush(tps[0], b"into the void"))
     assert exc.value.peer == 1
@@ -149,7 +149,7 @@ def test_down_is_what_the_detector_says_now(pair):
     incarnation) goes out at once, with no cooldown to sit out."""
     cl, tps = pair()
     detector = _DeadPeer()
-    tps[0].attach_health(detector)
+    cl[0].health = detector
 
     def prog(env):
         for _ in range(2):
