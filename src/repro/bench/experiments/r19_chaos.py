@@ -72,8 +72,7 @@ def run_scenario(quick: bool = True) -> dict:
     monitors = build_health(cl)
     ctrl = ChaosController(
         cl, FaultSchedule([CrashRank(T_CRASH, VICTIM),
-                           RestartRank(T_RESTART, VICTIM)]),
-        photon=ph, monitors=monitors)
+                           RestartRank(T_RESTART, VICTIM)]))
     ctrl.arm()
 
     bufs = [ph[r].buffer(SIZE) for r in range(N)]

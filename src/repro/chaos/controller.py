@@ -14,15 +14,9 @@ Determinism contract:
   (``chaos.jitter.<link>``, ``chaos.flap.<link>``), so arming one mode
   on one link never shifts the draws any other consumer sees.
 
-Event application order matters and is fixed:
-
-- crash: detector halt → endpoint crash (volatile state dropped, QPs
-  torn down) → NIC power-off.  The dead rank stops heartbeating *and*
-  stops acking, so peers' detectors starve naturally.
-- restart: memory reset (contents + pins lost) → NIC power-on →
-  endpoint rejoin (re-registration, ledger re-arm — charges simulated
-  time) → detector resume with a bumped incarnation.  Survivors re-arm
-  their pairing when the first new-incarnation heartbeat arrives.
+A crash or restart is the rank's own (:meth:`repro.cluster.RankNode.crash`
+/ :meth:`~repro.cluster.RankNode.restart`, which fix the order in which
+its layers die and come back): the controller only says when.
 """
 
 from __future__ import annotations
@@ -40,39 +34,35 @@ __all__ = ["ChaosController"]
 
 class ChaosController:
     """Executes a :class:`~repro.chaos.schedule.FaultSchedule` against a
-    cluster (and, optionally, its photon endpoints and health monitors).
+    cluster.
 
     Parameters
     ----------
     cluster:
-        The :class:`~repro.cluster.Cluster` under test.
+        The :class:`~repro.cluster.Cluster` under test; every layer built
+        on a rank, before or after :meth:`arm`, dies and comes back with
+        it.
     schedule:
         The fault plan.  Empty schedules are inert (see module docstring).
-    photon:
-        Optional list of :class:`~repro.photon.api.Photon` endpoints;
-        required for :class:`CrashRank` / :class:`RestartRank` events so
-        endpoint state dies and rejoins with the rank.
-    monitors:
-        Optional list of :class:`~repro.runtime.health.HealthMonitor`;
-        when present the victim's detector is halted across the crash
-        and resumed (new incarnation) at restart.
-    kv:
-        Optional list of :class:`~repro.kv.store.KVNode`; when present a
-        crash drops the victim's replica state (``on_crash``) and a
-        restart reseeds it empty (``reseed``) so it rejoins its groups
-        via Raft snapshot transfer rather than resurrecting with
-        pre-crash volatile state.
+    photon, monitors, kv:
+        Accepted only because the benchmark's ``kv_chaos`` workload still
+        passes them (ROADMAP 6d deletes them): ``photon`` and ``monitors``
+        must be the ranks' own endpoints and detectors, and none is used.
     """
 
     def __init__(self, cluster, schedule: FaultSchedule,
                  photon: Optional[List] = None,
                  monitors: Optional[List] = None,
                  kv: Optional[List] = None):
+        if photon is not None and \
+                [ep.node for ep in photon] != cluster.ranks:
+            raise SimulationError("photon must be the ranks' own endpoints")
+        if monitors is not None and \
+                list(monitors) != [node.health for node in cluster.ranks]:
+            raise SimulationError(
+                "monitors must be the ranks' own detectors (build_health)")
         self.cluster = cluster
         self.schedule = schedule
-        self.photon = photon
-        self.monitors = monitors
-        self.kv = kv
         self.env = cluster.env
         #: fabric-scoped: fault injection is infrastructure, not rank work
         self.counters = cluster.metrics.fabric
@@ -80,7 +70,6 @@ class ChaosController:
         self.applied: List[Tuple[int, ChaosEvent]] = []
         self._streams = None
         self._armed = False
-        self._crashed: set = set()
 
     # ---------------------------------------------------------------- arming
     def arm(self) -> None:
@@ -104,9 +93,13 @@ class ChaosController:
 
     def _apply(self, ev: ChaosEvent):
         if isinstance(ev, CrashRank):
-            self._crash(ev.rank)
+            self.cluster[ev.rank].crash()
+            self.counters.add("chaos.crashes")
+            self.counters.log(self.env.now, "chaos.crash", rank=ev.rank)
         elif isinstance(ev, RestartRank):
-            yield from self._restart(ev.rank)
+            yield from self.cluster[ev.rank].restart()
+            self.counters.add("chaos.restarts")
+            self.counters.log(self.env.now, "chaos.restart", rank=ev.rank)
         elif isinstance(ev, PartitionEvent):
             self.cluster.topology.partition(ev.group_a, ev.group_b)
             self.counters.add("chaos.partitions")
@@ -127,36 +120,6 @@ class ChaosController:
             self.counters.log(self.env.now, "chaos.clear", link=ev.link)
         else:  # pragma: no cover - schedule validation prevents this
             raise SimulationError(f"unknown chaos event {ev!r}")
-
-    # ---------------------------------------------------------------- ranks
-    def _crash(self, rank: int) -> None:
-        if rank in self._crashed:
-            raise SimulationError(f"rank {rank} is already crashed")
-        self._crashed.add(rank)
-        if self.monitors is not None:
-            self.monitors[rank].halt()
-        if self.photon is not None:
-            self.photon[rank].crash_local()
-        self.cluster[rank].nic.power_off()
-        if self.kv is not None:
-            self.kv[rank].on_crash()
-        self.counters.add("chaos.crashes")
-        self.counters.log(self.env.now, "chaos.crash", rank=rank)
-
-    def _restart(self, rank: int):
-        if rank not in self._crashed:
-            raise SimulationError(f"rank {rank} is not crashed")
-        self.cluster[rank].memory.reset()
-        self.cluster[rank].nic.power_on()
-        if self.photon is not None:
-            yield from self.photon[rank].rejoin()
-        if self.monitors is not None:
-            self.monitors[rank].resume()
-        if self.kv is not None:
-            self.kv[rank].reseed()
-        self._crashed.discard(rank)
-        self.counters.add("chaos.restarts")
-        self.counters.log(self.env.now, "chaos.restart", rank=rank)
 
     # ---------------------------------------------------------------- links
     def _gray(self, ev: GrayLink) -> None:

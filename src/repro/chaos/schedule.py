@@ -35,17 +35,17 @@ __all__ = ["CrashRank", "RestartRank", "PartitionEvent", "HealEvent",
 
 @dataclass(frozen=True)
 class CrashRank:
-    """Fail-stop ``rank`` at ``t_ns`` (detector halt, endpoint crash,
-    NIC power-off — in that order, all at the same instant)."""
+    """Fail-stop ``rank`` at ``t_ns``: ``RankNode.crash()``, which states
+    the order its layers die in."""
     t_ns: int
     rank: int
 
 
 @dataclass(frozen=True)
 class RestartRank:
-    """Restart a previously crashed ``rank`` at ``t_ns`` (memory reset,
-    NIC power-on, endpoint rejoin, detector resume with a new
-    incarnation)."""
+    """Restart a previously crashed ``rank`` at ``t_ns``:
+    ``RankNode.restart()``, which states the order its layers come back
+    in."""
     t_ns: int
     rank: int
 

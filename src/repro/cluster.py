@@ -8,14 +8,14 @@ offers helpers for running one program per rank SPMD-style.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, Generator, List, Optional, Union
 
 from .fabric.memory import Memory
 from .fabric.nic import Nic
 from .fabric.params import FabricParams, preset
 from .fabric.topology import Topology, make_topology
 from .obs.registry import MetricsRegistry
-from .sim.core import Environment
+from .sim.core import Environment, SimulationError
 from .sim.rng import RngRegistry
 from .util.units import MiB
 from .verbs.device import Context, Directory
@@ -23,20 +23,69 @@ from .verbs.device import Context, Directory
 __all__ = ["RankNode", "Cluster", "build_cluster"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RankNode:
-    """Everything one simulated rank owns, its failure detector included:
+    """Everything one simulated rank owns, its failure detector and its
+    crash included.
+
     ``health`` is None until :func:`repro.runtime.health.build_health`
     installs one, which calls ``on_peer_dead`` / ``on_peer_join``
-    (``cb(peer)``) in the order the rank's layers subscribed."""
+    (``cb(peer)``) in the order the rank's layers subscribed.
+
+    :meth:`crash` and :meth:`restart` are the one way a rank dies and
+    comes back.  Each layer built on the rank subscribes to ``on_crash``
+    (``cb()``: this incarnation's volatile state is gone, no simulated
+    time) and ``on_restart`` (``cb()``, returning None or a generator run
+    to completion before the next subscriber: Photon's rejoin charges
+    time).  Every other layer is built over Photon, so build order puts
+    Photon first.  The order is:
+
+    - crash: the detector halts (it stops beating at once), the
+      subscribers run, the NIC powers off;
+    - restart: memory is reset (contents and pins lost), the NIC powers
+      on, the subscribers run, and the detector resumes with a new
+      incarnation last: the rank announces itself once every layer is
+      back, and survivors re-arm their pairing at its first heartbeat.
+    """
 
     rank: int
     memory: Memory
     nic: Nic
     context: Context
     health: Optional[object] = None
+    #: False from :meth:`crash` until :meth:`restart` has returned
+    alive: bool = True
     on_peer_dead: List[Callable[[int], None]] = field(default_factory=list)
     on_peer_join: List[Callable[[int], None]] = field(default_factory=list)
+    on_crash: List[Callable[[], None]] = field(default_factory=list)
+    on_restart: List[Callable[[], Optional[Generator]]] = field(
+        default_factory=list)
+
+    def crash(self) -> None:
+        """Crash this rank now (no simulated time)."""
+        if not self.alive:
+            raise SimulationError(f"rank {self.rank} is already crashed")
+        self.alive = False
+        if self.health is not None:
+            self.health.halt()
+        for cb in self.on_crash:
+            cb()
+        self.nic.power_off()
+
+    def restart(self):
+        """Restart a crashed rank in place (generator, charges the time
+        its layers take)."""
+        if self.alive:
+            raise SimulationError(f"rank {self.rank} is not crashed")
+        self.memory.reset()
+        self.nic.power_on()
+        for cb in self.on_restart:
+            step = cb()
+            if step is not None:
+                yield from step
+        if self.health is not None:
+            self.health.resume()
+        self.alive = True
 
 
 class Cluster:

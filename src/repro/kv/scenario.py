@@ -294,8 +294,6 @@ class Scenario:
     def arm(self, events) -> ChaosController:
         """Arm a fault schedule against the whole stack; an empty one
         spawns nothing."""
-        ctrl = ChaosController(self.cluster, FaultSchedule(events),
-                               photon=self.photon, monitors=self.monitors,
-                               kv=self.nodes)
+        ctrl = ChaosController(self.cluster, FaultSchedule(events))
         ctrl.arm()
         return ctrl

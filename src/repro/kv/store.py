@@ -226,6 +226,8 @@ class KVNode:
         self.rank_node = cluster[rank]
         self.rank_node.on_peer_dead.append(self._on_peer_dead)
         self.rank_node.on_peer_join.append(self._on_peer_join)
+        self.rank_node.on_crash.append(self.on_crash)
+        self.rank_node.on_restart.append(self.reseed)
         self.raft: Dict[int, RaftNode] = {}
         self.machines: Dict[int, KVStateMachine] = {}
         self.tables: Dict[int, object] = {}       # group -> PhotonBuffer
@@ -274,9 +276,9 @@ class KVNode:
 
     # ------------------------------------------------------------- restart
     def on_crash(self) -> None:
-        """Drop all volatile state (the chaos controller calls this right
-        after ``photon.crash_local``).  The server loop stays parked; the
-        rank serves nothing until reseeded."""
+        """The rank crashed: drop all volatile state (subscribed to
+        ``RankNode.on_crash``, after Photon).  The server loop stays
+        parked; the rank serves nothing until reseeded."""
         self.raft.clear()
         self.machines.clear()
         self.tables.clear()
@@ -293,7 +295,8 @@ class KVNode:
         self.counters.add("kv.crashes")
 
     def reseed(self) -> None:
-        """Rebuild empty replicas after a chaos ``restart`` event.
+        """The rank restarted: rebuild empty replicas (subscribed to
+        ``RankNode.on_restart``, after Photon's rejoin).
 
         The reborn followers nack the leader's first AppendEntries with
         a last_index=0 hint, the leader jumps below its ``base_index``

@@ -139,6 +139,8 @@ class _PeerChannel:
     """Per-peer transport state."""
 
     qp: QueuePair
+    #: the first of the channel's ``EAGER_CREDITS`` send-bounce slots
+    send_base: int = 0
     #: free send-bounce slot addresses
     send_slots: Deque[int] = field(default_factory=deque)
     #: recv bounce slot address by verbs wr_id
@@ -181,9 +183,9 @@ class Engine:
         self._wr_seq = itertools.count(1)
         self.slot_size = HDR.size + config.eager_threshold
         self._bounce_mr = None
-        # deferred self-messages (no wire)
-        self._self_queue: Deque[Tuple[int, bytes]] = deque()
         node.on_peer_dead.append(self._fail_dead_peer)
+        node.on_crash.append(self._on_crash)
+        node.on_restart.append(self._on_restart)
 
     # ------------------------------------------------------------- health
     def _fail_dead_peer(self, rank: int) -> None:
@@ -207,6 +209,39 @@ class Engine:
         # senders blocked on this peer's bounce slots re-check its health
         self.doorbell.fire()
 
+    # ------------------------------------------------------------- crash
+    def _on_crash(self) -> None:
+        """The rank crashed: its requests, posted and unexpected messages
+        and WR callbacks go unsettled (their waiters died with it), and
+        every connection is torn down, flushing what it had posted."""
+        self.live_requests.clear()
+        self._ops.clear()
+        self.matcher = MatchEngine()
+        for ch in self.peers.values():
+            if ch.qp.state is QPState.READY:
+                ch.qp.teardown()
+
+    def _on_restart(self):
+        """The rank restarted (generator): flush the registration cache
+        (its pins died), drop the dead incarnation's completions, and
+        re-arm every connection with its full eager window and bounce
+        receives."""
+        yield from self.rcache.flush()
+        while self.send_cq.poll(max_entries=64):
+            pass
+        for ch in self.peers.values():
+            if ch.qp.state is not QPState.READY:
+                ch.qp.reset_and_reconnect()
+            ch.send_slots = deque(range(
+                ch.send_base, ch.send_base + EAGER_CREDITS * self.slot_size,
+                self.slot_size))
+        wcs = self.recv_cq.poll(max_entries=64)
+        while wcs:
+            for wc in wcs:
+                ch = self.peers[wc.src_rank]
+                self._post_bounce(ch, ch.recv_slots.pop(wc.wr_id))
+            wcs = self.recv_cq.poll(max_entries=64)
+
     # ------------------------------------------------------------- bootstrap
     def _alloc_bounce(self) -> None:
         n_peers = self.cluster.n - 1
@@ -217,7 +252,7 @@ class Engine:
         self._bounce_cursor = base
 
     def _wire_peer(self, peer_rank: int, qp: QueuePair) -> None:
-        ch = _PeerChannel(qp=qp)
+        ch = _PeerChannel(qp=qp, send_base=self._bounce_cursor)
         for _ in range(EAGER_CREDITS):
             ch.send_slots.append(self._bounce_cursor)
             self._bounce_cursor += self.slot_size

@@ -201,6 +201,8 @@ class PhotonBase:
         self.alive = True
         node.on_peer_dead.append(self._on_peer_dead)
         node.on_peer_join.append(self._on_peer_join)
+        node.on_crash.append(self.crash_local)
+        node.on_restart.append(self.rejoin)
         #: rank -> endpoint, for bootstrap re-exchange at rejoin (models
         #: the PMI re-exchange of rkeys; filled by photon_init)
         self._mesh: Dict[int, "PhotonBase"] = {}
@@ -584,9 +586,9 @@ class PhotonBase:
 
     # ------------------------------------------------------------- crash
     def crash_local(self) -> None:
-        """Crash injection: this endpoint's volatile state is gone.
+        """The rank crashed: this endpoint's volatile state is gone.
 
-        Called by the chaos controller *before* the NIC powers off.  No
+        Subscribed to ``RankNode.on_crash`` (before the NIC powers off).  No
         simulated time is charged — a crash is instantaneous.  The
         in-flight rcache pins are dropped without deregistration; the
         matching :meth:`rejoin` flushes the cache, which restores the
@@ -610,15 +612,16 @@ class PhotonBase:
         self.arrivals.fire()
 
     def rejoin(self):
-        """Restart this endpoint in place (generator, charges real time).
+        """The rank restarted: restart this endpoint in place (generator,
+        charges real time; subscribed to ``RankNode.on_restart``).
 
         Sequence mirrors a process restart on the same host: flush every
         cached registration (pins died with the process), re-register the
         ledger region (new rkey — peers learn it through the mesh, the
         PMI re-exchange analogue), drain stale CQ entries, then re-arm
         every peer pairing.  The caller must not issue operations toward
-        a peer until that peer has also re-armed this pairing (the chaos
-        controller sequences this via the membership join event).
+        a peer until that peer has also re-armed this pairing (the rank's
+        detector resumes after this, and survivors re-arm at its join).
         """
         yield from self.rcache.flush()
         if self._ledger_mr is not None:

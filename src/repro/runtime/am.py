@@ -30,7 +30,10 @@ until a credit frees.  On a rank with a failure detector
 (``RankNode.health``, built before or after the engine) no wait outlives
 its destination: a rank declared dead fails its pending invocations with
 :class:`~repro.runtime.transport.PeerDownError`, gives their credits back,
-and an invoke to it leaves through the same error.
+and an invoke to it leaves through the same error.  A crash of the
+engine's own rank forgets its pending invocations (their futures never
+settle: their waiters died with it), credits and dedup windows, so the
+restarted rank invokes as a fresh engine would.
 
 Handler contract for invoked actions: ``handler(rt, src, payload)``
 returning the reply payload (``bytes``; ``None`` means ``b""``).
@@ -120,6 +123,22 @@ class ActiveMessageEngine:
         #: the rank, whose failure detector fails invocations to the dead
         self.node = rt.transport.node
         self.node.on_peer_dead.append(self._on_peer_dead)
+        self.node.on_crash.append(self._on_crash)
+
+    def _on_crash(self) -> None:
+        """The rank crashed.  ``_next_cid`` keeps counting: a peer's
+        dedup window still holds the old incarnation's cids."""
+        now = self.rt.env.now
+        for pending in self._pending.values():
+            if pending.span is not None:
+                pending.span.end(now, status="crashed")
+        self._pending.clear()
+        self._settle_gauges()
+        for dst in self._credits:
+            self.counters.set_gauge(f"am.credits.{dst}",
+                                    self.config.credits_per_dest)
+        self._credits.clear()
+        self._served.clear()
 
     def _on_peer_dead(self, dst: int) -> None:
         """The rank's detector declared ``dst`` dead: fail its pending

@@ -22,6 +22,10 @@ is **shed** — every parcel it carried is counted in the
 ``coalesce.parcels_dropped`` counter, and the error propagates to the
 sender (``flush_stale``, which has no sender, swallows it).
 
+A crash of the rank drops every open batch and every unpacked parcel not
+yet handed out, counted the same way: the restarted rank ships and runs
+nothing its previous incarnation staged.
+
 The batch wire format is a chain of ``(u32 length, bytes)`` records.
 """
 
@@ -67,6 +71,16 @@ class CoalescingTransport(Transport):
         self.flush_count = flush_count
         self._open: Dict[int, _Batch] = {}
         self._ready: Deque[bytes] = deque()
+        self.node.on_crash.append(self._on_crash)
+
+    def _on_crash(self) -> None:
+        """The rank crashed: shed what it staged (module docstring)."""
+        dropped = len(self._ready) + sum(len(b.chunks) // 2
+                                         for b in self._open.values())
+        if dropped:
+            self.counters.add("coalesce.parcels_dropped", dropped)
+        self._open.clear()
+        self._ready.clear()
 
     # ------------------------------------------------------------- sending
     def send(self, dst: int, raw: bytes):

@@ -172,12 +172,14 @@ class HealthMonitor:
 
     # -------------------------------------------------------------- chaos
     def halt(self) -> None:
-        """Crash injection: stop beating, sampling and evaluating."""
+        """The rank crashed (``RankNode.crash``, first): stop beating,
+        sampling and evaluating."""
         self.halted = True
 
     def resume(self) -> None:
-        """Restart with a new incarnation and a fresh (bootstrap) view —
-        a restarted process has no memory of its old suspicions."""
+        """The rank restarted (``RankNode.restart``, last): a new
+        incarnation and a fresh (bootstrap) view — a restarted process
+        has no memory of its old suspicions."""
         self.incarnation += 1
         self.halted = False
         now = self.env.now

@@ -43,9 +43,14 @@ class Runtime:
         self.registry = registry
         self.counters = counters or Counters()
         self._local: Deque[Parcel] = deque()
+        transport.node.on_crash.append(self._on_crash)
         #: active-message engine (attach via :meth:`enable_am`); None
         #: keeps the plain-parcel fast path byte-identical
         self.am = None
+
+    def _on_crash(self) -> None:
+        """The rank crashed: drop what its incarnation queued for itself."""
+        self._local.clear()
 
     def enable_am(self, config=None):
         """Attach an active-message engine; returns it (idempotent)."""

@@ -15,7 +15,10 @@ Both are a :class:`WireTransport` under one contract (:class:`Transport`),
 so the scheduler and the applications are transport-blind.  Neither keeps
 a failure policy of its own: the wire library (Photon or minimpi) is the
 one retry layer, and the failure detector of the wrapped library's rank
-(:mod:`repro.runtime.health`) the one source of "peer down".
+(:mod:`repro.runtime.health`) the one source of "peer down".  A crash of
+that rank forgets every send and receive in flight: the wire library
+never settles them, and the restarted rank starts with every staging
+slot and landing free.
 """
 
 from __future__ import annotations
@@ -139,6 +142,12 @@ class WireTransport(Transport):
         #: number of slots with an unsettled send (O(1) poll guard)
         self._slots_live = 0
         self._send_cursor = 0
+        self.node.on_crash.append(self._on_crash)
+
+    def _on_crash(self) -> None:
+        """A send the rank crashed under never settles: free every slot."""
+        self._slot_sends = [None] * self.scratch_slots
+        self._slots_live = 0
 
     def _stage(self, dst: int, raw: bytes):
         """Copy a parcel into the next free slot — round-robin, skipping
@@ -195,6 +204,13 @@ class PhotonTransport(WireTransport):
                                for _ in range(self.scratch_slots)]
         #: in-flight fetches: (op handle, landing addr, RecvInfo)
         self._fetches: deque = deque()
+
+    def _on_crash(self) -> None:
+        """Every landing free too: a fetch in flight never settles."""
+        super()._on_crash()
+        self._free_landings += [addr for _op, addr, _info in self._fetches]
+        self._fetches.clear()
+        self.ph.attend_sends(False)
 
     # ----------------------------------------------------------------- send
     def send(self, dst: int, raw: bytes):
@@ -292,6 +308,12 @@ class MpiTransport(WireTransport):
             comm.memory.alloc(max_parcel) for _ in range(RECV_WINDOW)]
         self._recv_reqs: List[Optional[MPIRequest]] = [None] * RECV_WINDOW
         self._init_ring(comm.memory.alloc)
+        self._primed = False
+
+    def _on_crash(self) -> None:
+        """The engine forgot the receive window too: prime a new one."""
+        super()._on_crash()
+        self._recv_reqs = [None] * RECV_WINDOW
         self._primed = False
 
     def _prime(self):

@@ -231,8 +231,7 @@ def test_no_invoke_outlives_a_dead_destination():
                         am_config=AmConfig(credits_per_dest=2))
     mons = build_health(cl)
     ChaosController(cl, FaultSchedule([CrashRank(5_000, 1),
-                                       RestartRank(3_000_000, 1)]),
-                    photon=ph, monitors=mons).arm()
+                                       RestartRank(3_000_000, 1)])).arm()
     out = {}
 
     def client(env):

@@ -307,11 +307,11 @@ def test_rejoin_after_crash_mid_progress_pass_does_not_overflow_rq():
     victim_pass = cl.env.process(ph[1]._progress_once())
     while not ph[1].remote_cids:  # the pass is now mid-reap, in a yield
         step(cl.env)
-    ph[1].crash_local()
+    cl[1].crash()
     ph[0].peers[1].qp.reset_and_reconnect()  # a survivor re-arms the pair
     cl.env.run(until=victim_pass)
     assert ph[1].peers[0].qp.rq_posted == 0  # the dead do not post receives
-    cl.env.run(until=cl.env.process(ph[1].rejoin()))
+    cl.env.run(until=cl.env.process(cl[1].restart()))
     assert (ph[1].peers[0].preposted == ph[1].peers[0].qp.rq_posted
             == window)
     ph[0].rearm_peer(1)
@@ -339,25 +339,6 @@ def test_rearm_peer_before_flush_cqes_drain_does_not_overflow_rq():
 
     cl.env.run(until=cl.env.process(drain(cl.env)))
     assert peer.preposted == peer.qp.rq_posted == window
-
-
-def test_controller_rejects_double_crash_and_unknown_restart():
-    from repro.sim.core import SimulationError
-    cl = build_cluster(2, "ib-fdr", seed=25)
-    ph = photon_init(cl)
-    ctrl = ChaosController(cl, FaultSchedule(
-        [CrashRank(1_000, 1), CrashRank(2_000, 1)]), photon=ph)
-    ctrl.arm()
-    with pytest.raises(SimulationError):
-        cl.env.run(until=10_000)
-
-    cl2 = build_cluster(2, "ib-fdr", seed=25)
-    ph2 = photon_init(cl2)
-    ctrl2 = ChaosController(cl2, FaultSchedule([RestartRank(1_000, 1)]),
-                            photon=ph2)
-    ctrl2.arm()
-    with pytest.raises(SimulationError):
-        cl2.env.run(until=10_000)
 
 
 # --------------------------------------------------------------------------

@@ -34,9 +34,9 @@ CALLS = {
 
 def _cluster(stack):
     cl = build_cluster(N, "ib-fdr", seed=9)
-    mons = build_health(cl)
+    build_health(cl)
     eps = photon_init(cl) if stack == "photon" else mpi_init(cl)
-    return cl, mons, eps
+    return cl, eps
 
 
 @pytest.mark.parametrize("crash_ns,enter_ns", [(500_000, 2_000_000),
@@ -46,15 +46,12 @@ def _cluster(stack):
 @pytest.mark.parametrize("stack", ["photon", "mpi"])
 def test_every_survivor_raises_when_a_member_dies(stack, name, crash_ns,
                                                   enter_ns):
-    cl, mons, eps = _cluster(stack)
+    cl, eps = _cluster(stack)
     ended = {}
 
     def crash(env):
         yield env.timeout(crash_ns)
-        mons[DEAD].halt()
-        if stack == "photon":
-            eps[DEAD].crash_local()
-        cl[DEAD].nic.power_off()
+        cl[DEAD].crash()
 
     def survivor(ep):
         yield cl.env.timeout(enter_ns)

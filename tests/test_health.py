@@ -82,8 +82,7 @@ def test_crash_detected_and_rejoin_clears_dead():
     assert mons[0].view.status[1] == ALIVE
     assert cl.counters.get("health.heartbeats") > 0
 
-    mons[1].halt()
-    cl[1].nic.power_off()
+    cl[1].crash()
     t_crash = cl.env.now
 
     def until_dead(env):
@@ -95,8 +94,7 @@ def test_crash_detected_and_rejoin_clears_dead():
     assert cl.metrics.span_durations("health.detect")
 
     # restart: the new incarnation is the only legal way out of DEAD
-    cl[1].nic.power_on()
-    mons[1].resume()
+    cl.env.run(until=cl.env.process(cl[1].restart()))
 
     def until_alive(env):
         while mons[0].is_dead(1):
@@ -111,7 +109,8 @@ def test_gray_silence_suspects_then_one_heartbeat_recovers():
     cl = build_cluster(2, "ib-fdr", seed=2)
     mons = build_health(cl)
     cl.env.run(until=500_000)
-    # silence short of the death threshold: suspect only
+    # silence short of the death threshold: suspect only (the detector
+    # alone goes quiet, a gray rank rather than a crash)
     mons[1].halted = True
     cl.env.run(until=cl.env.now + 350_000)
     assert mons[0].view.status[1] == SUSPECT
@@ -129,15 +128,13 @@ def test_photon_pending_op_settles_peer_dead():
     cl = build_cluster(2, "ib-fdr", seed=3)
     ph = photon_init(cl, PhotonConfig(use_imm=False, max_op_retries=5,
                                       op_timeout_ns=400_000))
-    mons = build_health(cl)
+    build_health(cl)
     a, b = ph[0].buffer(4096), ph[1].buffer(4096)
     out = {}
 
     def prog(env):
         yield env.timeout(500_000)  # detectors warmed up
-        mons[1].halt()
-        ph[1].crash_local()
-        cl[1].nic.power_off()
+        cl[1].crash()
         t0 = env.now
         yield from ph[0].put_pwc(1, a.addr, 4096, b.addr, b.rkey,
                                  local_cid=1, remote_cid=1)
@@ -176,8 +173,7 @@ def _rndv_pair(restart):
     events = [CrashRank(T_SEND + 20_000, 1)]
     if restart:
         events.append(RestartRank(T_SEND + 420_000, 1))
-    ChaosController(cl, FaultSchedule(events), photon=ph,
-                    monitors=mons).arm()
+    ChaosController(cl, FaultSchedule(events)).arm()
     return cl, ph, mons
 
 
@@ -268,15 +264,14 @@ def test_transport_reuses_the_slot_of_a_send_to_a_dead_peer(monkeypatch):
 def test_minimpi_requests_fail_with_peer_dead():
     cl = build_cluster(2, "ib-fdr", seed=4)
     mm = mpi_init(cl)
-    mons = build_health(cl)
+    build_health(cl)
     src = cl[0].memory.alloc(64)
     cl[0].memory.write(src, b"\xaa" * 64)
     out = {}
 
     def prog(env):
         yield env.timeout(500_000)
-        mons[1].halt()
-        cl[1].nic.power_off()
+        cl[1].crash()
         # pending at crash: settles via the on_dead callback at detection
         req = yield from mm[0].isend(src, 64, 1, tag=0)
         yield from mm[0].engine.wait(req, timeout_ns=WAIT)
@@ -309,15 +304,13 @@ def test_photon_sender_stalled_on_a_full_ring_is_released_peer_dead():
     blocks for credit that a dead peer will never return."""
     cl = build_cluster(2, "ib-fdr", seed=6)
     ph = photon_init(cl)
-    mons = build_health(cl)
+    build_health(cl)
     out = {}
 
     def crash(env):
         yield env.timeout(600_000)  # detectors warmed up, sender stalled
         out["stalls"] = cl.counters.get("photon.eager_stalls")
-        mons[1].halt()
-        ph[1].crash_local()
-        cl[1].nic.power_off()
+        cl[1].crash()
         out["t_crash"] = env.now
 
     def sender(env):
@@ -342,15 +335,14 @@ def test_minimpi_sender_stalled_on_the_eager_window_is_released_peer_dead():
     more blocks for a slot."""
     cl = build_cluster(2, "ib-fdr", seed=6)
     mm = mpi_init(cl)
-    mons = build_health(cl)
+    build_health(cl)
     src = cl[0].memory.alloc(64)
     out = {}
 
     def crash(env):
         yield env.timeout(700_000)
         out["stalls"] = cl.counters.get("mpi.eager_stalls")
-        mons[1].halt()
-        cl[1].nic.power_off()
+        cl[1].crash()
         out["t_crash"] = env.now
 
     def sender(env):
@@ -407,9 +399,7 @@ def test_every_layer_hears_the_verdict_whatever_the_build_order(
 
     def prog(env):
         yield env.timeout(500_000)  # detectors warmed up
-        mons[1].halt()
-        ph[1].crash_local()
-        cl[1].nic.power_off()
+        cl[1].crash()
         seen["pending_op"] = yield from ph[0].put_pwc(
             1, a.addr, 4096, b.addr, b.rkey, local_cid=1, remote_cid=1)
         seen["pending_fut"] = yield from rts[0].invoke(1, "echo", b"x")

@@ -1037,6 +1037,9 @@ def test_await_returns_what_the_literal_hub_poll_returns(name, script,
             yield env.timeout(at - 150)
             yield env.timeout(150)
             if what == "wipe":
+                # a partial crash on purpose: only the node's hub wipe,
+                # twice in one script, which a whole rank's crash cannot
+                # repeat without a restart that charges time
                 node.on_crash()
                 return
             for cid in ((1, 2) if what == "file" else (3,)):
@@ -1220,13 +1223,16 @@ def test_a_kv_rank_hears_its_detector_photon_then_am_then_kv(monkeypatch):
     cl[0].on_peer_dead[:] = [spy(cb) for cb in cl[0].on_peer_dead]
     assert [type(cb.__self__).__name__ for cb in cl[0].on_peer_join] == \
         ["Photon", "KVNode"]
+    # the rank's crash and restart reach the same layers in the same order
+    assert [type(cb.__self__).__name__ for cb in cl[0].on_crash] == \
+        ["Photon", "PhotonTransport", "Runtime", "ActiveMessageEngine",
+         "KVNode"]
+    assert [type(cb.__self__).__name__ for cb in cl[0].on_restart] == \
+        ["Photon", "KVNode"]
 
     def prog(env):
         yield env.timeout(500_000)  # detectors warmed up
-        mons[2].halt()
-        ph[2].crash_local()
-        cl[2].nic.power_off()
-        nodes[2].on_crash()
+        cl[2].crash()
         while not mons[0].is_dead(2):
             yield env.timeout(1_000)
 
@@ -1244,7 +1250,7 @@ def test_a_kv_rank_hears_its_detector_photon_then_am_then_kv(monkeypatch):
 def test_build_snapshot_tolerates_dead_ranks():
     cl = build_cluster(2, "ib-fdr", seed=31)
     ph = photon_init(cl)
-    ph[1].crash_local()
+    cl[1].crash()
     # a caller that nulls out the crashed slot
     snap = build_snapshot(cl, photons=[ph[0], None])
     assert snap["ranks"]["1"]["dead"] is True

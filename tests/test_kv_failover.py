@@ -105,7 +105,6 @@ def test_a_client_spends_no_attempt_on_a_replica_its_rank_holds_dead(
 def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
     sc = Scenario(5, 1, seed=303)
     env, nodes = sc.env, sc.nodes
-    ctrl = sc.arm([])
     out = {"armed": False, "t_crash": None}
 
     def crash(victim):
@@ -113,7 +112,7 @@ def test_crash_inside_apply_or_flush_keeps_the_serve_loop_alive(where):
         # hooked call: APPLY_COST_NS, or the wire send of a Raft message
         out["armed"] = False
         yield env.timeout(1)
-        ctrl._crash(victim)
+        sc.cluster[victim].crash()
         out["t_crash"] = env.now
 
     def hook(victim):

@@ -276,6 +276,42 @@ def test_the_failure_detector_is_found_on_the_rank():
     assert not bad, bad
 
 
+def test_a_crash_belongs_to_the_rank():
+    """A rank dies and comes back through ``RankNode.crash()`` /
+    ``restart()``, which its layers subscribe to when they are built:
+    outside ``cluster.py`` nothing calls a layer's crash or restart step
+    or powers a NIC off or on (the NIC's own tests do), and only the
+    benchmark hands the controller per-layer lists (ROADMAP 6d)."""
+    steps = re.compile(r"\.(crash_local|rejoin|on_crash|reseed|halt|resume)\(")
+    power = re.compile(r"\.power_o(ff|n)\(")
+    nic_tests = ("test_fabric_", "test_property_nic.py", "nic_oracle.py")
+    #: deliberately partial crashes, each with its reason beside it
+    partial = {os.path.join("tests", "test_kv.py"): 1}
+    found = {}
+    for path in _py_files("src", "tests"):
+        name = os.path.basename(path)
+        if path == os.path.join("src", "repro", "cluster.py") or \
+                name == "test_repo_consistency.py":
+            continue
+        text = open(path).read()
+        hits = len(steps.findall(text))
+        if not name.startswith(nic_tests) and \
+                path != os.path.join("src", "repro", "fabric", "nic.py"):
+            hits += len(power.findall(text))
+        if hits:
+            found[path] = hits
+    assert found == partial
+
+    def fans_out(path):
+        return any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "ChaosController"
+                   and {k.arg for k in node.keywords} & {"photon",
+                                                         "monitors", "kv"}
+                   for node in ast.walk(ast.parse(open(path).read())))
+    assert [path for path in _py_files("src", "tests", "examples", "perf")
+            if fans_out(path)] == [os.path.join("perf", "workloads", "kv.py")]
+
+
 def test_a_batch_waits_only_while_its_rank_is_busy():
     """The coalescer ships what is open when its rank goes idle, so a
     parked rank owes no batch: ``next_deadline`` is the wire's and nothing
