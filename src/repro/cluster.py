@@ -37,8 +37,9 @@ class RankNode:
     (``cb()``: this incarnation's volatile state is gone, no simulated
     time) and ``on_restart`` (``cb()``, returning None or a generator run
     to completion before the next subscriber: Photon's rejoin charges
-    time).  Every other layer is built over Photon, so build order puts
-    Photon first.  The order is:
+    time).  Subscribers run in build order, so a layer built over Photon
+    (a transport, the KV node) crashes and restarts after it.  The
+    order is:
 
     - crash: the detector halts (it stops beating at once), the
       subscribers run, the NIC powers off;
